@@ -13,6 +13,8 @@ that action on R^2.
 
 from __future__ import annotations
 
+import math
+
 from .errors import InfiniteRingError, InternalCheckError, MixedRingError
 from .monoids import FiniteCommMonoid, find_absorbing, require_valid_monoid
 from .rings import IntegerRing, Ring, RingElement
@@ -266,7 +268,12 @@ class Classification:
 
 
 def classify(ring: Ring) -> Classification:
-    """Orbits of the basis-change group acting on all pairs (t, n) in R^2."""
+    """Orbits of the basis-change group G acting on all pairs (t, n) in R^2.
+
+    G is a group, since x -> u1(x + r1) followed by x -> u2(x + r2) is the
+    basis change (u1 u2, r1 + u1^-1 r2), so G applied to one seed is its whole
+    orbit; the cost is (number of classes) * |G| basis changes.
+    """
     if not ring.is_finite:
         raise InfiniteRingError("classification requires a finite ring")
     group = basis_change_group(ring)
@@ -274,21 +281,13 @@ def classify(ring: Ring) -> Classification:
     pending = {(t, n) for t in elements for n in elements}
     classes = []
     while pending:
-        seed = next(iter(pending))
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            t, n = frontier.pop()
-            alg = QuadraticAlgebra(ring, t, n)
-            for g in group:
-                img = apply_basis_change(alg, g).pair()
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
+        seed = QuadraticAlgebra(ring, *next(iter(pending)))
+        orbit = {apply_basis_change(seed, g).pair() for g in group}
         pending -= orbit
         pairs = sorted(orbit, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
         classes.append(IsoClass(QuadraticAlgebra(ring, *pairs[0]), pairs))
     classes.sort(key=lambda c: (c.rep.t.sort_key(), c.rep.n.sort_key()))
+    # Overlapping orbits (G not a group) would push the sum above |R|^2.
     total = sum(c.orbit_size for c in classes)
     if total != len(elements) ** 2:
         raise InternalCheckError(
@@ -340,8 +339,7 @@ def integer_algebra_for_disc(d: int) -> QuadraticAlgebra:
     if d == 0:
         return QuadraticAlgebra(ring, 0, 0)
     if d > 0:
-        root = int(round(d ** 0.5))
-        for cand in (root - 1, root, root + 1):
-            if cand >= 0 and cand * cand == d:
-                return QuadraticAlgebra(ring, cand, 0)
+        root = math.isqrt(d)
+        if root * root == d:
+            return QuadraticAlgebra(ring, root, 0)
     return QuadraticAlgebra(ring, d, (d * d - d) // 4)

@@ -2,7 +2,10 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import quadrings.quadratic as quadratic
 from quadrings import (BasisChange, InfiniteRingError, MixedRingError,
                        QuadraticAlgebra, apply_basis_change,
                        basis_change_group, classify, find_absorbing,
@@ -170,6 +173,42 @@ def test_classify_matches_oracle():
         assert sum(c.orbit_size for c in cl) == ring.size ** 2
 
 
+def test_classify_applies_group_once_per_class(monkeypatch):
+    calls = 0
+    original = quadratic.apply_basis_change
+
+    def counting(s, g):
+        nonlocal calls
+        calls += 1
+        return original(s, g)
+
+    monkeypatch.setattr(quadratic, "apply_basis_change", counting)
+    for spec in ["Z/8", "Z/12", "Z/2[x]/(x^2+x+1)"]:
+        ring = parse_ring(spec)
+        calls = 0
+        cl = classify(ring)
+        assert calls == len(cl) * len(basis_change_group(ring)), spec
+
+
+def burnside_class_count(ring):
+    """|G|^-1 * sum over g of |Fix g|, with no orbit enumeration."""
+    two = ring.element(2)
+    els = ring.elements()
+    group = [(u, r) for u in ring.units() for r in els]
+    fixed = sum(1 for u, r in group for t in els if u * (t + two * r) == t
+                for n in els if u * u * (n + t * r + r * r) == n)
+    assert fixed % len(group) == 0
+    return fixed // len(group)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.integers(2, 20).map(lambda n: f"Z/{n}"),
+                 st.sampled_from(FINITE_RINGS)))
+def test_class_count_matches_burnside(spec):
+    ring = parse_ring(spec)
+    assert len(classify(ring)) == burnside_class_count(ring)
+
+
 def test_classify_f2():
     cl = classify(parse_ring("Z/2"))
     assert [c.label for c in cl] == ["(0,0)", "(1,0)", "(1,1)"]
@@ -308,6 +347,16 @@ def test_integer_algebra_table():
     for d in range(-100, 101):
         if d % 4 in (0, 1):
             assert integer_algebra_for_disc(d).disc() == z.element(d)
+
+
+@pytest.mark.parametrize("root", [10 ** 19 + 7, 10 ** 160 + 1],
+                         ids=["20-digit", "161-digit"])
+def test_integer_algebra_for_large_square_disc(root):
+    # a float square root misjudges 20-digit squares and overflows past 1e308
+    z = parse_ring("Z")
+    assert integer_algebra_for_disc(root * root) == QuadraticAlgebra(z, root, 0)
+    d = root * root + 4
+    assert integer_algebra_for_disc(d) == QuadraticAlgebra(z, d, (d * d - d) // 4)
 
 
 def test_integer_classes_inject_into_discriminants():
