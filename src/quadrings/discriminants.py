@@ -24,12 +24,7 @@ from .rings import IntegerRing, Ring, RingElement
 
 def coset_representative(a: RingElement, k: int) -> RingElement:
     """Canonical representative of a + kR (least member; a mod k over Z)."""
-    ring = a.ring
-    if ring.is_finite:
-        kk = ring.element(k)
-        return min((a + kk * b for b in ring.elements()),
-                   key=lambda e: e.sort_key())
-    return ring.element(a.value % k)
+    return a.ring.coset_representative(a, k)
 
 
 def sq_map(ring: Ring, t: RingElement) -> RingElement:
@@ -41,6 +36,19 @@ def sq_map(ring: Ring, t: RingElement) -> RingElement:
     return coset_representative(t * t, 4)
 
 
+def _square_classes(ring: Ring) -> dict[RingElement, RingElement]:
+    """Each class t^2 mod 4R of a finite ring -> its least witness t mod 2R.
+
+    The witnesses of a class are a union of cosets of 2R, so the least one is
+    reduced mod 2R; elements come in canonical order, so the first t to reach
+    a class is that least witness.
+    """
+    witnesses: dict[RingElement, RingElement] = {}
+    for t in ring.elements():
+        witnesses.setdefault(sq_map(ring, t), t)
+    return witnesses
+
+
 def is_discriminant(ring: Ring, d: RingElement):
     """A witness t (canonical mod 2R) with t^2 = d mod 4R, or None.
 
@@ -48,11 +56,7 @@ def is_discriminant(ring: Ring, d: RingElement):
     """
     ring._check_mine(d)
     if ring.is_finite:
-        target = coset_representative(d, 4)
-        witnesses = sorted({coset_representative(t, 2) for t in ring.elements()
-                            if sq_map(ring, t) == target},
-                           key=lambda e: e.sort_key())
-        return witnesses[0] if witnesses else None
+        return _square_classes(ring).get(coset_representative(d, 4))
     if isinstance(ring, IntegerRing):
         if d.value % 4 in (0, 1):
             return ring.element(d.value % 2)
@@ -86,11 +90,6 @@ class DiscClass:
         return str(self.d)
 
 
-def _unit_square_orbit(ring: Ring, d: RingElement) -> list[RingElement]:
-    orbit = {u * u * d for u in ring.units()}
-    return sorted(orbit, key=lambda e: e.sort_key())
-
-
 class DiscClassification:
     """The discriminant classes of a finite ring, with their monoid."""
 
@@ -101,22 +100,23 @@ class DiscClassification:
                 "over Z use is_discriminant and the value d itself"
             )
         self.ring = ring
+        witnesses = _square_classes(ring)
+        unit_squares = {u * u for u in ring.units()}
         seen: set[RingElement] = set()
-        classes: list[DiscClass] = []
-        orbits: list[list[RingElement]] = []
+        self.classes: list[DiscClass] = []
+        self.orbits: list[list[RingElement]] = []
+        # The first unseen discriminant in canonical order is the least member
+        # of its unit-square orbit, so classes come out sorted.
         for d in ring.elements():
             if d in seen:
                 continue
-            witness = is_discriminant(ring, d)
+            witness = witnesses.get(coset_representative(d, 4))
             if witness is None:
                 continue
-            orbit = _unit_square_orbit(ring, d)
+            orbit = sorted({s * d for s in unit_squares}, key=lambda e: e.sort_key())
             seen.update(orbit)
-            classes.append(DiscClass(ring, orbit[0], is_discriminant(ring, orbit[0])))
-            orbits.append(orbit)
-        order = sorted(range(len(classes)), key=lambda i: classes[i].d.sort_key())
-        self.classes = [classes[i] for i in order]
-        self.orbits = [orbits[i] for i in order]
+            self.classes.append(DiscClass(ring, d, witness))
+            self.orbits.append(orbit)
         self._index: dict[RingElement, int] = {}
         for i, orbit in enumerate(self.orbits):
             for d in orbit:
@@ -187,14 +187,17 @@ def disc_hom_check(ring: Ring,
     dc = DiscClassification(ring)
     mapping = [dc.index_of(c.disc) for c in cl]
     violations: list[str] = []
+    is_hom = True
 
     identity_idx = cl.index_of(QuadraticAlgebra(ring, 1, 0))
     if mapping[identity_idx] != dc.monoid.identity:
+        is_hom = False
         violations.append("identity class does not map to the identity disc class")
     for i, ci in enumerate(cl):
         for j, cj in enumerate(cl):
             k = cl.index_of(star_product(ci.rep, cj.rep))
             if mapping[k] != dc.monoid.table[mapping[i]][mapping[j]]:
+                is_hom = False
                 violations.append(
                     f"disc({ci.label}*{cj.label}) differs from "
                     f"disc({ci.label})*disc({cj.label})"
@@ -221,8 +224,7 @@ def disc_hom_check(ring: Ring,
 
     surjective = all(size > 0 for size in fiber_sizes.values())
     return DiscHomReport(ring=ring,
-                         is_homomorphism=not any("differs" in v or "identity" in v
-                                                 for v in violations),
+                         is_homomorphism=is_hom,
                          is_surjective=surjective,
                          fiber_sizes=fiber_sizes,
                          fibers=fibers,

@@ -9,6 +9,7 @@ constant coefficient least significant).  All values are immutable.
 
 from __future__ import annotations
 
+import math
 import re
 from itertools import product
 
@@ -54,39 +55,38 @@ class Ring:
         """All elements, each exactly once, in canonical order."""
         raise InfiniteRingError("enumeration requires a finite ring")
 
+    # The finite-ring kernel.  Each concrete ring answers these from its own
+    # structure in closed form; none scans the ring to answer for one element.
+
     def units(self) -> list[RingElement]:
         """The invertible elements, in canonical order (finite rings only)."""
         if not self.is_finite:
             raise InfiniteRingError(
                 "units() requires a finite ring; use is_unit for single elements"
             )
-        one = self.one
-        return [a for a in self.elements()
-                if any(a * b == one for b in self.elements())]
+        return [a for a in self.elements() if self.is_unit(a)]
 
     def is_unit(self, a: RingElement) -> bool:
-        self._check_mine(a)
-        one = self.one
-        return any(a * b == one for b in self.elements())
+        raise NotImplementedError
 
     def inverse_of_unit(self, a: RingElement) -> RingElement:
-        one = self.one
-        for b in self.elements():
-            if a * b == one:
-                return b
-        raise ValueError(f"{a!r} is not a unit")
+        raise NotImplementedError
 
     def is_nonzerodivisor(self, a: RingElement) -> bool:
-        """True iff a*b = 0 forces b = 0."""
-        self._check_mine(a)
-        zero = self.zero
-        return all(b == zero for b in self.elements() if a * b == zero)
+        """True iff a*b = 0 forces b = 0.
+
+        In a finite ring this is is_unit: if multiplication by a is
+        injective it is a bijection, so some b has a*b = 1.
+        """
+        return self.is_unit(a)
 
     def in_principal_ideal(self, a: RingElement, t: RingElement) -> bool:
-        """Decide a in tR by scanning multipliers."""
-        self._check_mine(a)
-        self._check_mine(t)
-        return any(t * b == a for b in self.elements())
+        """Decide a in tR."""
+        raise NotImplementedError
+
+    def coset_representative(self, a: RingElement, k: int) -> RingElement:
+        """Canonical representative of a + kR."""
+        raise NotImplementedError
 
     def _check_mine(self, a: RingElement) -> None:
         if a.ring != self:
@@ -145,6 +145,11 @@ class IntegerRing(Ring):
             return a.value == 0
         return a.value % t.value == 0
 
+    def coset_representative(self, a: RingElement, k: int) -> RingElement:
+        """a mod k, the canonical representative of a + kZ."""
+        self._check_mine(a)
+        return RingElement(self, a.value % k)
+
     def spec_string(self) -> str:
         return "Z"
 
@@ -190,6 +195,30 @@ class ModRing(Ring):
     def elements(self) -> list[RingElement]:
         return [RingElement(self, v) for v in range(self.n)]
 
+    # Closed forms via gcd: Z/n is never enumerated, so these stay cheap for
+    # moduli far too large to list.
+
+    def is_unit(self, a: RingElement) -> bool:
+        """a is a unit iff gcd(a, n) = 1."""
+        self._check_mine(a)
+        return math.gcd(a.value, self.n) == 1
+
+    def inverse_of_unit(self, a: RingElement) -> RingElement:
+        if not self.is_unit(a):
+            raise ValueError(f"{a!r} is not a unit")
+        return RingElement(self, pow(a.value, -1, self.n))
+
+    def in_principal_ideal(self, a: RingElement, t: RingElement) -> bool:
+        """a in tR iff a = 0 mod gcd(t, n), since tR = gcd(t, n)R."""
+        self._check_mine(a)
+        self._check_mine(t)
+        return a.value % math.gcd(t.value, self.n) == 0
+
+    def coset_representative(self, a: RingElement, k: int) -> RingElement:
+        """Least member of a + kR: a mod gcd(k, n), since kR = gcd(k, n)R."""
+        self._check_mine(a)
+        return RingElement(self, a.value % math.gcd(k, self.n))
+
     def spec_string(self) -> str:
         return f"Z/{self.n}"
 
@@ -223,6 +252,7 @@ class QuotientPolyRing(Ring):
         self.n = n
         self.modulus = tuple(coeffs)
         self.degree = len(coeffs) - 1
+        self._inverses: dict | None = None
 
     def canonicalize(self, value):
         if isinstance(value, RingElement):
@@ -270,6 +300,66 @@ class QuotientPolyRing(Ring):
         for rev in product(range(self.n), repeat=self.degree):
             out.append(RingElement(self, tuple(reversed(rev))))
         return out
+
+    def _inverse_table(self) -> dict:
+        """Unit -> inverse on canonical values, built on first use per ring.
+
+        Walks the powers a, a^2, ... of each element not yet placed.  A walk
+        that reaches a known unit p = a^k (at first only 1 is known) makes
+        each a^i with i < k a unit with inverse a^(k-i) p^-1.  A walk that reaches a known
+        non-unit or repeats itself makes them all non-units: a power of a
+        non-unit is never a unit, and the powers of a unit come back to 1
+        before they repeat.  Each element is placed by one walk, so the table
+        costs at most 2|R| products.
+        """
+        if self._inverses is None:
+            one = self.one.value
+            inverses = {one: one}
+            nonunits = set()
+            for e in self.elements():
+                a = e.value
+                if a in inverses or a in nonunits:
+                    continue
+                chain, walked = [a], {a}    # chain[i] = a^(i+1)
+                p = self._mul(a, a)
+                while p not in inverses and p not in nonunits and p not in walked:
+                    chain.append(p)
+                    walked.add(p)
+                    p = self._mul(p, a)
+                if p in inverses:
+                    k, q = len(chain) + 1, inverses[p]
+                    for i, c in enumerate(chain, 1):
+                        inverses[c] = self._mul(chain[k - i - 1], q)
+                else:
+                    nonunits |= walked
+            self._inverses = inverses
+        return self._inverses
+
+    def is_unit(self, a: RingElement) -> bool:
+        """A lookup in the unit table of this ring instance."""
+        self._check_mine(a)
+        return a.value in self._inverse_table()
+
+    def inverse_of_unit(self, a: RingElement) -> RingElement:
+        self._check_mine(a)
+        inverse = self._inverse_table().get(a.value)
+        if inverse is None:
+            raise ValueError(f"{a!r} is not a unit")
+        return RingElement(self, inverse)
+
+    def in_principal_ideal(self, a: RingElement, t: RingElement) -> bool:
+        """a in tR: always when t is a unit, since then tR = R; otherwise
+        decided by listing the multiples of t."""
+        self._check_mine(a)
+        self._check_mine(t)
+        return self.is_unit(t) or any(t * b == a for b in self.elements())
+
+    def coset_representative(self, a: RingElement, k: int) -> RingElement:
+        """Least member of a + kR: each coefficient mod gcd(k, n), since
+        additively R = (Z/n)^d and kR = (gcd(k, n) Z/n)^d."""
+        self._check_mine(a)
+        g = math.gcd(k, self.n)
+        return RingElement(self, tuple(c % g for c in a.value))
 
     def spec_string(self) -> str:
         return f"Z/{self.n}[x]/({format_poly(self.modulus)})"

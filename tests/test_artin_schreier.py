@@ -220,6 +220,24 @@ def test_integer_sec_characterization():
             assert is_sec_algebra(s) == (s.disc().value != 0)
 
 
+def test_integer_sec_element_is_polynomial_time(monkeypatch):
+    from quadrings.rings import IntegerRing
+    calls = [0]
+    original = IntegerRing.in_principal_ideal
+
+    def counted(self, a, t):
+        calls[0] += 1
+        if calls[0] > 1000:
+            raise AssertionError("is_sec_element scans residues mod t")
+        return original(self, a, t)
+    monkeypatch.setattr(IntegerRing, "in_principal_ideal", counted)
+    z = parse_ring("Z")
+    assert is_sec_element(z, z.element(2 * 10 ** 4 + 2))
+    assert is_sec_element(z, z.element(10 ** 12 + 2))
+    assert not is_sec_element(z, z.element(10 ** 12))
+    assert is_sec_algebra(QuadraticAlgebra(z, 10 ** 12 + 1, 5))
+
+
 def test_check_freeness_all_rings():
     for spec in FINITE_RINGS:
         ring = parse_ring(spec)

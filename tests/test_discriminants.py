@@ -123,6 +123,16 @@ def test_disc_hom_check_all_rings():
         assert report.is_homomorphism and report.is_surjective
 
 
+def test_disc_hom_check_flags_a_broken_product(monkeypatch):
+    import quadrings.discriminants as discriminants
+    from quadrings import QuadraticAlgebra
+    monkeypatch.setattr(discriminants, "star_product",
+                        lambda s, t: QuadraticAlgebra(s.ring, 0, 0))
+    report = disc_hom_check(parse_ring("Z/4"))
+    assert not report.is_homomorphism and report.is_surjective
+    assert "disc((1,0)*(1,0)) differs from disc((1,0))*disc((1,0))" in report.violations
+
+
 def test_quad_class_disc_is_valid_with_trace_witness():
     # every classified algebra's disc admits its own trace as a witness
     for spec in ["Z/4", "Z/6", "Z/2[x]/(x^2)"]:

@@ -1,9 +1,12 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quadrings import (InfiniteRingError, MixedRingError, RingParseError,
-                       parse_ring)
+from quadrings import (InfiniteRingError, MixedRingError, QuadraticAlgebra,
+                       RingParseError, parse_ring)
+from quadrings.discriminants import is_discriminant
 from quadrings.rings import IntegerRing, ModRing, QuotientPolyRing, parse_poly
 
 SMALL_RINGS = [
@@ -201,3 +204,77 @@ def test_arbitrary_precision_has_no_overflow():
     a = z.element(big)
     assert (a * a).value == big * big
     assert (a * a - z.element(4) * z.element(big - 1)).value == big * big - 4 * (big - 1)
+
+
+# Brute-force definitions of the ring kernel: the oracles it is checked against.
+
+def brute_units(ring):
+    one = ring.one
+    return [a for a in ring.elements() if any(a * b == one for b in ring.elements())]
+
+
+def brute_inverse(ring, a):
+    return next((b for b in ring.elements() if a * b == ring.one), None)
+
+
+def brute_is_nonzerodivisor(ring, a):
+    return all(b == ring.zero for b in ring.elements() if a * b == ring.zero)
+
+
+def brute_in_principal_ideal(ring, a, t):
+    return any(t * b == a for b in ring.elements())
+
+
+def brute_coset_representative(a, k):
+    ring = a.ring
+    return min((a + ring.element(k) * b for b in ring.elements()),
+               key=lambda e: e.sort_key())
+
+
+def brute_is_discriminant(ring, d):
+    target = brute_coset_representative(d, 4)
+    witnesses = {brute_coset_representative(t, 2) for t in ring.elements()
+                 if brute_coset_representative(t * t, 4) == target}
+    return min(witnesses, key=lambda e: e.sort_key()) if witnesses else None
+
+
+KERNEL_RINGS = ([f"Z/{n}" for n in range(1, 41)]
+                + [s for s in SMALL_RINGS if "[x]" in s] + ["Z/9[x]/(x^2+1)"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(KERNEL_RINGS), st.data())
+def test_kernel_matches_brute_force(spec, data):
+    ring = parse_ring(spec)
+    elements = ring.elements()
+    a = data.draw(st.sampled_from(elements))
+    t = data.draw(st.sampled_from(elements))
+    k = data.draw(st.integers(0, 8))
+    assert ring.coset_representative(a, k) == brute_coset_representative(a, k)
+    assert ring.units() == brute_units(ring)
+    inverse = brute_inverse(ring, a)
+    assert ring.is_unit(a) == (inverse is not None)
+    if inverse is None:
+        with pytest.raises(ValueError):
+            ring.inverse_of_unit(a)
+    else:
+        assert ring.inverse_of_unit(a) == inverse
+    assert ring.is_nonzerodivisor(a) == brute_is_nonzerodivisor(ring, a)
+    assert ring.in_principal_ideal(a, t) == brute_in_principal_ideal(ring, a, t)
+    assert is_discriminant(ring, a) == brute_is_discriminant(ring, a)
+
+
+def test_mod_ring_never_enumerates(monkeypatch):
+    def refuse(self):
+        raise AssertionError("Z/n was enumerated")
+    monkeypatch.setattr(ModRing, "elements", refuse)
+    n = 7 * 11 * 13 * (10 ** 36 + 3)    # 40 digits, odd
+    ring = parse_ring(f"Z/{n}")
+    u, z = ring.element(10 ** 20 + 1), ring.element(7 * 11)
+    assert ring.is_unit(u) and not ring.is_unit(z)
+    assert u * ring.inverse_of_unit(u) == ring.one
+    assert ring.is_nonzerodivisor(u) and not ring.is_nonzerodivisor(z)
+    assert ring.in_principal_ideal(ring.element(143 * 10 ** 30), ring.element(13 * 11))
+    assert not ring.in_principal_ideal(ring.element(13), ring.element(13 * 11))
+    assert ring.coset_representative(ring.element(10 ** 30 + 5), 14) == ring.element(6)
+    assert QuadraticAlgebra(ring, 1, 0).is_separable()
