@@ -16,8 +16,9 @@ from .discriminants import (DiscClass, DiscClassification, Rank1Form,
                             form_nondegenerate, form_nonsingular,
                             form_semi_nondegenerate, form_semi_nonsingular,
                             forms_similar, is_discriminant, sq_map)
-from .errors import (InfiniteRingError, InternalCheckError, MixedRingError,
-                     MonoidError, RingParseError)
+from .errors import (EnumerationLimitError, InfiniteRingError,
+                     InternalCheckError, MixedRingError, MonoidError,
+                     RingParseError)
 from .identities import (IDENTITY_NAMES, IdentityResult, MultiPoly,
                          PolyQuadElement, TensorElement, verify_all,
                          verify_named_identity)

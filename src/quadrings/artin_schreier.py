@@ -11,18 +11,19 @@ which agrees exactly with S * (1, m).  On each fiber of the discriminant map
 the action kernel contains the image of ann(d)[4] = {a : a*d = 0, 4a = 0}.
 
 "sec" (square even cancellative) elements are the nonzerodivisors t for which
-r^2, 2r in tR forces r in tR; on sec algebras the fiber action is free.
+r^2, 2r in tR forces r in tR.  Over Z and finite rings an algebra is sec iff
+its discriminant is a nonzerodivisor, and on sec algebras the fiber action is
+free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .discriminants import DiscClass, DiscClassification, coset_representative
+from .discriminants import DiscClass, coset_representative
 from .errors import InfiniteRingError, InternalCheckError
 from .monoids import FiniteCommMonoid
-from .quadratic import (Classification, QuadraticAlgebra, apply_basis_change,
-                        basis_change_group, classify)
+from .quadratic import Classification, QuadraticAlgebra
 from .rings import IntegerRing, Ring, RingElement
 
 
@@ -163,22 +164,20 @@ class FiberReport:
     basis_orbit_bound: int
 
 
-def fiber_report(ring: Ring, d: DiscClass,
-                 classification: Classification | None = None,
-                 group: ASGroup | None = None) -> FiberReport:
+def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
+                 group: ASGroup) -> FiberReport:
     """Compute the AS(R)-orbit structure of the fiber over a disc class.
 
-    Also re-derives, and insists on, the guarantees that come with the
-    action: it descends to isomorphism classes, its kernel contains the image
-    of ann(d)[4], and the with-basis orbit count over the representative d
-    equals |{t : t^2 = d mod 4R}| * |R[4] / dR[4]|.
+    The fiber is the classes whose discriminant is u^2 d for a unit u.  Also
+    re-derives, and insists on, the guarantees that come with the action: it
+    descends to isomorphism classes, its kernel contains the image of
+    ann(d)[4], and the with-basis orbit count over d equals
+    |{t : t^2 = d mod 4R}| * |R[4] / dR[4]|.
     """
-    cl = classification if classification is not None else classify(ring)
-    asg = group if group is not None else ASGroup(ring)
-    dc = DiscClassification(ring)
-    class_idx = dc.index_of(d.d)
+    cl, asg = classification, group
+    discs = {u * u * d.d for u in ring.units()}
 
-    fiber = [i for i, c in enumerate(cl) if dc.index_of(c.disc) == class_idx]
+    fiber = [i for i, c in enumerate(cl) if c.disc in discs]
     fiber_pos = {ci: k for k, ci in enumerate(fiber)}
 
     # The action must not depend on the chosen orbit member.
@@ -287,41 +286,23 @@ def is_sec_element(ring: Ring, t: RingElement) -> bool:
 def is_sec_algebra(s: QuadraticAlgebra) -> bool:
     """Discriminant is a nonzerodivisor and some basis gives a sec trace.
 
-    Finite rings search every basis change.  Over Z the trace candidates are
-    u(t + 2r) with u = +/-1, and |r| <= |t| + 2 suffices: the reachable traces
-    are exactly the integers of t's parity, and every residue class mod 4
-    within a parity contains a sec value (odd, or = 2 mod 4) in that range.
+    Over Z and over finite rings the first condition implies the second.
+    Over Z the reachable traces u(t + 2r) include 1 or 2, and both are sec.
+    A finite ring is a product of local rings, and its nonzerodivisors are
+    its units.  In a factor where 2 is a unit some r gives t + 2r = 1; where
+    2 is not a unit, a unit t^2 - 4n forces the trace t to be a unit.
     """
     ring = s.ring
-    if not ring.is_nonzerodivisor(s.disc()):
-        return False
-    if ring.is_finite:
-        return any(is_sec_element(ring, apply_basis_change(s, g).t)
-                   for g in basis_change_group(ring))
-    if isinstance(ring, IntegerRing):
-        from .quadratic import BasisChange
-        bound = abs(s.t.value) + 2
-        for uv in (1, -1):
-            for rv in range(-bound, bound + 1):
-                g = BasisChange(ring.element(uv), ring.element(rv))
-                if is_sec_element(ring, apply_basis_change(s, g).t):
-                    return True
-        return False
+    if ring.is_finite or isinstance(ring, IntegerRing):
+        return ring.is_nonzerodivisor(s.disc())
     raise InfiniteRingError("sec testing needs a finite ring or Z")
 
 
-def check_freeness(ring: Ring, d: DiscClass,
-                   classification: Classification | None = None,
-                   group: ASGroup | None = None) -> bool:
-    """True iff AS(R) acts freely on the sec members of the fiber (vacuous ok)."""
-    cl = classification if classification is not None else classify(ring)
-    asg = group if group is not None else ASGroup(ring)
-    report = fiber_report(ring, d, cl, asg)
-    sec_fiber = [ci for ci in report.fiber if is_sec_algebra(cl[ci].rep)]
-    for m_idx, m in enumerate(asg.classes):
-        if m_idx == asg.identity:
-            continue
-        for ci in sec_fiber:
-            if cl.index_of(as_act(cl[ci].rep, m)) == ci:
-                return False
-    return True
+def check_freeness(ring: Ring, d: DiscClass, classification: Classification,
+                   group: ASGroup) -> bool:
+    """True iff AS(R) acts freely on the sec members of the fiber (vacuous ok).
+
+    Its discriminants are d times unit squares: all members are sec, or none.
+    """
+    report = fiber_report(ring, d, classification, group)
+    return report.free or not ring.is_nonzerodivisor(d.d)

@@ -2,7 +2,8 @@
 
 Subcommands: classify, disc, fibers, as-group, product, verify, sec.
 Exit codes: 0 success, 1 internal invariant violation (a bug, with witness),
-2 usage error (bad flags, unparseable ring spec, enumeration of Z).
+2 usage error (bad flags, unparseable ring spec, enumeration of Z, or an
+enumeration above rings.MAX_ENUMERATION items, refused before any work).
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def cmd_classify(args) -> str:
 def cmd_disc(args) -> str:
     ring = parse_ring(args.ring)
     dc = DiscClassification(ring)
-    hom = disc_hom_check(ring)
+    hom = disc_hom_check(ring, classify(ring))
     if hom.violations:
         raise InternalCheckError("; ".join(hom.violations))
     absorbing = ring.zero

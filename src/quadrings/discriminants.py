@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .errors import InfiniteRingError, InternalCheckError
 from .monoids import FiniteCommMonoid
-from .quadratic import Classification, QuadraticAlgebra, classify, star_product
+from .quadratic import Classification, QuadraticAlgebra, star_product
 from .rings import IntegerRing, Ring, RingElement
 
 
@@ -176,26 +176,24 @@ class DiscHomReport:
     violations: list[str] = field(default_factory=list)
 
 
-def disc_hom_check(ring: Ring,
-                   classification: Classification | None = None) -> DiscHomReport:
+def disc_hom_check(ring: Ring, classification: Classification) -> DiscHomReport:
     """Verify the class-level discriminant map is a surjective monoid hom.
 
     Surjectivity is witnessed constructively: each disc class (d, t) yields an
     algebra (t, n) with t^2 - 4n = d by solving 4n = t^2 - d.
     """
-    cl = classification if classification is not None else classify(ring)
     dc = DiscClassification(ring)
-    mapping = [dc.index_of(c.disc) for c in cl]
+    mapping = [dc.index_of(c.disc) for c in classification]
     violations: list[str] = []
     is_hom = True
 
-    identity_idx = cl.index_of(QuadraticAlgebra(ring, 1, 0))
+    identity_idx = classification.index_of(QuadraticAlgebra(ring, 1, 0))
     if mapping[identity_idx] != dc.monoid.identity:
         is_hom = False
         violations.append("identity class does not map to the identity disc class")
-    for i, ci in enumerate(cl):
-        for j, cj in enumerate(cl):
-            k = cl.index_of(star_product(ci.rep, cj.rep))
+    for i, ci in enumerate(classification):
+        for j, cj in enumerate(classification):
+            k = classification.index_of(star_product(ci.rep, cj.rep))
             if mapping[k] != dc.monoid.table[mapping[i]][mapping[j]]:
                 is_hom = False
                 violations.append(
@@ -204,7 +202,7 @@ def disc_hom_check(ring: Ring,
                 )
 
     fibers: dict[str, list[str]] = {c.label(): [] for c in dc}
-    for i, c in enumerate(cl):
+    for i, c in enumerate(classification):
         fibers[dc[mapping[i]].label()].append(c.label)
     fiber_sizes = {lbl: len(v) for lbl, v in fibers.items()}
 
@@ -241,6 +239,8 @@ class Rank1Form:
 
 
 def forms_similar(f: Rank1Form, g: Rank1Form) -> bool:
+    if isinstance(f.ring, IntegerRing):
+        return g.a in (f.a, -f.a)
     return any(u * f.a == g.a for u in f.ring.units())
 
 

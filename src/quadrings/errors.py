@@ -9,6 +9,10 @@ class InfiniteRingError(ValueError):
     """An operation that needs enumeration was asked of an infinite ring."""
 
 
+class EnumerationLimitError(ValueError):
+    """An enumeration was refused up front: it would exceed rings.MAX_ENUMERATION."""
+
+
 class MixedRingError(ValueError):
     """Two operands live in different rings (or algebras)."""
 

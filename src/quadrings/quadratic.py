@@ -17,7 +17,7 @@ import math
 
 from .errors import InfiniteRingError, InternalCheckError, MixedRingError
 from .monoids import FiniteCommMonoid, find_absorbing, require_valid_monoid
-from .rings import IntegerRing, Ring, RingElement
+from .rings import IntegerRing, Ring, RingElement, require_enumerable
 
 
 class QuadraticAlgebra:
@@ -276,6 +276,7 @@ def classify(ring: Ring) -> Classification:
     """
     if not ring.is_finite:
         raise InfiniteRingError("classification requires a finite ring")
+    require_enumerable(ring.size ** 2, f"pairs (t, n) over {ring!r}")
     group = basis_change_group(ring)
     elements = ring.elements()
     pending = {(t, n) for t in elements for n in elements}
@@ -296,25 +297,24 @@ def classify(ring: Ring) -> Classification:
     return Classification(ring, classes)
 
 
-def quad_monoid(ring: Ring, classification: Classification | None = None) -> FiniteCommMonoid:
+def quad_monoid(ring: Ring, classification: Classification) -> FiniteCommMonoid:
     """The commutative monoid of isomorphism classes under the star product.
 
     The table is induced by the product on canonical representatives; the
     result is validated before being returned, and the class of (0, 0) is
     checked to be absorbing.
     """
-    cl = classification if classification is not None else classify(ring)
-    labels = [c.label for c in cl]
+    labels = [c.label for c in classification]
     table = []
-    for ci in cl:
+    for ci in classification:
         row = []
-        for cj in cl:
-            row.append(cl.index_of(star_product(ci.rep, cj.rep)))
+        for cj in classification:
+            row.append(classification.index_of(star_product(ci.rep, cj.rep)))
         table.append(row)
-    identity = cl.index_of(QuadraticAlgebra(ring, 1, 0))
+    identity = classification.index_of(QuadraticAlgebra(ring, 1, 0))
     monoid = FiniteCommMonoid(labels, table, identity)
     require_valid_monoid(monoid)
-    if find_absorbing(monoid) != cl.index_of(QuadraticAlgebra(ring, 0, 0)):
+    if find_absorbing(monoid) != classification.index_of(QuadraticAlgebra(ring, 0, 0)):
         raise InternalCheckError("class of (0,0) is not absorbing")
     return monoid
 

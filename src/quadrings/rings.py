@@ -13,7 +13,17 @@ import math
 import re
 from itertools import product
 
-from .errors import InfiniteRingError, MixedRingError, RingParseError
+from .errors import (EnumerationLimitError, InfiniteRingError, MixedRingError,
+                     RingParseError)
+
+MAX_ENUMERATION = 2 ** 20    # the most items one enumeration may list
+
+
+def require_enumerable(count: int, what: str) -> None:
+    """Refuse, before any work, to list more than MAX_ENUMERATION items."""
+    if count > MAX_ENUMERATION:
+        raise EnumerationLimitError(f"{what}: {count} items exceed the "
+                                    f"enumeration budget of {MAX_ENUMERATION}")
 
 
 class Ring:
@@ -193,6 +203,7 @@ class ModRing(Ring):
         return self.n
 
     def elements(self) -> list[RingElement]:
+        require_enumerable(self.n, f"elements of {self!r}")
         return [RingElement(self, v) for v in range(self.n)]
 
     # Closed forms via gcd: Z/n is never enumerated, so these stay cheap for
@@ -296,6 +307,7 @@ class QuotientPolyRing(Ring):
         return self.n ** self.degree
 
     def elements(self) -> list[RingElement]:
+        require_enumerable(self.size, f"elements of {self!r}")
         out = []
         for rev in product(range(self.n), repeat=self.degree):
             out.append(RingElement(self, tuple(reversed(rev))))

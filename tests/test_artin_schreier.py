@@ -1,10 +1,11 @@
 import pytest
 
-from quadrings import (QuadraticAlgebra, annihilator_four_torsion, as_act,
-                       as_embed, as_group, check_freeness, classify,
-                       disc_classes, fiber_report, four_torsion, is_isomorphic,
-                       is_sec_algebra, is_sec_element, parse_ring,
-                       star_product, wp4_subgroup)
+from quadrings import (BasisChange, DiscClass, QuadraticAlgebra,
+                       annihilator_four_torsion, apply_basis_change, as_act,
+                       as_embed, as_group, basis_change_group, check_freeness,
+                       classify, disc_classes, fiber_report, four_torsion,
+                       is_discriminant, is_isomorphic, is_sec_algebra,
+                       is_sec_element, parse_ring, star_product, wp4_subgroup)
 
 FINITE_RINGS = ["Z/2", "Z/3", "Z/4", "Z/6", "Z/8",
                 "Z/2[x]/(x^2+x+1)", "Z/2[x]/(x^2)", "Z/4[x]/(x^2)"]
@@ -128,11 +129,11 @@ def test_action_descends_to_classes():
 def test_fiber_report_z4():
     z4 = parse_ring("Z/4")
     dc = disc_classes(z4)
-    rep1 = fiber_report(z4, dc[dc.index_of(z4.element(1))])
+    rep1 = fiber_report(z4, dc[dc.index_of(z4.element(1))], classify(z4), as_group(z4))
     assert rep1.fiber_labels == ["(1,0)", "(1,1)"]
     assert rep1.free and rep1.transitive
     assert len(rep1.kernel) == 1
-    rep0 = fiber_report(z4, dc[dc.index_of(z4.element(0))])
+    rep0 = fiber_report(z4, dc[dc.index_of(z4.element(0))], classify(z4), as_group(z4))
     assert len(rep0.fiber) == 4
     assert not rep0.transitive and not rep0.free
     assert [len(o) for o in rep0.orbits] == [1, 1, 1, 1]
@@ -145,7 +146,7 @@ def test_fiber_report_z4():
 def test_fiber_report_f2():
     f2 = parse_ring("Z/2")
     dc = disc_classes(f2)
-    rep = fiber_report(f2, dc[dc.index_of(f2.element(1))])
+    rep = fiber_report(f2, dc[dc.index_of(f2.element(1))], classify(f2), as_group(f2))
     assert rep.fiber_labels == ["(1,0)", "(1,1)"]
     assert rep.free and rep.transitive
 
@@ -245,3 +246,64 @@ def test_check_freeness_all_rings():
         asg = as_group(ring)
         for d in disc_classes(ring):
             assert check_freeness(ring, d, cl, asg)
+
+
+def sec_algebra_by_search(s):
+    """Oracle: a nonzerodivisor discriminant and a basis change to a sec trace.
+
+    Finite rings try all of G; over Z, u = +/-1 and |r| <= |t| + 2 reach a
+    trace of every residue mod 4 within t's parity.
+    """
+    ring = s.ring
+    if not ring.is_nonzerodivisor(s.disc()):
+        return False
+    if ring.is_finite:
+        group = basis_change_group(ring)
+    else:
+        bound = abs(s.t.value) + 2
+        group = [BasisChange(ring.element(u), ring.element(r))
+                 for u in (1, -1) for r in range(-bound, bound + 1)]
+    return any(is_sec_element(ring, apply_basis_change(s, g).t) for g in group)
+
+
+def test_sec_algebra_matches_basis_search():
+    for spec in FINITE_RINGS:
+        ring = parse_ring(spec)
+        for t in ring.elements():
+            for n in ring.elements():
+                s = QuadraticAlgebra(ring, t, n)
+                assert is_sec_algebra(s) == sec_algebra_by_search(s), (spec, s)
+    z = parse_ring("Z")
+    for tv in range(-8, 9):
+        for nv in range(-8, 9):
+            s = QuadraticAlgebra(z, tv, nv)
+            assert is_sec_algebra(s) == sec_algebra_by_search(s), s
+
+
+def test_check_freeness_matches_sec_member_loop():
+    # the loop check_freeness ran before it read the answer off the report
+    for spec in FINITE_RINGS:
+        ring = parse_ring(spec)
+        cl = classify(ring)
+        asg = as_group(ring)
+        for d in disc_classes(ring):
+            fiber = fiber_report(ring, d, cl, asg).fiber
+            sec_fiber = [ci for ci in fiber if sec_algebra_by_search(cl[ci].rep)]
+            assert sec_fiber in ([], fiber)
+            expected = all(cl.index_of(as_act(cl[ci].rep, m)) != ci
+                           for k, m in enumerate(asg.classes) if k != asg.identity
+                           for ci in sec_fiber)
+            assert check_freeness(ring, d, cl, asg) == expected, (spec, d.d)
+
+
+def test_fiber_matches_disc_classification_for_every_orbit_member():
+    for spec in FINITE_RINGS:
+        ring = parse_ring(spec)
+        cl = classify(ring)
+        asg = as_group(ring)
+        dc = disc_classes(ring)
+        for i, orbit in enumerate(dc.orbits):
+            expected = [j for j, c in enumerate(cl) if dc.index_of(c.disc) == i]
+            for d in orbit:
+                disc_class = DiscClass(ring, d, is_discriminant(ring, d))
+                assert fiber_report(ring, disc_class, cl, asg).fiber == expected, (spec, d)

@@ -211,6 +211,19 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "classify")[0] == 2
 
 
+def test_enumeration_budget_exits_2(monkeypatch, capsys):
+    # building any element fails, so a missing check cannot fill memory
+    import quadrings.rings as rings
+
+    def refuse(*args):
+        raise AssertionError("a ring element was built before the budget check")
+    monkeypatch.setattr(rings, "RingElement", refuse)
+    for argv in (["classify", "--ring", "Z/100000"], ["sec", "--ring", "Z/10000000"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "enumeration budget" in err
+
+
 def test_error_message_names_grammar(capsys):
     code, _, err = run(capsys, "classify", "--ring", "GF(4)")
     assert code == 2

@@ -107,10 +107,12 @@ def test_class_representative_is_least_in_unit_square_orbit():
 
 
 def test_disc_hom_check_fibers():
-    report = disc_hom_check(parse_ring("Z/4"))
+    z4 = parse_ring("Z/4")
+    report = disc_hom_check(z4, classify(z4))
     assert report.is_homomorphism and report.is_surjective
     assert report.fiber_sizes == {"0": 4, "1": 2}
-    report = disc_hom_check(parse_ring("Z/2"))
+    f2 = parse_ring("Z/2")
+    report = disc_hom_check(f2, classify(f2))
     assert report.fiber_sizes == {"0": 1, "1": 2}
     assert report.preimage_witnesses["1"] == "(1,0)"
 
@@ -118,7 +120,7 @@ def test_disc_hom_check_fibers():
 def test_disc_hom_check_all_rings():
     for spec in FINITE_RINGS:
         ring = parse_ring(spec)
-        report = disc_hom_check(ring)
+        report = disc_hom_check(ring, classify(ring))
         assert report.violations == []
         assert report.is_homomorphism and report.is_surjective
 
@@ -128,7 +130,8 @@ def test_disc_hom_check_flags_a_broken_product(monkeypatch):
     from quadrings import QuadraticAlgebra
     monkeypatch.setattr(discriminants, "star_product",
                         lambda s, t: QuadraticAlgebra(s.ring, 0, 0))
-    report = disc_hom_check(parse_ring("Z/4"))
+    z4 = parse_ring("Z/4")
+    report = disc_hom_check(z4, classify(z4))
     assert not report.is_homomorphism and report.is_surjective
     assert "disc((1,0)*(1,0)) differs from disc((1,0))*disc((1,0))" in report.violations
 
@@ -165,6 +168,13 @@ def test_similarity_is_unit_orbit():
     z4 = parse_ring("Z/4")
     assert forms_similar(Rank1Form(z4, z4.element(1)), Rank1Form(z4, z4.element(3)))
     assert not forms_similar(Rank1Form(z4, z4.element(1)), Rank1Form(z4, z4.element(2)))
+
+
+def test_similarity_over_z():
+    # the units of Z are 1 and -1, so a' is similar to a iff a' = +/-a
+    z = parse_ring("Z")
+    assert forms_similar(Rank1Form(z, z.element(2)), Rank1Form(z, z.element(-2)))
+    assert not forms_similar(Rank1Form(z, z.element(2)), Rank1Form(z, z.element(6)))
 
 
 def test_classical_form_predicates():

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadrings.quadratic as quadratic
-from quadrings import (BasisChange, InfiniteRingError, MixedRingError,
-                       QuadraticAlgebra, apply_basis_change,
+from quadrings import (BasisChange, EnumerationLimitError, InfiniteRingError,
+                       MixedRingError, ModRing, QuadraticAlgebra,
+                       apply_basis_change,
                        basis_change_group, classify, find_absorbing,
                        integer_algebra_for_disc, is_isomorphic, parse_ring,
                        quad_monoid, separable_square_check, star_product,
@@ -398,3 +399,12 @@ def test_zero_ring_classification():
     m = quad_monoid(ring, cl)
     assert validate_monoid(m)
     assert m.identity == find_absorbing(m)
+
+
+def test_classify_refuses_over_budget_before_enumerating(monkeypatch):
+    # |R|^2 = 1025^2 pairs exceed the 2^20 budget; nothing may be listed first
+    def refuse(self):
+        raise AssertionError("the ring was enumerated before the budget check")
+    monkeypatch.setattr(ModRing, "elements", refuse)
+    with pytest.raises(EnumerationLimitError):
+        classify(ModRing(1025))

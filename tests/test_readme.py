@@ -1,0 +1,14 @@
+"""The library sketch in README.md runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"),
+                        re.DOTALL)
+    assert blocks, "README.md has no python block"
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadrings import (InfiniteRingError, MixedRingError, QuadraticAlgebra,
-                       RingParseError, parse_ring)
+import quadrings.rings as rings
+from quadrings import (EnumerationLimitError, InfiniteRingError,
+                       MixedRingError, QuadraticAlgebra, RingParseError,
+                       parse_ring)
 from quadrings.discriminants import is_discriminant
 from quadrings.rings import IntegerRing, ModRing, QuotientPolyRing, parse_poly
 
@@ -278,3 +280,26 @@ def test_mod_ring_never_enumerates(monkeypatch):
     assert not ring.in_principal_ideal(ring.element(13), ring.element(13 * 11))
     assert ring.coset_representative(ring.element(10 ** 30 + 5), 14) == ring.element(6)
     assert QuadraticAlgebra(ring, 1, 0).is_separable()
+
+
+def test_enumeration_budget_refuses_before_listing(monkeypatch):
+    # building any element fails, so a missing check fails at the first
+    # element instead of filling memory
+    def refuse(*args):
+        raise AssertionError("a ring element was built")
+    monkeypatch.setattr(rings, "RingElement", refuse)
+    assert rings.MAX_ENUMERATION == 2 ** 20
+    with pytest.raises(EnumerationLimitError):
+        ModRing(2 ** 20 + 1).elements()
+    with pytest.raises(EnumerationLimitError):
+        QuotientPolyRing(2, [1] + [0] * 20 + [1]).elements()    # 2^21 elements
+
+
+def test_enumeration_budget_boundary(monkeypatch):
+    monkeypatch.setattr(rings, "MAX_ENUMERATION", 16)
+    assert len(ModRing(16).elements()) == 16
+    assert len(parse_ring("Z/4[x]/(x^2)").elements()) == 16
+    with pytest.raises(EnumerationLimitError):
+        ModRing(17).elements()
+    with pytest.raises(EnumerationLimitError):
+        parse_ring("Z/3[x]/(x^3)").elements()
