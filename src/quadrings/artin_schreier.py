@@ -245,8 +245,10 @@ def _basis_orbit_count(ring: Ring, d: RingElement) -> int:
     """Orbits of R[4] acting by (t, n) -> (t, n + d*m) on pairs of disc exactly d."""
     tors = four_torsion(ring)
     four = ring.element(4)
-    pairs = {(t, n) for t in ring.elements() for n in ring.elements()
-             if t * t - four * n == d}
+    norms: dict[RingElement, list[RingElement]] = {}
+    for n in ring.elements():
+        norms.setdefault(four * n, []).append(n)
+    pairs = {(t, n) for t in ring.elements() for n in norms.get(t * t - d, ())}
     count = 0
     seen: set = set()
     for pair in sorted(pairs, key=lambda p: (p[0].sort_key(), p[1].sort_key())):

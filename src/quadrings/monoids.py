@@ -2,8 +2,10 @@
 
 Provides validation, absorbing/cancellative element detection, congruences
 (kernel and image congruences of a homomorphism), quotients, exactness of
-two-step sequences, and the Grothendieck group.  Everything is exhaustive:
-the monoids in this package have at most a few hundred elements.
+two-step sequences, and the Grothendieck group.  Everything but the
+Grothendieck group is exhaustive: the monoids in this package have at most a
+few hundred elements.  The Grothendieck group is read off the minimal ideal
+eM, where e is the least idempotent, in O(n^2 + |eM|^3) table lookups.
 
 Only finite monoids are handled.  Exactness of monoid sequences is known to
 behave oddly in the infinite case (the inclusion of the natural numbers into
@@ -361,54 +363,85 @@ class AbelianGroup:
 
 
 def grothendieck_group(m: FiniteCommMonoid) -> AbelianGroup:
-    """Universal group of a finite commutative monoid.
+    """Universal group of a finite commutative monoid, through its minimal ideal.
 
-    Built as pairs (x, x') modulo (x, x') ~ (y, y') iff x*y'*z = x'*y*z has a
-    solution z; the class of (x, 1) is the image of x.  If the monoid has an
-    absorbing element the result is trivial.
+    K0 is the set of pairs (x, x') modulo (x, x') ~ (y, y') iff
+    x*y'*z = x'*y*z for some z; the class of (x, 1) is the image of x.  Let e
+    be the least idempotent, the one with e*g = e for every idempotent g.
+    Then K = eM is a group with identity e, and a*z = b*z for some z iff
+    e*a = e*b.  So the class of (x, x') is psi(x) * psi(x')^-1 in K, where
+    psi(x) = e*x, and K0 is K.  Classes are numbered, and represented, by
+    their first pair in lexicographic order.  If the monoid has an absorbing
+    element, that element is e and the result is trivial.
+    """
+    found = _minimal_ideal(m)
+    if found is None:
+        raise MonoidError("Grothendieck relation is not a congruence")
+    e, inverse = found
+    t = m.table
+    psi = t[e]
+
+    def key(x, xp):
+        return t[psi[x]][inverse[psi[xp]]]
+
+    class_of: dict[int, int] = {}
+    reps: list[tuple[int, int]] = []
+    for x in range(m.size):
+        for xp in range(m.size):
+            k = key(x, xp)
+            if k not in class_of:
+                class_of[k] = len(reps)
+                reps.append((x, xp))
+
+    labels = [f"[{m.labels[x]},{m.labels[xp]}]" for x, xp in reps]
+    table = [[class_of[key(t[x][y], t[xp][yp])] for y, yp in reps]
+             for x, xp in reps]
+    group = FiniteCommMonoid(labels, table, class_of[key(m.identity, m.identity)])
+    factors = _invariant_factors(group)
+    universal = [class_of[key(x, m.identity)] for x in range(m.size)]
+    return AbelianGroup(group, factors, universal)
+
+
+def _minimal_ideal(m: FiniteCommMonoid):
+    """(least idempotent e, inverse of each element of eM), or None.
+
+    None unless e exists, commutes with every element, eM is an abelian
+    group under the table with identity e, and x -> e*x is multiplicative.
+    These make (x, x') -> e*x * (e*x')^-1 a homomorphism M x M -> eM, which is
+    what makes the Grothendieck relation a congruence.
     """
     n = m.size
     t = m.table
-    pairs = [(x, xp) for x in range(n) for xp in range(n)]
-
-    def related(p, q):
-        x, xp = p
-        y, yp = q
-        a = t[x][yp]
-        b = t[xp][y]
-        return any(t[a][z] == t[b][z] for z in range(n))
-
-    class_of: dict[tuple[int, int], int] = {}
-    reps: list[tuple[int, int]] = []
-    for p in pairs:
-        for c, r in enumerate(reps):
-            if related(r, p):
-                class_of[p] = c
-                break
-        else:
-            class_of[p] = len(reps)
-            reps.append(p)
-
-    size = len(reps)
-    labels = [f"[{m.labels[x]},{m.labels[xp]}]" for x, xp in reps]
-    table = []
-    for x, xp in reps:
-        row = []
-        for y, yp in reps:
-            prod = (t[x][y], t[xp][yp])
-            row.append(class_of[prod])
-        table.append(row)
-    e = class_of[(m.identity, m.identity)]
-    group = FiniteCommMonoid(labels, table, e)
-    # Quotient op must not depend on representatives; verify via the hom rule.
-    for p in pairs:
-        for q in pairs:
-            prod = (t[p[0]][q[0]], t[p[1]][q[1]])
-            if class_of[prod] != table[class_of[p]][class_of[q]]:
-                raise MonoidError("Grothendieck relation is not a congruence")
-    factors = _invariant_factors(group)
-    universal = [class_of[(x, m.identity)] for x in range(n)]
-    return AbelianGroup(group, factors, universal)
+    idempotents = [x for x in range(n) if t[x][x] == x]
+    least = [f for f in idempotents if all(t[f][g] == f for g in idempotents)]
+    if not least:
+        return None
+    e = least[0]
+    psi = t[e]
+    if any(t[x][e] != psi[x] for x in range(n)):
+        return None
+    group = sorted(set(psi))
+    members = set(group)
+    inverse: dict[int, int] = {}
+    for a in group:
+        row = t[a]
+        if psi[a] != a:
+            return None
+        for b in group:
+            ab = row[b]
+            if ab not in members or ab != t[b][a]:
+                return None
+            if any(t[ab][c] != row[t[b][c]] for c in group):
+                return None
+            if ab == e:
+                inverse.setdefault(a, b)
+        if a not in inverse:
+            return None
+    for x in range(n):
+        row, ex = t[x], t[psi[x]]
+        if any(psi[row[y]] != ex[psi[y]] for y in range(n)):
+            return None
+    return e, inverse
 
 
 def _element_order(m: FiniteCommMonoid, x: int) -> int:

@@ -194,16 +194,24 @@ def basis_change_group(ring: Ring) -> list[BasisChange]:
 def is_isomorphic(s: QuadraticAlgebra, t: QuadraticAlgebra):
     """A BasisChange g with apply_basis_change(s, g) = t, or None.
 
-    Finite rings are searched exhaustively.  Over Z the search is bounded:
-    u is +/-1 and r is forced by u*t' = t + 2r.
+    The trace fixes r up to the unit: u(t + 2r) = t' forces 2r = u^-1 t' - t.
+    Over a finite ring only those r are tried, for each unit in order, so
+    the witness is the first one in basis_change_group order.  Over Z, u is
+    +/-1 and r is the one solution of that equation, if any.
     """
     if s.ring != t.ring:
         raise MixedRingError("isomorphism testing requires a common ring")
     ring = s.ring
     if ring.is_finite:
-        for g in basis_change_group(ring):
-            if apply_basis_change(s, g) == t:
-                return g
+        two = ring.element(2)
+        halves: dict[RingElement, list[RingElement]] = {}
+        for r in ring.elements():
+            halves.setdefault(two * r, []).append(r)
+        for u in ring.units():
+            for r in halves.get(ring.inverse_of_unit(u) * t.t - s.t, ()):
+                g = BasisChange(u, r)
+                if apply_basis_change(s, g) == t:
+                    return g
         return None
     if isinstance(ring, IntegerRing):
         tv, nv = s.t.value, s.n.value

@@ -32,6 +32,8 @@ class Ring:
     is_finite = False
 
     def element(self, value) -> RingElement:
+        if isinstance(value, RingElement) and value.ring is self:
+            return value
         return RingElement(self, self.canonicalize(value))
 
     @property
@@ -99,7 +101,7 @@ class Ring:
         raise NotImplementedError
 
     def _check_mine(self, a: RingElement) -> None:
-        if a.ring != self:
+        if a.ring is not self and a.ring != self:
             raise MixedRingError(f"element of {a.ring!r} used in {self!r}")
 
     def spec_string(self) -> str:
@@ -401,7 +403,7 @@ class RingElement:
 
     def _coerce(self, other) -> RingElement:
         if isinstance(other, RingElement):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise MixedRingError(
                     f"mixed rings: {self.ring!r} and {other.ring!r}"
                 )

@@ -178,6 +178,32 @@ def test_basis_orbit_indexing_all_discs():
             assert _basis_orbit_count(ring, d) == _basis_orbit_bound(ring, d)
 
 
+def basis_orbit_count_by_pairs(ring, d):
+    """The with-basis orbit count from all |R|^2 pairs (t, n)."""
+    tors = four_torsion(ring)
+    four = ring.element(4)
+    count = 0
+    seen = set()
+    for t in ring.elements():
+        for n in ring.elements():
+            if t * t - four * n != d or (t, n) in seen:
+                continue
+            count += 1
+            seen.update((t, n + d * m) for m in tors)
+    return count
+
+
+def test_basis_orbit_count_matches_pair_definition():
+    # every discriminant element, so every member of every disc class
+    from quadrings.artin_schreier import _basis_orbit_count
+    for spec in FINITE_RINGS:
+        ring = parse_ring(spec)
+        for d in ring.elements():
+            if is_discriminant(ring, d) is not None:
+                assert (_basis_orbit_count(ring, d)
+                        == basis_orbit_count_by_pairs(ring, d)), (spec, d)
+
+
 def test_sec_element_examples():
     z4 = parse_ring("Z/4")
     assert is_sec_element(z4, z4.element(1))

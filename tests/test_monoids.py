@@ -1,13 +1,18 @@
 from itertools import product
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadrings import (Congruence, FiniteCommMonoid, MonoidError, MonoidHom,
                        cancellative_elements, congruence_from_pairs,
                        find_absorbing, grothendieck_group, image_congruence,
                        is_exact, kernel_congruence, parse_ring, quotient_map,
                        quotient_monoid, submonoid, validate_monoid)
-from quadrings.monoids import find_monoid_violation, require_valid_monoid
+from quadrings import classify, quad_monoid
+from quadrings.monoids import (AbelianGroup, _invariant_factors,
+                               find_monoid_violation, require_valid_monoid)
 
 
 def mult_monoid(n):
@@ -217,6 +222,160 @@ def test_grothendieck_of_group_is_itself():
     assert k0.order == 4
     k0 = grothendieck_group(add_monoid(6))
     assert k0.invariant_factors == [6]
+
+
+def grothendieck_by_pairs(m):
+    """Oracle: every pair against every class representative, then an n^4
+    check that the class of a product is the product of the classes."""
+    n = m.size
+    t = m.table
+    pairs = [(x, xp) for x in range(n) for xp in range(n)]
+
+    def related(p, q):
+        x, xp = p
+        y, yp = q
+        a = t[x][yp]
+        b = t[xp][y]
+        return any(t[a][z] == t[b][z] for z in range(n))
+
+    class_of = {}
+    reps = []
+    for p in pairs:
+        for c, r in enumerate(reps):
+            if related(r, p):
+                class_of[p] = c
+                break
+        else:
+            class_of[p] = len(reps)
+            reps.append(p)
+
+    labels = [f"[{m.labels[x]},{m.labels[xp]}]" for x, xp in reps]
+    table = [[class_of[(t[x][y], t[xp][yp])] for y, yp in reps]
+             for x, xp in reps]
+    group = FiniteCommMonoid(labels, table, class_of[(m.identity, m.identity)])
+    for p in pairs:
+        for q in pairs:
+            prod = (t[p[0]][q[0]], t[p[1]][q[1]])
+            if class_of[prod] != table[class_of[p]][class_of[q]]:
+                raise MonoidError("Grothendieck relation is not a congruence")
+    universal = [class_of[(x, m.identity)] for x in range(n)]
+    return AbelianGroup(group, _invariant_factors(group), universal)
+
+
+def assert_k0_matches_oracle(m):
+    got = grothendieck_group(m)
+    want = grothendieck_by_pairs(m)
+    assert got.monoid.labels == want.monoid.labels
+    assert got.monoid.table == want.monoid.table
+    assert got.monoid.identity == want.monoid.identity
+    assert got.invariant_factors == want.invariant_factors
+    assert got.universal_map == want.universal_map
+    return got
+
+
+def cyclic_with_tail(k, p):
+    """<a | a^(k+p) = a^k>: elements a^0 .. a^(k+p-1)."""
+    size = k + p
+
+    def reduce(i):
+        return i if i < size else k + (i - k) % p
+
+    return FiniteCommMonoid([f"a{i}" for i in range(size)],
+                            [[reduce(i + j) for j in range(size)]
+                             for i in range(size)], 0)
+
+
+def unit_group(m):
+    """(Z/m)^x under multiplication."""
+    return submonoid(mult_monoid(m), [u for u in range(m) if gcd(u, m) == 1])
+
+
+def direct_product(a, b):
+    nb = b.size
+    labels = [f"({la},{lb})" for la in a.labels for lb in b.labels]
+    table = [[a.table[i // nb][j // nb] * nb + b.table[i % nb][j % nb]
+              for j in range(a.size * nb)] for i in range(a.size * nb)]
+    return FiniteCommMonoid(labels, table, a.identity * nb + b.identity)
+
+
+UNIT_GROUPS = [unit_group(q) for q in (3, 5, 7, 8, 12)]
+QUOTIENT_RINGS = ["Z/2[x]/(x^2+x+1)", "Z/2[x]/(x^2)", "Z/4[x]/(x^2)"]
+
+
+def test_grothendieck_matches_pair_oracle_on_quad_monoids():
+    for spec in [f"Z/{n}" for n in range(1, 25)] + QUOTIENT_RINGS:
+        ring = parse_ring(spec)
+        k0 = assert_k0_matches_oracle(quad_monoid(ring, classify(ring)))
+        assert k0.is_trivial(), spec
+
+
+def test_grothendieck_matches_pair_oracle_on_samples():
+    for m in SAMPLE_MONOIDS + [units_map_hom().target, unit_group(8),
+                               submonoid(mult_monoid(4), [1, 3])]:
+        assert_k0_matches_oracle(m)
+
+
+@st.composite
+def monoids_with_nontrivial_k0(draw):
+    k = draw(st.integers(0, 3))
+    p = draw(st.integers(2, 5))
+    m = cyclic_with_tail(k, p)
+    other = draw(st.sampled_from(["none", "add", "units", "tail"]))
+    room = 24 // m.size
+    if other == "none":
+        return m
+    if other == "add":
+        return direct_product(m, add_monoid(draw(st.integers(2, room))))
+    if other == "units":
+        return direct_product(m, draw(st.sampled_from(
+            [g for g in UNIT_GROUPS if g.size <= room])))
+    return direct_product(m, cyclic_with_tail(draw(st.integers(0, 1)), 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(monoids_with_nontrivial_k0())
+def test_grothendieck_matches_pair_oracle_on_tailed_products(m):
+    assert validate_monoid(m)
+    k0 = assert_k0_matches_oracle(m)
+    assert not k0.is_trivial()
+    assert MonoidHom(m, k0.monoid, k0.universal_map).is_valid()
+
+
+# Tables with identity 0 that are not monoids.  broken2 is the one of
+# test_validate_monoid; each of the others fails exactly one of the checks
+# that stand in for the pair-by-pair congruence test.
+NON_CONGRUENCE_TABLES = {
+    "broken2": [[0, 1, 2], [1, 2, 0], [2, 1, 0]],
+    # e, f, g are all idempotent and f*g = e: none lies below the others
+    "no least idempotent": [[0, 1, 2], [1, 1, 0], [2, 0, 2]],
+    "e does not commute": [[0, 1, 2], [1, 2, 0], [2, 2, 2]],
+    "eM not associative": [[0, 1, 2], [1, 2, 0], [2, 0, 0]],
+    "x -> e*x not multiplicative": [[0, 1, 2, 3], [1, 1, 2, 1],
+                                    [2, 2, 2, 3], [3, 1, 3, 2]],
+    # the symmetric group S3: eM = M is a group, but not an abelian one
+    "eM not commutative": [[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3],
+                           [2, 3, 0, 1, 5, 4], [3, 2, 5, 4, 0, 1],
+                           [4, 5, 1, 0, 3, 2], [5, 4, 3, 2, 1, 0]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_CONGRUENCE_TABLES))
+def test_grothendieck_rejects_non_congruence_tables(name):
+    table = NON_CONGRUENCE_TABLES[name]
+    m = FiniteCommMonoid([str(i) for i in range(len(table))], table, 0)
+    with pytest.raises(MonoidError, match="not a congruence"):
+        grothendieck_by_pairs(m)
+    with pytest.raises(MonoidError, match="not a congruence"):
+        grothendieck_group(m)
+
+
+def test_grothendieck_rejects_table_where_e_is_not_the_identity_of_eM():
+    # Not a monoid; the pair-by-pair test happens to accept it (and returns
+    # the trivial group), but e*e*x != e*x here, so eM has no identity.
+    m = FiniteCommMonoid(["0", "1", "2"], [[1, 2, 1], [2, 1, 1], [2, 1, 1]], 1)
+    assert grothendieck_by_pairs(m).is_trivial()
+    with pytest.raises(MonoidError, match="not a congruence"):
+        grothendieck_group(m)
 
 
 def test_submonoid_requires_closure():

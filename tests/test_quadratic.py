@@ -145,6 +145,32 @@ def test_is_isomorphic_returns_working_witness():
                     assert apply_basis_change(s, w) == t
 
 
+def first_witness_by_search(s, t):
+    for g in basis_change_group(s.ring):
+        if apply_basis_change(s, g) == t:
+            return g
+    return None
+
+
+def test_is_isomorphic_witness_is_first_in_group_order():
+    for spec in FINITE_RINGS:
+        ring = parse_ring(spec)
+        algs = all_algebras(ring)
+        for s in algs:
+            for t in algs:
+                assert is_isomorphic(s, t) == first_witness_by_search(s, t)
+    rng = random.Random(11)
+    for spec in ["Z/8", "Z/9", "Z/4[x]/(x^2)", "Z/3[x]/(x^2+1)"]:
+        ring = parse_ring(spec)
+        els = ring.elements()
+        group = basis_change_group(ring)
+        for k in range(100):
+            s = QuadraticAlgebra(ring, rng.choice(els), rng.choice(els))
+            t = (apply_basis_change(s, rng.choice(group)) if k % 2 else
+                 QuadraticAlgebra(ring, rng.choice(els), rng.choice(els)))
+            assert is_isomorphic(s, t) == first_witness_by_search(s, t), spec
+
+
 def orbit_partition_oracle(ring):
     """Independent single-step relation: p ~ q iff some g maps p to q."""
     group = [(u, r) for u in ring.units() for r in ring.elements()]
