@@ -24,7 +24,7 @@ from .discriminants import DiscClass, coset_representative
 from .errors import InfiniteRingError, InternalCheckError
 from .monoids import FiniteCommMonoid
 from .quadratic import Classification, QuadraticAlgebra
-from .rings import IntegerRing, Ring, RingElement
+from .rings import IntegerRing, Ring, RingElement, _coding
 
 
 def four_torsion(ring: Ring) -> list[RingElement]:
@@ -180,13 +180,21 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
     fiber = [i for i, c in enumerate(cl) if c.disc in discs]
     fiber_pos = {ci: k for k, ci in enumerate(fiber)}
 
-    # The action must not depend on the chosen orbit member.
+    # The action must not depend on the chosen orbit member.  It runs on
+    # canonical values: each orbit pair (t, n) with its discriminant d, once,
+    # and m sends n to n + d*m.
+    mul, add, neg = ring._mul, ring._add, ring._neg
+    four = ring.element(4).value
+    members = {ci: [(t.value, n.value,
+                     add(mul(t.value, t.value), neg(mul(four, n.value))))
+                    for t, n in cl[ci].orbit_pairs]
+               for ci in fiber}
     action: list[dict[int, int]] = []
-    for m_idx, m in enumerate(asg.classes):
+    for m in asg.classes:
         images: dict[int, int] = {}
         for ci in fiber:
-            targets = {cl.index_of(as_act(QuadraticAlgebra(ring, t, n), m))
-                       for t, n in cl[ci].orbit_pairs}
+            targets = {cl.index_of_values(t, add(n, mul(disc, m.value)))
+                       for t, n, disc in members[ci]}
             if len(targets) != 1:
                 raise InternalCheckError(
                     f"action of {m} is not constant on class {cl[ci].label}"
@@ -242,21 +250,25 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
 
 
 def _basis_orbit_count(ring: Ring, d: RingElement) -> int:
-    """Orbits of R[4] acting by (t, n) -> (t, n + d*m) on pairs of disc exactly d."""
-    tors = four_torsion(ring)
-    four = ring.element(4)
-    norms: dict[RingElement, list[RingElement]] = {}
-    for n in ring.elements():
-        norms.setdefault(four * n, []).append(n)
-    pairs = {(t, n) for t in ring.elements() for n in norms.get(t * t - d, ())}
+    """Orbits of R[4] acting by (t, n) -> (t, n + d*m) on pairs of disc exactly d.
+
+    The action fixes t, so the orbits are counted on canonical values among
+    the norms n of each trace t.
+    """
+    _, values, _ = _coding(ring)
+    mul, add = ring._mul, ring._add
+    four, minus_d = ring.element(4).value, ring._neg(d.value)
+    shifts = [mul(d.value, m.value) for m in four_torsion(ring)]
+    norms: dict = {}
+    for n in values:
+        norms.setdefault(mul(four, n), []).append(n)
     count = 0
-    seen: set = set()
-    for pair in sorted(pairs, key=lambda p: (p[0].sort_key(), p[1].sort_key())):
-        if pair in seen:
-            continue
-        count += 1
-        t, n = pair
-        seen.update((t, n + d * m) for m in tors)
+    for t in values:
+        seen: set = set()
+        for n in norms.get(add(mul(t, t), minus_d), ()):
+            if n not in seen:
+                count += 1
+                seen.update([add(n, s) for s in shifts])
     return count
 
 

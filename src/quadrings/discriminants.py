@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .errors import InfiniteRingError, InternalCheckError
 from .monoids import FiniteCommMonoid
-from .quadratic import Classification, QuadraticAlgebra, star_product
+from .quadratic import Classification, QuadraticAlgebra
 from .rings import IntegerRing, Ring, RingElement
 
 
@@ -191,9 +191,10 @@ def disc_hom_check(ring: Ring, classification: Classification) -> DiscHomReport:
     if mapping[identity_idx] != dc.monoid.identity:
         is_hom = False
         violations.append("identity class does not map to the identity disc class")
+    star = classification.star_table()
     for i, ci in enumerate(classification):
         for j, cj in enumerate(classification):
-            k = classification.index_of(star_product(ci.rep, cj.rep))
+            k = star[i][j]
             if mapping[k] != dc.monoid.table[mapping[i]][mapping[j]]:
                 is_hom = False
                 violations.append(

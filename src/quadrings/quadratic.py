@@ -9,6 +9,11 @@ standard involution, discriminants, the monoid product
 basis changes x -> u(x + r) acting by (t, n) -> (u(t+2r), u^2(n+tr+r^2)),
 isomorphism testing, and full classification over finite rings as orbits of
 that action on R^2.
+
+The orbit loops (classify, the class index, the star table of the classes)
+run on int codes and canonical values, not on element objects: an element's
+code is its index in ring.elements(), and a pair (t, n) is the int
+t*|R| + n.  RingElement and QuadraticAlgebra stay the input and output types.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ import math
 
 from .errors import InfiniteRingError, InternalCheckError, MixedRingError
 from .monoids import FiniteCommMonoid, find_absorbing, require_valid_monoid
-from .rings import IntegerRing, Ring, RingElement, require_enumerable
+from .rings import (IntegerRing, Ring, RingElement, _coding,
+                    require_enumerable)
 
 
 class QuadraticAlgebra:
@@ -234,7 +240,7 @@ class IsoClass:
         self.orbit_pairs = orbit_pairs
         self.orbit_size = len(orbit_pairs)
         self.disc = rep.disc()
-        self.separable = rep.is_separable()
+        self.separable = rep.ring.is_unit(self.disc)
 
     @property
     def label(self) -> str:
@@ -248,16 +254,17 @@ class Classification:
     """All isomorphism classes of quadratic algebras over a finite ring.
 
     Classes are sorted by the canonical representative, the lexicographically
-    least (t, n) in the orbit, so output is deterministic.
+    least (t, n) in the orbit, so output is deterministic.  Classes are
+    looked up in a flat list over pair codes t*|R| + n, given with the map
+    from canonical values to element codes.
     """
 
-    def __init__(self, ring: Ring, classes: list[IsoClass]):
+    def __init__(self, ring: Ring, classes: list[IsoClass], code: dict,
+                 class_at: list[int]):
         self.ring = ring
         self.classes = classes
-        self._index = {}
-        for i, cls in enumerate(classes):
-            for pair in cls.orbit_pairs:
-                self._index[pair] = i
+        self._code = code
+        self._class_at = class_at
 
     def __len__(self):
         return len(self.classes)
@@ -269,56 +276,102 @@ class Classification:
         return self.classes[i]
 
     def index_of(self, algebra: QuadraticAlgebra) -> int:
-        return self._index[(algebra.t, algebra.n)]
+        if algebra.ring is not self.ring and algebra.ring != self.ring:
+            raise KeyError(f"{algebra!r} is not over {self.ring!r}")
+        return self.index_of_values(algebra.t.value, algebra.n.value)
+
+    def index_of_values(self, t, n) -> int:
+        """Class index of the pair of canonical values (t, n) of this ring."""
+        code = self._code
+        return self._class_at[code[t] * len(code) + code[n]]
 
     def class_of(self, algebra: QuadraticAlgebra) -> IsoClass:
         return self.classes[self.index_of(algebra)]
 
+    def star_table(self) -> list[list[int]]:
+        """Class index of rep_i * rep_j, for every pair of classes.
+
+        The star product (t, n) * (s, m) = (st, mt^2 + ns^2 - 4nm) of the
+        representatives is taken on canonical values.
+        """
+        ring = self.ring
+        mul, add, neg = ring._mul, ring._add, ring._neg
+        four = ring.element(4).value
+        reps = []
+        for c in self.classes:
+            t, n = c.rep.t.value, c.rep.n.value
+            reps.append((t, n, mul(t, t), mul(four, n)))
+        return [[self.index_of_values(mul(s, t),
+                                      add(add(mul(m, tt), mul(n, ss)),
+                                          neg(mul(fn, m))))
+                 for s, m, ss, _ in reps]
+                for t, n, tt, fn in reps]
+
 
 def classify(ring: Ring) -> Classification:
-    """Orbits of the basis-change group G acting on all pairs (t, n) in R^2.
+    """Orbits of the basis changes x -> u(x + r) on all pairs (t, n) in R^2.
 
-    G is a group, since x -> u1(x + r1) followed by x -> u2(x + r2) is the
-    basis change (u1 u2, r1 + u1^-1 r2), so G applied to one seed is its whole
-    orbit; the cost is (number of classes) * |G| basis changes.
+    The basis changes form a group, since x -> u1(x + r1) followed by
+    x -> u2(x + r2) is (u1 u2, r1 + u1^-1 r2), so the orbit of one seed is
+    its whole class.  It is the union over units u of u.T, where
+    T = {(t+2r, n+tr+r^2) : r in R} are the seed's translates and u acts by
+    (a, b) -> (ua, u^2 b).  Everything runs on int codes: one multiplication
+    row row_u[c] = code(u * x_c) per unit costs |U|*|R| products, once per
+    call.  Then each class costs |R| translates, |U| membership tests and
+    one row lookup per orbit pair, because each u.T is the translate orbit
+    of u.seed and so is either new or already in the orbit.  Seeds are taken
+    in increasing pair code, so each seed is the least code of its orbit,
+    the canonical representative, and classes come out sorted.
     """
     if not ring.is_finite:
         raise InfiniteRingError("classification requires a finite ring")
     require_enumerable(ring.size ** 2, f"pairs (t, n) over {ring!r}")
-    group = basis_change_group(ring)
-    elements = ring.elements()
-    pending = {(t, n) for t in elements for n in elements}
+    elements, values, code = _coding(ring)
+    size = len(values)
+    mul, add = ring._mul, ring._add
+    units = [u.value for u in ring.units()]
+    rows = {u: [code[mul(u, x)] for x in values] for u in units}
+    actions = [(rows[u], rows[mul(u, u)]) for u in units]    # rows of u, u^2
+    shifts = [(r, add(r, r), mul(r, r)) for r in values]    # r, 2r, r^2
+    class_at = [-1] * (size * size)
     classes = []
-    while pending:
-        seed = QuadraticAlgebra(ring, *next(iter(pending)))
-        orbit = {apply_basis_change(seed, g).pair() for g in group}
-        pending -= orbit
-        pairs = sorted(orbit, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
+    for seed in range(size * size):
+        if class_at[seed] >= 0:
+            continue
+        a0, b0 = divmod(seed, size)
+        t, n = values[a0], values[b0]
+        translates = {(code[add(t, r2)], code[add(n, add(mul(t, r), rr))])
+                      for r, r2, rr in shifts}
+        orbit = set()
+        for row_t, row_n in actions:
+            # u.T is the translate orbit of u.seed, as u(x + r) = ux + ur,
+            # so it is already in the orbit or disjoint from it.
+            if row_t[a0] * size + row_n[b0] not in orbit:
+                orbit.update([row_t[a] * size + row_n[b] for a, b in translates])
+        index = len(classes)
+        pairs = []
+        for c in sorted(orbit):
+            class_at[c] = index
+            pairs.append((elements[c // size], elements[c % size]))
         classes.append(IsoClass(QuadraticAlgebra(ring, *pairs[0]), pairs))
-    classes.sort(key=lambda c: (c.rep.t.sort_key(), c.rep.n.sort_key()))
     # Overlapping orbits (G not a group) would push the sum above |R|^2.
     total = sum(c.orbit_size for c in classes)
-    if total != len(elements) ** 2:
+    if total != size ** 2:
         raise InternalCheckError(
-            f"orbit sizes sum to {total}, expected {len(elements) ** 2}"
+            f"orbit sizes sum to {total}, expected {size ** 2}"
         )
-    return Classification(ring, classes)
+    return Classification(ring, classes, code, class_at)
 
 
 def quad_monoid(ring: Ring, classification: Classification) -> FiniteCommMonoid:
     """The commutative monoid of isomorphism classes under the star product.
 
-    The table is induced by the product on canonical representatives; the
-    result is validated before being returned, and the class of (0, 0) is
-    checked to be absorbing.
+    The table is classification.star_table(), induced by the product on
+    canonical representatives; the result is validated before being
+    returned, and the class of (0, 0) is checked to be absorbing.
     """
     labels = [c.label for c in classification]
-    table = []
-    for ci in classification:
-        row = []
-        for cj in classification:
-            row.append(classification.index_of(star_product(ci.rep, cj.rep)))
-        table.append(row)
+    table = classification.star_table()
     identity = classification.index_of(QuadraticAlgebra(ring, 1, 0))
     monoid = FiniteCommMonoid(labels, table, identity)
     require_valid_monoid(monoid)

@@ -537,6 +537,19 @@ def parse_ring(spec: str) -> Ring:
     )
 
 
+def _coding(ring: Ring) -> tuple[list[RingElement], list, dict]:
+    """The elements of a finite ring, their canonical values, and value -> code.
+
+    The code of an element is its index in ring.elements(): the value itself
+    for Z/n, the mixed-radix coefficient code for (Z/n)[x]/(f).  Both kinds
+    enumerate in sort_key order, so codes sort like sort keys, and the pair
+    code t*|R| + n sorts like (t.sort_key(), n.sort_key()).
+    """
+    elements = ring.elements()
+    values = [e.value for e in elements]
+    return elements, values, {v: i for i, v in enumerate(values)}
+
+
 # Module-level conveniences mirroring the element/ring methods.
 
 def enumerate_elements(ring: Ring) -> list[RingElement]:

@@ -126,10 +126,14 @@ def test_disc_hom_check_all_rings():
 
 
 def test_disc_hom_check_flags_a_broken_product(monkeypatch):
-    import quadrings.discriminants as discriminants
-    from quadrings import QuadraticAlgebra
-    monkeypatch.setattr(discriminants, "star_product",
-                        lambda s, t: QuadraticAlgebra(s.ring, 0, 0))
+    # every product lands in the class of (0, 0), through the shared table
+    from quadrings import Classification, QuadraticAlgebra
+
+    def broken_table(cl):
+        zero = cl.index_of(QuadraticAlgebra(cl.ring, 0, 0))
+        return [[zero] * len(cl) for _ in cl]
+
+    monkeypatch.setattr(Classification, "star_table", broken_table)
     z4 = parse_ring("Z/4")
     report = disc_hom_check(z4, classify(z4))
     assert not report.is_homomorphism and report.is_surjective

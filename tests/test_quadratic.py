@@ -200,21 +200,100 @@ def test_classify_matches_oracle():
         assert sum(c.orbit_size for c in cl) == ring.size ** 2
 
 
-def test_classify_applies_group_once_per_class(monkeypatch):
-    calls = 0
-    original = quadratic.apply_basis_change
+def classify_by_group(ring):
+    """The object-level classification, kept as the oracle: the group G of
+    basis changes applied to one seed per class.  Returns one record per
+    class, sorted by representative, and the class index of every pair."""
+    group = basis_change_group(ring)
+    elements = ring.elements()
+    pending = {(t, n) for t in elements for n in elements}
+    classes = []
+    while pending:
+        seed = QuadraticAlgebra(ring, *next(iter(pending)))
+        orbit = {apply_basis_change(seed, g).pair() for g in group}
+        pending -= orbit
+        pairs = sorted(orbit, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
+        rep = QuadraticAlgebra(ring, *pairs[0])
+        classes.append({"rep": rep, "orbit_pairs": pairs,
+                        "orbit_size": len(pairs), "disc": rep.disc(),
+                        "separable": rep.is_separable()})
+    classes.sort(key=lambda c: (c["rep"].t.sort_key(), c["rep"].n.sort_key()))
+    index = {pair: i for i, c in enumerate(classes) for pair in c["orbit_pairs"]}
+    return classes, index
 
-    def counting(s, g):
-        nonlocal calls
-        calls += 1
-        return original(s, g)
 
-    monkeypatch.setattr(quadratic, "apply_basis_change", counting)
+def assert_classify_matches_group_oracle(ring):
+    cl = classify(ring)
+    want, index = classify_by_group(ring)
+    assert len(cl) == len(want)
+    for got, c in zip(cl, want):
+        assert got.rep == c["rep"]
+        assert got.orbit_pairs == c["orbit_pairs"]
+        assert got.orbit_size == c["orbit_size"]
+        assert got.disc == c["disc"]
+        assert got.separable == c["separable"]
+    assert len(index) == ring.size ** 2
+    for (t, n), i in index.items():
+        assert cl.index_of(QuadraticAlgebra(ring, t, n)) == i
+    table = cl.star_table()
+    for i, ci in enumerate(cl):
+        for j, cj in enumerate(cl):
+            assert table[i][j] == index[star_product(ci.rep, cj.rep).pair()]
+
+
+# Every valid quotient ring named in the test files.
+ORACLE_QUOTIENT_RINGS = ["Z/2[x]/(x^2)", "Z/2[x]/(x^2+x+1)", "Z/2[x]/(x^3+x+1)",
+                         "Z/3[x]/(x^2+1)", "Z/3[x]/(x^3)", "Z/4[x]/(x^2+3)",
+                         "Z/4[x]/(x^2)", "Z/4[x]/(x^2+x+1)", "Z/6[x]/(x^2+1)",
+                         "Z/9[x]/(x^2+1)"]
+
+
+@pytest.mark.parametrize("spec", [f"Z/{n}" for n in range(1, 41)]
+                         + ORACLE_QUOTIENT_RINGS)
+def test_classify_matches_group_oracle(spec):
+    assert_classify_matches_group_oracle(parse_ring(spec))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(2, 64))
+def test_classify_matches_group_oracle_drawn(n):
+    assert_classify_matches_group_oracle(ModRing(n))
+
+
+def test_classify_cost_is_rows_plus_translates(monkeypatch):
+    # classify never builds a BasisChange; its ring products are one row per
+    # unit, u^2 per unit, r^2 per element, t*r per class and element, and
+    # the two products of each class's discriminant
+    def refuse(*args):
+        raise AssertionError("classify used the object-level basis change")
+    monkeypatch.setattr(quadratic, "apply_basis_change", refuse)
+    monkeypatch.setattr(quadratic, "BasisChange", refuse)
     for spec in ["Z/8", "Z/12", "Z/2[x]/(x^2+x+1)"]:
         ring = parse_ring(spec)
+        units = len(ring.units())    # builds a quotient ring's unit table
         calls = 0
+        original = ring._mul
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return original(a, b)
+
+        monkeypatch.setattr(ring, "_mul", counting)
         cl = classify(ring)
-        assert calls == len(cl) * len(basis_change_group(ring)), spec
+        size = ring.size
+        assert calls == units * size + units + size + len(cl) * (size + 2), spec
+
+
+def test_index_of_checks_the_ring():
+    cl = classify(parse_ring("Z/24"))
+    with pytest.raises(KeyError):
+        cl.index_of(QuadraticAlgebra(parse_ring("Z/12"), 1, 0))
+    with pytest.raises(KeyError):
+        cl.index_of(QuadraticAlgebra(parse_ring("Z"), 1, 0))
+    again = QuadraticAlgebra(parse_ring("Z/24"), 1, 0)
+    assert cl.index_of(again) == cl.index_of(QuadraticAlgebra(cl.ring, 1, 0))
+    assert cl[cl.index_of(again)].label == "(1,0)"
 
 
 def burnside_class_count(ring):
