@@ -30,39 +30,41 @@ from .rings import IntegerRing, Ring, RingElement, _coding
 def four_torsion(ring: Ring) -> list[RingElement]:
     """R[4] = {a : 4a = 0} in canonical order."""
     if ring.is_finite:
-        four = ring.element(4)
-        zero = ring.zero
-        return [a for a in ring.elements() if four * a == zero]
+        mul, four, zero = ring._mul, ring.element(4).value, ring.zero.value
+        return [a for a in ring.elements() if mul(four, a.value) == zero]
     if isinstance(ring, IntegerRing):
         return [ring.zero]
     raise InfiniteRingError("4-torsion needs a finite ring or Z")
 
 
 def wp4_subgroup(ring: Ring) -> list[RingElement]:
-    """P(R)[4] = {r + r^2 : (1+2r)^2 = 1}, verified to be a subgroup of R[4]."""
+    """P(R)[4] = {r + r^2 : (1+2r)^2 = 1}, verified to be a subgroup of R[4].
+
+    Computed and verified on canonical values.
+    """
+    mul, add, neg = ring._mul, ring._add, ring._neg
     if ring.is_finite:
-        one = ring.one
-        two = ring.element(2)
+        one, two = ring.one.value, ring.element(2).value
         members = set()
         for r in ring.elements():
-            g = one + two * r
-            if g * g == one:
-                members.add(r + r * r)
-        out = sorted(members, key=lambda e: e.sort_key())
+            g = add(one, mul(two, r.value))
+            if mul(g, g) == one:
+                members.add(add(r.value, mul(r.value, r.value)))
+        out = [ring.element(v) for v in sorted(members, key=ring.sort_key)]
     elif isinstance(ring, IntegerRing):
         out = [ring.zero]
     else:
         raise InfiniteRingError("needs a finite ring or Z")
     # Re-verify the subgroup axioms inside R[4].
-    tors = set(four_torsion(ring))
-    group = set(out)
-    if ring.zero not in group or not group <= tors:
+    tors = {a.value for a in four_torsion(ring)}
+    group = {a.value for a in out}
+    if ring.zero.value not in group or not group <= tors:
         raise InternalCheckError("P(R)[4] is not a subset of R[4] containing 0")
     for a in out:
-        if -a not in group:
+        if neg(a.value) not in group:
             raise InternalCheckError(f"P(R)[4] not closed under negation at {a}")
         for b in out:
-            if a + b not in group:
+            if add(a.value, b.value) not in group:
                 raise InternalCheckError(f"P(R)[4] not closed under + at ({a}, {b})")
     return out
 
@@ -74,19 +76,26 @@ class ASGroup:
         self.ring = ring
         self.four_torsion = four_torsion(ring)
         self.wp4 = wp4_subgroup(ring)
-        wp4_set = set(self.wp4)
+        # Cosets are formed on canonical values; P(R)[4] lies in R[4], so
+        # each coset member is one of the four_torsion elements.
+        add = ring._add
+        wp4_values = [w.value for w in self.wp4]
+        torsion_at = {a.value: a for a in self.four_torsion}
+        class_at: dict = {}
         self._class_of: dict[RingElement, int] = {}
         self.classes: list[RingElement] = []
         for a in self.four_torsion:
-            if a in self._class_of:
+            if a.value in class_at:
                 continue
             idx = len(self.classes)
-            coset = sorted({a + w for w in wp4_set}, key=lambda e: e.sort_key())
-            for member in coset:
-                self._class_of[member] = idx
-            self.classes.append(coset[0])
+            coset = sorted({add(a.value, w) for w in wp4_values}, key=ring.sort_key)
+            for v in coset:
+                class_at[v] = idx
+                self._class_of[torsion_at[v]] = idx
+            self.classes.append(torsion_at[coset[0]])
+        zero_class = class_at[ring.zero.value]
         for rep in self.classes:
-            if self.class_of(rep + rep) != self.class_of(self.ring.zero):
+            if class_at.get(add(rep.value, rep.value)) != zero_class:
                 raise InternalCheckError(
                     f"AS class of {rep} does not have order dividing 2"
                 )

@@ -55,6 +55,43 @@ def test_wp_closure_exhaustive():
                 assert combo + combo * combo == pr + ps + four * pr * ps
 
 
+def as_group_by_objects(ring):
+    """R[4], P(R)[4], the coset representatives and the class map, computed
+    with element objects (the construction before it ran on values)."""
+    four, one, two = ring.element(4), ring.one, ring.element(2)
+    tors = [a for a in ring.elements() if four * a == ring.zero]
+    wp4 = sorted({r + r * r for r in ring.elements()
+                  if (one + two * r) * (one + two * r) == one},
+                 key=lambda e: e.sort_key())
+    class_of, classes = {}, []
+    for a in tors:
+        if a in class_of:
+            continue
+        coset = sorted({a + w for w in wp4}, key=lambda e: e.sort_key())
+        for member in coset:
+            class_of[member] = len(classes)
+        classes.append(coset[0])
+    return tors, wp4, classes, class_of
+
+
+@pytest.mark.parametrize("spec", [f"Z/{n}" for n in range(1, 41)] + [
+    "Z/2[x]/(x^2)", "Z/2[x]/(x^2+x+1)", "Z/2[x]/(x^3+x+1)", "Z/3[x]/(x^2+1)",
+    "Z/4[x]/(x^2)", "Z/4[x]/(x^2+x+1)", "Z/4[x]/(x^2+3)", "Z/8[x]/(x^2)",
+    "Z/2[x]/(x^4)", "Z/6[x]/(x^2+1)"])
+def test_as_group_matches_object_oracle(spec):
+    ring = parse_ring(spec)
+    tors, wp4, classes, class_of = as_group_by_objects(ring)
+    asg = as_group(ring)
+    assert four_torsion(ring) == asg.four_torsion == tors
+    assert wp4_subgroup(ring) == asg.wp4 == wp4
+    assert asg.classes == classes
+    assert {a: asg.class_of(a) for a in tors} == class_of
+    for a in ring.elements():
+        if a not in class_of:
+            with pytest.raises(ValueError):
+                asg.class_of(a)
+
+
 def test_as_embed_examples():
     z4 = parse_ring("Z/4")
     assert as_embed(z4, z4.element(0)) == QuadraticAlgebra(z4, 1, 0)
