@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .discriminants import DiscClass, coset_representative
+from .discriminants import DiscClass
 from .errors import InfiniteRingError, InternalCheckError
 from .monoids import FiniteCommMonoid
 from .quadratic import Classification, QuadraticAlgebra
@@ -228,8 +228,10 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
 
     kernel = [m_idx for m_idx, images in enumerate(action)
               if all(images[ci] == ci for ci in fiber)]
-    ann_classes = {asg.class_of(a)
-                   for a in annihilator_four_torsion(ring, d.d)}
+    # ann(d)[4], read off the group's R[4] rather than rescanning R.
+    zero = ring.zero.value
+    ann_classes = {asg.class_of(a) for a in asg.four_torsion
+                   if mul(a.value, d.d.value) == zero}
     if not ann_classes <= set(kernel):
         raise InternalCheckError(
             f"kernel misses annihilator classes for d = {d.d}"
@@ -240,8 +242,8 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
                for ci in fiber)
     transitive = len(orbits) == 1
 
-    count = _basis_orbit_count(ring, d.d)
-    bound = _basis_orbit_bound(ring, d.d)
+    count = _basis_orbit_count(ring, d.d, asg.four_torsion)
+    bound = _basis_orbit_bound(ring, d.d, asg.four_torsion)
     if count != bound:
         raise InternalCheckError(
             f"with-basis orbit count {count} != index bound {bound} for d = {d.d}"
@@ -258,16 +260,17 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
                        basis_orbit_bound=bound)
 
 
-def _basis_orbit_count(ring: Ring, d: RingElement) -> int:
+def _basis_orbit_count(ring: Ring, d: RingElement,
+                       torsion: list[RingElement]) -> int:
     """Orbits of R[4] acting by (t, n) -> (t, n + d*m) on pairs of disc exactly d.
 
-    The action fixes t, so the orbits are counted on canonical values among
-    the norms n of each trace t.
+    torsion is R[4].  The action fixes t, so the orbits are counted on
+    canonical values among the norms n of each trace t.
     """
     _, values, _ = _coding(ring)
     mul, add = ring._mul, ring._add
     four, minus_d = ring.element(4).value, ring._neg(d.value)
-    shifts = [mul(d.value, m.value) for m in four_torsion(ring)]
+    shifts = [mul(d.value, m.value) for m in torsion]
     norms: dict = {}
     for n in values:
         norms.setdefault(mul(four, n), []).append(n)
@@ -281,14 +284,20 @@ def _basis_orbit_count(ring: Ring, d: RingElement) -> int:
     return count
 
 
-def _basis_orbit_bound(ring: Ring, d: RingElement) -> int:
-    """|{t : t^2 = d mod 4R}| * |R[4] / dR[4]|."""
-    target = coset_representative(d, 4)
-    traces = sum(1 for t in ring.elements()
-                 if coset_representative(t * t, 4) == target)
-    tors = four_torsion(ring)
-    image = {d * m for m in tors}
-    return traces * (len(tors) // len(image))
+def _basis_orbit_bound(ring: Ring, d: RingElement,
+                       torsion: list[RingElement]) -> int:
+    """|{t : t^2 = d mod 4R}| * |R[4] / dR[4]|, with torsion = R[4].
+
+    Counted on canonical values: t^2 = d mod 4R iff t^2 - d lies in 4R.
+    """
+    _, values, _ = _coding(ring)
+    mul, add = ring._mul, ring._add
+    four, minus_d = ring.element(4).value, ring._neg(d.value)
+    multiples_of_four = {mul(four, a) for a in values}
+    traces = sum(1 for t in values
+                 if add(mul(t, t), minus_d) in multiples_of_four)
+    image = {mul(d.value, m.value) for m in torsion}
+    return traces * (len(torsion) // len(image))
 
 
 def is_sec_element(ring: Ring, t: RingElement) -> bool:

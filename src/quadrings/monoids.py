@@ -76,7 +76,13 @@ class FiniteCommMonoid:
 
 
 def find_monoid_violation(m: FiniteCommMonoid):
-    """First failing axiom as (kind, witness indices), or None."""
+    """First failing axiom as (kind, witness indices), or None.
+
+    Associativity is checked a row at a time: (xy)z = x(yz) for every z says
+    that row xy is row y mapped through row x.  Only a pair (x, y) whose rows
+    differ is scanned for its least z, so the witness is the first (x, y, z)
+    in lexicographic order.
+    """
     n = m.size
     t = m.table
     e = m.identity
@@ -88,11 +94,13 @@ def find_monoid_violation(m: FiniteCommMonoid):
             if t[x][y] != t[y][x]:
                 return ("commutativity", (x, y))
     for x in range(n):
+        row_x = t[x]
         for y in range(n):
-            xy = t[x][y]
-            for z in range(n):
-                if t[xy][z] != t[x][t[y][z]]:
-                    return ("associativity", (x, y, z))
+            row_xy = t[row_x[y]]
+            mapped = [row_x[c] for c in t[y]]
+            if row_xy != mapped:
+                z = next(z for z in range(n) if row_xy[z] != mapped[z])
+                return ("associativity", (x, y, z))
     return None
 
 

@@ -14,6 +14,10 @@ The orbit loops (classify, the class index, the star table of the classes)
 run on int codes and canonical values, not on element objects: an element's
 code is its index in ring.elements(), and a pair (t, n) is the int
 t*|R| + n.  RingElement and QuadraticAlgebra stay the input and output types.
+Each ring product is taken once per call: classify composes the unit rows
+(at most log2|U|*|R| products) and builds translates once per distinct trace
+(|R| products each), and the star table multiplies each distinct row value
+by each distinct column value once.
 """
 
 from __future__ import annotations
@@ -291,21 +295,35 @@ class Classification:
     def star_table(self) -> list[list[int]]:
         """Class index of rep_i * rep_j, for every pair of classes.
 
-        The star product (t, n) * (s, m) = (st, mt^2 + ns^2 - 4nm) of the
-        representatives is taken on canonical values.
+        The star product of the representatives is taken on canonical values
+        as (t, n) * (s, m) = (st, d*m + n*s^2), with d = t^2 - 4n the class's
+        stored disc.  Many classes share a trace, a disc or a norm, so each
+        distinct row value is multiplied by each distinct column value once,
+        and rows with equal values share the product list.
         """
         ring = self.ring
-        mul, add, neg = ring._mul, ring._add, ring._neg
-        four = ring.element(4).value
-        reps = []
-        for c in self.classes:
-            t, n = c.rep.t.value, c.rep.n.value
-            reps.append((t, n, mul(t, t), mul(four, n)))
-        return [[self.index_of_values(mul(s, t),
-                                      add(add(mul(m, tt), mul(n, ss)),
-                                          neg(mul(fn, m))))
-                 for s, m, ss, _ in reps]
-                for t, n, tt, fn in reps]
+        mul, add = ring._mul, ring._add
+        ts = [c.rep.t.value for c in self.classes]
+        ns = [c.rep.n.value for c in self.classes]
+        square = {s: mul(s, s) for s in set(ts)}
+        columns = {"s": ts, "m": ns, "ss": [square[s] for s in ts]}
+        memo: dict = {}
+
+        def times(a, name):
+            """[a * c for c in the column], one product per distinct c."""
+            row = memo.get((a, name))
+            if row is None:
+                column = columns[name]
+                by_value = {c: mul(a, c) for c in set(column)}
+                row = memo[(a, name)] = [by_value[c] for c in column]
+            return row
+
+        code, class_at = self._code, self._class_at
+        size = len(code)
+        return [[class_at[code[st] * size + code[add(dm, nss)]]
+                 for st, dm, nss in zip(times(t, "s"), times(c.disc.value, "m"),
+                                        times(n, "ss"))]
+                for t, n, c in zip(ts, ns, self.classes)]
 
 
 def classify(ring: Ring) -> Classification:
@@ -315,13 +333,23 @@ def classify(ring: Ring) -> Classification:
     x -> u2(x + r2) is (u1 u2, r1 + u1^-1 r2), so the orbit of one seed is
     its whole class.  It is the union over units u of u.T, where
     T = {(t+2r, n+tr+r^2) : r in R} are the seed's translates and u acts by
-    (a, b) -> (ua, u^2 b).  Everything runs on int codes: one multiplication
-    row row_u[c] = code(u * x_c) per unit costs |U|*|R| products, once per
-    call.  Then each class costs |R| translates, |U| membership tests and
-    one row lookup per orbit pair, because each u.T is the translate orbit
-    of u.seed and so is either new or already in the orbit.  Seeds are taken
-    in increasing pair code, so each seed is the least code of its orbit,
-    the canonical representative, and classes come out sorted.
+    (a, b) -> (ua, u^2 b).  Everything runs on int codes, and each ring
+    product is taken once per call:
+
+    - The multiplication rows row_u[c] = code(u * x_c) compose, as
+      row_uk = row_u o row_k.  A unit outside the subgroup K of units whose
+      rows are known costs one direct row of |R| products; K is then closed
+      under it by index lookups, since <K, u> = {k u^j}.  Each direct row
+      at least doubles K, so the rows cost at most log2|U| * |R| products.
+    - Seeds come in increasing pair code, so in runs of equal trace t.  The
+      codes of t + 2r and the values tr + r^2 cost |R| products once per
+      distinct trace; each seed then pays one addition per r.
+    - Each u.T is the translate orbit of u.seed, so it is either new or
+      already in the orbit: |U| membership tests and one row lookup per
+      orbit pair.
+
+    Each seed is the least code of its orbit, the canonical representative,
+    so classes come out sorted.
     """
     if not ring.is_finite:
         raise InfiniteRingError("classification requires a finite ring")
@@ -329,19 +357,35 @@ def classify(ring: Ring) -> Classification:
     elements, values, code = _coding(ring)
     size = len(values)
     mul, add = ring._mul, ring._add
-    units = [u.value for u in ring.units()]
-    rows = {u: [code[mul(u, x)] for x in values] for u in units}
-    actions = [(rows[u], rows[mul(u, u)]) for u in units]    # rows of u, u^2
-    shifts = [(r, add(r, r), mul(r, r)) for r in values]    # r, 2r, r^2
+    units = [code[u.value] for u in ring.units()]
+    rows = {code[ring.one.value]: list(range(size))}
+    for cu in units:
+        if cu in rows:
+            continue
+        u = values[cu]
+        row_u = [code[mul(u, x)] for x in values]
+        coset = list(rows)
+        # The cosets K u^j are disjoint until the first one that is K again.
+        while row_u[coset[0]] not in rows:
+            for k in coset:
+                rows[row_u[k]] = [row_u[c] for c in rows[k]]
+            coset = [row_u[k] for k in coset]
+    actions = [(rows[cu], rows[rows[cu][cu]]) for cu in units]    # u, u^2
+    doubles = [add(r, r) for r in values]
+    squares = [mul(r, r) for r in values]
     class_at = [-1] * (size * size)
     classes = []
+    a_prev = -1
     for seed in range(size * size):
         if class_at[seed] >= 0:
             continue
         a0, b0 = divmod(seed, size)
-        t, n = values[a0], values[b0]
-        translates = {(code[add(t, r2)], code[add(n, add(mul(t, r), rr))])
-                      for r, r2, rr in shifts}
+        if a0 != a_prev:
+            a_prev, t = a0, values[a0]
+            t_codes = [code[add(t, r2)] for r2 in doubles]        # t + 2r
+            n_shifts = [add(mul(t, r), rr) for r, rr in zip(values, squares)]
+        n = values[b0]
+        translates = {(a, code[add(n, v)]) for a, v in zip(t_codes, n_shifts)}
         orbit = set()
         for row_t, row_n in actions:
             # u.T is the translate orbit of u.seed, as u(x + r) = ux + ur,

@@ -212,7 +212,8 @@ def test_basis_orbit_indexing_all_discs():
         for d in ring.elements():
             if is_discriminant(ring, d) is None:
                 continue
-            assert _basis_orbit_count(ring, d) == _basis_orbit_bound(ring, d)
+            assert (_basis_orbit_count(ring, d, four_torsion(ring))
+                    == _basis_orbit_bound(ring, d, four_torsion(ring)))
 
 
 def basis_orbit_count_by_pairs(ring, d):
@@ -237,7 +238,7 @@ def test_basis_orbit_count_matches_pair_definition():
         ring = parse_ring(spec)
         for d in ring.elements():
             if is_discriminant(ring, d) is not None:
-                assert (_basis_orbit_count(ring, d)
+                assert (_basis_orbit_count(ring, d, four_torsion(ring))
                         == basis_orbit_count_by_pairs(ring, d)), (spec, d)
 
 

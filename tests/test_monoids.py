@@ -58,6 +58,72 @@ def test_validate_monoid():
     assert validate_monoid(broken)
 
 
+def monoid_violation_by_triples(m):
+    """find_monoid_violation as the plain triple loop, kept as the oracle."""
+    n, t, e = m.size, m.table, m.identity
+    for x in range(n):
+        if t[e][x] != x or t[x][e] != x:
+            return ("identity", (e, x))
+    for x in range(n):
+        for y in range(x + 1, n):
+            if t[x][y] != t[y][x]:
+                return ("commutativity", (x, y))
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if t[t[x][y]][z] != t[x][t[y][z]]:
+                    return ("associativity", (x, y, z))
+    return None
+
+
+RELABELLED_MONOIDS = SAMPLE_MONOIDS + [f(k) for f in (mult_monoid, add_monoid)
+                                       for k in range(2, 9)]
+
+
+@st.composite
+def small_tables(draw):
+    """Tables on n <= 8 elements.  A monoid of SAMPLE_MONOIDS or (Z/n, +, *),
+    relabelled by a permutation, is associative; with one symmetric pair of
+    entries changed it mostly is not.  Tables with identity 0 and random
+    other entries, symmetric or not, or with no structure at all, reach the
+    associativity, commutativity and identity checks."""
+    kind = draw(st.sampled_from(["monoid", "changed monoid", "commutative",
+                                 "unital", "any"]))
+    if kind in ("monoid", "changed monoid"):
+        base = draw(st.sampled_from(RELABELLED_MONOIDS))
+        n = base.size
+        perm = draw(st.permutations(range(n)))
+        table = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                table[perm[i]][perm[j]] = perm[base.table[i][j]]
+        e = perm[base.identity]
+        others = [i for i in range(n) if i != e]
+        if kind == "changed monoid" and others:
+            i, j = draw(st.sampled_from(others)), draw(st.sampled_from(others))
+            table[i][j] = table[j][i] = draw(st.integers(0, n - 1))
+        return FiniteCommMonoid(range(n), table, e)
+    n = draw(st.integers(1, 8))
+    entry = st.integers(0, n - 1)
+    if kind == "any":
+        table = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+        return FiniteCommMonoid(range(n), table, draw(entry))
+    table = [list(range(n))] + [[i] + [draw(entry) for _ in range(1, n)]
+                                for i in range(1, n)]
+    if kind == "commutative":
+        for i in range(n):
+            for j in range(i):
+                table[j][i] = table[i][j]
+    return FiniteCommMonoid(range(n), table, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_tables())
+def test_monoid_violation_matches_triple_loop(m):
+    assert find_monoid_violation(m) == monoid_violation_by_triples(m)
+
+
 def test_absorbing_and_cancellative():
     m = mult_monoid(4)
     assert find_absorbing(m) == 0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import quadrings.quadratic as quadratic
 from quadrings import (BasisChange, EnumerationLimitError, InfiniteRingError,
                        MixedRingError, ModRing, QuadraticAlgebra,
+                       QuotientPolyRing,
                        apply_basis_change,
                        basis_change_group, classify, find_absorbing,
                        integer_algebra_for_disc, is_isomorphic, parse_ring,
@@ -254,23 +255,52 @@ def test_classify_matches_group_oracle(spec):
     assert_classify_matches_group_oracle(parse_ring(spec))
 
 
-@settings(max_examples=10, deadline=None)
-@given(st.integers(2, 64))
-def test_classify_matches_group_oracle_drawn(n):
-    assert_classify_matches_group_oracle(ModRing(n))
+@st.composite
+def small_quotient_rings(draw):
+    """Z/m[x]/(f), f monic of degree 2 or 3, with at most 32 elements."""
+    degree = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(2, 5 if degree == 2 else 3))
+    lower = draw(st.lists(st.integers(0, m - 1), min_size=degree,
+                          max_size=degree))
+    return QuotientPolyRing(m, lower + [1])
 
 
-def test_classify_cost_is_rows_plus_translates(monkeypatch):
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.integers(2, 64).map(ModRing), small_quotient_rings()))
+def test_classify_matches_group_oracle_drawn(ring):
+    assert_classify_matches_group_oracle(ring)
+
+
+def direct_unit_rows(ring):
+    """Units, in canonical order, that lie outside the subgroup generated by
+    the units before them: the units whose multiplication rows classify
+    builds from ring products rather than by composing known rows."""
+    subgroup = {ring.one}
+    direct = []
+    for u in ring.units():
+        if u in subgroup:
+            continue
+        direct.append(u)
+        while not subgroup >= {u * k for k in subgroup}:
+            subgroup |= {u * k for k in subgroup}
+    return direct
+
+
+def test_classify_cost_is_composed_rows_plus_translates_per_trace(monkeypatch):
     # classify never builds a BasisChange; its ring products are one row per
-    # unit, u^2 per unit, r^2 per element, t*r per class and element, and
-    # the two products of each class's discriminant
+    # unit outside the subgroup of the units before it, r^2 per element,
+    # t*r per distinct trace and element, and the two products of each
+    # class's discriminant
     def refuse(*args):
         raise AssertionError("classify used the object-level basis change")
     monkeypatch.setattr(quadratic, "apply_basis_change", refuse)
     monkeypatch.setattr(quadratic, "BasisChange", refuse)
-    for spec in ["Z/8", "Z/12", "Z/2[x]/(x^2+x+1)"]:
+    for spec in ["Z/8", "Z/12", "Z/2[x]/(x^2+x+1)", "Z/4[x]/(x^2+x+1)",
+                 "Z/9[x]/(x^2+1)"]:
         ring = parse_ring(spec)
         units = len(ring.units())    # builds a quotient ring's unit table
+        direct = len(direct_unit_rows(ring))
+        assert 2 ** direct <= units, spec
         calls = 0
         original = ring._mul
 
@@ -281,8 +311,8 @@ def test_classify_cost_is_rows_plus_translates(monkeypatch):
 
         monkeypatch.setattr(ring, "_mul", counting)
         cl = classify(ring)
-        size = ring.size
-        assert calls == units * size + units + size + len(cl) * (size + 2), spec
+        traces = len({c.rep.t for c in cl})
+        assert calls == ring.size * (direct + 1 + traces) + 2 * len(cl), spec
 
 
 def test_index_of_checks_the_ring():
