@@ -14,6 +14,11 @@ the action kernel contains the image of ann(d)[4] = {a : a*d = 0, 4a = 0}.
 r^2, 2r in tR forces r in tR.  Over Z and finite rings an algebra is sec iff
 its discriminant is a nonzerodivisor, and on sec algebras the fiber action is
 free.
+
+The group and the fiber reports run on canonical values with the ring's
+_mul/_add/_neg; fiber_report's docstring gives what one report costs, none
+of it a product per orbit pair.  Every check of the action runs on every
+call, check_freeness's report included.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .discriminants import DiscClass
 from .errors import InfiniteRingError, InternalCheckError
 from .monoids import FiniteCommMonoid
 from .quadratic import Classification, QuadraticAlgebra
-from .rings import IntegerRing, Ring, RingElement, _coding
+from .rings import IntegerRing, Ring, RingElement
 
 
 def four_torsion(ring: Ring) -> list[RingElement]:
@@ -173,6 +178,26 @@ class FiberReport:
     basis_orbit_bound: int
 
 
+class _ValueTables:
+    """t -> t^2 and n -> -4n over a finite ring's canonical values, and the
+    norm map 4n -> [n] with each list in canonical order.
+
+    One fiber report builds these once, in 2|R| products, and its action
+    check, basis orbit count and index bound all read them.
+    """
+
+    def __init__(self, ring: Ring):
+        mul, neg, four = ring._mul, ring._neg, ring.element(4).value
+        self.values = ring._values()
+        self.square = {t: mul(t, t) for t in self.values}
+        self.minus_four = {}
+        self.norms: dict = {}
+        for n in self.values:
+            q = mul(four, n)
+            self.minus_four[n] = neg(q)
+            self.norms.setdefault(q, []).append(n)
+
+
 def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
                  group: ASGroup) -> FiberReport:
     """Compute the AS(R)-orbit structure of the fiber over a disc class.
@@ -182,39 +207,55 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
     descends to isomorphism classes, its kernel contains the image of
     ann(d)[4], and the with-basis orbit count over d equals
     |{t : t^2 = d mod 4R}| * |R[4] / dR[4]|.
+
+    Everything runs on canonical values.  Besides the |U| + |U^2| products
+    that find the fiber and the 2|R| of _ValueTables, a report takes
+    |R[4]| products for dR[4] and one per distinct orbit-pair discriminant
+    d' and AS class m for the shift d'*m; each orbit pair then costs one
+    addition for its discriminant and one per AS class for its image.
     """
     cl, asg = classification, group
-    discs = {u * u * d.d for u in ring.units()}
+    mul, add = ring._mul, ring._add
+    dv = d.d.value
+    unit_squares = {mul(u, u) for u in ring._unit_values()}
+    discs = {mul(s, dv) for s in unit_squares}
 
-    fiber = [i for i, c in enumerate(cl) if c.disc in discs]
+    fiber = [i for i, c in enumerate(cl) if c.disc.value in discs]
     fiber_pos = {ci: k for k, ci in enumerate(fiber)}
 
-    # The action must not depend on the chosen orbit member.  It runs on
-    # canonical values: each orbit pair (t, n) with its discriminant d, once,
-    # and m sends n to n + d*m.
-    mul, add, neg = ring._mul, ring._add, ring._neg
-    four = ring.element(4).value
-    members = {ci: [(t.value, n.value,
-                     add(mul(t.value, t.value), neg(mul(four, n.value))))
-                    for t, n in cl[ci].orbit_pairs]
-               for ci in fiber}
-    action: list[dict[int, int]] = []
-    for m in asg.classes:
-        images: dict[int, int] = {}
-        for ci in fiber:
-            targets = {cl.index_of_values(t, add(n, mul(disc, m.value)))
-                       for t, n, disc in members[ci]}
-            if len(targets) != 1:
+    # The action must not depend on the chosen orbit member: every orbit
+    # pair (t, n) of disc d' is sent by m to (t, n + d'*m), and all the
+    # images of a class must lie in one class of the fiber.
+    tables = _ValueTables(ring)
+    square, minus_four = tables.square, tables.minus_four
+    ms = [m.value for m in asg.classes]
+    shifts: dict = {}    # d' -> [d' * m for each AS class m]
+    # Classification.index_of_values, inlined: this is the per-pair loop.
+    code, class_at = cl._code, cl._class_at
+    size = len(code)
+    action: list[dict[int, int]] = [{} for _ in ms]
+    for ci in fiber:
+        pairs = [(t.value, n.value) for t, n in cl[ci].orbit_pairs]
+        rows = []
+        for t, n in pairs:
+            disc = add(square[t], minus_four[n])
+            row = shifts.get(disc)
+            if row is None:
+                row = shifts[disc] = [mul(disc, m) for m in ms]
+            rows.append(row)
+        for k, (m, images) in enumerate(zip(asg.classes, action)):
+            found = {class_at[code[t] * size + code[add(n, row[k])]]
+                     for (t, n), row in zip(pairs, rows)}
+            if len(found) != 1:
                 raise InternalCheckError(
                     f"action of {m} is not constant on class {cl[ci].label}"
                 )
-            target = targets.pop()
+            target = found.pop()
             if target not in fiber_pos:
                 raise InternalCheckError(
                     f"action of {m} moved {cl[ci].label} off the fiber"
                 )
             images[ci] = target
-        action.append(images)
 
     # Orbit partition of the fiber under the whole group.
     orbits: list[list[int]] = []
@@ -228,10 +269,11 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
 
     kernel = [m_idx for m_idx, images in enumerate(action)
               if all(images[ci] == ci for ci in fiber)]
-    # ann(d)[4], read off the group's R[4] rather than rescanning R.
+    # ann(d)[4] and dR[4], read off the group's R[4] with one product each.
     zero = ring.zero.value
-    ann_classes = {asg.class_of(a) for a in asg.four_torsion
-                   if mul(a.value, d.d.value) == zero}
+    torsion_shifts = [mul(dv, a.value) for a in asg.four_torsion]
+    ann_classes = {asg.class_of(a)
+                   for a, s in zip(asg.four_torsion, torsion_shifts) if s == zero}
     if not ann_classes <= set(kernel):
         raise InternalCheckError(
             f"kernel misses annihilator classes for d = {d.d}"
@@ -242,8 +284,9 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
                for ci in fiber)
     transitive = len(orbits) == 1
 
-    count = _basis_orbit_count(ring, d.d, asg.four_torsion)
-    bound = _basis_orbit_bound(ring, d.d, asg.four_torsion)
+    image = set(torsion_shifts)
+    count = _basis_orbit_count(ring, dv, image, tables)
+    bound = _basis_orbit_bound(ring, dv, len(asg.four_torsion), image, tables)
     if count != bound:
         raise InternalCheckError(
             f"with-basis orbit count {count} != index bound {bound} for d = {d.d}"
@@ -260,44 +303,42 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
                        basis_orbit_bound=bound)
 
 
-def _basis_orbit_count(ring: Ring, d: RingElement,
-                       torsion: list[RingElement]) -> int:
+def _basis_orbit_count(ring: Ring, d, shifts: set, tables: _ValueTables) -> int:
     """Orbits of R[4] acting by (t, n) -> (t, n + d*m) on pairs of disc exactly d.
 
-    torsion is R[4].  The action fixes t, so the orbits are counted on
-    canonical values among the norms n of each trace t.
+    d is a canonical value and shifts the set dR[4].  The action fixes t,
+    and the norms of a trace t are {n : 4n = t^2 - d}, so the orbits among
+    them depend only on t^2 - d and are walked once per distinct value.
     """
-    _, values, _ = _coding(ring)
-    mul, add = ring._mul, ring._add
-    four, minus_d = ring.element(4).value, ring._neg(d.value)
-    shifts = [mul(d.value, m.value) for m in torsion]
-    norms: dict = {}
-    for n in values:
-        norms.setdefault(mul(four, n), []).append(n)
+    add, minus_d = ring._add, ring._neg(d)
+    square, norms = tables.square, tables.norms
+    per_key: dict = {}
     count = 0
-    for t in values:
-        seen: set = set()
-        for n in norms.get(add(mul(t, t), minus_d), ()):
-            if n not in seen:
-                count += 1
-                seen.update([add(n, s) for s in shifts])
+    for t in tables.values:
+        key = add(square[t], minus_d)
+        orbits = per_key.get(key)
+        if orbits is None:
+            orbits, seen = 0, set()
+            for n in norms.get(key, ()):
+                if n not in seen:
+                    orbits += 1
+                    seen.update([add(n, s) for s in shifts])
+            per_key[key] = orbits
+        count += orbits
     return count
 
 
-def _basis_orbit_bound(ring: Ring, d: RingElement,
-                       torsion: list[RingElement]) -> int:
-    """|{t : t^2 = d mod 4R}| * |R[4] / dR[4]|, with torsion = R[4].
+def _basis_orbit_bound(ring: Ring, d, torsion_size: int, shifts: set,
+                       tables: _ValueTables) -> int:
+    """|{t : t^2 = d mod 4R}| * |R[4] / dR[4]|, with shifts = dR[4].
 
-    Counted on canonical values: t^2 = d mod 4R iff t^2 - d lies in 4R.
+    Counted on canonical values: t^2 = d mod 4R iff t^2 - d lies in 4R,
+    the keys of the norm map.
     """
-    _, values, _ = _coding(ring)
-    mul, add = ring._mul, ring._add
-    four, minus_d = ring.element(4).value, ring._neg(d.value)
-    multiples_of_four = {mul(four, a) for a in values}
-    traces = sum(1 for t in values
-                 if add(mul(t, t), minus_d) in multiples_of_four)
-    image = {mul(d.value, m.value) for m in torsion}
-    return traces * (len(torsion) // len(image))
+    add, minus_d = ring._add, ring._neg(d)
+    square, norms = tables.square, tables.norms
+    traces = sum(1 for t in tables.values if add(square[t], minus_d) in norms)
+    return traces * (torsion_size // len(shifts))
 
 
 def is_sec_element(ring: Ring, t: RingElement) -> bool:

@@ -109,7 +109,7 @@ def cmd_classify(args) -> str:
 def cmd_disc(args) -> str:
     ring = parse_ring(args.ring)
     dc = DiscClassification(ring)
-    hom = disc_hom_check(ring, classify(ring))
+    hom = disc_hom_check(ring, classify(ring), disc_classification=dc)
     if hom.violations:
         raise InternalCheckError("; ".join(hom.violations))
     absorbing = ring.zero

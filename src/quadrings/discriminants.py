@@ -7,6 +7,15 @@ form a commutative monoid under multiplication with identity class(1) and
 absorbing class(0); over Z the class of d is d itself since the only unit
 square is 1.
 
+Over a finite ring the classes and the homomorphism check run on canonical
+values, with the ring's _mul/_add/_neg and its coset kernel; RingElement
+stays the input and output type.  DiscClassification squares each residue
+mod 2R once, takes |U| products for the unit squares, |U^2| per class for
+its orbit and one per pair of classes for the monoid table.
+disc_hom_check looks each algebra class's disc up by value and reads every
+preimage norm from one map 4b -> b, |R| products, so a check costs that
+plus the classification's star table.
+
 Rank-1 quadratic forms Q(e) = a on a free module appear at the end: their
 similarity classes (unit orbits) multiply by a*a', and cancellativity of a
 form is equivalent to its value being a nonzerodivisor.
@@ -36,16 +45,19 @@ def sq_map(ring: Ring, t: RingElement) -> RingElement:
     return coset_representative(t * t, 4)
 
 
-def _square_classes(ring: Ring) -> dict[RingElement, RingElement]:
-    """Each class t^2 mod 4R of a finite ring -> its least witness t mod 2R.
+def _square_classes(ring: Ring) -> dict:
+    """Each class t^2 mod 4R of a finite ring -> its least witness t mod 2R,
+    on canonical values.
 
     The witnesses of a class are a union of cosets of 2R, so the least one is
-    reduced mod 2R; elements come in canonical order, so the first t to reach
-    a class is that least witness.
+    reduced mod 2R; values come in canonical order, so the first reduced t
+    to reach a class is that least witness, and only reduced t are squared.
     """
-    witnesses: dict[RingElement, RingElement] = {}
-    for t in ring.elements():
-        witnesses.setdefault(sq_map(ring, t), t)
+    mul, coset = ring._mul, ring._coset_rep
+    witnesses: dict = {}
+    for t in ring._values():
+        if coset(t, 2) == t:
+            witnesses.setdefault(coset(mul(t, t), 4), t)
     return witnesses
 
 
@@ -56,7 +68,8 @@ def is_discriminant(ring: Ring, d: RingElement):
     """
     ring._check_mine(d)
     if ring.is_finite:
-        return _square_classes(ring).get(coset_representative(d, 4))
+        witness = _square_classes(ring).get(ring._coset_rep(d.value, 4))
+        return None if witness is None else RingElement(ring, witness)
     if isinstance(ring, IntegerRing):
         if d.value % 4 in (0, 1):
             return ring.element(d.value % 2)
@@ -100,44 +113,46 @@ class DiscClassification:
                 "over Z use is_discriminant and the value d itself"
             )
         self.ring = ring
+        mul, coset = ring._mul, ring._coset_rep
         witnesses = _square_classes(ring)
-        unit_squares = {u * u for u in ring.units()}
-        seen: set[RingElement] = set()
+        unit_squares = {mul(u, u) for u in ring._unit_values()}
         self.classes: list[DiscClass] = []
         self.orbits: list[list[RingElement]] = []
-        # The first unseen discriminant in canonical order is the least member
-        # of its unit-square orbit, so classes come out sorted.
-        for d in ring.elements():
-            if d in seen:
+        self._index: dict = {}    # canonical value -> class index
+        # The first unplaced discriminant in canonical order is the least
+        # member of its unit-square orbit, so classes come out sorted.
+        for d in ring._values():
+            if d in self._index:
                 continue
-            witness = witnesses.get(coset_representative(d, 4))
+            witness = witnesses.get(coset(d, 4))
             if witness is None:
                 continue
-            orbit = sorted({s * d for s in unit_squares}, key=lambda e: e.sort_key())
-            seen.update(orbit)
-            self.classes.append(DiscClass(ring, d, witness))
-            self.orbits.append(orbit)
-        self._index: dict[RingElement, int] = {}
-        for i, orbit in enumerate(self.orbits):
-            for d in orbit:
-                self._index[d] = i
+            orbit = sorted({mul(s, d) for s in unit_squares}, key=ring.sort_key)
+            for v in orbit:
+                self._index[v] = len(self.classes)
+            self.classes.append(DiscClass(ring, RingElement(ring, d),
+                                          RingElement(ring, witness)))
+            self.orbits.append([RingElement(ring, v) for v in orbit])
         self.monoid = self._build_monoid()
 
     def _build_monoid(self) -> FiniteCommMonoid:
+        ring, index = self.ring, self._index
+        mul = ring._mul
         labels = [c.label() for c in self.classes]
+        ds = [c.d.value for c in self.classes]
         table = []
-        for ci in self.classes:
+        for a in ds:
             row = []
-            for cj in self.classes:
-                prod = ci.d * cj.d
-                if prod not in self._index:
+            for b in ds:
+                k = index.get(mul(a, b))
+                if k is None:
                     raise InternalCheckError(
-                        f"product {prod} of discriminants is not a discriminant"
+                        f"product {ring.element_text(mul(a, b))} of "
+                        f"discriminants is not a discriminant"
                     )
-                row.append(self._index[prod])
+                row.append(k)
             table.append(row)
-        identity = self._index[self.ring.one]
-        return FiniteCommMonoid(labels, table, identity)
+        return FiniteCommMonoid(labels, table, index[ring.one.value])
 
     def __len__(self):
         return len(self.classes)
@@ -149,9 +164,12 @@ class DiscClassification:
         return self.classes[i]
 
     def index_of(self, d: RingElement) -> int:
-        if d not in self._index:
-            raise ValueError(f"{d!r} is not a discriminant")
-        return self._index[d]
+        """Class index of a discriminant of this ring; ValueError otherwise."""
+        if isinstance(d, RingElement) and d.ring == self.ring:
+            index = self._index.get(d.value)
+            if index is not None:
+                return index
+        raise ValueError(f"{d!r} is not a discriminant")
 
 
 def disc_classes(ring: Ring) -> DiscClassification:
@@ -176,14 +194,25 @@ class DiscHomReport:
     violations: list[str] = field(default_factory=list)
 
 
-def disc_hom_check(ring: Ring, classification: Classification) -> DiscHomReport:
+def disc_hom_check(ring: Ring, classification: Classification, *,
+                   disc_classification: DiscClassification | None = None
+                   ) -> DiscHomReport:
     """Verify the class-level discriminant map is a surjective monoid hom.
 
-    Surjectivity is witnessed constructively: each disc class (d, t) yields an
-    algebra (t, n) with t^2 - 4n = d by solving 4n = t^2 - d.
+    disc_classification, if given, is the DiscClassification of ring to
+    check against; otherwise one is built.  Surjectivity is witnessed
+    constructively: each disc class (d, t) yields an algebra (t, n) with
+    t^2 - 4n = d by solving 4n = t^2 - d, with n the least solution, read
+    from one map 4b -> b over the ring.
     """
-    dc = DiscClassification(ring)
-    mapping = [dc.index_of(c.disc) for c in classification]
+    dc = disc_classification
+    if dc is None:
+        dc = DiscClassification(ring)
+    for given in (classification, dc):
+        if given.ring != ring:
+            raise ValueError(f"{type(given).__name__} of {given.ring!r} "
+                             f"given for {ring!r}")
+    mapping = [dc._index[c.disc.value] for c in classification]
     violations: list[str] = []
     is_hom = True
 
@@ -208,17 +237,20 @@ def disc_hom_check(ring: Ring, classification: Classification) -> DiscHomReport:
     fiber_sizes = {lbl: len(v) for lbl, v in fibers.items()}
 
     preimages: dict[str, str] = {}
-    four = ring.element(4)
+    mul, add, neg = ring._mul, ring._add, ring._neg
+    four = ring.element(4).value
+    quarters: dict = {}    # 4b -> least b
+    for b in ring._values():
+        quarters.setdefault(mul(four, b), b)
     for c in dc:
-        t = c.witness_t
-        want = t * t - c.d
-        n = next((b for b in ring.elements() if four * b == want), None)
+        tt, d = mul(c.witness_t.value, c.witness_t.value), c.d.value
+        n = quarters.get(add(tt, neg(d)))
         if n is None:
             violations.append(f"no algebra constructed for disc class {c.label()}")
             continue
-        alg = QuadraticAlgebra(ring, t, n)
-        if alg.disc() != c.d:
+        if add(tt, neg(mul(four, n))) != d:
             violations.append(f"constructed algebra for {c.label()} has wrong disc")
+        alg = QuadraticAlgebra(ring, c.witness_t, RingElement(ring, n))
         preimages[c.label()] = alg.label()
 
     surjective = all(size > 0 for size in fiber_sizes.values())

@@ -239,12 +239,13 @@ def is_isomorphic(s: QuadraticAlgebra, t: QuadraticAlgebra):
 class IsoClass:
     """One isomorphism class from a classification."""
 
-    def __init__(self, rep: QuadraticAlgebra, orbit_pairs):
+    def __init__(self, rep: QuadraticAlgebra, orbit_pairs, disc: RingElement):
+        """disc is rep.disc(), which classify computes on canonical values."""
         self.rep = rep
         self.orbit_pairs = orbit_pairs
         self.orbit_size = len(orbit_pairs)
-        self.disc = rep.disc()
-        self.separable = rep.ring.is_unit(self.disc)
+        self.disc = disc
+        self.separable = rep.ring.is_unit(disc)
 
     @property
     def label(self) -> str:
@@ -356,8 +357,9 @@ def classify(ring: Ring) -> Classification:
     require_enumerable(ring.size ** 2, f"pairs (t, n) over {ring!r}")
     elements, values, code = _coding(ring)
     size = len(values)
-    mul, add = ring._mul, ring._add
-    units = [code[u.value] for u in ring.units()]
+    mul, add, neg = ring._mul, ring._add, ring._neg
+    four = ring.element(4).value
+    units = [code[u] for u in ring._unit_values()]
     rows = {code[ring.one.value]: list(range(size))}
     for cu in units:
         if cu in rows:
@@ -397,7 +399,8 @@ def classify(ring: Ring) -> Classification:
         for c in sorted(orbit):
             class_at[c] = index
             pairs.append((elements[c // size], elements[c % size]))
-        classes.append(IsoClass(QuadraticAlgebra(ring, *pairs[0]), pairs))
+        disc = RingElement(ring, add(squares[a0], neg(mul(four, n))))
+        classes.append(IsoClass(QuadraticAlgebra(ring, *pairs[0]), pairs, disc))
     # Overlapping orbits (G not a group) would push the sum above |R|^2.
     total = sum(c.orbit_size for c in classes)
     if total != size ** 2:

@@ -10,6 +10,7 @@ constant coefficient least significant).  All values are immutable.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from itertools import product
 
@@ -17,6 +18,14 @@ from .errors import (EnumerationLimitError, InfiniteRingError, MixedRingError,
                      RingParseError)
 
 MAX_ENUMERATION = 2 ** 20    # the most items one enumeration may list
+
+
+def _exact(value) -> int:
+    """value as an int; anything else (a float, a Fraction) is a TypeError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"ring values must be integers, got {value!r}") from None
 
 
 def require_enumerable(count: int, what: str) -> None:
@@ -67,16 +76,22 @@ class Ring:
         """All elements, each exactly once, in canonical order."""
         raise InfiniteRingError("enumeration requires a finite ring")
 
+    def _values(self) -> list:
+        """The canonical values of elements(), in the same order."""
+        raise InfiniteRingError("enumeration requires a finite ring")
+
     # The finite-ring kernel.  Each concrete ring answers these from its own
     # structure in closed form; none scans the ring to answer for one element.
 
     def units(self) -> list[RingElement]:
         """The invertible elements, in canonical order (finite rings only)."""
-        if not self.is_finite:
-            raise InfiniteRingError(
-                "units() requires a finite ring; use is_unit for single elements"
-            )
-        return [a for a in self.elements() if self.is_unit(a)]
+        return [RingElement(self, v) for v in self._unit_values()]
+
+    def _unit_values(self) -> list:
+        """The canonical values of units(), in the same order."""
+        raise InfiniteRingError(
+            "units() requires a finite ring; use is_unit for single elements"
+        )
 
     def is_unit(self, a: RingElement) -> bool:
         raise NotImplementedError
@@ -98,6 +113,11 @@ class Ring:
 
     def coset_representative(self, a: RingElement, k: int) -> RingElement:
         """Canonical representative of a + kR."""
+        self._check_mine(a)
+        return RingElement(self, self._coset_rep(a.value, k))
+
+    def _coset_rep(self, a, k: int):
+        """coset_representative on canonical values."""
         raise NotImplementedError
 
     def _check_mine(self, a: RingElement) -> None:
@@ -123,7 +143,7 @@ class IntegerRing(Ring):
         if isinstance(value, RingElement):
             self._check_mine(value)
             return value.value
-        return int(value)
+        return _exact(value)
 
     def _add(self, a, b):
         return a + b
@@ -157,10 +177,9 @@ class IntegerRing(Ring):
             return a.value == 0
         return a.value % t.value == 0
 
-    def coset_representative(self, a: RingElement, k: int) -> RingElement:
+    def _coset_rep(self, a, k: int):
         """a mod k, the canonical representative of a + kZ."""
-        self._check_mine(a)
-        return RingElement(self, a.value % k)
+        return a % k
 
     def spec_string(self) -> str:
         return "Z"
@@ -186,7 +205,7 @@ class ModRing(Ring):
         if isinstance(value, RingElement):
             self._check_mine(value)
             return value.value
-        return int(value) % self.n
+        return _exact(value) % self.n
 
     def _add(self, a, b):
         return (a + b) % self.n
@@ -205,8 +224,15 @@ class ModRing(Ring):
         return self.n
 
     def elements(self) -> list[RingElement]:
+        return [RingElement(self, v) for v in self._values()]
+
+    def _values(self) -> list:
         require_enumerable(self.n, f"elements of {self!r}")
-        return [RingElement(self, v) for v in range(self.n)]
+        return list(range(self.n))
+
+    def _unit_values(self) -> list:
+        n = self.n
+        return [v for v in self._values() if math.gcd(v, n) == 1]
 
     # Closed forms via gcd: Z/n is never enumerated, so these stay cheap for
     # moduli far too large to list.
@@ -227,10 +253,9 @@ class ModRing(Ring):
         self._check_mine(t)
         return a.value % math.gcd(t.value, self.n) == 0
 
-    def coset_representative(self, a: RingElement, k: int) -> RingElement:
+    def _coset_rep(self, a, k: int):
         """Least member of a + kR: a mod gcd(k, n), since kR = gcd(k, n)R."""
-        self._check_mine(a)
-        return RingElement(self, a.value % math.gcd(k, self.n))
+        return a % math.gcd(k, self.n)
 
     def spec_string(self) -> str:
         return f"Z/{self.n}"
@@ -265,41 +290,65 @@ class QuotientPolyRing(Ring):
         self.n = n
         self.modulus = tuple(coeffs)
         self.degree = len(coeffs) - 1
+        # _powers[j] = x^(d+j) mod f; a product of reduced values reaches
+        # x^(2d-2), so those rows are built here, once per ring.
+        self._powers: list[list[int]] = []
+        self._extend_powers(self.degree - 1)
         self._inverses: dict | None = None
+
+    def _extend_powers(self, count: int) -> None:
+        """Make _powers hold x^d, ..., x^(d+count-1) mod f.
+
+        x^(k+1) = x * x^k: shift x^k up one place and replace its top
+        coefficient c by c * (x^d mod f), where x^d mod f is
+        -(f_0 + f_1 x + ... + f_(d-1) x^(d-1)).
+        """
+        d, n = self.degree, self.n
+        x_d = [(-c) % n for c in self.modulus[:d]]
+        powers = self._powers
+        while len(powers) < count:
+            prev = powers[-1] if powers else [0] * (d - 1) + [1]    # x^(d-1)
+            top = prev[-1]
+            powers.append([(a + top * b) % n
+                           for a, b in zip([0] + prev[:-1], x_d)])
 
     def canonicalize(self, value):
         if isinstance(value, RingElement):
             self._check_mine(value)
             return value.value
-        if isinstance(value, int):
-            return self._reduce([value])
-        return self._reduce(list(value))
+        coeffs = value if isinstance(value, (list, tuple)) else [value]
+        return self._reduce([_exact(c) for c in coeffs])
 
     def _reduce(self, coeffs: list) -> tuple:
-        c = [int(v) % self.n for v in coeffs]
+        """Integer coefficients, constant first and of any length, reduced
+        mod f and n: each c_k x^k with k >= d becomes c_k (x^k mod f)."""
         d = self.degree
-        for k in range(len(c) - 1, d - 1, -1):
-            lead = c[k]
-            if lead:
-                for i in range(d + 1):
-                    c[k - d + i] = (c[k - d + i] - lead * self.modulus[i]) % self.n
-        c = c[:d]
-        c.extend([0] * (d - len(c)))
-        return tuple(c)
+        low = coeffs[:d] + [0] * (d - len(coeffs))
+        high = coeffs[d:]
+        if len(high) > len(self._powers):
+            self._extend_powers(len(high))
+        for c, row in zip(high, self._powers):
+            if c:
+                for i, r in enumerate(row):
+                    low[i] += c * r
+        n = self.n
+        return tuple([a % n for a in low])
 
     def _add(self, a, b):
-        return tuple((x + y) % self.n for x, y in zip(a, b))
+        n = self.n
+        return tuple([(x + y) % n for x, y in zip(a, b)])
 
     def _mul(self, a, b):
         conv = [0] * (2 * self.degree - 1)
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    conv[i + j] += x * y
+                for j, y in enumerate(b, i):
+                    conv[j] += x * y
         return self._reduce(conv)
 
     def _neg(self, a):
-        return tuple((-x) % self.n for x in a)
+        n = self.n
+        return tuple([(-x) % n for x in a])
 
     def sort_key(self, value):
         return tuple(reversed(value))
@@ -309,11 +358,15 @@ class QuotientPolyRing(Ring):
         return self.n ** self.degree
 
     def elements(self) -> list[RingElement]:
+        return [RingElement(self, v) for v in self._values()]
+
+    def _values(self) -> list:
         require_enumerable(self.size, f"elements of {self!r}")
-        out = []
-        for rev in product(range(self.n), repeat=self.degree):
-            out.append(RingElement(self, tuple(reversed(rev))))
-        return out
+        return [rev[::-1] for rev in product(range(self.n), repeat=self.degree)]
+
+    def _unit_values(self) -> list:
+        inverses = self._inverse_table()
+        return [v for v in self._values() if v in inverses]
 
     def _inverse_table(self) -> dict:
         """Unit -> inverse on canonical values, built on first use per ring.
@@ -368,12 +421,11 @@ class QuotientPolyRing(Ring):
         self._check_mine(t)
         return self.is_unit(t) or any(t * b == a for b in self.elements())
 
-    def coset_representative(self, a: RingElement, k: int) -> RingElement:
+    def _coset_rep(self, a, k: int):
         """Least member of a + kR: each coefficient mod gcd(k, n), since
         additively R = (Z/n)^d and kR = (gcd(k, n) Z/n)^d."""
-        self._check_mine(a)
         g = math.gcd(k, self.n)
-        return RingElement(self, tuple(c % g for c in a.value))
+        return tuple([c % g for c in a])
 
     def spec_string(self) -> str:
         return f"Z/{self.n}[x]/({format_poly(self.modulus)})"
@@ -545,8 +597,8 @@ def _coding(ring: Ring) -> tuple[list[RingElement], list, dict]:
     enumerate in sort_key order, so codes sort like sort keys, and the pair
     code t*|R| + n sorts like (t.sort_key(), n.sort_key()).
     """
-    elements = ring.elements()
-    values = [e.value for e in elements]
+    values = ring._values()
+    elements = [RingElement(ring, v) for v in values]
     return elements, values, {v: i for i, v in enumerate(values)}
 
 

@@ -202,18 +202,28 @@ def test_fiber_kernel_contains_annihilator_image():
             assert sorted(sum(report.orbits, [])) == list(range(len(report.fiber)))
 
 
+def basis_orbit_count_and_bound(ring, d):
+    """_basis_orbit_count and _basis_orbit_bound for the element d, with
+    dR[4] and the value tables built as fiber_report builds them."""
+    from quadrings.artin_schreier import (_basis_orbit_bound,
+                                          _basis_orbit_count, _ValueTables)
+    tors = four_torsion(ring)
+    shifts = {(d * m).value for m in tors}
+    tables = _ValueTables(ring)
+    return (_basis_orbit_count(ring, d.value, shifts, tables),
+            _basis_orbit_bound(ring, d.value, len(tors), shifts, tables))
+
+
 def test_basis_orbit_indexing_all_discs():
     # with-basis orbit count = |{t : t^2 = d mod 4R}| * |R[4]/dR[4]|, checked
     # for every discriminant element of every test ring by direct enumeration
-    from quadrings.artin_schreier import _basis_orbit_bound, _basis_orbit_count
-    from quadrings import is_discriminant
     for spec in FINITE_RINGS:
         ring = parse_ring(spec)
         for d in ring.elements():
             if is_discriminant(ring, d) is None:
                 continue
-            assert (_basis_orbit_count(ring, d, four_torsion(ring))
-                    == _basis_orbit_bound(ring, d, four_torsion(ring)))
+            count, bound = basis_orbit_count_and_bound(ring, d)
+            assert count == bound
 
 
 def basis_orbit_count_by_pairs(ring, d):
@@ -233,13 +243,12 @@ def basis_orbit_count_by_pairs(ring, d):
 
 def test_basis_orbit_count_matches_pair_definition():
     # every discriminant element, so every member of every disc class
-    from quadrings.artin_schreier import _basis_orbit_count
     for spec in FINITE_RINGS:
         ring = parse_ring(spec)
         for d in ring.elements():
             if is_discriminant(ring, d) is not None:
-                assert (_basis_orbit_count(ring, d, four_torsion(ring))
-                        == basis_orbit_count_by_pairs(ring, d)), (spec, d)
+                count, _ = basis_orbit_count_and_bound(ring, d)
+                assert count == basis_orbit_count_by_pairs(ring, d), (spec, d)
 
 
 def test_sec_element_examples():

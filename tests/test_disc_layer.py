@@ -1,0 +1,234 @@
+"""The discriminant layer on canonical values against its object-level oracles.
+
+DiscClassification, disc_hom_check and fiber_report run on canonical values
+with the ring's _mul/_add/_neg.  The oracles below are the constructions
+they replaced, written with RingElement and QuadraticAlgebra objects and
+brute-force kernels (least coset members, units by search), so that they
+share no value-level code with what they check.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quadrings import (FiberReport, QuadraticAlgebra, as_act,
+                       as_group, check_freeness, classify, disc_classes,
+                       disc_hom_check, fiber_report, four_torsion,
+                       is_discriminant, parse_ring, star_product)
+from quadrings.discriminants import DiscHomReport
+from quadrings.rings import ModRing, QuotientPolyRing, RingElement
+
+QUOTIENT_RINGS = [
+    "Z/2[x]/(x^2)", "Z/2[x]/(x^2+x+1)", "Z/2[x]/(x^3+x+1)", "Z/3[x]/(x^2+1)",
+    "Z/4[x]/(x^2)", "Z/4[x]/(x^2+x+1)", "Z/4[x]/(x^2+3)", "Z/8[x]/(x^2)",
+    "Z/2[x]/(x^4)", "Z/6[x]/(x^2+1)"]
+RINGS = [f"Z/{n}" for n in range(1, 41)] + QUOTIENT_RINGS
+
+
+def sort_key(e):
+    return e.sort_key()
+
+
+def least_in_coset(ring, a, k):
+    """The least member of a + kR, by listing kR."""
+    return min({a + ring.element(k) * b for b in ring.elements()}, key=sort_key)
+
+
+def units_by_search(ring):
+    return [a for a in ring.elements()
+            if any(a * b == ring.one for b in ring.elements())]
+
+
+def disc_classification_by_objects(ring):
+    """(d, witness) per class, the orbits, the class index and the monoid
+    table with its identity, built with element objects."""
+    witnesses = {}
+    for t in ring.elements():
+        witnesses.setdefault(least_in_coset(ring, t * t, 4), t)
+    unit_squares = {u * u for u in units_by_search(ring)}
+    classes, orbits, index = [], [], {}
+    for d in ring.elements():
+        if d in index:
+            continue
+        w = witnesses.get(least_in_coset(ring, d, 4))
+        if w is None:
+            continue
+        orbit = sorted({s * d for s in unit_squares}, key=sort_key)
+        for e in orbit:
+            index[e] = len(classes)
+        classes.append((d, w))
+        orbits.append(orbit)
+    table = [[index[a * b] for b, _ in classes] for a, _ in classes]
+    return classes, orbits, index, table, index[ring.one]
+
+
+def disc_hom_check_by_objects(ring, cl):
+    """The DiscHomReport, with star products and discs taken on objects."""
+    classes, _, index, table, identity = disc_classification_by_objects(ring)
+    labels = [str(d) for d, _ in classes]
+    mapping = [index[c.rep.disc()] for c in cl]
+    violations = []
+    is_hom = mapping[cl.index_of(QuadraticAlgebra(ring, 1, 0))] == identity
+    if not is_hom:
+        violations.append("identity class does not map to the identity disc class")
+    for i, ci in enumerate(cl):
+        for j, cj in enumerate(cl):
+            k = cl.index_of(star_product(ci.rep, cj.rep))
+            if mapping[k] != table[mapping[i]][mapping[j]]:
+                is_hom = False
+                violations.append(f"disc({ci.label}*{cj.label}) differs from "
+                                  f"disc({ci.label})*disc({cj.label})")
+    fibers = {label: [] for label in labels}
+    for i, c in enumerate(cl):
+        fibers[labels[mapping[i]]].append(c.label)
+    preimages = {}
+    four = ring.element(4)
+    for (d, t), label in zip(classes, labels):
+        n = next(b for b in ring.elements() if four * b == t * t - d)
+        preimages[label] = QuadraticAlgebra(ring, t, n).label()
+    sizes = {label: len(v) for label, v in fibers.items()}
+    return DiscHomReport(ring=ring, is_homomorphism=is_hom,
+                         is_surjective=all(sizes.values()), fiber_sizes=sizes,
+                         fibers=fibers, preimage_witnesses=preimages,
+                         violations=violations)
+
+
+def fiber_report_by_objects(ring, d, cl, asg):
+    """The FiberReport, with every orbit pair acted on as an algebra."""
+    discs = {u * u * d.d for u in units_by_search(ring)}
+    fiber = [i for i, c in enumerate(cl) if c.rep.disc() in discs]
+    pos = {ci: k for k, ci in enumerate(fiber)}
+    action = []
+    for m in asg.classes:
+        images = {}
+        for ci in fiber:
+            targets = {cl.index_of(as_act(QuadraticAlgebra(ring, t, n), m))
+                       for t, n in cl[ci].orbit_pairs}
+            assert len(targets) == 1 and targets <= set(fiber)
+            images[ci] = targets.pop()
+        action.append(images)
+    orbits, placed = [], set()
+    for ci in fiber:
+        if ci not in placed:
+            orbit = sorted({images[ci] for images in action})
+            orbits.append([pos[c] for c in orbit])
+            placed.update(orbit)
+    kernel = [k for k, images in enumerate(action)
+              if all(images[ci] == ci for ci in fiber)]
+    free = all(images[ci] != ci for k, images in enumerate(action)
+               if k != asg.identity for ci in fiber)
+    # with-basis orbits from all pairs of disc exactly d, and the index bound
+    tors, four = four_torsion(ring), ring.element(4)
+    count, seen = 0, set()
+    for t in ring.elements():
+        for n in ring.elements():
+            if t * t - four * n == d.d and (t, n) not in seen:
+                count += 1
+                seen.update((t, n + d.d * m) for m in tors)
+    fours = {four * a for a in ring.elements()}
+    traces = sum(1 for t in ring.elements() if t * t - d.d in fours)
+    bound = traces * (len(tors) // len({d.d * m for m in tors}))
+    return FiberReport(disc_class=d, fiber=fiber,
+                       fiber_labels=[cl[i].label for i in fiber],
+                       orbits=orbits, kernel=kernel, free=free,
+                       transitive=len(orbits) == 1, basis_orbit_count=count,
+                       basis_orbit_bound=bound)
+
+
+def twin(ring):
+    """A different ring in which every canonical value of ring is canonical."""
+    if isinstance(ring, ModRing):
+        return ModRing(ring.n + 1)
+    return QuotientPolyRing(ring.n + 1, ring.modulus)
+
+
+def check_against_oracles(ring):
+    classes, orbits, index, table, identity = disc_classification_by_objects(ring)
+    dc = disc_classes(ring)
+    assert [(c.d, c.witness_t) for c in dc] == classes
+    assert dc.orbits == orbits
+    assert dc.monoid.labels == [str(d) for d, _ in classes]
+    assert dc.monoid.table == table
+    assert dc.monoid.identity == identity
+    other = twin(ring)
+    witnesses = {}
+    for t in ring.elements():
+        witnesses.setdefault(least_in_coset(ring, t * t, 4), t)
+    for a in ring.elements():
+        assert is_discriminant(ring, a) == witnesses.get(least_in_coset(ring, a, 4))
+        if a in index:
+            assert dc.index_of(a) == index[a]
+        else:
+            with pytest.raises(ValueError):
+                dc.index_of(a)
+        with pytest.raises(ValueError):
+            dc.index_of(RingElement(other, a.value))
+
+    cl = classify(ring)
+    expected = disc_hom_check_by_objects(ring, cl)
+    assert disc_hom_check(ring, cl) == expected
+    assert disc_hom_check(ring, cl, disc_classification=dc) == expected
+
+    asg = as_group(ring)
+    for d in dc:
+        report = fiber_report_by_objects(ring, d, cl, asg)
+        assert fiber_report(ring, d, cl, asg) == report
+        assert check_freeness(ring, d, cl, asg) == (
+            report.free or not ring.is_nonzerodivisor(d.d))
+
+
+@pytest.mark.parametrize("spec", RINGS)
+def test_disc_layer_matches_object_oracles(spec):
+    check_against_oracles(parse_ring(spec))
+
+
+@st.composite
+def small_finite_ring(draw):
+    """Z/n with n <= 48, or (Z/n)[x]/(f) with f monic of degree 1-3 and
+    at most 32 elements."""
+    degree = draw(st.integers(0, 3))
+    if degree == 0:
+        return ModRing(draw(st.integers(1, 48)))
+    n = draw(st.integers(2, {1: 32, 2: 5, 3: 3}[degree]))
+    f = draw(st.lists(st.integers(0, n - 1), min_size=degree, max_size=degree))
+    return QuotientPolyRing(n, f + [1])
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_finite_ring())
+def test_disc_layer_matches_object_oracles_on_drawn_rings(ring):
+    check_against_oracles(ring)
+
+
+def test_disc_hom_check_refuses_classes_of_another_ring():
+    z4, z8 = parse_ring("Z/4"), parse_ring("Z/8")
+    with pytest.raises(ValueError):
+        disc_hom_check(z4, classify(z4), disc_classification=disc_classes(z8))
+    with pytest.raises(ValueError):
+        disc_hom_check(z4, classify(z8))
+
+
+@pytest.mark.parametrize("spec", ["Z/12", "Z/4[x]/(x^2)"])
+def test_fiber_report_products_per_report(spec, monkeypatch):
+    # |U| unit squares, |U^2| discs u^2 d, 2|R| for the tables of t^2 and
+    # 4n, |R[4]| for dR[4], and one d'*m per distinct pair disc d' and AS
+    # class m; none per orbit pair
+    ring = parse_ring(spec)
+    cl, asg = classify(ring), as_group(ring)
+    units = ring.units()
+    unit_squares = {u * u for u in units}
+    reports = [(d, len({s * d.d for s in unit_squares})) for d in disc_classes(ring)]
+    calls = 0
+    original = ring._mul
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return original(a, b)
+
+    monkeypatch.setattr(ring, "_mul", counting)
+    for d, discs in reports:
+        calls = 0
+        fiber_report(ring, d, cl, asg)
+        assert calls == (len(units) + len(unit_squares) + 2 * ring.size
+                         + len(asg.four_torsion) + discs * asg.order), (spec, d.d)

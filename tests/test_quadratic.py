@@ -289,8 +289,8 @@ def direct_unit_rows(ring):
 def test_classify_cost_is_composed_rows_plus_translates_per_trace(monkeypatch):
     # classify never builds a BasisChange; its ring products are one row per
     # unit outside the subgroup of the units before it, r^2 per element,
-    # t*r per distinct trace and element, and the two products of each
-    # class's discriminant
+    # t*r per distinct trace and element, and one product (4n) for each
+    # class's discriminant, whose t^2 is among the r^2
     def refuse(*args):
         raise AssertionError("classify used the object-level basis change")
     monkeypatch.setattr(quadratic, "apply_basis_change", refuse)
@@ -312,7 +312,7 @@ def test_classify_cost_is_composed_rows_plus_translates_per_trace(monkeypatch):
         monkeypatch.setattr(ring, "_mul", counting)
         cl = classify(ring)
         traces = len({c.rep.t for c in cl})
-        assert calls == ring.size * (direct + 1 + traces) + 2 * len(cl), spec
+        assert calls == ring.size * (direct + 1 + traces) + len(cl), spec
 
 
 def test_index_of_checks_the_ring():

@@ -208,6 +208,75 @@ def test_arbitrary_precision_has_no_overflow():
     assert (a * a - z.element(4) * z.element(big - 1)).value == big * big - 4 * (big - 1)
 
 
+def test_canonicalize_accepts_only_integers():
+    from fractions import Fraction
+    z, z7 = parse_ring("Z"), parse_ring("Z/7")
+    f = parse_ring("Z/3[x]/(x^2+1)")
+    for ring, value in [(z7, 2.9), (z, 2.5), (z, 3.0), (z7, Fraction(7, 2)),
+                        (z7, "3"), (f, [2.7, 1.2]), (f, 2.0), (f, [1, Fraction(1, 2)]),
+                        (f, [1, 2, 0.0])]:
+        with pytest.raises(TypeError):
+            ring.element(value)
+    with pytest.raises(TypeError):
+        z7.one + 0.5
+    with pytest.raises(TypeError):
+        QuadraticAlgebra(z7, 1.5, 0)
+    # ints, bools and other types with __index__ are still exact
+    class Four:
+        def __index__(self):
+            return 4
+    assert z7.element(True) == z7.one
+    assert z7.element(Four()) == z7.element(4)
+    assert f.element([Four(), -1]) == f.element([1, 2])
+    assert z.element(10 ** 40).value == 10 ** 40
+
+
+def schoolbook_reduce(coeffs, n, f):
+    """coeffs mod n by long division by the monic f, top coefficient first."""
+    c = [x % n for x in coeffs]
+    d = len(f) - 1
+    for k in range(len(c) - 1, d - 1, -1):
+        q = c[k]
+        for i in range(d + 1):
+            c[k - d + i] = (c[k - d + i] - q * f[i]) % n
+    return tuple(c[:d] + [0] * (d - len(c)))
+
+
+def schoolbook_mul(a, b, n, f):
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    return schoolbook_reduce(conv, n, f)
+
+
+@st.composite
+def quotient_ring(draw):
+    n = draw(st.integers(2, 12))
+    degree = draw(st.integers(1, 5))
+    f = draw(st.lists(st.integers(0, n - 1), min_size=degree,
+                      max_size=degree)) + [1]
+    return QuotientPolyRing(n, f), n, f
+
+
+@settings(max_examples=300, deadline=None)
+@given(quotient_ring(), st.data())
+def test_quotient_arithmetic_matches_schoolbook(ring_n_f, data):
+    ring, n, f = ring_n_f
+    d = ring.degree
+    # raw inputs up to 3d + 2 coefficients, so longer than a product's 2d - 1
+    raw = st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=3 * d + 2)
+    p, q = data.draw(raw), data.draw(raw)
+    a, b = ring.canonicalize(p), ring.canonicalize(q)
+    assert a == schoolbook_reduce(p, n, f)
+    assert b == schoolbook_reduce(q, n, f)
+    assert ring._mul(a, b) == schoolbook_mul(a, b, n, f)
+    assert ring._add(a, b) == tuple((x + y) % n for x, y in zip(a, b))
+    assert ring._neg(a) == tuple((-x) % n for x in a)
+    # a product taken in R equals the product of the raw polynomials reduced
+    assert ring._mul(a, b) == schoolbook_mul(p or [0], q or [0], n, f)
+
+
 # Brute-force definitions of the ring kernel: the oracles it is checked against.
 
 def brute_units(ring):
@@ -270,6 +339,7 @@ def test_mod_ring_never_enumerates(monkeypatch):
     def refuse(self):
         raise AssertionError("Z/n was enumerated")
     monkeypatch.setattr(ModRing, "elements", refuse)
+    monkeypatch.setattr(ModRing, "_values", refuse)
     n = 7 * 11 * 13 * (10 ** 36 + 3)    # 40 digits, odd
     ring = parse_ring(f"Z/{n}")
     u, z = ring.element(10 ** 20 + 1), ring.element(7 * 11)
