@@ -179,8 +179,8 @@ class FiberReport:
 
 
 class _ValueTables:
-    """t -> t^2 and n -> -4n over a finite ring's canonical values, and the
-    norm map 4n -> [n] with each list in canonical order.
+    """t^2 and -4n for each code of a finite ring's elements, and the norm
+    map 4n -> [n] on canonical values, with each list in canonical order.
 
     One fiber report builds these once, in 2|R| products, and its action
     check, basis orbit count and index bound all read them.
@@ -189,12 +189,12 @@ class _ValueTables:
     def __init__(self, ring: Ring):
         mul, neg, four = ring._mul, ring._neg, ring.element(4).value
         self.values = ring._values()
-        self.square = {t: mul(t, t) for t in self.values}
-        self.minus_four = {}
+        self.square = [mul(t, t) for t in self.values]
+        self.minus_four = []
         self.norms: dict = {}
         for n in self.values:
             q = mul(four, n)
-            self.minus_four[n] = neg(q)
+            self.minus_four.append(neg(q))
             self.norms.setdefault(q, []).append(n)
 
 
@@ -208,8 +208,9 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
     ann(d)[4], and the with-basis orbit count over d equals
     |{t : t^2 = d mod 4R}| * |R[4] / dR[4]|.
 
-    Everything runs on canonical values.  Besides the |U| + |U^2| products
-    that find the fiber and the 2|R| of _ValueTables, a report takes
+    Everything runs on canonical values, and the fiber's orbits are read as
+    pair codes from the classification's class map.  Besides the |U| + |U^2|
+    products that find the fiber and the 2|R| of _ValueTables, a report takes
     |R[4]| products for dR[4] and one per distinct orbit-pair discriminant
     d' and AS class m for the shift d'*m; each orbit pair then costs one
     addition for its discriminant and one per AS class for its image.
@@ -230,22 +231,23 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
     square, minus_four = tables.square, tables.minus_four
     ms = [m.value for m in asg.classes]
     shifts: dict = {}    # d' -> [d' * m for each AS class m]
-    # Classification.index_of_values, inlined: this is the per-pair loop.
-    code, class_at = cl._code, cl._class_at
+    # The orbits are walked as pair codes c = a*|R| + b, with t = values[a]
+    # and n = values[b]; the image (t, n + d'*m) has code c - b + code(...).
+    values, code, class_at = tables.values, cl._code, cl._class_at
     size = len(code)
+    orbit_codes = cl._orbits.codes()
     action: list[dict[int, int]] = [{} for _ in ms]
     for ci in fiber:
-        pairs = [(t.value, n.value) for t, n in cl[ci].orbit_pairs]
-        rows = []
-        for t, n in pairs:
-            disc = add(square[t], minus_four[n])
-            row = shifts.get(disc)
-            if row is None:
-                row = shifts[disc] = [mul(disc, m) for m in ms]
-            rows.append(row)
+        codes = orbit_codes[ci]
+        bs = [c % size for c in codes]
+        pair_discs = [add(square[c // size], minus_four[b])
+                      for c, b in zip(codes, bs)]
+        for disc in set(pair_discs).difference(shifts):
+            shifts[disc] = [mul(disc, m) for m in ms]
+        rows = [shifts[disc] for disc in pair_discs]
         for k, (m, images) in enumerate(zip(asg.classes, action)):
-            found = {class_at[code[t] * size + code[add(n, row[k])]]
-                     for (t, n), row in zip(pairs, rows)}
+            found = {class_at[c - b + code[add(values[b], row[k])]]
+                     for c, b, row in zip(codes, bs, rows)}
             if len(found) != 1:
                 raise InternalCheckError(
                     f"action of {m} is not constant on class {cl[ci].label}"
@@ -311,11 +313,11 @@ def _basis_orbit_count(ring: Ring, d, shifts: set, tables: _ValueTables) -> int:
     them depend only on t^2 - d and are walked once per distinct value.
     """
     add, minus_d = ring._add, ring._neg(d)
-    square, norms = tables.square, tables.norms
+    norms = tables.norms
     per_key: dict = {}
     count = 0
-    for t in tables.values:
-        key = add(square[t], minus_d)
+    for tt in tables.square:
+        key = add(tt, minus_d)
         orbits = per_key.get(key)
         if orbits is None:
             orbits, seen = 0, set()
@@ -336,8 +338,8 @@ def _basis_orbit_bound(ring: Ring, d, torsion_size: int, shifts: set,
     the keys of the norm map.
     """
     add, minus_d = ring._add, ring._neg(d)
-    square, norms = tables.square, tables.norms
-    traces = sum(1 for t in tables.values if add(square[t], minus_d) in norms)
+    norms = tables.norms
+    traces = sum(1 for tt in tables.square if add(tt, minus_d) in norms)
     return traces * (torsion_size // len(shifts))
 
 

@@ -14,7 +14,8 @@ mod 2R once, takes |U| products for the unit squares, |U^2| per class for
 its orbit and one per pair of classes for the monoid table.
 disc_hom_check looks each algebra class's disc up by value and reads every
 preimage norm from one map 4b -> b, |R| products, so a check costs that
-plus the classification's star table.
+plus the classification's star table, which is built once per
+classification.
 
 Rank-1 quadratic forms Q(e) = a on a free module appear at the end: their
 similarity classes (unit orbits) multiply by a*a', and cancellativity of a
@@ -23,12 +24,15 @@ form is equivalent to its value being a nonzerodivisor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import product
 
 from .errors import InfiniteRingError, InternalCheckError
 from .monoids import FiniteCommMonoid
 from .quadratic import Classification, QuadraticAlgebra
-from .rings import IntegerRing, Ring, RingElement
+from .rings import (IntegerRing, QuotientPolyRing, Ring, RingElement,
+                    require_enumerable)
 
 
 def coset_representative(a: RingElement, k: int) -> RingElement:
@@ -50,14 +54,19 @@ def _square_classes(ring: Ring) -> dict:
     on canonical values.
 
     The witnesses of a class are a union of cosets of 2R, so the least one is
-    reduced mod 2R; values come in canonical order, so the first reduced t
-    to reach a class is that least witness, and only reduced t are squared.
+    reduced mod 2R: each coefficient below g = gcd(2, n).  Only those g^degree
+    values are listed, in canonical order, so the first to reach a class is
+    its least witness; Z/n is never enumerated.
     """
+    g = math.gcd(2, ring.n)
+    reduced = range(g)    # Z/n, degree 1
+    if isinstance(ring, QuotientPolyRing):
+        require_enumerable(g ** ring.degree, f"residues mod 2R of {ring!r}")
+        reduced = [rev[::-1] for rev in product(reduced, repeat=ring.degree)]
     mul, coset = ring._mul, ring._coset_rep
     witnesses: dict = {}
-    for t in ring._values():
-        if coset(t, 2) == t:
-            witnesses.setdefault(coset(mul(t, t), 4), t)
+    for t in reduced:
+        witnesses.setdefault(coset(mul(t, t), 4), t)
     return witnesses
 
 
@@ -176,9 +185,19 @@ def disc_classes(ring: Ring) -> DiscClassification:
     return DiscClassification(ring)
 
 
-def disc_class_of(ring: Ring, d: RingElement) -> int:
-    """Index of d's class in disc_classes(ring)."""
-    return DiscClassification(ring).index_of(d)
+def disc_class_of(ring: Ring, d: RingElement, *,
+                  disc_classification: DiscClassification | None = None) -> int:
+    """Index of d's class in disc_classes(ring).
+
+    disc_classification, if given, is the DiscClassification of ring to look
+    d up in; otherwise one is built.
+    """
+    dc = disc_classification
+    if dc is None:
+        dc = DiscClassification(ring)
+    elif dc.ring != ring:
+        raise ValueError(f"DiscClassification of {dc.ring!r} given for {ring!r}")
+    return dc.index_of(d)
 
 
 @dataclass

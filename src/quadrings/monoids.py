@@ -33,10 +33,11 @@ class FiniteCommMonoid:
         n = len(self.labels)
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise MonoidError("operation table must be square of size |elements|")
-        for i, row in enumerate(self.table):
-            for j, v in enumerate(row):
-                if not (0 <= v < n):
-                    raise MonoidError(f"table entry ({i},{j}) out of range: {v}")
+        if any(min(row) < 0 or max(row) >= n for row in self.table):
+            for i, row in enumerate(self.table):
+                for j, v in enumerate(row):
+                    if not (0 <= v < n):
+                        raise MonoidError(f"table entry ({i},{j}) out of range: {v}")
         if not (0 <= identity < n):
             raise MonoidError(f"identity index out of range: {identity}")
 
@@ -78,10 +79,14 @@ class FiniteCommMonoid:
 def find_monoid_violation(m: FiniteCommMonoid):
     """First failing axiom as (kind, witness indices), or None.
 
+    Commutativity compares row x with column x: the pairs (x, y) with y < x
+    passed at row y, so the first difference is the least y > x.
     Associativity is checked a row at a time: (xy)z = x(yz) for every z says
-    that row xy is row y mapped through row x.  Only a pair (x, y) whose rows
-    differ is scanned for its least z, so the witness is the first (x, y, z)
-    in lexicographic order.
+    that row xy is row y mapped through row x.  For n <= 256 the rows are
+    bytes, and all of x's rows are compared at once, the rows xy laid end to
+    end against the whole table translated through row x; the first
+    differing byte k gives (y, z) = divmod(k, n).  Either way the witness is
+    the first (x, y, z) in lexicographic order.
     """
     n = m.size
     t = m.table
@@ -89,10 +94,20 @@ def find_monoid_violation(m: FiniteCommMonoid):
     for x in range(n):
         if t[e][x] != x or t[x][e] != x:
             return ("identity", (e, x))
-    for x in range(n):
-        for y in range(x + 1, n):
-            if t[x][y] != t[y][x]:
-                return ("commutativity", (x, y))
+    for x, column in enumerate(zip(*t)):
+        if tuple(t[x]) != column:
+            y = next(y for y in range(x + 1, n) if t[x][y] != t[y][x])
+            return ("commutativity", (x, y))
+    if n <= 256:
+        rows = [bytes(row) for row in t]
+        flat, pad = b"".join(rows), bytes(256 - n)
+        for x in range(n):
+            left = b"".join([rows[v] for v in t[x]])
+            right = flat.translate(rows[x] + pad)
+            if left != right:
+                k = next(k for k in range(n * n) if left[k] != right[k])
+                return ("associativity", (x, *divmod(k, n)))
+        return None
     for x in range(n):
         row_x = t[x]
         for y in range(n):

@@ -205,23 +205,27 @@ def is_isomorphic(s: QuadraticAlgebra, t: QuadraticAlgebra):
     """A BasisChange g with apply_basis_change(s, g) = t, or None.
 
     The trace fixes r up to the unit: u(t + 2r) = t' forces 2r = u^-1 t' - t.
-    Over a finite ring only those r are tried, for each unit in order, so
-    the witness is the first one in basis_change_group order.  Over Z, u is
-    +/-1 and r is the one solution of that equation, if any.
+    Over a finite ring only those r are tried, for each unit in order, on
+    canonical values, so the witness is the first one in basis_change_group
+    order and only the norm u^2(n + tr + r^2) = n' is left to test.  Over Z,
+    u is +/-1 and r is the one solution of that equation, if any.
     """
     if s.ring != t.ring:
         raise MixedRingError("isomorphism testing requires a common ring")
     ring = s.ring
     if ring.is_finite:
-        two = ring.element(2)
-        halves: dict[RingElement, list[RingElement]] = {}
-        for r in ring.elements():
-            halves.setdefault(two * r, []).append(r)
-        for u in ring.units():
-            for r in halves.get(ring.inverse_of_unit(u) * t.t - s.t, ()):
-                g = BasisChange(u, r)
-                if apply_basis_change(s, g) == t:
-                    return g
+        mul, add, neg = ring._mul, ring._add, ring._neg
+        halves: dict = {}
+        for r in ring._values():
+            halves.setdefault(add(r, r), []).append(r)
+        tv, nv, t2, n2 = s.t.value, s.n.value, t.t.value, t.n.value
+        for u in ring._unit_values():
+            unit = RingElement(ring, u)
+            inverse = ring.inverse_of_unit(unit).value
+            uu = mul(u, u)
+            for r in halves.get(add(mul(inverse, t2), neg(tv)), ()):
+                if mul(uu, add(nv, add(mul(tv, r), mul(r, r)))) == n2:
+                    return BasisChange(unit, RingElement(ring, r))
         return None
     if isinstance(ring, IntegerRing):
         tv, nv = s.t.value, s.n.value
@@ -237,15 +241,27 @@ def is_isomorphic(s: QuadraticAlgebra, t: QuadraticAlgebra):
 
 
 class IsoClass:
-    """One isomorphism class from a classification."""
+    """One isomorphism class from a classification.
 
-    def __init__(self, rep: QuadraticAlgebra, orbit_pairs, disc: RingElement):
+    A class keeps its canonical representative, its orbit size and its
+    discriminant.  The orbit itself lives only in the classification's
+    int-coded class map; orbit_pairs lists it, sorted, on first read.
+    """
+
+    def __init__(self, rep: QuadraticAlgebra, orbit_size: int,
+                 disc: RingElement, orbits: _OrbitLists, index: int):
         """disc is rep.disc(), which classify computes on canonical values."""
         self.rep = rep
-        self.orbit_pairs = orbit_pairs
-        self.orbit_size = len(orbit_pairs)
+        self.orbit_size = orbit_size
         self.disc = disc
         self.separable = rep.ring.is_unit(disc)
+        self._orbits = orbits
+        self._index = index
+
+    @property
+    def orbit_pairs(self) -> list:
+        """The pairs (t, n) of the class, in (t, n) sort-key order."""
+        return self._orbits.pairs()[self._index]
 
     @property
     def label(self) -> str:
@@ -255,21 +271,57 @@ class IsoClass:
         return f"IsoClass({self.label}, orbit_size={self.orbit_size})"
 
 
+class _OrbitLists:
+    """The class map over pair codes, and each class's orbit listed from it
+    in one pass on first use: codes() as increasing pair codes, pairs() as
+    sorted (t, n) pairs of ring elements.
+
+    It holds no class, so an IsoClass reaches its orbit through it without
+    a reference cycle, and a classification is freed as soon as it is
+    dropped.
+    """
+
+    def __init__(self, ring: Ring, code: dict, class_at: list[int]):
+        self.ring, self.code, self.class_at = ring, code, class_at
+        self._codes = self._pairs = None
+
+    def codes(self) -> list[list[int]]:
+        if self._codes is None:
+            orbits = [[] for _ in range(max(self.class_at) + 1)]
+            appends = [orbit.append for orbit in orbits]
+            for c, k in enumerate(self.class_at):
+                appends[k](c)
+            self._codes = orbits
+        return self._codes
+
+    def pairs(self) -> list[list[tuple[RingElement, RingElement]]]:
+        if self._pairs is None:
+            elements = [RingElement(self.ring, v) for v in self.code]
+            size = len(elements)
+            self._pairs = [[(elements[c // size], elements[c % size])
+                            for c in codes] for codes in self.codes()]
+        return self._pairs
+
+
 class Classification:
     """All isomorphism classes of quadratic algebras over a finite ring.
 
     Classes are sorted by the canonical representative, the lexicographically
     least (t, n) in the orbit, so output is deterministic.  Classes are
     looked up in a flat list over pair codes t*|R| + n, given with the map
-    from canonical values to element codes.
+    from canonical values to element codes.  That class map is the only
+    record of the orbits: _orbits lists them from it on first use.  The
+    star table is built once, on first use.
     """
 
-    def __init__(self, ring: Ring, classes: list[IsoClass], code: dict,
-                 class_at: list[int]):
+    def __init__(self, ring: Ring, classes: list[IsoClass],
+                 orbits: _OrbitLists):
         self.ring = ring
         self.classes = classes
-        self._code = code
-        self._class_at = class_at
+        self._orbits = orbits
+        self._code = orbits.code
+        self._class_at = orbits.class_at
+        self._star = None
 
     def __len__(self):
         return len(self.classes)
@@ -293,15 +345,19 @@ class Classification:
     def class_of(self, algebra: QuadraticAlgebra) -> IsoClass:
         return self.classes[self.index_of(algebra)]
 
-    def star_table(self) -> list[list[int]]:
+    def star_table(self) -> tuple[tuple[int, ...], ...]:
         """Class index of rep_i * rep_j, for every pair of classes.
 
         The star product of the representatives is taken on canonical values
         as (t, n) * (s, m) = (st, d*m + n*s^2), with d = t^2 - 4n the class's
         stored disc.  Many classes share a trace, a disc or a norm, so each
         distinct row value is multiplied by each distinct column value once,
-        and rows with equal values share the product list.
+        and rows with equal values share the product list.  The table is
+        built once per classification; its rows are tuples, so every caller
+        reads the same table.
         """
+        if self._star is not None:
+            return self._star
         ring = self.ring
         mul, add = ring._mul, ring._add
         ts = [c.rep.t.value for c in self.classes]
@@ -321,10 +377,12 @@ class Classification:
 
         code, class_at = self._code, self._class_at
         size = len(code)
-        return [[class_at[code[st] * size + code[add(dm, nss)]]
-                 for st, dm, nss in zip(times(t, "s"), times(c.disc.value, "m"),
-                                        times(n, "ss"))]
-                for t, n, c in zip(ts, ns, self.classes)]
+        self._star = tuple(
+            tuple([class_at[code[st] * size + code[add(dm, nss)]]
+                   for st, dm, nss in zip(times(t, "s"), times(c.disc.value, "m"),
+                                          times(n, "ss"))])
+            for t, n, c in zip(ts, ns, self.classes))
+        return self._star
 
 
 def classify(ring: Ring) -> Classification:
@@ -350,7 +408,8 @@ def classify(ring: Ring) -> Classification:
       orbit pair.
 
     Each seed is the least code of its orbit, the canonical representative,
-    so classes come out sorted.
+    so classes come out sorted.  Per orbit pair only its class index is
+    written to the class map; orbit_pairs is listed from that map on demand.
     """
     if not ring.is_finite:
         raise InfiniteRingError("classification requires a finite ring")
@@ -376,7 +435,8 @@ def classify(ring: Ring) -> Classification:
     doubles = [add(r, r) for r in values]
     squares = [mul(r, r) for r in values]
     class_at = [-1] * (size * size)
-    classes = []
+    classes: list[IsoClass] = []
+    orbits = _OrbitLists(ring, code, class_at)
     a_prev = -1
     for seed in range(size * size):
         if class_at[seed] >= 0:
@@ -395,19 +455,18 @@ def classify(ring: Ring) -> Classification:
             if row_t[a0] * size + row_n[b0] not in orbit:
                 orbit.update([row_t[a] * size + row_n[b] for a, b in translates])
         index = len(classes)
-        pairs = []
-        for c in sorted(orbit):
+        for c in orbit:
             class_at[c] = index
-            pairs.append((elements[c // size], elements[c % size]))
         disc = RingElement(ring, add(squares[a0], neg(mul(four, n))))
-        classes.append(IsoClass(QuadraticAlgebra(ring, *pairs[0]), pairs, disc))
+        rep = QuadraticAlgebra(ring, elements[a0], elements[b0])
+        classes.append(IsoClass(rep, len(orbit), disc, orbits, index))
     # Overlapping orbits (G not a group) would push the sum above |R|^2.
     total = sum(c.orbit_size for c in classes)
     if total != size ** 2:
         raise InternalCheckError(
             f"orbit sizes sum to {total}, expected {size ** 2}"
         )
-    return Classification(ring, classes, code, class_at)
+    return Classification(ring, classes, orbits)
 
 
 def quad_monoid(ring: Ring, classification: Classification) -> FiniteCommMonoid:

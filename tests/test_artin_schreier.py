@@ -1,6 +1,6 @@
 import pytest
 
-from quadrings import (BasisChange, DiscClass, QuadraticAlgebra,
+from quadrings import (BasisChange, DiscClass, IsoClass, QuadraticAlgebra,
                        annihilator_four_torsion, apply_basis_change, as_act,
                        as_embed, as_group, basis_change_group, check_freeness,
                        classify, disc_classes, fiber_report, four_torsion,
@@ -318,6 +318,21 @@ def test_check_freeness_all_rings():
         cl = classify(ring)
         asg = as_group(ring)
         for d in disc_classes(ring):
+            assert check_freeness(ring, d, cl, asg)
+
+
+def test_fiber_reports_never_read_orbit_pairs(monkeypatch):
+    # The reports walk the pair codes of the class map, so every check of
+    # the action runs with orbit_pairs unreadable.
+    def refuse(self):
+        raise AssertionError("orbit_pairs was read")
+    monkeypatch.setattr(IsoClass, "orbit_pairs", property(refuse))
+    for spec in FINITE_RINGS + ["Z/12", "Z/16"]:
+        ring = parse_ring(spec)
+        cl, asg = classify(ring), as_group(ring)
+        for d in disc_classes(ring):
+            report = fiber_report(ring, d, cl, asg)
+            assert sum(cl[ci].orbit_size for ci in report.fiber) > 0
             assert check_freeness(ring, d, cl, asg)
 
 

@@ -1,11 +1,15 @@
+from itertools import product
+
 import pytest
 
-from quadrings import (DiscClass, InfiniteRingError, Rank1Form, classify,
+from quadrings import (DiscClass, DiscClassification, EnumerationLimitError,
+                       InfiniteRingError, ModRing, QuotientPolyRing, Rank1Form,
+                       classify,
                        disc_class_of, disc_classes, disc_hom_check,
                        find_absorbing, form_is_cancellative,
                        form_semi_nondegenerate, forms_similar, is_discriminant,
                        parse_ring, sq_map, validate_monoid)
-from quadrings.discriminants import coset_representative
+from quadrings.discriminants import _square_classes, coset_representative
 
 FINITE_RINGS = ["Z/1", "Z/2", "Z/3", "Z/4", "Z/5", "Z/6", "Z/8", "Z/12",
                 "Z/2[x]/(x^2+x+1)", "Z/2[x]/(x^2)", "Z/4[x]/(x^2)"]
@@ -93,6 +97,62 @@ def test_disc_class_of():
         disc_class_of(z4, z4.element(2))
     with pytest.raises(InfiniteRingError):
         disc_classes(parse_ring("Z"))
+
+
+def test_disc_class_of_reads_given_disc_classes(monkeypatch):
+    z8 = parse_ring("Z/8")
+    dc = disc_classes(z8)
+    want = [disc_class_of(z8, d) for d in dc.orbits[1] + dc.orbits[0]]
+
+    def refuse(self, ring):
+        raise AssertionError("a DiscClassification was built")
+    monkeypatch.setattr(DiscClassification, "__init__", refuse)
+    got = [disc_class_of(z8, d, disc_classification=dc)
+           for d in dc.orbits[1] + dc.orbits[0]]
+    assert got == want
+    with pytest.raises(ValueError):
+        disc_class_of(z8, z8.element(2), disc_classification=dc)
+    with pytest.raises(ValueError):
+        disc_class_of(parse_ring("Z/4"), parse_ring("Z/4").one,
+                      disc_classification=dc)
+
+
+def square_classes_by_scan(ring):
+    """_square_classes over every element, kept as the oracle."""
+    mul, coset = ring._mul, ring._coset_rep
+    witnesses = {}
+    for t in ring._values():
+        if coset(t, 2) == t:
+            witnesses.setdefault(coset(mul(t, t), 4), t)
+    return witnesses
+
+
+def test_square_classes_match_full_scan():
+    rings = [ModRing(n) for n in range(1, 65)]
+    for n in range(2, 9):
+        degree = 1
+        while n ** degree <= 64:
+            rings += [QuotientPolyRing(n, list(lower) + [1])
+                      for lower in product(range(n), repeat=degree)]
+            degree += 1
+    for ring in rings:
+        got, want = _square_classes(ring), square_classes_by_scan(ring)
+        assert list(got.items()) == list(want.items()), ring
+
+
+def test_is_discriminant_lists_only_residues_mod_2():
+    # Z/n has at most two residues mod 2R, so no modulus is too large;
+    # a quotient ring lists gcd(2, n)^degree of them, within the budget.
+    odd, even = ModRing(10 ** 30 + 1), ModRing(2 * 10 ** 30)
+    assert is_discriminant(odd, odd.element(5)) == odd.zero
+    assert is_discriminant(even, even.element(5)) == even.one
+    assert is_discriminant(even, even.element(6)) is None
+    assert is_discriminant(even, even.element(2 * 10 ** 30 - 4)) == even.zero
+    big = QuotientPolyRing(3, [1] + [0] * 29 + [1])     # 3^30 elements
+    assert is_discriminant(big, big.element(2)) == big.zero
+    huge = parse_ring("Z/2[x]/(x^21+x+1)")     # 2^21 residues mod 2R
+    with pytest.raises(EnumerationLimitError):
+        is_discriminant(huge, huge.one)
 
 
 def test_class_representative_is_least_in_unit_square_orbit():

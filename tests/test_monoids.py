@@ -1,3 +1,4 @@
+import random
 from itertools import product
 from math import gcd
 
@@ -122,6 +123,101 @@ def small_tables(draw):
 @given(small_tables())
 def test_monoid_violation_matches_triple_loop(m):
     assert find_monoid_violation(m) == monoid_violation_by_triples(m)
+
+
+def monoid_violation_by_rows(m):
+    """find_monoid_violation as a loop over the pairs (x, y), comparing row
+    xy with row y mapped through row x; the oracle for the byte-row path."""
+    n, t, e = m.size, m.table, m.identity
+    for x in range(n):
+        if t[e][x] != x or t[x][e] != x:
+            return ("identity", (e, x))
+    for x in range(n):
+        for y in range(x + 1, n):
+            if t[x][y] != t[y][x]:
+                return ("commutativity", (x, y))
+    for x in range(n):
+        for y in range(n):
+            row_xy, mapped = t[t[x][y]], [t[x][c] for c in t[y]]
+            if row_xy != mapped:
+                z = next(z for z in range(n) if row_xy[z] != mapped[z])
+                return ("associativity", (x, y, z))
+    return None
+
+
+def error_text(m):
+    try:
+        require_valid_monoid(m)
+    except MonoidError as exc:
+        return str(exc)
+    return None
+
+
+def relabelled(m, perm, changes=()):
+    """m with element i renamed perm[i], then with each (i, j, v) of changes
+    written to entries (i, j) and (j, i)."""
+    n = m.size
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            table[perm[i]][perm[j]] = perm[m.table[i][j]]
+    for i, j, v in changes:
+        table[i][j] = table[j][i] = v
+    return FiniteCommMonoid(range(n), table, perm[m.identity])
+
+
+@st.composite
+def mid_tables(draw):
+    """Relabelled (Z/n, +) or (Z/n, *) for 9 <= n <= 40, with up to two
+    symmetric pairs of entries changed."""
+    n = draw(st.integers(9, 40))
+    base = draw(st.sampled_from([add_monoid, mult_monoid]))(n)
+    perm = draw(st.permutations(range(n)))
+    entry = st.integers(0, n - 1)
+    changes = draw(st.lists(st.tuples(entry, entry, entry), max_size=2))
+    return relabelled(base, perm, changes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mid_tables())
+def test_byte_rows_match_row_loop(m):
+    want = monoid_violation_by_rows(m)
+    assert find_monoid_violation(m) == want
+    assert error_text(m) == (None if want is None else
+                             f"{want[0]} fails at "
+                             f"{tuple(m.labels[i] for i in want[1])}")
+
+
+@pytest.mark.parametrize("n", [200, 256, 257])
+def test_associativity_witness_on_both_sides_of_256(n):
+    # n <= 256 compares byte rows, n > 256 loops over rows; at 256 the
+    # translation table is row x itself, with no padding.
+    rng = random.Random(n)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    base = add_monoid(n)
+    good = relabelled(base, perm)
+    assert find_monoid_violation(good) is None
+    assert error_text(good) is None
+    others = [k for k in range(n) if k != good.identity]
+    for _ in range(3):
+        i, j = rng.choice(others), rng.choice(others)
+        v = (good.table[i][j] + 1 + rng.randrange(n - 1)) % n
+        broken = relabelled(base, perm, [(i, j, v)])
+        want = monoid_violation_by_rows(broken)
+        assert want[0] == "associativity"
+        assert find_monoid_violation(broken) == want
+        assert want == monoid_violation_by_triples(broken)
+        labels = tuple(broken.labels[k] for k in want[1])
+        assert error_text(broken) == f"associativity fails at {labels}"
+
+
+def test_range_check_names_the_first_bad_entry():
+    for table, text in [([[0, 1], [1, 2]], "table entry (1,1) out of range: 2"),
+                        ([[0, -1], [5, 1]], "table entry (0,1) out of range: -1")]:
+        with pytest.raises(MonoidError) as exc:
+            FiniteCommMonoid(["a", "b"], table, 0)
+        assert str(exc.value) == text
 
 
 def test_absorbing_and_cancellative():

@@ -10,7 +10,8 @@ from quadrings import (BasisChange, EnumerationLimitError, InfiniteRingError,
                        MixedRingError, ModRing, QuadraticAlgebra,
                        QuotientPolyRing,
                        apply_basis_change,
-                       basis_change_group, classify, find_absorbing,
+                       basis_change_group, classify, disc_hom_check,
+                       find_absorbing,
                        integer_algebra_for_disc, is_isomorphic, parse_ring,
                        quad_monoid, separable_square_check, star_product,
                        validate_monoid)
@@ -227,7 +228,8 @@ def assert_classify_matches_group_oracle(ring):
     cl = classify(ring)
     want, index = classify_by_group(ring)
     assert len(cl) == len(want)
-    for got, c in zip(cl, want):
+    # The last class is read first: one read lists the orbits of all classes.
+    for got, c in reversed(list(zip(cl, want))):
         assert got.rep == c["rep"]
         assert got.orbit_pairs == c["orbit_pairs"]
         assert got.orbit_size == c["orbit_size"]
@@ -313,6 +315,74 @@ def test_classify_cost_is_composed_rows_plus_translates_per_trace(monkeypatch):
         cl = classify(ring)
         traces = len({c.rep.t for c in cl})
         assert calls == ring.size * (direct + 1 + traces) + len(cl), spec
+
+
+def test_orbit_pairs_are_listed_only_when_read(monkeypatch):
+    # classify, quad_monoid and the hom check never list an orbit; the first
+    # read lists every class's orbit from the class map, once.
+    def refuse(self):
+        raise AssertionError("orbit_pairs was read")
+    ring = parse_ring("Z/2[x]/(x^2)")
+    with monkeypatch.context() as patch:
+        patch.setattr(quadratic.IsoClass, "orbit_pairs", property(refuse))
+        cl = classify(ring)
+        quad_monoid(ring, cl)
+        disc_hom_check(ring, cl)
+    listed = []
+    real = quadratic._OrbitLists.codes
+    monkeypatch.setattr(quadratic._OrbitLists, "codes",
+                        lambda self: listed.append(1) or real(self))
+    pairs = [c.orbit_pairs for c in cl]
+    assert [c.orbit_pairs for c in cl] == pairs and listed == [1]
+    assert [len(p) for p in pairs] == [c.orbit_size for c in cl]
+    assert [p[0] for p in pairs] == [c.rep.pair() for c in cl]
+
+
+def test_star_table_is_built_once_and_shared():
+    ring = parse_ring("Z/12")
+    cl = classify(ring)
+    table = cl.star_table()
+    assert all(isinstance(row, tuple) for row in table)
+    monoid = quad_monoid(ring, cl)
+    disc_hom_check(ring, cl)
+    assert cl.star_table() is table
+    assert monoid.table == [list(row) for row in table]
+    monoid.table[0][0] = 1 - monoid.table[0][0]
+    assert cl.star_table()[0][0] != monoid.table[0][0]
+
+
+def rings_up_to(size):
+    """Z/n, (Z/n)[x]/(x) and every (Z/n)[x]/(f) with f monic of degree >= 2,
+    for |R| <= size."""
+    rings = [ModRing(n) for n in range(1, size + 1)]
+    rings += [QuotientPolyRing(n, [0, 1]) for n in range(2, size + 1)]
+    for n in range(2, size + 1):
+        degree = 2
+        while n ** degree <= size:
+            rings += [QuotientPolyRing(n, list(lower) + [1])
+                      for lower in product(range(n), repeat=degree)]
+            degree += 1
+    return rings
+
+
+def test_is_isomorphic_matches_group_search_on_rings_up_to_27():
+    rng = random.Random(27)
+    for ring in rings_up_to(27):
+        els = ring.elements()
+        group = basis_change_group(ring)
+        seeds = (all_algebras(ring) if ring.size <= 3 else
+                 [QuadraticAlgebra(ring, rng.choice(els), rng.choice(els))])
+        for s in seeds:
+            first = {}    # image -> first witness in group order
+            for g in group:
+                first.setdefault(apply_basis_change(s, g).pair(), g)
+            images = list(first)
+            targets = ([QuadraticAlgebra(ring, *p)
+                        for p in rng.sample(images, min(8, len(images)))]
+                       + [QuadraticAlgebra(ring, rng.choice(els), rng.choice(els))
+                          for _ in range(8)])
+            for t in targets:
+                assert is_isomorphic(s, t) == first.get(t.pair()), (ring, s, t)
 
 
 def test_index_of_checks_the_ring():
