@@ -233,9 +233,10 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
     shifts: dict = {}    # d' -> [d' * m for each AS class m]
     # The orbits are walked as pair codes c = a*|R| + b, with t = values[a]
     # and n = values[b]; the image (t, n + d'*m) has code c - b + code(...).
-    values, code, class_at = tables.values, cl._code, cl._class_at
+    class_map = cl.class_map
+    values, code, class_at = tables.values, class_map.code, class_map.class_at
     size = len(code)
-    orbit_codes = cl._orbits.codes()
+    orbit_codes = class_map.codes()
     action: list[dict[int, int]] = [{} for _ in ms]
     for ci in fiber:
         codes = orbit_codes[ci]

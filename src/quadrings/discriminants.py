@@ -24,15 +24,12 @@ form is equivalent to its value being a nonzerodivisor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from itertools import product
 
 from .errors import InfiniteRingError, InternalCheckError
 from .monoids import FiniteCommMonoid
 from .quadratic import Classification, QuadraticAlgebra
-from .rings import (IntegerRing, QuotientPolyRing, Ring, RingElement,
-                    require_enumerable)
+from .rings import IntegerRing, Ring, RingElement
 
 
 def coset_representative(a: RingElement, k: int) -> RingElement:
@@ -54,18 +51,13 @@ def _square_classes(ring: Ring) -> dict:
     on canonical values.
 
     The witnesses of a class are a union of cosets of 2R, so the least one is
-    reduced mod 2R: each coefficient below g = gcd(2, n).  Only those g^degree
-    values are listed, in canonical order, so the first to reach a class is
-    its least witness; Z/n is never enumerated.
+    one of the residues mod 2R, which the kernel lists in canonical order:
+    the first to reach a class is its least witness, and Z/n is never
+    enumerated.
     """
-    g = math.gcd(2, ring.n)
-    reduced = range(g)    # Z/n, degree 1
-    if isinstance(ring, QuotientPolyRing):
-        require_enumerable(g ** ring.degree, f"residues mod 2R of {ring!r}")
-        reduced = [rev[::-1] for rev in product(reduced, repeat=ring.degree)]
     mul, coset = ring._mul, ring._coset_rep
     witnesses: dict = {}
-    for t in reduced:
+    for t in ring._residue_values(2):
         witnesses.setdefault(coset(mul(t, t), 4), t)
     return witnesses
 
@@ -185,19 +177,13 @@ def disc_classes(ring: Ring) -> DiscClassification:
     return DiscClassification(ring)
 
 
-def disc_class_of(ring: Ring, d: RingElement, *,
-                  disc_classification: DiscClassification | None = None) -> int:
+def disc_class_of(ring: Ring, d: RingElement) -> int:
     """Index of d's class in disc_classes(ring).
 
-    disc_classification, if given, is the DiscClassification of ring to look
-    d up in; otherwise one is built.
+    Each call builds the DiscClassification; a caller that holds one already
+    reads dc.index_of(d).
     """
-    dc = disc_classification
-    if dc is None:
-        dc = DiscClassification(ring)
-    elif dc.ring != ring:
-        raise ValueError(f"DiscClassification of {dc.ring!r} given for {ring!r}")
-    return dc.index_of(d)
+    return DiscClassification(ring).index_of(d)
 
 
 @dataclass

@@ -224,6 +224,7 @@ def is_isomorphic(s: QuadraticAlgebra, t: QuadraticAlgebra):
             inverse = ring.inverse_of_unit(unit).value
             uu = mul(u, u)
             for r in halves.get(add(mul(inverse, t2), neg(tv)), ()):
+                # The norm of apply_basis_change(s, BasisChange(u, r)).
                 if mul(uu, add(nv, add(mul(tv, r), mul(r, r)))) == n2:
                     return BasisChange(unit, RingElement(ring, r))
         return None
@@ -245,23 +246,23 @@ class IsoClass:
 
     A class keeps its canonical representative, its orbit size and its
     discriminant.  The orbit itself lives only in the classification's
-    int-coded class map; orbit_pairs lists it, sorted, on first read.
+    ClassMap; orbit_pairs lists it, sorted, on first read.
     """
 
     def __init__(self, rep: QuadraticAlgebra, orbit_size: int,
-                 disc: RingElement, orbits: _OrbitLists, index: int):
+                 disc: RingElement, class_map: ClassMap, index: int):
         """disc is rep.disc(), which classify computes on canonical values."""
         self.rep = rep
         self.orbit_size = orbit_size
         self.disc = disc
         self.separable = rep.ring.is_unit(disc)
-        self._orbits = orbits
+        self._class_map = class_map
         self._index = index
 
     @property
     def orbit_pairs(self) -> list:
         """The pairs (t, n) of the class, in (t, n) sort-key order."""
-        return self._orbits.pairs()[self._index]
+        return self._class_map.pairs()[self._index]
 
     @property
     def label(self) -> str:
@@ -271,10 +272,12 @@ class IsoClass:
         return f"IsoClass({self.label}, orbit_size={self.orbit_size})"
 
 
-class _OrbitLists:
-    """The class map over pair codes, and each class's orbit listed from it
-    in one pass on first use: codes() as increasing pair codes, pairs() as
-    sorted (t, n) pairs of ring elements.
+class ClassMap:
+    """The class index of every pair (t, n) over a finite ring: class_at is
+    a flat list over pair codes t*|R| + n, and code maps canonical values to
+    element codes.  It is the only record of the orbits; the first call of
+    codes() or pairs() lists every class's orbit from it in one pass, as
+    increasing pair codes or as sorted (t, n) pairs of ring elements.
 
     It holds no class, so an IsoClass reaches its orbit through it without
     a reference cycle, and a classification is freed as soon as it is
@@ -308,19 +311,15 @@ class Classification:
 
     Classes are sorted by the canonical representative, the lexicographically
     least (t, n) in the orbit, so output is deterministic.  Classes are
-    looked up in a flat list over pair codes t*|R| + n, given with the map
-    from canonical values to element codes.  That class map is the only
-    record of the orbits: _orbits lists them from it on first use.  The
+    looked up in class_map, which also lists the orbits on first use.  The
     star table is built once, on first use.
     """
 
     def __init__(self, ring: Ring, classes: list[IsoClass],
-                 orbits: _OrbitLists):
+                 class_map: ClassMap):
         self.ring = ring
         self.classes = classes
-        self._orbits = orbits
-        self._code = orbits.code
-        self._class_at = orbits.class_at
+        self.class_map = class_map
         self._star = None
 
     def __len__(self):
@@ -339,8 +338,8 @@ class Classification:
 
     def index_of_values(self, t, n) -> int:
         """Class index of the pair of canonical values (t, n) of this ring."""
-        code = self._code
-        return self._class_at[code[t] * len(code) + code[n]]
+        code = self.class_map.code
+        return self.class_map.class_at[code[t] * len(code) + code[n]]
 
     def class_of(self, algebra: QuadraticAlgebra) -> IsoClass:
         return self.classes[self.index_of(algebra)]
@@ -375,7 +374,7 @@ class Classification:
                 row = memo[(a, name)] = [by_value[c] for c in column]
             return row
 
-        code, class_at = self._code, self._class_at
+        code, class_at = self.class_map.code, self.class_map.class_at
         size = len(code)
         self._star = tuple(
             tuple([class_at[code[st] * size + code[add(dm, nss)]]
@@ -436,7 +435,7 @@ def classify(ring: Ring) -> Classification:
     squares = [mul(r, r) for r in values]
     class_at = [-1] * (size * size)
     classes: list[IsoClass] = []
-    orbits = _OrbitLists(ring, code, class_at)
+    class_map = ClassMap(ring, code, class_at)
     a_prev = -1
     for seed in range(size * size):
         if class_at[seed] >= 0:
@@ -444,6 +443,7 @@ def classify(ring: Ring) -> Classification:
         a0, b0 = divmod(seed, size)
         if a0 != a_prev:
             a_prev, t = a0, values[a0]
+            # apply_basis_change with u = 1: (t + 2r, n + tr + r^2).
             t_codes = [code[add(t, r2)] for r2 in doubles]        # t + 2r
             n_shifts = [add(mul(t, r), rr) for r, rr in zip(values, squares)]
         n = values[b0]
@@ -459,14 +459,14 @@ def classify(ring: Ring) -> Classification:
             class_at[c] = index
         disc = RingElement(ring, add(squares[a0], neg(mul(four, n))))
         rep = QuadraticAlgebra(ring, elements[a0], elements[b0])
-        classes.append(IsoClass(rep, len(orbit), disc, orbits, index))
+        classes.append(IsoClass(rep, len(orbit), disc, class_map, index))
     # Overlapping orbits (G not a group) would push the sum above |R|^2.
     total = sum(c.orbit_size for c in classes)
     if total != size ** 2:
         raise InternalCheckError(
             f"orbit sizes sum to {total}, expected {size ** 2}"
         )
-    return Classification(ring, classes, orbits)
+    return Classification(ring, classes, class_map)
 
 
 def quad_monoid(ring: Ring, classification: Classification) -> FiniteCommMonoid:

@@ -35,6 +35,13 @@ def require_enumerable(count: int, what: str) -> None:
                                     f"enumeration budget of {MAX_ENUMERATION}")
 
 
+def _listing_text(ring, k: int) -> str:
+    """What Ring._residue_values(k) lists, for an enumeration error."""
+    if k == 0:
+        return f"elements of {ring!r}"
+    return f"residues mod {k}R of {ring!r}"
+
+
 class Ring:
     """Base class; concrete rings implement arithmetic on canonical values."""
 
@@ -78,6 +85,11 @@ class Ring:
 
     def _values(self) -> list:
         """The canonical values of elements(), in the same order."""
+        return self._residue_values(0)
+
+    def _residue_values(self, k: int) -> list:
+        """The canonical value of each least member of a coset of kR, in
+        canonical order: one per residue mod kR, every element for k = 0."""
         raise InfiniteRingError("enumeration requires a finite ring")
 
     # The finite-ring kernel.  Each concrete ring answers these from its own
@@ -226,9 +238,11 @@ class ModRing(Ring):
     def elements(self) -> list[RingElement]:
         return [RingElement(self, v) for v in self._values()]
 
-    def _values(self) -> list:
-        require_enumerable(self.n, f"elements of {self!r}")
-        return list(range(self.n))
+    def _residue_values(self, k: int) -> list:
+        """0, ..., gcd(k, n) - 1, since kR = gcd(k, n)R."""
+        g = math.gcd(k, self.n)
+        require_enumerable(g, _listing_text(self, k))
+        return list(range(g))
 
     def _unit_values(self) -> list:
         n = self.n
@@ -360,9 +374,12 @@ class QuotientPolyRing(Ring):
     def elements(self) -> list[RingElement]:
         return [RingElement(self, v) for v in self._values()]
 
-    def _values(self) -> list:
-        require_enumerable(self.size, f"elements of {self!r}")
-        return [rev[::-1] for rev in product(range(self.n), repeat=self.degree)]
+    def _residue_values(self, k: int) -> list:
+        """Each coefficient below g = gcd(k, n), since additively
+        kR = (g Z/n)^d."""
+        g = math.gcd(k, self.n)
+        require_enumerable(g ** self.degree, _listing_text(self, k))
+        return [rev[::-1] for rev in product(range(g), repeat=self.degree)]
 
     def _unit_values(self) -> list:
         inverses = self._inverse_table()

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from quadrings import (DiscClass, DiscClassification, EnumerationLimitError,
+from quadrings import (DiscClass, EnumerationLimitError,
                        InfiniteRingError, ModRing, QuotientPolyRing, Rank1Form,
                        classify,
                        disc_class_of, disc_classes, disc_hom_check,
@@ -97,24 +97,6 @@ def test_disc_class_of():
         disc_class_of(z4, z4.element(2))
     with pytest.raises(InfiniteRingError):
         disc_classes(parse_ring("Z"))
-
-
-def test_disc_class_of_reads_given_disc_classes(monkeypatch):
-    z8 = parse_ring("Z/8")
-    dc = disc_classes(z8)
-    want = [disc_class_of(z8, d) for d in dc.orbits[1] + dc.orbits[0]]
-
-    def refuse(self, ring):
-        raise AssertionError("a DiscClassification was built")
-    monkeypatch.setattr(DiscClassification, "__init__", refuse)
-    got = [disc_class_of(z8, d, disc_classification=dc)
-           for d in dc.orbits[1] + dc.orbits[0]]
-    assert got == want
-    with pytest.raises(ValueError):
-        disc_class_of(z8, z8.element(2), disc_classification=dc)
-    with pytest.raises(ValueError):
-        disc_class_of(parse_ring("Z/4"), parse_ring("Z/4").one,
-                      disc_classification=dc)
 
 
 def square_classes_by_scan(ring):

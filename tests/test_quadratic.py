@@ -329,8 +329,8 @@ def test_orbit_pairs_are_listed_only_when_read(monkeypatch):
         quad_monoid(ring, cl)
         disc_hom_check(ring, cl)
     listed = []
-    real = quadratic._OrbitLists.codes
-    monkeypatch.setattr(quadratic._OrbitLists, "codes",
+    real = quadratic.ClassMap.codes
+    monkeypatch.setattr(quadratic.ClassMap, "codes",
                         lambda self: listed.append(1) or real(self))
     pairs = [c.orbit_pairs for c in cl]
     assert [c.orbit_pairs for c in cl] == pairs and listed == [1]

@@ -322,6 +322,9 @@ def test_kernel_matches_brute_force(spec, data):
     t = data.draw(st.sampled_from(elements))
     k = data.draw(st.integers(0, 8))
     assert ring.coset_representative(a, k) == brute_coset_representative(a, k)
+    least = {brute_coset_representative(e, k) for e in elements}
+    assert ring._residue_values(k) == [
+        e.value for e in sorted(least, key=lambda e: e.sort_key())]
     assert ring.units() == brute_units(ring)
     inverse = brute_inverse(ring, a)
     assert ring.is_unit(a) == (inverse is not None)
