@@ -15,10 +15,14 @@ r^2, 2r in tR forces r in tR.  Over Z and finite rings an algebra is sec iff
 its discriminant is a nonzerodivisor, and on sec algebras the fiber action is
 free.
 
-The group and the fiber reports run on canonical values with the ring's
-_mul/_add/_neg; fiber_report's docstring gives what one report costs, none
-of it a product per orbit pair.  Every check of the action runs on every
-call, check_freeness's report included.
+The group and the fiber reports run on the int codes of the ring's kernel
+(rings.Kernel): an addition is an add-row lookup, and the unit squares, the
+tables of t^2 and -4n and the norm map are built once per ring, not per
+report.  fiber_report's docstring gives what one report costs, none of it
+a ring operation per orbit pair.  Every check of the group and the action
+runs on every call, check_freeness's report included; a failed one raises
+InternalCheckError with a witness naming the ring, d, the class and the AS
+class where they apply.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .discriminants import DiscClass
 from .errors import InfiniteRingError, InternalCheckError
 from .monoids import FiniteCommMonoid
 from .quadratic import Classification, QuadraticAlgebra
-from .rings import IntegerRing, Ring, RingElement
+from .rings import IntegerRing, Kernel, Ring, RingElement
 
 
 def four_torsion(ring: Ring) -> list[RingElement]:
@@ -42,35 +46,52 @@ def four_torsion(ring: Ring) -> list[RingElement]:
     raise InfiniteRingError("4-torsion needs a finite ring or Z")
 
 
+def _additive_codes(ring: Ring):
+    """values, value -> code and add_row of a finite ring's kernel; over Z
+    the one value 0, which is all of R[4]."""
+    if ring.is_finite:
+        kernel = ring.kernel()
+        return kernel.values, kernel.code, kernel.add_row
+    if isinstance(ring, IntegerRing):
+        return [0], {0: 0}, lambda c: [0]
+    raise InfiniteRingError("needs a finite ring or Z")
+
+
 def wp4_subgroup(ring: Ring) -> list[RingElement]:
     """P(R)[4] = {r + r^2 : (1+2r)^2 = 1}, verified to be a subgroup of R[4].
 
-    Computed and verified on canonical values.
+    Computed and verified on the codes of the ring's kernel: (1+2r)^2 is a
+    lookup in the table of squares, r + r^2 = r(1 + r) one product per r
+    that passes, and the closure check one add-row lookup per pair.
     """
-    mul, add, neg = ring._mul, ring._add, ring._neg
+    values, code, add_row = _additive_codes(ring)
     if ring.is_finite:
-        one, two = ring.one.value, ring.element(2).value
-        members = set()
-        for r in ring.elements():
-            g = add(one, mul(two, r.value))
-            if mul(g, g) == one:
-                members.add(add(r.value, mul(r.value, r.value)))
-        out = [ring.element(v) for v in sorted(members, key=ring.sort_key)]
-    elif isinstance(ring, IntegerRing):
-        out = [ring.zero]
+        kernel, mul = ring.kernel(), ring._mul
+        one = code[ring.one.value]
+        one_plus, twice = add_row(one), kernel.multiple_row(2)
+        members = sorted({code[mul(values[r], values[one_plus[r]])]
+                          for r, r2 in enumerate(twice)
+                          if kernel.square[one_plus[r2]] == one})
+        fours, negative = kernel.multiple_row(4), kernel.multiple_row(-1)
     else:
-        raise InfiniteRingError("needs a finite ring or Z")
-    # Re-verify the subgroup axioms inside R[4].
-    tors = {a.value for a in four_torsion(ring)}
-    group = {a.value for a in out}
-    if ring.zero.value not in group or not group <= tors:
-        raise InternalCheckError("P(R)[4] is not a subset of R[4] containing 0")
-    for a in out:
-        if neg(a.value) not in group:
-            raise InternalCheckError(f"P(R)[4] not closed under negation at {a}")
-        for b in out:
-            if add(a.value, b.value) not in group:
-                raise InternalCheckError(f"P(R)[4] not closed under + at ({a}, {b})")
+        members, fours, negative = [0], [0], [0]
+    out = [RingElement(ring, values[c]) for c in members]
+    # Re-verify the subgroup axioms inside R[4]; code 0 is the zero.
+    group = set(members)
+    if 0 not in group or any(fours[c] for c in members):
+        raise InternalCheckError("P(R)[4] is not a subset of R[4] containing 0",
+                                 {"ring": ring.spec_string()})
+    for a, c in zip(out, members):
+        if negative[c] not in group:
+            raise InternalCheckError(
+                f"P(R)[4] not closed under negation at {a}",
+                {"ring": ring.spec_string(), "element": a.to_json()})
+        row = add_row(c)
+        for b, cb in zip(out, members):
+            if row[cb] not in group:
+                raise InternalCheckError(
+                    f"P(R)[4] not closed under + at ({a}, {b})",
+                    {"ring": ring.spec_string(), "pair": [a.to_json(), b.to_json()]})
     return out
 
 
@@ -81,29 +102,32 @@ class ASGroup:
         self.ring = ring
         self.four_torsion = four_torsion(ring)
         self.wp4 = wp4_subgroup(ring)
-        # Cosets are formed on canonical values; P(R)[4] lies in R[4], so
-        # each coset member is one of the four_torsion elements.
-        add = ring._add
-        wp4_values = [w.value for w in self.wp4]
-        torsion_at = {a.value: a for a in self.four_torsion}
+        # Cosets are formed on codes, one add row per coset; codes sort like
+        # sort keys.  P(R)[4] lies in R[4], so each coset member is one of
+        # the four_torsion elements.
+        _, code, add_row = _additive_codes(ring)
+        torsion_at = {code[a.value]: a for a in self.four_torsion}
+        wp4_codes = [code[w.value] for w in self.wp4]
         class_at: dict = {}
         self._class_of: dict[RingElement, int] = {}
         self.classes: list[RingElement] = []
-        for a in self.four_torsion:
-            if a.value in class_at:
+        for a in torsion_at:
+            if a in class_at:
                 continue
             idx = len(self.classes)
-            coset = sorted({add(a.value, w) for w in wp4_values}, key=ring.sort_key)
-            for v in coset:
-                class_at[v] = idx
-                self._class_of[torsion_at[v]] = idx
+            row = add_row(a)
+            coset = sorted({row[w] for w in wp4_codes})
+            for c in coset:
+                class_at[c] = idx
+                self._class_of[torsion_at[c]] = idx
             self.classes.append(torsion_at[coset[0]])
-        zero_class = class_at[ring.zero.value]
+        zero_class = class_at[0]
         for rep in self.classes:
-            if class_at.get(add(rep.value, rep.value)) != zero_class:
+            c = code[rep.value]
+            if class_at.get(add_row(c)[c]) != zero_class:
                 raise InternalCheckError(
-                    f"AS class of {rep} does not have order dividing 2"
-                )
+                    f"AS class of {rep} does not have order dividing 2",
+                    {"ring": ring.spec_string(), "as_class": rep.to_json()})
 
     @property
     def order(self) -> int:
@@ -125,8 +149,8 @@ class ASGroup:
         count = self.order.bit_length() - 1
         if (1 << count) != self.order:
             raise InternalCheckError(
-                f"AS group order {self.order} is not a power of 2"
-            )
+                f"AS group order {self.order} is not a power of 2",
+                {"ring": self.ring.spec_string(), "order": self.order})
         return [2] * count
 
     def to_monoid(self) -> FiniteCommMonoid:
@@ -178,26 +202,6 @@ class FiberReport:
     basis_orbit_bound: int
 
 
-class _ValueTables:
-    """t^2 and -4n for each code of a finite ring's elements, and the norm
-    map 4n -> [n] on canonical values, with each list in canonical order.
-
-    One fiber report builds these once, in 2|R| products, and its action
-    check, basis orbit count and index bound all read them.
-    """
-
-    def __init__(self, ring: Ring):
-        mul, neg, four = ring._mul, ring._neg, ring.element(4).value
-        self.values = ring._values()
-        self.square = [mul(t, t) for t in self.values]
-        self.minus_four = []
-        self.norms: dict = {}
-        for n in self.values:
-            q = mul(four, n)
-            self.minus_four.append(neg(q))
-            self.norms.setdefault(q, []).append(n)
-
-
 def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
                  group: ASGroup) -> FiberReport:
     """Compute the AS(R)-orbit structure of the fiber over a disc class.
@@ -208,56 +212,60 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
     ann(d)[4], and the with-basis orbit count over d equals
     |{t : t^2 = d mod 4R}| * |R[4] / dR[4]|.
 
-    Everything runs on canonical values, and the fiber's orbits are read as
-    pair codes from the classification's class map.  Besides the |U| + |U^2|
-    products that find the fiber and the 2|R| of _ValueTables, a report takes
-    |R[4]| products for dR[4] and one per distinct orbit-pair discriminant
-    d' and AS class m for the shift d'*m; each orbit pair then costs one
-    addition for its discriminant and one per AS class for its image.
+    Everything runs on the codes of the ring's kernel, which holds the unit
+    squares, the tables of t^2 and -4n and the norm map, and the fiber's
+    orbits are read as pair codes from the classification's class map.  A
+    report takes |U^2| products to find the fiber, |R[4]| for dR[4] and one
+    per distinct orbit-pair discriminant d' and AS class m for the shift
+    d'*m.  Each orbit pair then costs one add-row lookup for its
+    discriminant t^2 + (-4n) and, per AS class, one for its image
+    n + d'*m and one class lookup.
     """
     cl, asg = classification, group
-    mul, add = ring._mul, ring._add
+    kernel, mul = ring.kernel(), ring._mul
+    values, code, add_row = kernel.values, kernel.code, kernel.add_row
     dv = d.d.value
-    unit_squares = {mul(u, u) for u in ring._unit_values()}
-    discs = {mul(s, dv) for s in unit_squares}
+    discs = {mul(s, dv) for s in kernel.unit_squares}
 
     fiber = [i for i, c in enumerate(cl) if c.disc.value in discs]
     fiber_pos = {ci: k for k, ci in enumerate(fiber)}
 
+    def witness(**more) -> dict:
+        """Where a check failed, for InternalCheckError."""
+        return {"ring": ring.spec_string(), "d": d.d.to_json(), **more}
+
     # The action must not depend on the chosen orbit member: every orbit
     # pair (t, n) of disc d' is sent by m to (t, n + d'*m), and all the
     # images of a class must lie in one class of the fiber.
-    tables = _ValueTables(ring)
-    square, minus_four = tables.square, tables.minus_four
+    plus_square = [add_row(s) for s in kernel.square]    # t^2 + x, per t
+    minus_four = kernel.minus_four
     ms = [m.value for m in asg.classes]
-    shifts: dict = {}    # d' -> [d' * m for each AS class m]
+    shifts: dict = {}    # code(d') -> [add_row(code(d' * m)) for each AS class m]
     # The orbits are walked as pair codes c = a*|R| + b, with t = values[a]
     # and n = values[b]; the image (t, n + d'*m) has code c - b + code(...).
-    class_map = cl.class_map
-    values, code, class_at = tables.values, class_map.code, class_map.class_at
-    size = len(code)
-    orbit_codes = class_map.codes()
+    class_at = cl.class_map.class_at
+    size = len(values)
+    orbit_codes = cl.class_map.codes()
     action: list[dict[int, int]] = [{} for _ in ms]
     for ci in fiber:
         codes = orbit_codes[ci]
         bs = [c % size for c in codes]
-        pair_discs = [add(square[c // size], minus_four[b])
+        pair_discs = [plus_square[c // size][minus_four[b]]
                       for c, b in zip(codes, bs)]
         for disc in set(pair_discs).difference(shifts):
-            shifts[disc] = [mul(disc, m) for m in ms]
+            shifts[disc] = [add_row(code[mul(values[disc], m)]) for m in ms]
         rows = [shifts[disc] for disc in pair_discs]
         for k, (m, images) in enumerate(zip(asg.classes, action)):
-            found = {class_at[c - b + code[add(values[b], row[k])]]
-                     for c, b, row in zip(codes, bs, rows)}
+            found = {class_at[c - b + row[k][b]] for c, b, row in zip(codes, bs, rows)}
             if len(found) != 1:
                 raise InternalCheckError(
-                    f"action of {m} is not constant on class {cl[ci].label}"
-                )
+                    f"action of {m} is not constant on class {cl[ci].label}",
+                    witness(**{"class": cl[ci].label, "as_class": m.to_json()}))
             target = found.pop()
             if target not in fiber_pos:
                 raise InternalCheckError(
-                    f"action of {m} moved {cl[ci].label} off the fiber"
-                )
+                    f"action of {m} moved {cl[ci].label} off the fiber",
+                    witness(**{"class": cl[ci].label, "as_class": m.to_json()}))
             images[ci] = target
 
     # Orbit partition of the fiber under the whole group.
@@ -270,77 +278,77 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
         orbits.append([fiber_pos[c] for c in orbit])
         placed.update(orbit)
 
-    kernel = [m_idx for m_idx, images in enumerate(action)
-              if all(images[ci] == ci for ci in fiber)]
+    kernel_classes = [m_idx for m_idx, images in enumerate(action)
+                      if all(images[ci] == ci for ci in fiber)]
     # ann(d)[4] and dR[4], read off the group's R[4] with one product each.
     zero = ring.zero.value
     torsion_shifts = [mul(dv, a.value) for a in asg.four_torsion]
     ann_classes = {asg.class_of(a)
                    for a, s in zip(asg.four_torsion, torsion_shifts) if s == zero}
-    if not ann_classes <= set(kernel):
+    if not ann_classes <= set(kernel_classes):
         raise InternalCheckError(
-            f"kernel misses annihilator classes for d = {d.d}"
-        )
+            f"kernel misses annihilator classes for d = {d.d}", witness())
 
     free = all(images[ci] != ci
                for m_idx, images in enumerate(action) if m_idx != asg.identity
                for ci in fiber)
     transitive = len(orbits) == 1
 
-    image = set(torsion_shifts)
-    count = _basis_orbit_count(ring, dv, image, tables)
-    bound = _basis_orbit_bound(ring, dv, len(asg.four_torsion), image, tables)
+    image = {code[s] for s in torsion_shifts}
+    minus_d = code[ring._neg(dv)]
+    count = _basis_orbit_count(kernel, minus_d, image)
+    bound = _basis_orbit_bound(kernel, minus_d, len(asg.four_torsion), image)
     if count != bound:
         raise InternalCheckError(
-            f"with-basis orbit count {count} != index bound {bound} for d = {d.d}"
-        )
+            f"with-basis orbit count {count} != index bound {bound} for d = {d.d}",
+            witness(count=count, bound=bound))
 
     return FiberReport(disc_class=d,
                        fiber=fiber,
                        fiber_labels=[cl[i].label for i in fiber],
                        orbits=orbits,
-                       kernel=kernel,
+                       kernel=kernel_classes,
                        free=free,
                        transitive=transitive,
                        basis_orbit_count=count,
                        basis_orbit_bound=bound)
 
 
-def _basis_orbit_count(ring: Ring, d, shifts: set, tables: _ValueTables) -> int:
+def _basis_orbit_count(kernel: Kernel, minus_d: int, shifts: set) -> int:
     """Orbits of R[4] acting by (t, n) -> (t, n + d*m) on pairs of disc exactly d.
 
-    d is a canonical value and shifts the set dR[4].  The action fixes t,
-    and the norms of a trace t are {n : 4n = t^2 - d}, so the orbits among
-    them depend only on t^2 - d and are walked once per distinct value.
+    Runs on the codes of the ring's kernel: minus_d is the code of -d and
+    shifts the codes of dR[4].  The action fixes t, and the norms of a
+    trace t are {n : 4n = t^2 - d}, so the orbits among them depend only on
+    t^2 - d and are walked once per distinct value.
     """
-    add, minus_d = ring._add, ring._neg(d)
-    norms = tables.norms
+    keys, norms = kernel.add_row(minus_d), kernel.norms
+    shift_rows = [kernel.add_row(s) for s in shifts]
     per_key: dict = {}
     count = 0
-    for tt in tables.square:
-        key = add(tt, minus_d)
+    for tt in kernel.square:
+        key = keys[tt]
         orbits = per_key.get(key)
         if orbits is None:
             orbits, seen = 0, set()
             for n in norms.get(key, ()):
                 if n not in seen:
                     orbits += 1
-                    seen.update([add(n, s) for s in shifts])
+                    seen.update([row[n] for row in shift_rows])
             per_key[key] = orbits
         count += orbits
     return count
 
 
-def _basis_orbit_bound(ring: Ring, d, torsion_size: int, shifts: set,
-                       tables: _ValueTables) -> int:
+def _basis_orbit_bound(kernel: Kernel, minus_d: int, torsion_size: int,
+                       shifts: set) -> int:
     """|{t : t^2 = d mod 4R}| * |R[4] / dR[4]|, with shifts = dR[4].
 
-    Counted on canonical values: t^2 = d mod 4R iff t^2 - d lies in 4R,
-    the keys of the norm map.
+    Counted on codes: t^2 = d mod 4R iff t^2 - d lies in 4R, the keys of
+    the norm map.
     """
-    add, minus_d = ring._add, ring._neg(d)
-    norms = tables.norms
-    traces = sum(1 for tt in tables.square if add(tt, minus_d) in norms)
+    keys, norms = kernel.add_row(minus_d), kernel.norms
+    traces = sum(1 for tt in kernel.square if keys[tt] in norms)
     return traces * (torsion_size // len(shifts))
 
 

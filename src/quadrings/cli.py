@@ -1,7 +1,8 @@
 """Command-line front end emitting deterministic JSON/CSV reports.
 
 Subcommands: classify, disc, fibers, as-group, product, verify, sec.
-Exit codes: 0 success, 1 internal invariant violation (a bug, with witness),
+Exit codes: 0 success, 1 internal invariant violation (a bug; the message,
+then the check's witness, if it has one, as one JSON line on stderr),
 2 usage error (bad flags, unparseable ring spec, enumeration of Z, or an
 enumeration above rings.MAX_ENUMERATION items, refused before any work).
 """
@@ -305,6 +306,8 @@ def main(argv=None) -> int:
             return 2
     except (InternalCheckError, MonoidError) as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
+        if getattr(exc, "witness", None) is not None:
+            print(json.dumps(exc.witness, sort_keys=True), file=sys.stderr)
         return 1
     except (UsageError, RingParseError, InfiniteRingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

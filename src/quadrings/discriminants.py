@@ -8,14 +8,14 @@ absorbing class(0); over Z the class of d is d itself since the only unit
 square is 1.
 
 Over a finite ring the classes and the homomorphism check run on canonical
-values, with the ring's _mul/_add/_neg and its coset kernel; RingElement
-stays the input and output type.  DiscClassification squares each residue
-mod 2R once, takes |U| products for the unit squares, |U^2| per class for
-its orbit and one per pair of classes for the monoid table.
-disc_hom_check looks each algebra class's disc up by value and reads every
-preimage norm from one map 4b -> b, |R| products, so a check costs that
-plus the classification's star table, which is built once per
-classification.
+values, with the ring's _mul/_add/_neg, its coset representatives and its
+int-coded kernel (rings.Kernel); RingElement stays the input and output
+type.  DiscClassification squares each residue mod 2R once, reads the unit
+squares from the kernel, and takes |U^2| products per class for its orbit
+and one per pair of classes for the monoid table.  disc_hom_check looks
+each algebra class's disc up by value and reads every preimage norm from
+the kernel's norm map 4n -> [n], so a check costs little beyond the
+classification's star table, which is built once per classification.
 
 Rank-1 quadratic forms Q(e) = a on a free module appear at the end: their
 similarity classes (unit orbits) multiply by a*a', and cancellativity of a
@@ -116,7 +116,7 @@ class DiscClassification:
         self.ring = ring
         mul, coset = ring._mul, ring._coset_rep
         witnesses = _square_classes(ring)
-        unit_squares = {mul(u, u) for u in ring._unit_values()}
+        unit_squares = ring.kernel().unit_squares
         self.classes: list[DiscClass] = []
         self.orbits: list[list[RingElement]] = []
         self._index: dict = {}    # canonical value -> class index
@@ -208,7 +208,7 @@ def disc_hom_check(ring: Ring, classification: Classification, *,
     check against; otherwise one is built.  Surjectivity is witnessed
     constructively: each disc class (d, t) yields an algebra (t, n) with
     t^2 - 4n = d by solving 4n = t^2 - d, with n the least solution, read
-    from one map 4b -> b over the ring.
+    from the norm map of the ring's kernel.
     """
     dc = disc_classification
     if dc is None:
@@ -244,15 +244,15 @@ def disc_hom_check(ring: Ring, classification: Classification, *,
     preimages: dict[str, str] = {}
     mul, add, neg = ring._mul, ring._add, ring._neg
     four = ring.element(4).value
-    quarters: dict = {}    # 4b -> least b
-    for b in ring._values():
-        quarters.setdefault(mul(four, b), b)
+    kernel = ring.kernel()
+    values, code = kernel.values, kernel.code
     for c in dc:
-        tt, d = mul(c.witness_t.value, c.witness_t.value), c.d.value
-        n = quarters.get(add(tt, neg(d)))
-        if n is None:
+        tt, d = values[kernel.square[code[c.witness_t.value]]], c.d.value
+        norms = kernel.norms.get(code[add(tt, neg(d))])
+        if norms is None:
             violations.append(f"no algebra constructed for disc class {c.label()}")
             continue
+        n = values[norms[0]]
         if add(tt, neg(mul(four, n))) != d:
             violations.append(f"constructed algebra for {c.label()} has wrong disc")
         alg = QuadraticAlgebra(ring, c.witness_t, RingElement(ring, n))

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from __future__ import annotations
+
 
 class RingParseError(ValueError):
     """A ring spec string does not match the grammar Z | Z/<n> | Z/<n>[x]/(<monic poly>)."""
@@ -22,4 +24,12 @@ class MonoidError(ValueError):
 
 
 class InternalCheckError(AssertionError):
-    """An invariant the library guarantees was violated; indicates a bug, not bad input."""
+    """An invariant the library guarantees was violated; indicates a bug, not bad input.
+
+    witness, if given, is a JSON-ready dict that locates the failure (ring
+    spec, discriminant, class label, AS class, ...).
+    """
+
+    def __init__(self, message: str, witness: dict | None = None):
+        super().__init__(message)
+        self.witness = witness

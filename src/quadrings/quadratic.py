@@ -11,13 +11,14 @@ isomorphism testing, and full classification over finite rings as orbits of
 that action on R^2.
 
 The orbit loops (classify, the class index, the star table of the classes)
-run on int codes and canonical values, not on element objects: an element's
-code is its index in ring.elements(), and a pair (t, n) is the int
-t*|R| + n.  RingElement and QuadraticAlgebra stay the input and output types.
-Each ring product is taken once per call: classify composes the unit rows
-(at most log2|U|*|R| products) and builds translates once per distinct trace
-(|R| products each), and the star table multiplies each distinct row value
-by each distinct column value once.
+run on the int codes of the ring's kernel (rings.Kernel), not on element
+objects: an element's code is its index in ring.elements(), and a pair
+(t, n) is the int t*|R| + n.  RingElement and QuadraticAlgebra stay the
+input and output types.  The sums in the orbit loops and the star table
+are add-row lookups, and each ring product is taken once per call: classify
+composes the unit rows (at most log2|U|*|R| products) and builds translates
+once per distinct trace (|R| products each), and the star table multiplies
+each distinct row value by each distinct column value once.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ import math
 
 from .errors import InfiniteRingError, InternalCheckError, MixedRingError
 from .monoids import FiniteCommMonoid, find_absorbing, require_valid_monoid
-from .rings import (IntegerRing, Ring, RingElement, _coding,
-                    require_enumerable)
+from .rings import IntegerRing, Ring, RingElement, require_enumerable
 
 
 class QuadraticAlgebra:
@@ -349,35 +349,36 @@ class Classification:
 
         The star product of the representatives is taken on canonical values
         as (t, n) * (s, m) = (st, d*m + n*s^2), with d = t^2 - 4n the class's
-        stored disc.  Many classes share a trace, a disc or a norm, so each
-        distinct row value is multiplied by each distinct column value once,
-        and rows with equal values share the product list.  The table is
+        stored disc and s^2 read from the ring's kernel.  Many classes share a
+        trace, a disc or a norm, so each distinct row value is multiplied by
+        each distinct column value once, and rows with equal values share the
+        product list; the sum d*m + n*s^2 is one add-row lookup.  The table is
         built once per classification; its rows are tuples, so every caller
         reads the same table.
         """
         if self._star is not None:
             return self._star
         ring = self.ring
-        mul, add = ring._mul, ring._add
+        kernel, mul = ring.kernel(), ring._mul
+        code, class_at = kernel.code, self.class_map.class_at
+        add_row, size = kernel.add_row, len(code)
         ts = [c.rep.t.value for c in self.classes]
         ns = [c.rep.n.value for c in self.classes]
-        square = {s: mul(s, s) for s in set(ts)}
-        columns = {"s": ts, "m": ns, "ss": [square[s] for s in ts]}
+        columns = {"s": ts, "m": ns,
+                   "ss": [kernel.values[kernel.square[code[s]]] for s in ts]}
         memo: dict = {}
 
         def times(a, name):
-            """[a * c for c in the column], one product per distinct c."""
+            """[code(a * c) for c in the column], one product per distinct c."""
             row = memo.get((a, name))
             if row is None:
                 column = columns[name]
-                by_value = {c: mul(a, c) for c in set(column)}
+                by_value = {c: code[mul(a, c)] for c in set(column)}
                 row = memo[(a, name)] = [by_value[c] for c in column]
             return row
 
-        code, class_at = self.class_map.code, self.class_map.class_at
-        size = len(code)
         self._star = tuple(
-            tuple([class_at[code[st] * size + code[add(dm, nss)]]
+            tuple([class_at[st * size + add_row(dm)[nss]]
                    for st, dm, nss in zip(times(t, "s"), times(c.disc.value, "m"),
                                           times(n, "ss"))])
             for t, n, c in zip(ts, ns, self.classes))
@@ -391,8 +392,9 @@ def classify(ring: Ring) -> Classification:
     x -> u2(x + r2) is (u1 u2, r1 + u1^-1 r2), so the orbit of one seed is
     its whole class.  It is the union over units u of u.T, where
     T = {(t+2r, n+tr+r^2) : r in R} are the seed's translates and u acts by
-    (a, b) -> (ua, u^2 b).  Everything runs on int codes, and each ring
-    product is taken once per call:
+    (a, b) -> (ua, u^2 b).  Everything runs on the int codes of the ring's
+    kernel, whose table of r^2 costs |R| products when first built, and
+    each ring product is taken once per call:
 
     - The multiplication rows row_u[c] = code(u * x_c) compose, as
       row_uk = row_u o row_k.  A unit outside the subgroup K of units whose
@@ -400,8 +402,9 @@ def classify(ring: Ring) -> Classification:
       under it by index lookups, since <K, u> = {k u^j}.  Each direct row
       at least doubles K, so the rows cost at most log2|U| * |R| products.
     - Seeds come in increasing pair code, so in runs of equal trace t.  The
-      codes of t + 2r and the values tr + r^2 cost |R| products once per
-      distinct trace; each seed then pays one addition per r.
+      codes of t + 2r come from t's add row, and tr + r^2 = r(t + r) costs
+      |R| products once per distinct trace; each seed then reads its
+      translates off n's add row, with no ring operation.
     - Each u.T is the translate orbit of u.seed, so it is either new or
       already in the orbit: |U| membership tests and one row lookup per
       orbit pair.
@@ -413,12 +416,14 @@ def classify(ring: Ring) -> Classification:
     if not ring.is_finite:
         raise InfiniteRingError("classification requires a finite ring")
     require_enumerable(ring.size ** 2, f"pairs (t, n) over {ring!r}")
-    elements, values, code = _coding(ring)
+    kernel = ring.kernel()
+    values, code, square, add_row = (kernel.values, kernel.code, kernel.square,
+                                     kernel.add_row)
     size = len(values)
     mul, add, neg = ring._mul, ring._add, ring._neg
     four = ring.element(4).value
-    units = [code[u] for u in ring._unit_values()]
-    rows = {code[ring.one.value]: list(range(size))}
+    units = kernel.units
+    rows = {code[ring.one.value]: add_row(0)}    # x -> 1*x = 0 + x
     for cu in units:
         if cu in rows:
             continue
@@ -431,8 +436,7 @@ def classify(ring: Ring) -> Classification:
                 rows[row_u[k]] = [row_u[c] for c in rows[k]]
             coset = [row_u[k] for k in coset]
     actions = [(rows[cu], rows[rows[cu][cu]]) for cu in units]    # u, u^2
-    doubles = [add(r, r) for r in values]
-    squares = [mul(r, r) for r in values]
+    doubles = kernel.multiple_row(2)
     class_at = [-1] * (size * size)
     classes: list[IsoClass] = []
     class_map = ClassMap(ring, code, class_at)
@@ -442,12 +446,13 @@ def classify(ring: Ring) -> Classification:
             continue
         a0, b0 = divmod(seed, size)
         if a0 != a_prev:
-            a_prev, t = a0, values[a0]
-            # apply_basis_change with u = 1: (t + 2r, n + tr + r^2).
-            t_codes = [code[add(t, r2)] for r2 in doubles]        # t + 2r
-            n_shifts = [add(mul(t, r), rr) for r, rr in zip(values, squares)]
-        n = values[b0]
-        translates = {(a, code[add(n, v)]) for a, v in zip(t_codes, n_shifts)}
+            a_prev, plus_t = a0, add_row(a0)
+            # apply_basis_change with u = 1: (t + 2r, n + tr + r^2), and
+            # tr + r^2 = r(t + r).
+            t_codes = [plus_t[r2] for r2 in doubles]
+            n_shifts = [code[mul(r, values[tr])] for r, tr in zip(values, plus_t)]
+        plus_n = add_row(b0)
+        translates = {(a, plus_n[v]) for a, v in zip(t_codes, n_shifts)}
         orbit = set()
         for row_t, row_n in actions:
             # u.T is the translate orbit of u.seed, as u(x + r) = ux + ur,
@@ -457,8 +462,9 @@ def classify(ring: Ring) -> Classification:
         index = len(classes)
         for c in orbit:
             class_at[c] = index
-        disc = RingElement(ring, add(squares[a0], neg(mul(four, n))))
-        rep = QuadraticAlgebra(ring, elements[a0], elements[b0])
+        disc = RingElement(ring, add(values[square[a0]], neg(mul(four, values[b0]))))
+        rep = QuadraticAlgebra(ring, RingElement(ring, values[a0]),
+                               RingElement(ring, values[b0]))
         classes.append(IsoClass(rep, len(orbit), disc, class_map, index))
     # Overlapping orbits (G not a group) would push the sum above |R|^2.
     total = sum(c.orbit_size for c in classes)

@@ -5,6 +5,12 @@ modular rings Z/n, and quotient polynomial rings (Z/n)[x]/(f) with f monic.
 Elements carry a canonical representative, so equality is representational
 and enumeration order is fixed (lexicographic on canonical representatives,
 constant coefficient least significant).  All values are immutable.
+
+Each finite ring instance has one Kernel, built on first use by
+ring.kernel(): its elements as int codes, the value -> code map, the codes
+of t^2 and -4n, the norm map 4n -> [n], the unit squares, and add rows
+code(x_c + x_k) that need no ring operation.  classify, the star table, the
+AS group and the fiber reports all read it.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from functools import cached_property
 from itertools import product
 
 from .errors import (EnumerationLimitError, InfiniteRingError, MixedRingError,
@@ -46,6 +53,7 @@ class Ring:
     """Base class; concrete rings implement arithmetic on canonical values."""
 
     is_finite = False
+    _kernel = None
 
     def element(self, value) -> RingElement:
         if isinstance(value, RingElement) and value.ring is self:
@@ -92,8 +100,15 @@ class Ring:
         canonical order: one per residue mod kR, every element for k = 0."""
         raise InfiniteRingError("enumeration requires a finite ring")
 
-    # The finite-ring kernel.  Each concrete ring answers these from its own
-    # structure in closed form; none scans the ring to answer for one element.
+    def kernel(self) -> Kernel:
+        """The int-coded Kernel of this finite ring instance, built on first
+        use and kept; an infinite ring raises InfiniteRingError."""
+        if self._kernel is None:
+            self._kernel = Kernel(self)
+        return self._kernel
+
+    # Units, inverses and ideals.  Each concrete ring answers these from its
+    # own structure in closed form; none scans the ring for one element.
 
     def units(self) -> list[RingElement]:
         """The invertible elements, in canonical order (finite rings only)."""
@@ -606,17 +621,72 @@ def parse_ring(spec: str) -> Ring:
     )
 
 
-def _coding(ring: Ring) -> tuple[list[RingElement], list, dict]:
-    """The elements of a finite ring, their canonical values, and value -> code.
+class Kernel:
+    """The int-coded tables of one finite ring instance, which Ring.kernel()
+    builds on first use and keeps.
 
     The code of an element is its index in ring.elements(): the value itself
-    for Z/n, the mixed-radix coefficient code for (Z/n)[x]/(f).  Both kinds
-    enumerate in sort_key order, so codes sort like sort keys, and the pair
-    code t*|R| + n sorts like (t.sort_key(), n.sort_key()).
+    for Z/n, and c_0 + c_1 n + ... + c_(d-1) n^(d-1) for (Z/n)[x]/(f).  Both
+    kinds enumerate in sort_key order, so codes sort like sort keys, and the
+    pair code t*|R| + n sorts like (t.sort_key(), n.sort_key()).  Additively
+    R is (Z/n)^d, so x -> x_c + x and x -> k*x act on the digits of a code
+    one by one: add_row and multiple_row are built from digit maps with no
+    ring operation.  Ring products fill only the table of t^2 (|R|) and the
+    unit squares.  The kernel holds ints and canonical values, never the
+    ring, so the ring stays free of reference cycles.
     """
-    values = ring._values()
-    elements = [RingElement(ring, v) for v in values]
-    return elements, values, {v: i for i, v in enumerate(values)}
+
+    def __init__(self, ring: Ring):
+        self.values = values = ring._values()
+        self.code = code = {v: i for i, v in enumerate(values)}
+        n, mul = ring.n, ring._mul
+        self._ints = ints = list(range(len(values)))
+        self._places = [[ints[j * n ** i] for j in range(n)]
+                        for i in range(getattr(ring, "degree", 1))]
+        self._rows: list = [None] * len(values)
+        self.square = [code[mul(t, t)] for t in values]
+        self.units = [code[u] for u in ring._unit_values()]
+        self.unit_squares = [values[s]
+                             for s in sorted({self.square[u] for u in self.units})]
+
+    def _digitwise(self, digit_maps: list) -> list[int]:
+        """The code table of the additive map that sends digit j of place i
+        to digit_maps[i][j], each given as its value at that place."""
+        ints, row = self._ints, digit_maps[0]
+        for high in digit_maps[1:]:
+            row = [ints[h + low] for h in high for low in row]
+        return row
+
+    def add_row(self, c: int) -> list[int]:
+        """code(x_c + x_k) for every code k, built on first use and kept:
+        each digit of c rotates its place."""
+        row = self._rows[c]
+        if row is None:
+            maps, rest = [], c
+            for place in self._places:
+                rest, j = divmod(rest, len(place))
+                maps.append(place[j:] + place[:j])
+            row = self._rows[c] = self._digitwise(maps)
+        return row
+
+    def multiple_row(self, k: int) -> list[int]:
+        """code(k * x_c) for every code c."""
+        n = len(self._places[0])
+        return self._digitwise([[place[j * k % n] for j in range(n)]
+                                for place in self._places])
+
+    @cached_property
+    def minus_four(self) -> list[int]:
+        """code(-4 * x_c) for every code c."""
+        return self.multiple_row(-4)
+
+    @cached_property
+    def norms(self) -> dict[int, list[int]]:
+        """The norm map: code(4n) -> the codes of its n, increasing."""
+        norms: dict = {}
+        for c, q in enumerate(self.multiple_row(4)):
+            norms.setdefault(q, []).append(c)
+        return norms
 
 
 # Module-level conveniences mirroring the element/ring methods.

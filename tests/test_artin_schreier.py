@@ -1,7 +1,8 @@
 import pytest
 
-from quadrings import (BasisChange, DiscClass, IsoClass, QuadraticAlgebra,
-                       annihilator_four_torsion, apply_basis_change, as_act,
+from quadrings import (BasisChange, DiscClass, InternalCheckError, IsoClass,
+                       QuadraticAlgebra, annihilator_four_torsion,
+                       apply_basis_change, as_act,
                        as_embed, as_group, basis_change_group, check_freeness,
                        classify, disc_classes, fiber_report, four_torsion,
                        is_discriminant, is_isomorphic, is_sec_algebra,
@@ -204,14 +205,14 @@ def test_fiber_kernel_contains_annihilator_image():
 
 def basis_orbit_count_and_bound(ring, d):
     """_basis_orbit_count and _basis_orbit_bound for the element d, with
-    dR[4] and the value tables built as fiber_report builds them."""
-    from quadrings.artin_schreier import (_basis_orbit_bound,
-                                          _basis_orbit_count, _ValueTables)
+    dR[4] and the codes of the ring's kernel as fiber_report passes them."""
+    from quadrings.artin_schreier import _basis_orbit_bound, _basis_orbit_count
     tors = four_torsion(ring)
-    shifts = {(d * m).value for m in tors}
-    tables = _ValueTables(ring)
-    return (_basis_orbit_count(ring, d.value, shifts, tables),
-            _basis_orbit_bound(ring, d.value, len(tors), shifts, tables))
+    kernel = ring.kernel()
+    shifts = {kernel.code[(d * m).value] for m in tors}
+    minus_d = kernel.code[(-d).value]
+    return (_basis_orbit_count(kernel, minus_d, shifts),
+            _basis_orbit_bound(kernel, minus_d, len(tors), shifts))
 
 
 def test_basis_orbit_indexing_all_discs():
@@ -395,3 +396,68 @@ def test_fiber_matches_disc_classification_for_every_orbit_member():
             for d in orbit:
                 disc_class = DiscClass(ring, d, is_discriminant(ring, d))
                 assert fiber_report(ring, disc_class, cl, asg).fiber == expected, (spec, d)
+
+
+def test_dropped_ring_is_freed_by_refcount():
+    # the ring's kernel holds ints and canonical values only, so dropping the
+    # ring and everything built over it frees it with the collector off
+    import gc
+    import weakref
+    gc.collect()
+    gc.disable()
+    try:
+        for spec in ["Z/12", "Z/4[x]/(x^2)"]:
+            ring = parse_ring(spec)
+            cl, asg = classify(ring), as_group(ring)
+            cl.star_table()
+            reports = [fiber_report(ring, d, cl, asg) for d in disc_classes(ring)]
+            alive = weakref.ref(ring)
+            del ring, cl, asg, reports
+            assert alive() is None, spec
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("spec", ["Z/12", "Z/2[x]/(x^2+x+1)", "Z/4[x]/(x^2)"])
+def test_second_fiber_report_takes_no_table_product_or_addition(spec, monkeypatch):
+    # t^2, 4n and the unit squares come from the ring's kernel, and every
+    # sum is an add-row lookup: a repeated report multiplies only by d (the
+    # fiber u^2 d and dR[4]) and by the shifts d'*m of its pair discs
+    ring = parse_ring(spec)
+    cl, asg = classify(ring), as_group(ring)
+    unit_squares = {(u * u).value for u in ring.units()}
+    for d in disc_classes(ring):
+        first = fiber_report(ring, d, cl, asg)
+        pair_discs = {(t * t - 4 * n).value
+                      for ci in first.fiber for t, n in cl[ci].orbit_pairs}
+        calls = {"_mul": 0, "_add": 0}
+        for name in calls:
+            original = getattr(ring, name)
+
+            def counting(a, b, name=name, original=original):
+                calls[name] += 1
+                return original(a, b)
+
+            monkeypatch.setattr(ring, name, counting)
+        second = fiber_report(ring, d, cl, asg)
+        monkeypatch.undo()
+        assert second == first
+        assert calls == {"_mul": len(unit_squares) + len(asg.four_torsion)
+                         + len(pair_discs) * asg.order, "_add": 0}, (spec, d.d)
+
+
+def test_fiber_report_failure_carries_witness():
+    # a class map that splits one class makes the action non-constant there
+    ring = parse_ring("Z/4")
+    cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
+    d = dc[dc.index_of(ring.element(1))]
+    report = fiber_report(ring, d, cl, asg)
+    ci = report.fiber[0]
+    c = cl.class_map.codes()[ci][-1]
+    cl.class_map.class_at[c] = report.fiber[-1] if len(report.fiber) > 1 else ci + 1
+    with pytest.raises(InternalCheckError) as info:
+        fiber_report(ring, d, cl, asg)
+    witness = info.value.witness
+    assert witness["ring"] == "Z/4" and witness["d"] == 1
+    assert witness["class"] == cl[ci].label
+    assert witness["as_class"] in [m.to_json() for m in asg.classes]

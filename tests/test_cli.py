@@ -131,6 +131,18 @@ def test_as_group_report(capsys):
     assert payload["invariant_factors"] == [2]
 
 
+def test_internal_check_failure_prints_witness_line(capsys, monkeypatch):
+    # exit 1: the message, then the check's witness as one JSON line on
+    # stderr; nothing on stdout
+    import quadrings.artin_schreier as artin_schreier
+    monkeypatch.setattr(artin_schreier, "_basis_orbit_bound", lambda *args: -1)
+    code, out, err = run(capsys, "fibers", "--ring", "Z/4", "--disc", "1")
+    assert code == 1 and out == ""
+    message, line = err.splitlines()
+    assert message.startswith("internal check failed: with-basis orbit count ")
+    assert json.loads(line) == {"ring": "Z/4", "d": 1, "count": 2, "bound": -1}
+
+
 def test_as_group_over_z_is_trivial(capsys):
     code, out, _ = run(capsys, "as-group", "--ring", "Z")
     assert code == 0

@@ -613,3 +613,28 @@ def test_classify_refuses_over_budget_before_enumerating(monkeypatch):
     monkeypatch.setattr(ModRing, "elements", refuse)
     with pytest.raises(EnumerationLimitError):
         classify(ModRing(1025))
+
+
+def test_kernel_matches_ring_arithmetic_on_rings_up_to_27():
+    # add rows and multiple rows need no ring operation; each must agree
+    # with ring._add and ring._mul on every code, and the product tables
+    # with their definitions
+    for ring in rings_up_to(27):
+        kernel = ring.kernel()
+        values, code = kernel.values, kernel.code
+        assert values == ring._values() and ring.kernel() is kernel
+        assert [code[v] for v in values] == list(range(ring.size))
+        for c, a in enumerate(values):
+            assert [values[k] for k in kernel.add_row(c)] == [
+                ring._add(a, b) for b in values], (ring, a)
+        for k in (-4, -1, 2, 4):
+            assert [values[c] for c in kernel.multiple_row(k)] == [
+                ring._mul(ring.element(k).value, a) for a in values], (ring, k)
+        assert [values[c] for c in kernel.square] == [ring._mul(a, a) for a in values]
+        assert kernel.minus_four == kernel.multiple_row(-4)
+        fours = [ring._mul(ring.element(4).value, a) for a in values]
+        assert kernel.norms == {code[q]: [c for c, f in enumerate(fours) if f == q]
+                                for q in set(fours)}
+        assert [values[c] for c in kernel.units] == ring._unit_values()
+        unit_squares = {ring._mul(u, u) for u in ring._unit_values()}
+        assert kernel.unit_squares == sorted(unit_squares, key=ring.sort_key)
