@@ -20,20 +20,17 @@ from .errors import (EnumerationLimitError, InfiniteRingError,
                      InternalCheckError, MixedRingError, MonoidError,
                      RingParseError)
 from .identities import (IDENTITY_NAMES, IdentityResult, MultiPoly,
-                         PolyQuadElement, TensorElement, verify_all,
-                         verify_named_identity)
+                         TensorElement, verify_all, verify_named_identity)
 from .monoids import (AbelianGroup, Congruence, FiniteCommMonoid, MonoidHom,
-                      cancellative_elements, congruence_from_pairs,
                       find_absorbing, grothendieck_group, image_congruence,
-                      is_exact, kernel_congruence, quotient_map,
-                      quotient_monoid, submonoid, validate_monoid)
+                      is_exact, kernel_congruence, quotient_monoid, submonoid,
+                      validate_monoid)
 from .quadratic import (AlgebraElement, BasisChange, Classification, IsoClass,
                         QuadraticAlgebra, apply_basis_change,
                         basis_change_group, classify, integer_algebra_for_disc,
                         is_isomorphic, quad_monoid, separable_square_check,
                         star_product)
 from .rings import (IntegerRing, ModRing, QuotientPolyRing, Ring, RingElement,
-                    enumerate_elements, ideal_membership, is_nonzerodivisor,
-                    is_unit, parse_ring, units)
+                    parse_ring)
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .discriminants import DiscClass
+from .discriminants import DiscClass, require_ring
 from .errors import InfiniteRingError, InternalCheckError
 from .monoids import FiniteCommMonoid
 from .quadratic import Classification, QuadraticAlgebra
@@ -37,10 +37,12 @@ from .rings import IntegerRing, Kernel, Ring, RingElement
 
 
 def four_torsion(ring: Ring) -> list[RingElement]:
-    """R[4] = {a : 4a = 0} in canonical order."""
+    """R[4] = {a : 4a = 0} in canonical order, read off the kernel's row of
+    4x with no ring product."""
     if ring.is_finite:
-        mul, four, zero = ring._mul, ring.element(4).value, ring.zero.value
-        return [a for a in ring.elements() if mul(four, a.value) == zero]
+        kernel = ring.kernel()
+        return [RingElement(ring, kernel.values[c])
+                for c, q in enumerate(kernel.multiple_row(4)) if q == 0]
     if isinstance(ring, IntegerRing):
         return [ring.zero]
     raise InfiniteRingError("4-torsion needs a finite ring or Z")
@@ -210,7 +212,8 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
     re-derives, and insists on, the guarantees that come with the action: it
     descends to isomorphism classes, its kernel contains the image of
     ann(d)[4], and the with-basis orbit count over d equals
-    |{t : t^2 = d mod 4R}| * |R[4] / dR[4]|.
+    |{t : t^2 = d mod 4R}| * |R[4] / dR[4]|.  d, classification and group
+    built for another ring raise ValueError.
 
     Everything runs on the codes of the ring's kernel, which holds the unit
     squares, the tables of t^2 and -4n and the norm map, and the fiber's
@@ -221,6 +224,7 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
     discriminant t^2 + (-4n) and, per AS class, one for its image
     n + d'*m and one class lookup.
     """
+    require_ring(ring, d, classification, group)
     cl, asg = classification, group
     kernel, mul = ring.kernel(), ring._mul
     values, code, add_row = kernel.values, kernel.code, kernel.add_row

@@ -3,8 +3,9 @@
 Subcommands: classify, disc, fibers, as-group, product, verify, sec.
 Exit codes: 0 success, 1 internal invariant violation (a bug; the message,
 then the check's witness, if it has one, as one JSON line on stderr),
-2 usage error (bad flags, unparseable ring spec, enumeration of Z, or an
-enumeration above rings.MAX_ENUMERATION items, refused before any work).
+2 usage error (bad flags, unparseable ring spec, enumeration of Z, an
+enumeration above rings.MAX_ENUMERATION items, refused before any work, or
+an --output file that cannot be written).
 """
 
 from __future__ import annotations
@@ -60,14 +61,6 @@ def _parse_pair(ring: Ring, text: str):
     return t, n
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _to_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -87,7 +80,7 @@ def _cell(value):
     return value
 
 
-def cmd_classify(args) -> str:
+def cmd_classify(args) -> tuple[str, bool]:
     ring = parse_ring(args.ring)
     cl = classify(ring)
     classes = []
@@ -103,11 +96,11 @@ def cmd_classify(args) -> str:
     payload = {"ring": ring.spec_string(), "classes": classes}
     if args.format == "csv":
         rows = [{k: _cell(v) for k, v in entry.items()} for entry in classes]
-        return _to_csv(rows, ["t", "n", "orbit_size", "disc", "separable", "sec"])
-    return _to_json(payload)
+        return _to_csv(rows, ["t", "n", "orbit_size", "disc", "separable", "sec"]), True
+    return _to_json(payload), True
 
 
-def cmd_disc(args) -> str:
+def cmd_disc(args) -> tuple[str, bool]:
     ring = parse_ring(args.ring)
     dc = DiscClassification(ring)
     hom = disc_hom_check(ring, classify(ring), disc_classification=dc)
@@ -122,11 +115,11 @@ def cmd_disc(args) -> str:
     payload = {"ring": ring.spec_string(), "disc_classes": entries}
     if args.format == "csv":
         rows = [{k: _cell(v) for k, v in e.items()} for e in entries]
-        return _to_csv(rows, ["d", "witness_t", "absorbing"])
-    return _to_json(payload)
+        return _to_csv(rows, ["d", "witness_t", "absorbing"]), True
+    return _to_json(payload), True
 
 
-def cmd_fibers(args) -> str:
+def cmd_fibers(args) -> tuple[str, bool]:
     ring = parse_ring(args.ring)
     cl = classify(ring)
     asg = ASGroup(ring)
@@ -163,11 +156,11 @@ def cmd_fibers(args) -> str:
                         "transitive": rep.transitive,
                     })
         return _to_csv(rows, ["d", "class", "orbit", "kernel_size", "free",
-                              "transitive"])
-    return _to_json(payload)
+                              "transitive"]), True
+    return _to_json(payload), True
 
 
-def cmd_as_group(args) -> str:
+def cmd_as_group(args) -> tuple[str, bool]:
     ring = parse_ring(args.ring)
     asg = ASGroup(ring)
     payload = {
@@ -184,11 +177,11 @@ def cmd_as_group(args) -> str:
                  "order": asg.order}
                 for rep in asg.classes]
         return _to_csv(rows, ["class_rep", "four_torsion_size", "wp4_size",
-                              "order"])
-    return _to_json(payload)
+                              "order"]), True
+    return _to_json(payload), True
 
 
-def cmd_product(args) -> str:
+def cmd_product(args) -> tuple[str, bool]:
     ring = parse_ring(args.ring)
     t1, n1 = _parse_pair(ring, args.s)
     t2, n2 = _parse_pair(ring, args.t)
@@ -202,8 +195,8 @@ def cmd_product(args) -> str:
     }
     if args.format == "csv":
         rows = [{"t": _cell(prod.t.to_json()), "n": _cell(prod.n.to_json())}]
-        return _to_csv(rows, ["t", "n"])
-    return _to_json(payload)
+        return _to_csv(rows, ["t", "n"]), True
+    return _to_json(payload), True
 
 
 def cmd_verify(args) -> tuple[str, bool]:
@@ -230,15 +223,15 @@ def cmd_verify(args) -> tuple[str, bool]:
     return "\n".join(lines) + "\n", ok
 
 
-def cmd_sec(args) -> str:
+def cmd_sec(args) -> tuple[str, bool]:
     ring = parse_ring(args.ring)
     entries = [{"e": a.to_json(), "sec": is_sec_element(ring, a)}
                for a in ring.elements()]
     payload = {"ring": ring.spec_string(), "elements": entries}
     if args.format == "csv":
         rows = [{"e": _cell(e["e"]), "sec": e["sec"]} for e in entries]
-        return _to_csv(rows, ["e", "sec"])
-    return _to_json(payload)
+        return _to_csv(rows, ["e", "sec"]), True
+    return _to_json(payload), True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,6 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each command returns its output text and whether every check it reports
+# passed; only verify reports checks that fail without raising.
+COMMANDS = {"classify": cmd_classify, "disc": cmd_disc, "fibers": cmd_fibers,
+            "as-group": cmd_as_group, "product": cmd_product,
+            "verify": cmd_verify, "sec": cmd_sec}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -286,24 +286,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.command == "classify":
-            text = cmd_classify(args)
-        elif args.command == "disc":
-            text = cmd_disc(args)
-        elif args.command == "fibers":
-            text = cmd_fibers(args)
-        elif args.command == "as-group":
-            text = cmd_as_group(args)
-        elif args.command == "product":
-            text = cmd_product(args)
-        elif args.command == "verify":
-            text, ok = cmd_verify(args)
-            _emit(text, args.output)
-            return 0 if ok else 1
-        elif args.command == "sec":
-            text = cmd_sec(args)
-        else:  # pragma: no cover - argparse enforces the choice
-            return 2
+        text, ok = COMMANDS[args.command](args)
     except (InternalCheckError, MonoidError) as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         if getattr(exc, "witness", None) is not None:
@@ -312,8 +295,16 @@ def main(argv=None) -> int:
     except (UsageError, RingParseError, InfiniteRingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(text, args.output)
-    return 0
+    if not args.output:
+        sys.stdout.write(text)
+    else:
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

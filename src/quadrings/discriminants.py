@@ -186,6 +186,14 @@ def disc_class_of(ring: Ring, d: RingElement) -> int:
     return DiscClassification(ring).index_of(d)
 
 
+def require_ring(ring: Ring, *given) -> None:
+    """ValueError unless each object given (a classification, a disc class,
+    an AS group) was built for ring."""
+    for g in given:
+        if g.ring != ring:
+            raise ValueError(f"{type(g).__name__} of {g.ring!r} given for {ring!r}")
+
+
 @dataclass
 class DiscHomReport:
     """Result of checking that disc maps quadratic classes onto disc classes."""
@@ -213,10 +221,7 @@ def disc_hom_check(ring: Ring, classification: Classification, *,
     dc = disc_classification
     if dc is None:
         dc = DiscClassification(ring)
-    for given in (classification, dc):
-        if given.ring != ring:
-            raise ValueError(f"{type(given).__name__} of {given.ring!r} "
-                             f"given for {ring!r}")
+    require_ring(ring, classification, dc)
     mapping = [dc._index[c.disc.value] for c in classification]
     violations: list[str] = []
     is_hom = True

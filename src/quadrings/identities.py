@@ -5,6 +5,11 @@ identity of integer polynomials (or of components in a rank-4 tensor model),
 with zero tolerance: both sides are brought to canonical form and compared
 structurally.  The catalogue is keyed by name; ``verify_all`` runs it all.
 
+The laws of the star product, the discriminant and basis changes are proved
+on the package's own QuadraticAlgebra, AlgebraElement, star_product and
+disc(), run over the ring of integer polynomials, so a wrong formula there
+fails here.
+
 The tensor model represents elements of S (x) T on the basis
 
     1(x)1,  x(x)1,  1(x)y,  x(x)y
@@ -19,33 +24,39 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .polynomials import MultiPoly, variables
+from .quadratic import QuadraticAlgebra, star_product
+from .rings import Ring
 
 
-class PolyQuadElement:
-    """A + B*w in a quadratic extension of a polynomial base, w^2 = P*w - Q."""
+class _PolyRing(Ring):
+    """Z[t, n, ...] as a Ring: elements are MultiPolys."""
 
-    __slots__ = ("a", "b", "trace_poly", "norm_poly")
+    def canonicalize(self, value):
+        return MultiPoly.coerce(value)
 
-    def __init__(self, a, b, trace_poly: MultiPoly, norm_poly: MultiPoly):
-        object.__setattr__(self, "a", MultiPoly.coerce(a))
-        object.__setattr__(self, "b", MultiPoly.coerce(b))
-        object.__setattr__(self, "trace_poly", trace_poly)
-        object.__setattr__(self, "norm_poly", norm_poly)
+    def _add(self, a, b):
+        return a + b
 
-    def __setattr__(self, name, value):
-        raise AttributeError("immutable")
+    def _mul(self, a, b):
+        return a * b
 
-    def __mul__(self, other: PolyQuadElement) -> PolyQuadElement:
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        return PolyQuadElement(a1 * a2 - self.norm_poly * b1 * b2,
-                               a1 * b2 + a2 * b1 + self.trace_poly * b1 * b2,
-                               self.trace_poly, self.norm_poly)
+    def _neg(self, a):
+        return -a
 
-    def __eq__(self, other):
-        return self.a == other.a and self.b == other.b
+    def spec_string(self) -> str:
+        return "Z[...]"
 
-    def term_count(self) -> int:
-        return self.a.term_count() + self.b.term_count()
+
+_POLYS = _PolyRing()
+
+
+def _algebra(t, n) -> QuadraticAlgebra:
+    return QuadraticAlgebra(_POLYS, t, n)
+
+
+def _terms(*elements) -> int:
+    """Total term count of ring elements of _POLYS."""
+    return sum(e.value.term_count() for e in elements)
 
 
 class TensorElement:
@@ -129,13 +140,6 @@ def _basis_product(i: int, j: int):
     return [(3, t * s), (1, -t * m), (2, -n * s), (0, n * m)]
 
 
-def star_pair(pair1, pair2):
-    """The monoid product on (trace, norm) pairs of polynomials."""
-    t, n = pair1
-    s, m = pair2
-    return (s * t, m * t ** 2 + n * s ** 2 - 4 * n * m)
-
-
 @dataclass
 class IdentityResult:
     name: str
@@ -146,8 +150,7 @@ class IdentityResult:
 
 def _check_disc_multiplicativity() -> IdentityResult:
     t, n, s, m = variables("t", "n", "s", "m")
-    st, norm = star_pair((t, n), (s, m))
-    lhs = st ** 2 - 4 * norm
+    lhs = star_product(_algebra(t, n), _algebra(s, m)).disc().value
     rhs = (t ** 2 - 4 * n) * (s ** 2 - 4 * m)
     return IdentityResult("disc-multiplicativity", lhs == rhs,
                           lhs.term_count(), rhs.term_count())
@@ -155,34 +158,34 @@ def _check_disc_multiplicativity() -> IdentityResult:
 
 def _check_star_associativity() -> IdentityResult:
     t, n, s, m, p, q = variables("t", "n", "s", "m", "p", "q")
-    left = star_pair(star_pair((t, n), (s, m)), (p, q))
-    right = star_pair((t, n), star_pair((s, m), (p, q)))
-    passed = left[0] == right[0] and left[1] == right[1]
-    return IdentityResult("star-associativity", passed,
-                          left[0].term_count() + left[1].term_count(),
-                          right[0].term_count() + right[1].term_count())
+    a, b, c = _algebra(t, n), _algebra(s, m), _algebra(p, q)
+    left = star_product(star_product(a, b), c)
+    right = star_product(a, star_product(b, c))
+    return IdentityResult("star-associativity", left == right,
+                          _terms(*left.pair()), _terms(*right.pair()))
 
 
 def _check_change_of_basis() -> IdentityResult:
     # Generator substitutions x = u*x' + r and y = v*y' + q transport the
     # defining data by t = u*t' + 2r, n = u^2*n' + t*r - r^2 (and likewise
     # for s, m): expand (u*x' + r)^2 = t(u*x' + r) - n and compare
-    # coefficients.  The product functoriality witness is then polynomial in
-    # u and v, so no inversion is ever needed.
+    # coefficients.  The product functoriality witness w, an element of the
+    # product of the primed algebras, then satisfies the defining equation
+    # of the product of the unprimed ones; it is polynomial in u and v, so
+    # no inversion is ever needed.
     u, v, r, q = variables("u", "v", "r", "q")
     tp, np_, sp, mp = variables("t'", "n'", "s'", "m'")
     t = u * tp + 2 * r
     n = u ** 2 * np_ + t * r - r ** 2
     s = v * sp + 2 * q
     m = v ** 2 * mp + s * q - q ** 2
-    trace, norm = star_pair((tp, np_), (sp, mp))
-    w = PolyQuadElement(q * t + r * s - 2 * q * r, u * v, trace, norm)
+    primed = star_product(_algebra(tp, np_), _algebra(sp, mp))
+    big = star_product(_algebra(t, n), _algebra(s, m))
+    w = primed.element(q * t + r * s - 2 * q * r, u * v)
     lhs = w * w
-    st = s * t
-    big_norm = m * t ** 2 + n * s ** 2 - 4 * n * m
-    rhs = PolyQuadElement(st * w.a - big_norm, st * w.b, trace, norm)
+    rhs = w * big.t - big.n
     return IdentityResult("change-of-basis-functoriality", lhs == rhs,
-                          lhs.term_count(), rhs.term_count())
+                          _terms(lhs.a, lhs.b), _terms(rhs.a, rhs.b))
 
 
 def _check_fixed_element_square() -> IdentityResult:
@@ -216,8 +219,10 @@ def _check_as_action_norm() -> IdentityResult:
 
 def _check_square_product() -> IdentityResult:
     t, n, w = variables("t", "n", "w")
-    st, norm = star_pair((t, n), (t, n))
-    disc_lhs = st ** 2 - 4 * norm
+    a = _algebra(t, n)
+    square = star_product(a, a)
+    st, norm = square.t.value, square.n.value
+    disc_lhs = square.disc().value
     disc_rhs = (t ** 2 - 4 * n) ** 2
     minimal = w ** 2 - st * w + norm
     shifted = minimal.substitute({"w": w + 2 * n})

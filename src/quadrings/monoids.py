@@ -1,10 +1,10 @@
 """Finite commutative monoids as explicit operation tables.
 
-Provides validation, absorbing/cancellative element detection, congruences
-(kernel and image congruences of a homomorphism), quotients, exactness of
-two-step sequences, and the Grothendieck group.  Everything but the
-Grothendieck group is exhaustive: the monoids in this package have at most a
-few hundred elements.  The Grothendieck group is read off the minimal ideal
+Provides validation, the absorbing element, homomorphisms, submonoids,
+congruences (kernel and image congruences of a homomorphism), quotients,
+exactness of two-step sequences, and the Grothendieck group.  Everything
+but the Grothendieck group is exhaustive: the monoids in this package have
+at most a few hundred elements.  The Grothendieck group is read off the minimal ideal
 eM, where e is the least idempotent, in O(n^2 + |eM|^3) table lookups.
 
 Only finite monoids are handled.  Exactness of monoid sequences is known to
@@ -47,15 +47,6 @@ class FiniteCommMonoid:
 
     def op(self, i: int, j: int) -> int:
         return self.table[i][j]
-
-    def index_of(self, label: str) -> int:
-        return self.labels.index(label)
-
-    def power(self, i: int, k: int) -> int:
-        result = self.identity
-        for _ in range(k):
-            result = self.table[result][i]
-        return result
 
     def __eq__(self, other):
         return (isinstance(other, FiniteCommMonoid)
@@ -139,16 +130,6 @@ def find_absorbing(m: FiniteCommMonoid):
     return None
 
 
-def cancellative_elements(m: FiniteCommMonoid) -> list[int]:
-    """Indices x such that x*y = x*z forces y = z."""
-    out = []
-    for x in range(m.size):
-        row = m.table[x]
-        if len(set(row)) == m.size:
-            out.append(x)
-    return out
-
-
 def submonoid(m: FiniteCommMonoid, indices) -> FiniteCommMonoid:
     """Restrict to a subset closed under the operation and containing the identity."""
     indices = sorted(indices)
@@ -200,11 +181,6 @@ class MonoidHom:
 
     def is_surjective(self) -> bool:
         return len(set(self.mapping)) == self.target.size
-
-    @classmethod
-    def from_label_map(cls, source, target, fn) -> MonoidHom:
-        return cls(source, target,
-                   [target.index_of(fn(lbl)) for lbl in source.labels])
 
 
 class Congruence:
@@ -261,38 +237,6 @@ def _normalize_class_ids(class_of: list[int]) -> list[int]:
     return out
 
 
-def congruence_from_pairs(monoid: FiniteCommMonoid, pairs) -> Congruence:
-    """Smallest congruence containing the given pairs (fixed-point closure)."""
-    parent = list(range(monoid.size))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-            return True
-        return False
-
-    for i, j in pairs:
-        union(i, j)
-    changed = True
-    while changed:
-        changed = False
-        for x in range(monoid.size):
-            for y in range(x + 1, monoid.size):
-                if find(x) != find(y):
-                    continue
-                for z in range(monoid.size):
-                    if union(monoid.table[x][z], monoid.table[y][z]):
-                        changed = True
-    return Congruence(monoid, [find(i) for i in range(monoid.size)])
-
-
 def kernel_congruence(f: MonoidHom) -> Congruence:
     """Partition of the source by equal image."""
     return Congruence(f.source, list(f.mapping))
@@ -345,10 +289,6 @@ def quotient_monoid(monoid: FiniteCommMonoid, cong: Congruence) -> FiniteCommMon
     labels = [monoid.labels[r] for r in reps]
     table = [[cong.class_of[monoid.table[ri][rj]] for rj in reps] for ri in reps]
     return FiniteCommMonoid(labels, table, cong.class_of[monoid.identity])
-
-
-def quotient_map(monoid: FiniteCommMonoid, cong: Congruence) -> MonoidHom:
-    return MonoidHom(monoid, quotient_monoid(monoid, cong), list(cong.class_of))
 
 
 def is_exact(f: MonoidHom, g: MonoidHom) -> bool:

@@ -3,12 +3,15 @@
 A polynomial is a map from exponent vectors to nonzero arbitrary-precision
 integer coefficients, over an alphabetically sorted variable tuple.  The
 canonical form stores no zero coefficients and no unused variables, so
-structural equality is mathematical equality.  Representation is dense in
-variables and sparse in terms; everything in this package stays below a
-handful of variables and single-digit degrees.
+structural equality is mathematical equality.  Coefficients go through
+operator.index, so a float or a Fraction is a TypeError, never truncated.
+Representation is dense in variables and sparse in terms; everything in
+this package stays below a handful of variables and single-digit degrees.
 """
 
 from __future__ import annotations
+
+import operator
 
 
 class MultiPoly:
@@ -30,7 +33,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, c: int) -> MultiPoly:
-        return cls((), {(): int(c)} if c else {})
+        return cls((), {(): c})
 
     @classmethod
     def coerce(cls, value) -> MultiPoly:
@@ -165,8 +168,7 @@ def _normalize(variables: tuple, terms: dict):
         exp = tuple(exp)
         if len(exp) != len(variables):
             raise ValueError("exponent length does not match variable count")
-        if coeff:
-            clean[exp] = clean.get(exp, 0) + int(coeff)
+        clean[exp] = clean.get(exp, 0) + operator.index(coeff)
     clean = {e: c for e, c in clean.items() if c}
     if not clean:
         return (), {}

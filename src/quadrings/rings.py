@@ -6,6 +6,12 @@ Elements carry a canonical representative, so equality is representational
 and enumeration order is fixed (lexicographic on canonical representatives,
 constant coefficient least significant).  All values are immutable.
 
+Units, inverses, nonzerodivisors, principal-ideal membership and coset
+representatives are methods of the ring.  Any Ring subclass that defines
+canonicalize, _add, _mul and _neg gets RingElement arithmetic, and with it
+the quadratic-algebra code: the symbolic verifier runs that code over
+integer polynomials this way.
+
 Each finite ring instance has one Kernel, built on first use by
 ring.kernel(): its elements as int codes, the value -> code map, the codes
 of t^2 and -4n, the norm map 4n -> [n], the unit squares, and add rows
@@ -688,25 +694,3 @@ class Kernel:
             norms.setdefault(q, []).append(c)
         return norms
 
-
-# Module-level conveniences mirroring the element/ring methods.
-
-def enumerate_elements(ring: Ring) -> list[RingElement]:
-    return ring.elements()
-
-
-def units(ring: Ring) -> list[RingElement]:
-    return ring.units()
-
-
-def is_unit(a: RingElement) -> bool:
-    return a.ring.is_unit(a)
-
-
-def is_nonzerodivisor(a: RingElement) -> bool:
-    return a.ring.is_nonzerodivisor(a)
-
-
-def ideal_membership(a: RingElement, t: RingElement) -> bool:
-    """Decide a in tR."""
-    return a.ring.in_principal_ideal(a, t)

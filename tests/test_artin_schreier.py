@@ -461,3 +461,32 @@ def test_fiber_report_failure_carries_witness():
     assert witness["ring"] == "Z/4" and witness["d"] == 1
     assert witness["class"] == cl[ci].label
     assert witness["as_class"] in [m.to_json() for m in asg.classes]
+
+
+@pytest.mark.parametrize("spec", FINITE_RINGS)
+def test_four_torsion_takes_no_ring_product(spec, monkeypatch):
+    ring = parse_ring(spec)
+    expected = [a for a in ring.elements() if 4 * a == ring.zero]
+    ring.kernel()
+    calls = []
+    original = ring._mul
+
+    def counting(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(ring, "_mul", counting)
+    assert four_torsion(ring) == expected
+    assert calls == []
+
+
+@pytest.mark.parametrize("argument", ["d", "classification", "group"])
+def test_fiber_report_refuses_objects_of_another_ring(argument):
+    z12, z8 = parse_ring("Z/12"), parse_ring("Z/8")
+    given = {"d": disc_classes(z12)[1], "classification": classify(z12),
+             "group": as_group(z12)}
+    given[argument] = {"d": disc_classes(z8)[1], "classification": classify(z8),
+                       "group": as_group(z8)}[argument]
+    for check in (fiber_report, check_freeness):
+        with pytest.raises(ValueError, match="given for Z/12"):
+            check(z12, given["d"], given["classification"], given["group"])

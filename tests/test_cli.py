@@ -196,6 +196,14 @@ def test_verify_json_and_csv(capsys):
     assert len(rows) == 7 and all(r["status"] == "PASS" for r in rows)
 
 
+def test_failing_identity_is_printed_and_exits_1(capsys, monkeypatch):
+    from quadrings import QuadraticAlgebra
+    monkeypatch.setattr(QuadraticAlgebra, "disc", lambda self: self.n)
+    code, out, err = run(capsys, "verify")
+    assert code == 1 and err == ""
+    assert out.startswith("disc-multiplicativity FAIL ")
+
+
 def test_verify_single_identity(capsys):
     code, out, _ = run(capsys, "verify", "--identity", "wp-closure")
     assert code == 0
@@ -249,3 +257,13 @@ def test_output_file(tmp_path, capsys):
     assert code == 0 and out == ""
     payload = json.loads(target.read_text())
     assert len(payload["classes"]) == 6
+
+
+@pytest.mark.parametrize("argv", [["classify", "--ring", "Z/4"], ["verify"]])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.exists()

@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from quadrings import (IDENTITY_NAMES, MultiPoly, TensorElement, verify_all,
+from quadrings import (IDENTITY_NAMES, AlgebraElement, MultiPoly,
+                       QuadraticAlgebra, TensorElement, verify_all,
                        verify_named_identity)
 from quadrings.polynomials import variables
 
@@ -14,6 +16,18 @@ def test_poly_basics():
     assert MultiPoly.const(0).term_count() == 0
     assert str(t ** 2 - 4 * n) == "t^2-4*n"
     assert (t * n).vars == ("n", "t")
+
+
+@pytest.mark.parametrize("bad", [2.7, 0.5, Fraction(7, 2)])
+def test_poly_const_refuses_non_integers(bad):
+    with pytest.raises(TypeError):
+        MultiPoly.const(bad)
+
+
+def test_poly_terms_refuse_non_integers():
+    with pytest.raises(TypeError):
+        MultiPoly(("t",), {(1,): 1.5})
+    assert MultiPoly(("t",), {(1,): True}) == MultiPoly.variable("t")
 
 
 def test_poly_variable_pruning():
@@ -105,6 +119,30 @@ def test_all_identities_pass():
     for r in results:
         assert r.passed, r.name
     assert [r.name for r in results] == IDENTITY_NAMES
+
+
+def failing_identities():
+    return {r.name for r in verify_all() if not r.passed}
+
+
+def test_verifier_runs_the_package_algebra(monkeypatch):
+    """A wrong formula in the package's own algebra fails the laws that
+    rest on it, and only those."""
+    assert failing_identities() == set()
+    with monkeypatch.context() as patch:
+        patch.setattr(QuadraticAlgebra, "disc",
+                      lambda self: self.t * self.t - self.ring.element(2) * self.n)
+        assert failing_identities() == {"disc-multiplicativity", "square-product"}
+    with monkeypatch.context() as patch:
+        def mul(self, other):
+            other = self._coerce(other)
+            t, n = self.algebra.t, self.algebra.n
+            a, b, c, d = self.a, self.b, other.a, other.b
+            return AlgebraElement(self.algebra, a * c - b * d * n,
+                                  a * d + b * c - b * d * t)
+        patch.setattr(AlgebraElement, "__mul__", mul)
+        assert failing_identities() == {"change-of-basis-functoriality"}
+    assert failing_identities() == set()
 
 
 def test_unknown_identity():

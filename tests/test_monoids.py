@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadrings import (Congruence, FiniteCommMonoid, MonoidError, MonoidHom,
-                       cancellative_elements, congruence_from_pairs,
                        find_absorbing, grothendieck_group, image_congruence,
-                       is_exact, kernel_congruence, parse_ring, quotient_map,
+                       is_exact, kernel_congruence, parse_ring,
                        quotient_monoid, submonoid, validate_monoid)
 from quadrings import classify, quad_monoid
 from quadrings.monoids import (AbelianGroup, _invariant_factors,
@@ -220,13 +219,11 @@ def test_range_check_names_the_first_bad_entry():
         assert str(exc.value) == text
 
 
-def test_absorbing_and_cancellative():
+def test_find_absorbing():
     m = mult_monoid(4)
     assert find_absorbing(m) == 0
-    assert cancellative_elements(m) == [1, 3]
     g = add_monoid(2)
     assert find_absorbing(g) is None
-    assert cancellative_elements(g) == [0, 1]
     bool_mult = FiniteCommMonoid(["0", "1"], [[0, 0], [0, 1]], 1)
     assert find_absorbing(bool_mult) == 0
 
@@ -268,21 +265,43 @@ def test_image_congruence_with_absorbing_in_image():
     assert i.num_classes == 1
 
 
+# Per monoid of SAMPLE_MONOIDS, the congruences generated by no pair, by
+# (0, identity) and by (last, identity), as class lists.
+GENERATED_CONGRUENCES = [
+    [[[0], [1]], [[0, 1]], [[0], [1]]],
+    [[[0], [1], [2], [3]], [[0, 1, 2, 3]], [[0], [1, 3], [2]]],
+    [[[0], [1], [2], [3], [4], [5]], [[0, 1, 2, 3, 4, 5]],
+     [[0], [1, 5], [2, 4], [3]]],
+    [[[0], [1]], [[0], [1]], [[0, 1]]],
+    [[[0], [1], [2]], [[0], [1], [2]], [[0, 1, 2]]],
+    [[[0], [1], [2], [3], [4], [5]], [[0], [1], [2], [3], [4], [5]],
+     [[0, 1, 2, 3, 4, 5]]],
+    [[[0]], [[0]], [[0]]],
+    [[[0], [1], [2], [3]], [[0], [1], [2], [3]], [[0, 3], [1, 2]]],
+]
+
+
+def congruence_of_classes(m, classes):
+    class_of = [None] * m.size
+    for k, members in enumerate(classes):
+        for i in members:
+            class_of[i] = k
+    return Congruence(m, class_of)
+
+
 def test_quotient_is_surjective_hom_with_kernel_c():
-    for m in SAMPLE_MONOIDS:
-        congruences = [congruence_from_pairs(m, pairs)
-                       for pairs in ([], [(0, m.identity)],
-                                     [(m.size - 1, m.identity)])]
+    for m, class_lists in zip(SAMPLE_MONOIDS, GENERATED_CONGRUENCES, strict=True):
+        congruences = [congruence_of_classes(m, classes) for classes in class_lists]
         congruences.append(image_congruence(MonoidHom(m, m, list(range(m.size)))))
         for c in congruences:
             assert c.is_congruence()
-            pi = quotient_map(m, c)
+            pi = MonoidHom(m, quotient_monoid(m, c), c.class_of)
             assert pi.is_valid()
             assert pi.is_surjective()
             assert kernel_congruence(pi) == c
     f = units_map_hom()
     k = kernel_congruence(f)
-    pi = quotient_map(f.source, k)
+    pi = MonoidHom(f.source, quotient_monoid(f.source, k), k.class_of)
     assert pi.is_valid() and pi.is_surjective()
     assert kernel_congruence(pi) == k
 
