@@ -3,7 +3,8 @@
 Classification of R[x]/(x^2 - tx + n) up to isomorphism over finite rings
 and Z, the monoid product on classes, discriminant classes, the
 Artin-Schreier group action on discriminant fibers, and a symbolic verifier
-for every polynomial identity the constructions rest on.
+that proves the polynomial identities the constructions rest on by running
+the package's own algebra code over integer polynomials.
 """
 
 from .artin_schreier import (ASGroup, FiberReport, annihilator_four_torsion,
@@ -20,7 +21,7 @@ from .errors import (EnumerationLimitError, InfiniteRingError,
                      InternalCheckError, MixedRingError, MonoidError,
                      RingParseError)
 from .identities import (IDENTITY_NAMES, IdentityResult, MultiPoly,
-                         TensorElement, verify_all, verify_named_identity)
+                         verify_all, verify_named_identity)
 from .monoids import (AbelianGroup, Congruence, FiniteCommMonoid, MonoidHom,
                       find_absorbing, grothendieck_group, image_congruence,
                       is_exact, kernel_congruence, quotient_monoid, submonoid,

@@ -4,8 +4,9 @@ Subcommands: classify, disc, fibers, as-group, product, verify, sec.
 Exit codes: 0 success, 1 internal invariant violation (a bug; the message,
 then the check's witness, if it has one, as one JSON line on stderr),
 2 usage error (bad flags, unparseable ring spec, enumeration of Z, an
-enumeration above rings.MAX_ENUMERATION items, refused before any work, or
-an --output file that cannot be written).
+enumeration above rings.MAX_ENUMERATION items, or an --output path whose
+directory is missing or not writable, all refused before any work; or an
+--output file whose final write fails).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .artin_schreier import (ASGroup, fiber_report, is_sec_algebra,
@@ -23,11 +25,26 @@ from .errors import (InfiniteRingError, InternalCheckError, MonoidError,
                      RingParseError)
 from .identities import IDENTITY_NAMES, verify_named_identity
 from .quadratic import QuadraticAlgebra, classify, star_product
-from .rings import Ring, parse_ring
+from .rings import QuotientPolyRing, Ring, parse_ring
 
 
 class UsageError(ValueError):
     pass
+
+
+def _require_writable(path: str) -> None:
+    """UsageError unless path names a file that can be written, checked up
+    front without creating or truncating it."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        reason = "is a directory"
+    elif not os.path.isdir(folder):
+        reason = "its directory does not exist"
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise UsageError(f"cannot write --output {path}: {reason}")
 
 
 def _parse_element(ring: Ring, text: str):
@@ -36,7 +53,6 @@ def _parse_element(ring: Ring, text: str):
         values = [int(p) for p in parts]
     except ValueError:
         raise UsageError(f"cannot parse element {text!r}: expected integers")
-    from .rings import QuotientPolyRing
     if isinstance(ring, QuotientPolyRing):
         if len(values) != ring.degree:
             raise UsageError(
@@ -50,7 +66,6 @@ def _parse_element(ring: Ring, text: str):
 
 def _parse_pair(ring: Ring, text: str):
     parts = [p for p in text.replace(" ", "").split(",") if p != ""]
-    from .rings import QuotientPolyRing
     width = ring.degree if isinstance(ring, QuotientPolyRing) else 1
     if len(parts) != 2 * width:
         raise UsageError(
@@ -105,7 +120,9 @@ def cmd_disc(args) -> tuple[str, bool]:
     dc = DiscClassification(ring)
     hom = disc_hom_check(ring, classify(ring), disc_classification=dc)
     if hom.violations:
-        raise InternalCheckError("; ".join(hom.violations))
+        raise InternalCheckError("; ".join(hom.violations),
+                                 {"ring": ring.spec_string(),
+                                  "violations": hom.violations})
     absorbing = ring.zero
     entries = [{
         "d": c.d.to_json(),
@@ -242,10 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, ring_required=True):
-        if ring_required:
-            p.add_argument("--ring", required=True,
-                           help='ring spec: "Z", "Z/<n>", "Z/<n>[x]/(<monic poly>)"')
+    def add_common(p):
+        p.add_argument("--ring", required=True,
+                       help='ring spec: "Z", "Z/<n>", "Z/<n>[x]/(<monic poly>)"')
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--output", default=None, help="write to a file instead of stdout")
 
@@ -286,6 +302,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if args.output:
+            _require_writable(args.output)
         text, ok = COMMANDS[args.command](args)
     except (InternalCheckError, MonoidError) as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)

@@ -145,12 +145,16 @@ class DiscClassification:
         for a in ds:
             row = []
             for b in ds:
-                k = index.get(mul(a, b))
+                ab = mul(a, b)
+                k = index.get(ab)
                 if k is None:
                     raise InternalCheckError(
-                        f"product {ring.element_text(mul(a, b))} of "
-                        f"discriminants is not a discriminant"
-                    )
+                        f"product {ring.element_text(ab)} of "
+                        f"discriminants is not a discriminant",
+                        {"ring": ring.spec_string(),
+                         "a": RingElement(ring, a).to_json(),
+                         "b": RingElement(ring, b).to_json(),
+                         "product": RingElement(ring, ab).to_json()})
                 row.append(k)
             table.append(row)
         return FiniteCommMonoid(labels, table, index[ring.one.value])

@@ -1,22 +1,17 @@
 """Verification of the package's algebraic identities as exact polynomial laws.
 
 Every law the quadratic-algebra machinery relies on is checked here as an
-identity of integer polynomials (or of components in a rank-4 tensor model),
-with zero tolerance: both sides are brought to canonical form and compared
-structurally.  The catalogue is keyed by name; ``verify_all`` runs it all.
+identity of integer polynomials, with zero tolerance: both sides are brought
+to canonical form and compared structurally.  The catalogue is keyed by
+name; ``verify_all`` runs it all.
 
-The laws of the star product, the discriminant and basis changes are proved
-on the package's own QuadraticAlgebra, AlgebraElement, star_product and
-disc(), run over the ring of integer polynomials, so a wrong formula there
-fails here.
-
-The tensor model represents elements of S (x) T on the basis
-
-    1(x)1,  x(x)1,  1(x)y,  x(x)y
-
-over the base ring of integer polynomials in t, n, s, m, with the reductions
-x^2 = t*x - n and y^2 = s*y - m.  The involution swap sends x -> t - x and
-y -> s - y simultaneously.
+The laws are proved on the package's own QuadraticAlgebra, AlgebraElement
+(products and conjugate), star_product and disc(), run over the ring of
+integer polynomials, so a wrong formula there fails here.  S (x) T is the
+package's algebra over an algebra, S[y]/(y^2 - sy + m) with
+S = Z[t, n, s, m][x]/(x^2 - tx + n); the joint involution x -> t - x,
+y -> s - y is the conjugate of y followed by that of x on both
+coefficients.  Only wp-closure, a law about r + r^2, is written out by hand.
 """
 
 from __future__ import annotations
@@ -24,15 +19,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .polynomials import MultiPoly, variables
-from .quadratic import QuadraticAlgebra, star_product
-from .rings import Ring
+from .quadratic import AlgebraElement, QuadraticAlgebra, star_product
+from .rings import Ring, RingElement
 
 
-class _PolyRing(Ring):
-    """Z[t, n, ...] as a Ring: elements are MultiPolys."""
+class _ValueRing(Ring):
+    """A Ring whose values do their own exact arithmetic: the MultiPolys of
+    Z[t, n, ...], or the AlgebraElements of an algebra over them.  Any other
+    value (an int, a polynomial, a base-ring element) is brought in as
+    zero + value."""
+
+    def __init__(self, zero, name: str):
+        self._zero = zero
+        self._name = name
 
     def canonicalize(self, value):
-        return MultiPoly.coerce(value)
+        if isinstance(value, type(self._zero)):
+            return value
+        return self._zero + value
 
     def _add(self, a, b):
         return a + b
@@ -44,100 +48,47 @@ class _PolyRing(Ring):
         return -a
 
     def spec_string(self) -> str:
-        return "Z[...]"
+        return self._name
 
 
-_POLYS = _PolyRing()
+_POLYS = _ValueRing(MultiPoly.const(0), "Z[...]")
 
 
 def _algebra(t, n) -> QuadraticAlgebra:
     return QuadraticAlgebra(_POLYS, t, n)
 
 
-def _terms(*elements) -> int:
-    """Total term count of ring elements of _POLYS."""
-    return sum(e.value.term_count() for e in elements)
+def _tensor_model():
+    """S (x) T as S[y]/(y^2 - sy + m) over S = Z[t, n, s, m][x]/(x^2 - tx + n).
 
-
-class TensorElement:
-    """Element of the rank-4 tensor algebra, as four polynomial coefficients."""
-
-    __slots__ = ("c",)
-
-    BASIS = ("1(x)1", "x(x)1", "1(x)y", "x(x)y")
-
-    def __init__(self, c11=0, cx1=0, c1y=0, cxy=0):
-        object.__setattr__(self, "c", (MultiPoly.coerce(c11),
-                                       MultiPoly.coerce(cx1),
-                                       MultiPoly.coerce(c1y),
-                                       MultiPoly.coerce(cxy)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("immutable")
-
-    def __add__(self, other):
-        return TensorElement(*[a + b for a, b in zip(self.c, other.c)])
-
-    def __sub__(self, other):
-        return TensorElement(*[a - b for a, b in zip(self.c, other.c)])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, MultiPoly)):
-            k = MultiPoly.coerce(other)
-            return TensorElement(*[k * a for a in self.c])
-        out = [MultiPoly.const(0)] * 4
-        for i, ci in enumerate(self.c):
-            if ci.is_zero():
-                continue
-            for j, cj in enumerate(other.c):
-                if cj.is_zero():
-                    continue
-                for k, weight in _basis_product(i, j):
-                    out[k] = out[k] + ci * cj * weight
-        return TensorElement(*out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return self.c == other.c
-
-    def swap_involution(self) -> TensorElement:
-        """Apply x -> t - x and y -> s - y."""
-        t, s = variables("t", "s")
-        a, b, c, d = self.c
-        return TensorElement(a + t * b + s * c + t * s * d,
-                             -b - s * d,
-                             -c - t * d,
-                             d)
-
-    def term_count(self) -> int:
-        return sum(p.term_count() for p in self.c)
-
-    def __repr__(self):
-        body = " + ".join(f"({p})*{lbl}" for p, lbl in zip(self.c, self.BASIS)
-                          if not p.is_zero())
-        return body or "0"
-
-
-def _basis_product(i: int, j: int):
-    """Expansion of basis element i times basis element j."""
+    An element A + B*y, with A and B in S, has the four polynomial
+    coefficients of the basis 1(x)1, x(x)1, 1(x)y, x(x)y as A.a, A.b, B.a
+    and B.b.  Returns S and S (x) T.
+    """
     t, n, s, m = variables("t", "n", "s", "m")
-    one = MultiPoly.const(1)
-    if i > j:
-        i, j = j, i
-    if i == 0:
-        return [(j, one)]
-    if (i, j) == (1, 1):
-        return [(1, t), (0, -n)]
-    if (i, j) == (1, 2):
-        return [(3, one)]
-    if (i, j) == (1, 3):
-        return [(3, t), (2, -n)]
-    if (i, j) == (2, 2):
-        return [(2, s), (0, -m)]
-    if (i, j) == (2, 3):
-        return [(3, s), (1, -m)]
-    return [(3, t * s), (1, -t * m), (2, -n * s), (0, n * m)]
+    inner = _algebra(t, n)
+    return inner, QuadraticAlgebra(_ValueRing(inner.element(0, 0), repr(inner)), s, m)
+
+
+def _swap(e: AlgebraElement) -> AlgebraElement:
+    """The joint involution x -> t - x, y -> s - y of S (x) T: y's
+    conjugate, then x's conjugate on both coefficients."""
+    c = e.conjugate()
+    return c.algebra.element(c.a.value.conjugate(), c.b.value.conjugate())
+
+
+def _terms(*elements) -> int:
+    """Total term count of ring or algebra elements over _POLYS, summed over
+    every polynomial coefficient they are built from."""
+    total = 0
+    for e in elements:
+        if isinstance(e, RingElement):
+            e = e.value
+        if isinstance(e, AlgebraElement):
+            total += _terms(e.a, e.b)
+        else:
+            total += e.term_count()
+    return total
 
 
 @dataclass
@@ -185,17 +136,21 @@ def _check_change_of_basis() -> IdentityResult:
     lhs = w * w
     rhs = w * big.t - big.n
     return IdentityResult("change-of-basis-functoriality", lhs == rhs,
-                          _terms(lhs.a, lhs.b), _terms(rhs.a, rhs.b))
+                          _terms(lhs), _terms(rhs))
 
 
 def _check_fixed_element_square() -> IdentityResult:
-    t, n, s, m = variables("t", "n", "s", "m")
-    xy = TensorElement(0, 0, 0, 1)
-    z = xy + xy.swap_involution()
+    # z = xy + swap(xy) is fixed by the joint involution and satisfies the
+    # defining equation of S * T = (t, n) * (s, m).
+    s, m = variables("s", "m")
+    inner, tensor = _tensor_model()
+    xy = tensor.element(0, inner.x)
+    z = xy + _swap(xy)
+    product = star_product(inner, _algebra(s, m))
     lhs = z * z
-    rhs = (s * t) * z - TensorElement(m * t ** 2 + n * s ** 2 - 4 * n * m, 0, 0, 0)
+    rhs = z * product.t - product.n
     return IdentityResult("fixed-element-z-squared", lhs == rhs,
-                          lhs.term_count(), rhs.term_count())
+                          _terms(lhs), _terms(rhs))
 
 
 def _check_wp_closure() -> IdentityResult:
@@ -210,11 +165,13 @@ def _check_wp_closure() -> IdentityResult:
 
 
 def _check_as_action_norm() -> IdentityResult:
+    # The AS class m acts as the product with (1, m): trace t, norm n + d*m.
     t, n, m = variables("t", "n", "m")
-    lhs = m * t ** 2 + n - 4 * n * m
-    rhs = n + (t ** 2 - 4 * n) * m
-    return IdentityResult("as-action-norm", lhs == rhs,
-                          lhs.term_count(), rhs.term_count())
+    a = _algebra(t, n)
+    acted = star_product(a, _algebra(1, m))
+    rhs = a.n + a.disc() * m
+    return IdentityResult("as-action-norm", acted.t == a.t and acted.n == rhs,
+                          _terms(acted.n), _terms(rhs))
 
 
 def _check_square_product() -> IdentityResult:

@@ -45,9 +45,6 @@ class FiniteCommMonoid:
     def size(self) -> int:
         return len(self.labels)
 
-    def op(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
     def __eq__(self, other):
         return (isinstance(other, FiniteCommMonoid)
                 and self.labels == other.labels

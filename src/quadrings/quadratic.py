@@ -61,9 +61,6 @@ class QuadraticAlgebra:
     def one(self) -> AlgebraElement:
         return AlgebraElement(self, 1, 0)
 
-    def star(self, other: QuadraticAlgebra) -> QuadraticAlgebra:
-        return star_product(self, other)
-
     def pair(self):
         return (self.t, self.n)
 
@@ -470,8 +467,8 @@ def classify(ring: Ring) -> Classification:
     total = sum(c.orbit_size for c in classes)
     if total != size ** 2:
         raise InternalCheckError(
-            f"orbit sizes sum to {total}, expected {size ** 2}"
-        )
+            f"orbit sizes sum to {total}, expected {size ** 2}",
+            {"ring": ring.spec_string(), "total": total, "expected": size ** 2})
     return Classification(ring, classes, class_map)
 
 
@@ -487,8 +484,13 @@ def quad_monoid(ring: Ring, classification: Classification) -> FiniteCommMonoid:
     identity = classification.index_of(QuadraticAlgebra(ring, 1, 0))
     monoid = FiniteCommMonoid(labels, table, identity)
     require_valid_monoid(monoid)
-    if find_absorbing(monoid) != classification.index_of(QuadraticAlgebra(ring, 0, 0)):
-        raise InternalCheckError("class of (0,0) is not absorbing")
+    zero = classification.index_of(QuadraticAlgebra(ring, 0, 0))
+    absorbing = find_absorbing(monoid)
+    if absorbing != zero:
+        raise InternalCheckError(
+            "class of (0,0) is not absorbing",
+            {"ring": ring.spec_string(), "zero_class": labels[zero],
+             "absorbing": None if absorbing is None else labels[absorbing]})
     return monoid
 
 

@@ -267,3 +267,105 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and str(target) in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "under-a-file", "a-directory"])
+def test_unwritable_output_is_refused_before_the_command(tmp_path, capsys,
+                                                         monkeypatch, where):
+    import quadrings.cli as cli
+    calls = []
+    monkeypatch.setitem(cli.COMMANDS, "fibers", lambda args: calls.append(args))
+    existing = tmp_path / "kept.json"
+    existing.write_text("kept\n")
+    target = {"missing-directory": tmp_path / "missing" / "x.json",
+              "under-a-file": existing / "x.json",
+              "a-directory": tmp_path}[where]
+    code, out, err = run(capsys, "fibers", "--ring", "Z/4", "--output", str(target))
+    assert code == 2 and out == "" and calls == []
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and str(target) in err
+    assert existing.read_text() == "kept\n"
+
+
+def test_output_check_leaves_an_existing_file_untouched(tmp_path, capsys,
+                                                        monkeypatch):
+    # The up-front check neither creates nor truncates the file, so a
+    # command that fails leaves it as it was.
+    import quadrings.cli as cli
+
+    def refuse(args):
+        raise cli.UsageError("refused")
+
+    monkeypatch.setitem(cli.COMMANDS, "fibers", refuse)
+    existing = tmp_path / "kept.json"
+    existing.write_text("kept\n")
+    code, out, err = run(capsys, "fibers", "--ring", "Z/4", "--output", str(existing))
+    assert code == 2 and out == "" and err == "error: refused\n"
+    assert existing.read_text() == "kept\n"
+    missing = tmp_path / "new.json"
+    code, _, _ = run(capsys, "fibers", "--ring", "Z/4", "--output", str(missing))
+    assert code == 2 and not missing.exists()
+
+
+def witness_line(capsys, *argv):
+    """Run main, expect exit 1 with nothing on stdout, and return the
+    message and the parsed JSON witness line from stderr."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    message, line = err.splitlines()
+    assert message.startswith("internal check failed: ")
+    return message, json.loads(line)
+
+
+def test_classify_orbit_sum_failure_prints_witness(capsys, monkeypatch):
+    import quadrings.quadratic as quadratic
+    real = quadratic.IsoClass
+    monkeypatch.setattr(quadratic, "IsoClass",
+                        lambda rep, size, *rest: real(rep, size + 1, *rest))
+    message, witness = witness_line(capsys, "classify", "--ring", "Z/4")
+    assert "orbit sizes sum to 22, expected 16" in message
+    assert witness == {"ring": "Z/4", "total": 22, "expected": 16}
+
+
+def test_quad_monoid_absorbing_failure_prints_witness(capsys, monkeypatch):
+    # No command builds the class monoid, so one is stood in for here to
+    # reach main's witness line.
+    import quadrings.cli as cli
+    import quadrings.quadratic as quadratic
+    from quadrings import classify, parse_ring, quad_monoid
+    monkeypatch.setattr(quadratic, "find_absorbing", lambda monoid: 1)
+
+    def monoid_command(args):
+        ring = parse_ring(args.ring)
+        quad_monoid(ring, classify(ring))
+        return "", True
+
+    monkeypatch.setitem(cli.COMMANDS, "classify", monoid_command)
+    message, witness = witness_line(capsys, "classify", "--ring", "Z/4")
+    assert "class of (0,0) is not absorbing" in message
+    assert witness == {"ring": "Z/4", "zero_class": "(0,0)", "absorbing": "(0,1)"}
+
+
+def test_disc_monoid_closure_failure_prints_witness(capsys, monkeypatch):
+    # Over Z/2[x]/(x^4) the discriminants are the squares 0, 1, x^2, 1+x^2;
+    # dropping the class of 0 leaves x^2 * x^2 = 0 outside the set.
+    import quadrings.discriminants as discriminants
+    real = discriminants._square_classes
+    monkeypatch.setattr(discriminants, "_square_classes",
+                        lambda ring: {k: t for k, t in real(ring).items()
+                                      if k != ring.zero.value})
+    message, witness = witness_line(capsys, "disc", "--ring", "Z/2[x]/(x^4)")
+    assert "of discriminants is not a discriminant" in message
+    assert witness == {"ring": "Z/2[x]/(x^4)", "a": [0, 0, 1, 0],
+                       "b": [0, 0, 1, 0], "product": [0, 0, 0, 0]}
+
+
+def test_disc_hom_violations_print_witness(capsys, monkeypatch):
+    # A star table that sends every product to the class of (0,0).
+    from quadrings.quadratic import Classification
+    monkeypatch.setattr(Classification, "star_table",
+                        lambda self: tuple((0,) * len(self) for _ in self))
+    _, witness = witness_line(capsys, "disc", "--ring", "Z/2")
+    assert witness == {"ring": "Z/2", "violations": [
+        f"disc({a}*{b}) differs from disc({a})*disc({b})"
+        for a in ("(1,0)", "(1,1)") for b in ("(1,0)", "(1,1)")]}
