@@ -216,13 +216,14 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
     built for another ring raise ValueError.
 
     Everything runs on the codes of the ring's kernel, which holds the unit
-    squares, the tables of t^2 and -4n and the norm map, and the fiber's
-    orbits are read as pair codes from the classification's class map.  A
-    report takes |U^2| products to find the fiber, |R[4]| for dR[4] and one
-    per distinct orbit-pair discriminant d' and AS class m for the shift
-    d'*m.  Each orbit pair then costs one add-row lookup for its
-    discriminant t^2 + (-4n) and, per AS class, one for its image
-    n + d'*m and one class lookup.
+    squares, the tables of t^2 and -4n and the norm map.  The fiber's
+    orbits are read as pair codes, and the classes of their images from
+    class rows, off the classification's class map.  A report takes |U^2|
+    products to find the fiber, |R[4]| for dR[4] and one per distinct
+    orbit-pair discriminant d' and AS class m for the shift d'*m.  Each
+    orbit pair then costs one add-row lookup for its discriminant
+    t^2 + (-4n) and, per AS class, one for its image n + d'*m and one
+    class lookup.
     """
     require_ring(ring, d, classification, group)
     cl, asg = classification, group
@@ -246,10 +247,11 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
     ms = [m.value for m in asg.classes]
     shifts: dict = {}    # code(d') -> [add_row(code(d' * m)) for each AS class m]
     # The orbits are walked as pair codes c = a*|R| + b, with t = values[a]
-    # and n = values[b]; the image (t, n + d'*m) has code c - b + code(...).
-    class_at = cl.class_map.class_at
+    # and n = values[b]; the image (t, n + d'*m) is looked up in the class
+    # row of a at code(n + d'*m).
     size = len(values)
     orbit_codes = cl.class_map.codes()
+    class_rows = cl.class_map.rows()
     action: list[dict[int, int]] = [{} for _ in ms]
     for ci in fiber:
         codes = orbit_codes[ci]
@@ -260,7 +262,8 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
             shifts[disc] = [add_row(code[mul(values[disc], m)]) for m in ms]
         rows = [shifts[disc] for disc in pair_discs]
         for k, (m, images) in enumerate(zip(asg.classes, action)):
-            found = {class_at[c - b + row[k][b]] for c, b, row in zip(codes, bs, rows)}
+            found = {class_rows[c // size][row[k][b]]
+                     for c, b, row in zip(codes, bs, rows)}
             if len(found) != 1:
                 raise InternalCheckError(
                     f"action of {m} is not constant on class {cl[ci].label}",

@@ -331,8 +331,11 @@ def grothendieck_group(m: FiniteCommMonoid) -> AbelianGroup:
     Then K = eM is a group with identity e, and a*z = b*z for some z iff
     e*a = e*b.  So the class of (x, x') is psi(x) * psi(x')^-1 in K, where
     psi(x) = e*x, and K0 is K.  Classes are numbered, and represented, by
-    their first pair in lexicographic order.  If the monoid has an absorbing
-    element, that element is e and the result is trivial.
+    their first pair in lexicographic order.  The class of (x, x') depends
+    on psi(x) and psi(x') alone, so that first pair is made of elements
+    that are each the first with their value of psi: only those |eM|^2
+    pairs are scanned.  If the monoid has an absorbing element, that
+    element is e and the result is trivial.
     """
     found = _minimal_ideal(m)
     if found is None:
@@ -344,10 +347,13 @@ def grothendieck_group(m: FiniteCommMonoid) -> AbelianGroup:
     def key(x, xp):
         return t[psi[x]][inverse[psi[xp]]]
 
+    firsts: dict[int, int] = {}    # psi(x) -> the first x with that value
+    for x, a in enumerate(psi):
+        firsts.setdefault(a, x)
     class_of: dict[int, int] = {}
     reps: list[tuple[int, int]] = []
-    for x in range(m.size):
-        for xp in range(m.size):
+    for x in firsts.values():
+        for xp in firsts.values():
             k = key(x, xp)
             if k not in class_of:
                 class_of[k] = len(reps)
@@ -398,8 +404,8 @@ def _minimal_ideal(m: FiniteCommMonoid):
         if a not in inverse:
             return None
     for x in range(n):
-        row, ex = t[x], t[psi[x]]
-        if any(psi[row[y]] != ex[psi[y]] for y in range(n)):
+        ex = t[psi[x]]
+        if [psi[xy] for xy in t[x]] != [ex[a] for a in psi]:
             return None
     return e, inverse
 

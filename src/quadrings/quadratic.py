@@ -10,15 +10,17 @@ basis changes x -> u(x + r) acting by (t, n) -> (u(t+2r), u^2(n+tr+r^2)),
 isomorphism testing, and full classification over finite rings as orbits of
 that action on R^2.
 
-The orbit loops (classify, the class index, the star table of the classes)
+The orbit loops (classify, the class map, the star table of the classes)
 run on the int codes of the ring's kernel (rings.Kernel), not on element
 objects: an element's code is its index in ring.elements(), and a pair
 (t, n) is the int t*|R| + n.  RingElement and QuadraticAlgebra stay the
-input and output types.  The sums in the orbit loops and the star table
-are add-row lookups, and each ring product is taken once per call: classify
-composes the unit rows (at most log2|U|*|R| products) and builds translates
-once per distinct trace (|R| products each), and the star table multiplies
-each distinct row value by each distinct column value once.
+input and output types.  classify splits the pairs into trace orbits and
+one slice {t0} x R per orbit, so it classifies |R| * (trace orbits) slice
+points, not |R|^2 pairs, and its class map keeps O(|R|) ints per trace
+orbit.  Sums are add-row lookups, and each ring product is taken once per
+call: classify composes the unit rows (at most log2|U|*|R| products) and
+takes |2R| + log2|R[2]| products per trace orbit, and the star table
+multiplies each distinct row value by each distinct column value once.
 """
 
 from __future__ import annotations
@@ -248,7 +250,7 @@ class IsoClass:
 
     def __init__(self, rep: QuadraticAlgebra, orbit_size: int,
                  disc: RingElement, class_map: ClassMap, index: int):
-        """disc is rep.disc(), which classify computes on canonical values."""
+        """disc is rep.disc(), which classify reads off the kernel's codes."""
         self.rep = rep
         self.orbit_size = orbit_size
         self.disc = disc
@@ -270,33 +272,63 @@ class IsoClass:
 
 
 class ClassMap:
-    """The class index of every pair (t, n) over a finite ring: class_at is
-    a flat list over pair codes t*|R| + n, and code maps canonical values to
-    element codes.  It is the only record of the orbits; the first call of
-    codes() or pairs() lists every class's orbit from it in one pass, as
-    increasing pair codes or as sorted (t, n) pairs of ring elements.
+    """The class index of every pair (t, n) over a finite ring, held as one
+    slice per trace orbit instead of |R|^2 indices.
 
-    It holds no class, so an IsoClass reaches its orbit through it without
-    a reference cycle, and a classification is freed as soon as it is
-    dropped.
+    The least trace t0 of the k-th trace orbit owns slices[k], the class of
+    (t0, n) for every code n.  For every trace y the trace table holds
+    slice_of[y], its orbit, and the move of one basis change (u, r) that
+    takes t0 to y: back[y], the multiplication row of u^-2, and shift[y],
+    the code of -c with c = t0 r + r^2.  That basis change takes (t0, n) to
+    (y, u^2 (n + c)), so (y, m) lies in the class of (t0, u^-2 m - c).
+
+    row(y) lists the class of every (y, m) from 2|R| lookups with no ring
+    operation, on first use, and keeps it; the rows of all traces, which
+    codes() and the fiber reports read, are |R|^2 ints.  The first call of
+    codes() or pairs() lists every class's orbit from the rows in one pass,
+    as increasing pair codes t*|R| + n or as sorted (t, n) pairs of ring
+    elements.  It holds no class, so an IsoClass reaches its orbit through
+    it without a reference cycle, and a classification is freed as soon as
+    it is dropped.
     """
 
-    def __init__(self, ring: Ring, code: dict, class_at: list[int]):
-        self.ring, self.code, self.class_at = ring, code, class_at
+    def __init__(self, ring: Ring, slice_of: list[int], back: list,
+                 shift: list[int], slices: list[list[int]]):
+        self.ring, self.slices = ring, slices
+        self.slice_of, self.back, self.shift = slice_of, back, shift
+        self._rows: list = [None] * len(slice_of)
         self._codes = self._pairs = None
+
+    def row(self, y: int) -> list[int]:
+        """The class of (y, m) for every code m."""
+        row = self._rows[y]
+        if row is None:
+            plus = self.ring.kernel().add_row(self.shift[y])
+            slice_ = self.slices[self.slice_of[y]]
+            row = self._rows[y] = [slice_[plus[x]] for x in self.back[y]]
+        return row
+
+    def rows(self) -> list[list[int]]:
+        """row(y) for every trace y, indexed by y."""
+        if None in self._rows:
+            for y in range(len(self._rows)):
+                self.row(y)
+        return self._rows
 
     def codes(self) -> list[list[int]]:
         if self._codes is None:
-            orbits = [[] for _ in range(max(self.class_at) + 1)]
+            size = len(self.slice_of)
+            orbits = [[] for _ in range(1 + max(map(max, self.slices)))]
             appends = [orbit.append for orbit in orbits]
-            for c, k in enumerate(self.class_at):
-                appends[k](c)
+            for y, row in enumerate(self.rows()):
+                for c, k in enumerate(row, y * size):
+                    appends[k](c)
             self._codes = orbits
         return self._codes
 
     def pairs(self) -> list[list[tuple[RingElement, RingElement]]]:
         if self._pairs is None:
-            elements = [RingElement(self.ring, v) for v in self.code]
+            elements = [RingElement(self.ring, v) for v in self.ring.kernel().values]
             size = len(elements)
             self._pairs = [[(elements[c // size], elements[c % size])
                             for c in codes] for codes in self.codes()]
@@ -335,8 +367,8 @@ class Classification:
 
     def index_of_values(self, t, n) -> int:
         """Class index of the pair of canonical values (t, n) of this ring."""
-        code = self.class_map.code
-        return self.class_map.class_at[code[t] * len(code) + code[n]]
+        code = self.ring.kernel().code
+        return self.class_map.row(code[t])[code[n]]
 
     def class_of(self, algebra: QuadraticAlgebra) -> IsoClass:
         return self.classes[self.index_of(algebra)]
@@ -349,35 +381,40 @@ class Classification:
         stored disc and s^2 read from the ring's kernel.  Many classes share a
         trace, a disc or a norm, so each distinct row value is multiplied by
         each distinct column value once, and rows with equal values share the
-        product list; the sum d*m + n*s^2 is one add-row lookup.  The table is
-        built once per classification; its rows are tuples, so every caller
-        reads the same table.
+        product list.  The products st come as class rows and the products
+        d*m as add rows, both kept where they are built, so an entry is two
+        lookups: the sum d*m + n*s^2 in the add row, then its class in the
+        class row.  The table is built once per classification; its rows
+        are tuples, so every caller reads the same table.
         """
         if self._star is not None:
             return self._star
         ring = self.ring
         kernel, mul = ring.kernel(), ring._mul
-        code, class_at = kernel.code, self.class_map.class_at
-        add_row, size = kernel.add_row, len(code)
+        code = kernel.code
         ts = [c.rep.t.value for c in self.classes]
         ns = [c.rep.n.value for c in self.classes]
-        columns = {"s": ts, "m": ns,
-                   "ss": [kernel.values[kernel.square[code[s]]] for s in ts]}
+        columns = {"s": (ts, self.class_map.row), "m": (ns, kernel.add_row),
+                   "ss": ([kernel.values[kernel.square[code[s]]] for s in ts],
+                          None)}
         memo: dict = {}
 
         def times(a, name):
-            """[code(a * c) for c in the column], one product per distinct c."""
+            """[code(a * c) for c in the column], or the row the column reads
+            for that code: one product per distinct c."""
             row = memo.get((a, name))
             if row is None:
-                column = columns[name]
+                column, read = columns[name]
                 by_value = {c: code[mul(a, c)] for c in set(column)}
+                if read is not None:
+                    by_value = {c: read(p) for c, p in by_value.items()}
                 row = memo[(a, name)] = [by_value[c] for c in column]
             return row
 
         self._star = tuple(
-            tuple([class_at[st * size + add_row(dm)[nss]]
-                   for st, dm, nss in zip(times(t, "s"), times(c.disc.value, "m"),
-                                          times(n, "ss"))])
+            tuple([crow[plus[nss]]
+                   for crow, plus, nss in zip(times(t, "s"), times(c.disc.value, "m"),
+                                              times(n, "ss"))])
             for t, n, c in zip(ts, ns, self.classes))
         return self._star
 
@@ -385,30 +422,37 @@ class Classification:
 def classify(ring: Ring) -> Classification:
     """Orbits of the basis changes x -> u(x + r) on all pairs (t, n) in R^2.
 
-    The basis changes form a group, since x -> u1(x + r1) followed by
-    x -> u2(x + r2) is (u1 u2, r1 + u1^-1 r2), so the orbit of one seed is
-    its whole class.  It is the union over units u of u.T, where
-    T = {(t+2r, n+tr+r^2) : r in R} are the seed's translates and u acts by
-    (a, b) -> (ua, u^2 b).  Everything runs on the int codes of the ring's
-    kernel, whose table of r^2 costs |R| products when first built, and
-    each ring product is taken once per call:
+    The basis changes form a group G, since x -> u1(x + r1) followed by
+    x -> u2(x + r2) is (u1 u2, r1 + u1^-1 r2).  G moves traces by
+    t -> u(t + 2r), so the trace orbits are unions of cosets u(t0 + 2R),
+    and by orbit and stabilizer each orbit of pairs is the trace orbit of
+    its least trace t0 times one orbit of the stabilizer H of t0 on the
+    slice {t0} x R.  Everything runs on the int codes of the ring's kernel,
+    and each ring product is taken once per call:
 
     - The multiplication rows row_u[c] = code(u * x_c) compose, as
       row_uk = row_u o row_k.  A unit outside the subgroup K of units whose
       rows are known costs one direct row of |R| products; K is then closed
       under it by index lookups, since <K, u> = {k u^j}.  Each direct row
       at least doubles K, so the rows cost at most log2|U| * |R| products.
-    - Seeds come in increasing pair code, so in runs of equal trace t.  The
-      codes of t + 2r come from t's add row, and tr + r^2 = r(t + r) costs
-      |R| products once per distinct trace; each seed then reads its
-      translates off n's add row, with no ring operation.
-    - Each u.T is the translate orbit of u.seed, so it is either new or
-      already in the orbit: |U| membership tests and one row lookup per
-      orbit pair.
+    - Traces come in increasing code, so the first one not yet placed is
+      the least t0 of its orbit.  A unit u that reaches a new coset places
+      each y = u(t0 + 2r) in the class map's trace table with the move
+      (u^-2, -c), c = t0 r + r^2 = r(t0 + r).  c depends on 2r alone, as r
+      is the least half of 2r, so it costs |2R| products per trace orbit.
+    - H = {(u, r) : u(t0 + 2r) = t0}.  Its members (1, a) with 2a = 0
+      translate n by S = {t0 a + a^2}, an additive subgroup, so H acts on
+      the cosets n + S.  Each is labelled by its least member from one add
+      row per generator of S, at one product per generator of R[2].
+    - The rest of H acts through the group of units v with v t0 in t0 + 2R:
+      the trace table's move for v^-1 sends n to v^2 n - c.  Each slice
+      orbit is the closure of its least coset under the moves of the
+      generators of that group, |R| lookups each.
 
-    Each seed is the least code of its orbit, the canonical representative,
-    so classes come out sorted.  Per orbit pair only its class index is
-    written to the class map; orbit_pairs is listed from that map on demand.
+    A class is (t0, least n of its slice orbit), the canonical
+    representative, so classes come out sorted, and its orbit size is
+    |trace orbit| * |slice orbit|.  The class map keeps the trace table and
+    one slice table per trace orbit, and lists the orbits on demand.
     """
     if not ring.is_finite:
         raise InfiniteRingError("classification requires a finite ring")
@@ -417,10 +461,9 @@ def classify(ring: Ring) -> Classification:
     values, code, square, add_row = (kernel.values, kernel.code, kernel.square,
                                      kernel.add_row)
     size = len(values)
-    mul, add, neg = ring._mul, ring._add, ring._neg
-    four = ring.element(4).value
-    units = kernel.units
-    rows = {code[ring.one.value]: add_row(0)}    # x -> 1*x = 0 + x
+    mul = ring._mul
+    units, one = kernel.units, code[ring.one.value]
+    rows = {one: add_row(0)}    # x -> 1*x = 0 + x
     for cu in units:
         if cu in rows:
             continue
@@ -432,38 +475,78 @@ def classify(ring: Ring) -> Classification:
             for k in coset:
                 rows[row_u[k]] = [row_u[c] for c in rows[k]]
             coset = [row_u[k] for k in coset]
-    actions = [(rows[cu], rows[rows[cu][cu]]) for cu in units]    # u, u^2
-    doubles = kernel.multiple_row(2)
-    class_at = [-1] * (size * size)
+    doubles, negative = kernel.multiple_row(2), kernel.multiple_row(-1)
+    half: dict = {}    # code(2r) -> code of the least r
+    for r, d in enumerate(doubles):
+        half.setdefault(d, r)
+    torsion, span = [], {0}    # generators of R[2]
+    for a, d in enumerate(doubles):
+        if d == 0 and a not in span:
+            torsion.append(a)
+            plus_a = add_row(a)
+            span.update([plus_a[s] for s in span])
+    elements = [RingElement(ring, v) for v in values]
+    minus_four = kernel.minus_four
+    slice_of, back, shift = [-1] * size, [None] * size, [0] * size
+    slices: list = []
     classes: list[IsoClass] = []
-    class_map = ClassMap(ring, code, class_at)
-    a_prev = -1
-    for seed in range(size * size):
-        if class_at[seed] >= 0:
+    class_map = ClassMap(ring, slice_of, back, shift, slices)
+    for t0 in range(size):
+        if slice_of[t0] >= 0:
             continue
-        a0, b0 = divmod(seed, size)
-        if a0 != a_prev:
-            a_prev, plus_t = a0, add_row(a0)
-            # apply_basis_change with u = 1: (t + 2r, n + tr + r^2), and
-            # tr + r^2 = r(t + r).
-            t_codes = [plus_t[r2] for r2 in doubles]
-            n_shifts = [code[mul(r, values[tr])] for r, tr in zip(values, plus_t)]
-        plus_n = add_row(b0)
-        translates = {(a, plus_n[v]) for a, v in zip(t_codes, n_shifts)}
-        orbit = set()
-        for row_t, row_n in actions:
-            # u.T is the translate orbit of u.seed, as u(x + r) = ux + ur,
-            # so it is already in the orbit or disjoint from it.
-            if row_t[a0] * size + row_n[b0] not in orbit:
-                orbit.update([row_t[a] * size + row_n[b] for a, b in translates])
-        index = len(classes)
-        for c in orbit:
-            class_at[c] = index
-        disc = RingElement(ring, add(values[square[a0]], neg(mul(four, values[b0]))))
-        rep = QuadraticAlgebra(ring, RingElement(ring, values[a0]),
-                               RingElement(ring, values[b0]))
-        classes.append(IsoClass(rep, len(orbit), disc, class_map, index))
-    # Overlapping orbits (G not a group) would push the sum above |R|^2.
+        plus_t0 = add_row(t0)
+        # 2r -> code of -c, c = t0 r + r^2 = r(t0 + r) with r the least half
+        minus_c = {d: negative[code[mul(values[r], values[plus_t0[r]])]]
+                   for d, r in half.items()}
+        coset = [plus_t0[d] for d in minus_c]    # t0 + 2r, in minus_c's order
+        moves = list(minus_c.values())
+        orbit = 0
+        for u in units:
+            row_u = rows[u]
+            if slice_of[row_u[t0]] < 0:    # u(t0 + 2R) is a new coset
+                inverse = ring.inverse_of_unit(elements[u])
+                row_back = rows[square[code[inverse.value]]]
+                for z, c in zip(coset, moves):
+                    y = row_u[z]
+                    slice_of[y], back[y], shift[y] = len(slices), row_back, c
+                orbit += len(coset)
+        least, width = list(range(size)), 1    # least member of n + S, |S|
+        for a in torsion:
+            s = code[mul(values[a], values[plus_t0[a]])]    # t0 a + a^2
+            if least[s]:
+                least = list(map(min, least, [least[x] for x in add_row(s)]))
+                width *= 2
+        members, minus_t0 = set(coset), add_row(negative[t0])
+        stabilizer, steps = {one}, []
+        for v in units:
+            row_v = rows[v]
+            if v in stabilizer or row_v[t0] not in members:
+                continue
+            # v t0 = t0 + 2r, so (v^-1, r) fixes t0 and moves n to v^2 n - c
+            plus = add_row(minus_c[minus_t0[row_v[t0]]])
+            steps.append([least[plus[x]] for x in rows[square[v]]])
+            block = list(stabilizer)
+            while row_v[block[0]] not in stabilizer:
+                block = [row_v[w] for w in block]
+                stabilizer.update(block)
+        label, plus_tt = [-1] * size, add_row(square[t0])
+        for n, first in enumerate(least):
+            if first != n or label[n] >= 0:
+                continue
+            index, found = len(classes), [n]
+            label[n] = index
+            for x in found:
+                for step in steps:
+                    y = step[x]
+                    if label[y] < 0:
+                        label[y] = index
+                        found.append(y)
+            rep = QuadraticAlgebra(ring, elements[t0], elements[n])
+            disc = elements[plus_tt[minus_four[n]]]    # t0^2 - 4n
+            classes.append(IsoClass(rep, orbit * width * len(found), disc,
+                                    class_map, index))
+        slices.append([label[x] for x in least])
+    # A slip in the trace table or a slice would push the sum off |R|^2.
     total = sum(c.orbit_size for c in classes)
     if total != size ** 2:
         raise InternalCheckError(

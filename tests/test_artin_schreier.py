@@ -447,14 +447,20 @@ def test_second_fiber_report_takes_no_table_product_or_addition(spec, monkeypatc
 
 
 def test_fiber_report_failure_carries_witness():
-    # a class map that splits one class makes the action non-constant there
+    # a slice table that splits one class makes the action non-constant there
     ring = parse_ring("Z/4")
     cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
     d = dc[dc.index_of(ring.element(1))]
     report = fiber_report(ring, d, cl, asg)
     ci = report.fiber[0]
-    c = cl.class_map.codes()[ci][-1]
-    cl.class_map.class_at[c] = report.fiber[-1] if len(report.fiber) > 1 else ci + 1
+    class_map = cl.class_map
+    y, m = divmod(class_map.codes()[ci][-1], ring.size)
+    # (y, m) lies in the class of (t0, n), t0 the least trace of y's orbit
+    n = ring.kernel().add_row(class_map.shift[y])[class_map.back[y][m]]
+    slice_ = class_map.slices[class_map.slice_of[y]]
+    assert slice_[n] == ci
+    slice_[n] = report.fiber[-1] if len(report.fiber) > 1 else ci + 1
+    class_map._rows[y] = None    # the next report reads y's row off the slice
     with pytest.raises(InternalCheckError) as info:
         fiber_report(ring, d, cl, asg)
     witness = info.value.witness

@@ -11,8 +11,9 @@ from quadrings import (Congruence, FiniteCommMonoid, MonoidError, MonoidHom,
                        is_exact, kernel_congruence, parse_ring,
                        quotient_monoid, submonoid, validate_monoid)
 from quadrings import classify, quad_monoid
-from quadrings.monoids import (AbelianGroup, _invariant_factors,
+from quadrings.monoids import (AbelianGroup, _invariant_factors, _minimal_ideal,
                                find_monoid_violation, require_valid_monoid)
+from test_quadratic import rings_up_to
 
 
 def mult_monoid(n):
@@ -520,6 +521,50 @@ def test_grothendieck_matches_pair_oracle_on_tailed_products(m):
     k0 = assert_k0_matches_oracle(m)
     assert not k0.is_trivial()
     assert MonoidHom(m, k0.monoid, k0.universal_map).is_valid()
+
+
+def grothendieck_by_key_scan(m):
+    """The scan grothendieck_group made before it kept to first
+    representatives: every pair (x, x') by its key psi(x) * psi(x')^-1,
+    n^2 keys, classes numbered in order of first appearance."""
+    e, inverse = _minimal_ideal(m)
+    t = m.table
+    psi = t[e]
+
+    def key(x, xp):
+        return t[psi[x]][inverse[psi[xp]]]
+
+    class_of, reps = {}, []
+    for x in range(m.size):
+        for xp in range(m.size):
+            if key(x, xp) not in class_of:
+                class_of[key(x, xp)] = len(reps)
+                reps.append((x, xp))
+    labels = [f"[{m.labels[x]},{m.labels[xp]}]" for x, xp in reps]
+    table = [[class_of[key(t[x][y], t[xp][yp])] for y, yp in reps]
+             for x, xp in reps]
+    group = FiniteCommMonoid(labels, table, class_of[key(m.identity, m.identity)])
+    universal = [class_of[key(x, m.identity)] for x in range(m.size)]
+    return AbelianGroup(group, _invariant_factors(group), universal)
+
+
+def assert_k0_matches_key_scan(m):
+    got, want = grothendieck_group(m), grothendieck_by_key_scan(m)
+    assert got.monoid == want.monoid
+    assert got.invariant_factors == want.invariant_factors
+    assert got.universal_map == want.universal_map
+
+
+def test_grothendieck_matches_key_scan_on_quad_monoids_up_to_27():
+    for ring in rings_up_to(27):
+        assert_k0_matches_key_scan(quad_monoid(ring, classify(ring)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mid_tables())
+def test_grothendieck_matches_key_scan_on_mid_tables(m):
+    if validate_monoid(m):
+        assert_k0_matches_key_scan(m)
 
 
 # Tables with identity 0 that are not monoids.  broken2 is the one of

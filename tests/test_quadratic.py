@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import quadrings.quadratic as quadratic
 from quadrings import (BasisChange, EnumerationLimitError, InfiniteRingError,
                        MixedRingError, ModRing, QuadraticAlgebra,
-                       QuotientPolyRing,
+                       QuotientPolyRing, RingElement,
                        apply_basis_change,
                        basis_change_group, classify, disc_hom_check,
                        find_absorbing,
@@ -288,21 +289,24 @@ def direct_unit_rows(ring):
     return direct
 
 
-def test_classify_cost_is_composed_rows_plus_translates_per_trace(monkeypatch):
+def test_classify_cost_is_composed_rows_plus_slices(monkeypatch):
     # classify never builds a BasisChange; its ring products are one row per
     # unit outside the subgroup of the units before it, r^2 per element,
-    # t*r per distinct trace and element, and one product (4n) for each
-    # class's discriminant, whose t^2 is among the r^2
+    # and per trace orbit one r(t0 + r) per member 2r of 2R and one
+    # a(t0 + a) per generator a of R[2] = {a : 2a = 0}: none per class
     def refuse(*args):
         raise AssertionError("classify used the object-level basis change")
     monkeypatch.setattr(quadratic, "apply_basis_change", refuse)
     monkeypatch.setattr(quadratic, "BasisChange", refuse)
     for spec in ["Z/8", "Z/12", "Z/2[x]/(x^2+x+1)", "Z/4[x]/(x^2+x+1)",
-                 "Z/9[x]/(x^2+1)"]:
+                 "Z/9[x]/(x^2+1)", "Z/2[x]/(x^3+x+1)", "Z/4[x]/(x^2)"]:
         ring = parse_ring(spec)
         units = len(ring.units())    # builds a quotient ring's unit table
         direct = len(direct_unit_rows(ring))
         assert 2 ** direct <= units, spec
+        # R[2] is elementary abelian, so it has log2|R[2]| generators
+        torsion = sum(1 for a in ring.elements() if 2 * a == ring.zero)
+        doubles = ring.size // torsion
         calls = 0
         original = ring._mul
 
@@ -313,8 +317,9 @@ def test_classify_cost_is_composed_rows_plus_translates_per_trace(monkeypatch):
 
         monkeypatch.setattr(ring, "_mul", counting)
         cl = classify(ring)
-        traces = len({c.rep.t for c in cl})
-        assert calls == ring.size * (direct + 1 + traces) + len(cl), spec
+        traces = len({c.rep.t for c in cl})    # one least trace per orbit
+        assert calls == (ring.size * (direct + 1)
+                         + traces * (doubles + torsion.bit_length() - 1)), spec
 
 
 def test_orbit_pairs_are_listed_only_when_read(monkeypatch):
@@ -363,6 +368,107 @@ def rings_up_to(size):
                       for lower in product(range(n), repeat=degree)]
             degree += 1
     return rings
+
+
+def classify_by_seeds(ring):
+    """The seed loop that classified before the trace slices, kept as the
+    oracle: each seed, in increasing pair code, is the least pair of its
+    class, and its orbit is the union over units u of u applied to its
+    translates (t + 2r, n + tr + r^2), on the kernel's codes, with the
+    multiplication rows of the units composed from at most log2|U| direct
+    ones.  Returns per class (t, n, orbit size, disc, separable), on
+    canonical values and sorted like classify's classes, and the class
+    index of every pair code."""
+    kernel = ring.kernel()
+    values, code, square, add_row = (kernel.values, kernel.code, kernel.square,
+                                     kernel.add_row)
+    size = len(values)
+    mul, add, neg = ring._mul, ring._add, ring._neg
+    four = ring.element(4).value
+    rows = {code[ring.one.value]: add_row(0)}
+    for cu in kernel.units:
+        if cu in rows:
+            continue
+        row_u = [code[mul(values[cu], x)] for x in values]
+        coset = list(rows)
+        while row_u[coset[0]] not in rows:
+            for k in coset:
+                rows[row_u[k]] = [row_u[c] for c in rows[k]]
+            coset = [row_u[k] for k in coset]
+    actions = [(rows[cu], rows[square[cu]]) for cu in kernel.units]    # u, u^2
+    doubles = kernel.multiple_row(2)
+    class_at = [-1] * (size * size)
+    classes = []
+    for seed in range(size * size):
+        if class_at[seed] >= 0:
+            continue
+        a0, b0 = divmod(seed, size)
+        plus_t, plus_n = add_row(a0), add_row(b0)
+        t_codes = [plus_t[r2] for r2 in doubles]
+        n_shifts = [code[mul(r, values[tr])] for r, tr in zip(values, plus_t)]
+        translates = {(a, plus_n[v]) for a, v in zip(t_codes, n_shifts)}
+        orbit = set()
+        for row_t, row_n in actions:
+            if row_t[a0] * size + row_n[b0] not in orbit:
+                orbit.update([row_t[a] * size + row_n[b] for a, b in translates])
+        for c in orbit:
+            class_at[c] = len(classes)
+        disc = add(values[square[a0]], neg(mul(four, values[b0])))
+        classes.append((values[a0], values[b0], len(orbit), disc,
+                        ring.is_unit(RingElement(ring, disc))))
+    return classes, class_at
+
+
+def assert_classify_matches_seed_loop(ring):
+    cl = classify(ring)
+    want, class_at = classify_by_seeds(ring)
+    assert [(c.rep.t.value, c.rep.n.value, c.orbit_size, c.disc.value,
+             c.separable) for c in cl] == want
+    size, class_map = ring.size, cl.class_map
+    for y in range(size):
+        assert class_map.row(y) == class_at[y * size:(y + 1) * size], (ring, y)
+    t, n = (7 * size) // 11, (3 * size) // 5
+    assert cl.index_of_values(ring.kernel().values[t], ring.kernel().values[n]) == (
+        class_at[t * size + n])
+
+
+def test_classify_matches_seed_loop_on_rings_up_to_27():
+    for ring in rings_up_to(27):
+        assert_classify_matches_seed_loop(ring)
+
+
+GF256 = "Z/2[x]/(x^8+x^4+x^3+x+1)"
+GF1024 = "Z/2[x]/(x^10+x^3+1)"
+
+
+@pytest.mark.parametrize("spec", ["Z/256", "Z/960", "Z/1024", GF256, GF1024,
+                                  "Z/8[x]/(x^2)", "Z/9[x]/(x^2+1)"])
+def test_classify_matches_seed_loop(spec):
+    assert_classify_matches_seed_loop(parse_ring(spec))
+
+
+@pytest.mark.parametrize("spec, factors", [("Z/960", ["Z/64", "Z/3", "Z/5"]),
+                                           ("Z/1000", ["Z/8", "Z/125"])])
+def test_class_counts_multiply_over_coprime_factors(spec, factors):
+    # R = R1 x R2 makes Quad(R) = Quad(R1) x Quad(R2), class by class
+    count = 1
+    for factor in factors:
+        count *= len(classify(parse_ring(factor)))
+    assert len(classify(parse_ring(spec))) == count
+
+
+@pytest.mark.parametrize("spec", ["Z/1024", GF1024])
+def test_classify_peak_memory(spec):
+    # the class map holds a trace table and one slice per trace orbit, not
+    # |R|^2 class indices; the composed unit rows, |U|*|R| codes, dominate
+    ring = parse_ring(spec)
+    tracemalloc.start()
+    try:
+        classify(ring)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
 
 
 def test_is_isomorphic_matches_group_search_on_rings_up_to_27():
