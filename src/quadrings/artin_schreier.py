@@ -18,11 +18,11 @@ free.
 The group and the fiber reports run on the int codes of the ring's kernel
 (rings.Kernel): an addition is an add-row lookup, and the unit squares, the
 tables of t^2 and -4n and the norm map are built once per ring, not per
-report.  fiber_report's docstring gives what one report costs, none of it
-a ring operation per orbit pair.  Every check of the group and the action
-runs on every call, check_freeness's report included; a failed one raises
-InternalCheckError with a witness naming the ring, d, the class and the AS
-class where they apply.
+report.  A report walks its orbit pairs through the norm map and reads
+classes off class rows, none of it a ring operation per orbit pair.  Every
+check of the group and the action runs on every call, check_freeness's
+report included; a failed one raises InternalCheckError with a witness
+naming the ring, d, the class and the AS class where they apply.
 """
 
 from __future__ import annotations
@@ -64,8 +64,9 @@ def wp4_subgroup(ring: Ring) -> list[RingElement]:
 
     Computed and verified on the codes of the ring's kernel: (1+2r)^2 is a
     lookup in the table of squares, r + r^2 = r(1 + r) one product per r
-    that passes, and the closure check one add-row lookup per pair.
-    """
+    that passes, and closure the span of the members, at most
+    log2|P(R)[4]| add rows; only a set that is not closed is searched for
+    a witness pair."""
     values, code, add_row = _additive_codes(ring)
     if ring.is_finite:
         kernel, mul = ring.kernel(), ring._mul
@@ -83,17 +84,26 @@ def wp4_subgroup(ring: Ring) -> list[RingElement]:
     if 0 not in group or any(fours[c] for c in members):
         raise InternalCheckError("P(R)[4] is not a subset of R[4] containing 0",
                                  {"ring": ring.spec_string()})
+    span = {0}    # each new member is added until its cosets cycle
+    for c in members:
+        if c not in span:
+            plus, coset = add_row(c), list(span)
+            while plus[coset[0]] not in span:
+                coset = [plus[x] for x in coset]
+                span.update(coset)
+    closed = span == group
     for a, c in zip(out, members):
         if negative[c] not in group:
             raise InternalCheckError(
                 f"P(R)[4] not closed under negation at {a}",
                 {"ring": ring.spec_string(), "element": a.to_json()})
-        row = add_row(c)
-        for b, cb in zip(out, members):
-            if row[cb] not in group:
-                raise InternalCheckError(
-                    f"P(R)[4] not closed under + at ({a}, {b})",
-                    {"ring": ring.spec_string(), "pair": [a.to_json(), b.to_json()]})
+        if not closed:
+            row = add_row(c)
+            for b, cb in zip(out, members):
+                if row[cb] not in group:
+                    raise InternalCheckError(
+                        f"P(R)[4] not closed under + at ({a}, {b})",
+                        {"ring": ring.spec_string(), "pair": [a.to_json(), b.to_json()]})
     return out
 
 
@@ -215,20 +225,21 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
     |{t : t^2 = d mod 4R}| * |R[4] / dR[4]|.  d, classification and group
     built for another ring raise ValueError.
 
-    Everything runs on the codes of the ring's kernel, which holds the unit
-    squares, the tables of t^2 and -4n and the norm map.  The fiber's
-    orbits are read as pair codes, and the classes of their images from
-    class rows, off the classification's class map.  A report takes |U^2|
-    products to find the fiber, |R[4]| for dR[4] and one per distinct
-    orbit-pair discriminant d' and AS class m for the shift d'*m.  Each
-    orbit pair then costs one add-row lookup for its discriminant
-    t^2 + (-4n) and, per AS class, one for its image n + d'*m and one
-    class lookup.
+    The fiber's orbit pairs are walked through the kernel's norm map: a
+    pair (t, n) of disc d' in u^2 d has t^2 = d' + 4n, so for each d' and
+    each key q = 4n of the norm map its traces are the square roots of
+    d' + q and its norms those of q.  Each pair's class, and the class of
+    its image (t, n + d'*m) under each AS class m, come from the class row
+    of t.  A report takes |U^2| products to find the fiber, |R[4]| for
+    dR[4] and one per distinct orbit-pair discriminant d' and AS class m
+    for the shift d'*m.  Each d' then costs |4R| lookups, and each orbit
+    pair one class lookup and, per AS class, one add-row lookup and one
+    class lookup; no orbit is listed.
     """
     require_ring(ring, d, classification, group)
     cl, asg = classification, group
     kernel, mul = ring.kernel(), ring._mul
-    values, code, add_row = kernel.values, kernel.code, kernel.add_row
+    code, add_row = kernel.code, kernel.add_row
     dv = d.d.value
     discs = {mul(s, dv) for s in kernel.unit_squares}
 
@@ -239,41 +250,42 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
         """Where a check failed, for InternalCheckError."""
         return {"ring": ring.spec_string(), "d": d.d.to_json(), **more}
 
-    # The action must not depend on the chosen orbit member: every orbit
-    # pair (t, n) of disc d' is sent by m to (t, n + d'*m), and all the
-    # images of a class must lie in one class of the fiber.
-    plus_square = [add_row(s) for s in kernel.square]    # t^2 + x, per t
-    minus_four = kernel.minus_four
-    ms = [m.value for m in asg.classes]
-    shifts: dict = {}    # code(d') -> [add_row(code(d' * m)) for each AS class m]
-    # The orbits are walked as pair codes c = a*|R| + b, with t = values[a]
-    # and n = values[b]; the image (t, n + d'*m) is looked up in the class
-    # row of a at code(n + d'*m).
-    size = len(values)
-    orbit_codes = cl.class_map.codes()
-    class_rows = cl.class_map.rows()
-    action: list[dict[int, int]] = [{} for _ in ms]
-    for ci in fiber:
-        codes = orbit_codes[ci]
-        bs = [c % size for c in codes]
-        pair_discs = [plus_square[c // size][minus_four[b]]
-                      for c, b in zip(codes, bs)]
-        for disc in set(pair_discs).difference(shifts):
-            shifts[disc] = [add_row(code[mul(values[disc], m)]) for m in ms]
-        rows = [shifts[disc] for disc in pair_discs]
-        for k, (m, images) in enumerate(zip(asg.classes, action)):
-            found = {class_rows[c // size][row[k][b]]
-                     for c, b, row in zip(codes, bs, rows)}
-            if len(found) != 1:
+    roots: dict = {}    # code(t^2) -> its traces t
+    for t, tt in enumerate(kernel.square):
+        roots.setdefault(tt, []).append(t)
+    row_of = cl.class_map.row
+    found = [set() for _ in asg.classes]    # per m, (class, image class) of each pair
+    for v in discs:
+        plus_d = add_row(code[v])
+        met = [(row_of(t), ns) for q, ns in kernel.norms.items()
+               for t in roots.get(plus_d[q], ())]
+        if not met:
+            continue
+        classes = [row[n] for row, ns in met for n in ns]
+        for m, pairs in zip(asg.classes, found):
+            plus = add_row(code[mul(v, m.value)])    # m sends n to n + d'*m
+            pairs.update(zip(classes, [row[plus[n]] for row, ns in met for n in ns]))
+
+    # The pairs must fill the fiber's classes and no other (each m saw every
+    # pair), and the action must not depend on the chosen orbit member: all
+    # the images of a class under m must lie in one class of the fiber.
+    stray = sorted({ci for ci, _ in found[0]}.symmetric_difference(fiber))
+    if stray:
+        label = cl[stray[0]].label
+        raise InternalCheckError(
+            f"orbit pairs over d = {d.d} and the fiber disagree on class {label}",
+            witness(**{"class": label, "in_fiber": stray[0] in fiber_pos}))
+    action: list[dict[int, int]] = [{} for _ in found]
+    for m, pairs, images in zip(asg.classes, found, action):
+        for ci, target in sorted(pairs):
+            if images.setdefault(ci, target) != target:
                 raise InternalCheckError(
                     f"action of {m} is not constant on class {cl[ci].label}",
                     witness(**{"class": cl[ci].label, "as_class": m.to_json()}))
-            target = found.pop()
             if target not in fiber_pos:
                 raise InternalCheckError(
                     f"action of {m} moved {cl[ci].label} off the fiber",
                     witness(**{"class": cl[ci].label, "as_class": m.to_json()}))
-            images[ci] = target
 
     # Orbit partition of the fiber under the whole group.
     orbits: list[list[int]] = []

@@ -12,15 +12,16 @@ that action on R^2.
 
 The orbit loops (classify, the class map, the star table of the classes)
 run on the int codes of the ring's kernel (rings.Kernel), not on element
-objects: an element's code is its index in ring.elements(), and a pair
-(t, n) is the int t*|R| + n.  RingElement and QuadraticAlgebra stay the
-input and output types.  classify splits the pairs into trace orbits and
-one slice {t0} x R per orbit, so it classifies |R| * (trace orbits) slice
-points, not |R|^2 pairs, and its class map keeps O(|R|) ints per trace
-orbit.  Sums are add-row lookups, and each ring product is taken once per
-call: classify composes the unit rows (at most log2|U|*|R| products) and
-takes |2R| + log2|R[2]| products per trace orbit, and the star table
-multiplies each distinct row value by each distinct column value once.
+objects: an element's code is its index in ring.elements().  RingElement
+and QuadraticAlgebra stay the input and output types.  classify splits the
+pairs into trace orbits and one slice {t0} x R per orbit, so it classifies
+|R| * (trace orbits) slice points, not |R|^2 pairs, and its class map keeps
+O(|R|) ints per trace orbit; other modules read classes only through
+ClassMap.row.  Sums are add-row lookups, and each ring product is taken
+once per call: classify composes the unit rows (at most log2|U|*|R|
+products) and takes |2R| + log2|R[2]| products per trace orbit, and the
+star table multiplies each distinct row value by each distinct column
+value once.
 """
 
 from __future__ import annotations
@@ -283,13 +284,12 @@ class ClassMap:
     (y, u^2 (n + c)), so (y, m) lies in the class of (t0, u^-2 m - c).
 
     row(y) lists the class of every (y, m) from 2|R| lookups with no ring
-    operation, on first use, and keeps it; the rows of all traces, which
-    codes() and the fiber reports read, are |R|^2 ints.  The first call of
-    codes() or pairs() lists every class's orbit from the rows in one pass,
-    as increasing pair codes t*|R| + n or as sorted (t, n) pairs of ring
-    elements.  It holds no class, so an IsoClass reaches its orbit through
-    it without a reference cycle, and a classification is freed as soon as
-    it is dropped.
+    operation, on first use, and keeps it; every class lookup, the fiber
+    reports' included, goes through it.  The first call of pairs() lists
+    every class's orbit from the rows in one pass, as (t, n) pairs of ring
+    elements in code order, which is sort-key order.  It holds no class, so
+    an IsoClass reaches its orbit through it without a reference cycle,
+    and a classification is freed as soon as it is dropped.
     """
 
     def __init__(self, ring: Ring, slice_of: list[int], back: list,
@@ -297,7 +297,7 @@ class ClassMap:
         self.ring, self.slices = ring, slices
         self.slice_of, self.back, self.shift = slice_of, back, shift
         self._rows: list = [None] * len(slice_of)
-        self._codes = self._pairs = None
+        self._pairs = None
 
     def row(self, y: int) -> list[int]:
         """The class of (y, m) for every code m."""
@@ -308,30 +308,14 @@ class ClassMap:
             row = self._rows[y] = [slice_[plus[x]] for x in self.back[y]]
         return row
 
-    def rows(self) -> list[list[int]]:
-        """row(y) for every trace y, indexed by y."""
-        if None in self._rows:
-            for y in range(len(self._rows)):
-                self.row(y)
-        return self._rows
-
-    def codes(self) -> list[list[int]]:
-        if self._codes is None:
-            size = len(self.slice_of)
-            orbits = [[] for _ in range(1 + max(map(max, self.slices)))]
-            appends = [orbit.append for orbit in orbits]
-            for y, row in enumerate(self.rows()):
-                for c, k in enumerate(row, y * size):
-                    appends[k](c)
-            self._codes = orbits
-        return self._codes
-
     def pairs(self) -> list[list[tuple[RingElement, RingElement]]]:
         if self._pairs is None:
             elements = [RingElement(self.ring, v) for v in self.ring.kernel().values]
-            size = len(elements)
-            self._pairs = [[(elements[c // size], elements[c % size])
-                            for c in codes] for codes in self.codes()]
+            self._pairs = [[] for _ in range(1 + max(map(max, self.slices)))]
+            appends = [orbit.append for orbit in self._pairs]
+            for y, t in enumerate(elements):
+                for n, k in zip(elements, self.row(y)):
+                    appends[k]((t, n))
         return self._pairs
 
 
@@ -456,7 +440,7 @@ def classify(ring: Ring) -> Classification:
     """
     if not ring.is_finite:
         raise InfiniteRingError("classification requires a finite ring")
-    require_enumerable(ring.size ** 2, f"pairs (t, n) over {ring!r}")
+    require_enumerable(ring.size ** 2, "pairs (t, n) over {!r}".format, ring)
     kernel = ring.kernel()
     values, code, square, add_row = (kernel.values, kernel.code, kernel.square,
                                      kernel.add_row)

@@ -41,10 +41,11 @@ def _exact(value) -> int:
         raise TypeError(f"ring values must be integers, got {value!r}") from None
 
 
-def require_enumerable(count: int, what: str) -> None:
-    """Refuse, before any work, to list more than MAX_ENUMERATION items."""
+def require_enumerable(count: int, what, *args) -> None:
+    """Refuse, before any work, to list more than MAX_ENUMERATION items;
+    what(*args), called only then, names them."""
     if count > MAX_ENUMERATION:
-        raise EnumerationLimitError(f"{what}: {count} items exceed the "
+        raise EnumerationLimitError(f"{what(*args)}: {count} items exceed the "
                                     f"enumeration budget of {MAX_ENUMERATION}")
 
 
@@ -262,7 +263,7 @@ class ModRing(Ring):
     def _residue_values(self, k: int) -> list:
         """0, ..., gcd(k, n) - 1, since kR = gcd(k, n)R."""
         g = math.gcd(k, self.n)
-        require_enumerable(g, _listing_text(self, k))
+        require_enumerable(g, _listing_text, self, k)
         return list(range(g))
 
     def _unit_values(self) -> list:
@@ -399,7 +400,7 @@ class QuotientPolyRing(Ring):
         """Each coefficient below g = gcd(k, n), since additively
         kR = (g Z/n)^d."""
         g = math.gcd(k, self.n)
-        require_enumerable(g ** self.degree, _listing_text(self, k))
+        require_enumerable(g ** self.degree, _listing_text, self, k)
         return [rev[::-1] for rev in product(range(g), repeat=self.degree)]
 
     def _unit_values(self) -> list:
@@ -634,7 +635,7 @@ class Kernel:
     The code of an element is its index in ring.elements(): the value itself
     for Z/n, and c_0 + c_1 n + ... + c_(d-1) n^(d-1) for (Z/n)[x]/(f).  Both
     kinds enumerate in sort_key order, so codes sort like sort keys, and the
-    pair code t*|R| + n sorts like (t.sort_key(), n.sort_key()).  Additively
+    code pair (t, n) sorts like (t.sort_key(), n.sort_key()).  Additively
     R is (Z/n)^d, so x -> x_c + x and x -> k*x act on the digits of a code
     one by one: add_row and multiple_row are built from digit maps with no
     ring operation.  Ring products fill only the table of t^2 (|R|) and the

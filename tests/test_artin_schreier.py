@@ -7,6 +7,7 @@ from quadrings import (BasisChange, DiscClass, InternalCheckError, IsoClass,
                        classify, disc_classes, fiber_report, four_torsion,
                        is_discriminant, is_isomorphic, is_sec_algebra,
                        is_sec_element, parse_ring, star_product, wp4_subgroup)
+from quadrings.quadratic import ClassMap
 
 FINITE_RINGS = ["Z/2", "Z/3", "Z/4", "Z/6", "Z/8",
                 "Z/2[x]/(x^2+x+1)", "Z/2[x]/(x^2)", "Z/4[x]/(x^2)"]
@@ -22,6 +23,30 @@ def test_four_torsion_and_wp4_examples():
     z = parse_ring("Z")
     assert four_torsion(z) == [z.zero]
     assert as_group(z).order == 1
+
+
+def test_wp4_subgroup_spans_with_few_add_rows():
+    # P(R)[4] has 128 members over GF(256); spanning them keeps at most
+    # log2(128) add rows beyond the row of 1
+    ring = parse_ring("Z/2[x]/(x^8+x^4+x^3+x+1)")
+    kernel = ring.kernel()
+    members = wp4_subgroup(ring)
+    assert len(members) == 128
+    assert sum(row is not None for row in kernel._rows) <= 1 + 7
+
+
+def test_wp4_subgroup_names_the_first_pair_that_leaves_it(monkeypatch):
+    # Over GF(4) P(R)[4] = {0, 1}; forcing (x+1)x = x makes the members
+    # {0, 1, x}, and 1 + x is the first sum in member order outside them
+    ring = parse_ring("Z/2[x]/(x^2+x+1)")
+    ring.kernel()
+    real = ring._mul
+    monkeypatch.setattr(ring, "_mul", lambda a, b: (0, 1) if (a, b) == ((1, 1), (0, 1))
+                        else real(a, b))
+    with pytest.raises(InternalCheckError, match=r"not closed under \+") as info:
+        wp4_subgroup(ring)
+    assert info.value.witness == {"ring": "Z/2[x]/(x^2+x+1)",
+                                  "pair": [[1, 0], [0, 1]]}
 
 
 def test_as_group_examples():
@@ -323,11 +348,12 @@ def test_check_freeness_all_rings():
 
 
 def test_fiber_reports_never_read_orbit_pairs(monkeypatch):
-    # The reports walk the pair codes of the class map, so every check of
-    # the action runs with orbit_pairs unreadable.
+    # The reports walk the norm map and read classes off class rows, so
+    # every check of the action runs with no orbit listing readable.
     def refuse(self):
-        raise AssertionError("orbit_pairs was read")
+        raise AssertionError("an orbit listing was read")
     monkeypatch.setattr(IsoClass, "orbit_pairs", property(refuse))
+    monkeypatch.setattr(ClassMap, "pairs", refuse)
     for spec in FINITE_RINGS + ["Z/12", "Z/16"]:
         ring = parse_ring(spec)
         cl, asg = classify(ring), as_group(ring)
@@ -335,6 +361,22 @@ def test_fiber_reports_never_read_orbit_pairs(monkeypatch):
             report = fiber_report(ring, d, cl, asg)
             assert sum(cl[ci].orbit_size for ci in report.fiber) > 0
             assert check_freeness(ring, d, cl, asg)
+
+
+@pytest.mark.parametrize("spec", ["Z/256", "Z/2[x]/(x^8+x^4+x^3+x+1)"])
+def test_fiber_reports_hold_no_pair_listing(spec):
+    # the reports of every disc class keep no |R|^2 state of their own
+    import tracemalloc
+    ring = parse_ring(spec)
+    cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
+    tracemalloc.start()
+    try:
+        for d in dc:
+            fiber_report(ring, d, cl, asg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, peak
 
 
 def sec_algebra_by_search(s):
@@ -447,26 +489,45 @@ def test_second_fiber_report_takes_no_table_product_or_addition(spec, monkeypatc
 
 
 def test_fiber_report_failure_carries_witness():
-    # a slice table that splits one class makes the action non-constant there
+    # a slice table that moves one pair of a class into another makes the
+    # action non-constant; the report walks by trace, so the witness names
+    # either the class that was split or the class the pair moved into
     ring = parse_ring("Z/4")
     cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
     d = dc[dc.index_of(ring.element(1))]
     report = fiber_report(ring, d, cl, asg)
     ci = report.fiber[0]
-    class_map = cl.class_map
-    y, m = divmod(class_map.codes()[ci][-1], ring.size)
+    class_map, code = cl.class_map, ring.kernel().code
+    y, m = (code[e.value] for e in cl[ci].orbit_pairs[-1])
     # (y, m) lies in the class of (t0, n), t0 the least trace of y's orbit
     n = ring.kernel().add_row(class_map.shift[y])[class_map.back[y][m]]
     slice_ = class_map.slices[class_map.slice_of[y]]
     assert slice_[n] == ci
-    slice_[n] = report.fiber[-1] if len(report.fiber) > 1 else ci + 1
+    moved = slice_[n] = report.fiber[-1] if len(report.fiber) > 1 else ci + 1
     class_map._rows[y] = None    # the next report reads y's row off the slice
     with pytest.raises(InternalCheckError) as info:
         fiber_report(ring, d, cl, asg)
     witness = info.value.witness
     assert witness["ring"] == "Z/4" and witness["d"] == 1
-    assert witness["class"] == cl[ci].label
+    assert witness["class"] in (cl[ci].label, cl[moved].label)
     assert witness["as_class"] in [m.to_json() for m in asg.classes]
+
+
+def test_fiber_report_refuses_a_pair_off_the_fiber():
+    # a pair of disc 1 moved into the class of (0, 0) lies off the fiber
+    ring = parse_ring("Z/4")
+    cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
+    d = dc[dc.index_of(ring.element(1))]
+    class_map = cl.class_map
+    y = ring.kernel().code[1]
+    slice_ = class_map.slices[class_map.slice_of[y]]
+    assert slice_[0] in fiber_report(ring, d, cl, asg).fiber
+    slice_[0] = cl.index_of(QuadraticAlgebra(ring, 0, 0))
+    class_map._rows[y] = None
+    with pytest.raises(InternalCheckError, match="disagree") as info:
+        fiber_report(ring, d, cl, asg)
+    assert info.value.witness == {"ring": "Z/4", "d": 1, "class": "(0,0)",
+                                  "in_fiber": False}
 
 
 @pytest.mark.parametrize("spec", FINITE_RINGS)

@@ -334,11 +334,12 @@ def test_orbit_pairs_are_listed_only_when_read(monkeypatch):
         quad_monoid(ring, cl)
         disc_hom_check(ring, cl)
     listed = []
-    real = quadratic.ClassMap.codes
-    monkeypatch.setattr(quadratic.ClassMap, "codes",
-                        lambda self: listed.append(1) or real(self))
+    real = quadratic.ClassMap.row
+    monkeypatch.setattr(quadratic.ClassMap, "row",
+                        lambda self, y: listed.append(y) or real(self, y))
     pairs = [c.orbit_pairs for c in cl]
-    assert [c.orbit_pairs for c in cl] == pairs and listed == [1]
+    assert [c.orbit_pairs for c in cl] == pairs
+    assert listed == list(range(ring.size))    # one pass over the class rows
     assert [len(p) for p in pairs] == [c.orbit_size for c in cl]
     assert [p[0] for p in pairs] == [c.rep.pair() for c in cl]
 
@@ -721,6 +722,17 @@ def test_classify_refuses_over_budget_before_enumerating(monkeypatch):
     monkeypatch.setattr(ModRing, "elements", refuse)
     with pytest.raises(EnumerationLimitError):
         classify(ModRing(1025))
+
+
+def test_classify_formats_no_ring_spec(monkeypatch):
+    # the budget checks name what they list only when they refuse
+    import quadrings.rings as rings
+    ring = parse_ring("Z/2[x]/(x^3+x+1)")
+    calls = []
+    real = rings.format_poly
+    monkeypatch.setattr(rings, "format_poly", lambda c: calls.append(c) or real(c))
+    classify(ring)
+    assert calls == []
 
 
 def test_kernel_matches_ring_arithmetic_on_rings_up_to_27():
