@@ -17,12 +17,15 @@ free.
 
 The group and the fiber reports run on the int codes of the ring's kernel
 (rings.Kernel): an addition is an add-row lookup, and the unit squares, the
-tables of t^2 and -4n and the norm map are built once per ring, not per
-report.  A report walks its orbit pairs through the norm map and reads
-classes off class rows, none of it a ring operation per orbit pair.  Every
-check of the group and the action runs on every call, check_freeness's
-report included; a failed one raises InternalCheckError with a witness
-naming the ring, d, the class and the AS class where they apply.
+tables of t^2 and -4n, the norm map 4n -> [n] and the root table t^2 -> [t]
+are built once per ring, not per report.  The group keeps its code -> class
+map and its identity class, and a classification formats each class label
+once.  A report walks its orbit pairs through the norm and root tables and
+reads classes off class rows, none of it a ring operation per orbit pair.
+Every check of the group and the action runs on every call,
+check_freeness's report included; a failed one raises InternalCheckError
+with a witness naming the ring, d, the class and the AS class where they
+apply.
 """
 
 from __future__ import annotations
@@ -108,7 +111,11 @@ def wp4_subgroup(ring: Ring) -> list[RingElement]:
 
 
 class ASGroup:
-    """AS(R) = R[4] / P(R)[4] with canonical coset representatives."""
+    """AS(R) = R[4] / P(R)[4] with canonical coset representatives.
+
+    identity is the index of the class of 0, and torsion_classes the class
+    of each four_torsion element, in order; class_of is one lookup by code.
+    """
 
     def __init__(self, ring: Ring):
         self.ring = ring
@@ -118,10 +125,10 @@ class ASGroup:
         # sort keys.  P(R)[4] lies in R[4], so each coset member is one of
         # the four_torsion elements.
         _, code, add_row = _additive_codes(ring)
+        self._code = code
         torsion_at = {code[a.value]: a for a in self.four_torsion}
         wp4_codes = [code[w.value] for w in self.wp4]
-        class_at: dict = {}
-        self._class_of: dict[RingElement, int] = {}
+        self._class_at = class_at = {}    # code of an R[4] member -> class
         self.classes: list[RingElement] = []
         for a in torsion_at:
             if a in class_at:
@@ -131,12 +138,12 @@ class ASGroup:
             coset = sorted({row[w] for w in wp4_codes})
             for c in coset:
                 class_at[c] = idx
-                self._class_of[torsion_at[c]] = idx
             self.classes.append(torsion_at[coset[0]])
-        zero_class = class_at[0]
+        self.torsion_classes = [class_at[c] for c in torsion_at]
+        self.identity = class_at[0]
         for rep in self.classes:
             c = code[rep.value]
-            if class_at.get(add_row(c)[c]) != zero_class:
+            if class_at.get(add_row(c)[c]) != self.identity:
                 raise InternalCheckError(
                     f"AS class of {rep} does not have order dividing 2",
                     {"ring": ring.spec_string(), "as_class": rep.to_json()})
@@ -146,16 +153,14 @@ class ASGroup:
         return len(self.classes)
 
     def class_of(self, a: RingElement) -> int:
-        if a not in self._class_of:
-            raise ValueError(f"{a!r} is not 4-torsion")
-        return self._class_of[a]
+        if isinstance(a, RingElement) and a.ring == self.ring:
+            idx = self._class_at.get(self._code.get(a.value))
+            if idx is not None:
+                return idx
+        raise ValueError(f"{a!r} is not 4-torsion")
 
     def add(self, i: int, j: int) -> int:
         return self.class_of(self.classes[i] + self.classes[j])
-
-    @property
-    def identity(self) -> int:
-        return self.class_of(self.ring.zero)
 
     def invariant_factors(self) -> list[int]:
         count = self.order.bit_length() - 1
@@ -228,13 +233,18 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
     The fiber's orbit pairs are walked through the kernel's norm map: a
     pair (t, n) of disc d' in u^2 d has t^2 = d' + 4n, so for each d' and
     each key q = 4n of the norm map its traces are the square roots of
-    d' + q and its norms those of q.  Each pair's class, and the class of
-    its image (t, n + d'*m) under each AS class m, come from the class row
-    of t.  A report takes |U^2| products to find the fiber, |R[4]| for
-    dR[4] and one per distinct orbit-pair discriminant d' and AS class m
-    for the shift d'*m.  Each d' then costs |4R| lookups, and each orbit
-    pair one class lookup and, per AS class, one add-row lookup and one
-    class lookup; no orbit is listed.
+    d' + q, read from the kernel's root table, and its norms those of q.
+    Each pair's class, and the class of its image (t, n + d'*m) under each
+    AS class m, come from the class row of t.  A report takes |U^2|
+    products to find the fiber, |R[4]| for dR[4] and one per distinct
+    orbit-pair discriminant d' and AS class m for the shift d'*m.  Each d'
+    then costs |4R| lookups, and each orbit pair one class lookup and, per
+    AS class, one add-row lookup and one class lookup; no orbit is listed.
+    The ann(d)[4] classes are read off the group's torsion_classes, and the
+    with-basis count and its bound each walk the distinct squares of the
+    root table, one norm list per square, not the |R| traces.  Nothing is
+    regrouped per report, and the class labels are formatted once per
+    classification.
     """
     require_ring(ring, d, classification, group)
     cl, asg = classification, group
@@ -250,10 +260,7 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
         """Where a check failed, for InternalCheckError."""
         return {"ring": ring.spec_string(), "d": d.d.to_json(), **more}
 
-    roots: dict = {}    # code(t^2) -> its traces t
-    for t, tt in enumerate(kernel.square):
-        roots.setdefault(tt, []).append(t)
-    row_of = cl.class_map.row
+    roots, row_of = kernel.roots, cl.class_map.row
     found = [set() for _ in asg.classes]    # per m, (class, image class) of each pair
     for v in discs:
         plus_d = add_row(code[v])
@@ -299,11 +306,12 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
 
     kernel_classes = [m_idx for m_idx, images in enumerate(action)
                       if all(images[ci] == ci for ci in fiber)]
-    # ann(d)[4] and dR[4], read off the group's R[4] with one product each.
-    zero = ring.zero.value
+    # ann(d)[4] and dR[4], read off the group's R[4] with one product each;
+    # code 0 is the zero.
+    zero = kernel.values[0]
     torsion_shifts = [mul(dv, a.value) for a in asg.four_torsion]
-    ann_classes = {asg.class_of(a)
-                   for a, s in zip(asg.four_torsion, torsion_shifts) if s == zero}
+    ann_classes = {k for k, s in zip(asg.torsion_classes, torsion_shifts)
+                   if s == zero}
     if not ann_classes <= set(kernel_classes):
         raise InternalCheckError(
             f"kernel misses annihilator classes for d = {d.d}", witness())
@@ -339,23 +347,19 @@ def _basis_orbit_count(kernel: Kernel, minus_d: int, shifts: set) -> int:
     Runs on the codes of the ring's kernel: minus_d is the code of -d and
     shifts the codes of dR[4].  The action fixes t, and the norms of a
     trace t are {n : 4n = t^2 - d}, so the orbits among them depend only on
-    t^2 - d and are walked once per distinct value.
+    t^2: they are walked once per distinct square of the kernel's root
+    table and counted once per root.
     """
     keys, norms = kernel.add_row(minus_d), kernel.norms
     shift_rows = [kernel.add_row(s) for s in shifts]
-    per_key: dict = {}
     count = 0
-    for tt in kernel.square:
-        key = keys[tt]
-        orbits = per_key.get(key)
-        if orbits is None:
-            orbits, seen = 0, set()
-            for n in norms.get(key, ()):
-                if n not in seen:
-                    orbits += 1
-                    seen.update([row[n] for row in shift_rows])
-            per_key[key] = orbits
-        count += orbits
+    for tt, ts in kernel.roots.items():
+        orbits, seen = 0, set()
+        for n in norms.get(keys[tt], ()):
+            if n not in seen:
+                orbits += 1
+                seen.update([row[n] for row in shift_rows])
+        count += orbits * len(ts)
     return count
 
 
@@ -364,10 +368,11 @@ def _basis_orbit_bound(kernel: Kernel, minus_d: int, torsion_size: int,
     """|{t : t^2 = d mod 4R}| * |R[4] / dR[4]|, with shifts = dR[4].
 
     Counted on codes: t^2 = d mod 4R iff t^2 - d lies in 4R, the keys of
-    the norm map.
+    the norm map, so each square of the root table that passes counts its
+    roots.
     """
     keys, norms = kernel.add_row(minus_d), kernel.norms
-    traces = sum(1 for tt in kernel.square if keys[tt] in norms)
+    traces = sum(len(ts) for tt, ts in kernel.roots.items() if keys[tt] in norms)
     return traces * (torsion_size // len(shifts))
 
 

@@ -11,11 +11,14 @@ Over a finite ring the classes and the homomorphism check run on canonical
 values, with the ring's _mul/_add/_neg, its coset representatives and its
 int-coded kernel (rings.Kernel); RingElement stays the input and output
 type.  DiscClassification squares each residue mod 2R once, reads the unit
-squares from the kernel, and takes |U^2| products per class for its orbit
-and one per pair of classes for the monoid table.  disc_hom_check looks
-each algebra class's disc up by value and reads every preimage norm from
-the kernel's norm map 4n -> [n], so a check costs little beyond the
-classification's star table, which is built once per classification.
+squares from the kernel, and takes |U^2| products per class for its orbit,
+one per class to validate its DiscClass on values, and one per pair of
+classes for the monoid table; each disc label is formatted once, for the
+monoid.  disc_hom_check looks each algebra class's disc up by value,
+compares each star-table row, mapped through disc, with its disc-monoid
+row as one list, and reads every preimage norm from the kernel's norm map
+4n -> [n], so a check costs little beyond the classification's star
+table, which is built once per classification.
 
 Rank-1 quadratic forms Q(e) = a on a free module appear at the end: their
 similarity classes (unit orbits) multiply by a*a', and cancellativity of a
@@ -82,7 +85,8 @@ def is_discriminant(ring: Ring, d: RingElement):
 class DiscClass:
     """A discriminant class: representative d plus a witness t stored mod 2R.
 
-    Validated on construction, so deserialized witnesses are re-checked.
+    Validated on construction, so deserialized witnesses are re-checked:
+    on canonical values, with one product and three coset representatives.
     """
 
     ring: Ring
@@ -90,12 +94,13 @@ class DiscClass:
     witness_t: RingElement
 
     def __post_init__(self):
-        self.ring._check_mine(self.d)
-        self.ring._check_mine(self.witness_t)
-        canonical = coset_representative(self.witness_t, 2)
-        if canonical != self.witness_t:
+        ring = self.ring
+        ring._check_mine(self.d)
+        ring._check_mine(self.witness_t)
+        t, coset = self.witness_t.value, ring._coset_rep
+        if coset(t, 2) != t:
             raise ValueError(f"witness {self.witness_t} is not reduced mod 2R")
-        if sq_map(self.ring, self.witness_t) != coset_representative(self.d, 4):
+        if coset(ring._mul(t, t), 4) != coset(self.d.value, 4):
             raise ValueError(
                 f"witness {self.witness_t} does not square to {self.d} mod 4R"
             )
@@ -217,16 +222,19 @@ def disc_hom_check(ring: Ring, classification: Classification, *,
     """Verify the class-level discriminant map is a surjective monoid hom.
 
     disc_classification, if given, is the DiscClassification of ring to
-    check against; otherwise one is built.  Surjectivity is witnessed
-    constructively: each disc class (d, t) yields an algebra (t, n) with
-    t^2 - 4n = d by solving 4n = t^2 - d, with n the least solution, read
-    from the norm map of the ring's kernel.
+    check against; otherwise one is built.  Each row of the star table,
+    mapped through disc, is compared with its disc-monoid row as one list;
+    only a row that differs is walked pair by pair for its violations.
+    Surjectivity is witnessed constructively: each disc class (d, t)
+    yields an algebra (t, n) with t^2 - 4n = d by solving 4n = t^2 - d,
+    with n the least solution, read from the norm map of the ring's kernel.
     """
     dc = disc_classification
     if dc is None:
         dc = DiscClassification(ring)
     require_ring(ring, classification, dc)
     mapping = [dc._index[c.disc.value] for c in classification]
+    disc_labels = dc.monoid.labels
     violations: list[str] = []
     is_hom = True
 
@@ -234,20 +242,28 @@ def disc_hom_check(ring: Ring, classification: Classification, *,
     if mapping[identity_idx] != dc.monoid.identity:
         is_hom = False
         violations.append("identity class does not map to the identity disc class")
-    star = classification.star_table()
-    for i, ci in enumerate(classification):
-        for j, cj in enumerate(classification):
-            k = star[i][j]
-            if mapping[k] != dc.monoid.table[mapping[i]][mapping[j]]:
-                is_hom = False
+    # disc(rep_i * rep_j) against disc(rep_i) * disc(rep_j), row by row;
+    # classes of one disc share the expected row.
+    star, expected = classification.star_table(), {}
+    for ci, row, di in zip(classification, star, mapping):
+        want = expected.get(di)
+        if want is None:
+            disc_row = dc.monoid.table[di]
+            want = expected[di] = [disc_row[dj] for dj in mapping]
+        got = [mapping[k] for k in row]
+        if got == want:
+            continue
+        is_hom = False
+        for cj, g, w in zip(classification, got, want):
+            if g != w:
                 violations.append(
                     f"disc({ci.label}*{cj.label}) differs from "
                     f"disc({ci.label})*disc({cj.label})"
                 )
 
-    fibers: dict[str, list[str]] = {c.label(): [] for c in dc}
-    for i, c in enumerate(classification):
-        fibers[dc[mapping[i]].label()].append(c.label)
+    fibers: dict[str, list[str]] = {label: [] for label in disc_labels}
+    for di, c in zip(mapping, classification):
+        fibers[disc_labels[di]].append(c.label)
     fiber_sizes = {lbl: len(v) for lbl, v in fibers.items()}
 
     preimages: dict[str, str] = {}
@@ -255,17 +271,17 @@ def disc_hom_check(ring: Ring, classification: Classification, *,
     four = ring.element(4).value
     kernel = ring.kernel()
     values, code = kernel.values, kernel.code
-    for c in dc:
+    for c, label in zip(dc, disc_labels):
         tt, d = values[kernel.square[code[c.witness_t.value]]], c.d.value
         norms = kernel.norms.get(code[add(tt, neg(d))])
         if norms is None:
-            violations.append(f"no algebra constructed for disc class {c.label()}")
+            violations.append(f"no algebra constructed for disc class {label}")
             continue
         n = values[norms[0]]
         if add(tt, neg(mul(four, n))) != d:
-            violations.append(f"constructed algebra for {c.label()} has wrong disc")
+            violations.append(f"constructed algebra for {label} has wrong disc")
         alg = QuadraticAlgebra(ring, c.witness_t, RingElement(ring, n))
-        preimages[c.label()] = alg.label()
+        preimages[label] = alg.label()
 
     surjective = all(size > 0 for size in fiber_sizes.values())
     return DiscHomReport(ring=ring,

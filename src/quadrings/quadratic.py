@@ -246,8 +246,12 @@ class IsoClass:
 
     A class keeps its canonical representative, its orbit size and its
     discriminant.  The orbit itself lives only in the classification's
-    ClassMap; orbit_pairs lists it, sorted, on first read.
+    ClassMap; orbit_pairs lists it, sorted, on first read.  The label is
+    formatted on first read and kept, so the reports of a classification
+    format each label once.
     """
+
+    _label = None
 
     def __init__(self, rep: QuadraticAlgebra, orbit_size: int,
                  disc: RingElement, class_map: ClassMap, index: int):
@@ -266,7 +270,10 @@ class IsoClass:
 
     @property
     def label(self) -> str:
-        return self.rep.label()
+        label = self._label
+        if label is None:
+            label = self._label = self.rep.label()
+        return label
 
     def __repr__(self):
         return f"IsoClass({self.label}, orbit_size={self.orbit_size})"

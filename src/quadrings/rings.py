@@ -14,9 +14,9 @@ integer polynomials this way.
 
 Each finite ring instance has one Kernel, built on first use by
 ring.kernel(): its elements as int codes, the value -> code map, the codes
-of t^2 and -4n, the norm map 4n -> [n], the unit squares, and add rows
-code(x_c + x_k) that need no ring operation.  classify, the star table, the
-AS group and the fiber reports all read it.
+of t^2 and -4n, the norm map 4n -> [n], the root table t^2 -> [t], the
+unit squares, and add rows code(x_c + x_k) that need no ring operation.
+classify, the star table, the AS group and the fiber reports all read it.
 """
 
 from __future__ import annotations
@@ -639,8 +639,9 @@ class Kernel:
     R is (Z/n)^d, so x -> x_c + x and x -> k*x act on the digits of a code
     one by one: add_row and multiple_row are built from digit maps with no
     ring operation.  Ring products fill only the table of t^2 (|R|) and the
-    unit squares.  The kernel holds ints and canonical values, never the
-    ring, so the ring stays free of reference cycles.
+    unit squares; the norm map and the root table group those tables by
+    value on first read.  The kernel holds ints and canonical values, never
+    the ring, so the ring stays free of reference cycles.
     """
 
     def __init__(self, ring: Ring):
@@ -690,8 +691,18 @@ class Kernel:
     @cached_property
     def norms(self) -> dict[int, list[int]]:
         """The norm map: code(4n) -> the codes of its n, increasing."""
-        norms: dict = {}
-        for c, q in enumerate(self.multiple_row(4)):
-            norms.setdefault(q, []).append(c)
-        return norms
+        return _preimages(self.multiple_row(4))
+
+    @cached_property
+    def roots(self) -> dict[int, list[int]]:
+        """The root table: code(t^2) -> the codes of its t, increasing."""
+        return _preimages(self.square)
+
+
+def _preimages(row: list[int]) -> dict[int, list[int]]:
+    """Each value of a code table -> the codes that map to it, increasing."""
+    found: dict = {}
+    for c, q in enumerate(row):
+        found.setdefault(q, []).append(c)
+    return found
 

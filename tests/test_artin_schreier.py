@@ -1,5 +1,6 @@
 import pytest
 
+import quadrings.rings as rings
 from quadrings import (BasisChange, DiscClass, InternalCheckError, IsoClass,
                        QuadraticAlgebra, annihilator_four_torsion,
                        apply_basis_change, as_act,
@@ -462,30 +463,36 @@ def test_dropped_ring_is_freed_by_refcount():
 
 @pytest.mark.parametrize("spec", ["Z/12", "Z/2[x]/(x^2+x+1)", "Z/4[x]/(x^2)"])
 def test_second_fiber_report_takes_no_table_product_or_addition(spec, monkeypatch):
-    # t^2, 4n and the unit squares come from the ring's kernel, and every
-    # sum is an add-row lookup: a repeated report multiplies only by d (the
-    # fiber u^2 d and dR[4]) and by the shifts d'*m of its pair discs
+    # t^2, 4n, the root table t^2 -> [t] and the unit squares come from the
+    # ring's kernel, and every sum is an add-row lookup: a repeated report
+    # multiplies only by d (the fiber u^2 d and dR[4]) and by the shifts
+    # d'*m of its pair discs, and groups no table
     ring = parse_ring(spec)
     cl, asg = classify(ring), as_group(ring)
+    kernel = ring.kernel()
     unit_squares = {(u * u).value for u in ring.units()}
     for d in disc_classes(ring):
         first = fiber_report(ring, d, cl, asg)
+        roots, norms = kernel.roots, kernel.norms
         pair_discs = {(t * t - 4 * n).value
                       for ci in first.fiber for t, n in cl[ci].orbit_pairs}
-        calls = {"_mul": 0, "_add": 0}
-        for name in calls:
-            original = getattr(ring, name)
+        calls = {"_mul": 0, "_add": 0, "_preimages": 0}
+        for owner, name in [(ring, "_mul"), (ring, "_add"), (rings, "_preimages")]:
+            original = getattr(owner, name)
 
-            def counting(a, b, name=name, original=original):
+            def counting(*args, name=name, original=original):
                 calls[name] += 1
-                return original(a, b)
+                return original(*args)
 
-            monkeypatch.setattr(ring, name, counting)
+            monkeypatch.setattr(owner, name, counting)
+        monkeypatch.setattr(kernel, "square", None)    # read only through roots
         second = fiber_report(ring, d, cl, asg)
         monkeypatch.undo()
         assert second == first
+        assert kernel.roots is roots and kernel.norms is norms
         assert calls == {"_mul": len(unit_squares) + len(asg.four_torsion)
-                         + len(pair_discs) * asg.order, "_add": 0}, (spec, d.d)
+                         + len(pair_discs) * asg.order, "_add": 0,
+                         "_preimages": 0}, (spec, d.d)
 
 
 def test_fiber_report_failure_carries_witness():

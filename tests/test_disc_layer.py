@@ -209,6 +209,35 @@ def test_disc_hom_check_refuses_classes_of_another_ring():
 
 
 @pytest.mark.parametrize("spec", ["Z/12", "Z/4[x]/(x^2)"])
+def test_disc_hom_check_lists_each_violation_of_a_corrupted_star_table(
+        spec, monkeypatch):
+    # in two rows of three, every other product lands in the class of
+    # (1, 0): the rows that then differ from the disc monoid are walked pair
+    # by pair, and the violations come out as the per-pair oracle lists
+    # them, item for item and in order
+    ring = parse_ring(spec)
+    cl = classify(ring)
+    one, product = QuadraticAlgebra(ring, 1, 0), star_product
+
+    def corrupted(a, b):
+        i, j = cl.index_of(a), cl.index_of(b)
+        return one if i % 3 and (i + j) % 2 == 0 else product(a, b)
+
+    table = [[cl.index_of(corrupted(ci.rep, cj.rep)) for cj in cl] for ci in cl]
+    monkeypatch.setattr(cl, "star_table", lambda: table)
+    monkeypatch.setitem(globals(), "star_product", corrupted)
+    expected = disc_hom_check_by_objects(ring, cl)
+    report = disc_hom_check(ring, cl)
+    assert report.violations == expected.violations
+    assert report == expected
+    assert not report.is_homomorphism
+    # some rows differ in a few entries only, and some rows not at all
+    rows = {v.split("*")[0] for v in report.violations}
+    assert 0 < len(rows) < len(cl)
+    assert len(report.violations) < len(rows) * len(cl)
+
+
+@pytest.mark.parametrize("spec", ["Z/12", "Z/4[x]/(x^2)"])
 def test_fiber_report_products_per_report(spec, monkeypatch):
     # |U^2| discs u^2 d, |R[4]| for dR[4], and one d'*m per distinct pair
     # disc d' and AS class m; none per orbit pair.  The unit squares and the

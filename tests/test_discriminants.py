@@ -73,6 +73,26 @@ def test_disc_class_validation():
         DiscClass(z4, z4.element(1), z4.element(3))  # 3 not reduced mod 2R
 
 
+@pytest.mark.parametrize("spec, d, good, unreduced, wrong", [
+    ("Z", 5, 1, 3, 0),
+    ("Z", -4, 0, 2, 1),
+    ("Z/4[x]/(x^2+x+1)", [1], [1], [3], [0]),
+    ("Z/4[x]/(x^2+x+1)", [0, 1], [1, 1], [1, 3], [0, 1]),
+])
+def test_disc_class_validation_on_values(spec, d, good, unreduced, wrong):
+    # the two checks run on canonical values, with the messages they had
+    # on elements: a witness must be reduced mod 2R and square to d mod 4R
+    ring = parse_ring(spec)
+    d, good, unreduced, wrong = map(ring.element, (d, good, unreduced, wrong))
+    assert DiscClass(ring, d, good).witness_t == good
+    with pytest.raises(ValueError) as info:
+        DiscClass(ring, d, unreduced)
+    assert str(info.value) == f"witness {unreduced} is not reduced mod 2R"
+    with pytest.raises(ValueError) as info:
+        DiscClass(ring, d, wrong)
+    assert str(info.value) == f"witness {wrong} does not square to {d} mod 4R"
+
+
 def test_disc_classes_z4_and_f2():
     dc = disc_classes(parse_ring("Z/4"))
     assert [c.d.value for c in dc] == [0, 1]

@@ -758,3 +758,15 @@ def test_kernel_matches_ring_arithmetic_on_rings_up_to_27():
         assert [values[c] for c in kernel.units] == ring._unit_values()
         unit_squares = {ring._mul(u, u) for u in ring._unit_values()}
         assert kernel.unit_squares == sorted(unit_squares, key=ring.sort_key)
+
+
+def test_kernel_root_table_groups_the_squares_on_rings_up_to_27():
+    # code(t^2) -> [t] holds every t under each square, increasing, and is
+    # built once per kernel
+    for ring in rings_up_to(27):
+        kernel = ring.kernel()
+        square = kernel.square
+        assert kernel.roots == {tt: [t for t, s in enumerate(square) if s == tt]
+                                for tt in set(square)}, ring
+        assert all(ts == sorted(set(ts)) for ts in kernel.roots.values()), ring
+        assert kernel.roots is kernel.roots
