@@ -20,12 +20,12 @@ The group and the fiber reports run on the int codes of the ring's kernel
 tables of t^2 and -4n, the norm map 4n -> [n] and the root table t^2 -> [t]
 are built once per ring, not per report.  The group keeps its code -> class
 map and its identity class, and a classification formats each class label
-once.  A report walks its orbit pairs through the norm and root tables and
-reads classes off class rows, none of it a ring operation per orbit pair.
-Every check of the group and the action runs on every call,
-check_freeness's report included; a failed one raises InternalCheckError
-with a witness naming the ring, d, the class and the AS class where they
-apply.
+once.  The action commutes with basis changes, so a report reads the image
+of each class under each AS class off the class's representative, and reads
+only the representatives' class rows.  Its checks and the group's run on
+every call, check_freeness's report included; a failed one raises
+InternalCheckError with a witness naming the ring, d, the class and the AS
+class where they apply.
 """
 
 from __future__ import annotations
@@ -62,6 +62,30 @@ def _additive_codes(ring: Ring):
     raise InfiniteRingError("needs a finite ring or Z")
 
 
+def _span(members, add_row) -> tuple[set[int], list[list[int]]]:
+    """The subgroup of (R, +) the codes members generate, and the add rows
+    of the generators taken, at most log2 of its order: each member not yet
+    in the span grows it."""
+    span, rows = {0}, []
+    for c in members:
+        if c not in span:
+            rows.append(add_row(c))
+            _grow(span, rows[-1:])
+    return span, rows
+
+
+def _grow(coset: set[int], rows: list[list[int]]) -> set[int]:
+    """Grow coset, some x + H, to x + (H + <g_1, g_2, ...>), where rows are
+    the add rows of the g_i: its translates by each g_i are added until
+    they cycle back into it."""
+    for plus in rows:
+        translate = list(coset)
+        while plus[translate[0]] not in coset:
+            translate = [plus[x] for x in translate]
+            coset.update(translate)
+    return coset
+
+
 def wp4_subgroup(ring: Ring) -> list[RingElement]:
     """P(R)[4] = {r + r^2 : (1+2r)^2 = 1}, verified to be a subgroup of R[4].
 
@@ -87,14 +111,7 @@ def wp4_subgroup(ring: Ring) -> list[RingElement]:
     if 0 not in group or any(fours[c] for c in members):
         raise InternalCheckError("P(R)[4] is not a subset of R[4] containing 0",
                                  {"ring": ring.spec_string()})
-    span = {0}    # each new member is added until its cosets cycle
-    for c in members:
-        if c not in span:
-            plus, coset = add_row(c), list(span)
-            while plus[coset[0]] not in span:
-                coset = [plus[x] for x in coset]
-                span.update(coset)
-    closed = span == group
+    closed = _span(members, add_row)[0] == group
     for a, c in zip(out, members):
         if negative[c] not in group:
             raise InternalCheckError(
@@ -223,28 +240,16 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
                  group: ASGroup) -> FiberReport:
     """Compute the AS(R)-orbit structure of the fiber over a disc class.
 
-    The fiber is the classes whose discriminant is u^2 d for a unit u.  Also
-    re-derives, and insists on, the guarantees that come with the action: it
-    descends to isomorphism classes, its kernel contains the image of
-    ann(d)[4], and the with-basis orbit count over d equals
-    |{t : t^2 = d mod 4R}| * |R[4] / dR[4]|.  d, classification and group
-    built for another ring raise ValueError.
-
-    The fiber's orbit pairs are walked through the kernel's norm map: a
-    pair (t, n) of disc d' in u^2 d has t^2 = d' + 4n, so for each d' and
-    each key q = 4n of the norm map its traces are the square roots of
-    d' + q, read from the kernel's root table, and its norms those of q.
-    Each pair's class, and the class of its image (t, n + d'*m) under each
-    AS class m, come from the class row of t.  A report takes |U^2|
-    products to find the fiber, |R[4]| for dR[4] and one per distinct
-    orbit-pair discriminant d' and AS class m for the shift d'*m.  Each d'
-    then costs |4R| lookups, and each orbit pair one class lookup and, per
-    AS class, one add-row lookup and one class lookup; no orbit is listed.
-    The ann(d)[4] classes are read off the group's torsion_classes, and the
-    with-basis count and its bound each walk the distinct squares of the
-    root table, one norm list per square, not the |R| traces.  Nothing is
-    regrouped per report, and the class labels are formatted once per
-    classification.
+    The fiber is the classes whose discriminant is u^2 d for a unit u.  The
+    action commutes with basis changes (as-action-norm and
+    change-of-basis-functoriality in quadrings verify), so the AS class m
+    sends the class of a representative (t, n) of disc d' to the class of
+    (t, n + d'm): |U^2| products for the fiber, |R[4]| for dR[4] and one
+    per distinct d' and m.  Every call checks that the images lie in the
+    fiber, that the kernel contains the image of ann(d)[4] and that the
+    with-basis orbit count equals |{t : t^2 = d mod 4R}| * |R[4] / dR[4]|;
+    the tests check the class map against a walk over every orbit pair.
+    d, classification and group built for another ring raise ValueError.
     """
     require_ring(ring, d, classification, group)
     cl, asg = classification, group
@@ -260,39 +265,19 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
         """Where a check failed, for InternalCheckError."""
         return {"ring": ring.spec_string(), "d": d.d.to_json(), **more}
 
-    roots, row_of = kernel.roots, cl.class_map.row
-    found = [set() for _ in asg.classes]    # per m, (class, image class) of each pair
-    for v in discs:
-        plus_d = add_row(code[v])
-        met = [(row_of(t), ns) for q, ns in kernel.norms.items()
-               for t in roots.get(plus_d[q], ())]
-        if not met:
-            continue
-        classes = [row[n] for row, ns in met for n in ns]
-        for m, pairs in zip(asg.classes, found):
-            plus = add_row(code[mul(v, m.value)])    # m sends n to n + d'*m
-            pairs.update(zip(classes, [row[plus[n]] for row, ns in met for n in ns]))
-
-    # The pairs must fill the fiber's classes and no other (each m saw every
-    # pair), and the action must not depend on the chosen orbit member: all
-    # the images of a class under m must lie in one class of the fiber.
-    stray = sorted({ci for ci, _ in found[0]}.symmetric_difference(fiber))
-    if stray:
-        label = cl[stray[0]].label
-        raise InternalCheckError(
-            f"orbit pairs over d = {d.d} and the fiber disagree on class {label}",
-            witness(**{"class": label, "in_fiber": stray[0] in fiber_pos}))
-    action: list[dict[int, int]] = [{} for _ in found]
-    for m, pairs, images in zip(asg.classes, found, action):
-        for ci, target in sorted(pairs):
-            if images.setdefault(ci, target) != target:
-                raise InternalCheckError(
-                    f"action of {m} is not constant on class {cl[ci].label}",
-                    witness(**{"class": cl[ci].label, "as_class": m.to_json()}))
+    # d' -> the add row of d'm for each AS class m
+    shifts = {v: [add_row(code[mul(v, m.value)]) for m in asg.classes]
+              for v in {cl[ci].disc.value for ci in fiber}}
+    action: list[dict[int, int]] = [{} for _ in asg.classes]
+    for ci in fiber:
+        c = cl[ci]
+        row, n = cl.class_map.row(code[c.rep.t.value]), code[c.rep.n.value]
+        for m, plus, images in zip(asg.classes, shifts[c.disc.value], action):
+            target = images[ci] = row[plus[n]]
             if target not in fiber_pos:
                 raise InternalCheckError(
-                    f"action of {m} moved {cl[ci].label} off the fiber",
-                    witness(**{"class": cl[ci].label, "as_class": m.to_json()}))
+                    f"action of {m} moved {c.label} off the fiber",
+                    witness(**{"class": c.label, "as_class": m.to_json()}))
 
     # Orbit partition of the fiber under the whole group.
     orbits: list[list[int]] = []
@@ -348,17 +333,17 @@ def _basis_orbit_count(kernel: Kernel, minus_d: int, shifts: set) -> int:
     shifts the codes of dR[4].  The action fixes t, and the norms of a
     trace t are {n : 4n = t^2 - d}, so the orbits among them depend only on
     t^2: they are walked once per distinct square of the kernel's root
-    table and counted once per root.
+    table and counted once per root, each grown from generators of dR[4].
     """
+    generators = _span(sorted(shifts), kernel.add_row)[1]
     keys, norms = kernel.add_row(minus_d), kernel.norms
-    shift_rows = [kernel.add_row(s) for s in shifts]
     count = 0
     for tt, ts in kernel.roots.items():
         orbits, seen = 0, set()
         for n in norms.get(keys[tt], ()):
             if n not in seen:
                 orbits += 1
-                seen.update([row[n] for row in shift_rows])
+                seen |= _grow({n}, generators)
         count += orbits * len(ts)
     return count
 

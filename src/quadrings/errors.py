@@ -20,7 +20,12 @@ class MixedRingError(ValueError):
 
 
 class MonoidError(ValueError):
-    """A monoid table or homomorphism fails validation; the message names a witness."""
+    """A monoid table or homomorphism fails validation; witness, if given, is
+    a JSON-ready dict of the check's kind and the labels or indices involved."""
+
+    def __init__(self, message: str, witness: dict | None = None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class InternalCheckError(AssertionError):

@@ -29,17 +29,23 @@ class FiniteCommMonoid:
         self.table = [list(row) for row in table]
         self.identity = identity
         if len(set(self.labels)) != len(self.labels):
-            raise MonoidError("element labels must be distinct")
+            repeated = [x for k, x in enumerate(self.labels) if x in self.labels[:k]]
+            raise MonoidError("element labels must be distinct",
+                              {"kind": "labels", "labels": repeated[:1]})
         n = len(self.labels)
         if len(self.table) != n or any(len(row) != n for row in self.table):
-            raise MonoidError("operation table must be square of size |elements|")
+            raise MonoidError("operation table must be square of size |elements|",
+                              {"kind": "shape", "row_lengths": list(map(len, self.table))})
         if any(min(row) < 0 or max(row) >= n for row in self.table):
             for i, row in enumerate(self.table):
                 for j, v in enumerate(row):
                     if not (0 <= v < n):
-                        raise MonoidError(f"table entry ({i},{j}) out of range: {v}")
+                        raise MonoidError(
+                            f"table entry ({i},{j}) out of range: {v}",
+                            {"kind": "range", "indices": [i, j], "value": v})
         if not (0 <= identity < n):
-            raise MonoidError(f"identity index out of range: {identity}")
+            raise MonoidError(f"identity index out of range: {identity}",
+                              {"kind": "identity", "indices": [identity]})
 
     @property
     def size(self) -> int:
@@ -116,7 +122,8 @@ def require_valid_monoid(m: FiniteCommMonoid) -> None:
     if bad is not None:
         kind, witness = bad
         labels = tuple(m.labels[i] for i in witness)
-        raise MonoidError(f"{kind} fails at {labels}")
+        raise MonoidError(f"{kind} fails at {labels}", {
+            "kind": kind, "indices": list(witness), "labels": list(labels)})
 
 
 def find_absorbing(m: FiniteCommMonoid):

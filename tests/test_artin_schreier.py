@@ -8,7 +8,11 @@ from quadrings import (BasisChange, DiscClass, InternalCheckError, IsoClass,
                        classify, disc_classes, fiber_report, four_torsion,
                        is_discriminant, is_isomorphic, is_sec_algebra,
                        is_sec_element, parse_ring, star_product, wp4_subgroup)
+from quadrings.artin_schreier import (FiberReport, _basis_orbit_bound,
+                                     _basis_orbit_count)
+from quadrings.discriminants import require_ring
 from quadrings.quadratic import ClassMap
+from test_quadratic import rings_up_to
 
 FINITE_RINGS = ["Z/2", "Z/3", "Z/4", "Z/6", "Z/8",
                 "Z/2[x]/(x^2+x+1)", "Z/2[x]/(x^2)", "Z/4[x]/(x^2)"]
@@ -232,7 +236,6 @@ def test_fiber_kernel_contains_annihilator_image():
 def basis_orbit_count_and_bound(ring, d):
     """_basis_orbit_count and _basis_orbit_bound for the element d, with
     dR[4] and the codes of the ring's kernel as fiber_report passes them."""
-    from quadrings.artin_schreier import _basis_orbit_bound, _basis_orbit_count
     tors = four_torsion(ring)
     kernel = ring.kernel()
     shifts = {kernel.code[(d * m).value] for m in tors}
@@ -364,9 +367,12 @@ def test_fiber_reports_never_read_orbit_pairs(monkeypatch):
             assert check_freeness(ring, d, cl, asg)
 
 
-@pytest.mark.parametrize("spec", ["Z/256", "Z/2[x]/(x^8+x^4+x^3+x+1)"])
+@pytest.mark.parametrize("spec", ["Z/256", "Z/2[x]/(x^8+x^4+x^3+x+1)", "Z/1024",
+                                  "Z/2[x]/(x^10+x^3+1)"])
 def test_fiber_reports_hold_no_pair_listing(spec):
-    # the reports of every disc class keep no |R|^2 state of their own
+    # the reports of every disc class keep no |R|^2 state of their own: the
+    # class map holds rows only for the traces of class representatives,
+    # and the reports' tracemalloc peak stays under 1 MB
     import tracemalloc
     ring = parse_ring(spec)
     cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
@@ -377,7 +383,10 @@ def test_fiber_reports_hold_no_pair_listing(spec):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2 ** 20, peak
+    code = ring.kernel().code
+    built = {y for y, row in enumerate(cl.class_map._rows) if row is not None}
+    assert built <= {code[c.rep.t.value] for c in cl}
+    assert peak < 2 ** 20, peak
 
 
 def sec_algebra_by_search(s):
@@ -466,7 +475,7 @@ def test_second_fiber_report_takes_no_table_product_or_addition(spec, monkeypatc
     # t^2, 4n, the root table t^2 -> [t] and the unit squares come from the
     # ring's kernel, and every sum is an add-row lookup: a repeated report
     # multiplies only by d (the fiber u^2 d and dR[4]) and by the shifts
-    # d'*m of its pair discs, and groups no table
+    # d'*m of its representatives' discs, and groups no table
     ring = parse_ring(spec)
     cl, asg = classify(ring), as_group(ring)
     kernel = ring.kernel()
@@ -474,8 +483,7 @@ def test_second_fiber_report_takes_no_table_product_or_addition(spec, monkeypatc
     for d in disc_classes(ring):
         first = fiber_report(ring, d, cl, asg)
         roots, norms = kernel.roots, kernel.norms
-        pair_discs = {(t * t - 4 * n).value
-                      for ci in first.fiber for t, n in cl[ci].orbit_pairs}
+        rep_discs = {cl[ci].disc.value for ci in first.fiber}
         calls = {"_mul": 0, "_add": 0, "_preimages": 0}
         for owner, name in [(ring, "_mul"), (ring, "_add"), (rings, "_preimages")]:
             original = getattr(owner, name)
@@ -491,13 +499,171 @@ def test_second_fiber_report_takes_no_table_product_or_addition(spec, monkeypatc
         assert second == first
         assert kernel.roots is roots and kernel.norms is norms
         assert calls == {"_mul": len(unit_squares) + len(asg.four_torsion)
-                         + len(pair_discs) * asg.order, "_add": 0,
+                         + len(rep_discs) * asg.order, "_add": 0,
                          "_preimages": 0}, (spec, d.d)
+
+
+def fiber_report_by_pairs(ring, d, classification, group):
+    """The fibre report from every orbit pair, the walk fiber_report ran
+    before it read the action off class representatives, kept as the
+    oracle.  For each disc d' in u^2 d and each key q = 4n of the norm map
+    it reads the traces t with t^2 = d' + q from the root table and the
+    norms n of q, and collects, for every AS class m (m = 0 included), the
+    (class, image class) of each pair (t, n) and its image (t, n + d'm).
+    Besides the checks fiber_report makes, it checks that the walked
+    classes are exactly the fiber and that each image class is the same
+    for every pair of a class: that the class map is the orbit partition.
+    """
+    require_ring(ring, d, classification, group)
+    cl, asg = classification, group
+    kernel, mul = ring.kernel(), ring._mul
+    code, add_row = kernel.code, kernel.add_row
+    dv = d.d.value
+    discs = {mul(s, dv) for s in kernel.unit_squares}
+
+    fiber = [i for i, c in enumerate(cl) if c.disc.value in discs]
+    fiber_pos = {ci: k for k, ci in enumerate(fiber)}
+
+    def witness(**more) -> dict:
+        """Where a check failed, for InternalCheckError."""
+        return {"ring": ring.spec_string(), "d": d.d.to_json(), **more}
+
+    roots, row_of = kernel.roots, cl.class_map.row
+    found = [set() for _ in asg.classes]    # per m, (class, image class) of each pair
+    for v in discs:
+        plus_d = add_row(code[v])
+        met = [(row_of(t), ns) for q, ns in kernel.norms.items()
+               for t in roots.get(plus_d[q], ())]
+        if not met:
+            continue
+        classes = [row[n] for row, ns in met for n in ns]
+        for m, pairs in zip(asg.classes, found):
+            plus = add_row(code[mul(v, m.value)])    # m sends n to n + d'*m
+            pairs.update(zip(classes, [row[plus[n]] for row, ns in met for n in ns]))
+
+    # The pairs must fill the fiber's classes and no other (each m saw every
+    # pair), and the action must not depend on the chosen orbit member: all
+    # the images of a class under m must lie in one class of the fiber.
+    stray = sorted({ci for ci, _ in found[0]}.symmetric_difference(fiber))
+    if stray:
+        label = cl[stray[0]].label
+        raise InternalCheckError(
+            f"orbit pairs over d = {d.d} and the fiber disagree on class {label}",
+            witness(**{"class": label, "in_fiber": stray[0] in fiber_pos}))
+    action: list[dict[int, int]] = [{} for _ in found]
+    for m, pairs, images in zip(asg.classes, found, action):
+        for ci, target in sorted(pairs):
+            if images.setdefault(ci, target) != target:
+                raise InternalCheckError(
+                    f"action of {m} is not constant on class {cl[ci].label}",
+                    witness(**{"class": cl[ci].label, "as_class": m.to_json()}))
+            if target not in fiber_pos:
+                raise InternalCheckError(
+                    f"action of {m} moved {cl[ci].label} off the fiber",
+                    witness(**{"class": cl[ci].label, "as_class": m.to_json()}))
+
+    # Orbit partition of the fiber under the whole group.
+    orbits: list[list[int]] = []
+    placed: set[int] = set()
+    for ci in fiber:
+        if ci in placed:
+            continue
+        orbit = sorted({images[ci] for images in action})
+        orbits.append([fiber_pos[c] for c in orbit])
+        placed.update(orbit)
+
+    kernel_classes = [m_idx for m_idx, images in enumerate(action)
+                      if all(images[ci] == ci for ci in fiber)]
+    # ann(d)[4] and dR[4], read off the group's R[4] with one product each;
+    # code 0 is the zero.
+    zero = kernel.values[0]
+    torsion_shifts = [mul(dv, a.value) for a in asg.four_torsion]
+    ann_classes = {k for k, s in zip(asg.torsion_classes, torsion_shifts)
+                   if s == zero}
+    if not ann_classes <= set(kernel_classes):
+        raise InternalCheckError(
+            f"kernel misses annihilator classes for d = {d.d}", witness())
+
+    free = all(images[ci] != ci
+               for m_idx, images in enumerate(action) if m_idx != asg.identity
+               for ci in fiber)
+    transitive = len(orbits) == 1
+
+    image = {code[s] for s in torsion_shifts}
+    minus_d = code[ring._neg(dv)]
+    count = _basis_orbit_count(kernel, minus_d, image)
+    bound = _basis_orbit_bound(kernel, minus_d, len(asg.four_torsion), image)
+    if count != bound:
+        raise InternalCheckError(
+            f"with-basis orbit count {count} != index bound {bound} for d = {d.d}",
+            witness(count=count, bound=bound))
+
+    return FiberReport(disc_class=d,
+                       fiber=fiber,
+                       fiber_labels=[cl[i].label for i in fiber],
+                       orbits=orbits,
+                       kernel=kernel_classes,
+                       free=free,
+                       transitive=transitive,
+                       basis_orbit_count=count,
+                       basis_orbit_bound=bound)
+
+
+
+WITNESS_RINGS = ["Z/8[x]/(x^2+3)", "Z/8[x]/(x^2+2x+4)", "Z/8[x]/(x^2+6x+4)",
+                 "Z/8[x]/(x^2+4x+7)", "Z/16[x]/(x^2+3)"]
+
+
+@pytest.mark.parametrize("ring", rings_up_to(27) + [parse_ring(spec)
+                                                    for spec in WITNESS_RINGS],
+                         ids=str)
+def test_fiber_report_matches_the_walk_over_every_orbit_pair(ring):
+    # the representative form against the per-pair walk, field by field, on
+    # every disc class; the walk also checks that the class map is the
+    # orbit partition
+    import dataclasses
+    cl, asg = classify(ring), as_group(ring)
+    for d in disc_classes(ring):
+        report = fiber_report(ring, d, cl, asg)
+        walked = fiber_report_by_pairs(ring, d, cl, asg)
+        for field in dataclasses.fields(FiberReport):
+            assert (getattr(report, field.name)
+                    == getattr(walked, field.name)), (field.name, d.d)
+
+
+def test_fiber_report_refuses_an_image_off_the_fiber():
+    # over Z/4 the fiber of d = 1 is (1,0), (1,1), swapped by the AS class
+    # 1; a slice that puts (1, 1) in the class of (0, 0) sends the image of
+    # the representative (1, 0) off the fiber
+    ring = parse_ring("Z/4")
+    cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
+    d = dc[dc.index_of(ring.element(1))]
+    class_map = cl.class_map
+    y = ring.kernel().code[1]
+    assert class_map.slice_of[y] == 1 and class_map.row(y) == class_map.slices[1]
+    assert class_map.slices[1][1] == cl.index_of(QuadraticAlgebra(ring, 1, 1))
+    class_map.slices[1][1] = cl.index_of(QuadraticAlgebra(ring, 0, 0))
+    class_map._rows[y] = None
+    with pytest.raises(InternalCheckError, match=r"action of 1 moved \(1,0\) "
+                       "off the fiber") as info:
+        fiber_report(ring, d, cl, asg)
+    assert info.value.witness == {"ring": "Z/4", "d": 1, "class": "(1,0)",
+                                  "as_class": 1}
+
+
+def test_basis_orbit_count_spans_dr4_from_few_add_rows():
+    # over GF(1024) dR[4] = R for d = 1; the count walks its orbits through
+    # the add rows of at most log2(1024) generators, beside the row of -d
+    ring = parse_ring("Z/2[x]/(x^10+x^3+1)")
+    kernel = ring.kernel()
+    count, bound = basis_orbit_count_and_bound(ring, ring.one)
+    assert count == bound
+    assert sum(row is not None for row in kernel._rows) <= 1 + 10
 
 
 def test_fiber_report_failure_carries_witness():
     # a slice table that moves one pair of a class into another makes the
-    # action non-constant; the report walks by trace, so the witness names
+    # action non-constant; the oracle walks by trace, so the witness names
     # either the class that was split or the class the pair moved into
     ring = parse_ring("Z/4")
     cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
@@ -513,7 +679,7 @@ def test_fiber_report_failure_carries_witness():
     moved = slice_[n] = report.fiber[-1] if len(report.fiber) > 1 else ci + 1
     class_map._rows[y] = None    # the next report reads y's row off the slice
     with pytest.raises(InternalCheckError) as info:
-        fiber_report(ring, d, cl, asg)
+        fiber_report_by_pairs(ring, d, cl, asg)
     witness = info.value.witness
     assert witness["ring"] == "Z/4" and witness["d"] == 1
     assert witness["class"] in (cl[ci].label, cl[moved].label)
@@ -532,7 +698,7 @@ def test_fiber_report_refuses_a_pair_off_the_fiber():
     slice_[0] = cl.index_of(QuadraticAlgebra(ring, 0, 0))
     class_map._rows[y] = None
     with pytest.raises(InternalCheckError, match="disagree") as info:
-        fiber_report(ring, d, cl, asg)
+        fiber_report_by_pairs(ring, d, cl, asg)
     assert info.value.witness == {"ring": "Z/4", "d": 1, "class": "(0,0)",
                                   "in_fiber": False}
 

@@ -112,6 +112,41 @@ def test_fibers_report(capsys):
     assert len(by_d[0]["fiber"]) == 4
 
 
+# sha256 of `fibers` stdout, recorded before the fibre reports moved to
+# class representatives; the reports must not change a byte.
+FIBERS_DIGESTS = {
+    "Z/4": ("0e29806db6a562fdaf0cc1df3b8dc5f33da052acc5b9cf9c3d08d7eab4e407be",
+            "548825963e827fbd4597ff821dc3a90b4f8a19efb57f835396711b92e26fcbaf"),
+    "Z/8": ("1546e0534eb7cec108e9468e3d5f6d73546a70e5b20587e22e0373e1ab485d6b",
+            "f004ab329cd35b159d6fa4ad8fbb8e8e8c11a4cb3be7fa00ce5db70295ef4fa1"),
+    "Z/12": ("47d9eb5465630b91628efd715d3f9d69447c8308028e42fb84146d8495108490",
+             "7acd4be7ed28ba3b683919d181dd1ba195b57246ff259052ba0ea8b3ac2b3715"),
+    "Z/16": ("479e72d068fb4d74ff33764c4434310263f1a01a8ee1e02edc2cf051859749c5",
+             "c29470c653d02cb963b308e3852955d8686c7570c9424073fd88b27c21ae2ca2"),
+    "Z/2[x]/(x^2)": (
+        "731174771922033ed4aacab328ffc5a162298d517d1c266238fbf1f0335fbfc0",
+        "f74ede2e9071ea883592f9cfbc8331a171896fafe3d486490446edf4faa56e95"),
+    "Z/4[x]/(x^2)": (
+        "2126b45bfad3462ffe644e91ed8fd177c5c7b62d8205bf8633c8db6abb758c65",
+        "cac293132852a16eaf9aad844ffafe5020d4160eb497e71ea08e8510c4cb161a"),
+    "Z/8[x]/(x^2+3)": (
+        "8d357a50fd38daedb09457e825893cb77bb2faa038288baaab775063239c8782",
+        "3f68876f6956e2f5c4835f6bcb53c10a5c341c5b1a0c4089dac57921b22f1d52"),
+    "Z/2[x]/(x^2+x+1)": (
+        "6b3200ee656928d224d15ec9fb885cde08bd4007714efd8fd1f137b81b55775a",
+        "22d82a7024d42a834ae4497ddb4f871f273c16eb12648e39e5114657f40ccbb2"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(FIBERS_DIGESTS))
+def test_fibers_stdout_matches_golden_digests(capsys, spec):
+    import hashlib
+    for fmt, expected in zip(("json", "csv"), FIBERS_DIGESTS[spec]):
+        code, out, _ = run(capsys, "fibers", "--ring", spec, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, (spec, fmt)
+
+
 def test_fibers_single_disc(capsys):
     code, out, _ = run(capsys, "fibers", "--ring", "Z/4", "--disc", "1")
     assert code == 0
@@ -369,3 +404,20 @@ def test_disc_hom_violations_print_witness(capsys, monkeypatch):
     assert witness == {"ring": "Z/2", "violations": [
         f"disc({a}*{b}) differs from disc({a})*disc({b})"
         for a in ("(1,0)", "(1,1)") for b in ("(1,0)", "(1,1)")]}
+
+
+def test_bad_disc_monoid_table_prints_witness(capsys, monkeypatch):
+    # A disc-monoid table with an entry out of range fails FiniteCommMonoid's
+    # table check; main exits 1 with the MonoidError's witness line.
+    import quadrings.discriminants as discriminants
+    real = discriminants.FiniteCommMonoid
+
+    def corrupted(labels, table, identity):
+        table = [list(row) for row in table]
+        table[-1][-1] = len(labels)
+        return real(labels, table, identity)
+
+    monkeypatch.setattr(discriminants, "FiniteCommMonoid", corrupted)
+    message, witness = witness_line(capsys, "disc", "--ring", "Z/4")
+    assert message == "internal check failed: table entry (1,1) out of range: 2"
+    assert witness == {"kind": "range", "indices": [1, 1], "value": 2}

@@ -239,14 +239,16 @@ def test_disc_hom_check_lists_each_violation_of_a_corrupted_star_table(
 
 @pytest.mark.parametrize("spec", ["Z/12", "Z/4[x]/(x^2)"])
 def test_fiber_report_products_per_report(spec, monkeypatch):
-    # |U^2| discs u^2 d, |R[4]| for dR[4], and one d'*m per distinct pair
-    # disc d' and AS class m; none per orbit pair.  The unit squares and the
-    # tables of t^2 and 4n belong to the ring's kernel, which classify built
+    # |U^2| discs u^2 d, |R[4]| for dR[4], and one d'*m per distinct disc d'
+    # of a class representative and AS class m; none per orbit pair.  The
+    # unit squares and the tables of t^2 and 4n belong to the ring's
+    # kernel, which classify built
     ring = parse_ring(spec)
     cl, asg = classify(ring), as_group(ring)
     units = ring.units()
     unit_squares = {u * u for u in units}
-    reports = [(d, len({s * d.d for s in unit_squares})) for d in disc_classes(ring)]
+    reports = [(d, {cl[ci].disc for ci in fiber_report(ring, d, cl, asg).fiber})
+               for d in disc_classes(ring)]
     calls = 0
     original = ring._mul
 
@@ -260,4 +262,4 @@ def test_fiber_report_products_per_report(spec, monkeypatch):
         calls = 0
         fiber_report(ring, d, cl, asg)
         assert calls == (len(unit_squares) + len(asg.four_torsion)
-                         + discs * asg.order), (spec, d.d)
+                         + len(discs) * asg.order), (spec, d.d)

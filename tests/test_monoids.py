@@ -220,6 +220,32 @@ def test_range_check_names_the_first_bad_entry():
         assert str(exc.value) == text
 
 
+def test_table_checks_carry_witnesses():
+    cases = [
+        ((["a", "b", "a"], [[0] * 3] * 3, 0), {"kind": "labels", "labels": ["a"]}),
+        ((["a", "b"], [[0, 1], [1]], 0),
+         {"kind": "shape", "row_lengths": [2, 1]}),
+        ((["a", "b"], [[0, 1], [1, 2]], 0),
+         {"kind": "range", "indices": [1, 1], "value": 2}),
+        ((["a", "b"], [[0, 1], [1, 1]], 2), {"kind": "identity", "indices": [2]}),
+    ]
+    for args, witness in cases:
+        with pytest.raises(MonoidError) as exc:
+            FiniteCommMonoid(*args)
+        assert exc.value.witness == witness
+
+
+def test_require_valid_monoid_witness_names_kind_indices_and_labels():
+    broken = FiniteCommMonoid(["e", "a", "b"],
+                              [[0, 1, 2], [1, 2, 0], [2, 1, 0]], 0)
+    kind, indices = find_monoid_violation(broken)
+    with pytest.raises(MonoidError) as exc:
+        require_valid_monoid(broken)
+    assert exc.value.witness == {"kind": kind, "indices": list(indices),
+                                 "labels": [broken.labels[i] for i in indices]}
+    assert MonoidError("no witness").witness is None
+
+
 def test_find_absorbing():
     m = mult_monoid(4)
     assert find_absorbing(m) == 0
