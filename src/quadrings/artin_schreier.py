@@ -16,23 +16,32 @@ its discriminant is a nonzerodivisor, and on sec algebras the fiber action is
 free.
 
 The group and the fiber reports run on the int codes of the ring's kernel
-(rings.Kernel): an addition is an add-row lookup, and the unit squares, the
-tables of t^2 and -4n, the norm map 4n -> [n] and the root table t^2 -> [t]
-are built once per ring, not per report.  The group keeps its code -> class
-map and its identity class, and a classification formats each class label
-once.  The action commutes with basis changes, so a report reads the image
-of each class under each AS class off the class's representative, and reads
-only the representatives' class rows.  Its checks and the group's run on
-every call, check_freeness's report included; a failed one raises
-InternalCheckError with a witness naming the ring, d, the class and the AS
-class where they apply.
+(rings.Kernel): an addition is an add-row lookup or a code sum, and the unit
+squares, the tables of t^2 and -4n, the norm map 4n -> [n] and the root
+table t^2 -> [t] are built once per ring, not per report.  The AS group is
+built once per ring instance and kept in the kernel, as R[4] and P(R)[4]
+codes, the code -> class map, the class representatives and the identity;
+ASGroup is a view over these tables, and a classification formats each
+class label once.  The action commutes with basis changes, so a report
+reads the image of each class under each AS class off the class's
+representative, and reads only the representatives' class rows.  The
+kernel also keeps, per disc d reported, the classes of ann(d)[4] and the
+with-basis orbit count and bound, and per representative disc d' the add
+rows of d'm, so a repeated report takes no ring product.
+
+Checks that run once per ring instance, when its tables are built: P(R)[4]
+is a subgroup, each AS class has order dividing 2, and the count equals
+its bound.  Checks that run on every call, check_freeness's report
+included: every image lies in the fiber, and the kernel contains the
+classes of ann(d)[4].  A failed check raises InternalCheckError with a
+witness naming the ring, d, the class and the AS class where they apply.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .discriminants import DiscClass, require_ring
+from .discriminants import DiscClass, _disc_tables, require_ring
 from .errors import InfiniteRingError, InternalCheckError
 from .monoids import FiniteCommMonoid
 from .quadratic import Classification, QuadraticAlgebra
@@ -127,43 +136,78 @@ def wp4_subgroup(ring: Ring) -> list[RingElement]:
     return out
 
 
-class ASGroup:
-    """AS(R) = R[4] / P(R)[4] with canonical coset representatives.
+class _ASTables:
+    """AS(R) of one ring on the codes of its kernel, built once per ring
+    instance and kept in its kernel's derived slot (for Z, built per call).
 
-    identity is the index of the class of 0, and torsion_classes the class
-    of each four_torsion element, in order; class_of is one lookup by code.
+    torsion and wp4 are the codes of R[4] and P(R)[4], classes the code of
+    each class representative, class_at the class of each R[4] code,
+    torsion_classes the class of each torsion code in order, and identity
+    the class of 0.  P(R)[4] is checked to be a subgroup and each class to
+    have order dividing 2 here.  The fiber reports fill shifts, the add rows
+    of d'm for each disc d' they meet and each class m, and fibres, the
+    facts they keep per disc d.  Only ints and kernel rows are held.
     """
 
     def __init__(self, ring: Ring):
-        self.ring = ring
-        self.four_torsion = four_torsion(ring)
-        self.wp4 = wp4_subgroup(ring)
         # Cosets are formed on codes, one add row per coset; codes sort like
         # sort keys.  P(R)[4] lies in R[4], so each coset member is one of
         # the four_torsion elements.
-        _, code, add_row = _additive_codes(ring)
-        self._code = code
-        torsion_at = {code[a.value]: a for a in self.four_torsion}
-        wp4_codes = [code[w.value] for w in self.wp4]
-        self._class_at = class_at = {}    # code of an R[4] member -> class
-        self.classes: list[RingElement] = []
-        for a in torsion_at:
+        values, code, add_row = _additive_codes(ring)
+        self.torsion = [code[a.value] for a in four_torsion(ring)]
+        self.wp4 = [code[w.value] for w in wp4_subgroup(ring)]
+        self.class_at = class_at = {}    # code of an R[4] member -> class
+        self.classes: list[int] = []
+        for a in self.torsion:
             if a in class_at:
                 continue
-            idx = len(self.classes)
             row = add_row(a)
-            coset = sorted({row[w] for w in wp4_codes})
+            coset = sorted({row[w] for w in self.wp4})
             for c in coset:
-                class_at[c] = idx
-            self.classes.append(torsion_at[coset[0]])
-        self.torsion_classes = [class_at[c] for c in torsion_at]
+                class_at[c] = len(self.classes)
+            self.classes.append(coset[0])
+        self.torsion_classes = [class_at[c] for c in self.torsion]
         self.identity = class_at[0]
-        for rep in self.classes:
-            c = code[rep.value]
+        for c in self.classes:
             if class_at.get(add_row(c)[c]) != self.identity:
+                rep = RingElement(ring, values[c])
                 raise InternalCheckError(
                     f"AS class of {rep} does not have order dividing 2",
                     {"ring": ring.spec_string(), "as_class": rep.to_json()})
+        self.shifts: dict = {}    # d' -> [add row of d'm for each class m]
+        self.fibres: dict = {}    # d -> _FibreFacts
+
+
+def _as_tables(ring: Ring) -> _ASTables:
+    """The AS tables of ring: kept in the kernel of a finite ring."""
+    if not ring.is_finite:
+        return _ASTables(ring)
+    derived = ring.kernel().derived
+    tables = derived.get("as")
+    if tables is None:
+        tables = derived["as"] = _ASTables(ring)
+    return tables
+
+
+class ASGroup:
+    """AS(R) = R[4] / P(R)[4] with canonical coset representatives.
+
+    A view over the ring's kept AS tables, with no ring product once they
+    exist.  identity is the index of the class of 0, and torsion_classes
+    the class of each four_torsion element, in order; class_of is one
+    lookup by code.
+    """
+
+    def __init__(self, ring: Ring):
+        tables = _as_tables(ring)
+        values, self._code, _ = _additive_codes(ring)
+        self.ring = ring
+        self.four_torsion = [RingElement(ring, values[c]) for c in tables.torsion]
+        self.wp4 = [RingElement(ring, values[c]) for c in tables.wp4]
+        self.classes = [RingElement(ring, values[c]) for c in tables.classes]
+        self._class_at = tables.class_at    # code of an R[4] member -> class
+        self.torsion_classes = list(tables.torsion_classes)
+        self.identity = tables.identity
 
     @property
     def order(self) -> int:
@@ -240,39 +284,44 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
                  group: ASGroup) -> FiberReport:
     """Compute the AS(R)-orbit structure of the fiber over a disc class.
 
-    The fiber is the classes whose discriminant is u^2 d for a unit u.  The
-    action commutes with basis changes (as-action-norm and
-    change-of-basis-functoriality in quadrings verify), so the AS class m
-    sends the class of a representative (t, n) of disc d' to the class of
-    (t, n + d'm): |U^2| products for the fiber, |R[4]| for dR[4] and one
-    per distinct d' and m.  Every call checks that the images lie in the
-    fiber, that the kernel contains the image of ann(d)[4] and that the
-    with-basis orbit count equals |{t : t^2 = d mod 4R}| * |R[4] / dR[4]|;
-    the tests check the class map against a walk over every orbit pair.
-    d, classification and group built for another ring raise ValueError.
+    The fiber is the classes whose discriminant is u^2 d for a unit u, read
+    off the kept disc class index.  The action commutes with basis changes
+    (as-action-norm and change-of-basis-functoriality in quadrings verify),
+    so the AS class m sends the class of a representative (t, n) of disc d'
+    to the class of (t, n + d'm).  The ring's kept AS tables hold the add
+    row of d'm for each d' met before and the facts of each disc d reported
+    before: the classes of ann(d)[4] and the with-basis orbit count and
+    bound, checked equal when built; so a first report takes |R[4]| products
+    for dR[4] and one per new d' and m, and a repeated one none.  Every call
+    checks that the images lie in the fiber and that the kernel contains the
+    classes of ann(d)[4]; the tests check the class map against a walk over
+    every orbit pair.  d, classification and group built for another ring
+    raise ValueError.
     """
     require_ring(ring, d, classification, group)
     cl, asg = classification, group
     kernel, mul = ring.kernel(), ring._mul
     code, add_row = kernel.code, kernel.add_row
+    index, tables = _disc_tables(ring).index, _as_tables(ring)
     dv = d.d.value
-    discs = {mul(s, dv) for s in kernel.unit_squares}
-
-    fiber = [i for i, c in enumerate(cl) if c.disc.value in discs]
+    own = index[dv]
+    fiber = [i for i, c in enumerate(cl) if index[c.disc.value] == own]
     fiber_pos = {ci: k for k, ci in enumerate(fiber)}
 
     def witness(**more) -> dict:
         """Where a check failed, for InternalCheckError."""
         return {"ring": ring.spec_string(), "d": d.d.to_json(), **more}
 
-    # d' -> the add row of d'm for each AS class m
-    shifts = {v: [add_row(code[mul(v, m.value)]) for m in asg.classes]
-              for v in {cl[ci].disc.value for ci in fiber}}
     action: list[dict[int, int]] = [{} for _ in asg.classes]
     for ci in fiber:
         c = cl[ci]
+        v = c.disc.value
+        shifts = tables.shifts.get(v)
+        if shifts is None:
+            shifts = tables.shifts[v] = [add_row(code[mul(v, m.value)])
+                                         for m in asg.classes]
         row, n = cl.class_map.row(code[c.rep.t.value]), code[c.rep.n.value]
-        for m, plus, images in zip(asg.classes, shifts[c.disc.value], action):
+        for m, plus, images in zip(asg.classes, shifts, action):
             target = images[ci] = row[plus[n]]
             if target not in fiber_pos:
                 raise InternalCheckError(
@@ -291,56 +340,87 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
 
     kernel_classes = [m_idx for m_idx, images in enumerate(action)
                       if all(images[ci] == ci for ci in fiber)]
-    # ann(d)[4] and dR[4], read off the group's R[4] with one product each;
-    # code 0 is the zero.
-    zero = kernel.values[0]
-    torsion_shifts = [mul(dv, a.value) for a in asg.four_torsion]
-    ann_classes = {k for k, s in zip(asg.torsion_classes, torsion_shifts)
-                   if s == zero}
-    if not ann_classes <= set(kernel_classes):
+    facts = tables.fibres.get(dv)
+    fresh = facts is None
+    if fresh:
+        facts = _FibreFacts(ring, dv, tables)
+    if not facts.ann_classes <= set(kernel_classes):
         raise InternalCheckError(
             f"kernel misses annihilator classes for d = {d.d}", witness())
+    if fresh:
+        if facts.count != facts.bound:
+            raise InternalCheckError(
+                f"with-basis orbit count {facts.count} != index bound "
+                f"{facts.bound} for d = {d.d}",
+                witness(count=facts.count, bound=facts.bound))
+        tables.fibres[dv] = facts
 
     free = all(images[ci] != ci
                for m_idx, images in enumerate(action) if m_idx != asg.identity
                for ci in fiber)
-    transitive = len(orbits) == 1
-
-    image = {code[s] for s in torsion_shifts}
-    minus_d = code[ring._neg(dv)]
-    count = _basis_orbit_count(kernel, minus_d, image)
-    bound = _basis_orbit_bound(kernel, minus_d, len(asg.four_torsion), image)
-    if count != bound:
-        raise InternalCheckError(
-            f"with-basis orbit count {count} != index bound {bound} for d = {d.d}",
-            witness(count=count, bound=bound))
-
     return FiberReport(disc_class=d,
                        fiber=fiber,
                        fiber_labels=[cl[i].label for i in fiber],
                        orbits=orbits,
                        kernel=kernel_classes,
                        free=free,
-                       transitive=transitive,
-                       basis_orbit_count=count,
-                       basis_orbit_bound=bound)
+                       transitive=len(orbits) == 1,
+                       basis_orbit_count=facts.count,
+                       basis_orbit_bound=facts.bound)
 
 
-def _basis_orbit_count(kernel: Kernel, minus_d: int, shifts: set) -> int:
+class _FibreFacts:
+    """What the fiber report over d keeps in the ring's AS tables.
+
+    ann_classes are the AS classes of ann(d)[4], and count and bound the
+    with-basis orbit count and |{t : t^2 = d mod 4R}| * |R[4] / dR[4]|;
+    ann(d)[4] and dR[4] are read off R[4] with one product each.
+    """
+
+    __slots__ = ("ann_classes", "count", "bound")
+
+    def __init__(self, ring: Ring, dv, tables: _ASTables):
+        kernel, mul = ring.kernel(), ring._mul
+        values, code = kernel.values, kernel.code
+        shifts = [code[mul(dv, values[a])] for a in tables.torsion]
+        # code 0 is the zero
+        self.ann_classes = {k for k, s in zip(tables.torsion_classes, shifts)
+                            if s == 0}
+        image = set(shifts)
+        squares = _squares_over(kernel, code[dv], code[ring._neg(dv)])
+        self.count = _basis_orbit_count(kernel, squares, image)
+        self.bound = _basis_orbit_bound(squares, len(tables.torsion), image)
+
+
+def _squares_over(kernel: Kernel, d: int, minus_d: int) -> list:
+    """(the codes t, the codes n) with t^2 = s and 4n = s - d, for each
+    square s = t^2 of the kernel's root table with s - d in 4R, the keys
+    of its norm map.
+
+    d and minus_d are the codes of d and -d.  Each key of the smaller of
+    the two tables is matched through one code sum, so no add row is built.
+    """
+    roots, norms, add_code = kernel.roots, kernel.norms, kernel.add_code
+    if len(norms) < len(roots):
+        found = ((roots.get(add_code(q, d)), ns) for q, ns in norms.items())
+    else:
+        found = ((ts, norms.get(add_code(s, minus_d))) for s, ts in roots.items())
+    return [(ts, ns) for ts, ns in found if ts and ns]
+
+
+def _basis_orbit_count(kernel: Kernel, squares: list, shifts: set) -> int:
     """Orbits of R[4] acting by (t, n) -> (t, n + d*m) on pairs of disc exactly d.
 
-    Runs on the codes of the ring's kernel: minus_d is the code of -d and
-    shifts the codes of dR[4].  The action fixes t, and the norms of a
-    trace t are {n : 4n = t^2 - d}, so the orbits among them depend only on
-    t^2: they are walked once per distinct square of the kernel's root
-    table and counted once per root, each grown from generators of dR[4].
+    squares is _squares_over(d), and shifts the codes of dR[4].  The action
+    fixes t, and the norms of a trace t are {n : 4n = t^2 - d}, so the
+    orbits among them depend only on t^2: they are walked once per square
+    and counted once per root, each grown from generators of dR[4].
     """
     generators = _span(sorted(shifts), kernel.add_row)[1]
-    keys, norms = kernel.add_row(minus_d), kernel.norms
     count = 0
-    for tt, ts in kernel.roots.items():
+    for ts, ns in squares:
         orbits, seen = 0, set()
-        for n in norms.get(keys[tt], ()):
+        for n in ns:
             if n not in seen:
                 orbits += 1
                 seen |= _grow({n}, generators)
@@ -348,16 +428,10 @@ def _basis_orbit_count(kernel: Kernel, minus_d: int, shifts: set) -> int:
     return count
 
 
-def _basis_orbit_bound(kernel: Kernel, minus_d: int, torsion_size: int,
-                       shifts: set) -> int:
-    """|{t : t^2 = d mod 4R}| * |R[4] / dR[4]|, with shifts = dR[4].
-
-    Counted on codes: t^2 = d mod 4R iff t^2 - d lies in 4R, the keys of
-    the norm map, so each square of the root table that passes counts its
-    roots.
-    """
-    keys, norms = kernel.add_row(minus_d), kernel.norms
-    traces = sum(len(ts) for tt, ts in kernel.roots.items() if keys[tt] in norms)
+def _basis_orbit_bound(squares: list, torsion_size: int, shifts: set) -> int:
+    """|{t : t^2 = d mod 4R}| * |R[4] / dR[4]|, with squares = _squares_over(d)
+    and shifts = dR[4]: t^2 = d mod 4R iff t^2 - d lies in 4R."""
+    traces = sum(len(ts) for ts, _ in squares)
     return traces * (torsion_size // len(shifts))
 
 

@@ -10,15 +10,18 @@ square is 1.
 Over a finite ring the classes and the homomorphism check run on canonical
 values, with the ring's _mul/_add/_neg, its coset representatives and its
 int-coded kernel (rings.Kernel); RingElement stays the input and output
-type.  DiscClassification squares each residue mod 2R once, reads the unit
-squares from the kernel, and takes |U^2| products per class for its orbit,
-one per class to validate its DiscClass on values, and one per pair of
-classes for the monoid table; each disc label is formatted once, for the
-monoid.  disc_hom_check looks each algebra class's disc up by value,
-compares each star-table row, mapped through disc, with its disc-monoid
-row as one list, and reads every preimage norm from the kernel's norm map
-4n -> [n], so a check costs little beyond the classification's star
-table, which is built once per classification.
+type.  The disc classes are built once per ring instance and kept in its
+kernel: the residues mod 2R are squared once, the unit squares read from
+the kernel, and |U^2| products taken per class for its orbit, one per pair
+of classes for the monoid table (whose closure is checked then) and one
+per class for a preimage algebra; each disc label is formatted once.
+DiscClassification and disc_hom_check are views over these tables and
+take no ring product once they exist: a DiscClassification validates its
+DiscClass witnesses on every call, reading t^2 from the kernel, and
+disc_hom_check looks each algebra class's disc up by value and compares
+each star-table row, mapped through disc, with its disc-monoid row as one
+list, so a check costs little beyond the classification's star table,
+which is built once per classification.
 
 Rank-1 quadratic forms Q(e) = a on a free module appear at the end: their
 similarity classes (unit orbits) multiply by a*a', and cancellativity of a
@@ -86,7 +89,9 @@ class DiscClass:
     """A discriminant class: representative d plus a witness t stored mod 2R.
 
     Validated on construction, so deserialized witnesses are re-checked:
-    on canonical values, with one product and three coset representatives.
+    on canonical values, with three coset representatives and t^2, which
+    is read from the ring's kernel once that is built and is one product
+    before.
     """
 
     ring: Ring
@@ -100,7 +105,10 @@ class DiscClass:
         t, coset = self.witness_t.value, ring._coset_rep
         if coset(t, 2) != t:
             raise ValueError(f"witness {self.witness_t} is not reduced mod 2R")
-        if coset(ring._mul(t, t), 4) != coset(self.d.value, 4):
+        kernel = ring._kernel
+        c = None if kernel is None else kernel.code.get(t)
+        tt = ring._mul(t, t) if c is None else kernel.values[kernel.square[c]]
+        if coset(tt, 4) != coset(self.d.value, 4):
             raise ValueError(
                 f"witness {self.witness_t} does not square to {self.d} mod 4R"
             )
@@ -109,47 +117,52 @@ class DiscClass:
         return str(self.d)
 
 
-class DiscClassification:
-    """The discriminant classes of a finite ring, with their monoid."""
+class _DiscTables:
+    """The disc classes of one finite ring on canonical values, built once
+    per ring instance and kept in its kernel's derived slot.
+
+    Holds, per class in sorted order, the least member d, its witness t, its
+    unit-square orbit and label; the value -> class index of every
+    discriminant; the monoid table and identity; and, for disc_hom_check,
+    the label of a preimage algebra (t, n) of each class and the violations
+    its construction found.  The orbits take |U^2| products per class, the
+    monoid one per pair of classes, whose closure is checked here, and the
+    preimages one per class.  Everything held is an int, a canonical value
+    or a string, so the kernel keeps no reference to the ring.
+    """
 
     def __init__(self, ring: Ring):
-        if not ring.is_finite:
-            raise InfiniteRingError(
-                "disc classes of an infinite ring are not enumerable; "
-                "over Z use is_discriminant and the value d itself"
-            )
-        self.ring = ring
+        kernel = ring.kernel()
         mul, coset = ring._mul, ring._coset_rep
         witnesses = _square_classes(ring)
-        unit_squares = ring.kernel().unit_squares
-        self.classes: list[DiscClass] = []
-        self.orbits: list[list[RingElement]] = []
-        self._index: dict = {}    # canonical value -> class index
+        unit_squares = kernel.unit_squares
+        self.ds, self.witnesses, self.orbits = [], [], []
+        self.index: dict = {}    # canonical value -> class index
         # The first unplaced discriminant in canonical order is the least
         # member of its unit-square orbit, so classes come out sorted.
-        for d in ring._values():
-            if d in self._index:
+        for d in kernel.values:
+            if d in self.index:
                 continue
             witness = witnesses.get(coset(d, 4))
             if witness is None:
                 continue
             orbit = sorted({mul(s, d) for s in unit_squares}, key=ring.sort_key)
             for v in orbit:
-                self._index[v] = len(self.classes)
-            self.classes.append(DiscClass(ring, RingElement(ring, d),
-                                          RingElement(ring, witness)))
-            self.orbits.append([RingElement(ring, v) for v in orbit])
-        self.monoid = self._build_monoid()
+                self.index[v] = len(self.ds)
+            self.ds.append(d)
+            self.witnesses.append(witness)
+            self.orbits.append(orbit)
+        self.labels = [ring.element_text(d) for d in self.ds]
+        self.table = self._monoid_table(ring)
+        self.identity = self.index[ring.one.value]
+        self._find_preimages(ring, kernel)
 
-    def _build_monoid(self) -> FiniteCommMonoid:
-        ring, index = self.ring, self._index
-        mul = ring._mul
-        labels = [c.label() for c in self.classes]
-        ds = [c.d.value for c in self.classes]
+    def _monoid_table(self, ring: Ring) -> list[list[int]]:
+        mul, index = ring._mul, self.index
         table = []
-        for a in ds:
+        for a in self.ds:
             row = []
-            for b in ds:
+            for b in self.ds:
                 ab = mul(a, b)
                 k = index.get(ab)
                 if k is None:
@@ -162,7 +175,62 @@ class DiscClassification:
                          "product": RingElement(ring, ab).to_json()})
                 row.append(k)
             table.append(row)
-        return FiniteCommMonoid(labels, table, index[ring.one.value])
+        return table
+
+    def _find_preimages(self, ring: Ring, kernel) -> None:
+        """Solve 4n = t^2 - d for each class (d, t), with n the least
+        solution, read from the kernel's norm map 4n -> [n]."""
+        mul, add, neg = ring._mul, ring._add, ring._neg
+        four = ring.element(4).value
+        values, code = kernel.values, kernel.code
+        self.preimages: dict[str, str] = {}
+        self.preimage_violations: list[str] = []
+        for d, t, label in zip(self.ds, self.witnesses, self.labels):
+            tt = values[kernel.square[code[t]]]
+            norms = kernel.norms.get(code[add(tt, neg(d))])
+            if norms is None:
+                self.preimage_violations.append(
+                    f"no algebra constructed for disc class {label}")
+                continue
+            n = values[norms[0]]
+            if add(tt, neg(mul(four, n))) != d:
+                self.preimage_violations.append(
+                    f"constructed algebra for {label} has wrong disc")
+            self.preimages[label] = QuadraticAlgebra(ring, t, n).label()
+
+
+def _disc_tables(ring: Ring) -> _DiscTables:
+    """The disc tables of a finite ring, built on first use and kept in its
+    kernel."""
+    if not ring.is_finite:
+        raise InfiniteRingError(
+            "disc classes of an infinite ring are not enumerable; "
+            "over Z use is_discriminant and the value d itself"
+        )
+    derived = ring.kernel().derived
+    tables = derived.get("disc")
+    if tables is None:
+        tables = derived["disc"] = _DiscTables(ring)
+    return tables
+
+
+class DiscClassification:
+    """The discriminant classes of a finite ring, with their monoid.
+
+    A view over the ring's kept disc tables: each call builds and validates
+    the DiscClass objects, the orbits and the monoid from them, with no
+    ring product once the tables exist.
+    """
+
+    def __init__(self, ring: Ring):
+        tables = self._tables = _disc_tables(ring)
+        self.ring = ring
+        self.classes: list[DiscClass] = [
+            DiscClass(ring, RingElement(ring, d), RingElement(ring, t))
+            for d, t in zip(tables.ds, tables.witnesses)]
+        self.orbits: list[list[RingElement]] = [
+            [RingElement(ring, v) for v in orbit] for orbit in tables.orbits]
+        self.monoid = FiniteCommMonoid(tables.labels, tables.table, tables.identity)
 
     def __len__(self):
         return len(self.classes)
@@ -176,7 +244,7 @@ class DiscClassification:
     def index_of(self, d: RingElement) -> int:
         """Class index of a discriminant of this ring; ValueError otherwise."""
         if isinstance(d, RingElement) and d.ring == self.ring:
-            index = self._index.get(d.value)
+            index = self._tables.index.get(d.value)
             if index is not None:
                 return index
         raise ValueError(f"{d!r} is not a discriminant")
@@ -189,8 +257,9 @@ def disc_classes(ring: Ring) -> DiscClassification:
 def disc_class_of(ring: Ring, d: RingElement) -> int:
     """Index of d's class in disc_classes(ring).
 
-    Each call builds the DiscClassification; a caller that holds one already
-    reads dc.index_of(d).
+    The classes are built once per ring instance and kept in its kernel;
+    each call builds a DiscClassification view over them, so a caller that
+    holds one already reads dc.index_of(d).
     """
     return DiscClassification(ring).index_of(d)
 
@@ -222,24 +291,29 @@ def disc_hom_check(ring: Ring, classification: Classification, *,
     """Verify the class-level discriminant map is a surjective monoid hom.
 
     disc_classification, if given, is the DiscClassification of ring to
-    check against; otherwise one is built.  Each row of the star table,
-    mapped through disc, is compared with its disc-monoid row as one list;
-    only a row that differs is walked pair by pair for its violations.
-    Surjectivity is witnessed constructively: each disc class (d, t)
-    yields an algebra (t, n) with t^2 - 4n = d by solving 4n = t^2 - d,
-    with n the least solution, read from the norm map of the ring's kernel.
+    check against; otherwise the ring's kept disc tables are read.  Each
+    row of the star table, mapped through disc, is compared with its
+    disc-monoid row as one list on every call; only a row that differs is
+    walked pair by pair for its violations.  Surjectivity is witnessed
+    constructively: each disc class (d, t) yields an algebra (t, n) with
+    t^2 - 4n = d, n the least solution of 4n = t^2 - d; the disc tables
+    solve and check it once per ring instance.
     """
     dc = disc_classification
     if dc is None:
-        dc = DiscClassification(ring)
-    require_ring(ring, classification, dc)
-    mapping = [dc._index[c.disc.value] for c in classification]
-    disc_labels = dc.monoid.labels
+        tables = _disc_tables(ring)
+        require_ring(ring, classification)
+    else:
+        require_ring(ring, classification, dc)
+        tables = dc._tables
+    index, disc_table = tables.index, tables.table
+    mapping = [index[c.disc.value] for c in classification]
+    disc_labels = tables.labels
     violations: list[str] = []
     is_hom = True
 
     identity_idx = classification.index_of(QuadraticAlgebra(ring, 1, 0))
-    if mapping[identity_idx] != dc.monoid.identity:
+    if mapping[identity_idx] != tables.identity:
         is_hom = False
         violations.append("identity class does not map to the identity disc class")
     # disc(rep_i * rep_j) against disc(rep_i) * disc(rep_j), row by row;
@@ -248,7 +322,7 @@ def disc_hom_check(ring: Ring, classification: Classification, *,
     for ci, row, di in zip(classification, star, mapping):
         want = expected.get(di)
         if want is None:
-            disc_row = dc.monoid.table[di]
+            disc_row = disc_table[di]
             want = expected[di] = [disc_row[dj] for dj in mapping]
         got = [mapping[k] for k in row]
         if got == want:
@@ -265,23 +339,7 @@ def disc_hom_check(ring: Ring, classification: Classification, *,
     for di, c in zip(mapping, classification):
         fibers[disc_labels[di]].append(c.label)
     fiber_sizes = {lbl: len(v) for lbl, v in fibers.items()}
-
-    preimages: dict[str, str] = {}
-    mul, add, neg = ring._mul, ring._add, ring._neg
-    four = ring.element(4).value
-    kernel = ring.kernel()
-    values, code = kernel.values, kernel.code
-    for c, label in zip(dc, disc_labels):
-        tt, d = values[kernel.square[code[c.witness_t.value]]], c.d.value
-        norms = kernel.norms.get(code[add(tt, neg(d))])
-        if norms is None:
-            violations.append(f"no algebra constructed for disc class {label}")
-            continue
-        n = values[norms[0]]
-        if add(tt, neg(mul(four, n))) != d:
-            violations.append(f"constructed algebra for {label} has wrong disc")
-        alg = QuadraticAlgebra(ring, c.witness_t, RingElement(ring, n))
-        preimages[label] = alg.label()
+    violations += tables.preimage_violations
 
     surjective = all(size > 0 for size in fiber_sizes.values())
     return DiscHomReport(ring=ring,
@@ -289,7 +347,7 @@ def disc_hom_check(ring: Ring, classification: Classification, *,
                          is_surjective=surjective,
                          fiber_sizes=fiber_sizes,
                          fibers=fibers,
-                         preimage_witnesses=preimages,
+                         preimage_witnesses=dict(tables.preimages),
                          violations=violations)
 
 

@@ -16,7 +16,9 @@ Each finite ring instance has one Kernel, built on first use by
 ring.kernel(): its elements as int codes, the value -> code map, the codes
 of t^2 and -4n, the norm map 4n -> [n], the root table t^2 -> [t], the
 unit squares, and add rows code(x_c + x_k) that need no ring operation.
-classify, the star table, the AS group and the fiber reports all read it.
+classify, the star table, the AS group and the fiber reports all read it,
+and the disc classes, the AS group and the per-disc fibre facts are kept in
+its derived slot once built.
 """
 
 from __future__ import annotations
@@ -640,8 +642,10 @@ class Kernel:
     one by one: add_row and multiple_row are built from digit maps with no
     ring operation.  Ring products fill only the table of t^2 (|R|) and the
     unit squares; the norm map and the root table group those tables by
-    value on first read.  The kernel holds ints and canonical values, never
-    the ring, so the ring stays free of reference cycles.
+    value on first read.  derived is the slot where the discriminants and
+    artin_schreier modules keep their per-ring tables, filled on first use.
+    The kernel holds ints, canonical values and strings, never the ring or
+    an object over it, so the ring stays free of reference cycles.
     """
 
     def __init__(self, ring: Ring):
@@ -656,6 +660,7 @@ class Kernel:
         self.units = [code[u] for u in ring._unit_values()]
         self.unit_squares = [values[s]
                              for s in sorted({self.square[u] for u in self.units})]
+        self.derived: dict = {}
 
     def _digitwise(self, digit_maps: list) -> list[int]:
         """The code table of the additive map that sends digit j of place i
@@ -676,6 +681,19 @@ class Kernel:
                 maps.append(place[j:] + place[:j])
             row = self._rows[c] = self._digitwise(maps)
         return row
+
+    def add_code(self, a: int, b: int) -> int:
+        """code(x_a + x_b), digit by digit, with no row built."""
+        n = len(self._places[0])
+        if len(self._places) == 1:
+            return (a + b) % n
+        total, scale = 0, 1
+        for _ in self._places:
+            a, i = divmod(a, n)
+            b, j = divmod(b, n)
+            total += (i + j) % n * scale
+            scale *= n
+        return total
 
     def multiple_row(self, k: int) -> list[int]:
         """code(k * x_c) for every code c."""

@@ -5,10 +5,12 @@ from quadrings import (BasisChange, DiscClass, InternalCheckError, IsoClass,
                        QuadraticAlgebra, annihilator_four_torsion,
                        apply_basis_change, as_act,
                        as_embed, as_group, basis_change_group, check_freeness,
-                       classify, disc_classes, fiber_report, four_torsion,
-                       is_discriminant, is_isomorphic, is_sec_algebra,
-                       is_sec_element, parse_ring, star_product, wp4_subgroup)
-from quadrings.artin_schreier import _basis_orbit_bound, _basis_orbit_count
+                       classify, disc_classes, disc_hom_check, fiber_report,
+                       four_torsion, is_discriminant, is_isomorphic,
+                       is_sec_algebra, is_sec_element, parse_ring, star_product,
+                       wp4_subgroup)
+from quadrings.artin_schreier import (_basis_orbit_bound, _basis_orbit_count,
+                                      _squares_over)
 from quadrings.discriminants import require_ring
 from quadrings.quadratic import ClassMap
 from test_quadratic import rings_up_to
@@ -238,9 +240,9 @@ def basis_orbit_count_and_bound(ring, d):
     tors = four_torsion(ring)
     kernel = ring.kernel()
     shifts = {kernel.code[(d * m).value] for m in tors}
-    minus_d = kernel.code[(-d).value]
-    return (_basis_orbit_count(kernel, minus_d, shifts),
-            _basis_orbit_bound(kernel, minus_d, len(tors), shifts))
+    squares = _squares_over(kernel, kernel.code[d.value], kernel.code[(-d).value])
+    return (_basis_orbit_count(kernel, squares, shifts),
+            _basis_orbit_bound(squares, len(tors), shifts))
 
 
 def test_basis_orbit_indexing_all_discs():
@@ -450,8 +452,9 @@ def test_fiber_matches_disc_classification_for_every_orbit_member():
 
 
 def test_dropped_ring_is_freed_by_refcount():
-    # the ring's kernel holds ints and canonical values only, so dropping the
-    # ring and everything built over it frees it with the collector off
+    # the ring's kernel holds ints, canonical values and strings only, its
+    # kept disc, AS and fibre tables included, so dropping the ring and
+    # everything built over it frees it with the collector off
     import gc
     import weakref
     gc.collect()
@@ -462,6 +465,10 @@ def test_dropped_ring_is_freed_by_refcount():
             cl, asg = classify(ring), as_group(ring)
             cl.star_table()
             reports = [fiber_report(ring, d, cl, asg) for d in disc_classes(ring)]
+            for _ in range(2):
+                reports.append(disc_hom_check(ring, cl))
+                reports += [check_freeness(ring, d, cl, asg)
+                            for d in disc_classes(ring)]
             alive = weakref.ref(ring)
             del ring, cl, asg, reports
             assert alive() is None, spec
@@ -470,36 +477,62 @@ def test_dropped_ring_is_freed_by_refcount():
 
 
 @pytest.mark.parametrize("spec", ["Z/12", "Z/2[x]/(x^2+x+1)", "Z/4[x]/(x^2)"])
-def test_second_fiber_report_takes_no_table_product_or_addition(spec, monkeypatch):
-    # t^2, 4n, the root table t^2 -> [t] and the unit squares come from the
-    # ring's kernel, and every sum is an add-row lookup: a repeated report
-    # multiplies only by d (the fiber u^2 d and dR[4]) and by the shifts
-    # d'*m of its representatives' discs, and groups no table
+def test_fiber_report_products_first_and_repeated(spec, monkeypatch):
+    # After classify, as_group and disc_classes, the first report over d
+    # takes |R[4]| products for dR[4] and ann(d)[4] and one d'*m per disc d'
+    # of a class representative and AS class m: none per orbit pair, none
+    # for the fiber, which is read off the kept disc index, and no ring
+    # addition, since t^2 - d is a code sum.  A repeated report reads all
+    # of it from the ring's kept tables: no product, addition or grouping
+    # of a table.  t^2 and 4n come from the kernel's root table and norm map.
     ring = parse_ring(spec)
-    cl, asg = classify(ring), as_group(ring)
+    cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
     kernel = ring.kernel()
-    unit_squares = {(u * u).value for u in ring.units()}
-    for d in disc_classes(ring):
+    roots, norms = kernel.roots, kernel.norms
+    unit_squares = {u * u for u in ring.units()}
+    # the discs of the fiber's class representatives, read off the
+    # classification so that each first report is counted
+    rep_discs = [{c.disc for c in cl if c.disc in {s * d.d for s in unit_squares}}
+                 for d in dc]
+    calls = {"_mul": 0, "_add": 0, "_preimages": 0}
+    for owner, name in [(ring, "_mul"), (ring, "_add"), (rings, "_preimages")]:
+        original = getattr(owner, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+    monkeypatch.setattr(kernel, "square", None)    # read only through roots
+    for d, discs in zip(dc, rep_discs):
+        calls.update(dict.fromkeys(calls, 0))
         first = fiber_report(ring, d, cl, asg)
-        roots, norms = kernel.roots, kernel.norms
-        rep_discs = {cl[ci].disc.value for ci in first.fiber}
-        calls = {"_mul": 0, "_add": 0, "_preimages": 0}
-        for owner, name in [(ring, "_mul"), (ring, "_add"), (rings, "_preimages")]:
-            original = getattr(owner, name)
+        assert calls == {"_mul": len(asg.four_torsion) + len(discs) * asg.order,
+                         "_add": 0, "_preimages": 0}, (spec, d.d)
+        calls.update(dict.fromkeys(calls, 0))
+        assert fiber_report(ring, d, cl, asg) == first
+        assert check_freeness(ring, d, cl, asg) == (
+            first.free or not ring.is_nonzerodivisor(d.d))
+        assert calls == {"_mul": 0, "_add": 0, "_preimages": 0}, (spec, d.d)
+    assert kernel.roots is roots and kernel.norms is norms
 
-            def counting(*args, name=name, original=original):
-                calls[name] += 1
-                return original(*args)
 
-            monkeypatch.setattr(owner, name, counting)
-        monkeypatch.setattr(kernel, "square", None)    # read only through roots
-        second = fiber_report(ring, d, cl, asg)
-        monkeypatch.undo()
-        assert second == first
-        assert kernel.roots is roots and kernel.norms is norms
-        assert calls == {"_mul": len(unit_squares) + len(asg.four_torsion)
-                         + len(rep_discs) * asg.order, "_add": 0,
-                         "_preimages": 0}, (spec, d.d)
+@pytest.mark.parametrize("spec", ["Z/960", "Z/5[x]/(x^2+2)", "Z/3[x]/(x^3)"])
+def test_fiber_reports_keep_no_add_row_of_minus_d(spec):
+    # the reports keep only add rows of 4-torsion codes, the shifts d'm and
+    # the generators of dR[4]: t^2 - d is a code sum, so the row of -d is
+    # never built
+    ring = parse_ring(spec)
+    cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
+    kernel = ring.kernel()
+    before = {c for c, row in enumerate(kernel._rows) if row is not None}
+    for d in dc:
+        fiber_report(ring, d, cl, asg)
+    kept = {c for c, row in enumerate(kernel._rows) if row is not None} - before
+    torsion = {kernel.code[a.value] for a in asg.four_torsion}
+    minus_ds = {kernel.code[(-d.d).value] for d in dc}
+    assert minus_ds - torsion    # rows a report would have kept before
+    assert kept <= torsion, spec
 
 
 def fiber_report_by_pairs(ring, d, classification, group):
@@ -616,12 +649,13 @@ def test_fiber_report_refuses_an_image_off_the_fiber():
 
 def test_basis_orbit_count_spans_dr4_from_few_add_rows():
     # over GF(1024) dR[4] = R for d = 1; the count walks its orbits through
-    # the add rows of at most log2(1024) generators, beside the row of -d
+    # the add rows of at most log2(1024) generators, and t^2 - d is a code
+    # sum, so no row of -d is kept
     ring = parse_ring("Z/2[x]/(x^10+x^3+1)")
     kernel = ring.kernel()
     count, bound = basis_orbit_count_and_bound(ring, ring.one)
     assert count == bound
-    assert sum(row is not None for row in kernel._rows) <= 1 + 10
+    assert sum(row is not None for row in kernel._rows) <= 10
 
 
 def test_fiber_report_failure_carries_witness():

@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadrings import (FiberReport, QuadraticAlgebra, as_act,
+from quadrings import (FiberReport, InternalCheckError, QuadraticAlgebra, as_act,
                        as_group, check_freeness, classify, disc_classes,
                        disc_hom_check, fiber_report, four_torsion,
                        is_discriminant, parse_ring, star_product)
-from quadrings.discriminants import DiscHomReport
+from quadrings.artin_schreier import ASGroup
+from quadrings.discriminants import DiscClassification, DiscHomReport
 from quadrings.rings import ModRing, QuotientPolyRing, RingElement
 
 QUOTIENT_RINGS = [
@@ -237,20 +238,23 @@ def test_disc_hom_check_lists_each_violation_of_a_corrupted_star_table(
     assert len(report.violations) < len(rows) * len(cl)
 
 
-@pytest.mark.parametrize("spec", ["Z/12", "Z/4[x]/(x^2)"])
-def test_fiber_report_products_per_report(spec, monkeypatch):
-    # |U^2| discs u^2 d, |R[4]| for dR[4], and one d'*m per distinct disc d'
-    # of a class representative and AS class m; none per orbit pair.  The
-    # unit squares and the tables of t^2 and 4n belong to the ring's
-    # kernel, which classify built
+def disc_view(dc):
+    return dc.classes, dc.orbits, dc.monoid
+
+
+def as_view(asg):
+    return (asg.four_torsion, asg.wp4, asg.classes, asg.torsion_classes,
+            asg.identity, asg.to_monoid())
+
+
+@pytest.mark.parametrize("spec", ["Z/12", "Z/9", "Z/2[x]/(x^2+x+1)", "Z/4[x]/(x^2)"])
+def test_repeated_disc_and_as_calls_take_no_product(spec, monkeypatch):
+    # the disc classes, the AS group and the preimages of the hom check are
+    # kept in the ring's kernel: a repeated call on the same instance takes
+    # no ring product and gives what a fresh instance gives
     ring = parse_ring(spec)
-    cl, asg = classify(ring), as_group(ring)
-    units = ring.units()
-    unit_squares = {u * u for u in units}
-    # the discs of the fiber's class representatives, read off the
-    # classification so that each counted call is the first report of its d
-    reports = [(d, {c.disc for c in cl if c.disc in {s * d.d for s in unit_squares}})
-               for d in disc_classes(ring)]
+    cl = classify(ring)
+    first = (disc_classes(ring), as_group(ring), disc_hom_check(ring, cl))
     calls = 0
     original = ring._mul
 
@@ -260,8 +264,70 @@ def test_fiber_report_products_per_report(spec, monkeypatch):
         return original(a, b)
 
     monkeypatch.setattr(ring, "_mul", counting)
-    for d, discs in reports:
-        calls = 0
-        fiber_report(ring, d, cl, asg)
-        assert calls == (len(unit_squares) + len(asg.four_torsion)
-                         + len(discs) * asg.order), (spec, d.d)
+    again = (disc_classes(ring), as_group(ring), disc_hom_check(ring, cl))
+    assert calls == 0
+    fresh_ring = parse_ring(spec)
+    fresh = (disc_classes(fresh_ring), as_group(fresh_ring),
+             disc_hom_check(fresh_ring, classify(fresh_ring)))
+    for got in (first, again):
+        assert disc_view(got[0]) == disc_view(fresh[0])
+        assert as_view(got[1]) == as_view(fresh[1])
+        assert got[2] == fresh[2]
+
+
+def on_disc_classes(ring):
+    return lambda: disc_classes(ring)
+
+
+def on_as_group(ring):
+    return lambda: as_group(ring)
+
+
+def on_fiber_report(ring):
+    """The report over d = 1, with classify, as_group and disc_classes run
+    first."""
+    cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
+    return lambda: fiber_report(ring, dc[dc.index_of(ring.one)], cl, asg)
+
+
+def comparable(result):
+    if isinstance(result, DiscClassification):
+        return disc_view(result)
+    if isinstance(result, ASGroup):
+        return as_view(result)
+    return result
+
+
+@pytest.mark.parametrize("spec, wrong, call, message, witness", [
+    # the monoid table's product 0 * 1 made 2, not a discriminant
+    ("Z/4", {(0, 1): 2}, on_disc_classes,
+     "product 2 of discriminants is not a discriminant",
+     {"ring": "Z/4", "a": 0, "b": 1, "product": 2}),
+    # (x+1)x made x, so P(R)[4] = {0, 1, x} is not closed
+    ("Z/2[x]/(x^2+x+1)", {((1, 1), (0, 1)): (0, 1)}, on_as_group,
+     "P(R)[4] not closed under + at (1, x)",
+     {"ring": "Z/2[x]/(x^2+x+1)", "pair": [[1, 0], [0, 1]]}),
+    # dR[4] for d = 1 read as {0, 1}, so the index bound doubles
+    ("Z/4", {(1, 2): 0, (1, 3): 1}, on_fiber_report,
+     "with-basis orbit count 2 != index bound 4 for d = 1",
+     {"ring": "Z/4", "d": 1, "count": 2, "bound": 4}),
+])
+def test_checks_kept_once_still_run_on_a_fresh_instance(spec, wrong, call, message,
+                                                        witness, monkeypatch):
+    # disc-monoid closure, the P(R)[4] subgroup and count == bound run when
+    # a ring instance first builds its tables: with products corrupted, an
+    # instance that kept its tables answers as before, and a fresh instance
+    # raises the check's error with its witness
+    kept, fresh = parse_ring(spec), parse_ring(spec)
+    on_kept, on_fresh = call(kept), call(fresh)
+    fresh.kernel()
+    expected = comparable(on_kept())
+    for ring in (kept, fresh):
+        real = ring._mul
+        monkeypatch.setattr(ring, "_mul", lambda a, b, real=real:
+                            wrong[(a, b)] if (a, b) in wrong else real(a, b))
+    assert comparable(on_kept()) == expected
+    with pytest.raises(InternalCheckError) as info:
+        on_fresh()
+    assert str(info.value) == message
+    assert info.value.witness == witness

@@ -736,8 +736,8 @@ def test_classify_formats_no_ring_spec(monkeypatch):
 
 
 def test_kernel_matches_ring_arithmetic_on_rings_up_to_27():
-    # add rows and multiple rows need no ring operation; each must agree
-    # with ring._add and ring._mul on every code, and the product tables
+    # add rows, code sums and multiple rows need no ring operation; each
+    # must agree with ring._add and ring._mul on every code, and the product tables
     # with their definitions
     for ring in rings_up_to(27):
         kernel = ring.kernel()
@@ -747,6 +747,8 @@ def test_kernel_matches_ring_arithmetic_on_rings_up_to_27():
         for c, a in enumerate(values):
             assert [values[k] for k in kernel.add_row(c)] == [
                 ring._add(a, b) for b in values], (ring, a)
+            assert [kernel.add_code(c, k) for k in range(ring.size)] == [
+                code[ring._add(a, b)] for b in values], (ring, a)
         for k in (-4, -1, 2, 4):
             assert [values[c] for c in kernel.multiple_row(k)] == [
                 ring._mul(ring.element(k).value, a) for a in values], (ring, k)
