@@ -387,25 +387,21 @@ class _FibreFacts:
         self.ann_classes = {k for k, s in zip(tables.torsion_classes, shifts)
                             if s == 0}
         image = set(shifts)
-        squares = _squares_over(kernel, code[dv], code[ring._neg(dv)])
+        squares = _squares_over(kernel, code[ring._neg(dv)])
         self.count = _basis_orbit_count(kernel, squares, image)
         self.bound = _basis_orbit_bound(squares, len(tables.torsion), image)
 
 
-def _squares_over(kernel: Kernel, d: int, minus_d: int) -> list:
+def _squares_over(kernel: Kernel, minus_d: int) -> list:
     """(the codes t, the codes n) with t^2 = s and 4n = s - d, for each
     square s = t^2 of the kernel's root table with s - d in 4R, the keys
     of its norm map.
 
-    d and minus_d are the codes of d and -d.  Each key of the smaller of
-    the two tables is matched through one code sum, so no add row is built.
+    minus_d is the code of -d; s - d is one code sum, so no add row is built.
     """
-    roots, norms, add_code = kernel.roots, kernel.norms, kernel.add_code
-    if len(norms) < len(roots):
-        found = ((roots.get(add_code(q, d)), ns) for q, ns in norms.items())
-    else:
-        found = ((ts, norms.get(add_code(s, minus_d))) for s, ts in roots.items())
-    return [(ts, ns) for ts, ns in found if ts and ns]
+    norms, add_code = kernel.norms, kernel.add_code
+    found = ((ts, norms.get(add_code(s, minus_d))) for s, ts in kernel.roots.items())
+    return [(ts, ns) for ts, ns in found if ns]
 
 
 def _basis_orbit_count(kernel: Kernel, squares: list, shifts: set) -> int:

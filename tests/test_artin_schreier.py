@@ -240,7 +240,7 @@ def basis_orbit_count_and_bound(ring, d):
     tors = four_torsion(ring)
     kernel = ring.kernel()
     shifts = {kernel.code[(d * m).value] for m in tors}
-    squares = _squares_over(kernel, kernel.code[d.value], kernel.code[(-d).value])
+    squares = _squares_over(kernel, kernel.code[(-d).value])
     return (_basis_orbit_count(kernel, squares, shifts),
             _basis_orbit_bound(squares, len(tors), shifts))
 
