@@ -26,8 +26,9 @@ class label once.  The action commutes with basis changes, so a report
 reads the image of each class under each AS class off the class's
 representative, and reads only the representatives' class rows.  The
 kernel also keeps, per disc d reported, the classes of ann(d)[4] and the
-with-basis orbit count and bound, and per representative disc d' the add
-rows of d'm, so a repeated report takes no ring product.
+with-basis orbit count and bound, each a closed form in the number of
+traces t with t^2 = d mod 4R, |R[4]| and dR[4], and per representative
+disc d' the add rows of d'm, so a repeated report takes no ring product.
 
 Checks that run once per ring instance, when its tables are built: P(R)[4]
 is a subgroup, each AS class has order dividing 2, and the count equals
@@ -71,28 +72,19 @@ def _additive_codes(ring: Ring):
     raise InfiniteRingError("needs a finite ring or Z")
 
 
-def _span(members, add_row) -> tuple[set[int], list[list[int]]]:
-    """The subgroup of (R, +) the codes members generate, and the add rows
-    of the generators taken, at most log2 of its order: each member not yet
-    in the span grows it."""
-    span, rows = {0}, []
+def _span(members, add_row) -> set[int]:
+    """The subgroup of (R, +) the codes members generate.  Each member not
+    yet in the span grows it by its translates until they cycle back into
+    it, so at most log2 of its order add rows are taken."""
+    span = {0}
     for c in members:
-        if c not in span:
-            rows.append(add_row(c))
-            _grow(span, rows[-1:])
-    return span, rows
-
-
-def _grow(coset: set[int], rows: list[list[int]]) -> set[int]:
-    """Grow coset, some x + H, to x + (H + <g_1, g_2, ...>), where rows are
-    the add rows of the g_i: its translates by each g_i are added until
-    they cycle back into it."""
-    for plus in rows:
-        translate = list(coset)
-        while plus[translate[0]] not in coset:
+        if c in span:
+            continue
+        plus, translate = add_row(c), list(span)
+        while plus[translate[0]] not in span:
             translate = [plus[x] for x in translate]
-            coset.update(translate)
-    return coset
+            span.update(translate)
+    return span
 
 
 def wp4_subgroup(ring: Ring) -> list[RingElement]:
@@ -120,7 +112,7 @@ def wp4_subgroup(ring: Ring) -> list[RingElement]:
     if 0 not in group or any(fours[c] for c in members):
         raise InternalCheckError("P(R)[4] is not a subset of R[4] containing 0",
                                  {"ring": ring.spec_string()})
-    closed = _span(members, add_row)[0] == group
+    closed = _span(members, add_row) == group
     for a, c in zip(out, members):
         if negative[c] not in group:
             raise InternalCheckError(
@@ -375,6 +367,13 @@ class _FibreFacts:
     ann_classes are the AS classes of ann(d)[4], and count and bound the
     with-basis orbit count and |{t : t^2 = d mod 4R}| * |R[4] / dR[4]|;
     ann(d)[4] and dR[4] are read off R[4] with one product each.
+
+    The count is the number of orbits of R[4] acting by (t, n) ->
+    (t, n + d*m) on the pairs of disc exactly d.  The action fixes t, and
+    the norms {n : 4n = t^2 - d} of a trace t are a coset of R[4], a fiber
+    of the kernel's row of 4x, so they fall into |R[4]| / |<dR[4]> & R[4]|
+    orbits.  The count reads the group dR[4] generates and the bound only
+    the size of dR[4]; fiber_report checks that they agree.
     """
 
     __slots__ = ("ann_classes", "count", "bound")
@@ -386,48 +385,26 @@ class _FibreFacts:
         # code 0 is the zero
         self.ann_classes = {k for k, s in zip(tables.torsion_classes, shifts)
                             if s == 0}
-        image = set(shifts)
-        squares = _squares_over(kernel, code[ring._neg(dv)])
-        self.count = _basis_orbit_count(kernel, squares, image)
-        self.bound = _basis_orbit_bound(squares, len(tables.torsion), image)
+        image, torsion = set(shifts), len(tables.torsion)
+        traces = _trace_count(kernel, code[ring._neg(dv)])
+        span = _span(sorted(image), kernel.add_row)
+        self.count = traces * torsion // len(span.intersection(tables.torsion))
+        self.bound = _basis_orbit_bound(traces, torsion, image)
 
 
-def _squares_over(kernel: Kernel, minus_d: int) -> list:
-    """(the codes t, the codes n) with t^2 = s and 4n = s - d, for each
-    square s = t^2 of the kernel's root table with s - d in 4R, the keys
-    of its norm map.
+def _trace_count(kernel: Kernel, minus_d: int) -> int:
+    """|{t : t^2 = d mod 4R}|: the roots of each square s of the kernel's
+    root table with s - d in 4R, a key of its norm map.
 
     minus_d is the code of -d; s - d is one code sum, so no add row is built.
     """
     norms, add_code = kernel.norms, kernel.add_code
-    found = ((ts, norms.get(add_code(s, minus_d))) for s, ts in kernel.roots.items())
-    return [(ts, ns) for ts, ns in found if ns]
+    return sum(len(ts) for s, ts in kernel.roots.items()
+               if add_code(s, minus_d) in norms)
 
 
-def _basis_orbit_count(kernel: Kernel, squares: list, shifts: set) -> int:
-    """Orbits of R[4] acting by (t, n) -> (t, n + d*m) on pairs of disc exactly d.
-
-    squares is _squares_over(d), and shifts the codes of dR[4].  The action
-    fixes t, and the norms of a trace t are {n : 4n = t^2 - d}, so the
-    orbits among them depend only on t^2: they are walked once per square
-    and counted once per root, each grown from generators of dR[4].
-    """
-    generators = _span(sorted(shifts), kernel.add_row)[1]
-    count = 0
-    for ts, ns in squares:
-        orbits, seen = 0, set()
-        for n in ns:
-            if n not in seen:
-                orbits += 1
-                seen |= _grow({n}, generators)
-        count += orbits * len(ts)
-    return count
-
-
-def _basis_orbit_bound(squares: list, torsion_size: int, shifts: set) -> int:
-    """|{t : t^2 = d mod 4R}| * |R[4] / dR[4]|, with squares = _squares_over(d)
-    and shifts = dR[4]: t^2 = d mod 4R iff t^2 - d lies in 4R."""
-    traces = sum(len(ts) for ts, _ in squares)
+def _basis_orbit_bound(traces: int, torsion_size: int, shifts: set) -> int:
+    """|{t : t^2 = d mod 4R}| * |R[4] / dR[4]|, with shifts = dR[4]."""
     return traces * (torsion_size // len(shifts))
 
 

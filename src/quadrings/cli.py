@@ -118,7 +118,7 @@ def cmd_classify(args) -> tuple[str, bool]:
 def cmd_disc(args) -> tuple[str, bool]:
     ring = parse_ring(args.ring)
     dc = DiscClassification(ring)
-    hom = disc_hom_check(ring, classify(ring), disc_classification=dc)
+    hom = disc_hom_check(ring, classify(ring))
     if hom.violations:
         raise InternalCheckError("; ".join(hom.violations),
                                  {"ring": ring.spec_string(),

@@ -223,7 +223,7 @@ class DiscClassification:
     """
 
     def __init__(self, ring: Ring):
-        tables = self._tables = _disc_tables(ring)
+        tables = _disc_tables(ring)
         self.ring = ring
         self.classes: list[DiscClass] = [
             DiscClass(ring, RingElement(ring, d), RingElement(ring, t))
@@ -243,11 +243,7 @@ class DiscClassification:
 
     def index_of(self, d: RingElement) -> int:
         """Class index of a discriminant of this ring; ValueError otherwise."""
-        if isinstance(d, RingElement) and d.ring == self.ring:
-            index = self._tables.index.get(d.value)
-            if index is not None:
-                return index
-        raise ValueError(f"{d!r} is not a discriminant")
+        return disc_class_of(self.ring, d)
 
 
 def disc_classes(ring: Ring) -> DiscClassification:
@@ -255,13 +251,14 @@ def disc_classes(ring: Ring) -> DiscClassification:
 
 
 def disc_class_of(ring: Ring, d: RingElement) -> int:
-    """Index of d's class in disc_classes(ring).
-
-    The classes are built once per ring instance and kept in its kernel;
-    each call builds a DiscClassification view over them, so a caller that
-    holds one already reads dc.index_of(d).
-    """
-    return DiscClassification(ring).index_of(d)
+    """Index of d's class in disc_classes(ring): one lookup in the ring's
+    kept disc tables.  ValueError unless d is a discriminant of ring."""
+    index = _disc_tables(ring).index
+    if isinstance(d, RingElement) and d.ring == ring:
+        k = index.get(d.value)
+        if k is not None:
+            return k
+    raise ValueError(f"{d!r} is not a discriminant")
 
 
 def require_ring(ring: Ring, *given) -> None:
@@ -285,27 +282,19 @@ class DiscHomReport:
     violations: list[str] = field(default_factory=list)
 
 
-def disc_hom_check(ring: Ring, classification: Classification, *,
-                   disc_classification: DiscClassification | None = None
-                   ) -> DiscHomReport:
+def disc_hom_check(ring: Ring, classification: Classification) -> DiscHomReport:
     """Verify the class-level discriminant map is a surjective monoid hom.
 
-    disc_classification, if given, is the DiscClassification of ring to
-    check against; otherwise the ring's kept disc tables are read.  Each
-    row of the star table, mapped through disc, is compared with its
-    disc-monoid row as one list on every call; only a row that differs is
-    walked pair by pair for its violations.  Surjectivity is witnessed
-    constructively: each disc class (d, t) yields an algebra (t, n) with
-    t^2 - 4n = d, n the least solution of 4n = t^2 - d; the disc tables
-    solve and check it once per ring instance.
+    Read off the ring's kept disc tables.  Each row of the star table,
+    mapped through disc, is compared with its disc-monoid row as one list
+    on every call; only a row that differs is walked pair by pair for its
+    violations.  Surjectivity is witnessed constructively: each disc class
+    (d, t) yields an algebra (t, n) with t^2 - 4n = d, n the least solution
+    of 4n = t^2 - d; the disc tables solve and check it once per ring
+    instance.
     """
-    dc = disc_classification
-    if dc is None:
-        tables = _disc_tables(ring)
-        require_ring(ring, classification)
-    else:
-        require_ring(ring, classification, dc)
-        tables = dc._tables
+    tables = _disc_tables(ring)
+    require_ring(ring, classification)
     index, disc_table = tables.index, tables.table
     mapping = [index[c.disc.value] for c in classification]
     disc_labels = tables.labels

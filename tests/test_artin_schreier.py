@@ -9,8 +9,7 @@ from quadrings import (BasisChange, DiscClass, InternalCheckError, IsoClass,
                        four_torsion, is_discriminant, is_isomorphic,
                        is_sec_algebra, is_sec_element, parse_ring, star_product,
                        wp4_subgroup)
-from quadrings.artin_schreier import (_basis_orbit_bound, _basis_orbit_count,
-                                      _squares_over)
+from quadrings.artin_schreier import _as_tables, _FibreFacts
 from quadrings.discriminants import require_ring
 from quadrings.quadratic import ClassMap
 from test_quadratic import rings_up_to
@@ -235,14 +234,10 @@ def test_fiber_kernel_contains_annihilator_image():
 
 
 def basis_orbit_count_and_bound(ring, d):
-    """_basis_orbit_count and _basis_orbit_bound for the element d, with
-    dR[4] and the codes of the ring's kernel as fiber_report passes them."""
-    tors = four_torsion(ring)
-    kernel = ring.kernel()
-    shifts = {kernel.code[(d * m).value] for m in tors}
-    squares = _squares_over(kernel, kernel.code[(-d).value])
-    return (_basis_orbit_count(kernel, squares, shifts),
-            _basis_orbit_bound(squares, len(tors), shifts))
+    """The with-basis orbit count and bound of the element d, as the facts
+    fiber_report keeps for it."""
+    facts = _FibreFacts(ring, d.value, _as_tables(ring))
+    return facts.count, facts.bound
 
 
 def test_basis_orbit_indexing_all_discs():
@@ -280,6 +275,12 @@ def test_basis_orbit_count_matches_pair_definition():
             if is_discriminant(ring, d) is not None:
                 count, _ = basis_orbit_count_and_bound(ring, d)
                 assert count == basis_orbit_count_by_pairs(ring, d), (spec, d)
+    # larger 2-power rings, on each disc class representative
+    for spec in ("Z/16", "Z/32", "Z/8[x]/(x^2+3)"):
+        ring = parse_ring(spec)
+        for d in disc_classes(ring):
+            count, _ = basis_orbit_count_and_bound(ring, d.d)
+            assert count == basis_orbit_count_by_pairs(ring, d.d), (spec, d.d)
 
 
 def test_sec_element_examples():
@@ -648,14 +649,16 @@ def test_fiber_report_refuses_an_image_off_the_fiber():
 
 
 def test_basis_orbit_count_spans_dr4_from_few_add_rows():
-    # over GF(1024) dR[4] = R for d = 1; the count walks its orbits through
-    # the add rows of at most log2(1024) generators, and t^2 - d is a code
-    # sum, so no row of -d is kept
+    # over GF(1024) dR[4] = R for d = 1; the count spans it from the add
+    # rows of at most log2(1024) generators, and t^2 - d is a code sum, so
+    # no row of -d is kept.  Only the rows added after the AS tables count.
     ring = parse_ring("Z/2[x]/(x^10+x^3+1)")
     kernel = ring.kernel()
+    as_group(ring)
+    before = sum(row is not None for row in kernel._rows)
     count, bound = basis_orbit_count_and_bound(ring, ring.one)
     assert count == bound
-    assert sum(row is not None for row in kernel._rows) <= 10
+    assert sum(row is not None for row in kernel._rows) - before <= 10
 
 
 def test_fiber_report_failure_carries_witness():

@@ -147,6 +147,70 @@ def test_fibers_stdout_matches_golden_digests(capsys, spec):
         assert hashlib.sha256(out.encode()).hexdigest() == expected, (spec, fmt)
 
 
+# sha256 of `disc` and `as-group` stdout (JSON, CSV) on the FIBERS_DIGESTS
+# rings, recorded before the with-basis orbit count became a closed form.
+DISC_AS_DIGESTS = {
+    ("disc", "Z/12"): (
+        "54c6191648f4beb1b764dd56b1be230e975a773ea81597694af6e2eea4b53a08",
+        "bee387830bd5f1c7dfa62fc7fbf9c2fe7cf4303d72fee0253a9e6b70216357b7"),
+    ("disc", "Z/16"): (
+        "2fef77b81643b2f477d56506fef0fdf8c1c46e5ad410506edfa184e7cb81ed68",
+        "08625009a2ea7fceb0a068f87bc4910c617e1785e95c5b9b9a238850f84bd58e"),
+    ("disc", "Z/2[x]/(x^2)"): (
+        "a7bc47eadfc9dcbde03938ca269c6dc137a3d29eb993bf1d08da926047cbfd33",
+        "241e676be8e055f994d6e71ba74eecc22db57c0cd5a5dbfdb15c72b52e2445a5"),
+    ("disc", "Z/2[x]/(x^2+x+1)"): (
+        "38f5067cb396e78cef99ed98db082fa2589d4b3d5e9a67072afd38363216ad38",
+        "241e676be8e055f994d6e71ba74eecc22db57c0cd5a5dbfdb15c72b52e2445a5"),
+    ("disc", "Z/4"): (
+        "0e203d54ea6462113b72607eb7f1e4152f1f63317d4cb6fb48f9aa9ae71b07f4",
+        "382a641fb738c8c1b5bb57eba57a181ca0522bc12122625a141fd681d2e41874"),
+    ("disc", "Z/4[x]/(x^2)"): (
+        "db9dd40ac5d5c37867b0ca4954b06a0b098e970ef2f83d3bbdac055b56540104",
+        "241e676be8e055f994d6e71ba74eecc22db57c0cd5a5dbfdb15c72b52e2445a5"),
+    ("disc", "Z/8"): (
+        "650a9cae9cf2f3cdd574773058b2c45c4bfd0573c899cf5b9e00e81e86c54e00",
+        "d2d3771be49e227ffcaa62518bf418b5fa255ea3695570ca2bdacc07c8b2565c"),
+    ("disc", "Z/8[x]/(x^2+3)"): (
+        "b67ce6692daa0a049fea0bd1561306a54e87233d6d95fb977182ef72afbd3d28",
+        "0afced69bc33acc841f9a18540a70eeb381bf8fb479a46cba149f6061010835c"),
+    ("as-group", "Z/12"): (
+        "e9a9edaabcbbe8edc6a2ef9c2e688b72a28e6cea5f4117c90614580340c179aa",
+        "1fc844f9a86798a4b2702f9a7e5a2347de410bb469ab27ec7c372efbd00779a3"),
+    ("as-group", "Z/16"): (
+        "09a6c72c088003ac69258969ba4a09dd8fc6718905f74573d2b45d09d322cf3b",
+        "bb2531aa1d8097b8cc3b5caae13f532d9b8baa7a0f85aca433b5cd4f2ce783ac"),
+    ("as-group", "Z/2[x]/(x^2)"): (
+        "d37f05cd3b21308fccc462f8bfac4e0169b9a9c79fdd499151b35ffdb384e446",
+        "1875aa20fd8d5ac3fb98cb68322dcd0d6d43f8c6b8517a574c4d70032ad5a5f9"),
+    ("as-group", "Z/2[x]/(x^2+x+1)"): (
+        "26b1f8ecccc3ae56e01258a9fc0da9588c820574532ba19ad8fd2f7af6c39212",
+        "9acc5c744993f952fa695eba4c1d2e9f1d755fc715cccacb722245358849ac7e"),
+    ("as-group", "Z/4"): (
+        "082335cc8cb656cf0eb0c18bf3b037693904541aa2469911222ff484dca036e6",
+        "1875aa20fd8d5ac3fb98cb68322dcd0d6d43f8c6b8517a574c4d70032ad5a5f9"),
+    ("as-group", "Z/4[x]/(x^2)"): (
+        "248d394e46dbc9f1416368cdc139567c718be2be5ddf29499b2201e96da83a74",
+        "89d1e007aa1c86b389f1cb76820f451fda56e4c507d1764d21b3943d86256d4d"),
+    ("as-group", "Z/8"): (
+        "0c7b76a10b827013b62a16775094641d5c00fa5fcd282d202eff95c8dcc18245",
+        "bb2531aa1d8097b8cc3b5caae13f532d9b8baa7a0f85aca433b5cd4f2ce783ac"),
+    ("as-group", "Z/8[x]/(x^2+3)"): (
+        "38f94d9b2184d1570c43ef4d9a4170cdc000ca70470935301dad09df4bf5e295",
+        "e24b638c4d3d99a39681aae1b5cea0a47a666d23a048ccb64f3e35b94b3d8b9f"),
+}
+
+
+@pytest.mark.parametrize("command, spec", sorted(DISC_AS_DIGESTS))
+def test_disc_and_as_group_stdout_match_golden_digests(capsys, command, spec):
+    import hashlib
+    for fmt, expected in zip(("json", "csv"), DISC_AS_DIGESTS[command, spec]):
+        code, out, _ = run(capsys, command, "--ring", spec, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, (
+            command, spec, fmt)
+
+
 def test_fibers_single_disc(capsys):
     code, out, _ = run(capsys, "fibers", "--ring", "Z/4", "--disc", "1")
     assert code == 0

@@ -168,7 +168,6 @@ def check_against_oracles(ring):
     cl = classify(ring)
     expected = disc_hom_check_by_objects(ring, cl)
     assert disc_hom_check(ring, cl) == expected
-    assert disc_hom_check(ring, cl, disc_classification=dc) == expected
 
     asg = as_group(ring)
     for d in dc:
@@ -203,8 +202,6 @@ def test_disc_layer_matches_object_oracles_on_drawn_rings(ring):
 
 def test_disc_hom_check_refuses_classes_of_another_ring():
     z4, z8 = parse_ring("Z/4"), parse_ring("Z/8")
-    with pytest.raises(ValueError):
-        disc_hom_check(z4, classify(z4), disc_classification=disc_classes(z8))
     with pytest.raises(ValueError):
         disc_hom_check(z4, classify(z8))
 

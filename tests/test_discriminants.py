@@ -109,14 +109,19 @@ def test_disc_classes_monoid_structure():
         assert find_absorbing(dc.monoid) == dc.index_of(ring.zero)
 
 
-def test_disc_class_of():
-    z4 = parse_ring("Z/4")
-    assert disc_class_of(z4, z4.element(1)) == 1
-    assert disc_class_of(z4, z4.element(0)) == 0
-    with pytest.raises(ValueError):
-        disc_class_of(z4, z4.element(2))
+def test_disc_class_of(monkeypatch):
+    # one lookup in the kept disc tables, with no DiscClassification built
+    import quadrings.discriminants as discriminants
     with pytest.raises(InfiniteRingError):
         disc_classes(parse_ring("Z"))
+    z4 = parse_ring("Z/4")
+    monkeypatch.setattr(discriminants, "DiscClassification", None)
+    assert disc_class_of(z4, z4.element(1)) == 1
+    assert disc_class_of(z4, z4.element(0)) == 0
+    # a non-discriminant, an element of another ring and a non-element
+    for d in (z4.element(2), parse_ring("Z/8").element(1), 1):
+        with pytest.raises(ValueError, match="is not a discriminant"):
+            disc_class_of(z4, d)
 
 
 def square_classes_by_scan(ring):
