@@ -28,14 +28,20 @@ representative, and reads only the representatives' class rows.  The
 kernel also keeps, per disc d reported, the classes of ann(d)[4] and the
 with-basis orbit count and bound, each a closed form in the number of
 traces t with t^2 = d mod 4R, |R[4]| and dR[4], and per representative
-disc d' the add rows of d'm, so a repeated report takes no ring product.
+disc d' the add rows of d'm.  A classification keeps, in its derived slot,
+the action on the fiber over each disc class: the fiber, its labels, the
+orbits, the kernel classes and whether the action is free.  fiber_report
+assembles a new report from these and check_freeness reads free off them,
+so a repeated call takes no ring product, class row or check.
 
 Checks that run once per ring instance, when its tables are built: P(R)[4]
-is a subgroup, each AS class has order dividing 2, and the count equals
-its bound.  Checks that run on every call, check_freeness's report
-included: every image lies in the fiber, and the kernel contains the
-classes of ann(d)[4].  A failed check raises InternalCheckError with a
-witness naming the ring, d, the class and the AS class where they apply.
+is a subgroup, each AS class has order dividing 2, and, per disc d, the
+count equals its bound.  Checks that run once per classification and disc
+class, before its action is kept: every image lies in the fiber, and the
+kernel contains the classes of ann(d)[4] (again for each new d of the
+class).  A failed check keeps nothing, so a repeat raises again: an
+InternalCheckError with a witness naming the ring, d, the class and the AS
+class where they apply.
 """
 
 from __future__ import annotations
@@ -276,6 +282,46 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
                  group: ASGroup) -> FiberReport:
     """Compute the AS(R)-orbit structure of the fiber over a disc class.
 
+    Assembled from the classification's kept action on the fiber over d's
+    class and the ring's kept facts of d (see _fibre_action), with fresh
+    lists on every call; once both exist a report takes no ring product,
+    class row or check.  d, classification and group built for another
+    ring raise ValueError.
+    """
+    require_ring(ring, d, classification, group)
+    action, facts = _fibre_action(ring, d, classification)
+    return FiberReport(disc_class=d,
+                       fiber=list(action.fiber),
+                       fiber_labels=list(action.labels),
+                       orbits=[list(orbit) for orbit in action.orbits],
+                       kernel=list(action.kernel),
+                       free=action.free,
+                       transitive=len(action.orbits) == 1,
+                       basis_orbit_count=facts.count,
+                       basis_orbit_bound=facts.bound)
+
+
+class _FibreAction:
+    """The AS(R) action on the fiber over one disc class, as a
+    classification keeps it in its derived slot.
+
+    fiber lists the class indices of the fiber and labels their labels,
+    orbits the orbit partition as positions in fiber, kernel the AS classes
+    that fix every member, and free whether every other AS class moves
+    every member.  Only ints, strings and lists of them are held.
+    """
+
+    __slots__ = ("fiber", "labels", "orbits", "kernel", "free")
+
+    def __init__(self, fiber, labels, orbits, kernel, free):
+        self.fiber, self.labels, self.orbits = fiber, labels, orbits
+        self.kernel, self.free = kernel, free
+
+
+def _fibre_action(ring: Ring, d: DiscClass, classification: Classification):
+    """The kept action on the fiber over d's class and the kept facts of d,
+    built and checked on first use.
+
     The fiber is the classes whose discriminant is u^2 d for a unit u, read
     off the kept disc class index.  The action commutes with basis changes
     (as-action-norm and change-of-basis-functoriality in quadrings verify),
@@ -283,42 +329,73 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
     to the class of (t, n + d'm).  The ring's kept AS tables hold the add
     row of d'm for each d' met before and the facts of each disc d reported
     before: the classes of ann(d)[4] and the with-basis orbit count and
-    bound, checked equal when built; so a first report takes |R[4]| products
-    for dR[4] and one per new d' and m, and a repeated one none.  Every call
-    checks that the images lie in the fiber and that the kernel contains the
-    classes of ann(d)[4]; the tests check the class map against a walk over
-    every orbit pair.  d, classification and group built for another ring
-    raise ValueError.
+    bound.  So the first action over a class takes one product per new d'
+    and m and reads the representatives' class rows, and the first facts of
+    a d take |R[4]| products for dR[4].
+
+    The checks run once per classification and disc class, and once per
+    ring instance and d, before either is kept, in this order: every image
+    lies in the fiber; the kernel contains the classes of ann(d)[4] (again
+    whenever the action or the facts are new); the count equals its bound.
+    A failed check keeps nothing, so a repeat raises again.  The tests
+    check the class map against a walk over every orbit pair.
     """
-    require_ring(ring, d, classification, group)
-    cl, asg = classification, group
-    kernel, mul = ring.kernel(), ring._mul
-    code, add_row = kernel.code, kernel.add_row
     index, tables = _disc_tables(ring).index, _as_tables(ring)
     dv = d.d.value
     own = index[dv]
+    kept = classification.derived.setdefault("fibres", {})    # class -> action
+    action = kept.get(own)
+    new = action is None
+    if new:
+        action = _act_on_fiber(ring, d, classification, own, index, tables)
+    facts = tables.fibres.get(dv)
+    fresh = facts is None
+    if fresh:
+        facts = _FibreFacts(ring, dv, tables)
+    if (new or fresh) and not facts.ann_classes <= set(action.kernel):
+        raise InternalCheckError(
+            f"kernel misses annihilator classes for d = {d.d}", _witness(ring, d))
+    if fresh:
+        if facts.count != facts.bound:
+            raise InternalCheckError(
+                f"with-basis orbit count {facts.count} != index bound "
+                f"{facts.bound} for d = {d.d}",
+                _witness(ring, d, count=facts.count, bound=facts.bound))
+        tables.fibres[dv] = facts
+    kept[own] = action
+    return action, facts
+
+
+def _witness(ring: Ring, d: DiscClass, **more) -> dict:
+    """Where a fiber check failed, for InternalCheckError."""
+    return {"ring": ring.spec_string(), "d": d.d.to_json(), **more}
+
+
+def _act_on_fiber(ring: Ring, d: DiscClass, cl: Classification, own: int,
+                  index: dict, tables: _ASTables) -> _FibreAction:
+    """The action of every AS class on the fiber over disc class own, with
+    the check that every image lies in the fiber."""
+    kernel, mul = ring.kernel(), ring._mul
+    values, code, add_row = kernel.values, kernel.code, kernel.add_row
     fiber = [i for i, c in enumerate(cl) if index[c.disc.value] == own]
     fiber_pos = {ci: k for k, ci in enumerate(fiber)}
-
-    def witness(**more) -> dict:
-        """Where a check failed, for InternalCheckError."""
-        return {"ring": ring.spec_string(), "d": d.d.to_json(), **more}
-
-    action: list[dict[int, int]] = [{} for _ in asg.classes]
+    action: list[dict[int, int]] = [{} for _ in tables.classes]
     for ci in fiber:
         c = cl[ci]
         v = c.disc.value
         shifts = tables.shifts.get(v)
         if shifts is None:
-            shifts = tables.shifts[v] = [add_row(code[mul(v, m.value)])
-                                         for m in asg.classes]
+            shifts = tables.shifts[v] = [add_row(code[mul(v, values[m])])
+                                         for m in tables.classes]
         row, n = cl.class_map.row(code[c.rep.t.value]), code[c.rep.n.value]
-        for m, plus, images in zip(asg.classes, shifts, action):
+        for m, plus, images in zip(tables.classes, shifts, action):
             target = images[ci] = row[plus[n]]
             if target not in fiber_pos:
+                moved_by = RingElement(ring, values[m])
                 raise InternalCheckError(
-                    f"action of {m} moved {c.label} off the fiber",
-                    witness(**{"class": c.label, "as_class": m.to_json()}))
+                    f"action of {moved_by} moved {c.label} off the fiber",
+                    _witness(ring, d, **{"class": c.label,
+                                         "as_class": moved_by.to_json()}))
 
     # Orbit partition of the fiber under the whole group.
     orbits: list[list[int]] = []
@@ -332,37 +409,15 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
 
     kernel_classes = [m_idx for m_idx, images in enumerate(action)
                       if all(images[ci] == ci for ci in fiber)]
-    facts = tables.fibres.get(dv)
-    fresh = facts is None
-    if fresh:
-        facts = _FibreFacts(ring, dv, tables)
-    if not facts.ann_classes <= set(kernel_classes):
-        raise InternalCheckError(
-            f"kernel misses annihilator classes for d = {d.d}", witness())
-    if fresh:
-        if facts.count != facts.bound:
-            raise InternalCheckError(
-                f"with-basis orbit count {facts.count} != index bound "
-                f"{facts.bound} for d = {d.d}",
-                witness(count=facts.count, bound=facts.bound))
-        tables.fibres[dv] = facts
-
     free = all(images[ci] != ci
-               for m_idx, images in enumerate(action) if m_idx != asg.identity
+               for m_idx, images in enumerate(action) if m_idx != tables.identity
                for ci in fiber)
-    return FiberReport(disc_class=d,
-                       fiber=fiber,
-                       fiber_labels=[cl[i].label for i in fiber],
-                       orbits=orbits,
-                       kernel=kernel_classes,
-                       free=free,
-                       transitive=len(orbits) == 1,
-                       basis_orbit_count=facts.count,
-                       basis_orbit_bound=facts.bound)
+    return _FibreAction(fiber, [cl[i].label for i in fiber], orbits,
+                        kernel_classes, free)
 
 
 class _FibreFacts:
-    """What the fiber report over d keeps in the ring's AS tables.
+    """What the fiber reports over d keep in the ring's AS tables.
 
     ann_classes are the AS classes of ann(d)[4], and count and bound the
     with-basis orbit count and |{t : t^2 = d mod 4R}| * |R[4] / dR[4]|;
@@ -373,7 +428,7 @@ class _FibreFacts:
     the norms {n : 4n = t^2 - d} of a trace t are a coset of R[4], a fiber
     of the kernel's row of 4x, so they fall into |R[4]| / |<dR[4]> & R[4]|
     orbits.  The count reads the group dR[4] generates and the bound only
-    the size of dR[4]; fiber_report checks that they agree.
+    the size of dR[4]; _fibre_action checks that they agree.
     """
 
     __slots__ = ("ann_classes", "count", "bound")
@@ -443,6 +498,9 @@ def check_freeness(ring: Ring, d: DiscClass, classification: Classification,
     """True iff AS(R) acts freely on the sec members of the fiber (vacuous ok).
 
     Its discriminants are d times unit squares: all members are sec, or none.
+    Reads free off the same kept action as fiber_report, with its checks
+    run first if it is new, and builds no report.
     """
-    report = fiber_report(ring, d, classification, group)
-    return report.free or not ring.is_nonzerodivisor(d.d)
+    require_ring(ring, d, classification, group)
+    action, _ = _fibre_action(ring, d, classification)
+    return action.free or not ring.is_nonzerodivisor(d.d)

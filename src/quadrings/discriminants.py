@@ -15,13 +15,14 @@ kernel: the residues mod 2R are squared once, the unit squares read from
 the kernel, and |U^2| products taken per class for its orbit, one per pair
 of classes for the monoid table (whose closure is checked then) and one
 per class for a preimage algebra; each disc label is formatted once.
-DiscClassification and disc_hom_check are views over these tables and
-take no ring product once they exist: a DiscClassification validates its
-DiscClass witnesses on every call, reading t^2 from the kernel, and
-disc_hom_check looks each algebra class's disc up by value and compares
-each star-table row, mapped through disc, with its disc-monoid row as one
-list, so a check costs little beyond the classification's star table,
-which is built once per classification.
+DiscClassification and disc_hom_check read these tables and take no ring
+product once they exist: a DiscClassification validates its DiscClass
+witnesses on every call, reading t^2 from the kernel.  disc_hom_check
+works out its verdict once per classification and keeps it in the
+classification's derived slot: it looks each algebra class's disc up by
+value and compares each star-table row, mapped through disc, with its
+disc-monoid row as one list.  Each call returns a new report over copies
+of the kept verdict, with no star table, class row or comparison.
 
 Rank-1 quadratic forms Q(e) = a on a free module appear at the end: their
 similarity classes (unit orbits) multiply by a*a', and cancellativity of a
@@ -265,7 +266,7 @@ def require_ring(ring: Ring, *given) -> None:
     """ValueError unless each object given (a classification, a disc class,
     an AS group) was built for ring."""
     for g in given:
-        if g.ring != ring:
+        if g.ring is not ring and g.ring != ring:
             raise ValueError(f"{type(g).__name__} of {g.ring!r} given for {ring!r}")
 
 
@@ -285,16 +286,39 @@ class DiscHomReport:
 def disc_hom_check(ring: Ring, classification: Classification) -> DiscHomReport:
     """Verify the class-level discriminant map is a surjective monoid hom.
 
-    Read off the ring's kept disc tables.  Each row of the star table,
-    mapped through disc, is compared with its disc-monoid row as one list
-    on every call; only a row that differs is walked pair by pair for its
-    violations.  Surjectivity is witnessed constructively: each disc class
+    The verdict is worked out once per classification and kept in its
+    derived slot (see _hom_verdict); each call returns a new report over
+    copies of it.  Surjectivity is witnessed constructively: each disc class
     (d, t) yields an algebra (t, n) with t^2 - 4n = d, n the least solution
     of 4n = t^2 - d; the disc tables solve and check it once per ring
     instance.
     """
     tables = _disc_tables(ring)
     require_ring(ring, classification)
+    verdict = classification.derived.get("hom")
+    if verdict is None:
+        verdict = classification.derived["hom"] = _hom_verdict(
+            ring, classification, tables)
+    is_hom, surjective, fiber_sizes, fibers, violations = verdict
+    return DiscHomReport(ring=ring,
+                         is_homomorphism=is_hom,
+                         is_surjective=surjective,
+                         fiber_sizes=dict(fiber_sizes),
+                         fibers={label: list(v) for label, v in fibers.items()},
+                         preimage_witnesses=dict(tables.preimages),
+                         violations=list(violations))
+
+
+def _hom_verdict(ring: Ring, classification: Classification,
+                 tables: _DiscTables) -> tuple:
+    """(is_hom, surjective, fiber sizes, fibers, violations) of one
+    classification, read off the ring's kept disc tables.
+
+    Each row of the star table, mapped through disc, is compared with its
+    disc-monoid row as one list; only a row that differs is walked pair by
+    pair for its violations, to which the preimage violations of the disc
+    tables are added.
+    """
     index, disc_table = tables.index, tables.table
     mapping = [index[c.disc.value] for c in classification]
     disc_labels = tables.labels
@@ -329,15 +353,8 @@ def disc_hom_check(ring: Ring, classification: Classification) -> DiscHomReport:
         fibers[disc_labels[di]].append(c.label)
     fiber_sizes = {lbl: len(v) for lbl, v in fibers.items()}
     violations += tables.preimage_violations
-
     surjective = all(size > 0 for size in fiber_sizes.values())
-    return DiscHomReport(ring=ring,
-                         is_homomorphism=is_hom,
-                         is_surjective=surjective,
-                         fiber_sizes=fiber_sizes,
-                         fibers=fibers,
-                         preimage_witnesses=dict(tables.preimages),
-                         violations=violations)
+    return is_hom, surjective, fiber_sizes, fibers, violations
 
 
 @dataclass(frozen=True)

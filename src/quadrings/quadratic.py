@@ -333,6 +333,12 @@ class Classification:
     least (t, n) in the orbit, so output is deterministic.  Classes are
     looked up in class_map, which also lists the orbits on first use.  The
     star table is built once, on first use.
+
+    derived is the slot where artin_schreier and discriminants keep what
+    they read off this classification: the AS action on each disc class's
+    fiber and the disc-hom verdict, built and checked on first use.  It
+    holds only ints, strings and lists of them, so it keeps no reference
+    to the ring or a class.
     """
 
     def __init__(self, ring: Ring, classes: list[IsoClass],
@@ -341,6 +347,7 @@ class Classification:
         self.classes = classes
         self.class_map = class_map
         self._star = None
+        self.derived: dict = {}
 
     def __len__(self):
         return len(self.classes)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import quadrings.rings as rings
@@ -5,8 +7,8 @@ from quadrings import (BasisChange, DiscClass, InternalCheckError, IsoClass,
                        QuadraticAlgebra, annihilator_four_torsion,
                        apply_basis_change, as_act,
                        as_embed, as_group, basis_change_group, check_freeness,
-                       classify, disc_classes, disc_hom_check, fiber_report,
-                       four_torsion, is_discriminant, is_isomorphic,
+                       classify, disc_class_of, disc_classes, disc_hom_check,
+                       fiber_report, four_torsion, is_discriminant, is_isomorphic,
                        is_sec_algebra, is_sec_element, parse_ring, star_product,
                        wp4_subgroup)
 from quadrings.artin_schreier import _as_tables, _FibreFacts
@@ -423,19 +425,24 @@ def test_sec_algebra_matches_basis_search():
             assert is_sec_algebra(s) == sec_algebra_by_search(s), s
 
 
+def freeness_by_sec_member_loop(cl, asg, fiber):
+    """The loop check_freeness ran before it read the answer off the
+    report: every non-identity AS class moves every sec member of fiber."""
+    sec_fiber = [ci for ci in fiber if sec_algebra_by_search(cl[ci].rep)]
+    assert sec_fiber in ([], fiber)
+    return all(cl.index_of(as_act(cl[ci].rep, m)) != ci
+               for k, m in enumerate(asg.classes) if k != asg.identity
+               for ci in sec_fiber)
+
+
 def test_check_freeness_matches_sec_member_loop():
-    # the loop check_freeness ran before it read the answer off the report
     for spec in FINITE_RINGS:
         ring = parse_ring(spec)
         cl = classify(ring)
         asg = as_group(ring)
         for d in disc_classes(ring):
             fiber = fiber_report(ring, d, cl, asg).fiber
-            sec_fiber = [ci for ci in fiber if sec_algebra_by_search(cl[ci].rep)]
-            assert sec_fiber in ([], fiber)
-            expected = all(cl.index_of(as_act(cl[ci].rep, m)) != ci
-                           for k, m in enumerate(asg.classes) if k != asg.identity
-                           for ci in sec_fiber)
+            expected = freeness_by_sec_member_loop(cl, asg, fiber)
             assert check_freeness(ring, d, cl, asg) == expected, (spec, d.d)
 
 
@@ -454,8 +461,9 @@ def test_fiber_matches_disc_classification_for_every_orbit_member():
 
 def test_dropped_ring_is_freed_by_refcount():
     # the ring's kernel holds ints, canonical values and strings only, its
-    # kept disc, AS and fibre tables included, so dropping the ring and
-    # everything built over it frees it with the collector off
+    # kept disc, AS and fibre tables included, and so does the
+    # classification's derived slot, so dropping the ring and everything
+    # built over it frees both with the collector off
     import gc
     import weakref
     gc.collect()
@@ -470,9 +478,10 @@ def test_dropped_ring_is_freed_by_refcount():
                 reports.append(disc_hom_check(ring, cl))
                 reports += [check_freeness(ring, d, cl, asg)
                             for d in disc_classes(ring)]
-            alive = weakref.ref(ring)
+            alive, cl_alive = weakref.ref(ring), weakref.ref(cl)
             del ring, cl, asg, reports
             assert alive() is None, spec
+            assert cl_alive() is None, spec
     finally:
         gc.enable()
 
@@ -483,11 +492,14 @@ def test_fiber_report_products_first_and_repeated(spec, monkeypatch):
     # takes |R[4]| products for dR[4] and ann(d)[4] and one d'*m per disc d'
     # of a class representative and AS class m: none per orbit pair, none
     # for the fiber, which is read off the kept disc index, and no ring
-    # addition, since t^2 - d is a code sum.  A repeated report reads all
-    # of it from the ring's kept tables: no product, addition or grouping
-    # of a table.  t^2 and 4n come from the kernel's root table and norm map.
+    # addition, since t^2 - d is a code sum; it reads one class row per
+    # fiber class.  Repeated reports, check_freeness and disc_hom_check
+    # read all of it from the ring's and the classification's kept tables:
+    # no product, addition, grouping of a table, class row or star table.
+    # t^2 and 4n come from the kernel's root table and norm map.
     ring = parse_ring(spec)
     cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
+    hom = disc_hom_check(ring, cl)
     kernel = ring.kernel()
     roots, norms = kernel.roots, kernel.norms
     unit_squares = {u * u for u in ring.units()}
@@ -495,8 +507,9 @@ def test_fiber_report_products_first_and_repeated(spec, monkeypatch):
     # classification so that each first report is counted
     rep_discs = [{c.disc for c in cl if c.disc in {s * d.d for s in unit_squares}}
                  for d in dc]
-    calls = {"_mul": 0, "_add": 0, "_preimages": 0}
-    for owner, name in [(ring, "_mul"), (ring, "_add"), (rings, "_preimages")]:
+    calls = {"_mul": 0, "_add": 0, "_preimages": 0, "row": 0, "star_table": 0}
+    for owner, name in [(ring, "_mul"), (ring, "_add"), (rings, "_preimages"),
+                        (cl.class_map, "row"), (cl, "star_table")]:
         original = getattr(owner, name)
 
         def counting(*args, name=name, original=original):
@@ -505,17 +518,119 @@ def test_fiber_report_products_first_and_repeated(spec, monkeypatch):
 
         monkeypatch.setattr(owner, name, counting)
     monkeypatch.setattr(kernel, "square", None)    # read only through roots
+    none = dict.fromkeys(calls, 0)
     for d, discs in zip(dc, rep_discs):
-        calls.update(dict.fromkeys(calls, 0))
+        calls.update(none)
         first = fiber_report(ring, d, cl, asg)
-        assert calls == {"_mul": len(asg.four_torsion) + len(discs) * asg.order,
-                         "_add": 0, "_preimages": 0}, (spec, d.d)
-        calls.update(dict.fromkeys(calls, 0))
+        assert calls == {**none, "_mul": len(asg.four_torsion) + len(discs) * asg.order,
+                         "row": len(first.fiber)}, (spec, d.d)
+        calls.update(none)
         assert fiber_report(ring, d, cl, asg) == first
         assert check_freeness(ring, d, cl, asg) == (
             first.free or not ring.is_nonzerodivisor(d.d))
-        assert calls == {"_mul": 0, "_add": 0, "_preimages": 0}, (spec, d.d)
+        assert disc_hom_check(ring, cl) == hom
+        assert calls == none, (spec, d.d)
     assert kernel.roots is roots and kernel.norms is norms
+
+
+def test_failed_fibre_check_keeps_nothing(monkeypatch):
+    # count != bound raises on every call, from fiber_report and
+    # check_freeness alike, and keeps neither the facts nor the action;
+    # with the check mended the same instances report as a fresh ring
+    import quadrings.artin_schreier as artin_schreier
+    ring = parse_ring("Z/4")
+    cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
+    d = dc[dc.index_of(ring.one)]
+    monkeypatch.setattr(artin_schreier, "_basis_orbit_bound", lambda *args: -1)
+    for call in (fiber_report, check_freeness, fiber_report):
+        with pytest.raises(InternalCheckError,
+                           match="with-basis orbit count 2 != index bound -1"):
+            call(ring, d, cl, asg)
+    assert not cl.derived.get("fibres") and not _as_tables(ring).fibres
+    monkeypatch.undo()
+    fresh = parse_ring("Z/4")
+    fresh_dc = disc_classes(fresh)
+    assert fiber_report(ring, d, cl, asg) == fiber_report(
+        fresh, fresh_dc[fresh_dc.index_of(fresh.one)], classify(fresh), as_group(fresh))
+
+
+def test_new_disc_of_a_kept_class_runs_the_annihilator_check(monkeypatch):
+    # the action over the class of 1 in GF(4) is kept by the first report;
+    # a report over x, another member of that class, builds the facts of x
+    # and checks them against the kept kernel: with x*a = 0 forced for
+    # every a, ann(x)[4] holds a class that the free action moves
+    ring = parse_ring("Z/2[x]/(x^2+x+1)")
+    cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
+    one = dc[dc.index_of(ring.one)]
+    assert fiber_report(ring, one, cl, asg).kernel == [asg.identity]
+    x = ring.element([0, 1])
+    dx = DiscClass(ring, x, is_discriminant(ring, x))
+    assert dc.index_of(x) == dc.index_of(ring.one)
+    real, zero = ring._mul, ring.zero.value
+    monkeypatch.setattr(ring, "_mul", lambda a, b: zero if a == x.value else real(a, b))
+    for call in (fiber_report, check_freeness):
+        with pytest.raises(InternalCheckError,
+                           match="kernel misses annihilator classes for d = x") as info:
+            call(ring, dx, cl, asg)
+        assert info.value.witness == {"ring": ring.spec_string(), "d": x.to_json()}
+
+
+def mutate_everything(report):
+    """Change every list and dict a report holds, nested ones included."""
+    def mutate(x):
+        if isinstance(x, list):
+            for item in x:
+                mutate(item)
+            x.append(-1)
+        elif isinstance(x, dict):
+            for v in x.values():
+                mutate(v)
+            x["mutated"] = -1
+
+    for f in dataclasses.fields(report):
+        mutate(getattr(report, f.name))
+
+
+@pytest.mark.parametrize("spec", ["Z/12", "Z/4[x]/(x^2)", "Z/8[x]/(x^2+3)"])
+def test_reports_do_not_alias_what_is_kept(spec):
+    # a caller that changes a returned report changes nothing kept: the
+    # repeated call still equals the report of a fresh ring instance
+    ring, fresh = parse_ring(spec), parse_ring(spec)
+    cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
+    fresh_cl, fresh_asg, fresh_dc = classify(fresh), as_group(fresh), disc_classes(fresh)
+    mutate_everything(disc_hom_check(ring, cl))
+    assert disc_hom_check(ring, cl) == disc_hom_check(fresh, fresh_cl)
+    for d, fresh_d in zip(dc, fresh_dc):
+        report = fiber_report(ring, d, cl, asg)
+        mutate_everything(report)
+        assert report.fiber[-1] == -1
+        assert fiber_report(ring, d, cl, asg) == fiber_report(
+            fresh, fresh_d, fresh_cl, fresh_asg), d.d
+
+
+def test_disc_hom_verdict_is_kept_per_classification(monkeypatch):
+    # a second classification of the same ring instance, with a star table
+    # that is wrong at one entry, reports that entry on every call; the
+    # first classification's kept verdict stays clean
+    ring = parse_ring("Z/12")
+    first = classify(ring)
+    clean = disc_hom_check(ring, first)
+    assert clean.is_homomorphism and clean.violations == []
+    second = classify(ring)
+    star = [list(row) for row in second.star_table()]
+    i, j = 1, 2
+    a, b = second[i], second[j]
+    wrong = next(k for k, c in enumerate(second)
+                 if disc_class_of(ring, c.disc)
+                 != disc_class_of(ring, second[star[i][j]].disc))
+    star[i][j] = wrong
+    monkeypatch.setattr(second, "star_table", lambda: tuple(map(tuple, star)))
+    for _ in range(2):
+        bad = disc_hom_check(ring, second)
+        assert not bad.is_homomorphism
+        assert bad.violations == [f"disc({a.label}*{b.label}) differs from "
+                                  f"disc({a.label})*disc({b.label})"]
+    assert disc_hom_check(ring, first) == clean
 
 
 @pytest.mark.parametrize("spec", ["Z/960", "Z/5[x]/(x^2+2)", "Z/3[x]/(x^3)"])
@@ -613,6 +728,22 @@ WITNESS_RINGS = ["Z/8[x]/(x^2+3)", "Z/8[x]/(x^2+2x+4)", "Z/8[x]/(x^2+6x+4)",
                  "Z/8[x]/(x^2+4x+7)", "Z/16[x]/(x^2+3)"]
 
 
+@pytest.mark.parametrize("spec", FINITE_RINGS + WITNESS_RINGS)
+def test_check_freeness_first_matches_sec_member_loop(spec):
+    # on a fresh classification check_freeness builds the fiber's action
+    # itself, before any fiber_report; the report built after it agrees
+    ring = parse_ring(spec)
+    cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
+    for i, d in enumerate(dc):
+        fiber = [ci for ci, c in enumerate(cl) if dc.index_of(c.disc) == i]
+        assert i not in cl.derived.get("fibres", {})
+        free = check_freeness(ring, d, cl, asg)
+        assert free == freeness_by_sec_member_loop(cl, asg, fiber), (spec, d.d)
+        report = fiber_report(ring, d, cl, asg)
+        assert report.fiber == fiber
+        assert free == (report.free or not ring.is_nonzerodivisor(d.d)), (spec, d.d)
+
+
 @pytest.mark.parametrize("ring", rings_up_to(27) + [parse_ring(spec)
                                                     for spec in WITNESS_RINGS],
                          ids=str)
@@ -641,11 +772,12 @@ def test_fiber_report_refuses_an_image_off_the_fiber():
     assert class_map.slices[1][1] == cl.index_of(QuadraticAlgebra(ring, 1, 1))
     class_map.slices[1][1] = cl.index_of(QuadraticAlgebra(ring, 0, 0))
     class_map._rows[y] = None
-    with pytest.raises(InternalCheckError, match=r"action of 1 moved \(1,0\) "
-                       "off the fiber") as info:
-        fiber_report(ring, d, cl, asg)
-    assert info.value.witness == {"ring": "Z/4", "d": 1, "class": "(1,0)",
-                                  "as_class": 1}
+    for call in (fiber_report, check_freeness):    # nothing kept between
+        with pytest.raises(InternalCheckError, match=r"action of 1 moved \(1,0\) "
+                           "off the fiber") as info:
+            call(ring, d, cl, asg)
+        assert info.value.witness == {"ring": "Z/4", "d": 1, "class": "(1,0)",
+                                      "as_class": 1}
 
 
 def test_basis_orbit_count_spans_dr4_from_few_add_rows():
