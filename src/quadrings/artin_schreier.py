@@ -19,10 +19,12 @@ The group and the fiber reports run on the int codes of the ring's kernel
 (rings.Kernel): an addition is an add-row lookup or a code sum, and the unit
 squares, the tables of t^2 and -4n, the norm map 4n -> [n] and the root
 table t^2 -> [t] are built once per ring, not per report.  The AS group is
-built once per ring instance and kept in the kernel, as R[4] and P(R)[4]
-codes, the code -> class map, the class representatives and the identity;
-ASGroup is a view over these tables, and a classification formats each
-class label once.  The action commutes with basis changes, so a report
+built once per ring instance and kept in the kernel, as the R[4] codes,
+the positions in them of P(R)[4] and of the class representatives, the
+code -> class map and the identity; ASGroup is a view over these tables
+that makes one RingElement per member of R[4] and lists P(R)[4] and the
+representatives from those, and a classification formats each class
+label once.  The action commutes with basis changes, so a report
 reads the image of each class under each AS class off the class's
 representative, and reads only the representatives' class rows.  The
 kernel also keeps, per disc d reported, the classes of ann(d)[4] and the
@@ -138,13 +140,15 @@ class _ASTables:
     """AS(R) of one ring on the codes of its kernel, built once per ring
     instance and kept in its kernel's derived slot (for Z, built per call).
 
-    torsion and wp4 are the codes of R[4] and P(R)[4], classes the code of
-    each class representative, class_at the class of each R[4] code,
-    torsion_classes the class of each torsion code in order, and identity
-    the class of 0.  P(R)[4] is checked to be a subgroup and each class to
-    have order dividing 2 here.  The fiber reports fill shifts, the add rows
-    of d'm for each disc d' they meet and each class m, and fibres, the
-    facts they keep per disc d.  Only ints and kernel rows are held.
+    torsion is the codes of R[4], classes the code of each class
+    representative, wp4_pos and class_pos the positions in torsion of
+    P(R)[4] and of the representatives, class_at the class of each R[4]
+    code, torsion_classes the class of each torsion code in order, and
+    identity the class of 0.  P(R)[4] is checked to be a subgroup and each
+    class to have order dividing 2 here.  The fiber reports fill shifts,
+    the add rows of d'm for each disc d' they meet and each class m, and
+    fibres, the facts they keep per disc d.  Only ints and kernel rows are
+    held.
     """
 
     def __init__(self, ring: Ring):
@@ -153,19 +157,22 @@ class _ASTables:
         # the four_torsion elements.
         values, code, add_row = _additive_codes(ring)
         self.torsion = [code[a.value] for a in four_torsion(ring)]
-        self.wp4 = [code[w.value] for w in wp4_subgroup(ring)]
+        wp4 = [code[w.value] for w in wp4_subgroup(ring)]
         self.class_at = class_at = {}    # code of an R[4] member -> class
         self.classes: list[int] = []
         for a in self.torsion:
             if a in class_at:
                 continue
             row = add_row(a)
-            coset = sorted({row[w] for w in self.wp4})
+            coset = sorted({row[w] for w in wp4})
             for c in coset:
                 class_at[c] = len(self.classes)
             self.classes.append(coset[0])
         self.torsion_classes = [class_at[c] for c in self.torsion]
         self.identity = class_at[0]
+        position = {c: k for k, c in enumerate(self.torsion)}
+        self.wp4_pos = [position[c] for c in wp4]
+        self.class_pos = [position[c] for c in self.classes]
         for c in self.classes:
             if class_at.get(add_row(c)[c]) != self.identity:
                 rep = RingElement(ring, values[c])
@@ -190,19 +197,22 @@ def _as_tables(ring: Ring) -> _ASTables:
 class ASGroup:
     """AS(R) = R[4] / P(R)[4] with canonical coset representatives.
 
-    A view over the ring's kept AS tables, with no ring product once they
-    exist.  identity is the index of the class of 0, and torsion_classes
-    the class of each four_torsion element, in order; class_of is one
-    lookup by code.
+    A view over the ring's kept AS tables, with no ring product or check
+    once they exist: each call makes one RingElement per member of R[4],
+    for four_torsion, and lists wp4 and classes from those, at the
+    positions the tables keep.  identity is the index of the class of 0,
+    and torsion_classes the class of each four_torsion element, in order;
+    class_of is one lookup by code.  Every list is new.
     """
 
     def __init__(self, ring: Ring):
         tables = _as_tables(ring)
         values, self._code, _ = _additive_codes(ring)
         self.ring = ring
-        self.four_torsion = [RingElement(ring, values[c]) for c in tables.torsion]
-        self.wp4 = [RingElement(ring, values[c]) for c in tables.wp4]
-        self.classes = [RingElement(ring, values[c]) for c in tables.classes]
+        self.four_torsion = torsion = [RingElement(ring, values[c])
+                                       for c in tables.torsion]
+        self.wp4 = [torsion[k] for k in tables.wp4_pos]
+        self.classes = [torsion[k] for k in tables.class_pos]
         self._class_at = tables.class_at    # code of an R[4] member -> class
         self.torsion_classes = list(tables.torsion_classes)
         self.identity = tables.identity
@@ -212,7 +222,8 @@ class ASGroup:
         return len(self.classes)
 
     def class_of(self, a: RingElement) -> int:
-        if isinstance(a, RingElement) and a.ring == self.ring:
+        if isinstance(a, RingElement) and (a.ring is self.ring
+                                           or a.ring == self.ring):
             idx = self._class_at.get(self._code.get(a.value))
             if idx is not None:
                 return idx

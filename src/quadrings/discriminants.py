@@ -13,11 +13,14 @@ int-coded kernel (rings.Kernel); RingElement stays the input and output
 type.  The disc classes are built once per ring instance and kept in its
 kernel: the residues mod 2R are squared once, the unit squares read from
 the kernel, and |U^2| products taken per class for its orbit, one per pair
-of classes for the monoid table (whose closure is checked then) and one
-per class for a preimage algebra; each disc label is formatted once.
+of classes for the monoid table and one per class for a preimage algebra;
+each disc label is formatted once.  Each class's witness (against t^2 from
+the kernel), the closure of the monoid table and the monoid itself are
+checked then, once per ring instance; a failure keeps nothing.
 DiscClassification and disc_hom_check read these tables and take no ring
-product once they exist: a DiscClassification validates its DiscClass
-witnesses on every call, reading t^2 from the kernel.  disc_hom_check
+product or check once they exist: a DiscClassification makes one
+RingElement per discriminant and per witness and copies the kept monoid,
+and its DiscClass objects find their pairs in the tables.  disc_hom_check
 works out its verdict once per classification and keeps it in the
 classification's derived slot: it looks each algebra class's disc up by
 value and compares each star-table row, mapped through disc, with its
@@ -85,34 +88,46 @@ def is_discriminant(ring: Ring, d: RingElement):
     raise InfiniteRingError("discriminant testing needs a finite ring or Z")
 
 
-@dataclass(frozen=True)
+def _witness_problem(ring: Ring, d, t):
+    """Why t is not a witness of d, on canonical values, or None: t must be
+    reduced mod 2R and t^2 = d mod 4R, with t^2 read from the ring's kernel
+    once that is built and one product before."""
+    coset, kernel = ring._coset_rep, ring._kernel
+    if coset(t, 2) != t:
+        return "is not reduced mod 2R"
+    c = None if kernel is None else kernel.code.get(t)
+    tt = ring._mul(t, t) if c is None else kernel.values[kernel.square[c]]
+    if coset(tt, 4) != coset(d, 4):
+        return f"does not square to {ring.element_text(d)} mod 4R"
+    return None
+
+
+@dataclass(frozen=True, init=False)
 class DiscClass:
     """A discriminant class: representative d plus a witness t stored mod 2R.
 
-    Validated on construction, so deserialized witnesses are re-checked:
-    on canonical values, with three coset representatives and t^2, which
-    is read from the ring's kernel once that is built and is one product
-    before.
+    Validated on construction, so deserialized witnesses are re-checked.  A
+    pair (d, t) that the ring's disc tables hold was checked when they were
+    built, and is found there with one lookup; any other pair is checked by
+    _witness_problem.  The fields are written to the instance dict at
+    once: a frozen dataclass's own __init__ makes one object.__setattr__
+    call per field, which took most of the time of building a DiscClass.
     """
 
     ring: Ring
     d: RingElement
     witness_t: RingElement
 
-    def __post_init__(self):
-        ring = self.ring
-        ring._check_mine(self.d)
-        ring._check_mine(self.witness_t)
-        t, coset = self.witness_t.value, ring._coset_rep
-        if coset(t, 2) != t:
-            raise ValueError(f"witness {self.witness_t} is not reduced mod 2R")
+    def __init__(self, ring: Ring, d: RingElement, witness_t: RingElement):
+        ring._check_mine(d)
+        ring._check_mine(witness_t)
         kernel = ring._kernel
-        c = None if kernel is None else kernel.code.get(t)
-        tt = ring._mul(t, t) if c is None else kernel.values[kernel.square[c]]
-        if coset(tt, 4) != coset(self.d.value, 4):
-            raise ValueError(
-                f"witness {self.witness_t} does not square to {self.d} mod 4R"
-            )
+        tables = None if kernel is None else kernel.derived.get("disc")
+        if tables is None or tables.witness_of.get(d.value) != witness_t.value:
+            problem = _witness_problem(ring, d.value, witness_t.value)
+            if problem is not None:
+                raise ValueError(f"witness {witness_t} {problem}")
+        self.__dict__.update(ring=ring, d=d, witness_t=witness_t)
 
     def label(self) -> str:
         return str(self.d)
@@ -122,14 +137,18 @@ class _DiscTables:
     """The disc classes of one finite ring on canonical values, built once
     per ring instance and kept in its kernel's derived slot.
 
-    Holds, per class in sorted order, the least member d, its witness t, its
-    unit-square orbit and label; the value -> class index of every
-    discriminant; the monoid table and identity; and, for disc_hom_check,
-    the label of a preimage algebra (t, n) of each class and the violations
-    its construction found.  The orbits take |U^2| products per class, the
-    monoid one per pair of classes, whose closure is checked here, and the
-    preimages one per class.  Everything held is an int, a canonical value
-    or a string, so the kernel keeps no reference to the ring.
+    Holds, per class in sorted order, the least member d with its witness t
+    (witness_of, d -> t) and its unit-square orbit; the value -> class index
+    of every discriminant; the monoid, with one label per class; and, for
+    disc_hom_check, the label of a preimage algebra (t, n) of each class and
+    the violations its construction found.  The orbits take |U^2| products
+    per class, the monoid one per pair of classes, and the preimages one per
+    class.  Each witness (t reduced mod 2R, t^2 = d mod 4R with t^2 read
+    from the kernel), the closure of the monoid table and, by
+    FiniteCommMonoid, the monoid's labels and table are checked here, so
+    DiscClass and the DiscClassification views need not check them again.
+    Everything held is an int, a canonical value or a string, so the kernel
+    keeps no reference to the ring.
     """
 
     def __init__(self, ring: Ring):
@@ -137,7 +156,8 @@ class _DiscTables:
         mul, coset = ring._mul, ring._coset_rep
         witnesses = _square_classes(ring)
         unit_squares = kernel.unit_squares
-        self.ds, self.witnesses, self.orbits = [], [], []
+        self.witness_of: dict = {}    # least member d of a class -> t
+        self.orbits = []
         self.index: dict = {}    # canonical value -> class index
         # The first unplaced discriminant in canonical order is the least
         # member of its unit-square orbit, so classes come out sorted.
@@ -147,23 +167,29 @@ class _DiscTables:
             witness = witnesses.get(coset(d, 4))
             if witness is None:
                 continue
+            problem = _witness_problem(ring, d, witness)
+            if problem is not None:
+                raise InternalCheckError(
+                    f"witness {ring.element_text(witness)} {problem}",
+                    {"ring": ring.spec_string(),
+                     "d": RingElement(ring, d).to_json(),
+                     "witness_t": RingElement(ring, witness).to_json()})
             orbit = sorted({mul(s, d) for s in unit_squares}, key=ring.sort_key)
             for v in orbit:
-                self.index[v] = len(self.ds)
-            self.ds.append(d)
-            self.witnesses.append(witness)
+                self.index[v] = len(self.orbits)
+            self.witness_of[d] = witness
             self.orbits.append(orbit)
-        self.labels = [ring.element_text(d) for d in self.ds]
-        self.table = self._monoid_table(ring)
-        self.identity = self.index[ring.one.value]
+        labels = [ring.element_text(d) for d in self.witness_of]
+        self.monoid = FiniteCommMonoid(labels, self._monoid_table(ring),
+                                       self.index[ring.one.value])
         self._find_preimages(ring, kernel)
 
     def _monoid_table(self, ring: Ring) -> list[list[int]]:
         mul, index = ring._mul, self.index
         table = []
-        for a in self.ds:
+        for a in self.witness_of:
             row = []
-            for b in self.ds:
+            for b in self.witness_of:
                 ab = mul(a, b)
                 k = index.get(ab)
                 if k is None:
@@ -186,7 +212,7 @@ class _DiscTables:
         values, code = kernel.values, kernel.code
         self.preimages: dict[str, str] = {}
         self.preimage_violations: list[str] = []
-        for d, t, label in zip(self.ds, self.witnesses, self.labels):
+        for (d, t), label in zip(self.witness_of.items(), self.monoid.labels):
             tt = values[kernel.square[code[t]]]
             norms = kernel.norms.get(code[add(tt, neg(d))])
             if norms is None:
@@ -218,20 +244,22 @@ def _disc_tables(ring: Ring) -> _DiscTables:
 class DiscClassification:
     """The discriminant classes of a finite ring, with their monoid.
 
-    A view over the ring's kept disc tables: each call builds and validates
-    the DiscClass objects, the orbits and the monoid from them, with no
-    ring product once the tables exist.
+    A view over the ring's kept disc tables, whose witnesses and monoid
+    were checked when they were built: each call makes one RingElement per
+    discriminant, for the orbits, of which each class's d is the first,
+    one per witness, and a copy of the kept monoid, with no ring product
+    or check once the tables exist.  Every list and the monoid are new.
     """
 
     def __init__(self, ring: Ring):
         tables = _disc_tables(ring)
         self.ring = ring
-        self.classes: list[DiscClass] = [
-            DiscClass(ring, RingElement(ring, d), RingElement(ring, t))
-            for d, t in zip(tables.ds, tables.witnesses)]
         self.orbits: list[list[RingElement]] = [
             [RingElement(ring, v) for v in orbit] for orbit in tables.orbits]
-        self.monoid = FiniteCommMonoid(tables.labels, tables.table, tables.identity)
+        self.classes: list[DiscClass] = [
+            DiscClass(ring, orbit[0], RingElement(ring, t))
+            for orbit, t in zip(self.orbits, tables.witness_of.values())]
+        self.monoid = tables.monoid.copy()
 
     def __len__(self):
         return len(self.classes)
@@ -255,7 +283,7 @@ def disc_class_of(ring: Ring, d: RingElement) -> int:
     """Index of d's class in disc_classes(ring): one lookup in the ring's
     kept disc tables.  ValueError unless d is a discriminant of ring."""
     index = _disc_tables(ring).index
-    if isinstance(d, RingElement) and d.ring == ring:
+    if isinstance(d, RingElement) and (d.ring is ring or d.ring == ring):
         k = index.get(d.value)
         if k is not None:
             return k
@@ -319,14 +347,14 @@ def _hom_verdict(ring: Ring, classification: Classification,
     pair for its violations, to which the preimage violations of the disc
     tables are added.
     """
-    index, disc_table = tables.index, tables.table
+    index, monoid = tables.index, tables.monoid
     mapping = [index[c.disc.value] for c in classification]
-    disc_labels = tables.labels
+    disc_table, disc_labels = monoid.table, monoid.labels
     violations: list[str] = []
     is_hom = True
 
     identity_idx = classification.index_of(QuadraticAlgebra(ring, 1, 0))
-    if mapping[identity_idx] != tables.identity:
+    if mapping[identity_idx] != monoid.identity:
         is_hom = False
         violations.append("identity class does not map to the identity disc class")
     # disc(rep_i * rep_j) against disc(rep_i) * disc(rep_j), row by row;

@@ -47,6 +47,15 @@ class FiniteCommMonoid:
             raise MonoidError(f"identity index out of range: {identity}",
                               {"kind": "identity", "indices": [identity]})
 
+    def copy(self) -> FiniteCommMonoid:
+        """A new monoid over copies of labels and table, which were checked
+        when this one was built and are not checked again."""
+        new = object.__new__(FiniteCommMonoid)
+        new.labels = self.labels[:]
+        new.table = [row[:] for row in self.table]
+        new.identity = self.identity
+        return new
+
     @property
     def size(self) -> int:
         return len(self.labels)

@@ -488,11 +488,14 @@ class RingElement:
     __slots__ = ("ring", "value")
 
     def __init__(self, ring: Ring, value):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "value", value)
+        _set_ring(self, ring)
+        _set_value(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("ring elements are immutable")
+
+    def __reduce__(self):
+        return RingElement, (self.ring, self.value)
 
     def _coerce(self, other) -> RingElement:
         if isinstance(other, RingElement):
@@ -560,6 +563,11 @@ class RingElement:
             return list(self.value)
         return self.value
 
+
+# The slots' own setters: __init__ fills them without going through the
+# blocked __setattr__ or object.__setattr__'s lookup by name.
+_set_ring = RingElement.ring.__set__
+_set_value = RingElement.value.__set__
 
 _MOD_RE = re.compile(r"^Z/(\d+)$")
 _QUOT_RE = re.compile(r"^Z/(\d+)\[x\]/\((.+)\)$")

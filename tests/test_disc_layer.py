@@ -7,6 +7,9 @@ brute-force kernels (least coset members, units by search), so that they
 share no value-level code with what they check.
 """
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +19,7 @@ from quadrings import (FiberReport, InternalCheckError, QuadraticAlgebra, as_act
                        disc_hom_check, fiber_report, four_torsion,
                        is_discriminant, parse_ring, star_product)
 from quadrings.artin_schreier import ASGroup
-from quadrings.discriminants import DiscClassification, DiscHomReport
+from quadrings.discriminants import DiscClass, DiscClassification, DiscHomReport
 from quadrings.rings import ModRing, QuotientPolyRing, RingElement
 
 QUOTIENT_RINGS = [
@@ -296,6 +299,10 @@ def comparable(result):
 
 
 @pytest.mark.parametrize("spec, wrong, call, message, witness", [
+    # 0 * 0 made 1, so the residue 0 was taken for the least witness of 1
+    ("Z/8", {(0, 0): 1}, on_disc_classes,
+     "witness 0 does not square to 1 mod 4R",
+     {"ring": "Z/8", "d": 1, "witness_t": 0}),
     # the monoid table's product 0 * 1 made 2, not a discriminant
     ("Z/4", {(0, 1): 2}, on_disc_classes,
      "product 2 of discriminants is not a discriminant",
@@ -311,8 +318,9 @@ def comparable(result):
 ])
 def test_checks_kept_once_still_run_on_a_fresh_instance(spec, wrong, call, message,
                                                         witness, monkeypatch):
-    # disc-monoid closure, the P(R)[4] subgroup and count == bound run when
-    # a ring instance first builds its tables: with products corrupted, an
+    # the disc witnesses, disc-monoid closure, the P(R)[4] subgroup and
+    # count == bound run when a ring instance first builds its tables (the
+    # witnesses against the kernel's t^2): with products corrupted, an
     # instance that kept its tables answers as before, and a fresh instance
     # raises the check's error with its witness
     kept, fresh = parse_ring(spec), parse_ring(spec)
@@ -328,3 +336,66 @@ def test_checks_kept_once_still_run_on_a_fresh_instance(spec, wrong, call, messa
         on_fresh()
     assert str(info.value) == message
     assert info.value.witness == witness
+
+
+def test_hand_built_disc_class_is_checked_once_tables_exist():
+    # with the ring's disc tables built, a pair they hold is found there,
+    # and any other pair is checked in full: a wrong or unreduced witness
+    # is still a ValueError, and a good witness of an orbit member passes
+    z8, z5 = parse_ring("Z/8"), parse_ring("Z/5")
+    disc_classes(z8), disc_classes(z5)
+    one = z8.one
+    assert DiscClass(z8, one, one).witness_t == one
+    with pytest.raises(ValueError) as info:
+        DiscClass(z8, one, z8.zero)
+    assert str(info.value) == "witness 0 does not square to 1 mod 4R"
+    with pytest.raises(ValueError) as info:
+        DiscClass(z8, one, z8.element(3))
+    assert str(info.value) == "witness 3 is not reduced mod 2R"
+    four = z5.element(4)
+    assert DiscClass(z5, four, z5.zero).d == four
+
+
+def scramble(xs):
+    """Mutate a list and every list in it."""
+    for x in xs:
+        if isinstance(x, list):
+            scramble(x)
+    xs.append(None)
+    xs.reverse()
+
+
+@pytest.mark.parametrize("spec", ["Z/12", "Z/9", "Z/2[x]/(x^2+x+1)", "Z/4[x]/(x^2)"])
+def test_views_are_not_aliased(spec):
+    # every list of a returned DiscClassification and ASGroup, and the
+    # monoid, are new: mutating them leaves the next call on the same ring
+    # equal to a fresh instance's
+    ring, fresh = parse_ring(spec), parse_ring(spec)
+    expected = disc_view(disc_classes(fresh)), as_view(as_group(fresh))
+    for _ in range(2):
+        dc, asg = disc_classes(ring), as_group(ring)
+        assert (disc_view(dc), as_view(asg)) == expected
+        monoid = dc.monoid
+        for xs in (dc.classes, dc.orbits, monoid.labels, monoid.table,
+                   asg.four_torsion, asg.wp4, asg.classes, asg.torsion_classes):
+            scramble(xs)
+        monoid.identity += 1
+
+
+@pytest.mark.parametrize("spec", ["Z/12", "Z/4[x]/(x^2)"])
+def test_elements_disc_classes_and_reports_copy_and_pickle(spec):
+    # RingElement reduces to (RingElement, (ring, value)), so elements and
+    # what holds them copy, deep-copy and pickle to equal objects
+    ring = parse_ring(spec)
+    cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
+    d = dc[1]
+    report = fiber_report(ring, d, cl, asg)
+    for obj in (d.d, d, report):
+        assert pickle.loads(pickle.dumps(obj)) == obj
+        assert copy.deepcopy(obj) == obj
+        assert copy.copy(obj) == obj
+    assert copy.copy(d.d).ring is ring
+    restored = pickle.loads(pickle.dumps(d.d))
+    assert restored.ring == ring and restored.value == d.d.value
+    with pytest.raises(AttributeError):
+        restored.value = 0

@@ -220,6 +220,17 @@ def test_range_check_names_the_first_bad_entry():
         assert str(exc.value) == text
 
 
+def test_copy_is_equal_and_aliases_nothing():
+    m = FiniteCommMonoid(["e", "a", "0"], [[0, 1, 2], [1, 1, 2], [2, 2, 2]], 0)
+    c = m.copy()
+    assert type(c) is FiniteCommMonoid and c == m and c is not m
+    assert c.labels is not m.labels
+    assert c.table is not m.table
+    assert all(x is not y for x, y in zip(c.table, m.table))
+    c.labels[0], c.table[0][0], c.identity = "x", 2, 1
+    assert m.labels[0] == "e" and m.table[0][0] == 0 and m.identity == 0
+
+
 def test_table_checks_carry_witnesses():
     cases = [
         ((["a", "b", "a"], [[0] * 3] * 3, 0), {"kind": "labels", "labels": ["a"]}),
