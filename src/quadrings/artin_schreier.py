@@ -263,7 +263,7 @@ def as_act(s: QuadraticAlgebra, m: RingElement) -> QuadraticAlgebra:
     """Act by 4-torsion m: (t, n) -> (t, n + disc(S)*m); equals S * (1, m)."""
     ring = s.ring
     ring._check_mine(m)
-    if ring.element(4) * m != ring.zero:
+    if ring._mul(ring.canonicalize(4), m.value) != ring.canonicalize(0):
         raise ValueError(f"{m!r} is not 4-torsion")
     return QuadraticAlgebra(ring, s.t, s.n + s.disc() * m)
 

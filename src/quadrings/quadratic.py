@@ -39,16 +39,18 @@ class QuadraticAlgebra:
     __slots__ = ("ring", "t", "n")
 
     def __init__(self, ring: Ring, t, n):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "t", ring.element(t))
-        object.__setattr__(self, "n", ring.element(n))
+        _set_algebra_ring(self, ring)
+        _set_t(self, ring.element(t))
+        _set_n(self, ring.element(n))
 
     def __setattr__(self, name, value):
         raise AttributeError("algebras are immutable")
 
     def disc(self) -> RingElement:
         """Discriminant t^2 - 4n; always a square mod 4R, witnessed by t."""
-        return self.t * self.t - self.ring.element(4) * self.n
+        ring, t, n = self.ring, self.t.value, self.n.value
+        mul = ring._mul
+        return RingElement(ring, ring._sub(mul(t, t), mul(ring.canonicalize(4), n)))
 
     def is_separable(self) -> bool:
         return self.ring.is_unit(self.disc())
@@ -88,16 +90,17 @@ class AlgebraElement:
     __slots__ = ("algebra", "a", "b")
 
     def __init__(self, algebra: QuadraticAlgebra, a, b):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "a", algebra.ring.element(a))
-        object.__setattr__(self, "b", algebra.ring.element(b))
+        ring = algebra.ring
+        _set_algebra(self, algebra)
+        _set_a(self, ring.element(a))
+        _set_b(self, ring.element(b))
 
     def __setattr__(self, name, value):
         raise AttributeError("algebra elements are immutable")
 
     def _coerce(self, other) -> AlgebraElement:
         if isinstance(other, AlgebraElement):
-            if other.algebra != self.algebra:
+            if other.algebra is not self.algebra and other.algebra != self.algebra:
                 raise MixedRingError("elements of different algebras")
             return other
         return AlgebraElement(self.algebra, other, 0)
@@ -119,9 +122,8 @@ class AlgebraElement:
         other = self._coerce(other)
         t, n = self.algebra.t, self.algebra.n
         a, b, c, d = self.a, self.b, other.a, other.b
-        return AlgebraElement(self.algebra,
-                              a * c - b * d * n,
-                              a * d + b * c + b * d * t)
+        bd = b * d
+        return AlgebraElement(self.algebra, a * c - bd * n, a * d + b * c + bd * t)
 
     __rmul__ = __mul__
 
@@ -152,6 +154,16 @@ class AlgebraElement:
         return f"({self.a}) + ({self.b})x in {self.algebra!r}"
 
 
+# The slots' own setters, as for RingElement: __init__ fills the slots
+# without the blocked __setattr__ or object.__setattr__'s lookup by name.
+_set_algebra_ring = QuadraticAlgebra.ring.__set__
+_set_t = QuadraticAlgebra.t.__set__
+_set_n = QuadraticAlgebra.n.__set__
+_set_algebra = AlgebraElement.algebra.__set__
+_set_a = AlgebraElement.a.__set__
+_set_b = AlgebraElement.b.__set__
+
+
 class BasisChange:
     """The substitution x -> u(x + r) with u a unit."""
 
@@ -176,7 +188,7 @@ class BasisChange:
 
 def star_product(s: QuadraticAlgebra, t: QuadraticAlgebra) -> QuadraticAlgebra:
     """Monoid product: (t,n)*(s,m) = (st, mt^2 + ns^2 - 4nm)."""
-    if s.ring != t.ring:
+    if s.ring is not t.ring and s.ring != t.ring:
         raise MixedRingError("product requires algebras over the same ring")
     four = s.ring.element(4)
     tt, nn = s.t, s.n
@@ -205,28 +217,34 @@ def is_isomorphic(s: QuadraticAlgebra, t: QuadraticAlgebra):
     """A BasisChange g with apply_basis_change(s, g) = t, or None.
 
     The trace fixes r up to the unit: u(t + 2r) = t' forces 2r = u^-1 t' - t.
-    Over a finite ring only those r are tried, for each unit in order, on
-    canonical values, so the witness is the first one in basis_change_group
-    order and only the norm u^2(n + tr + r^2) = n' is left to test.  Over Z,
-    u is +/-1 and r is the one solution of that equation, if any.
+    Over a finite ring only those r are tried, for each unit in order, so
+    the witness is the first one in basis_change_group order and only the
+    norm u^2(n + tr + r^2) = n' is left to test.  The loop runs on canonical
+    values: each unit costs one product for u^-1 t', with u^-1 from the
+    ring's value-level inverse, and u^2 and the norm n + (t + r)r are taken
+    only for the r that solve the trace equation.  Elements are built for
+    the witness alone.  Over Z, u is +/-1 and r is the one solution of that
+    equation, if any.
     """
-    if s.ring != t.ring:
+    if s.ring is not t.ring and s.ring != t.ring:
         raise MixedRingError("isomorphism testing requires a common ring")
     ring = s.ring
     if ring.is_finite:
-        mul, add, neg = ring._mul, ring._add, ring._neg
+        mul, add, inverse = ring._mul, ring._add, ring._inverse
         halves: dict = {}
         for r in ring._values():
             halves.setdefault(add(r, r), []).append(r)
         tv, nv, t2, n2 = s.t.value, s.n.value, t.t.value, t.n.value
+        minus_t = ring._neg(tv)
         for u in ring._unit_values():
-            unit = RingElement(ring, u)
-            inverse = ring.inverse_of_unit(unit).value
-            uu = mul(u, u)
-            for r in halves.get(add(mul(inverse, t2), neg(tv)), ()):
-                # The norm of apply_basis_change(s, BasisChange(u, r)).
-                if mul(uu, add(nv, add(mul(tv, r), mul(r, r)))) == n2:
-                    return BasisChange(unit, RingElement(ring, r))
+            solutions = halves.get(add(mul(inverse(u), t2), minus_t))
+            if solutions:
+                uu = mul(u, u)
+                for r in solutions:
+                    # The norm of apply_basis_change(s, BasisChange(u, r)).
+                    if mul(uu, add(nv, mul(add(tv, r), r))) == n2:
+                        return BasisChange(RingElement(ring, u),
+                                           RingElement(ring, r))
         return None
     if isinstance(ring, IntegerRing):
         tv, nv = s.t.value, s.n.value

@@ -12,6 +12,24 @@ canonicalize, _add, _mul and _neg gets RingElement arithmetic, and with it
 the quadratic-algebra code: the symbolic verifier runs that code over
 integer polynomials this way.
 
+Most queries are a few ring operations on a ring that was just parsed, so
+the fixed cost of one operation is kept low.  An operand that is an element
+of the identical ring instance is used as it is; anything else (an element
+of an equal ring, an int, a coefficient list) goes through canonicalize,
+which keeps the exactness check (TypeError on non-integers) and raises
+MixedRingError for another ring.  canonicalize takes an int, and a list of
+d coefficients, reduced mod n alone.  (Z/n)[x]/(f) reduces a product's
+convolution, and any longer coefficient list, by synthetic division by the
+monic f (unrolled for d = 2).  A parse builds no table, so one cold query
+costs the parse and its ring operations: a star product seven products,
+an AS action four, a discriminant test one product per residue mod 2R.
+An isomorphism test over a finite ring costs |R| additions and one product
+per unit, plus u^2 for a unit whose trace equation has a solution and two
+products per solution, after the unit table of a quotient ring (at most
+2|R| products).  Nothing is cached on a ring but canonical values, so a
+ring holds no element and no reference to itself, and a pickle or copy of
+it leaves its caches behind.
+
 Each finite ring instance has one Kernel, built on first use by
 ring.kernel(): its elements as int codes, the value -> code map, the codes
 of t^2 and -4n, the norm map 4n -> [n], the root table t^2 -> [t], the
@@ -63,6 +81,7 @@ class Ring:
 
     is_finite = False
     _kernel = None
+    _caches = ("_kernel",)    # built on first use, and left out of pickles
 
     def element(self, value) -> RingElement:
         if isinstance(value, RingElement) and value.ring is self:
@@ -89,8 +108,21 @@ class Ring:
     def _neg(self, a):
         raise NotImplementedError
 
+    def _sub(self, a, b):
+        return self._add(a, self._neg(b))
+
+    def _inverse(self, a):
+        """The inverse of the canonical value a of a unit."""
+        raise NotImplementedError
+
     def sort_key(self, value):
         raise NotImplementedError
+
+    def __getstate__(self):
+        """What a pickle or copy of the ring keeps: its defining data, not
+        the caches named in _caches, which the copy rebuilds on first use."""
+        caches = self._caches
+        return {k: v for k, v in self.__dict__.items() if k not in caches}
 
     @property
     def size(self) -> int:
@@ -176,6 +208,8 @@ class IntegerRing(Ring):
     is_finite = False
 
     def canonicalize(self, value):
+        if type(value) is int:
+            return value
         if isinstance(value, RingElement):
             self._check_mine(value)
             return value.value
@@ -189,6 +223,9 @@ class IntegerRing(Ring):
 
     def _neg(self, a):
         return -a
+
+    def _sub(self, a, b):
+        return a - b
 
     def sort_key(self, value):
         return value
@@ -238,6 +275,8 @@ class ModRing(Ring):
         self.n = n
 
     def canonicalize(self, value):
+        if type(value) is int:
+            return value % self.n
         if isinstance(value, RingElement):
             self._check_mine(value)
             return value.value
@@ -251,6 +290,12 @@ class ModRing(Ring):
 
     def _neg(self, a):
         return (-a) % self.n
+
+    def _sub(self, a, b):
+        return (a - b) % self.n
+
+    def _inverse(self, a):
+        return pow(a, -1, self.n)
 
     def sort_key(self, value):
         return value
@@ -283,7 +328,7 @@ class ModRing(Ring):
     def inverse_of_unit(self, a: RingElement) -> RingElement:
         if not self.is_unit(a):
             raise ValueError(f"{a!r} is not a unit")
-        return RingElement(self, pow(a.value, -1, self.n))
+        return RingElement(self, self._inverse(a.value))
 
     def in_principal_ideal(self, a: RingElement, t: RingElement) -> bool:
         """a in tR iff a = 0 mod gcd(t, n), since tR = gcd(t, n)R."""
@@ -314,6 +359,8 @@ class QuotientPolyRing(Ring):
     """
 
     is_finite = True
+    _inverses = None    # the unit table, per instance once built
+    _caches = Ring._caches + ("_inverses",)
 
     def __init__(self, n: int, modulus):
         if n < 1:
@@ -327,57 +374,58 @@ class QuotientPolyRing(Ring):
             )
         self.n = n
         self.modulus = tuple(coeffs)
-        self.degree = len(coeffs) - 1
-        # _powers[j] = x^(d+j) mod f; a product of reduced values reaches
-        # x^(2d-2), so those rows are built here, once per ring.
-        self._powers: list[list[int]] = []
-        self._extend_powers(self.degree - 1)
-        self._inverses: dict | None = None
-
-    def _extend_powers(self, count: int) -> None:
-        """Make _powers hold x^d, ..., x^(d+count-1) mod f.
-
-        x^(k+1) = x * x^k: shift x^k up one place and replace its top
-        coefficient c by c * (x^d mod f), where x^d mod f is
-        -(f_0 + f_1 x + ... + f_(d-1) x^(d-1)).
-        """
-        d, n = self.degree, self.n
-        x_d = [(-c) % n for c in self.modulus[:d]]
-        powers = self._powers
-        while len(powers) < count:
-            prev = powers[-1] if powers else [0] * (d - 1) + [1]    # x^(d-1)
-            top = prev[-1]
-            powers.append([(a + top * b) % n
-                           for a, b in zip([0] + prev[:-1], x_d)])
+        self.degree = d = len(coeffs) - 1
+        # x^d mod f = -(f_0 + f_1 x + ... + f_(d-1) x^(d-1)), and the d - 1
+        # zero coefficients above the constant of an int
+        self._x_d = tuple([(-c) % n for c in coeffs[:d]])
+        self._pad = (0,) * (d - 1)
 
     def canonicalize(self, value):
+        """An int, or a list or tuple of d coefficients, is reduced mod n
+        alone; a longer or shorter one goes through _reduce."""
+        if type(value) is int:
+            return (value % self.n,) + self._pad
         if isinstance(value, RingElement):
             self._check_mine(value)
             return value.value
-        coeffs = value if isinstance(value, (list, tuple)) else [value]
-        return self._reduce([_exact(c) for c in coeffs])
+        if isinstance(value, (list, tuple)):
+            if len(value) == self.degree:
+                n = self.n
+                return tuple([_exact(c) % n for c in value])
+            return self._reduce([_exact(c) for c in value])
+        return self._reduce([_exact(value)])
 
     def _reduce(self, coeffs: list) -> tuple:
         """Integer coefficients, constant first and of any length, reduced
-        mod f and n: each c_k x^k with k >= d becomes c_k (x^k mod f)."""
-        d = self.degree
-        low = coeffs[:d] + [0] * (d - len(coeffs))
-        high = coeffs[d:]
-        if len(high) > len(self._powers):
-            self._extend_powers(len(high))
-        for c, row in zip(high, self._powers):
+        mod f and n by synthetic division by the monic f from the top: c x^k
+        with k >= d becomes c x^(k-d) (x^d mod f), with c taken mod n first.
+        The list coeffs is consumed."""
+        d, n, x_d = self.degree, self.n, self._x_d
+        if len(coeffs) < d:
+            coeffs = coeffs + [0] * (d - len(coeffs))
+        for k in range(len(coeffs) - d - 1, -1, -1):
+            c = coeffs.pop() % n
             if c:
-                for i, r in enumerate(row):
-                    low[i] += c * r
-        n = self.n
-        return tuple([a % n for a in low])
+                for i, r in enumerate(x_d, k):
+                    coeffs[i] += c * r
+        return tuple([c % n for c in coeffs])
 
     def _add(self, a, b):
         n = self.n
         return tuple([(x + y) % n for x, y in zip(a, b)])
 
+    def _sub(self, a, b):
+        n = self.n
+        return tuple([(x - y) % n for x, y in zip(a, b)])
+
     def _mul(self, a, b):
-        conv = [0] * (2 * self.degree - 1)
+        """The convolution of a and b, reduced by _reduce."""
+        d, n, x_d = self.degree, self.n, self._x_d
+        if d == 2:    # the same, unrolled: one division step
+            (a0, a1), (b0, b1), (f0, f1) = a, b, x_d
+            top = a1 * b1 % n
+            return (a0 * b0 + top * f0) % n, (a0 * b1 + a1 * b0 + top * f1) % n
+        conv = [0] * (2 * d - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b, i):
@@ -421,11 +469,10 @@ class QuotientPolyRing(Ring):
         costs at most 2|R| products.
         """
         if self._inverses is None:
-            one = self.one.value
+            one = self.canonicalize(1)
             inverses = {one: one}
             nonunits = set()
-            for e in self.elements():
-                a = e.value
+            for a in self._values():
                 if a in inverses or a in nonunits:
                     continue
                 chain, walked = [a], {a}    # chain[i] = a^(i+1)
@@ -454,6 +501,9 @@ class QuotientPolyRing(Ring):
         if inverse is None:
             raise ValueError(f"{a!r} is not a unit")
         return RingElement(self, inverse)
+
+    def _inverse(self, a):
+        return self._inverse_table()[a]
 
     def in_principal_ideal(self, a: RingElement, t: RingElement) -> bool:
         """a in tR: always when t is a unit, since then tR = R; otherwise
@@ -506,22 +556,32 @@ class RingElement:
             return other
         return self.ring.element(other)
 
+    # An operand of the identical ring needs no _coerce; any other goes
+    # through it, which checks an equal ring and canonicalizes the rest.
+
     def __add__(self, other):
-        other = self._coerce(other)
-        return RingElement(self.ring, self.ring._add(self.value, other.value))
+        ring = self.ring
+        if type(other) is not RingElement or other.ring is not ring:
+            other = self._coerce(other)
+        return RingElement(ring, ring._add(self.value, other.value))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return self + (-other)
+        ring = self.ring
+        if type(other) is not RingElement or other.ring is not ring:
+            other = self._coerce(other)
+        return RingElement(ring, ring._sub(self.value, other.value))
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._coerce(other)
+        return RingElement(self.ring, self.ring._sub(other.value, self.value))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        return RingElement(self.ring, self.ring._mul(self.value, other.value))
+        ring = self.ring
+        if type(other) is not RingElement or other.ring is not ring:
+            other = self._coerce(other)
+        return RingElement(ring, ring._mul(self.value, other.value))
 
     __rmul__ = __mul__
 
@@ -542,7 +602,8 @@ class RingElement:
 
     def __eq__(self, other):
         if isinstance(other, RingElement):
-            return self.ring == other.ring and self.value == other.value
+            return ((self.ring is other.ring or self.ring == other.ring)
+                    and self.value == other.value)
         return NotImplemented
 
     def __hash__(self):
@@ -572,6 +633,7 @@ _set_value = RingElement.value.__set__
 _MOD_RE = re.compile(r"^Z/(\d+)$")
 _QUOT_RE = re.compile(r"^Z/(\d+)\[x\]/\((.+)\)$")
 _TERM_RE = re.compile(r"^([+-]?)(\d+)?\*?(x(?:\^(\d+))?)?$")
+_TOKEN_RE = re.compile(r"[+-]?[^+-]+")
 
 
 def parse_poly(text: str) -> list[int]:
@@ -579,23 +641,18 @@ def parse_poly(text: str) -> list[int]:
     s = text.replace(" ", "")
     if not s:
         raise RingParseError("empty polynomial")
-    tokens = re.findall(r"[+-]?[^+-]+", s)
+    tokens = _TOKEN_RE.findall(s)
     if "".join(tokens) != s:
         raise RingParseError(f"cannot parse polynomial {text!r}")
     coeffs: dict[int, int] = {}
     for tok in tokens:
         m = _TERM_RE.match(tok)
-        if not m or (m.group(2) is None and m.group(3) is None):
+        sign, digits, x, power = m.groups() if m else (None, None, None, None)
+        if digits is None and x is None:
             raise RingParseError(f"cannot parse term {tok!r} in {text!r}")
-        sign = -1 if m.group(1) == "-" else 1
-        coeff = int(m.group(2)) if m.group(2) is not None else 1
-        if m.group(3) is None:
-            deg = 0
-        elif m.group(4) is not None:
-            deg = int(m.group(4))
-        else:
-            deg = 1
-        coeffs[deg] = coeffs.get(deg, 0) + sign * coeff
+        coeff = 1 if digits is None else int(digits)
+        deg = 0 if x is None else 1 if power is None else int(power)
+        coeffs[deg] = coeffs.get(deg, 0) + (-coeff if sign == "-" else coeff)
     top = max(coeffs)
     return [coeffs.get(i, 0) for i in range(top + 1)]
 

@@ -399,3 +399,31 @@ def test_elements_disc_classes_and_reports_copy_and_pickle(spec):
     assert restored.ring == ring and restored.value == d.d.value
     with pytest.raises(AttributeError):
         restored.value = 0
+
+
+@pytest.mark.parametrize("spec", ["Z/1024", "Z/2[x]/(x^10+x^3+1)", "Z/4[x]/(x^2)"])
+def test_pickles_and_copies_leave_the_ring_caches_behind(spec):
+    # a ring pickles and copies its defining data only: the kernel with its
+    # kept tables and the unit table are rebuilt on first use, so an element
+    # pickles to its fresh size after every kept table is built
+    fresh = len(pickle.dumps(parse_ring(spec).element(3)))
+    ring = parse_ring(spec)
+    cl, asg = classify(ring), as_group(ring)
+    reports = [fiber_report(ring, d, cl, asg) for d in disc_classes(ring)]
+    ring.units()
+    caches = set(ring._caches)
+    assert caches <= set(vars(ring))
+    element = ring.element(3)
+    assert len(pickle.dumps(element)) == fresh
+    restored = pickle.loads(pickle.dumps(element))
+    assert restored == element and not caches & set(vars(restored.ring))
+    for obj in (reports[-1].disc_class, reports[-1]):
+        twin = copy.deepcopy(obj)
+        assert twin == obj
+        twin_ring = (twin.disc_class if isinstance(twin, FiberReport) else twin).d.ring
+        assert twin_ring is not ring and not caches & set(vars(twin_ring))
+    # the copy rebuilds what it needs and answers as the original
+    again = restored.ring
+    assert disc_view(disc_classes(again)) == disc_view(disc_classes(ring))
+    assert again.units() == ring.units()
+    assert set(vars(again)) == set(vars(ring))

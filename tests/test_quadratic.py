@@ -174,6 +174,61 @@ def test_is_isomorphic_witness_is_first_in_group_order():
             assert is_isomorphic(s, t) == first_witness_by_search(s, t), spec
 
 
+@pytest.mark.parametrize("spec", ["Z", "Z/12", "Z/2[x]/(x^2+x+1)", "Z/3[x]/(x^2+1)"])
+def test_algebras_take_elements_of_the_identical_ring_as_they_are(spec):
+    # an element of the identical ring is kept as it is; one of an equal
+    # ring instance and a plain value are brought in through ring.element;
+    # one of another ring raises
+    ring, twin = parse_ring(spec), parse_ring(spec)
+    t, n = ring.element(3), ring.element(5)
+    alg = QuadraticAlgebra(ring, t, n)
+    assert alg.t is t and alg.n is n
+    x = alg.element(n, t)
+    assert x.a is n and x.b is t
+    for a, b in [(twin.element(3), twin.element(5)), (3, 5), (3, ring.element(5))]:
+        other = QuadraticAlgebra(ring, a, b)
+        assert other == alg and other.t.ring is ring and other.n.ring is ring
+        y = alg.element(b, a)
+        assert y == x and y.a.ring is ring and y.b.ring is ring
+    with pytest.raises(MixedRingError):
+        QuadraticAlgebra(ring, parse_ring("Z/7").element(3), n)
+    with pytest.raises(MixedRingError):
+        alg.element(0, parse_ring("Z/7").element(1))
+
+
+@pytest.mark.parametrize("spec", ["Z", "Z/12", "Z/2[x]/(x^2+x+1)", "Z/3[x]/(x^2+1)"])
+def test_algebra_arithmetic_across_equal_algebras(spec):
+    # products, sums, disc and is_isomorphic take operands over an equal
+    # but distinct ring as if over the same one; another algebra raises
+    ring, twin = parse_ring(spec), parse_ring(spec)
+    alg, alg2 = QuadraticAlgebra(ring, 1, 2), QuadraticAlgebra(twin, 1, 2)
+    for a, b, c, d in [(1, 2, 3, 4), (0, 5, 7, 1), (3, 3, 3, 3)]:
+        x, y, y2 = alg.element(a, b), alg.element(c, d), alg2.element(c, d)
+        assert x * y2 == x * y and x + y2 == x + y and x - y2 == x - y
+        # the product by x^2 = tx - n, with the oracle on ring elements
+        t, n = alg.t, alg.n
+        want = (x.a * y.a - x.b * y.b * n, x.a * y.b + x.b * y.a + x.b * y.b * t)
+        assert ((x * y).a, (x * y).b) == want
+    other = QuadraticAlgebra(ring, 0, 1)
+    with pytest.raises(MixedRingError):
+        alg.x * other.x
+    s, t = QuadraticAlgebra(ring, 1, 2), QuadraticAlgebra(twin, 3, 4)
+    assert is_isomorphic(s, t) == is_isomorphic(s, QuadraticAlgebra(ring, 3, 4))
+    assert star_product(s, t) == star_product(s, QuadraticAlgebra(ring, 3, 4))
+
+
+def test_disc_matches_element_arithmetic():
+    # disc is taken on canonical values; the oracle is t*t - 4*n on elements
+    for spec in FINITE_RINGS + ["Z/12", "Z/3[x]/(x^2+1)"]:
+        ring = parse_ring(spec)
+        four = ring.element(4)
+        for s in all_algebras(ring):
+            assert s.disc() == s.t * s.t - four * s.n
+    z = parse_ring("Z")
+    for t, n in [(0, 0), (3, -7), (10 ** 40 + 1, -(10 ** 39))]:
+        assert QuadraticAlgebra(z, t, n).disc().value == t * t - 4 * n
+
+
 def orbit_partition_oracle(ring):
     """Independent single-step relation: p ~ q iff some g maps p to q."""
     group = [(u, r) for u in ring.units() for r in ring.elements()]

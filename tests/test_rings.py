@@ -277,6 +277,144 @@ def test_quotient_arithmetic_matches_schoolbook(ring_n_f, data):
     assert ring._mul(a, b) == schoolbook_mul(p or [0], q or [0], n, f)
 
 
+def power_rows(n, f, top):
+    """x^k mod (f, n) for k = 0, ..., top: x^(k+1) is x^k shifted up one
+    place, less its top coefficient times f."""
+    d = len(f) - 1
+    rows = [[int(i == k) for i in range(d)] for k in range(d)]
+    while len(rows) <= top:
+        prev = rows[-1]
+        rows.append([(s - prev[-1] * c) % n for s, c in zip([0] + prev[:-1], f)])
+    return rows
+
+
+def test_mul_matches_convolution_and_power_rows_on_every_pair():
+    # _mul reduces by synthetic division; the reference sums the schoolbook
+    # convolution against the rows x^k mod f, built by shifts alone
+    for spec in SMALL_RINGS:
+        ring = parse_ring(spec)
+        n, values = ring.n, ring._values()
+        if isinstance(ring, ModRing):
+            assert all(ring._mul(a, b) == a * b % n for a in values for b in values)
+            continue
+        f, d = ring.modulus, ring.degree
+        rows = power_rows(n, f, 2 * d - 2)
+        for a, b in product(values, repeat=2):
+            conv = [0] * (2 * d - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    conv[i + j] += x * y
+            want = tuple(sum(c * row[i] for c, row in zip(conv, rows)) % n
+                         for i in range(d))
+            assert ring._mul(a, b) == want, (spec, a, b)
+
+
+def test_canonicalize_fast_paths_match_reduce():
+    # ints, and coefficient sequences of length d, skip _reduce; every
+    # other input still goes through it, and all agree with the long division
+    big = [-1, -7, 0, 5, 12, 13, 10 ** 6 + 3, 2 ** 200, -2 ** 200]
+    rings = [parse_ring(s) for s in SMALL_RINGS] + [QuotientPolyRing(7, [2, 3, 0, 0, 0, 1])]
+    for ring in rings:
+        n = ring.n
+        if isinstance(ring, ModRing):
+            for v in big:
+                assert ring.canonicalize(v) == v % n
+            continue
+        f, d = list(ring.modulus), ring.degree
+        for v in big:
+            assert ring.canonicalize(v) == ring._reduce([v]) == schoolbook_reduce([v], n, f)
+        for length in range(3 * d + 1):
+            coeffs = [big[(i * 5 + length) % len(big)] for i in range(length)]
+            want = schoolbook_reduce(coeffs, n, f) if coeffs else (0,) * d
+            for seq in (coeffs, tuple(coeffs)):
+                assert ring.canonicalize(seq) == ring._reduce(list(seq)) == want
+    z = parse_ring("Z")
+    for v in big:
+        assert z.canonicalize(v) == v
+
+
+def test_non_integers_raise_type_error_on_every_path():
+    from fractions import Fraction
+    rings = [parse_ring(s) for s in ("Z", "Z/7", "Z/3[x]/(x^2+1)", "Z/2[x]/(x^3+x+1)")]
+    for ring in rings:
+        d = getattr(ring, "degree", 1)
+        e = ring.element(1)
+        for bad in (2.0, 0.5, Fraction(1, 2), Fraction(4, 1), "3", None):
+            inputs = [bad]
+            if d > 1:
+                inputs += [[bad] + [0] * (d - 1), tuple([0] * (d - 1) + [bad]),
+                           [bad], [0] * (d + 1) + [bad]]
+            for value in inputs:
+                with pytest.raises(TypeError):
+                    ring.canonicalize(value)
+                with pytest.raises(TypeError):
+                    ring.element(value)
+            for op in (lambda: e + bad, lambda: bad + e, lambda: e - bad,
+                       lambda: bad - e, lambda: e * bad, lambda: bad * e,
+                       lambda: QuadraticAlgebra(ring, bad, 0),
+                       lambda: QuadraticAlgebra(ring, 0, 1).element(bad, 0)):
+                with pytest.raises(TypeError):
+                    op()
+        # bool is an int subclass and goes the general way, as 0 and 1
+        assert ring.element(True) == ring.one and ring.element(False) == ring.zero
+        assert e + True == e + 1 and True - e == ring.zero and e * False == ring.zero
+        if d > 1:
+            assert ring.element([True] + [False] * (d - 1)) == ring.one
+            assert ring.element((False, True)) == ring.element([0, 1])
+
+
+@pytest.mark.parametrize("spec", ["Z", "Z/12", "Z/2[x]/(x^3+x+1)", "Z/6[x]/(x^2+1)"])
+def test_operands_of_equal_and_of_different_rings(spec):
+    # an element of an equal but distinct ring instance takes the general
+    # path through _coerce and gives the same value; another ring raises
+    ring, twin, other = parse_ring(spec), parse_ring(spec), parse_ring("Z/5")
+    assert twin == ring and twin is not ring
+    values = ring._values() if ring.is_finite else [-3, 0, 2, 10 ** 30]
+    for a, b in product(values[:12], repeat=2):
+        x, y = ring.element(a), twin.element(b)
+        same = ring.element(b)
+        for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+            got = getattr(x, op)(y)
+            assert got == getattr(x, op)(same) and got.ring is ring, (op, a, b)
+        assert x - y == x + (-same) and y.__rsub__(x) == x - same
+        assert 3 + x == x + 3 == x + ring.element(3)
+        assert 3 - x == ring.element(3) - x and 3 * x == x * ring.element(3)
+        assert (x == y) == (a == b)
+    x, z = ring.element(1), other.element(1)
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        with pytest.raises(MixedRingError):
+            getattr(x, op)(z)
+        with pytest.raises(MixedRingError):
+            getattr(z, op)(x)
+
+
+def test_queried_ring_is_freed_by_refcount():
+    # single queries keep only canonical values on the ring (the unit and
+    # power tables), never an element, so the ring dies with its last
+    # reference with the collector off
+    import gc
+    import weakref
+    from quadrings import as_act, is_isomorphic
+    gc.collect()
+    gc.disable()
+    try:
+        for spec in ["Z", "Z/12", "Z/4[x]/(x^2)", "Z/9[x]/(x^2+1)"]:
+            ring = parse_ring(spec)
+            a, b = ring.element(3), ring.element([1, 1, 1] if "[x]" in spec else 5)
+            sums = [a + b, a - b, a * b, 2 - a, -a, a ** 5, ring.zero, ring.one]
+            s = QuadraticAlgebra(ring, a, b)
+            t = QuadraticAlgebra(ring, a + 2 * b, b)
+            found = [is_isomorphic(s, t), is_isomorphic(s, s), is_discriminant(ring, b),
+                     as_act(s, ring.zero), s.disc(), s.element(a, b) * s.x]
+            if ring.is_finite:
+                found += [ring.units(), ring.inverse_of_unit(ring.one)]
+            alive = weakref.ref(ring)
+            del ring, a, b, sums, s, t, found
+            assert alive() is None, spec
+    finally:
+        gc.enable()
+
+
 # Brute-force definitions of the ring kernel: the oracles it is checked against.
 
 def brute_units(ring):
