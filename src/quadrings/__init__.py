@@ -12,20 +12,18 @@ from .artin_schreier import (ASGroup, FiberReport, annihilator_four_torsion,
                              fiber_report, four_torsion, is_sec_algebra,
                              is_sec_element, wp4_subgroup)
 from .discriminants import (DiscClass, DiscClassification, Rank1Form,
-                            coset_representative, disc_class_of, disc_classes,
-                            disc_hom_check, form_is_cancellative,
-                            form_nondegenerate, form_nonsingular,
-                            form_semi_nondegenerate, form_semi_nonsingular,
-                            forms_similar, is_discriminant, sq_map)
+                            disc_class_of, disc_classes, disc_hom_check,
+                            form_is_cancellative, form_nondegenerate,
+                            form_nonsingular, form_semi_nondegenerate,
+                            form_semi_nonsingular, forms_similar,
+                            is_discriminant, sq_map)
 from .errors import (EnumerationLimitError, InfiniteRingError,
                      InternalCheckError, MixedRingError, MonoidError,
                      RingParseError)
 from .identities import (IDENTITY_NAMES, IdentityResult, MultiPoly,
                          verify_all, verify_named_identity)
-from .monoids import (AbelianGroup, Congruence, FiniteCommMonoid, MonoidHom,
-                      find_absorbing, grothendieck_group, image_congruence,
-                      is_exact, kernel_congruence, quotient_monoid, submonoid,
-                      validate_monoid)
+from .monoids import (AbelianGroup, FiniteCommMonoid, find_absorbing,
+                      grothendieck_group, validate_monoid)
 from .quadratic import (AlgebraElement, BasisChange, Classification, IsoClass,
                         QuadraticAlgebra, apply_basis_change,
                         basis_change_group, classify, integer_algebra_for_disc,

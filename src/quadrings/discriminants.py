@@ -42,18 +42,12 @@ from .quadratic import Classification, QuadraticAlgebra
 from .rings import IntegerRing, Ring, RingElement
 
 
-def coset_representative(a: RingElement, k: int) -> RingElement:
-    """Canonical representative of a + kR (least member; a mod k over Z)."""
-    return a.ring.coset_representative(a, k)
-
-
 def sq_map(ring: Ring, t: RingElement) -> RingElement:
     """Square a residue mod 2R, returning the canonical value mod 4R.
 
     Well-defined: changing t by 2R changes t^2 by 4(t*d + d^2) in 4R.
     """
-    ring._check_mine(t)
-    return coset_representative(t * t, 4)
+    return ring.coset_representative(t * t, 4)
 
 
 def _square_classes(ring: Ring) -> dict:

@@ -1,17 +1,11 @@
 """Finite commutative monoids as explicit operation tables.
 
-Provides validation, the absorbing element, homomorphisms, submonoids,
-congruences (kernel and image congruences of a homomorphism), quotients,
-exactness of two-step sequences, and the Grothendieck group.  Everything
-but the Grothendieck group is exhaustive: the monoids in this package have
-at most a few hundred elements.  The Grothendieck group is read off the minimal ideal
-eM, where e is the least idempotent, in O(n^2 + |eM|^3) table lookups.
-
-Only finite monoids are handled.  Exactness of monoid sequences is known to
-behave oddly in the infinite case (the inclusion of the natural numbers into
-the integers followed by the zero map satisfies the kernel-equals-image
-condition without the inclusion being surjective); nothing of the sort can
-occur here.
+Provides validation with a witness for the first failing axiom, the
+absorbing element, and the Grothendieck group with its invariant factors.
+Validation and the absorbing element are exhaustive: the monoids in this
+package have at most a few hundred elements.  The Grothendieck group is
+read off the minimal ideal eM, where e is the least idempotent, in
+O(n^2 + |eM|^3) table lookups.
 """
 
 from __future__ import annotations
@@ -143,180 +137,6 @@ def find_absorbing(m: FiniteCommMonoid):
     return None
 
 
-def submonoid(m: FiniteCommMonoid, indices) -> FiniteCommMonoid:
-    """Restrict to a subset closed under the operation and containing the identity."""
-    indices = sorted(indices)
-    if m.identity not in indices:
-        raise MonoidError("subset does not contain the identity")
-    pos = {old: new for new, old in enumerate(indices)}
-    table = []
-    for i in indices:
-        row = []
-        for j in indices:
-            v = m.table[i][j]
-            if v not in pos:
-                raise MonoidError(
-                    f"subset not closed: {m.labels[i]}*{m.labels[j]} = {m.labels[v]}"
-                )
-            row.append(pos[v])
-        table.append(row)
-    return FiniteCommMonoid([m.labels[i] for i in indices], table, pos[m.identity])
-
-
-class MonoidHom:
-    """Map between finite commutative monoids given by an index table."""
-
-    def __init__(self, source: FiniteCommMonoid, target: FiniteCommMonoid, mapping):
-        self.source = source
-        self.target = target
-        self.mapping = list(mapping)
-        if len(self.mapping) != source.size:
-            raise MonoidError("mapping must assign every source element")
-
-    def __call__(self, i: int) -> int:
-        return self.mapping[i]
-
-    def find_violation(self):
-        f = self.mapping
-        if f[self.source.identity] != self.target.identity:
-            return ("identity", (self.source.identity,))
-        for x in range(self.source.size):
-            for y in range(self.source.size):
-                if f[self.source.table[x][y]] != self.target.table[f[x]][f[y]]:
-                    return ("multiplicativity", (x, y))
-        return None
-
-    def is_valid(self) -> bool:
-        return self.find_violation() is None
-
-    def is_injective(self) -> bool:
-        return len(set(self.mapping)) == self.source.size
-
-    def is_surjective(self) -> bool:
-        return len(set(self.mapping)) == self.target.size
-
-
-class Congruence:
-    """Equivalence relation on a monoid compatible with the operation.
-
-    Stored as class ids per element index; class ids are assigned in order of
-    each class's least member, so the representation is canonical.
-    """
-
-    def __init__(self, monoid: FiniteCommMonoid, class_of):
-        self.monoid = monoid
-        self.class_of = _normalize_class_ids(list(class_of))
-
-    def classes(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.num_classes)]
-        for i, c in enumerate(self.class_of):
-            out[c].append(i)
-        return out
-
-    @property
-    def num_classes(self) -> int:
-        return max(self.class_of) + 1 if self.class_of else 0
-
-    def same(self, i: int, j: int) -> bool:
-        return self.class_of[i] == self.class_of[j]
-
-    def __eq__(self, other):
-        return (isinstance(other, Congruence)
-                and self.monoid == other.monoid
-                and self.class_of == other.class_of)
-
-    def find_violation(self):
-        """Pair of pairs where [x][z] -> [xz] fails to be well-defined, or None."""
-        m = self.monoid
-        reps = [cls[0] for cls in self.classes()]
-        for x in range(m.size):
-            for z in range(m.size):
-                expected = self.class_of[m.table[reps[self.class_of[x]]][reps[self.class_of[z]]]]
-                if self.class_of[m.table[x][z]] != expected:
-                    return (x, z)
-        return None
-
-    def is_congruence(self) -> bool:
-        return self.find_violation() is None
-
-
-def _normalize_class_ids(class_of: list[int]) -> list[int]:
-    remap: dict[int, int] = {}
-    out = []
-    for c in class_of:
-        if c not in remap:
-            remap[c] = len(remap)
-        out.append(remap[c])
-    return out
-
-
-def kernel_congruence(f: MonoidHom) -> Congruence:
-    """Partition of the source by equal image."""
-    return Congruence(f.source, list(f.mapping))
-
-
-def image_congruence(f: MonoidHom) -> Congruence:
-    """Congruence on the target: z ~ w iff f(x)z = f(y)w for some source x, y."""
-    b = f.target
-    image = sorted(set(f.mapping))
-
-    def related(z, w):
-        return any(b.table[fx][z] == b.table[fy][w]
-                   for fx in image for fy in image)
-
-    class_of = [-1] * b.size
-    reps: list[int] = []
-    for z in range(b.size):
-        for c, r in enumerate(reps):
-            if related(r, z):
-                class_of[z] = c
-                break
-        else:
-            class_of[z] = len(reps)
-            reps.append(z)
-    cong = Congruence(b, class_of)
-    # The relation is an equivalence for commutative monoids; verify rather
-    # than assume, since the partition above was built greedily.
-    for z in range(b.size):
-        for w in range(b.size):
-            if related(z, w) != cong.same(z, w):
-                raise MonoidError(
-                    f"image relation is not transitive at ({b.labels[z]}, {b.labels[w]})"
-                )
-    return cong
-
-
-def quotient_monoid(monoid: FiniteCommMonoid, cong: Congruence) -> FiniteCommMonoid:
-    """Quotient by a congruence; class labels are the least members' labels."""
-    if cong.monoid != monoid:
-        raise MonoidError("congruence belongs to a different monoid")
-    bad = cong.find_violation()
-    if bad is not None:
-        x, z = bad
-        raise MonoidError(
-            f"partition is not a congruence: product ill-defined at "
-            f"({monoid.labels[x]}, {monoid.labels[z]})"
-        )
-    classes = cong.classes()
-    reps = [cls[0] for cls in classes]
-    labels = [monoid.labels[r] for r in reps]
-    table = [[cong.class_of[monoid.table[ri][rj]] for rj in reps] for ri in reps]
-    return FiniteCommMonoid(labels, table, cong.class_of[monoid.identity])
-
-
-def is_exact(f: MonoidHom, g: MonoidHom) -> bool:
-    """Exactness of source(f) -> target(f) = source(g) -> target(g).
-
-    Holds iff f is injective, g is surjective, and the kernel congruence of g
-    equals the image congruence of f.
-    """
-    if f.target != g.source:
-        raise MonoidError("sequence not composable: target(f) != source(g)")
-    if not f.is_injective() or not g.is_surjective():
-        return False
-    return kernel_congruence(g) == image_congruence(f)
-
-
 @dataclass
 class AbelianGroup:
     """A finite abelian group with its invariant-factor decomposition.
@@ -353,10 +173,7 @@ def grothendieck_group(m: FiniteCommMonoid) -> AbelianGroup:
     pairs are scanned.  If the monoid has an absorbing element, that
     element is e and the result is trivial.
     """
-    found = _minimal_ideal(m)
-    if found is None:
-        raise MonoidError("Grothendieck relation is not a congruence")
-    e, inverse = found
+    e, inverse = _minimal_ideal(m)
     t = m.table
     psi = t[e]
 
@@ -385,45 +202,63 @@ def grothendieck_group(m: FiniteCommMonoid) -> AbelianGroup:
 
 
 def _minimal_ideal(m: FiniteCommMonoid):
-    """(least idempotent e, inverse of each element of eM), or None.
+    """(least idempotent e, inverse of each element of eM).
 
-    None unless e exists, commutes with every element, eM is an abelian
-    group under the table with identity e, and x -> e*x is multiplicative.
-    These make (x, x') -> e*x * (e*x')^-1 a homomorphism M x M -> eM, which is
-    what makes the Grothendieck relation a congruence.
+    Raises MonoidError unless e exists, commutes with every element, eM is
+    an abelian group under the table with identity e, and x -> e*x is
+    multiplicative.  These make (x, x') -> e*x * (e*x')^-1 a homomorphism
+    M x M -> eM, which is what makes the Grothendieck relation a
+    congruence.  The error's witness names the first check that failed and
+    where: "least idempotent" lists the idempotents, none of which is below
+    all the others; "centrality" is (e, x) with x*e != e*x; "eM identity"
+    is (e, a) with e*a != a; "eM closure" and "eM commutativity" are (a, b);
+    "eM associativity" is (a, b, c); "eM inverses" is (a); and
+    "multiplicativity" is (x, y) with e*(x*y) != (e*x)*(e*y).
     """
     n = m.size
     t = m.table
     idempotents = [x for x in range(n) if t[x][x] == x]
     least = [f for f in idempotents if all(t[f][g] == f for g in idempotents)]
     if not least:
-        return None
+        raise _not_a_congruence(m, "least idempotent", idempotents)
     e = least[0]
     psi = t[e]
-    if any(t[x][e] != psi[x] for x in range(n)):
-        return None
+    for x in range(n):
+        if t[x][e] != psi[x]:
+            raise _not_a_congruence(m, "centrality", [e, x])
     group = sorted(set(psi))
     members = set(group)
     inverse: dict[int, int] = {}
     for a in group:
         row = t[a]
         if psi[a] != a:
-            return None
+            raise _not_a_congruence(m, "eM identity", [e, a])
         for b in group:
             ab = row[b]
-            if ab not in members or ab != t[b][a]:
-                return None
-            if any(t[ab][c] != row[t[b][c]] for c in group):
-                return None
+            if ab not in members:
+                raise _not_a_congruence(m, "eM closure", [a, b])
+            if ab != t[b][a]:
+                raise _not_a_congruence(m, "eM commutativity", [a, b])
+            c = next((c for c in group if t[ab][c] != row[t[b][c]]), None)
+            if c is not None:
+                raise _not_a_congruence(m, "eM associativity", [a, b, c])
             if ab == e:
                 inverse.setdefault(a, b)
         if a not in inverse:
-            return None
+            raise _not_a_congruence(m, "eM inverses", [a])
     for x in range(n):
         ex = t[psi[x]]
-        if [psi[xy] for xy in t[x]] != [ex[a] for a in psi]:
-            return None
+        got, want = [psi[xy] for xy in t[x]], [ex[a] for a in psi]
+        if got != want:
+            y = next(y for y in range(n) if got[y] != want[y])
+            raise _not_a_congruence(m, "multiplicativity", [x, y])
     return e, inverse
+
+
+def _not_a_congruence(m: FiniteCommMonoid, kind: str, indices) -> MonoidError:
+    labels = tuple(m.labels[i] for i in indices)
+    return MonoidError(f"Grothendieck relation is not a congruence: {kind} fails at {labels}",
+                       {"kind": kind, "indices": list(indices)})
 
 
 def _element_order(m: FiniteCommMonoid, x: int) -> int:

@@ -180,7 +180,8 @@ class Ring:
         raise NotImplementedError
 
     def coset_representative(self, a: RingElement, k: int) -> RingElement:
-        """Canonical representative of a + kR."""
+        """Canonical representative of a + kR: its least member over a
+        finite ring, a mod |k| over Z; a itself when k = 0."""
         self._check_mine(a)
         return RingElement(self, self._coset_rep(a.value, k))
 
@@ -251,8 +252,9 @@ class IntegerRing(Ring):
         return a.value % t.value == 0
 
     def _coset_rep(self, a, k: int):
-        """a mod k, the canonical representative of a + kZ."""
-        return a % k
+        """a mod |k|, the canonical representative of a + kZ; a itself
+        when k = 0, since 0Z = {0}."""
+        return a % abs(k) if k else a
 
     def spec_string(self) -> str:
         return "Z"

@@ -759,6 +759,27 @@ def test_fiber_report_matches_the_walk_over_every_orbit_pair(ring):
             assert getattr(report, field) == walked, (field, d.d)
 
 
+def test_paper_sequence_through_the_fibre_reports():
+    # 1 -> AS(R) -> Quad(R) -> Disc(R) -> 1: the AS classes embed as
+    # distinct classes (1, m), disc is onto, and over a unit d the AS action
+    # on the fibre is free.  It is transitive there, as exactness asks, on
+    # every ring but the witness rings, where the trace mod 2R splits a
+    # fibre (ROADMAP item 1, Disc(R) with parity)
+    not_transitive = set()
+    for ring in rings_up_to(64) + [parse_ring("Z/16[x]/(x^2+3)")]:
+        cl, asg = classify(ring), as_group(ring)
+        embedded = {cl.index_of(as_embed(ring, m)) for m in asg.classes}
+        assert len(embedded) == asg.order, ring
+        assert disc_hom_check(ring, cl).is_surjective, ring
+        for d in disc_classes(ring):
+            if ring.is_unit(d.d):
+                report = fiber_report(ring, d, cl, asg)
+                assert report.free, (ring, d.d)
+                if not report.transitive:
+                    not_transitive.add(ring.spec_string())
+    assert sorted(not_transitive) == sorted(WITNESS_RINGS)
+
+
 def test_fiber_report_refuses_an_image_off_the_fiber():
     # over Z/4 the fiber of d = 1 is (1,0), (1,1), swapped by the AS class
     # 1; a slice that puts (1, 1) in the class of (0, 0) sends the image of

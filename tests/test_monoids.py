@@ -1,15 +1,12 @@
 import random
-from itertools import product
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadrings import (Congruence, FiniteCommMonoid, MonoidError, MonoidHom,
-                       find_absorbing, grothendieck_group, image_congruence,
-                       is_exact, kernel_congruence, parse_ring,
-                       quotient_monoid, submonoid, validate_monoid)
+from quadrings import (FiniteCommMonoid, MonoidError, find_absorbing,
+                       grothendieck_group, parse_ring, validate_monoid)
 from quadrings import classify, quad_monoid
 from quadrings.monoids import (AbelianGroup, _invariant_factors, _minimal_ideal,
                                find_monoid_violation, require_valid_monoid)
@@ -266,160 +263,11 @@ def test_find_absorbing():
     assert find_absorbing(bool_mult) == 0
 
 
-def units_map_hom():
-    """(Z/4, *) -> ({0,1}, *) sending units to 1."""
-    source = mult_monoid(4)
-    target = FiniteCommMonoid(["0", "1"], [[0, 0], [0, 1]], 1)
-    return MonoidHom(source, target, [0, 1, 0, 1])
-
-
-def test_kernel_congruence():
-    f = units_map_hom()
-    assert f.is_valid()
-    k = kernel_congruence(f)
-    assert sorted(map(sorted, k.classes())) == [[0, 2], [1, 3]]
-
-
-def test_identity_map_congruences():
-    m = mult_monoid(4)
-    ident = MonoidHom(m, m, list(range(4)))
-    assert kernel_congruence(ident).num_classes == 4
-    # z ~ w via x=w, y=z once the whole monoid is in the image, so the image
-    # congruence of any surjection collapses everything
-    assert image_congruence(ident).num_classes == 1
-
-
-def test_image_congruence_diagonal_for_trivial_image():
-    t = trivial_monoid()
-    z2 = add_monoid(2)
-    inc = MonoidHom(t, z2, [0])
-    assert image_congruence(inc).num_classes == 2
-
-
-def test_image_congruence_with_absorbing_in_image():
-    # 0 in the image forces the image congruence to be everything
-    f = units_map_hom()
-    i = image_congruence(f)
-    assert i.num_classes == 1
-
-
-# Per monoid of SAMPLE_MONOIDS, the congruences generated by no pair, by
-# (0, identity) and by (last, identity), as class lists.
-GENERATED_CONGRUENCES = [
-    [[[0], [1]], [[0, 1]], [[0], [1]]],
-    [[[0], [1], [2], [3]], [[0, 1, 2, 3]], [[0], [1, 3], [2]]],
-    [[[0], [1], [2], [3], [4], [5]], [[0, 1, 2, 3, 4, 5]],
-     [[0], [1, 5], [2, 4], [3]]],
-    [[[0], [1]], [[0], [1]], [[0, 1]]],
-    [[[0], [1], [2]], [[0], [1], [2]], [[0, 1, 2]]],
-    [[[0], [1], [2], [3], [4], [5]], [[0], [1], [2], [3], [4], [5]],
-     [[0, 1, 2, 3, 4, 5]]],
-    [[[0]], [[0]], [[0]]],
-    [[[0], [1], [2], [3]], [[0], [1], [2], [3]], [[0, 3], [1, 2]]],
-]
-
-
-def congruence_of_classes(m, classes):
-    class_of = [None] * m.size
-    for k, members in enumerate(classes):
-        for i in members:
-            class_of[i] = k
-    return Congruence(m, class_of)
-
-
-def test_quotient_is_surjective_hom_with_kernel_c():
-    for m, class_lists in zip(SAMPLE_MONOIDS, GENERATED_CONGRUENCES, strict=True):
-        congruences = [congruence_of_classes(m, classes) for classes in class_lists]
-        congruences.append(image_congruence(MonoidHom(m, m, list(range(m.size)))))
-        for c in congruences:
-            assert c.is_congruence()
-            pi = MonoidHom(m, quotient_monoid(m, c), c.class_of)
-            assert pi.is_valid()
-            assert pi.is_surjective()
-            assert kernel_congruence(pi) == c
-    f = units_map_hom()
-    k = kernel_congruence(f)
-    pi = MonoidHom(f.source, quotient_monoid(f.source, k), k.class_of)
-    assert pi.is_valid() and pi.is_surjective()
-    assert kernel_congruence(pi) == k
-
-
-def test_quotient_rejects_non_congruence():
-    m = add_monoid(4)
-    # {0,1},{2},{3} is not compatible with addition
-    bad = Congruence(m, [0, 0, 1, 2])
-    assert not bad.is_congruence()
-    with pytest.raises(MonoidError):
-        quotient_monoid(m, bad)
-
-
-def test_exactness_spec_examples():
-    # inclusion of a monoid with absorbing element into itself, collapsed to
-    # the trivial monoid: exact because the image congruence is everything
-    m = mult_monoid(2)
-    f = MonoidHom(m, m, [0, 1])
-    g = MonoidHom(m, trivial_monoid(), [0, 0])
-    assert is_exact(f, g)
-
-    # same shape on the actual discriminant monoid of Z/4
-    from quadrings import disc_classes
-    dm = disc_classes(parse_ring("Z/4")).monoid
-    ident = MonoidHom(dm, dm, list(range(dm.size)))
-    collapse = MonoidHom(dm, trivial_monoid(), [0] * dm.size)
-    assert is_exact(ident, collapse)
-
-    # inclusion of {0} into (Z/2, +) with the collapse map: image congruence
-    # is the diagonal but the kernel congruence is everything
-    t = trivial_monoid()
-    z2 = add_monoid(2)
-    f = MonoidHom(t, z2, [0])
-    g = MonoidHom(z2, t, [0, 0])
-    assert f.is_valid() and g.is_valid()
-    assert not is_exact(f, g)
-
-    # identity followed by collapse on a group is exact
-    f = MonoidHom(z2, z2, [0, 1])
-    assert is_exact(f, MonoidHom(z2, t, [0, 0]))
-
-
-def test_exactness_not_composable():
-    with pytest.raises(MonoidError):
-        is_exact(MonoidHom(add_monoid(2), add_monoid(2), [0, 1]),
-                 MonoidHom(add_monoid(3), trivial_monoid(), [0, 0, 0]))
-
-
-def all_homs(a, b):
-    for mapping in product(range(b.size), repeat=a.size):
-        h = MonoidHom(a, b, list(mapping))
-        if h.is_valid():
-            yield h
-
-
-def test_exactness_matches_group_exactness():
-    # for group homomorphisms, kernel-congruence = image-congruence is the
-    # classical condition im(f) = ker(g), given injective f and surjective g
-    groups = [add_monoid(2), add_monoid(3), add_monoid(4), klein_four()]
-    for a in groups:
-        for b in groups:
-            for c in groups:
-                for f in all_homs(a, b):
-                    if not f.is_injective():
-                        continue
-                    for g in all_homs(b, c):
-                        if not g.is_surjective():
-                            continue
-                        image = set(f.mapping)
-                        kernel = {x for x in range(b.size)
-                                  if g.mapping[x] == c.identity}
-                        assert is_exact(f, g) == (image == kernel)
-
-
 def test_grothendieck_examples():
     assert grothendieck_group(mult_monoid(4)).is_trivial()
     k0 = grothendieck_group(add_monoid(3))
     assert k0.invariant_factors == [3]
-    units = submonoid(mult_monoid(4), [1, 3])
-    assert grothendieck_group(units).invariant_factors == [2]
+    assert grothendieck_group(unit_group(4)).invariant_factors == [2]
 
 
 def test_grothendieck_absorbing_direction():
@@ -428,11 +276,17 @@ def test_grothendieck_absorbing_direction():
             assert grothendieck_group(m).is_trivial()
 
 
+def assert_universal_map_is_hom(m, k0):
+    # the identity goes to the identity, and products to products
+    f, g = k0.universal_map, k0.monoid
+    assert f[m.identity] == g.identity
+    assert all(f[m.table[x][y]] == g.table[f[x]][f[y]]
+               for x in range(m.size) for y in range(m.size))
+
+
 def test_grothendieck_universal_map_is_hom():
     for m in SAMPLE_MONOIDS:
-        k0 = grothendieck_group(m)
-        pi = MonoidHom(m, k0.monoid, k0.universal_map)
-        assert pi.is_valid()
+        assert_universal_map_is_hom(m, grothendieck_group(m))
 
 
 def test_grothendieck_of_group_is_itself():
@@ -505,8 +359,11 @@ def cyclic_with_tail(k, p):
 
 
 def unit_group(m):
-    """(Z/m)^x under multiplication."""
-    return submonoid(mult_monoid(m), [u for u in range(m) if gcd(u, m) == 1])
+    """(Z/m)^x under multiplication, for m > 1."""
+    units = [u for u in range(m) if gcd(u, m) == 1]
+    pos = {u: k for k, u in enumerate(units)}
+    return FiniteCommMonoid(units, [[pos[u * v % m] for v in units] for u in units],
+                            pos[1])
 
 
 def direct_product(a, b):
@@ -529,8 +386,8 @@ def test_grothendieck_matches_pair_oracle_on_quad_monoids():
 
 
 def test_grothendieck_matches_pair_oracle_on_samples():
-    for m in SAMPLE_MONOIDS + [units_map_hom().target, unit_group(8),
-                               submonoid(mult_monoid(4), [1, 3])]:
+    bool_mult = FiniteCommMonoid(["0", "1"], [[0, 0], [0, 1]], 1)
+    for m in SAMPLE_MONOIDS + [bool_mult, unit_group(8), unit_group(4)]:
         assert_k0_matches_oracle(m)
 
 
@@ -557,7 +414,7 @@ def test_grothendieck_matches_pair_oracle_on_tailed_products(m):
     assert validate_monoid(m)
     k0 = assert_k0_matches_oracle(m)
     assert not k0.is_trivial()
-    assert MonoidHom(m, k0.monoid, k0.universal_map).is_valid()
+    assert_universal_map_is_hom(m, k0)
 
 
 def grothendieck_by_key_scan(m):
@@ -622,28 +479,84 @@ NON_CONGRUENCE_TABLES = {
 }
 
 
+# The witness grothendieck_group gives each table: the check that failed
+# first and where.  broken2's e is 0, so eM = M, and (1*1)*1 != 1*(1*1).
+NON_CONGRUENCE_WITNESSES = {
+    "broken2": {"kind": "eM associativity", "indices": [1, 1, 1]},
+    "no least idempotent": {"kind": "least idempotent", "indices": [0, 1, 2]},
+    "e does not commute": {"kind": "centrality", "indices": [2, 1]},
+    "eM not associative": {"kind": "eM associativity", "indices": [1, 1, 2]},
+    "x -> e*x not multiplicative": {"kind": "multiplicativity", "indices": [1, 3]},
+    "eM not commutative": {"kind": "eM commutativity", "indices": [1, 2]},
+}
+
+
 @pytest.mark.parametrize("name", sorted(NON_CONGRUENCE_TABLES))
 def test_grothendieck_rejects_non_congruence_tables(name):
     table = NON_CONGRUENCE_TABLES[name]
     m = FiniteCommMonoid([str(i) for i in range(len(table))], table, 0)
     with pytest.raises(MonoidError, match="not a congruence"):
         grothendieck_by_pairs(m)
-    with pytest.raises(MonoidError, match="not a congruence"):
+    with pytest.raises(MonoidError, match="not a congruence") as exc:
         grothendieck_group(m)
+    assert exc.value.witness == NON_CONGRUENCE_WITNESSES[name]
+
+
+# Not a monoid; the pair-by-pair test happens to accept it (and returns the
+# trivial group), but e*e*x != e*x here, so eM has no identity.
+E_NOT_IDENTITY_OF_EM = [[1, 2, 1], [2, 1, 1], [2, 1, 1]]
 
 
 def test_grothendieck_rejects_table_where_e_is_not_the_identity_of_eM():
-    # Not a monoid; the pair-by-pair test happens to accept it (and returns
-    # the trivial group), but e*e*x != e*x here, so eM has no identity.
-    m = FiniteCommMonoid(["0", "1", "2"], [[1, 2, 1], [2, 1, 1], [2, 1, 1]], 1)
+    m = FiniteCommMonoid(["0", "1", "2"], E_NOT_IDENTITY_OF_EM, 1)
     assert grothendieck_by_pairs(m).is_trivial()
-    with pytest.raises(MonoidError, match="not a congruence"):
+    with pytest.raises(MonoidError, match="not a congruence") as exc:
         grothendieck_group(m)
+    assert exc.value.witness == {"kind": "eM identity", "indices": [1, 2]}
 
 
-def test_submonoid_requires_closure():
-    with pytest.raises(MonoidError):
-        submonoid(add_monoid(4), [0, 1])
+def witness_breaks_its_check(t, kind, indices):
+    """Whether `indices` show, from the table alone, the failure `kind` names."""
+    n = len(t)
+    idempotents = [x for x in range(n) if t[x][x] == x]
+    if kind == "least idempotent":
+        return indices == idempotents and not any(
+            all(t[f][g] == f for g in idempotents) for f in idempotents)
+    if kind in ("centrality", "eM identity"):
+        e, x = indices
+        assert t[e][e] == e and all(t[e][g] == e for g in idempotents)
+        return t[x][e] != t[e][x] if kind == "centrality" else t[e][x] != x
+    e = next(f for f in idempotents if all(t[f][g] == f for g in idempotents))
+    em = set(t[e])
+    if kind == "multiplicativity":
+        x, y = indices
+        return t[e][t[x][y]] != t[t[e][x]][t[e][y]]
+    assert all(a in em for a in indices)
+    if kind == "eM closure":
+        a, b = indices
+        return t[a][b] not in em
+    if kind == "eM commutativity":
+        a, b = indices
+        return t[a][b] != t[b][a]
+    if kind == "eM associativity":
+        a, b, c = indices
+        return t[t[a][b]][c] != t[a][t[b][c]]
+    if kind == "eM inverses":
+        (a,) = indices
+        return all(t[a][b] != e for b in em)
+    raise AssertionError(f"unknown kind {kind!r}")
+
+
+@pytest.mark.parametrize("name", sorted(NON_CONGRUENCE_TABLES) + ["e not the identity of eM"])
+def test_non_congruence_witness_breaks_the_check_it_names(name):
+    # read the failure back off the table, without _minimal_ideal
+    table = NON_CONGRUENCE_TABLES.get(name, E_NOT_IDENTITY_OF_EM)
+    identity = 1 if table is E_NOT_IDENTITY_OF_EM else 0
+    m = FiniteCommMonoid([str(i) for i in range(len(table))], table, identity)
+    with pytest.raises(MonoidError, match="not a congruence") as exc:
+        grothendieck_group(m)
+    witness = exc.value.witness
+    assert witness_breaks_its_check(table, witness["kind"], witness["indices"])
 
 
 def test_json_round_trip():

@@ -476,6 +476,27 @@ def test_kernel_matches_brute_force(spec, data):
     assert is_discriminant(ring, a) == brute_is_discriminant(ring, a)
 
 
+@pytest.mark.parametrize("k", [-4, -1, 0, 1, 4])
+def test_coset_representative_for_every_sign_of_k(k):
+    # a + kR = a + (-k)R, and 0R = {0}: over Z the representative lies in
+    # [0, |k|) and differs from a by a multiple of k, or is a when k = 0,
+    # as over Z/n and (Z/n)[x]/(f)
+    z = IntegerRing()
+    for a in range(-9, 10):
+        rep = z.coset_representative(z.element(a), k)
+        assert rep == z.coset_representative(z.element(a), -k)
+        if k == 0:
+            assert rep.value == a
+        else:
+            assert 0 <= rep.value < abs(k) and (a - rep.value) % k == 0
+    for spec in ["Z/12", "Z/4[x]/(x^2)"]:
+        ring = parse_ring(spec)
+        for a in ring.elements():
+            rep = ring.coset_representative(a, k)
+            assert rep == ring.coset_representative(a, -k)
+            assert rep == (a if k == 0 else brute_coset_representative(a, abs(k)))
+
+
 def test_mod_ring_never_enumerates(monkeypatch):
     def refuse(self):
         raise AssertionError("Z/n was enumerated")
