@@ -5,7 +5,8 @@ absorbing element, and the Grothendieck group with its invariant factors.
 Validation and the absorbing element are exhaustive: the monoids in this
 package have at most a few hundred elements.  The Grothendieck group is
 read off the minimal ideal eM, where e is the least idempotent, in
-O(n^2 + |eM|^3) table lookups.
+O(n^2 + |eM|^3) table lookups; when eM is one element, as in every monoid
+with an absorbing element, in O(n) beyond the search for e.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class FiniteCommMonoid:
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise MonoidError("operation table must be square of size |elements|",
                               {"kind": "shape", "row_lengths": list(map(len, self.table))})
-        if any(min(row) < 0 or max(row) >= n for row in self.table):
+        if not set().union(*self.table) <= set(range(n)):
             for i, row in enumerate(self.table):
                 for j, v in enumerate(row):
                     if not (0 <= v < n):
@@ -222,10 +223,10 @@ def _minimal_ideal(m: FiniteCommMonoid):
     if not least:
         raise _not_a_congruence(m, "least idempotent", idempotents)
     e = least[0]
-    psi = t[e]
-    for x in range(n):
-        if t[x][e] != psi[x]:
-            raise _not_a_congruence(m, "centrality", [e, x])
+    psi, column = t[e], [row[e] for row in t]
+    if column != psi:
+        x = next(x for x in range(n) if column[x] != psi[x])
+        raise _not_a_congruence(m, "centrality", [e, x])
     group = sorted(set(psi))
     members = set(group)
     inverse: dict[int, int] = {}
@@ -246,7 +247,7 @@ def _minimal_ideal(m: FiniteCommMonoid):
                 inverse.setdefault(a, b)
         if a not in inverse:
             raise _not_a_congruence(m, "eM inverses", [a])
-    for x in range(n):
+    for x in range(n if len(group) > 1 else 0):    # else e(xy) = e = (ex)(ey)
         ex = t[psi[x]]
         got, want = [psi[xy] for xy in t[x]], [ex[a] for a in psi]
         if got != want:

@@ -187,14 +187,14 @@ class BasisChange:
 
 
 def star_product(s: QuadraticAlgebra, t: QuadraticAlgebra) -> QuadraticAlgebra:
-    """Monoid product: (t,n)*(s,m) = (st, mt^2 + ns^2 - 4nm)."""
+    """Monoid product: (t,n)*(s,m) = (st, mt^2 + ns^2 - 4nm), on canonical values."""
     if s.ring is not t.ring and s.ring != t.ring:
         raise MixedRingError("product requires algebras over the same ring")
-    four = s.ring.element(4)
-    tt, nn = s.t, s.n
-    ss, mm = t.t, t.n
-    return QuadraticAlgebra(s.ring, ss * tt,
-                            mm * tt * tt + nn * ss * ss - four * nn * mm)
+    ring, tt, nn, ss, mm = s.ring, s.t.value, s.n.value, t.t.value, t.n.value
+    mul = ring._mul
+    n = ring._sub(ring._add(mul(mm, mul(tt, tt)), mul(nn, mul(ss, ss))),
+                  mul(ring.canonicalize(4), mul(nn, mm)))
+    return QuadraticAlgebra(ring, RingElement(ring, mul(ss, tt)), RingElement(ring, n))
 
 
 def apply_basis_change(s: QuadraticAlgebra, g: BasisChange) -> QuadraticAlgebra:
@@ -393,46 +393,45 @@ class Classification:
         """Class index of rep_i * rep_j, for every pair of classes.
 
         The star product of the representatives is taken on canonical values
-        as (t, n) * (s, m) = (st, d*m + n*s^2), with d = t^2 - 4n the class's
-        stored disc and s^2 read from the ring's kernel.  Many classes share a
-        trace, a disc or a norm, so each distinct row value is multiplied by
-        each distinct column value once, and rows with equal values share the
-        product list.  The products st come as class rows and the products
-        d*m as add rows, both kept where they are built, so an entry is two
-        lookups: the sum d*m + n*s^2 in the add row, then its class in the
-        class row.  The table is built once per classification; its rows
-        are tuples, so every caller reads the same table.
+        as (t, n) * (s, m) = (st, n*s^2 + d*m), with d = t^2 - 4n the class's
+        stored disc and s^2 read from the ring's kernel.  Classes share many
+        traces, norms and discs, so their codes are numbered once and each
+        distinct pair of codes is multiplied once, into plain lists that the
+        numbers index: st as class rows and n*s^2 as add rows, so an entry
+        is the class, in the row of st, of d*m read in the add row of n*s^2.
+        The table is built once per classification; its rows are tuples, so
+        every caller reads the same table.
         """
         if self._star is not None:
             return self._star
-        ring = self.ring
-        kernel, mul = ring.kernel(), ring._mul
-        code = kernel.code
-        ts = [c.rep.t.value for c in self.classes]
-        ns = [c.rep.n.value for c in self.classes]
-        columns = {"s": (ts, self.class_map.row), "m": (ns, kernel.add_row),
-                   "ss": ([kernel.values[kernel.square[code[s]]] for s in ts],
-                          None)}
-        memo: dict = {}
+        kernel, mul = self.ring.kernel(), self.ring._mul
+        code, values = kernel.code, kernel.values
 
-        def times(a, name):
-            """[code(a * c) for c in the column], or the row the column reads
-            for that code: one product per distinct c."""
-            row = memo.get((a, name))
-            if row is None:
-                column, read = columns[name]
-                by_value = {c: code[mul(a, c)] for c in set(column)}
-                if read is not None:
-                    by_value = {c: read(p) for c, p in by_value.items()}
-                row = memo[(a, name)] = [by_value[c] for c in column]
-            return row
+        def products(rows, columns, read=None):
+            """read(code(a * b)), or the code, for each a in rows and b in columns."""
+            columns = [values[b] for b in columns]
+            table = [[code[mul(values[a], b)] for b in columns] for a in rows]
+            return [list(map(read, got)) for got in table] if read else table
 
+        classes = self.classes
+        traces = [code[c.rep.t.value] for c in classes]
+        (ts, t_of), (ss, s_of), (ns, n_of), (ds, d_of) = map(_numbered, (
+            traces, [kernel.square[t] for t in traces],
+            [code[c.rep.n.value] for c in classes], [code[c.disc.value] for c in classes]))
+        st, nss, dm = (products(ts, ts, self.class_map.row),
+                       products(ns, ss, kernel.add_row), products(ds, ns))
+        numbers = list(zip(t_of, s_of, n_of))
         self._star = tuple(
-            tuple([crow[plus[nss]]
-                   for crow, plus, nss in zip(times(t, "s"), times(c.disc.value, "m"),
-                                              times(n, "ss"))])
-            for t, n, c in zip(ts, ns, self.classes))
+            tuple([crow[t][plus[s][dmrow[n]]] for t, s, n in numbers])
+            for crow, plus, dmrow in zip([st[k] for k in t_of], [nss[k] for k in n_of],
+                                         [dm[k] for k in d_of]))
         return self._star
+
+
+def _numbered(codes: list[int]) -> tuple[list[int], list[int]]:
+    """The distinct codes, in order of first appearance, and each code's number."""
+    number = {c: k for k, c in enumerate(dict.fromkeys(codes))}
+    return list(number), [number[c] for c in codes]
 
 
 def classify(ring: Ring) -> Classification:

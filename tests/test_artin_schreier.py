@@ -425,6 +425,14 @@ def test_sec_algebra_matches_basis_search():
             assert is_sec_algebra(s) == sec_algebra_by_search(s), s
 
 
+def test_separable_classes_are_the_sec_classes():
+    # the classify CLI reads its sec column from c.separable: over a finite
+    # ring the nonzerodivisors are the units
+    for ring in rings_up_to(64):
+        for c in classify(ring):
+            assert c.separable == is_sec_algebra(c.rep), (ring.spec_string(), c)
+
+
 def freeness_by_sec_member_loop(cl, asg, fiber):
     """The loop check_freeness ran before it read the answer off the
     report: every non-identity AS class moves every sec member of fiber."""

@@ -112,6 +112,33 @@ def test_fibers_report(capsys):
     assert len(by_d[0]["fiber"]) == 4
 
 
+# sha256 of `classify` stdout (JSON, CSV), recorded while the sec column
+# was is_sec_algebra(c.rep); it is now read from c.separable.
+CLASSIFY_DIGESTS = {
+    "Z/8": ("0d057e9b8eea0337675f8f1f7d9e584151656485079246017f538304195440ce",
+            "a35bdb56a43e2444c025fe98179a525731602a0f4a6be9f9c04d203bd59b6f64"),
+    "Z/12": ("e88e1881a3b257c0a5a4b97884bc0d54f5123cdc9f5a2f92c11b6b6223ae7bf9",
+             "75188c0823171037223dd5b9c39f32659c662f6817331e1b06229bf8caa55a81"),
+    "Z/16": ("cfabc414167073ad9a56b04070860e544740dfc2f034d669949400608005d6e8",
+             "aa9dc3980496e8a648a73da7aa812d88a3b73efc900b6d33c931849898a23d0c"),
+    "Z/4[x]/(x^2)": (
+        "ce27c20edca61ce541425363ea0a639155a289e1cd26cddee1d3eb11d4c1f13b",
+        "b87244095a27496ba77ce95bbb6ec6e6851231e9221889b3f9dfc40e31cd126f"),
+    "Z/6[x]/(x^2+1)": (
+        "4e0ec004d2c9d0b75c728ddc99da5daf8063092c6db2f3fa8d435fc02f0747fb",
+        "d83005f6e5308992ee0e6ed87f291f498853aacde53c4e3bf43db41baf659103"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CLASSIFY_DIGESTS))
+def test_classify_stdout_matches_golden_digests(capsys, spec):
+    import hashlib
+    for fmt, expected in zip(("json", "csv"), CLASSIFY_DIGESTS[spec]):
+        code, out, _ = run(capsys, "classify", "--ring", spec, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, (spec, fmt)
+
+
 # sha256 of `fibers` stdout, recorded before the fibre reports moved to
 # class representatives; the reports must not change a byte.
 FIBERS_DIGESTS = {

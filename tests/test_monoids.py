@@ -515,6 +515,30 @@ def test_grothendieck_rejects_table_where_e_is_not_the_identity_of_eM():
     assert exc.value.witness == {"kind": "eM identity", "indices": [1, 2]}
 
 
+@st.composite
+def tables_with_an_absorbing_element(draw):
+    """A table with an absorbing element z and arbitrary other entries,
+    associative or not, and any identity index."""
+    n = draw(st.integers(1, 8))
+    z = draw(st.integers(0, n - 1))
+    table = [[z if z in (x, y) else draw(st.integers(0, n - 1))
+              for y in range(n)] for x in range(n)]
+    return FiniteCommMonoid([str(i) for i in range(n)], table,
+                            draw(st.integers(0, n - 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables_with_an_absorbing_element())
+def test_grothendieck_of_a_table_with_an_absorbing_element_is_trivial(m):
+    # z is the least idempotent and eM = {z}, where e(xy) = e = (ex)(ey):
+    # no check can fail, and every element maps to the one class
+    k0 = grothendieck_group(m)
+    assert k0.is_trivial()
+    assert k0.monoid.table == [[0]] and k0.monoid.identity == 0
+    assert k0.invariant_factors == []
+    assert k0.universal_map == [0] * m.size
+
+
 def witness_breaks_its_check(t, kind, indices):
     """Whether `indices` show, from the table alone, the failure `kind` names."""
     n = len(t)

@@ -412,6 +412,46 @@ def test_star_table_is_built_once_and_shared():
     assert cl.star_table()[0][0] != monoid.table[0][0]
 
 
+@pytest.mark.parametrize("spec", ["Z/120", "Z/360", "Z/6[x]/(x^2+1)",
+                                  "Z/4[x]/(x^4+x+1)"])
+def test_star_table_matches_star_product_entry_by_entry(spec):
+    # many classes share a trace, a disc or a norm here, so rows and
+    # columns read shared product lists; the group oracle is too slow
+    ring = parse_ring(spec)
+    cl = classify(ring)
+    table = cl.star_table()
+    for i, ci in enumerate(cl):
+        assert list(table[i]) == [cl.index_of(star_product(ci.rep, cj.rep))
+                                  for cj in cl], (spec, ci.label)
+
+
+@pytest.mark.parametrize("spec", ["Z/24", "Z/4[x]/(x^2)"])
+def test_star_table_takes_one_product_per_distinct_pair_of_codes(monkeypatch, spec):
+    # (t, n) * (s, m) = (st, d*m + n*s^2): the products are trace x trace,
+    # disc x norm and norm x trace square, one per distinct pair of values
+    ring = parse_ring(spec)
+    cl = classify(ring)
+    traces = {c.rep.t for c in cl}
+    norms = {c.rep.n for c in cl}
+    discs = {c.disc for c in cl}
+    squares = {t * t for t in traces}
+    calls = 0
+    original = ring._mul
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return original(a, b)
+
+    monkeypatch.setattr(ring, "_mul", counting)
+    table = cl.star_table()
+    assert calls == (len(traces) ** 2 + len(discs) * len(norms)
+                     + len(norms) * len(squares)), spec
+    calls = 0
+    assert cl.star_table() is table
+    assert calls == 0
+
+
 def rings_up_to(size):
     """Z/n, (Z/n)[x]/(x) and every (Z/n)[x]/(f) with f monic of degree >= 2,
     for |R| <= size."""
