@@ -354,7 +354,8 @@ def _hom_verdict(ring: Ring, classification: Classification,
     # disc(rep_i * rep_j) against disc(rep_i) * disc(rep_j), row by row;
     # classes of one disc share the expected row.
     star, expected = classification.star_table(), {}
-    for ci, row, di in zip(classification, star, mapping):
+    labels = classification.labels()
+    for label_i, row, di in zip(labels, star, mapping):
         want = expected.get(di)
         if want is None:
             disc_row = disc_table[di]
@@ -363,16 +364,14 @@ def _hom_verdict(ring: Ring, classification: Classification,
         if got == want:
             continue
         is_hom = False
-        for cj, g, w in zip(classification, got, want):
+        for label_j, g, w in zip(labels, got, want):
             if g != w:
-                violations.append(
-                    f"disc({ci.label}*{cj.label}) differs from "
-                    f"disc({ci.label})*disc({cj.label})"
-                )
+                violations.append(f"disc({label_i}*{label_j}) differs from "
+                                  f"disc({label_i})*disc({label_j})")
 
     fibers: dict[str, list[str]] = {label: [] for label in disc_labels}
-    for di, c in zip(mapping, classification):
-        fibers[disc_labels[di]].append(c.label)
+    for di, label in zip(mapping, labels):
+        fibers[disc_labels[di]].append(label)
     fiber_sizes = {lbl: len(v) for lbl, v in fibers.items()}
     violations += tables.preimage_violations
     surjective = all(size > 0 for size in fiber_sizes.values())

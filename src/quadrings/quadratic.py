@@ -389,6 +389,28 @@ class Classification:
     def class_of(self, algebra: QuadraticAlgebra) -> IsoClass:
         return self.classes[self.index_of(algebra)]
 
+    def labels(self) -> list[str]:
+        """Every class's label, the text of IsoClass.label.
+
+        Classes share many traces and norms, so each distinct value is
+        formatted once per call; each class keeps its label, as on a first
+        read of IsoClass.label.
+        """
+        texts, element_text, labels = {}, self.ring.element_text, []
+        for c in self.classes:
+            label = c._label
+            if label is None:
+                t, n = c.rep.t.value, c.rep.n.value
+                t_text = texts.get(t)
+                if t_text is None:
+                    t_text = texts[t] = element_text(t)
+                n_text = texts.get(n)
+                if n_text is None:
+                    n_text = texts[n] = element_text(n)
+                label = c._label = f"({t_text},{n_text})"
+            labels.append(label)
+        return labels
+
     def star_table(self) -> tuple[tuple[int, ...], ...]:
         """Class index of rep_i * rep_j, for every pair of classes.
 
@@ -577,7 +599,7 @@ def quad_monoid(ring: Ring, classification: Classification) -> FiniteCommMonoid:
     canonical representatives; the result is validated before being
     returned, and the class of (0, 0) is checked to be absorbing.
     """
-    labels = [c.label for c in classification]
+    labels = classification.labels()
     table = classification.star_table()
     identity = classification.index_of(QuadraticAlgebra(ring, 1, 0))
     monoid = FiniteCommMonoid(labels, table, identity)

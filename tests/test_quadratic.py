@@ -649,6 +649,24 @@ def test_quad_monoid_structure():
         assert m.labels[absorbing] == cl[cl.index_of(QuadraticAlgebra(ring, 0, 0))].label
 
 
+def test_classification_labels_format_each_value_once(monkeypatch):
+    # the labels are the representatives' own labels, from one element_text
+    # call per distinct trace or norm value, and each class keeps its label
+    for ring in rings_up_to(16):
+        cl = classify(ring)
+        formatted = []
+        real = type(ring).element_text
+        monkeypatch.setattr(type(ring), "element_text",
+                            lambda self, value: formatted.append(value) or real(self, value))
+        labels = cl.labels()
+        monkeypatch.undo()
+        assert labels == [c.rep.label() for c in cl], ring
+        values = {v for c in cl for v in (c.rep.t.value, c.rep.n.value)}
+        assert sorted(formatted, key=ring.sort_key) == sorted(values, key=ring.sort_key)
+        assert all(c._label == label for c, label in zip(cl, labels))
+        assert cl.labels() == labels
+
+
 def test_disc_multiplicative_exhaustive():
     for spec in FINITE_RINGS:
         ring = parse_ring(spec)
