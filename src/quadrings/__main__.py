@@ -56,7 +56,7 @@ def _require_writable(path: str) -> None:
 
 
 def _parse_element(ring: Ring, text: str):
-    parts = [p for p in text.replace(" ", "").split(",") if p != ""]
+    parts = text.replace(" ", "").split(",")    # an empty field is no integer
     try:
         values = [int(p) for p in parts]
     except ValueError:
@@ -73,7 +73,7 @@ def _parse_element(ring: Ring, text: str):
 
 
 def _parse_pair(ring: Ring, text: str):
-    parts = [p for p in text.replace(" ", "").split(",") if p != ""]
+    parts = text.replace(" ", "").split(",")
     width = ring.degree if isinstance(ring, QuotientPolyRing) else 1
     if len(parts) != 2 * width:
         raise UsageError(

@@ -18,32 +18,31 @@ free.
 The group and the fiber reports run on the int codes of the ring's kernel
 (rings.Kernel): an addition is an add-row lookup or a code sum, and the unit
 squares, the tables of t^2 and -4n, the norm map 4n -> [n] and the root
-table t^2 -> [t] are built once per ring, not per report.  The AS group is
-built once per ring instance and kept in the kernel, as the R[4] codes,
-the positions in them of P(R)[4] and of the class representatives, the
-code -> class map and the identity; ASGroup is a view over these tables
-that makes one RingElement per member of R[4] and lists P(R)[4] and the
-representatives from those, and a classification formats each class
-label once.  The action commutes with basis changes, so a report
-reads the image of each class under each AS class off the class's
-representative, and reads only the representatives' class rows.  The
-kernel also keeps, per disc d reported, the classes of ann(d)[4] and the
-with-basis orbit count and bound, each a closed form in the number of
-traces t with t^2 = d mod 4R, |R[4]| and dR[4], and per representative
-disc d' the add rows of d'm.  A classification keeps, in its derived slot,
-the action on the fiber over each disc class: the fiber, its labels, the
-orbits, the kernel classes and whether the action is free.  fiber_report
-assembles a new report from these and check_freeness reads free off them,
-so a repeated call takes no ring product, class row or check.
+table t^2 -> [t] are built once per ring, not per report.  AS(R) is built
+once per ring instance, in one pass over those codes, and kept in the
+kernel: the codes and canonical values of R[4], the positions in them of
+P(R)[4] and of the class representatives, the class of each member by
+position and by value, and the identity.  ASGroup and wp4_subgroup are
+views over these tables that make one RingElement per member they list,
+and a classification formats each class label once.
 
-Checks that run once per ring instance, when its tables are built: P(R)[4]
-is a subgroup, each AS class has order dividing 2, and, per disc d, the
-count equals its bound.  Checks that run once per classification and disc
-class, before its action is kept: every image lies in the fiber, and the
-kernel contains the classes of ann(d)[4] (again for each new d of the
-class).  A failed check keeps nothing, so a repeat raises again: an
-InternalCheckError with a witness naming the ring, d, the class and the AS
-class where they apply.
+A classification keeps, in its derived slot, the action on the fiber over
+each disc class: the fiber, its labels, the orbits, the kernel classes,
+whether the action is free, and the with-basis orbit count and bound.  The
+action commutes with basis changes, so it is read off the class
+representatives and their class rows.  The count and bound, and the classes
+of ann(d)[4] the kernel is checked against, are class invariants, so they
+are worked out for the d of the first report over the class.  fiber_report
+assembles a new report from the kept action and check_freeness reads free
+off it, so a repeated call takes no ring product, class row or check.
+
+Checks that run once per ring instance, when its AS tables are built:
+P(R)[4] is a subgroup of R[4], and each AS class has order dividing 2.
+Checks that run once per classification and disc class, before its action
+is kept, in this order: every image lies in the fiber, the kernel contains
+the classes of ann(d)[4], and the count equals its bound.  A failed check
+keeps nothing, so a repeat raises again: an InternalCheckError with a
+witness naming the ring, d, the class and the AS class where they apply.
 """
 
 from __future__ import annotations
@@ -69,17 +68,6 @@ def four_torsion(ring: Ring) -> list[RingElement]:
     raise InfiniteRingError("4-torsion needs a finite ring or Z")
 
 
-def _additive_codes(ring: Ring):
-    """values, value -> code and add_row of a finite ring's kernel; over Z
-    the one value 0, which is all of R[4]."""
-    if ring.is_finite:
-        kernel = ring.kernel()
-        return kernel.values, kernel.code, kernel.add_row
-    if isinstance(ring, IntegerRing):
-        return [0], {0: 0}, lambda c: [0]
-    raise InfiniteRingError("needs a finite ring or Z")
-
-
 def _span(members, add_row) -> set[int]:
     """The subgroup of (R, +) the codes members generate.  Each member not
     yet in the span grows it by its translates until they cycle back into
@@ -95,92 +83,89 @@ def _span(members, add_row) -> set[int]:
     return span
 
 
-def wp4_subgroup(ring: Ring) -> list[RingElement]:
-    """P(R)[4] = {r + r^2 : (1+2r)^2 = 1}, verified to be a subgroup of R[4].
-
-    Computed and verified on the codes of the ring's kernel: (1+2r)^2 is a
-    lookup in the table of squares, r + r^2 = r(1 + r) one product per r
-    that passes, and closure the span of the members, at most
+def _check_wp4(ring: Ring, kernel: Kernel, members: list[int], fours: list[int]):
+    """InternalCheckError unless the codes members, in increasing order,
+    form a subgroup of R[4]: a subset holding 0 (code 0), closed under
+    negation and +.  Closure is the span of the members, at most
     log2|P(R)[4]| add rows; only a set that is not closed is searched for
-    a witness pair."""
-    values, code, add_row = _additive_codes(ring)
-    if ring.is_finite:
-        kernel, mul = ring.kernel(), ring._mul
-        one = code[ring.one.value]
-        one_plus, twice = add_row(one), kernel.multiple_row(2)
-        members = sorted({code[mul(values[r], values[one_plus[r]])]
-                          for r, r2 in enumerate(twice)
-                          if kernel.square[one_plus[r2]] == one})
-        fours, negative = kernel.multiple_row(4), kernel.multiple_row(-1)
-    else:
-        members, fours, negative = [0], [0], [0]
-    out = [RingElement(ring, values[c]) for c in members]
-    # Re-verify the subgroup axioms inside R[4]; code 0 is the zero.
+    a witness pair, the first in member order."""
     group = set(members)
     if 0 not in group or any(fours[c] for c in members):
         raise InternalCheckError("P(R)[4] is not a subset of R[4] containing 0",
                                  {"ring": ring.spec_string()})
+    add_row, negative = kernel.add_row, kernel.multiple_row(-1)
     closed = _span(members, add_row) == group
-    for a, c in zip(out, members):
+    for c in members:
         if negative[c] not in group:
+            a = RingElement(ring, kernel.values[c])
             raise InternalCheckError(
                 f"P(R)[4] not closed under negation at {a}",
                 {"ring": ring.spec_string(), "element": a.to_json()})
         if not closed:
             row = add_row(c)
-            for b, cb in zip(out, members):
+            for cb in members:
                 if row[cb] not in group:
+                    a, b = (RingElement(ring, kernel.values[x]) for x in (c, cb))
                     raise InternalCheckError(
                         f"P(R)[4] not closed under + at ({a}, {b})",
                         {"ring": ring.spec_string(), "pair": [a.to_json(), b.to_json()]})
-    return out
 
 
 class _ASTables:
-    """AS(R) of one ring on the codes of its kernel, built once per ring
-    instance and kept in its kernel's derived slot (for Z, built per call).
+    """AS(R) of one ring, built once per ring instance on the codes of its
+    kernel and kept in its derived slot (for Z, where R[4] = P(R)[4] = {0},
+    built per call).
 
-    torsion is the codes of R[4], classes the code of each class
-    representative, wp4_pos and class_pos the positions in torsion of
-    P(R)[4] and of the representatives, class_at the class of each R[4]
-    code, torsion_classes the class of each torsion code in order, and
-    identity the class of 0.  P(R)[4] is checked to be a subgroup and each
-    class to have order dividing 2 here.  The fiber reports fill shifts,
-    the add rows of d'm for each disc d' they meet and each class m, and
-    fibres, the facts they keep per disc d.  Only ints and kernel rows are
-    held.
+    torsion and values are the codes and canonical values of R[4], in
+    order; wp4_pos and class_pos the positions in them of P(R)[4] and of
+    the class representatives; torsion_classes the class of each member in
+    order, class_of the class of each member's value, and identity the
+    class of 0.  P(R)[4] is checked to be a subgroup and each class to have
+    order dividing 2 here.  Only ints, canonical values and lists and
+    dicts of them are held.
     """
 
     def __init__(self, ring: Ring):
-        # Cosets are formed on codes, one add row per coset; codes sort like
-        # sort keys.  P(R)[4] lies in R[4], so each coset member is one of
-        # the four_torsion elements.
-        values, code, add_row = _additive_codes(ring)
-        self.torsion = [code[a.value] for a in four_torsion(ring)]
-        wp4 = [code[w.value] for w in wp4_subgroup(ring)]
-        self.class_at = class_at = {}    # code of an R[4] member -> class
-        self.classes: list[int] = []
-        for a in self.torsion:
-            if a in class_at:
-                continue
-            row = add_row(a)
-            coset = sorted({row[w] for w in wp4})
-            for c in coset:
-                class_at[c] = len(self.classes)
-            self.classes.append(coset[0])
-        self.torsion_classes = [class_at[c] for c in self.torsion]
+        if isinstance(ring, IntegerRing):
+            self.torsion = self.values = self.torsion_classes = [0]
+            self.wp4_pos = self.class_pos = [0]
+            self.class_of, self.identity = {0: 0}, 0
+            return
+        kernel, mul = ring.kernel(), ring._mul
+        values, code, add_row = kernel.values, kernel.code, kernel.add_row
+        fours = kernel.multiple_row(4)
+        self.torsion = torsion = [c for c, q in enumerate(fours) if q == 0]
+        # P(R)[4]: (1+2r)^2 is a lookup in the table of squares, and
+        # r + r^2 = r(1 + r) one product per r that passes
+        one = code[ring.one.value]
+        one_plus, twice = add_row(one), kernel.multiple_row(2)
+        wp4 = sorted({code[mul(values[r], values[one_plus[r]])]
+                      for r, r2 in enumerate(twice)
+                      if kernel.square[one_plus[r2]] == one})
+        _check_wp4(ring, kernel, wp4, fours)
+        # One add row per coset.  Codes sort like sort keys and every R[4]
+        # code below a is classed, so a is its coset's least member.
+        class_at: dict[int, int] = {}    # code of an R[4] member -> class
+        classes: list[int] = []
+        for a in torsion:
+            if a not in class_at:
+                row = add_row(a)
+                for c in {row[w] for w in wp4}:
+                    class_at[c] = len(classes)
+                classes.append(a)
         self.identity = class_at[0]
-        position = {c: k for k, c in enumerate(self.torsion)}
-        self.wp4_pos = [position[c] for c in wp4]
-        self.class_pos = [position[c] for c in self.classes]
-        for c in self.classes:
+        for c in classes:
             if class_at.get(add_row(c)[c]) != self.identity:
                 rep = RingElement(ring, values[c])
                 raise InternalCheckError(
                     f"AS class of {rep} does not have order dividing 2",
                     {"ring": ring.spec_string(), "as_class": rep.to_json()})
-        self.shifts: dict = {}    # d' -> [add row of d'm for each class m]
-        self.fibres: dict = {}    # d -> _FibreFacts
+        position = {c: k for k, c in enumerate(torsion)}
+        self.values = [values[c] for c in torsion]
+        self.wp4_pos = [position[c] for c in wp4]
+        self.class_pos = [position[c] for c in classes]
+        self.torsion_classes = [class_at[c] for c in torsion]
+        self.class_of = dict(zip(self.values, self.torsion_classes))
 
 
 def _as_tables(ring: Ring) -> _ASTables:
@@ -194,6 +179,14 @@ def _as_tables(ring: Ring) -> _ASTables:
     return tables
 
 
+def wp4_subgroup(ring: Ring) -> list[RingElement]:
+    """P(R)[4] = {r + r^2 : (1+2r)^2 = 1} in canonical order: a view over
+    the ring's kept AS tables, which check that it is a subgroup of R[4]
+    when they are built."""
+    tables = _as_tables(ring)
+    return [RingElement(ring, tables.values[k]) for k in tables.wp4_pos]
+
+
 class ASGroup:
     """AS(R) = R[4] / P(R)[4] with canonical coset representatives.
 
@@ -202,18 +195,16 @@ class ASGroup:
     for four_torsion, and lists wp4 and classes from those, at the
     positions the tables keep.  identity is the index of the class of 0,
     and torsion_classes the class of each four_torsion element, in order;
-    class_of is one lookup by code.  Every list is new.
+    class_of is one lookup by value.  Every list is new.
     """
 
     def __init__(self, ring: Ring):
         tables = _as_tables(ring)
-        values, self._code, _ = _additive_codes(ring)
         self.ring = ring
-        self.four_torsion = torsion = [RingElement(ring, values[c])
-                                       for c in tables.torsion]
+        self.four_torsion = torsion = [RingElement(ring, v) for v in tables.values]
         self.wp4 = [torsion[k] for k in tables.wp4_pos]
         self.classes = [torsion[k] for k in tables.class_pos]
-        self._class_at = tables.class_at    # code of an R[4] member -> class
+        self._class_of = tables.class_of    # value of an R[4] member -> class
         self.torsion_classes = list(tables.torsion_classes)
         self.identity = tables.identity
 
@@ -224,7 +215,7 @@ class ASGroup:
     def class_of(self, a: RingElement) -> int:
         if isinstance(a, RingElement) and (a.ring is self.ring
                                            or a.ring == self.ring):
-            idx = self._class_at.get(self._code.get(a.value))
+            idx = self._class_of.get(a.value)
             if idx is not None:
                 return idx
         raise ValueError(f"{a!r} is not 4-torsion")
@@ -294,13 +285,12 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
     """Compute the AS(R)-orbit structure of the fiber over a disc class.
 
     Assembled from the classification's kept action on the fiber over d's
-    class and the ring's kept facts of d (see _fibre_action), with fresh
-    lists on every call; once both exist a report takes no ring product,
-    class row or check.  d, classification and group built for another
-    ring raise ValueError.
+    class (see _act_on_fiber), with fresh lists on every call; once it
+    exists a report takes no ring product, class row or check.  d,
+    classification and group built for another ring raise ValueError.
     """
     require_ring(ring, d, classification, group)
-    action, facts = _fibre_action(ring, d, classification)
+    action = _fibre_action(ring, d, classification)
     return FiberReport(disc_class=d,
                        fiber=list(action.fiber),
                        fiber_labels=list(action.labels),
@@ -308,8 +298,8 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
                        kernel=list(action.kernel),
                        free=action.free,
                        transitive=len(action.orbits) == 1,
-                       basis_orbit_count=facts.count,
-                       basis_orbit_bound=facts.bound)
+                       basis_orbit_count=action.count,
+                       basis_orbit_bound=action.bound)
 
 
 class _FibreAction:
@@ -318,63 +308,29 @@ class _FibreAction:
 
     fiber lists the class indices of the fiber and labels their labels,
     orbits the orbit partition as positions in fiber, kernel the AS classes
-    that fix every member, and free whether every other AS class moves
-    every member.  Only ints, strings and lists of them are held.
+    that fix every member, free whether every other AS class moves every
+    member, and count and bound the with-basis orbit count and bound (see
+    _fibre_facts).  Only ints, strings and lists of them are held.
     """
 
-    __slots__ = ("fiber", "labels", "orbits", "kernel", "free")
+    __slots__ = ("fiber", "labels", "orbits", "kernel", "free", "count", "bound")
 
-    def __init__(self, fiber, labels, orbits, kernel, free):
+    def __init__(self, fiber, labels, orbits, kernel, free, count, bound):
         self.fiber, self.labels, self.orbits = fiber, labels, orbits
         self.kernel, self.free = kernel, free
+        self.count, self.bound = count, bound
 
 
 def _fibre_action(ring: Ring, d: DiscClass, classification: Classification):
-    """The kept action on the fiber over d's class and the kept facts of d,
-    built and checked on first use.
-
-    The fiber is the classes whose discriminant is u^2 d for a unit u, read
-    off the kept disc class index.  The action commutes with basis changes
-    (as-action-norm and change-of-basis-functoriality in quadrings verify),
-    so the AS class m sends the class of a representative (t, n) of disc d'
-    to the class of (t, n + d'm).  The ring's kept AS tables hold the add
-    row of d'm for each d' met before and the facts of each disc d reported
-    before: the classes of ann(d)[4] and the with-basis orbit count and
-    bound.  So the first action over a class takes one product per new d'
-    and m and reads the representatives' class rows, and the first facts of
-    a d take |R[4]| products for dR[4].
-
-    The checks run once per classification and disc class, and once per
-    ring instance and d, before either is kept, in this order: every image
-    lies in the fiber; the kernel contains the classes of ann(d)[4] (again
-    whenever the action or the facts are new); the count equals its bound.
-    A failed check keeps nothing, so a repeat raises again.  The tests
-    check the class map against a walk over every orbit pair.
-    """
-    index, tables = _disc_tables(ring).index, _as_tables(ring)
-    dv = d.d.value
-    own = index[dv]
+    """The action on the fiber over d's class that classification keeps,
+    built and checked by _act_on_fiber on first use."""
+    index = _disc_tables(ring).index
+    own = index[d.d.value]
     kept = classification.derived.setdefault("fibres", {})    # class -> action
     action = kept.get(own)
-    new = action is None
-    if new:
-        action = _act_on_fiber(ring, d, classification, own, index, tables)
-    facts = tables.fibres.get(dv)
-    fresh = facts is None
-    if fresh:
-        facts = _FibreFacts(ring, dv, tables)
-    if (new or fresh) and not facts.ann_classes <= set(action.kernel):
-        raise InternalCheckError(
-            f"kernel misses annihilator classes for d = {d.d}", _witness(ring, d))
-    if fresh:
-        if facts.count != facts.bound:
-            raise InternalCheckError(
-                f"with-basis orbit count {facts.count} != index bound "
-                f"{facts.bound} for d = {d.d}",
-                _witness(ring, d, count=facts.count, bound=facts.bound))
-        tables.fibres[dv] = facts
-    kept[own] = action
-    return action, facts
+    if action is None:
+        action = kept[own] = _act_on_fiber(ring, d, classification, own, index)
+    return action
 
 
 def _witness(ring: Ring, d: DiscClass, **more) -> dict:
@@ -383,26 +339,40 @@ def _witness(ring: Ring, d: DiscClass, **more) -> dict:
 
 
 def _act_on_fiber(ring: Ring, d: DiscClass, cl: Classification, own: int,
-                  index: dict, tables: _ASTables) -> _FibreAction:
+                  index: dict) -> _FibreAction:
     """The action of every AS class on the fiber over disc class own, with
-    the check that every image lies in the fiber."""
+    the facts of d, checked.
+
+    The fiber is the classes whose discriminant is u^2 d for a unit u, read
+    off the kept disc class index.  The action commutes with basis changes
+    (as-action-norm and change-of-basis-functoriality in quadrings verify),
+    so the AS class m sends the class of a representative (t, n) of disc d'
+    to the class of (t, n + d'm): one product per disc d' of a
+    representative and AS class m, for the add row of d'm, and one class
+    row per fiber class.  The facts of d take |R[4]| products more.
+
+    The checks run in this order: every image lies in the fiber; the kernel
+    contains the classes of ann(d)[4]; the count equals its bound.  The
+    tests check the class map against a walk over every orbit pair.
+    """
+    tables = _as_tables(ring)
     kernel, mul = ring.kernel(), ring._mul
-    values, code, add_row = kernel.values, kernel.code, kernel.add_row
+    code, add_row = kernel.code, kernel.add_row
+    classes = [tables.values[k] for k in tables.class_pos]
     fiber = [i for i, c in enumerate(cl) if index[c.disc.value] == own]
     fiber_pos = {ci: k for k, ci in enumerate(fiber)}
-    action: list[dict[int, int]] = [{} for _ in tables.classes]
+    action: list[dict[int, int]] = [{} for _ in classes]
+    shifts: dict = {}    # d' -> [add row of d'm for each class m]
     for ci in fiber:
         c = cl[ci]
         v = c.disc.value
-        shifts = tables.shifts.get(v)
-        if shifts is None:
-            shifts = tables.shifts[v] = [add_row(code[mul(v, values[m])])
-                                         for m in tables.classes]
+        if v not in shifts:
+            shifts[v] = [add_row(code[mul(v, m)]) for m in classes]
         row, n = cl.class_map.row(code[c.rep.t.value]), code[c.rep.n.value]
-        for m, plus, images in zip(tables.classes, shifts, action):
+        for m, plus, images in zip(classes, shifts[v], action):
             target = images[ci] = row[plus[n]]
             if target not in fiber_pos:
-                moved_by = RingElement(ring, values[m])
+                moved_by = RingElement(ring, m)
                 raise InternalCheckError(
                     f"action of {moved_by} moved {c.label} off the fiber",
                     _witness(ring, d, **{"class": c.label,
@@ -423,15 +393,21 @@ def _act_on_fiber(ring: Ring, d: DiscClass, cl: Classification, own: int,
     free = all(images[ci] != ci
                for m_idx, images in enumerate(action) if m_idx != tables.identity
                for ci in fiber)
+    ann_classes, count, bound = _fibre_facts(ring, d.d.value, tables)
+    if not ann_classes <= set(kernel_classes):
+        raise InternalCheckError(
+            f"kernel misses annihilator classes for d = {d.d}", _witness(ring, d))
+    if count != bound:
+        raise InternalCheckError(
+            f"with-basis orbit count {count} != index bound {bound} for d = {d.d}",
+            _witness(ring, d, count=count, bound=bound))
     return _FibreAction(fiber, [cl[i].label for i in fiber], orbits,
-                        kernel_classes, free)
+                        kernel_classes, free, count, bound)
 
 
-class _FibreFacts:
-    """What the fiber reports over d keep in the ring's AS tables.
-
-    ann_classes are the AS classes of ann(d)[4], and count and bound the
-    with-basis orbit count and |{t : t^2 = d mod 4R}| * |R[4] / dR[4]|;
+def _fibre_facts(ring: Ring, dv, tables: _ASTables) -> tuple[set[int], int, int]:
+    """The AS classes of ann(d)[4], and the with-basis orbit count and
+    bound |{t : t^2 = d mod 4R}| * |R[4] / dR[4]|, of the disc value dv;
     ann(d)[4] and dR[4] are read off R[4] with one product each.
 
     The count is the number of orbits of R[4] acting by (t, n) ->
@@ -439,23 +415,20 @@ class _FibreFacts:
     the norms {n : 4n = t^2 - d} of a trace t are a coset of R[4], a fiber
     of the kernel's row of 4x, so they fall into |R[4]| / |<dR[4]> & R[4]|
     orbits.  The count reads the group dR[4] generates and the bound only
-    the size of dR[4]; _fibre_action checks that they agree.
+    the size of dR[4]; _act_on_fiber checks that they agree.  All three
+    are the same for u^2 d, u a unit: ann(u^2 d)[4] = ann(d)[4], u^2 dR[4]
+    = dR[4], and t -> ut carries the traces of d onto those of u^2 d.
     """
-
-    __slots__ = ("ann_classes", "count", "bound")
-
-    def __init__(self, ring: Ring, dv, tables: _ASTables):
-        kernel, mul = ring.kernel(), ring._mul
-        values, code = kernel.values, kernel.code
-        shifts = [code[mul(dv, values[a])] for a in tables.torsion]
-        # code 0 is the zero
-        self.ann_classes = {k for k, s in zip(tables.torsion_classes, shifts)
-                            if s == 0}
-        image, torsion = set(shifts), len(tables.torsion)
-        traces = _trace_count(kernel, code[ring._neg(dv)])
-        span = _span(sorted(image), kernel.add_row)
-        self.count = traces * torsion // len(span.intersection(tables.torsion))
-        self.bound = _basis_orbit_bound(traces, torsion, image)
+    kernel, mul = ring.kernel(), ring._mul
+    code = kernel.code
+    shifts = [code[mul(dv, a)] for a in tables.values]
+    # code 0 is the zero
+    ann_classes = {k for k, s in zip(tables.torsion_classes, shifts) if s == 0}
+    image, torsion = set(shifts), len(tables.torsion)
+    traces = _trace_count(kernel, code[ring._neg(dv)])
+    span = _span(sorted(image), kernel.add_row)
+    count = traces * torsion // len(span.intersection(tables.torsion))
+    return ann_classes, count, _basis_orbit_bound(traces, torsion, image)
 
 
 def _trace_count(kernel: Kernel, minus_d: int) -> int:
@@ -513,5 +486,5 @@ def check_freeness(ring: Ring, d: DiscClass, classification: Classification,
     run first if it is new, and builds no report.
     """
     require_ring(ring, d, classification, group)
-    action, _ = _fibre_action(ring, d, classification)
+    action = _fibre_action(ring, d, classification)
     return action.free or not ring.is_nonzerodivisor(d.d)

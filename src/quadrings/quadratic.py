@@ -354,9 +354,9 @@ class Classification:
 
     derived is the slot where artin_schreier and discriminants keep what
     they read off this classification: the AS action on each disc class's
-    fiber and the disc-hom verdict, built and checked on first use.  It
-    holds only ints, strings and lists and dicts of them, so it keeps no
-    reference to the ring or a class.
+    fiber, with its orbit count and bound, and the disc-hom verdict, built
+    and checked on first use.  It holds only ints, strings and lists and
+    dicts of them, so it keeps no reference to the ring or a class.
     """
 
     def __init__(self, ring: Ring, classes: list[IsoClass],

@@ -35,8 +35,8 @@ ring.kernel(): its elements as int codes, the value -> code map, the codes
 of t^2 and -4n, the norm map 4n -> [n], the root table t^2 -> [t], the
 unit squares, and add rows code(x_c + x_k) that need no ring operation.
 classify, the star table, the AS group and the fiber reports all read it,
-and the disc classes, the AS group and the per-disc fibre facts are kept in
-its derived slot once built.
+and the disc classes and the AS group are kept in its derived slot once
+built.
 """
 
 from __future__ import annotations
@@ -63,9 +63,13 @@ def _exact(value) -> int:
 
 def require_enumerable(count: int, what, *args) -> None:
     """Refuse, before any work, to list more than MAX_ENUMERATION items;
-    what(*args), called only then, names them."""
+    what(*args), called only then, names them.  A count of more than 64
+    bits is stated as the power of 2 below it, since its decimal digits
+    could run to thousands or past int-to-str's limit."""
     if count > MAX_ENUMERATION:
-        raise EnumerationLimitError(f"{what(*args)}: {count} items exceed the "
+        bits = count.bit_length()
+        size = count if bits <= 64 else f"at least 2^{bits - 1}"
+        raise EnumerationLimitError(f"{what(*args)}: {size} items exceed the "
                                     f"enumeration budget of {MAX_ENUMERATION}")
 
 
@@ -634,7 +638,8 @@ _set_value = RingElement.value.__set__
 
 _MOD_RE = re.compile(r"^Z/(\d+)$")
 _QUOT_RE = re.compile(r"^Z/(\d+)\[x\]/\((.+)\)$")
-_TERM_RE = re.compile(r"^([+-]?)(\d+)?\*?(x(?:\^(\d+))?)?$")
+# A "*" only between a coefficient and x: "3*" and "*x" are malformed.
+_TERM_RE = re.compile(r"^([+-]?)(\d+)?(?:(?<=\d)\*(?=x))?(x(?:\^(\d+))?)?$")
 _TOKEN_RE = re.compile(r"[+-]?[^+-]+")
 
 
@@ -656,7 +661,11 @@ def parse_poly(text: str) -> list[int]:
         deg = 0 if x is None else 1 if power is None else int(power)
         coeffs[deg] = coeffs.get(deg, 0) + (-coeff if sign == "-" else coeff)
     top = max(coeffs)
-    return [coeffs.get(i, 0) for i in range(top + 1)]
+    require_enumerable(top + 1, lambda: f"coefficients of {text!r}")
+    dense = [0] * (top + 1)
+    for deg, c in coeffs.items():
+        dense[deg] = c
+    return dense
 
 
 def format_poly(coeffs) -> str:

@@ -11,7 +11,7 @@ from quadrings import (BasisChange, DiscClass, InternalCheckError, IsoClass,
                        fiber_report, four_torsion, is_discriminant, is_isomorphic,
                        is_sec_algebra, is_sec_element, parse_ring, star_product,
                        wp4_subgroup)
-from quadrings.artin_schreier import _as_tables, _FibreFacts
+from quadrings.artin_schreier import _as_tables, _fibre_facts
 from quadrings.discriminants import require_ring
 from quadrings.quadratic import ClassMap
 from test_quadratic import rings_up_to
@@ -33,13 +33,15 @@ def test_four_torsion_and_wp4_examples():
 
 
 def test_wp4_subgroup_spans_with_few_add_rows():
-    # P(R)[4] has 128 members over GF(256); spanning them keeps at most
-    # log2(128) add rows beyond the row of 1
+    # P(R)[4] has 128 members over GF(256), so AS(R) has 2 classes; the AS
+    # tables keep at most log2(128) add rows for the span, the row of 1
+    # among them, and one per coset
     ring = parse_ring("Z/2[x]/(x^8+x^4+x^3+x+1)")
     kernel = ring.kernel()
     members = wp4_subgroup(ring)
     assert len(members) == 128
-    assert sum(row is not None for row in kernel._rows) <= 1 + 7
+    assert len(four_torsion(ring)) // len(members) == 2
+    assert sum(row is not None for row in kernel._rows) <= 7 + 2
 
 
 def test_wp4_subgroup_names_the_first_pair_that_leaves_it(monkeypatch):
@@ -236,10 +238,10 @@ def test_fiber_kernel_contains_annihilator_image():
 
 
 def basis_orbit_count_and_bound(ring, d):
-    """The with-basis orbit count and bound of the element d, as the facts
-    fiber_report keeps for it."""
-    facts = _FibreFacts(ring, d.value, _as_tables(ring))
-    return facts.count, facts.bound
+    """The with-basis orbit count and bound of the element d, as the
+    action over its class keeps them when d is the first disc reported."""
+    _, count, bound = _fibre_facts(ring, d.value, _as_tables(ring))
+    return count, bound
 
 
 def test_basis_orbit_indexing_all_discs():
@@ -467,6 +469,26 @@ def test_fiber_matches_disc_classification_for_every_orbit_member():
                 assert fiber_report(ring, disc_class, cl, asg).fiber == expected, (spec, d)
 
 
+def test_fibre_reports_are_class_invariants():
+    # the kept action over a disc class holds the count and bound of the d
+    # of its first report, and is checked against ann(d)[4] for that d
+    # only, so every member of the class must give the same report: each
+    # member's report, built afresh on a classification that keeps no
+    # action, equals its class's in every field but disc_class
+    for ring in rings_up_to(32):
+        cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
+        for d, orbit in zip(dc, dc.orbits):
+            cl.derived.pop("fibres", None)
+            expected = fiber_report(ring, d, cl, asg)
+            for member in orbit[1:]:
+                cl.derived.pop("fibres", None)
+                own = DiscClass(ring, member, is_discriminant(ring, member))
+                report = fiber_report(ring, own, cl, asg)
+                assert report.disc_class is own
+                assert dataclasses.replace(report, disc_class=d) == expected, (
+                    ring, member)
+
+
 def test_dropped_ring_is_freed_by_refcount():
     # the ring's kernel holds ints, canonical values and strings only, its
     # kept disc, AS and fibre tables included, and so does the
@@ -543,7 +565,7 @@ def test_fiber_report_products_first_and_repeated(spec, monkeypatch):
 
 def test_failed_fibre_check_keeps_nothing(monkeypatch):
     # count != bound raises on every call, from fiber_report and
-    # check_freeness alike, and keeps neither the facts nor the action;
+    # check_freeness alike, and keeps no action;
     # with the check mended the same instances report as a fresh ring
     import quadrings.artin_schreier as artin_schreier
     ring = parse_ring("Z/4")
@@ -554,7 +576,7 @@ def test_failed_fibre_check_keeps_nothing(monkeypatch):
         with pytest.raises(InternalCheckError,
                            match="with-basis orbit count 2 != index bound -1"):
             call(ring, d, cl, asg)
-    assert not cl.derived.get("fibres") and not _as_tables(ring).fibres
+    assert not cl.derived.get("fibres")
     monkeypatch.undo()
     fresh = parse_ring("Z/4")
     fresh_dc = disc_classes(fresh)
@@ -562,18 +584,15 @@ def test_failed_fibre_check_keeps_nothing(monkeypatch):
         fresh, fresh_dc[fresh_dc.index_of(fresh.one)], classify(fresh), as_group(fresh))
 
 
-def test_new_disc_of_a_kept_class_runs_the_annihilator_check(monkeypatch):
-    # the action over the class of 1 in GF(4) is kept by the first report;
-    # a report over x, another member of that class, builds the facts of x
-    # and checks them against the kept kernel: with x*a = 0 forced for
-    # every a, ann(x)[4] holds a class that the free action moves
+def test_first_report_runs_the_annihilator_check(monkeypatch):
+    # GF(4) classes (1,0) and (1,x) both have disc 1, so the action over the
+    # class of x is free; with x*a = 0 forced for every a, ann(x)[4] holds
+    # every AS class, and the first report over x, from fiber_report or
+    # check_freeness alike, raises and keeps no action
     ring = parse_ring("Z/2[x]/(x^2+x+1)")
-    cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
-    one = dc[dc.index_of(ring.one)]
-    assert fiber_report(ring, one, cl, asg).kernel == [asg.identity]
+    cl, asg = classify(ring), as_group(ring)
     x = ring.element([0, 1])
     dx = DiscClass(ring, x, is_discriminant(ring, x))
-    assert dc.index_of(x) == dc.index_of(ring.one)
     real, zero = ring._mul, ring.zero.value
     monkeypatch.setattr(ring, "_mul", lambda a, b: zero if a == x.value else real(a, b))
     for call in (fiber_report, check_freeness):
@@ -581,6 +600,7 @@ def test_new_disc_of_a_kept_class_runs_the_annihilator_check(monkeypatch):
                            match="kernel misses annihilator classes for d = x") as info:
             call(ring, dx, cl, asg)
         assert info.value.witness == {"ring": ring.spec_string(), "d": x.to_json()}
+    assert not cl.derived.get("fibres")
 
 
 def mutate_everything(report):

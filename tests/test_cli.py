@@ -357,6 +357,53 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "classify")[0] == 2
 
 
+def test_empty_comma_fields_are_usage_errors(capsys):
+    for s, t in [("1,,2", "0,0"), ("1,2", ",0,0,"), ("1,2", ",0"), ("", "0,0")]:
+        code, out, err = run(capsys, "product", "--ring", "Z/5", "--s", s, "--t", t)
+        assert code == 2 and out == "", (s, t)
+        assert err.startswith("error: "), (s, t)
+    code, out, _ = run(capsys, "product", "--ring", "Z/2[x]/(x^2+x+1)",
+                       "--s", "1,0,,1", "--t", "1,0,1,1")
+    assert code == 2 and out == ""
+    code, out, _ = run(capsys, "fibers", "--ring", "Z/4", "--disc", "1,")
+    assert code == 2 and out == ""
+    assert run(capsys, "product", "--ring", "Z/5", "--s", "1, 2", "--t", "3,4")[0] == 0
+
+
+HUGE_SPECS = {
+    "dense-modulus": (["product", "--ring", "Z/2[x]/(x^100000000+1)",
+                       "--s", "0,0", "--t", "0,0"], "100000001 items"),
+    "degree-1e6": (["classify", "--ring", "Z/2[x]/(x^1000000+1)"],
+                   "at least 2^2000000 items"),
+    "degree-3000": (["classify", "--ring", "Z/2[x]/(x^3000+1)"], "at least 2^6000 items"),
+    "2200-digit-n": (["classify", "--ring", f"Z/{10 ** 2199 + 7}"], "at least 2^14609 items"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_SPECS))
+def test_huge_ring_specs_exit_2_under_a_memory_cap(name):
+    # run in a child whose address space is capped at 512 MiB, so that a
+    # spec that is not refused up front fails there (MemoryError, exit 1)
+    # and not in this process; the refusal names the budget and states a
+    # huge count by its power of 2, not in thousands of digits
+    import os
+    import subprocess
+    import sys
+
+    import quadrings
+    argv, stated = HUGE_SPECS[name]
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+             "from quadrings.__main__ import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(quadrings.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True,
+                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr[-300:]
+    assert "enumeration budget" in proc.stderr and stated in proc.stderr
+    assert len(proc.stderr.split(": ", 2)[-1]) < 100
+
+
 def test_enumeration_budget_exits_2(monkeypatch, capsys):
     # building any element fails, so a missing check cannot fill memory
     import quadrings.rings as rings

@@ -50,6 +50,43 @@ def test_parse_poly_forms():
     assert parse_poly("7") == [7]
 
 
+def test_parse_poly_refuses_a_dangling_star():
+    # "*" belongs between a coefficient and x, and nowhere else
+    for bad in ["x^2+3*", "*x^2+1", "3*", "x*", "2**x", "+*x", "x^2-*1"]:
+        with pytest.raises(RingParseError):
+            parse_poly(bad)
+    assert parse_poly("2*x^3 - x + 5") == [5, -1, 0, 2]
+    assert parse_poly("-3*x+2*x^2") == [0, -3, 2]
+
+
+def test_parse_poly_refuses_more_coefficients_than_the_budget():
+    # x^(10^8) would need a dense list of 10^8 + 1 coefficients: refused
+    # before it is built, with the count in full; the budget itself passes
+    with pytest.raises(EnumerationLimitError) as info:
+        parse_poly("x^100000000+1")
+    assert str(info.value) == ("coefficients of 'x^100000000+1': 100000001 items "
+                               "exceed the enumeration budget of 1048576")
+    assert len(parse_poly(f"x^{rings.MAX_ENUMERATION - 1}+1")) == rings.MAX_ENUMERATION
+
+
+def test_enumeration_budget_states_a_huge_count_by_its_power_of_two():
+    # 2^3000 has 904 digits, and n^2 for a 2200-digit n is past int-to-str's
+    # 4300-digit limit: a count of more than 64 bits is stated as the power
+    # of 2 below it, and one of 64 bits in full
+    with pytest.raises(EnumerationLimitError) as info:
+        parse_ring("Z/2[x]/(x^3000+1)").elements()
+    assert str(info.value) == ("elements of Z/2[x]/(x^3000+1): at least 2^3000 "
+                               "items exceed the enumeration budget of 1048576")
+    n = 10 ** 2199 + 7
+    with pytest.raises(EnumerationLimitError) as info:
+        rings.require_enumerable(n * n, str, "pairs")
+    assert str(info.value) == (f"pairs: at least 2^{(n * n).bit_length() - 1} items "
+                               "exceed the enumeration budget of 1048576")
+    with pytest.raises(EnumerationLimitError) as info:
+        rings.require_enumerable(2 ** 64 - 1, str, "pairs")
+    assert str(info.value).startswith(f"pairs: {2 ** 64 - 1} items exceed")
+
+
 def test_spec_string_round_trip():
     for spec in SMALL_RINGS + ["Z"]:
         ring = parse_ring(spec)
