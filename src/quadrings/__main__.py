@@ -1,19 +1,30 @@
 """Command-line front end emitting deterministic JSON/CSV reports.
 
 Subcommands: classify, disc, fibers, as-group, product, verify, sec.
+Each command (a cmd_* function in COMMANDS) takes the parsed arguments and
+returns (payload, rows, ok): the JSON payload, the rows of its CSV report
+(and of verify's text report), and whether every check it reports passed.
+It reads no --format and writes nothing; main renders the report once, in
+_render, and writes it to stdout or --output.  Numeric fields in the
+input, in ring specs and in --s, --t and --disc, are read by
+rings.parse_int: ASCII digits, a sign where the grammar allows one, and no
+more digits than the interpreter converts.
+
 Exit codes: 0 success, 1 internal invariant violation (a bug; the message,
 then the check's witness, if it has one, as one JSON line on stderr),
-2 usage error (bad flags, unparseable ring spec, enumeration of Z, an
-enumeration above rings.MAX_ENUMERATION items, or an --output path whose
-directory is missing or not writable, all refused before any work; or an
---output file whose final write fails).
+2 usage error (bad flags, unparseable ring spec or integer, enumeration of
+Z, an enumeration above rings.MAX_ENUMERATION items, or an --output path
+whose directory is missing or not writable, all refused before any work; a
+result with an integer too long to print, refused before --output is
+opened; or an --output file whose final write fails).
 
 This is the module `python -m quadrings` and the `quadrings` script run.
 Each command imports the layer modules it calls when it runs, so a process
 loads only the layers of its own command: classify and product need
 quadratic (and monoids), disc adds discriminants, fibers, sec and as-group
 add artin_schreier, and verify needs identities (and polynomials).
-`quadrings.cli` re-exports these names and loads every layer up front.
+`quadrings.cli` re-exports COMMANDS, UsageError and main and loads every
+layer up front.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ import sys
 
 from .errors import (InfiniteRingError, InternalCheckError, MonoidError,
                      RingParseError)
-from .rings import QuotientPolyRing, Ring, parse_ring
+from .rings import QuotientPolyRing, Ring, parse_int, parse_ring
 
 # The choices of verify --identity: identities.IDENTITY_NAMES, copied so
 # that parsing the command line does not import the verifier.
@@ -55,76 +66,59 @@ def _require_writable(path: str) -> None:
     raise UsageError(f"cannot write --output {path}: {reason}")
 
 
-def _parse_element(ring: Ring, text: str):
-    parts = text.replace(" ", "").split(",")    # an empty field is no integer
-    try:
-        values = [int(p) for p in parts]
-    except ValueError:
-        raise UsageError(f"cannot parse element {text!r}: expected integers")
-    if isinstance(ring, QuotientPolyRing):
-        if len(values) != ring.degree:
-            raise UsageError(
-                f"element of {ring!r} needs {ring.degree} coefficients c0,c1,..."
-            )
-        return ring.element(values)
-    if len(values) != 1:
-        raise UsageError(f"element of {ring!r} is a single integer")
-    return ring.element(values[0])
-
-
-def _parse_pair(ring: Ring, text: str):
-    parts = text.replace(" ", "").split(",")
+def _parse_elements(ring: Ring, text: str, field: str, count: int) -> list:
+    """count elements of ring written as comma-separated integers, one per
+    element of Z or Z/n and d coefficients c0,c1,... per element of a
+    quotient ring of degree d."""
     width = ring.degree if isinstance(ring, QuotientPolyRing) else 1
-    if len(parts) != 2 * width:
+    parts = text.replace(" ", "").split(",")    # an empty field is no integer
+    if len(parts) != count * width:
         raise UsageError(
-            f"pair over {ring!r} needs {2 * width} comma-separated integers"
-        )
-    t = _parse_element(ring, ",".join(parts[:width]))
-    n = _parse_element(ring, ",".join(parts[width:]))
-    return t, n
+            f"{field} over {ring!r} needs {count * width} comma-separated integers")
+    values = [parse_int(p, field, signed=True) for p in parts]
+    return [ring.element(values[i] if width == 1 else values[i:i + width])
+            for i in range(0, len(values), width)]
 
 
-def _to_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _render(fmt: str, payload, rows: list[dict]) -> str:
+    """The report as text: JSON from the payload; CSV from the rows, headed
+    by the first row's keys, with a list cell joined by ";"; text (verify's
+    default) as one line per row, its string cells bare and the others as
+    key=value."""
+    try:
+        if fmt == "json":
+            return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        if fmt == "text":
+            return "".join(" ".join(v if isinstance(v, str) else f"{k}={v}"
+                                    for k, v in row.items()) + "\n" for row in rows)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(rows[0])
+        writer.writerows([";".join(map(str, v)) if isinstance(v, list) else v
+                          for v in row.values()] for row in rows)
+        return buf.getvalue()
+    except ValueError:    # an int above the interpreter's str() limit
+        raise UsageError(
+            f"the result has an integer of more than {sys.get_int_max_str_digits()} "
+            f"digits, the interpreter's limit for printing one; raise it with "
+            f"PYTHONINTMAXSTRDIGITS")
 
 
-def _to_csv(rows: list[dict], fieldnames: list[str]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def _cell(value):
-    if isinstance(value, list):
-        return ";".join(str(v) for v in value)
-    return value
-
-
-def cmd_classify(args) -> tuple[str, bool]:
+def cmd_classify(args):
     from .quadratic import classify
     ring = parse_ring(args.ring)
-    cl = classify(ring)
-    classes = []
-    for c in cl:
-        classes.append({
-            "t": c.rep.t.to_json(),
-            "n": c.rep.n.to_json(),
-            "orbit_size": c.orbit_size,
-            "disc": c.disc.to_json(),
-            "separable": c.separable,
-            "sec": c.separable,    # is_sec_algebra(c.rep) over a finite ring
-        })
-    payload = {"ring": ring.spec_string(), "classes": classes}
-    if args.format == "csv":
-        rows = [{k: _cell(v) for k, v in entry.items()} for entry in classes]
-        return _to_csv(rows, ["t", "n", "orbit_size", "disc", "separable", "sec"]), True
-    return _to_json(payload), True
+    classes = [{
+        "t": c.rep.t.to_json(),
+        "n": c.rep.n.to_json(),
+        "orbit_size": c.orbit_size,
+        "disc": c.disc.to_json(),
+        "separable": c.separable,
+        "sec": c.separable,    # is_sec_algebra(c.rep) over a finite ring
+    } for c in classify(ring)]
+    return {"ring": ring.spec_string(), "classes": classes}, classes, True
 
 
-def cmd_disc(args) -> tuple[str, bool]:
+def cmd_disc(args):
     from .discriminants import DiscClassification, disc_hom_check
     from .quadratic import classify
     ring = parse_ring(args.ring)
@@ -134,20 +128,15 @@ def cmd_disc(args) -> tuple[str, bool]:
         raise InternalCheckError("; ".join(hom.violations),
                                  {"ring": ring.spec_string(),
                                   "violations": hom.violations})
-    absorbing = ring.zero
     entries = [{
         "d": c.d.to_json(),
         "witness_t": c.witness_t.to_json(),
-        "absorbing": c.d == absorbing,
+        "absorbing": c.d == ring.zero,
     } for c in dc]
-    payload = {"ring": ring.spec_string(), "disc_classes": entries}
-    if args.format == "csv":
-        rows = [{k: _cell(v) for k, v in e.items()} for e in entries]
-        return _to_csv(rows, ["d", "witness_t", "absorbing"]), True
-    return _to_json(payload), True
+    return {"ring": ring.spec_string(), "disc_classes": entries}, entries, True
 
 
-def cmd_fibers(args) -> tuple[str, bool]:
+def cmd_fibers(args):
     from .artin_schreier import ASGroup, fiber_report
     from .discriminants import DiscClassification
     from .quadratic import classify
@@ -156,42 +145,32 @@ def cmd_fibers(args) -> tuple[str, bool]:
     asg = ASGroup(ring)
     dc = DiscClassification(ring)
     if args.disc is not None:
-        d = _parse_element(ring, args.disc)
+        d, = _parse_elements(ring, args.disc, "--disc", 1)
         targets = [dc[dc.index_of(d)]]
     else:
         targets = list(dc)
     reports = [fiber_report(ring, d, cl, asg) for d in targets]
-    entries = []
-    for rep in reports:
-        entries.append({
-            "d": rep.disc_class.d.to_json(),
-            "fiber": [{"t": cl[i].rep.t.to_json(), "n": cl[i].rep.n.to_json()}
-                      for i in rep.fiber],
-            "orbits": rep.orbits,
-            "kernel_size": len(rep.kernel),
-            "free": rep.free,
-            "transitive": rep.transitive,
-        })
-    payload = {"ring": ring.spec_string(), "fibers": entries}
-    if args.format == "csv":
-        rows = []
-        for rep in reports:
-            for orbit_idx, orbit in enumerate(rep.orbits):
-                for pos in orbit:
-                    rows.append({
-                        "d": str(rep.disc_class.d),
-                        "class": rep.fiber_labels[pos],
-                        "orbit": orbit_idx,
-                        "kernel_size": len(rep.kernel),
-                        "free": rep.free,
-                        "transitive": rep.transitive,
-                    })
-        return _to_csv(rows, ["d", "class", "orbit", "kernel_size", "free",
-                              "transitive"]), True
-    return _to_json(payload), True
+    entries = [{
+        "d": rep.disc_class.d.to_json(),
+        "fiber": [{"t": cl[i].rep.t.to_json(), "n": cl[i].rep.n.to_json()}
+                  for i in rep.fiber],
+        "orbits": rep.orbits,
+        "kernel_size": len(rep.kernel),
+        "free": rep.free,
+        "transitive": rep.transitive,
+    } for rep in reports]
+    rows = [{
+        "d": str(rep.disc_class.d),
+        "class": rep.fiber_labels[pos],
+        "orbit": orbit_idx,
+        "kernel_size": len(rep.kernel),
+        "free": rep.free,
+        "transitive": rep.transitive,
+    } for rep in reports for orbit_idx, orbit in enumerate(rep.orbits) for pos in orbit]
+    return {"ring": ring.spec_string(), "fibers": entries}, rows, True
 
 
-def cmd_as_group(args) -> tuple[str, bool]:
+def cmd_as_group(args):
     from .artin_schreier import ASGroup
     ring = parse_ring(args.ring)
     asg = ASGroup(ring)
@@ -202,71 +181,53 @@ def cmd_as_group(args) -> tuple[str, bool]:
         "classes": [a.to_json() for a in asg.classes],
         "invariant_factors": asg.invariant_factors(),
     }
-    if args.format == "csv":
-        rows = [{"class_rep": str(rep),
-                 "four_torsion_size": len(asg.four_torsion),
-                 "wp4_size": len(asg.wp4),
-                 "order": asg.order}
-                for rep in asg.classes]
-        return _to_csv(rows, ["class_rep", "four_torsion_size", "wp4_size",
-                              "order"]), True
-    return _to_json(payload), True
+    rows = [{"class_rep": str(rep),
+             "four_torsion_size": len(asg.four_torsion),
+             "wp4_size": len(asg.wp4),
+             "order": asg.order} for rep in asg.classes]
+    return payload, rows, True
 
 
-def cmd_product(args) -> tuple[str, bool]:
+def cmd_product(args):
     from .quadratic import QuadraticAlgebra, star_product
     ring = parse_ring(args.ring)
-    t1, n1 = _parse_pair(ring, args.s)
-    t2, n2 = _parse_pair(ring, args.t)
+    t1, n1 = _parse_elements(ring, args.s, "--s", 2)
+    t2, n2 = _parse_elements(ring, args.t, "--t", 2)
     prod = star_product(QuadraticAlgebra(ring, t1, n1),
                         QuadraticAlgebra(ring, t2, n2))
+    product = {"t": prod.t.to_json(), "n": prod.n.to_json()}
     payload = {
         "ring": ring.spec_string(),
         "s": {"t": t1.to_json(), "n": n1.to_json()},
         "t": {"t": t2.to_json(), "n": n2.to_json()},
-        "product": {"t": prod.t.to_json(), "n": prod.n.to_json()},
+        "product": product,
     }
-    if args.format == "csv":
-        rows = [{"t": _cell(prod.t.to_json()), "n": _cell(prod.n.to_json())}]
-        return _to_csv(rows, ["t", "n"]), True
-    return _to_json(payload), True
+    return payload, [product], True
 
 
-def cmd_verify(args) -> tuple[str, bool]:
+def cmd_verify(args):
     from .identities import IDENTITY_NAMES, verify_named_identity
     names = [args.identity] if args.identity else IDENTITY_NAMES
     results = [verify_named_identity(name) for name in names]
-    ok = all(r.passed for r in results)
-    if args.format == "json":
-        payload = {"identities": [{
-            "name": r.name,
-            "passed": r.passed,
-            "lhs_terms": r.lhs_terms,
-            "rhs_terms": r.rhs_terms,
-        } for r in results]}
-        return _to_json(payload), ok
-    if args.format == "csv":
-        rows = [{"name": r.name,
-                 "status": "PASS" if r.passed else "FAIL",
-                 "lhs_terms": r.lhs_terms,
-                 "rhs_terms": r.rhs_terms} for r in results]
-        return _to_csv(rows, ["name", "status", "lhs_terms", "rhs_terms"]), ok
-    lines = [f"{r.name} {'PASS' if r.passed else 'FAIL'} "
-             f"lhs_terms={r.lhs_terms} rhs_terms={r.rhs_terms}"
-             for r in results]
-    return "\n".join(lines) + "\n", ok
+    payload = {"identities": [{
+        "name": r.name,
+        "passed": r.passed,
+        "lhs_terms": r.lhs_terms,
+        "rhs_terms": r.rhs_terms,
+    } for r in results]}
+    rows = [{"name": r.name,
+             "status": "PASS" if r.passed else "FAIL",
+             "lhs_terms": r.lhs_terms,
+             "rhs_terms": r.rhs_terms} for r in results]
+    return payload, rows, all(r.passed for r in results)
 
 
-def cmd_sec(args) -> tuple[str, bool]:
+def cmd_sec(args):
     from .artin_schreier import is_sec_element
     ring = parse_ring(args.ring)
     entries = [{"e": a.to_json(), "sec": is_sec_element(ring, a)}
                for a in ring.elements()]
-    payload = {"ring": ring.spec_string(), "elements": entries}
-    if args.format == "csv":
-        rows = [{"e": _cell(e["e"]), "sec": e["sec"]} for e in entries]
-        return _to_csv(rows, ["e", "sec"]), True
-    return _to_json(payload), True
+    return {"ring": ring.spec_string(), "elements": entries}, entries, True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,8 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Each command returns its output text and whether every check it reports
-# passed; only verify reports checks that fail without raising.
+# Each command returns its JSON payload, its CSV (and text) rows, and
+# whether every check it reports passed; only verify reports checks that
+# fail without raising.
 COMMANDS = {"classify": cmd_classify, "disc": cmd_disc, "fibers": cmd_fibers,
             "as-group": cmd_as_group, "product": cmd_product,
             "verify": cmd_verify, "sec": cmd_sec}
@@ -322,7 +284,8 @@ def main(argv=None) -> int:
     try:
         if args.output:
             _require_writable(args.output)
-        text, ok = COMMANDS[args.command](args)
+        payload, rows, ok = COMMANDS[args.command](args)
+        text = _render(args.format, payload, rows)
     except (InternalCheckError, MonoidError) as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         if getattr(exc, "witness", None) is not None:

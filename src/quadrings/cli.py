@@ -5,8 +5,10 @@ the `quadrings` script run and which imports each layer only when a command
 calls it.  Importing this module instead loads every layer module up front,
 in the package's order, and binds the package namespace, so code that
 wraps or patches the layers (perfbench's tracer, the tests) finds them all
-in sys.modules before the first command runs.  `python -m quadrings.cli`
-runs the same commands.
+in sys.modules before the first command runs.  It re-exports main,
+UsageError and COMMANDS, the table of commands: each takes the parsed
+arguments and returns (payload, rows, ok), which main renders as JSON, CSV
+or text.  `python -m quadrings.cli` runs the same commands.
 """
 
 from __future__ import annotations
@@ -15,9 +17,7 @@ from . import _load
 
 _load()
 
-from .__main__ import (COMMANDS, IDENTITY_NAMES, UsageError,  # noqa: E402
-                       build_parser, cmd_as_group, cmd_classify, cmd_disc,
-                       cmd_fibers, cmd_product, cmd_sec, cmd_verify, main)
+from .__main__ import COMMANDS, UsageError, main  # noqa: E402
 
 if __name__ == "__main__":
     raise SystemExit(main())

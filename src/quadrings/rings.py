@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from functools import cached_property
 from itertools import product
 
@@ -636,11 +637,29 @@ class RingElement:
 _set_ring = RingElement.ring.__set__
 _set_value = RingElement.value.__set__
 
-_MOD_RE = re.compile(r"^Z/(\d+)$")
-_QUOT_RE = re.compile(r"^Z/(\d+)\[x\]/\((.+)\)$")
+_RING_RE = re.compile(r"^Z/([0-9]+)(?:\[x\]/\((.+)\))?$")
 # A "*" only between a coefficient and x: "3*" and "*x" are malformed.
-_TERM_RE = re.compile(r"^([+-]?)(\d+)?(?:(?<=\d)\*(?=x))?(x(?:\^(\d+))?)?$")
+_TERM_RE = re.compile(r"^([+-]?)([0-9]+)?(?:(?<=[0-9])\*(?=x))?(x(?:\^([0-9]+))?)?$")
 _TOKEN_RE = re.compile(r"[+-]?[^+-]+")
+
+
+def parse_int(text: str, field: str, signed: bool = False) -> int:
+    """The integer that text writes in ASCII digits, after a sign if signed.
+
+    Anything else is a RingParseError, and so are more digits than int()
+    converts (sys.get_int_max_str_digits(), where set); that refusal names
+    field and the digit count, never the digits.
+    """
+    digits = text[1:] if signed and text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise RingParseError(f"{field} {text!r} is not an integer")
+    try:
+        return int(text)
+    except ValueError:    # over the limit, which int() checks before any work
+        raise RingParseError(
+            f"{field} has {len(digits)} digits, more than the interpreter's "
+            f"limit of {sys.get_int_max_str_digits()} (PYTHONINTMAXSTRDIGITS)"
+        ) from None
 
 
 def parse_poly(text: str) -> list[int]:
@@ -657,8 +676,8 @@ def parse_poly(text: str) -> list[int]:
         sign, digits, x, power = m.groups() if m else (None, None, None, None)
         if digits is None and x is None:
             raise RingParseError(f"cannot parse term {tok!r} in {text!r}")
-        coeff = 1 if digits is None else int(digits)
-        deg = 0 if x is None else 1 if power is None else int(power)
+        coeff = 1 if digits is None else parse_int(digits, "coefficient")
+        deg = 0 if x is None else 1 if power is None else parse_int(power, "exponent")
         coeffs[deg] = coeffs.get(deg, 0) + (-coeff if sign == "-" else coeff)
     top = max(coeffs)
     require_enumerable(top + 1, lambda: f"coefficients of {text!r}")
@@ -688,22 +707,16 @@ def parse_ring(spec: str) -> Ring:
     s = spec.replace(" ", "")
     if s == "Z":
         return IntegerRing()
-    m = _MOD_RE.match(s)
-    if m:
-        n = int(m.group(1))
-        if n == 0:
-            raise RingParseError("modulus 0 is not allowed")
-        return ModRing(n)
-    m = _QUOT_RE.match(s)
-    if m:
-        n = int(m.group(1))
-        if n == 0:
-            raise RingParseError("modulus 0 is not allowed")
-        return QuotientPolyRing(n, parse_poly(m.group(2)))
-    raise RingParseError(
-        f"cannot parse ring spec {spec!r}; expected \"Z\", \"Z/<n>\", "
-        f"or \"Z/<n>[x]/(<monic poly in x>)\""
-    )
+    m = _RING_RE.match(s)
+    if not m:
+        raise RingParseError(
+            f"cannot parse ring spec {spec!r}; expected \"Z\", \"Z/<n>\", "
+            f"or \"Z/<n>[x]/(<monic poly in x>)\""
+        )
+    n = parse_int(m.group(1), "modulus")
+    if n == 0:
+        raise RingParseError("modulus 0 is not allowed")
+    return ModRing(n) if m.group(2) is None else QuotientPolyRing(n, parse_poly(m.group(2)))
 
 
 class Kernel:

@@ -139,6 +139,62 @@ def test_classify_stdout_matches_golden_digests(capsys, spec):
         assert hashlib.sha256(out.encode()).hexdigest() == expected, (spec, fmt)
 
 
+# sha256 of `product` and `sec` stdout (JSON, CSV) and of `verify` stdout
+# (text, JSON, CSV), recorded while each command still rendered its own
+# report; main's one renderer must not change a byte.
+REPORT_DIGESTS = {
+    ("product", "--ring", "Z", "--s", "0,-2", "--t", "0,-3"): {
+        "json": "782b2d0a22544905e9b067ed4833280963180be3c07b44c00c54298a5b7fddd5",
+        "csv": "264d14c62bc7d93e787a38b94a5dcf9d224de1aab1b072954d73a1dad50f4462"},
+    ("product", "--ring", "Z/12", "--s", "5,7", "--t", "11,3"): {
+        "json": "a9739292f63c0ef5cd0481fd98d69be7854124defb55d76d1387f7687a4dd0a1",
+        "csv": "863726d0a67ee0c99ad1921583c9dec8b8c0e5d166de547f4cf496d3885aa3ab"},
+    ("product", "--ring", "Z/4[x]/(x^2+x+1)", "--s", "1,2,3,0", "--t", "2,1,0,3"): {
+        "json": "e1c2a08e065608ffa8d8574ae53c4cc07f2f7d43bbdcd1f6ac117ce880dcfaae",
+        "csv": "3dbae9d16c702e8d8c583d6e49f50b3beeb945497de92e973c83db10adc5b8bf"},
+    ("sec", "--ring", "Z/16"): {
+        "json": "4ea7dfeabc0135c5685f21bf56736c6381cfc39145457c68f68500aa238d3f27",
+        "csv": "2c4138f064a12134aec2d2a9fb35f8a2c70a24658d062f4e8b8537c2a57250ec"},
+    ("sec", "--ring", "Z/3[x]/(x^2)"): {
+        "json": "10c7d168cd60e0612afea96504ac452572767cb62d07f1aa2d5f07ea8250f68c",
+        "csv": "14c9643c62c209a81e58946d4ae810238841b89e4c3d12e1d8111642ab2a80eb"},
+    ("verify",): {
+        "text": "271284cac486c70ad3ef16e83fa388793ef606dd39023dfba0acba054bf41baf",
+        "json": "4427748e022add7511c1926c47daeb8103784bf53994f8fc5d53238d1d54ce67",
+        "csv": "95540467ec337c82378c2a104b682cc326ff35dad9feb4e9a71e3d9ff5ade6a9"},
+}
+
+
+@pytest.mark.parametrize("argv", sorted(REPORT_DIGESTS), ids=" ".join)
+def test_product_sec_and_verify_stdout_match_golden_digests(capsys, argv):
+    import hashlib
+    for fmt, expected in REPORT_DIGESTS[argv].items():
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, fmt
+
+
+# Every (command, format) pair the parser offers.
+REPORTS = [(argv, fmt)
+           for argv in (["classify", "--ring", "Z/4"], ["disc", "--ring", "Z/4"],
+                        ["fibers", "--ring", "Z/4"], ["as-group", "--ring", "Z/4"],
+                        ["sec", "--ring", "Z/4"],
+                        ["product", "--ring", "Z/12", "--s", "5,7", "--t", "11,3"])
+           for fmt in ("json", "csv")]
+REPORTS += [(["verify"], fmt) for fmt in ("text", "json", "csv")]
+
+
+@pytest.mark.parametrize("argv, fmt", REPORTS,
+                         ids=lambda v: v[0] if isinstance(v, list) else v)
+def test_output_file_receives_the_stdout_bytes(tmp_path, capsys, argv, fmt):
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == 0 and out
+    target = tmp_path / "report"
+    code, written, err = run(capsys, *argv, "--format", fmt, "--output", str(target))
+    assert (code, written, err) == (0, "", "")
+    assert target.read_bytes() == out.encode()
+
+
 # sha256 of `fibers` stdout, recorded before the fibre reports moved to
 # class representatives; the reports must not change a byte.
 FIBERS_DIGESTS = {
@@ -370,6 +426,67 @@ def test_empty_comma_fields_are_usage_errors(capsys):
     assert run(capsys, "product", "--ring", "Z/5", "--s", "1, 2", "--t", "3,4")[0] == 0
 
 
+def int_digit_limit():
+    import sys
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    return limit
+
+
+@pytest.mark.parametrize("where", ["modulus", "coefficient", "exponent", "--s", "--t",
+                                   "--disc"])
+def test_numbers_longer_than_the_digit_limit_exit_2(capsys, where):
+    # refused by the grammar, naming the field and the count, not the digits
+    limit = int_digit_limit()
+    long = "1" + "0" * limit + "7"
+    argv = {"modulus": ["classify", "--ring", f"Z/{long}"],
+            "coefficient": ["classify", "--ring", f"Z/2[x]/({long}x^2+1)"],
+            "exponent": ["classify", "--ring", f"Z/2[x]/(x^{long}+1)"],
+            "--s": ["product", "--ring", "Z", f"--s=-{long},0", "--t", "0,0"],
+            "--t": ["product", "--ring", "Z/5", "--s", "0,0", "--t", f"0,{long}"],
+            "--disc": ["fibers", "--ring", "Z/4", "--disc", long]}[where]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {where} has {limit + 2} digits, more than the "
+                   f"interpreter's limit of {limit} (PYTHONINTMAXSTRDIGITS)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--ring", "Z/\u0663"],
+    ["classify", "--ring", "Z/4[x]/(x^\u0662+1)"],
+    ["product", "--ring", "Z", "--s", "1_000,0", "--t", "0,0"],
+    ["product", "--ring", "Z", "--s", "\uff11,0", "--t", "0,0"],
+    ["product", "--ring", "Z", "--s", "+-1,0", "--t", "0,0"],
+    ["fibers", "--ring", "Z/4", "--disc", "\u0661"],
+], ids=ascii)
+def test_numbers_in_other_digits_or_with_underscores_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error: ")
+
+
+def test_signed_elements_are_read(capsys):
+    code, out, _ = run(capsys, "product", "--ring", "Z", "--s", "+0,-2", "--t=-0,+3")
+    assert code == 0
+    assert json.loads(out)["product"] == {"t": 0, "n": 24}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_result_too_long_to_print_exits_2(tmp_path, capsys, fmt):
+    # valid inputs whose product has about twice as many digits as either
+    limit = int_digit_limit()
+    nines = "9" * (limit // 2 + 50)
+    argv = ["product", "--ring", "Z", "--s", f"{nines},0", "--t", f"{nines},0",
+            "--format", fmt]
+    message = (f"error: the result has an integer of more than {limit} digits, the "
+               f"interpreter's limit for printing one; raise it with "
+               f"PYTHONINTMAXSTRDIGITS\n")
+    assert run(capsys, *argv) == (2, "", message)
+    target = tmp_path / "product"
+    assert run(capsys, *argv, "--output", str(target)) == (2, "", message)
+    assert not target.exists()
+
+
 HUGE_SPECS = {
     "dense-modulus": (["product", "--ring", "Z/2[x]/(x^100000000+1)",
                        "--s", "0,0", "--t", "0,0"], "100000001 items"),
@@ -511,7 +628,7 @@ def test_quad_monoid_absorbing_failure_prints_witness(capsys, monkeypatch):
     def monoid_command(args):
         ring = parse_ring(args.ring)
         quad_monoid(ring, classify(ring))
-        return "", True
+        return {}, [], True
 
     monkeypatch.setitem(cli.COMMANDS, "classify", monoid_command)
     message, witness = witness_line(capsys, "classify", "--ring", "Z/4")

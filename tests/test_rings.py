@@ -1,3 +1,4 @@
+import sys
 from itertools import product
 
 import pytest
@@ -41,6 +42,62 @@ def test_parse_ring_rejects_garbage():
                 "Z/4[x]/()", "Z mod 4", ""]:
         with pytest.raises(RingParseError):
             parse_ring(bad)
+
+
+
+def int_digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    return limit
+
+
+def test_parse_int_reads_ascii_digits_and_a_sign_where_allowed():
+    assert rings.parse_int("0042", "modulus") == 42
+    assert rings.parse_int("-7", "--s", signed=True) == -7
+    assert rings.parse_int("+7", "--s", signed=True) == 7
+    # int() takes each of these; the grammar does not
+    for text, signed in [("-7", False), ("+7", False), ("", True), ("-", True),
+                         ("1_000", True), ("\u0663", False), ("\uff13", True),
+                         (" 7", True), ("7\n", True), ("--7", True), ("0x7", False)]:
+        with pytest.raises(RingParseError, match="is not an integer"):
+            rings.parse_int(text, "field", signed=signed)
+
+
+def test_parse_int_refuses_more_digits_than_the_interpreter_converts():
+    limit = int_digit_limit()
+    assert rings.parse_int("9" * limit, "modulus") == 10 ** limit - 1
+    for text, signed in [("1" * (limit + 1), False), ("-" + "1" * (limit + 1), True)]:
+        with pytest.raises(RingParseError) as info:
+            rings.parse_int(text, "--s", signed=signed)
+        message = str(info.value)
+        assert message == (f"--s has {limit + 1} digits, more than the interpreter's "
+                           f"limit of {limit} (PYTHONINTMAXSTRDIGITS)")
+
+
+def test_parse_int_reads_the_limit_when_called():
+    limit = int_digit_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert rings.parse_int("1" * (limit + 1), "modulus") == int("1" * (limit + 1))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_parse_ring_reads_every_number_through_parse_int():
+    limit = int_digit_limit()
+    long = "1" * (limit + 1)
+    for spec, field in [(f"Z/{long}", "modulus"), (f"Z/{long}[x]/(x^2+1)", "modulus"),
+                        (f"Z/2[x]/({long}x^2+x+1)", "coefficient"),
+                        (f"Z/2[x]/(x^{long}+1)", "exponent")]:
+        with pytest.raises(RingParseError) as info:
+            parse_ring(spec)
+        assert str(info.value).startswith(f"{field} has {limit + 1} digits"), spec
+        assert long not in str(info.value)
+    # a regex \d matches any Unicode digit: "Z/\u0663" (Arabic-Indic 3) ran as Z/3
+    for spec in ["Z/\u0663", "Z/\uff14", "Z/2[x]/(x^\u0662+1)", "Z/2[x]/(\u0663x^2+1)"]:
+        with pytest.raises(RingParseError):
+            parse_ring(spec)
 
 
 def test_parse_poly_forms():
