@@ -7,8 +7,8 @@ returns (payload, rows, ok): the JSON payload, the rows of its CSV report
 It reads no --format and writes nothing; main renders the report once, in
 _render, and writes it to stdout or --output.  Numeric fields in the
 input, in ring specs and in --s, --t and --disc, are read by
-rings.parse_int: ASCII digits, a sign where the grammar allows one, and no
-more digits than the interpreter converts.
+rings.parse_int: ASCII digits after an optional sign (which the ring spec
+grammar leaves out), and no more digits than the interpreter converts.
 
 Exit codes: 0 success, 1 internal invariant violation (a bug; the message,
 then the check's witness, if it has one, as one JSON line on stderr),
@@ -72,10 +72,11 @@ def _parse_elements(ring: Ring, text: str, field: str, count: int) -> list:
     quotient ring of degree d."""
     width = ring.degree if isinstance(ring, QuotientPolyRing) else 1
     parts = text.replace(" ", "").split(",")    # an empty field is no integer
-    if len(parts) != count * width:
-        raise UsageError(
-            f"{field} over {ring!r} needs {count * width} comma-separated integers")
-    values = [parse_int(p, field, signed=True) for p in parts]
+    wanted = count * width
+    if len(parts) != wanted:
+        raise UsageError(f"{field} over {ring!r} takes " + (
+            "one integer" if wanted == 1 else f"{wanted} comma-separated integers"))
+    values = [parse_int(p, field) for p in parts]
     return [ring.element(values[i] if width == 1 else values[i:i + width])
             for i in range(0, len(values), width)]
 

@@ -641,24 +641,26 @@ _RING_RE = re.compile(r"^Z/([0-9]+)(?:\[x\]/\((.+)\))?$")
 # A "*" only between a coefficient and x: "3*" and "*x" are malformed.
 _TERM_RE = re.compile(r"^([+-]?)([0-9]+)?(?:(?<=[0-9])\*(?=x))?(x(?:\^([0-9]+))?)?$")
 _TOKEN_RE = re.compile(r"[+-]?[^+-]+")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
-def parse_int(text: str, field: str, signed: bool = False) -> int:
-    """The integer that text writes in ASCII digits, after a sign if signed.
+def parse_int(text: str, field: str) -> int:
+    """The integer that text writes in ASCII digits after an optional sign.
 
     Anything else is a RingParseError, and so are more digits than int()
     converts (sys.get_int_max_str_digits(), where set); that refusal names
-    field and the digit count, never the digits.
+    field and the digit count, never the digits.  A ring spec's own grammar
+    keeps signs out of its numbers.
     """
-    digits = text[1:] if signed and text[:1] in ("+", "-") else text
-    if not (digits.isascii() and digits.isdigit()):
+    if not _INT_RE.fullmatch(text):
         raise RingParseError(f"{field} {text!r} is not an integer")
     try:
         return int(text)
     except ValueError:    # over the limit, which int() checks before any work
         raise RingParseError(
-            f"{field} has {len(digits)} digits, more than the interpreter's "
-            f"limit of {sys.get_int_max_str_digits()} (PYTHONINTMAXSTRDIGITS)"
+            f"{field} has {len(text.lstrip('+-'))} digits, more than the "
+            f"interpreter's limit of {sys.get_int_max_str_digits()} "
+            f"(PYTHONINTMAXSTRDIGITS)"
         ) from None
 
 

@@ -426,19 +426,22 @@ def test_empty_comma_fields_are_usage_errors(capsys):
     assert run(capsys, "product", "--ring", "Z/5", "--s", "1, 2", "--t", "3,4")[0] == 0
 
 
-def int_digit_limit():
-    import sys
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        pytest.skip("this interpreter converts integers of any length")
-    return limit
+@pytest.mark.parametrize("argv, message", [
+    (["fibers", "--ring", "Z/4", "--disc", "1,2"], "--disc over Z/4 takes one integer"),
+    (["product", "--ring", "Z/4", "--s", "1", "--t", "0,0"],
+     "--s over Z/4 takes 2 comma-separated integers"),
+    (["product", "--ring", "Z/2[x]/(x^2+x+1)", "--s", "1,0,1", "--t", "0,0,0,0"],
+     "--s over Z/2[x]/(x^2+x+1) takes 4 comma-separated integers"),
+])
+def test_a_wrong_count_of_integers_is_a_usage_error(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("where", ["modulus", "coefficient", "exponent", "--s", "--t",
                                    "--disc"])
-def test_numbers_longer_than_the_digit_limit_exit_2(capsys, where):
+def test_numbers_longer_than_the_digit_limit_exit_2(capsys, int_digit_limit, where):
     # refused by the grammar, naming the field and the count, not the digits
-    limit = int_digit_limit()
+    limit = int_digit_limit
     long = "1" + "0" * limit + "7"
     argv = {"modulus": ["classify", "--ring", f"Z/{long}"],
             "coefficient": ["classify", "--ring", f"Z/2[x]/({long}x^2+1)"],
@@ -472,9 +475,9 @@ def test_signed_elements_are_read(capsys):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_a_result_too_long_to_print_exits_2(tmp_path, capsys, fmt):
+def test_a_result_too_long_to_print_exits_2(tmp_path, capsys, int_digit_limit, fmt):
     # valid inputs whose product has about twice as many digits as either
-    limit = int_digit_limit()
+    limit = int_digit_limit
     nines = "9" * (limit // 2 + 50)
     argv = ["product", "--ring", "Z", "--s", f"{nines},0", "--t", f"{nines},0",
             "--format", fmt]

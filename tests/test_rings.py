@@ -44,39 +44,29 @@ def test_parse_ring_rejects_garbage():
             parse_ring(bad)
 
 
-
-def int_digit_limit():
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        pytest.skip("this interpreter converts integers of any length")
-    return limit
-
-
-def test_parse_int_reads_ascii_digits_and_a_sign_where_allowed():
+def test_parse_int_reads_ascii_digits_after_an_optional_sign():
     assert rings.parse_int("0042", "modulus") == 42
-    assert rings.parse_int("-7", "--s", signed=True) == -7
-    assert rings.parse_int("+7", "--s", signed=True) == 7
-    # int() takes each of these; the grammar does not
-    for text, signed in [("-7", False), ("+7", False), ("", True), ("-", True),
-                         ("1_000", True), ("\u0663", False), ("\uff13", True),
-                         (" 7", True), ("7\n", True), ("--7", True), ("0x7", False)]:
+    assert rings.parse_int("-7", "--s") == -7
+    assert rings.parse_int("+7", "--s") == 7
+    # int() takes each of these but "", "-" and "--7"; the grammar takes none
+    for text in ["", "-", "1_000", "\u0663", "\uff13", " 7", "7\n", "--7", "0x7"]:
         with pytest.raises(RingParseError, match="is not an integer"):
-            rings.parse_int(text, "field", signed=signed)
+            rings.parse_int(text, "field")
 
 
-def test_parse_int_refuses_more_digits_than_the_interpreter_converts():
-    limit = int_digit_limit()
+def test_parse_int_refuses_more_digits_than_the_interpreter_converts(int_digit_limit):
+    limit = int_digit_limit
     assert rings.parse_int("9" * limit, "modulus") == 10 ** limit - 1
-    for text, signed in [("1" * (limit + 1), False), ("-" + "1" * (limit + 1), True)]:
+    for text in ["1" * (limit + 1), "-" + "1" * (limit + 1)]:
         with pytest.raises(RingParseError) as info:
-            rings.parse_int(text, "--s", signed=signed)
+            rings.parse_int(text, "--s")
         message = str(info.value)
         assert message == (f"--s has {limit + 1} digits, more than the interpreter's "
                            f"limit of {limit} (PYTHONINTMAXSTRDIGITS)")
 
 
-def test_parse_int_reads_the_limit_when_called():
-    limit = int_digit_limit()
+def test_parse_int_reads_the_limit_when_called(int_digit_limit):
+    limit = int_digit_limit
     sys.set_int_max_str_digits(0)
     try:
         assert rings.parse_int("1" * (limit + 1), "modulus") == int("1" * (limit + 1))
@@ -84,8 +74,8 @@ def test_parse_int_reads_the_limit_when_called():
         sys.set_int_max_str_digits(limit)
 
 
-def test_parse_ring_reads_every_number_through_parse_int():
-    limit = int_digit_limit()
+def test_parse_ring_reads_every_number_through_parse_int(int_digit_limit):
+    limit = int_digit_limit
     long = "1" * (limit + 1)
     for spec, field in [(f"Z/{long}", "modulus"), (f"Z/{long}[x]/(x^2+1)", "modulus"),
                         (f"Z/2[x]/({long}x^2+x+1)", "coefficient"),
