@@ -16,9 +16,10 @@ its discriminant is a nonzerodivisor, and on sec algebras the fiber action is
 free.
 
 The group and the fiber reports run on the int codes of the ring's kernel
-(rings.Kernel): an addition is an add-row lookup or a code sum, and the unit
-squares, the tables of t^2 and -4n, the norm map 4n -> [n] and the root
-table t^2 -> [t] are built once per ring, not per report.  AS(R) is built
+(rings.Kernel): an addition is an add-row lookup or a code sum, a subgroup
+is spanned by Kernel.span, and the unit squares, the table of t^2, the row
+of 4x, the norm map 4n -> [n] and the root table t^2 -> [t] are built once
+per ring, not per report.  AS(R) is built
 once per ring instance, in one pass over those codes, and kept in the
 kernel: the codes and canonical values of R[4], the positions in them of
 P(R)[4] and of the class representatives, the class of each member by
@@ -26,19 +27,21 @@ position and by value, and the identity.  ASGroup and wp4_subgroup are
 views over these tables that make one RingElement per member they list,
 and a classification formats each class label once.
 
-A classification keeps, in its derived slot, the action on the fiber over
-each disc class: the fiber, its labels, the orbits, the kernel classes,
-whether the action is free, and the with-basis orbit count and bound.  The
-action commutes with basis changes, so it is read off the class
-representatives and their class rows.  The count and bound, and the classes
-of ann(d)[4] the kernel is checked against, are class invariants, so they
-are worked out for the d of the first report over the class.  fiber_report
-assembles a new report from the kept action and check_freeness reads free
-off it, so a repeated call takes no ring product, class row or check.
+A classification keeps, in its derived slot, the FiberReport over each
+disc class, with disc_class None so that it holds no ring: the fiber, read
+off the classification's disc map (discriminants._disc_map), its labels,
+the orbits, the kernel classes, whether the action is free and transitive,
+and the with-basis orbit count and bound.  The action commutes with basis
+changes, so it is read off the class representatives and their class rows.
+The count and bound, and the classes of ann(d)[4] the kernel is checked
+against, are class invariants, so they are worked out for the d of the
+first report over the class.  fiber_report copies the kept report with d
+and check_freeness reads free off it, so a repeated call takes no ring
+product, class row or check.
 
 Checks that run once per ring instance, when its AS tables are built:
 P(R)[4] is a subgroup of R[4], and each AS class has order dividing 2.
-Checks that run once per classification and disc class, before its action
+Checks that run once per classification and disc class, before its report
 is kept, in this order: every image lies in the fiber, the kernel contains
 the classes of ann(d)[4], and the count equals its bound.  A failed check
 keeps nothing, so a repeat raises again: an InternalCheckError with a
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .discriminants import DiscClass, _disc_tables, require_ring
+from .discriminants import DiscClass, _disc_map, disc_class_of, require_ring
 from .errors import InfiniteRingError, InternalCheckError
 from .monoids import FiniteCommMonoid
 from .quadratic import Classification, QuadraticAlgebra
@@ -68,21 +71,6 @@ def four_torsion(ring: Ring) -> list[RingElement]:
     raise InfiniteRingError("4-torsion needs a finite ring or Z")
 
 
-def _span(members, add_row) -> set[int]:
-    """The subgroup of (R, +) the codes members generate.  Each member not
-    yet in the span grows it by its translates until they cycle back into
-    it, so at most log2 of its order add rows are taken."""
-    span = {0}
-    for c in members:
-        if c in span:
-            continue
-        plus, translate = add_row(c), list(span)
-        while plus[translate[0]] not in span:
-            translate = [plus[x] for x in translate]
-            span.update(translate)
-    return span
-
-
 def _check_wp4(ring: Ring, kernel: Kernel, members: list[int], fours: list[int]):
     """InternalCheckError unless the codes members, in increasing order,
     form a subgroup of R[4]: a subset holding 0 (code 0), closed under
@@ -94,7 +82,7 @@ def _check_wp4(ring: Ring, kernel: Kernel, members: list[int], fours: list[int])
         raise InternalCheckError("P(R)[4] is not a subset of R[4] containing 0",
                                  {"ring": ring.spec_string()})
     add_row, negative = kernel.add_row, kernel.multiple_row(-1)
-    closed = _span(members, add_row) == group
+    closed = kernel.span(members)[0] == group
     for c in members:
         if negative[c] not in group:
             a = RingElement(ring, kernel.values[c])
@@ -267,7 +255,16 @@ def annihilator_four_torsion(ring: Ring, d: RingElement) -> list[RingElement]:
 
 @dataclass
 class FiberReport:
-    """AS-action data on the fiber of the discriminant map over one class."""
+    """AS-action data on the fiber of the discriminant map over one class.
+
+    fiber lists the class indices of the fiber and fiber_labels their
+    labels, orbits the orbit partition as positions in fiber, kernel the AS
+    classes that fix every member, free whether every other AS class moves
+    every member, and basis_orbit_count and basis_orbit_bound the
+    with-basis orbit count and bound (see _fibre_facts).  The report a
+    classification keeps per disc class has disc_class None, so it holds
+    no ring.
+    """
 
     disc_class: DiscClass
     fiber: list[int]
@@ -284,53 +281,29 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
                  group: ASGroup) -> FiberReport:
     """Compute the AS(R)-orbit structure of the fiber over a disc class.
 
-    Assembled from the classification's kept action on the fiber over d's
-    class (see _act_on_fiber), with fresh lists on every call; once it
-    exists a report takes no ring product, class row or check.  d,
+    A copy of the report that the classification keeps over d's class
+    (see _act_on_fiber), with disc_class d and fresh lists on every call;
+    once it is kept a report takes no ring product, class row or check.  d,
     classification and group built for another ring raise ValueError.
     """
     require_ring(ring, d, classification, group)
-    action = _fibre_action(ring, d, classification)
-    return FiberReport(disc_class=d,
-                       fiber=list(action.fiber),
-                       fiber_labels=list(action.labels),
-                       orbits=[list(orbit) for orbit in action.orbits],
-                       kernel=list(action.kernel),
-                       free=action.free,
-                       transitive=len(action.orbits) == 1,
-                       basis_orbit_count=action.count,
-                       basis_orbit_bound=action.bound)
+    kept = _fibre_action(ring, d, classification)
+    return FiberReport(d, list(kept.fiber), list(kept.fiber_labels),
+                       [list(orbit) for orbit in kept.orbits],
+                       list(kept.kernel), kept.free, kept.transitive,
+                       kept.basis_orbit_count, kept.basis_orbit_bound)
 
 
-class _FibreAction:
-    """The AS(R) action on the fiber over one disc class, as a
-    classification keeps it in its derived slot.
-
-    fiber lists the class indices of the fiber and labels their labels,
-    orbits the orbit partition as positions in fiber, kernel the AS classes
-    that fix every member, free whether every other AS class moves every
-    member, and count and bound the with-basis orbit count and bound (see
-    _fibre_facts).  Only ints, strings and lists of them are held.
-    """
-
-    __slots__ = ("fiber", "labels", "orbits", "kernel", "free", "count", "bound")
-
-    def __init__(self, fiber, labels, orbits, kernel, free, count, bound):
-        self.fiber, self.labels, self.orbits = fiber, labels, orbits
-        self.kernel, self.free = kernel, free
-        self.count, self.bound = count, bound
-
-
-def _fibre_action(ring: Ring, d: DiscClass, classification: Classification):
-    """The action on the fiber over d's class that classification keeps,
-    built and checked by _act_on_fiber on first use."""
-    index = _disc_tables(ring).index
-    own = index[d.d.value]
-    kept = classification.derived.setdefault("fibres", {})    # class -> action
-    action = kept.get(own)
-    if action is None:
-        action = kept[own] = _act_on_fiber(ring, d, classification, own, index)
-    return action
+def _fibre_action(ring: Ring, d: DiscClass,
+                  classification: Classification) -> FiberReport:
+    """The report over d's class that classification keeps, with
+    disc_class None, built and checked by _act_on_fiber on first use."""
+    own = disc_class_of(ring, d.d)
+    kept = classification.derived.setdefault("fibres", {})    # class -> report
+    report = kept.get(own)
+    if report is None:
+        report = kept[own] = _act_on_fiber(ring, d, classification, own)
+    return report
 
 
 def _witness(ring: Ring, d: DiscClass, **more) -> dict:
@@ -338,16 +311,16 @@ def _witness(ring: Ring, d: DiscClass, **more) -> dict:
     return {"ring": ring.spec_string(), "d": d.d.to_json(), **more}
 
 
-def _act_on_fiber(ring: Ring, d: DiscClass, cl: Classification, own: int,
-                  index: dict) -> _FibreAction:
+def _act_on_fiber(ring: Ring, d: DiscClass, cl: Classification,
+                  own: int) -> FiberReport:
     """The action of every AS class on the fiber over disc class own, with
-    the facts of d, checked.
+    the facts of d, checked, as a report with disc_class None.
 
     The fiber is the classes whose discriminant is u^2 d for a unit u, read
-    off the kept disc class index.  The action commutes with basis changes
-    (as-action-norm and change-of-basis-functoriality in quadrings verify),
-    so the AS class m sends the class of a representative (t, n) of disc d'
-    to the class of (t, n + d'm): one product per disc d' of a
+    off the classification's disc map.  The action commutes with basis
+    changes (as-action-norm and change-of-basis-functoriality in quadrings
+    verify), so the AS class m sends the class of a representative (t, n)
+    of disc d' to the class of (t, n + d'm): one product per disc d' of a
     representative and AS class m, for the add row of d'm, and one class
     row per fiber class.  The facts of d take |R[4]| products more.
 
@@ -359,7 +332,7 @@ def _act_on_fiber(ring: Ring, d: DiscClass, cl: Classification, own: int,
     kernel, mul = ring.kernel(), ring._mul
     code, add_row = kernel.code, kernel.add_row
     classes = [tables.values[k] for k in tables.class_pos]
-    fiber = [i for i, c in enumerate(cl) if index[c.disc.value] == own]
+    fiber = _disc_map(ring, cl)[1][own]
     fiber_pos = {ci: k for k, ci in enumerate(fiber)}
     action: list[dict[int, int]] = [{} for _ in classes]
     shifts: dict = {}    # d' -> [add row of d'm for each class m]
@@ -401,8 +374,8 @@ def _act_on_fiber(ring: Ring, d: DiscClass, cl: Classification, own: int,
         raise InternalCheckError(
             f"with-basis orbit count {count} != index bound {bound} for d = {d.d}",
             _witness(ring, d, count=count, bound=bound))
-    return _FibreAction(fiber, [cl[i].label for i in fiber], orbits,
-                        kernel_classes, free, count, bound)
+    return FiberReport(None, fiber, [cl[i].label for i in fiber], orbits,
+                       kernel_classes, free, len(orbits) == 1, count, bound)
 
 
 def _fibre_facts(ring: Ring, dv, tables: _ASTables) -> tuple[set[int], int, int]:
@@ -426,7 +399,7 @@ def _fibre_facts(ring: Ring, dv, tables: _ASTables) -> tuple[set[int], int, int]
     ann_classes = {k for k, s in zip(tables.torsion_classes, shifts) if s == 0}
     image, torsion = set(shifts), len(tables.torsion)
     traces = _trace_count(kernel, code[ring._neg(dv)])
-    span = _span(sorted(image), kernel.add_row)
+    span = kernel.span(sorted(image))[0]
     count = traces * torsion // len(span.intersection(tables.torsion))
     return ann_classes, count, _basis_orbit_bound(traces, torsion, image)
 
@@ -482,9 +455,9 @@ def check_freeness(ring: Ring, d: DiscClass, classification: Classification,
     """True iff AS(R) acts freely on the sec members of the fiber (vacuous ok).
 
     Its discriminants are d times unit squares: all members are sec, or none.
-    Reads free off the same kept action as fiber_report, with its checks
-    run first if it is new, and builds no report.
+    Reads free off the report the classification keeps for fiber_report,
+    with its checks run first if it is new, and copies no report.
     """
     require_ring(ring, d, classification, group)
-    action = _fibre_action(ring, d, classification)
-    return action.free or not ring.is_nonzerodivisor(d.d)
+    return (_fibre_action(ring, d, classification).free
+            or not ring.is_nonzerodivisor(d.d))

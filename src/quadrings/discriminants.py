@@ -20,12 +20,15 @@ checked then, once per ring instance; a failure keeps nothing.
 DiscClassification and disc_hom_check read these tables and take no ring
 product or check once they exist: a DiscClassification makes one
 RingElement per discriminant and per witness and copies the kept monoid,
-and its DiscClass objects find their pairs in the tables.  disc_hom_check
-works out its verdict once per classification and keeps it in the
-classification's derived slot: it looks each algebra class's disc up by
-value and compares each star-table row, mapped through disc, with its
-disc-monoid row as one list.  Each call returns a new report over copies
-of the kept verdict, with no star table, class row or comparison.
+and its DiscClass objects find their pairs in the tables.  The disc map of a
+classification, the disc class of each algebra class (one lookup by value
+each) and the fibre of each disc class in class order, is built once per
+classification and kept in its derived slot; disc_hom_check and the fibre
+reports of artin_schreier both read it.  disc_hom_check works out its
+verdict once per classification and keeps it there too: it compares each
+star-table row, mapped through disc, with its disc-monoid row as one list.
+Each call returns a new report over copies of the kept verdict, with no
+star table, class row or comparison.
 
 Rank-1 quadratic forms Q(e) = a on a free module appear at the end: their
 similarity classes (unit orbits) multiply by a*a', and cancellativity of a
@@ -284,6 +287,23 @@ def disc_class_of(ring: Ring, d: RingElement) -> int:
     raise ValueError(f"{d!r} is not a discriminant")
 
 
+def _disc_map(ring: Ring, classification: Classification) -> tuple:
+    """(the disc class of each algebra class, the fibre of each disc class
+    as its algebra classes in class order) of one classification, read off
+    the ring's kept disc index in one pass over the classes, on first use,
+    and kept in the classification's derived slot.  disc_hom_check and the
+    fibre reports both read it."""
+    disc_map = classification.derived.get("disc map")
+    if disc_map is None:
+        tables = _disc_tables(ring)
+        mapping = [tables.index[c.disc.value] for c in classification]
+        fibres: list[list[int]] = [[] for _ in tables.orbits]
+        for i, k in enumerate(mapping):
+            fibres[k].append(i)
+        disc_map = classification.derived["disc map"] = (mapping, fibres)
+    return disc_map
+
+
 def require_ring(ring: Ring, *given) -> None:
     """ValueError unless each object given (a classification, a disc class,
     an AS group) was built for ring."""
@@ -334,16 +354,16 @@ def disc_hom_check(ring: Ring, classification: Classification) -> DiscHomReport:
 def _hom_verdict(ring: Ring, classification: Classification,
                  tables: _DiscTables) -> tuple:
     """(is_hom, surjective, fiber sizes, fibers, violations) of one
-    classification, read off the ring's kept disc tables.
+    classification, read off the ring's kept disc tables and the
+    classification's disc map.
 
     Each row of the star table, mapped through disc, is compared with its
     disc-monoid row as one list; only a row that differs is walked pair by
     pair for its violations, to which the preimage violations of the disc
     tables are added.
     """
-    index, monoid = tables.index, tables.monoid
-    mapping = [index[c.disc.value] for c in classification]
-    disc_table, disc_labels = monoid.table, monoid.labels
+    monoid = tables.monoid
+    mapping, fibres = _disc_map(ring, classification)
     violations: list[str] = []
     is_hom = True
 
@@ -358,7 +378,7 @@ def _hom_verdict(ring: Ring, classification: Classification,
     for label_i, row, di in zip(labels, star, mapping):
         want = expected.get(di)
         if want is None:
-            disc_row = disc_table[di]
+            disc_row = monoid.table[di]
             want = expected[di] = [disc_row[dj] for dj in mapping]
         got = [mapping[k] for k in row]
         if got == want:
@@ -369,9 +389,8 @@ def _hom_verdict(ring: Ring, classification: Classification,
                 violations.append(f"disc({label_i}*{label_j}) differs from "
                                   f"disc({label_i})*disc({label_j})")
 
-    fibers: dict[str, list[str]] = {label: [] for label in disc_labels}
-    for di, label in zip(mapping, labels):
-        fibers[disc_labels[di]].append(label)
+    fibers = {label: [labels[i] for i in fibre]
+              for label, fibre in zip(monoid.labels, fibres)}
     fiber_sizes = {lbl: len(v) for lbl, v in fibers.items()}
     violations += tables.preimage_violations
     surjective = all(size > 0 for size in fiber_sizes.values())

@@ -352,11 +352,13 @@ class Classification:
     looked up in class_map, which also lists the orbits on first use.  The
     star table is built once, on first use.
 
-    derived is the slot where artin_schreier and discriminants keep what
-    they read off this classification: the AS action on each disc class's
-    fiber, with its orbit count and bound, and the disc-hom verdict, built
-    and checked on first use.  It holds only ints, strings and lists and
-    dicts of them, so it keeps no reference to the ring or a class.
+    derived is the slot where discriminants and artin_schreier keep what
+    they read off this classification, each built on first use: the disc
+    map (the disc class of each class and the fibre of each disc class),
+    the disc-hom verdict, and the fibre report over each disc class, with
+    its orbit count and bound, checked and kept with no disc class.  It
+    holds only ints, strings, bools and lists, dicts, tuples and fibre
+    reports of them, so it keeps no reference to the ring or a class.
     """
 
     def __init__(self, ring: Ring, classes: list[IsoClass],
@@ -516,14 +518,10 @@ def classify(ring: Ring) -> Classification:
     half: dict = {}    # code(2r) -> code of the least r
     for r, d in enumerate(doubles):
         half.setdefault(d, r)
-    torsion, span = [], {0}    # generators of R[2]
-    for a, d in enumerate(doubles):
-        if d == 0 and a not in span:
-            torsion.append(a)
-            plus_a = add_row(a)
-            span.update([plus_a[s] for s in span])
+    # the members of R[2] that grow its span generate it
+    torsion = kernel.span([a for a, d in enumerate(doubles) if d == 0])[1]
     elements = [RingElement(ring, v) for v in values]
-    minus_four = kernel.minus_four
+    minus_four = kernel.multiple_row(-4)
     slice_of, back, shift = [-1] * size, [None] * size, [0] * size
     slices: list = []
     classes: list[IsoClass] = []

@@ -32,11 +32,12 @@ it leaves its caches behind.
 
 Each finite ring instance has one Kernel, built on first use by
 ring.kernel(): its elements as int codes, the value -> code map, the codes
-of t^2 and -4n, the norm map 4n -> [n], the root table t^2 -> [t], the
-unit squares, and add rows code(x_c + x_k) that need no ring operation.
-classify, the star table, the AS group and the fiber reports all read it,
-and the disc classes and the AS group are kept in its derived slot once
-built.
+of t^2, the norm map 4n -> [n], the root table t^2 -> [t], the unit
+squares, and the rows code(x_c + x_k) and code(k x_c), kept as they are
+built, which need no ring operation; Kernel.span generates additive
+subgroups from them.  classify, the star table, the AS group and the fiber
+reports all read it, and the disc classes and the AS group are kept in its
+derived slot once built.
 """
 
 from __future__ import annotations
@@ -154,7 +155,9 @@ class Ring:
         return self._kernel
 
     # Units, inverses and ideals.  Each concrete ring answers these from its
-    # own structure in closed form; none scans the ring for one element.
+    # own structure in closed form, with one exception:
+    # QuotientPolyRing.in_principal_ideal lists the multiples of a non-unit
+    # t, a scan of the ring per call.  Nothing in the package calls it.
 
     def units(self) -> list[RingElement]:
         """The invertible elements, in canonical order (finite rings only)."""
@@ -170,7 +173,10 @@ class Ring:
         raise NotImplementedError
 
     def inverse_of_unit(self, a: RingElement) -> RingElement:
-        raise NotImplementedError
+        """a^-1, from _inverse; ValueError unless a is a unit."""
+        if not self.is_unit(a):
+            raise ValueError(f"{a!r} is not a unit")
+        return RingElement(self, self._inverse(a.value))
 
     def is_nonzerodivisor(self, a: RingElement) -> bool:
         """True iff a*b = 0 forces b = 0.
@@ -331,11 +337,6 @@ class ModRing(Ring):
         """a is a unit iff gcd(a, n) = 1."""
         self._check_mine(a)
         return math.gcd(a.value, self.n) == 1
-
-    def inverse_of_unit(self, a: RingElement) -> RingElement:
-        if not self.is_unit(a):
-            raise ValueError(f"{a!r} is not a unit")
-        return RingElement(self, self._inverse(a.value))
 
     def in_principal_ideal(self, a: RingElement, t: RingElement) -> bool:
         """a in tR iff a = 0 mod gcd(t, n), since tR = gcd(t, n)R."""
@@ -502,19 +503,12 @@ class QuotientPolyRing(Ring):
         self._check_mine(a)
         return a.value in self._inverse_table()
 
-    def inverse_of_unit(self, a: RingElement) -> RingElement:
-        self._check_mine(a)
-        inverse = self._inverse_table().get(a.value)
-        if inverse is None:
-            raise ValueError(f"{a!r} is not a unit")
-        return RingElement(self, inverse)
-
     def _inverse(self, a):
         return self._inverse_table()[a]
 
     def in_principal_ideal(self, a: RingElement, t: RingElement) -> bool:
         """a in tR: always when t is a unit, since then tR = R; otherwise
-        decided by listing the multiples of t."""
+        decided by listing the multiples of t, a scan of the ring."""
         self._check_mine(a)
         self._check_mine(t)
         return self.is_unit(t) or any(t * b == a for b in self.elements())
@@ -731,10 +725,14 @@ class Kernel:
     code pair (t, n) sorts like (t.sort_key(), n.sort_key()).  Additively
     R is (Z/n)^d, so x -> x_c + x and x -> k*x act on the digits of a code
     one by one: add_row and multiple_row are built from digit maps with no
-    ring operation.  Ring products fill only the table of t^2 (|R|) and the
-    unit squares; the norm map and the root table group those tables by
-    value on first read.  derived is the slot where the discriminants and
-    artin_schreier modules keep their per-ring tables, filled on first use.
+    ring operation, each on first use, and kept, so every caller reads the
+    same row of x + x_c or of k x (the rows of 4, 2, -1 and -4 serve the
+    norm map, R[4], halves, negation and t^2 - 4n); span generates an
+    additive subgroup from add rows.  Ring products fill only the table of
+    t^2 (|R|) and the unit squares; the norm map and the root table group
+    those tables by value on first read.  derived is the slot where the
+    discriminants and artin_schreier modules keep their per-ring tables,
+    filled on first use.
     The kernel holds ints, canonical values and strings, never the ring or
     an object over it, so the ring stays free of reference cycles.
     """
@@ -747,6 +745,7 @@ class Kernel:
         self._places = [[ints[j * n ** i] for j in range(n)]
                         for i in range(getattr(ring, "degree", 1))]
         self._rows: list = [None] * len(values)
+        self._multiples: dict = {}    # k mod n -> multiple_row(k)
         self.square = [code[mul(t, t)] for t in values]
         self.units = [code[u] for u in ring._unit_values()]
         self.unit_squares = [values[s]
@@ -787,15 +786,32 @@ class Kernel:
         return total
 
     def multiple_row(self, k: int) -> list[int]:
-        """code(k * x_c) for every code c."""
+        """code(k * x_c) for every code c, built on first use and kept:
+        each digit of x_c is multiplied by k mod n, so the row of k is the
+        row of k mod n."""
         n = len(self._places[0])
-        return self._digitwise([[place[j * k % n] for j in range(n)]
-                                for place in self._places])
+        row = self._multiples.get(k % n)
+        if row is None:
+            row = self._multiples[k % n] = self._digitwise(
+                [[place[j * k % n] for j in range(n)]
+                 for place in self._places])
+        return row
 
-    @cached_property
-    def minus_four(self) -> list[int]:
-        """code(-4 * x_c) for every code c."""
-        return self.multiple_row(-4)
+    def span(self, members) -> tuple[set[int], list[int]]:
+        """The subgroup of (R, +) that the codes members generate, and the
+        members that grew it, in order.  Each member not yet in the span
+        grows it by its translates until they cycle back into it, so at
+        most log2 of its order add rows are taken."""
+        span, grew = {0}, []
+        for c in members:
+            if c in span:
+                continue
+            grew.append(c)
+            plus, translate = self.add_row(c), list(span)
+            while plus[translate[0]] not in span:
+                translate = [plus[x] for x in translate]
+                span.update(translate)
+        return span, grew
 
     @cached_property
     def norms(self) -> dict[int, list[int]]:

@@ -13,7 +13,7 @@ from quadrings import (BasisChange, DiscClass, InternalCheckError, IsoClass,
                        wp4_subgroup)
 from quadrings.artin_schreier import _as_tables, _fibre_facts
 from quadrings.discriminants import require_ring
-from quadrings.quadratic import ClassMap
+from quadrings.quadratic import ClassMap, Classification
 from test_quadratic import rings_up_to
 
 FINITE_RINGS = ["Z/2", "Z/3", "Z/4", "Z/6", "Z/8",
@@ -661,6 +661,40 @@ def test_disc_hom_verdict_is_kept_per_classification(monkeypatch):
     assert disc_hom_check(ring, first) == clean
 
 
+class CountingStores(dict):
+    """A dict that counts, by key, how often each key is stored."""
+
+    def __init__(self):
+        super().__init__()
+        self.stores = {}
+
+    def __setitem__(self, key, value):
+        self.stores[key] = self.stores.get(key, 0) + 1
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("spec", ["Z/12", "Z/4[x]/(x^2)", "Z/2[x]/(x^2+x+1)"])
+def test_multiple_rows_are_built_once_per_kernel(spec):
+    # the kernel keeps each row k*x it builds, keyed by k mod n, so
+    # classify (2, -1, -4), the AS tables (4, 2, -1), the norm map (4), the
+    # disc tables, the hom check, every fibre report and four_torsion (4),
+    # run twice over, build each row once
+    ring = parse_ring(spec)
+    kernel = ring.kernel()
+    kernel._multiples = kept = CountingStores()
+    for _ in range(2):
+        cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
+        disc_hom_check(ring, cl)
+        for d in dc:
+            fiber_report(ring, d, cl, asg)
+            check_freeness(ring, d, cl, asg)
+        four_torsion(ring)
+    n = ring.n
+    assert kept.stores == {k % n: 1 for k in (2, -1, 4, -4)}, spec
+    for k in (2, -1, 4, -4):
+        assert kernel.multiple_row(k) is kept[k % n]
+
+
 @pytest.mark.parametrize("spec", ["Z/960", "Z/5[x]/(x^2+2)", "Z/3[x]/(x^3)"])
 def test_fiber_reports_keep_no_add_row_of_minus_d(spec):
     # the reports keep only add rows of 4-torsion codes, the shifts d'm and
@@ -754,6 +788,33 @@ def fiber_report_by_pairs(ring, d, classification, group):
 
 WITNESS_RINGS = ["Z/8[x]/(x^2+3)", "Z/8[x]/(x^2+2x+4)", "Z/8[x]/(x^2+6x+4)",
                  "Z/8[x]/(x^2+4x+7)", "Z/16[x]/(x^2+3)"]
+
+
+def test_hom_check_fibres_are_the_fibre_reports(monkeypatch):
+    # disc_hom_check and the fibre reports read one disc map per
+    # classification, built by one pass over its classes whichever comes
+    # first: the hom check's fibre of each disc class is the report's
+    walks = []
+    original = Classification.__iter__
+
+    def counting(self):
+        walks.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Classification, "__iter__", counting)
+    rings_ = rings_up_to(32) + [parse_ring(spec) for spec in WITNESS_RINGS]
+    for k, ring in enumerate(rings_):
+        cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
+        walks.clear()
+        if k % 2:
+            hom = disc_hom_check(ring, cl)
+        reports = [fiber_report(ring, d, cl, asg) for d in dc]
+        if not k % 2:
+            hom = disc_hom_check(ring, cl)
+        assert [r.fiber_labels for r in reports] == [
+            hom.fibers[d.label()] for d in dc], ring
+        assert list(hom.fibers) == [d.label() for d in dc], ring
+        assert len(walks) == 1 and walks[0] is cl, ring
 
 
 @pytest.mark.parametrize("spec", FINITE_RINGS + WITNESS_RINGS)

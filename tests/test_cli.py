@@ -474,6 +474,21 @@ def test_signed_elements_are_read(capsys):
     assert json.loads(out)["product"] == {"t": 0, "n": 24}
 
 
+def test_a_leading_negative_element_is_written_with_equals(capsys):
+    # argparse takes a value that starts with "-" and is not one plain
+    # negative number for an option: "--s -1,0" is a usage error with
+    # argparse's message, and "--s=-1,0" is read; "--disc -3" is one
+    # negative number, so it is read spaced
+    code, out, err = run(capsys, "product", "--ring", "Z", "--s", "-1,0", "--t", "0,0")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --s: expected one argument\n")
+    code, out, _ = run(capsys, "product", "--ring", "Z", "--s=-1,0", "--t=0,-2")
+    assert code == 0
+    assert json.loads(out)["product"] == {"t": 0, "n": -2}
+    code, out, _ = run(capsys, "fibers", "--ring", "Z/4", "--disc", "-3")
+    assert code == 0 and json.loads(out)["fibers"][0]["d"] == 1
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_a_result_too_long_to_print_exits_2(tmp_path, capsys, int_digit_limit, fmt):
     # valid inputs whose product has about twice as many digits as either
