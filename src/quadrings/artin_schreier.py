@@ -239,12 +239,20 @@ def as_embed(ring: Ring, m: RingElement) -> QuadraticAlgebra:
 
 
 def as_act(s: QuadraticAlgebra, m: RingElement) -> QuadraticAlgebra:
-    """Act by 4-torsion m: (t, n) -> (t, n + disc(S)*m); equals S * (1, m)."""
+    """Act by 4-torsion m: (t, n) -> (t, n + disc(S)*m); equals S * (1, m).
+
+    The 4-torsion test 4m = 0, d = t^2 - 4n and n + d*m are taken on
+    canonical values, four products of which two are by 4; only the new
+    norm becomes a RingElement.
+    """
     ring = s.ring
     ring._check_mine(m)
-    if ring._mul(ring.canonicalize(4), m.value) != ring.canonicalize(0):
+    mul, four, mv = ring._mul, ring.canonicalize(4), m.value
+    if mul(four, mv) != ring.canonicalize(0):
         raise ValueError(f"{m!r} is not 4-torsion")
-    return QuadraticAlgebra(ring, s.t, s.n + s.disc() * m)
+    t, n = s.t.value, s.n.value
+    d = ring._sub(mul(t, t), mul(four, n))
+    return QuadraticAlgebra(ring, s.t, RingElement(ring, ring._add(n, mul(d, mv))))
 
 
 def annihilator_four_torsion(ring: Ring, d: RingElement) -> list[RingElement]:

@@ -72,12 +72,19 @@ def _square_classes(ring: Ring) -> dict:
 def is_discriminant(ring: Ring, d: RingElement):
     """A witness t (canonical mod 2R) with t^2 = d mod 4R, or None.
 
-    Over Z this is the classical condition d = 0, 1 mod 4.
+    Over a finite ring the residues mod 2R are walked in canonical order on
+    canonical values, one product each, and the first t whose square lies
+    in d + 4R is returned: the least witness, as in _square_classes, with
+    no table built.  Over Z this is the classical condition d = 0, 1 mod 4.
     """
     ring._check_mine(d)
     if ring.is_finite:
-        witness = _square_classes(ring).get(ring._coset_rep(d.value, 4))
-        return None if witness is None else RingElement(ring, witness)
+        mul, coset = ring._mul, ring._coset_rep
+        target = coset(d.value, 4)
+        for t in ring._residue_values(2):
+            if coset(mul(t, t), 4) == target:
+                return RingElement(ring, t)
+        return None
     if isinstance(ring, IntegerRing):
         if d.value % 4 in (0, 1):
             return ring.element(d.value % 2)

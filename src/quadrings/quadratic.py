@@ -85,7 +85,16 @@ class QuadraticAlgebra:
 
 
 class AlgebraElement:
-    """a + b*x in a quadratic algebra; closed under x^2 = tx - n."""
+    """a + b*x in a quadratic algebra; closed under x^2 = tx - n.
+
+    Sums, differences, negation, products, the conjugate, the trace and the
+    norm are computed on canonical values with the ring's _add, _sub, _neg
+    and _mul, and the result's slots are filled with those values, so no
+    intermediate RingElement is built.  An operand that is not an element
+    of this algebra goes through _coerce, which raises MixedRingError for
+    another algebra and, through the ring's canonicalize, TypeError for a
+    float.
+    """
 
     __slots__ = ("algebra", "a", "b")
 
@@ -107,39 +116,61 @@ class AlgebraElement:
 
     def __add__(self, other):
         other = self._coerce(other)
-        return AlgebraElement(self.algebra, self.a + other.a, self.b + other.b)
+        algebra = self.algebra
+        add = algebra.ring._add
+        return _element_of(algebra, add(self.a.value, other.a.value),
+                           add(self.b.value, other.b.value))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return AlgebraElement(self.algebra, self.a - other.a, self.b - other.b)
+        algebra = self.algebra
+        sub = algebra.ring._sub
+        return _element_of(algebra, sub(self.a.value, other.a.value),
+                           sub(self.b.value, other.b.value))
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, -self.a, -self.b)
+        algebra = self.algebra
+        neg = algebra.ring._neg
+        return _element_of(algebra, neg(self.a.value), neg(self.b.value))
 
     def __mul__(self, other):
+        """(a + bx)(c + dx) = (ac - bd n) + (ad + bc + bd t)x."""
         other = self._coerce(other)
-        t, n = self.algebra.t, self.algebra.n
-        a, b, c, d = self.a, self.b, other.a, other.b
-        bd = b * d
-        return AlgebraElement(self.algebra, a * c - bd * n, a * d + b * c + bd * t)
+        algebra = self.algebra
+        ring = algebra.ring
+        mul, add = ring._mul, ring._add
+        a, b, c, d = self.a.value, self.b.value, other.a.value, other.b.value
+        bd = mul(b, d)
+        return _element_of(algebra, ring._sub(mul(a, c), mul(bd, algebra.n.value)),
+                           add(add(mul(a, d), mul(b, c)), mul(bd, algebra.t.value)))
 
     __rmul__ = __mul__
 
     def conjugate(self) -> AlgebraElement:
-        """Standard involution x -> t - x."""
-        return AlgebraElement(self.algebra,
-                              self.a + self.b * self.algebra.t, -self.b)
+        """Standard involution x -> t - x: a + bx -> (a + bt) - bx."""
+        algebra = self.algebra
+        ring = algebra.ring
+        a, b = self.a.value, self.b.value
+        return _element_of(algebra, ring._add(a, ring._mul(b, algebra.t.value)),
+                           ring._neg(b))
 
     def trace(self) -> RingElement:
-        """self + conjugate(self), landing in R."""
-        return self.a + self.a + self.b * self.algebra.t
+        """self + conjugate(self) = 2a + bt, landing in R."""
+        algebra = self.algebra
+        ring, a = algebra.ring, self.a.value
+        return RingElement(ring, ring._add(ring._add(a, a),
+                                           ring._mul(self.b.value, algebra.t.value)))
 
     def norm(self) -> RingElement:
-        """self * conjugate(self), landing in R."""
-        t, n = self.algebra.t, self.algebra.n
-        return self.a * self.a + self.a * self.b * t + self.b * self.b * n
+        """self * conjugate(self) = a(a + bt) + b^2 n, landing in R."""
+        algebra = self.algebra
+        ring = algebra.ring
+        mul, add = ring._mul, ring._add
+        a, b = self.a.value, self.b.value
+        return RingElement(ring, add(mul(a, add(a, mul(b, algebra.t.value))),
+                                     mul(mul(b, b), algebra.n.value)))
 
     def __eq__(self, other):
         if isinstance(other, AlgebraElement):
@@ -162,6 +193,15 @@ _set_n = QuadraticAlgebra.n.__set__
 _set_algebra = AlgebraElement.algebra.__set__
 _set_a = AlgebraElement.a.__set__
 _set_b = AlgebraElement.b.__set__
+
+
+def _element_of(algebra: QuadraticAlgebra, a, b) -> AlgebraElement:
+    """The element a + bx of algebra from canonical values a and b of its ring."""
+    ring, element = algebra.ring, object.__new__(AlgebraElement)
+    _set_algebra(element, algebra)
+    _set_a(element, RingElement(ring, a))
+    _set_b(element, RingElement(ring, b))
+    return element
 
 
 class BasisChange:
@@ -198,12 +238,16 @@ def star_product(s: QuadraticAlgebra, t: QuadraticAlgebra) -> QuadraticAlgebra:
 
 
 def apply_basis_change(s: QuadraticAlgebra, g: BasisChange) -> QuadraticAlgebra:
-    """(t, n) -> (u(t+2r), u^2(n + tr + r^2))."""
-    u, r = g.u, g.r
-    t, n = s.t, s.n
-    two = s.ring.element(2)
-    return QuadraticAlgebra(s.ring, u * (t + two * r),
-                            u * u * (n + t * r + r * r))
+    """(t, n) -> (u(t+2r), u^2(n + tr + r^2)), on canonical values; u and r
+    must lie in s's ring (MixedRingError otherwise)."""
+    ring = s.ring
+    ring._check_mine(g.u)
+    ring._check_mine(g.r)
+    mul, add = ring._mul, ring._add
+    u, r, t, n = g.u.value, g.r.value, s.t.value, s.n.value
+    return QuadraticAlgebra(
+        ring, RingElement(ring, mul(u, add(t, add(r, r)))),
+        RingElement(ring, mul(mul(u, u), add(add(n, mul(t, r)), mul(r, r)))))
 
 
 def basis_change_group(ring: Ring) -> list[BasisChange]:
@@ -520,7 +564,16 @@ def classify(ring: Ring) -> Classification:
         half.setdefault(d, r)
     # the members of R[2] that grow its span generate it
     torsion = kernel.span([a for a, d in enumerate(doubles) if d == 0])[1]
-    elements = [RingElement(ring, v) for v in values]
+    # the RingElement of a code, made when a rep or disc first needs it and
+    # shared by the classes that hold that value
+    elements: list = [None] * size
+
+    def element(c: int) -> RingElement:
+        e = elements[c]
+        if e is None:
+            e = elements[c] = RingElement(ring, values[c])
+        return e
+
     minus_four = kernel.multiple_row(-4)
     slice_of, back, shift = [-1] * size, [None] * size, [0] * size
     slices: list = []
@@ -539,8 +592,7 @@ def classify(ring: Ring) -> Classification:
         for u in units:
             row_u = rows[u]
             if slice_of[row_u[t0]] < 0:    # u(t0 + 2R) is a new coset
-                inverse = ring.inverse_of_unit(elements[u])
-                row_back = rows[square[code[inverse.value]]]
+                row_back = rows[square[code[ring._inverse(values[u])]]]
                 for z, c in zip(coset, moves):
                     y = row_u[z]
                     slice_of[y], back[y], shift[y] = len(slices), row_back, c
@@ -576,8 +628,8 @@ def classify(ring: Ring) -> Classification:
                     if label[y] < 0:
                         label[y] = index
                         found.append(y)
-            rep = QuadraticAlgebra(ring, elements[t0], elements[n])
-            disc = elements[plus_tt[minus_four[n]]]    # t0^2 - 4n
+            rep = QuadraticAlgebra(ring, element(t0), element(n))
+            disc = element(plus_tt[minus_four[n]])    # t0^2 - 4n
             classes.append(IsoClass(rep, orbit * width * len(found), disc,
                                     class_map, index))
         slices.append([label[x] for x in least])

@@ -20,9 +20,11 @@ which keeps the exactness check (TypeError on non-integers) and raises
 MixedRingError for another ring.  canonicalize takes an int, and a list of
 d coefficients, reduced mod n alone.  (Z/n)[x]/(f) reduces a product's
 convolution, and any longer coefficient list, by synthetic division by the
-monic f (unrolled for d = 2).  A parse builds no table, so one cold query
+monic f (unrolled for d = 2); a product with a constant operand scales the
+other's coefficients instead.  A parse builds no table, so one cold query
 costs the parse and its ring operations: a star product seven products,
-an AS action four, a discriminant test one product per residue mod 2R.
+an AS action four (two of them by 4), a discriminant test one product per
+residue mod 2R up to the first witness.
 An isomorphism test over a finite ring costs |R| additions and one product
 per unit, plus u^2 for a unit whose trace equation has a solution and two
 products per solution, after the unit table of a quotient ring (at most
@@ -427,12 +429,19 @@ class QuotientPolyRing(Ring):
         return tuple([(x - y) % n for x, y in zip(a, b)])
 
     def _mul(self, a, b):
-        """The convolution of a and b, reduced by _reduce."""
+        """The convolution of a and b, reduced by _reduce; a constant
+        operand (the 4 of t^2 - 4n, say) scales the other's coefficients."""
         d, n, x_d = self.degree, self.n, self._x_d
         if d == 2:    # the same, unrolled: one division step
             (a0, a1), (b0, b1), (f0, f1) = a, b, x_d
             top = a1 * b1 % n
             return (a0 * b0 + top * f0) % n, (a0 * b1 + a1 * b0 + top * f1) % n
+        pad = self._pad
+        if a[1:] == pad:
+            a, b = b, a
+        if b[1:] == pad:
+            c = b[0]
+            return tuple([x * c % n for x in a])
         conv = [0] * (2 * d - 1)
         for i, x in enumerate(a):
             if x:
@@ -636,6 +645,10 @@ _RING_RE = re.compile(r"^Z/([0-9]+)(?:\[x\]/\((.+)\))?$")
 _TERM_RE = re.compile(r"^([+-]?)([0-9]+)?(?:(?<=[0-9])\*(?=x))?(x(?:\^([0-9]+))?)?$")
 _TOKEN_RE = re.compile(r"[+-]?[^+-]+")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
+# A whole polynomial of the terms _TERM_RE reads, each after the first signed.
+_TERM = r"(?:[0-9]+(?:\*?x(?:\^[0-9]+)?)?|x(?:\^[0-9]+)?)"
+_POLY_RE = re.compile(rf"[+-]?{_TERM}(?:[+-]{_TERM})*")
+_SIGN_COEFF = {"": 1, "-": -1}    # the coefficient of a bare x or -x
 
 
 def parse_int(text: str, field: str) -> int:
@@ -659,8 +672,40 @@ def parse_int(text: str, field: str) -> int:
 
 
 def parse_poly(text: str) -> list[int]:
-    """Parse a polynomial in x ("x^2+3x+1", "2*x^3-1") into a coefficient list."""
+    """Parse a polynomial in x ("x^2+3x+1", "2*x^3-1") into a coefficient list.
+
+    A polynomial that _POLY_RE matches whole is split at its signs and each
+    term at its x, with no further match; anything else, and a number over
+    int()'s digit limit, goes term by term through _TERM_RE and parse_int,
+    which name what is wrong.
+    """
     s = text.replace(" ", "")
+    coeffs: dict[int, int] = {}
+    if _POLY_RE.fullmatch(s):
+        try:
+            for term in s.replace("-", "+-").split("+"):
+                if term:    # only a leading sign leaves an empty piece
+                    # [-][digits][*], and then "" or "x" with "" or "^digits"
+                    head, x, power = term.partition("x")
+                    head = head.rstrip("*")
+                    coeff = _SIGN_COEFF.get(head) or int(head)
+                    deg = int(power[1:]) if power else 1 if x else 0
+                    coeffs[deg] = coeffs.get(deg, 0) + coeff
+        except ValueError:
+            coeffs = {}
+    if not coeffs:
+        coeffs = _parse_terms(text, s)
+    top = max(coeffs)
+    require_enumerable(top + 1, lambda: f"coefficients of {text!r}")
+    dense = [0] * (top + 1)
+    for deg, c in coeffs.items():
+        dense[deg] = c
+    return dense
+
+
+def _parse_terms(text: str, s: str) -> dict[int, int]:
+    """Degree -> coefficient of the polynomial text, s without its spaces,
+    one term at a time; RingParseError names the first thing wrong."""
     if not s:
         raise RingParseError("empty polynomial")
     tokens = _TOKEN_RE.findall(s)
@@ -675,12 +720,7 @@ def parse_poly(text: str) -> list[int]:
         coeff = 1 if digits is None else parse_int(digits, "coefficient")
         deg = 0 if x is None else 1 if power is None else parse_int(power, "exponent")
         coeffs[deg] = coeffs.get(deg, 0) + (-coeff if sign == "-" else coeff)
-    top = max(coeffs)
-    require_enumerable(top + 1, lambda: f"coefficients of {text!r}")
-    dense = [0] * (top + 1)
-    for deg, c in coeffs.items():
-        dense[deg] = c
-    return dense
+    return coeffs
 
 
 def format_poly(coeffs) -> str:

@@ -162,6 +162,25 @@ def test_is_discriminant_lists_only_residues_mod_2():
         is_discriminant(huge, huge.one)
 
 
+def test_is_discriminant_returns_the_least_witness_of_the_square_table(monkeypatch):
+    # is_discriminant walks the residues mod 2R and stops at the first
+    # witness, with no table; the oracle is the kept _square_classes table,
+    # on every d of every ring of rings_up_to(64) and of a 100-digit Z/n
+    from test_quadratic import rings_up_to
+    cases = [(ring, ring.elements()) for ring in rings_up_to(64)]
+    for n in (10 ** 99 + 289, 2 * 10 ** 99 + 2):    # odd, and 2 mod 4
+        ring = ModRing(n)
+        cases.append((ring, [ring.element(d) for d in (0, 1, 2, 3, 5, n - 3, n - 1)]))
+    tables = [_square_classes(ring) for ring, _ in cases]
+    monkeypatch.setattr("quadrings.discriminants._square_classes", None)
+    for (ring, ds), table in zip(cases, tables):
+        for d in ds:
+            want = table.get(ring._coset_rep(d.value, 4))
+            got = is_discriminant(ring, d)
+            assert (got if got is None else got.value) == want, (ring, d)
+            assert got is None or got.ring is ring
+
+
 def test_class_representative_is_least_in_unit_square_orbit():
     for spec in FINITE_RINGS:
         ring = parse_ring(spec)

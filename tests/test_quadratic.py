@@ -10,9 +10,9 @@ import quadrings.quadratic as quadratic
 from quadrings import (BasisChange, EnumerationLimitError, InfiniteRingError,
                        MixedRingError, ModRing, QuadraticAlgebra,
                        QuotientPolyRing, RingElement,
-                       apply_basis_change,
+                       apply_basis_change, as_act,
                        basis_change_group, classify, disc_hom_check,
-                       find_absorbing,
+                       find_absorbing, four_torsion, is_discriminant,
                        integer_algebra_for_disc, is_isomorphic, parse_ring,
                        quad_monoid, separable_square_check, star_product,
                        validate_monoid)
@@ -227,6 +227,113 @@ def test_disc_matches_element_arithmetic():
     z = parse_ring("Z")
     for t, n in [(0, 0), (3, -7), (10 ** 40 + 1, -(10 ** 39))]:
         assert QuadraticAlgebra(z, t, n).disc().value == t * t - 4 * n
+
+
+def value_cases():
+    """(ring, draws of six canonical values) on every ring of rings_up_to(16),
+    on Z with integers of up to 700 bits and on a 100-digit Z/n."""
+    rng = random.Random(29)
+    cases = []
+    for ring in rings_up_to(16):
+        values = ring._values()
+        cases.append((ring, [[rng.choice(values) for _ in range(6)] for _ in range(12)]))
+    cases.append((parse_ring("Z"), [[rng.choice((1, -1)) * rng.getrandbits(bits)
+                                     for _ in range(6)]
+                                    for bits in (1, 2, 8, 64, 300, 700)]))
+    zn = ModRing(rng.randrange(10 ** 99, 10 ** 100))
+    cases.append((zn, [[rng.randrange(zn.n) for _ in range(6)] for _ in range(12)]))
+    return cases
+
+
+def test_algebra_element_arithmetic_matches_ring_element_formulas():
+    # the algebra's operations run on canonical values; the oracle is each
+    # formula written with RingElement operators
+    for ring, draws in value_cases():
+        for t, n, a, b, c, d in draws:
+            alg = QuadraticAlgebra(ring, t, n)
+            x, y = alg.element(a, b), alg.element(c, d)
+            T, N, A, B, C, D = alg.t, alg.n, x.a, x.b, y.a, y.b
+            for got, want in [(x + y, (A + C, B + D)), (x - y, (A - C, B - D)),
+                              (-x, (-A, -B)), (x.conjugate(), (A + B * T, -B)),
+                              (x * y, (A * C - B * D * N, A * D + B * C + B * D * T)),
+                              (x + 1, (A + 1, B)), (2 * x, (A * 2, B * 2)),
+                              (x - 1, (A - 1, B))]:
+                assert type(got) is type(x) and got.algebra is alg, ring
+                assert (got.a, got.b) == want, ring
+                assert got.a.ring is ring and got.b.ring is ring
+            assert x.trace() == A + A + B * T and x.trace().ring is ring
+            assert x.norm() == A * A + A * B * T + B * B * N and x.norm().ring is ring
+        # what the operators check is kept: another algebra, a float, and
+        # writing to a slot are refused
+        x = QuadraticAlgebra(ring, *draws[0][:2]).element(*draws[0][2:4])
+        others = [QuadraticAlgebra(ring, t, 1) for t in (0, 1)]
+        for other in [a for a in others if a != x.algebra][:1]:    # none over Z/1
+            with pytest.raises(MixedRingError):
+                x * other.x
+            with pytest.raises(MixedRingError):
+                x + other.x
+        for op in (lambda: x + 0.5, lambda: 0.5 * x, lambda: x - 1.5, lambda: x * 2.0):
+            with pytest.raises(TypeError):
+                op()
+        with pytest.raises(AttributeError):
+            x.a = ring.one
+
+
+@pytest.mark.parametrize("spec", ["Z", "Z/12", "Z/" + "9" * 99 + "7", "Z/9[x]/(x^2+1)",
+                                  "Z/4[x]/(x^2+x+1)", "Z/2[x]/(x^3+x+1)",
+                                  "Z/3[x]/(x^4+2)"])
+def test_queries_take_no_ring_element_operation(spec, monkeypatch):
+    # algebra elements, as_act, apply_basis_change and is_discriminant, and
+    # classify's unit inverses, run on canonical values: with RingElement's
+    # +, -, * and negation patched to raise they still give the formulas'
+    # values, worked out here before the patch
+    ring = parse_ring(spec)
+    rng = random.Random(spec)
+    small = ring.is_finite and ring.size < 100
+    if small:
+        values, units = ring._values(), ring._unit_values()
+        fours = [a.value for a in four_torsion(ring)]
+        draw = lambda: rng.choice(values)    # noqa: E731
+    elif ring.is_finite:    # a 100-digit odd modulus: R[4] = {0}
+        units, fours = [1, ring.n - 1, pow(3, -1, ring.n)], [0]
+        draw = lambda: rng.randrange(ring.n)    # noqa: E731
+    else:
+        units, fours = [1, -1], [0]
+        draw = lambda: rng.getrandbits(700) - 2 ** 699    # noqa: E731
+    cases = []
+    for _ in range(8):
+        t, n, a, b, c, d, r = (ring.element(draw()) for _ in range(7))
+        u, m = ring.element(rng.choice(units)), ring.element(rng.choice(fours))
+        alg = QuadraticAlgebra(ring, t, n)
+        x, y = alg.element(a, b), alg.element(c, d)
+        disc = t * t - 4 * n
+        want = [((a * c - b * d * n).value, (a * d + b * c + b * d * t).value),
+                ((a + b * t).value, (-b).value), (a + a + b * t).value,
+                (a * a + a * b * t + b * b * n).value,
+                ((a + c).value, (b + d).value, (-a).value, (a - c).value),
+                (t.value, (n + disc * m).value),
+                ((u * (t + 2 * r)).value, (u * u * (n + t * r + r * r)).value),
+                is_discriminant(ring, disc).value]
+        cases.append((alg, x, y, m, BasisChange(u, r), disc, want))
+    labels = classify(ring).labels() if small else None
+
+    def refuse(*args):
+        raise AssertionError("a RingElement operation was taken")
+
+    for name in ("__mul__", "__add__", "__sub__", "__neg__"):
+        monkeypatch.setattr(RingElement, name, refuse)
+    monkeypatch.setattr(type(ring), "inverse_of_unit", refuse)
+    for alg, x, y, m, g, disc, want in cases:
+        p, q, s = x * y, x.conjugate(), as_act(alg, m)
+        h = apply_basis_change(alg, g)
+        got = [(p.a.value, p.b.value), (q.a.value, q.b.value), x.trace().value,
+               x.norm().value,
+               ((x + y).a.value, (x + y).b.value, (-x).a.value, (x - y).a.value),
+               (s.t.value, s.n.value), (h.t.value, h.n.value),
+               is_discriminant(ring, disc).value]
+        assert got == want
+    if small:
+        assert classify(parse_ring(spec)).labels() == labels
 
 
 def orbit_partition_oracle(ring):

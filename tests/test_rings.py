@@ -393,6 +393,48 @@ def test_mul_matches_convolution_and_power_rows_on_every_pair():
             assert ring._mul(a, b) == want, (spec, a, b)
 
 
+def test_constant_operand_products_scale_and_match_the_convolution(monkeypatch):
+    # in a quotient ring of degree other than 2 a product with a constant
+    # operand, on either side, scales the other operand's coefficients and
+    # never reaches _reduce; the oracle is the schoolbook convolution
+    from test_quadratic import rings_up_to
+    rings = [r for r in rings_up_to(64)
+             if isinstance(r, QuotientPolyRing) and r.degree != 2]
+    assert sum(r.degree >= 3 for r in rings) == 211
+    for ring in rings:
+        n, f, d = ring.n, list(ring.modulus), ring.degree
+        constants = [(c,) + (0,) * (d - 1) for c in range(n)]
+        with monkeypatch.context() as patch:
+            patch.setattr(ring, "_reduce", None)    # any call raises TypeError
+            for c, a in product(constants, ring._values()):
+                want = schoolbook_mul(c, a, n, f)
+                assert ring._mul(c, a) == ring._mul(a, c) == want, (ring, c, a)
+        # a product of two non-constants still convolves and reduces
+        if d >= 3:
+            x = (0, 1) + (0,) * (d - 2)
+            assert ring._mul(x, x) == schoolbook_mul(x, x, n, f)
+
+
+def test_parse_poly_reads_what_the_term_reader_reads():
+    # parse_poly splits a polynomial that _POLY_RE matches whole at its
+    # signs; every string over this alphabet of up to 5 characters reads the
+    # same, or raises the same error, as through the term-by-term reader
+    alphabet = "x^*+-07 "
+    for length in range(1, 6):
+        for chars in product(alphabet, repeat=length):
+            text = "".join(chars)
+            try:
+                coeffs = rings._parse_terms(text, text.replace(" ", ""))
+                want = [coeffs.get(k, 0) for k in range(max(coeffs) + 1)]
+            except RingParseError as exc:
+                want = str(exc)
+            try:
+                got = parse_poly(text)
+            except RingParseError as exc:
+                got = str(exc)
+            assert got == want, text
+
+
 def test_canonicalize_fast_paths_match_reduce():
     # ints, and coefficient sequences of length d, skip _reduce; every
     # other input still goes through it, and all agree with the long division
