@@ -16,10 +16,10 @@ its discriminant is a nonzerodivisor, and on sec algebras the fiber action is
 free.
 
 The group and the fiber reports run on the int codes of the ring's kernel
-(rings.Kernel): an addition is an add-row lookup or a code sum, a subgroup
-is spanned by Kernel.span, and the unit squares, the table of t^2, the row
-of 4x, the norm map 4n -> [n] and the root table t^2 -> [t] are built once
-per ring, not per report.  AS(R) is built
+(rings.Kernel): an addition is an add-row lookup, a subgroup is spanned by
+Kernel.span, t^2 = d mod 4R is a comparison of coset representatives, and
+the unit squares, the table of t^2, the row of 4x and the root table
+t^2 -> [t] are built once per ring, not per report.  AS(R) is built
 once per ring instance, in one pass over those codes, and kept in the
 kernel: the codes and canonical values of R[4], the positions in them of
 P(R)[4] and of the class representatives, the class of each member by
@@ -52,10 +52,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .discriminants import DiscClass, _disc_map, disc_class_of, require_ring
+from .discriminants import DiscClass, _disc_map, disc_class_of
 from .errors import InfiniteRingError, InternalCheckError
 from .monoids import FiniteCommMonoid
-from .quadratic import Classification, QuadraticAlgebra
+from .quadratic import Classification, QuadraticAlgebra, require_ring
 from .rings import IntegerRing, Kernel, Ring, RingElement
 
 
@@ -406,21 +406,21 @@ def _fibre_facts(ring: Ring, dv, tables: _ASTables) -> tuple[set[int], int, int]
     # code 0 is the zero
     ann_classes = {k for k, s in zip(tables.torsion_classes, shifts) if s == 0}
     image, torsion = set(shifts), len(tables.torsion)
-    traces = _trace_count(kernel, code[ring._neg(dv)])
+    traces = _trace_count(ring, kernel, dv)
     span = kernel.span(sorted(image))[0]
     count = traces * torsion // len(span.intersection(tables.torsion))
     return ann_classes, count, _basis_orbit_bound(traces, torsion, image)
 
 
-def _trace_count(kernel: Kernel, minus_d: int) -> int:
+def _trace_count(ring: Ring, kernel: Kernel, dv) -> int:
     """|{t : t^2 = d mod 4R}|: the roots of each square s of the kernel's
-    root table with s - d in 4R, a key of its norm map.
-
-    minus_d is the code of -d; s - d is one code sum, so no add row is built.
-    """
-    norms, add_code = kernel.norms, kernel.add_code
+    root table with s in d + 4R, tested by coset representatives as in
+    discriminants._square_classes, so no ring sum is taken and no add row
+    of -d is built."""
+    coset, values = ring._coset_rep, kernel.values
+    target = coset(dv, 4)
     return sum(len(ts) for s, ts in kernel.roots.items()
-               if add_code(s, minus_d) in norms)
+               if coset(values[s], 4) == target)
 
 
 def _basis_orbit_bound(traces: int, torsion_size: int, shifts: set) -> int:

@@ -20,7 +20,8 @@ checked then, once per ring instance; a failure keeps nothing.
 DiscClassification and disc_hom_check read these tables and take no ring
 product or check once they exist: a DiscClassification makes one
 RingElement per discriminant and per witness and copies the kept monoid,
-and its DiscClass objects find their pairs in the tables.  The disc map of a
+and builds its DiscClass objects with no witness check; a DiscClass built
+by hand checks its witness with one product.  The disc map of a
 classification, the disc class of each algebra class (one lookup by value
 each) and the fibre of each disc class in class order, is built once per
 classification and kept in its derived slot; disc_hom_check and the fibre
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 
 from .errors import InfiniteRingError, InternalCheckError
 from .monoids import FiniteCommMonoid
-from .quadratic import Classification, QuadraticAlgebra
+from .quadratic import Classification, QuadraticAlgebra, require_ring
 from .rings import IntegerRing, Ring, RingElement
 
 
@@ -92,15 +93,12 @@ def is_discriminant(ring: Ring, d: RingElement):
     raise InfiniteRingError("discriminant testing needs a finite ring or Z")
 
 
-def _witness_problem(ring: Ring, d, t):
-    """Why t is not a witness of d, on canonical values, or None: t must be
-    reduced mod 2R and t^2 = d mod 4R, with t^2 read from the ring's kernel
-    once that is built and one product before."""
-    coset, kernel = ring._coset_rep, ring._kernel
+def _witness_problem(ring: Ring, d, t, tt):
+    """Why t is not a witness of d, on canonical values with tt = t^2, or
+    None: t must be reduced mod 2R and t^2 = d mod 4R."""
+    coset = ring._coset_rep
     if coset(t, 2) != t:
         return "is not reduced mod 2R"
-    c = None if kernel is None else kernel.code.get(t)
-    tt = ring._mul(t, t) if c is None else kernel.values[kernel.square[c]]
     if coset(tt, 4) != coset(d, 4):
         return f"does not square to {ring.element_text(d)} mod 4R"
     return None
@@ -110,12 +108,13 @@ def _witness_problem(ring: Ring, d, t):
 class DiscClass:
     """A discriminant class: representative d plus a witness t stored mod 2R.
 
-    Validated on construction, so deserialized witnesses are re-checked.  A
-    pair (d, t) that the ring's disc tables hold was checked when they were
-    built, and is found there with one lookup; any other pair is checked by
-    _witness_problem.  The fields are written to the instance dict at
-    once: a frozen dataclass's own __init__ makes one object.__setattr__
-    call per field, which took most of the time of building a DiscClass.
+    Validated on construction, with one product for t^2, so deserialized
+    and hand-built witnesses are always re-checked.  DiscClassification
+    builds its classes through _kept instead, from the ring's disc tables,
+    whose witnesses were checked when they were built.  The fields are
+    written to the instance dict at once: a frozen dataclass's own
+    __init__ makes one object.__setattr__ call per field, which took most
+    of the time of building a DiscClass.
     """
 
     ring: Ring
@@ -125,13 +124,19 @@ class DiscClass:
     def __init__(self, ring: Ring, d: RingElement, witness_t: RingElement):
         ring._check_mine(d)
         ring._check_mine(witness_t)
-        kernel = ring._kernel
-        tables = None if kernel is None else kernel.derived.get("disc")
-        if tables is None or tables.witness_of.get(d.value) != witness_t.value:
-            problem = _witness_problem(ring, d.value, witness_t.value)
-            if problem is not None:
-                raise ValueError(f"witness {witness_t} {problem}")
+        t = witness_t.value
+        problem = _witness_problem(ring, d.value, t, ring._mul(t, t))
+        if problem is not None:
+            raise ValueError(f"witness {witness_t} {problem}")
         self.__dict__.update(ring=ring, d=d, witness_t=witness_t)
+
+    @classmethod
+    def _kept(cls, ring: Ring, d: RingElement, witness_t: RingElement) -> DiscClass:
+        """A DiscClass of a pair the disc tables hold, which was checked
+        when they were built and is not checked again."""
+        new = object.__new__(cls)
+        new.__dict__.update(ring=ring, d=d, witness_t=witness_t)
+        return new
 
     def label(self) -> str:
         return str(self.d)
@@ -150,7 +155,7 @@ class _DiscTables:
     class.  Each witness (t reduced mod 2R, t^2 = d mod 4R with t^2 read
     from the kernel), the closure of the monoid table and, by
     FiniteCommMonoid, the monoid's labels and table are checked here, so
-    DiscClass and the DiscClassification views need not check them again.
+    the DiscClassification views build their DiscClass objects unchecked.
     Everything held is an int, a canonical value or a string, so the kernel
     keeps no reference to the ring.
     """
@@ -171,7 +176,8 @@ class _DiscTables:
             witness = witnesses.get(coset(d, 4))
             if witness is None:
                 continue
-            problem = _witness_problem(ring, d, witness)
+            tt = kernel.values[kernel.square[kernel.code[witness]]]
+            problem = _witness_problem(ring, d, witness, tt)
             if problem is not None:
                 raise InternalCheckError(
                     f"witness {ring.element_text(witness)} {problem}",
@@ -261,7 +267,7 @@ class DiscClassification:
         self.orbits: list[list[RingElement]] = [
             [RingElement(ring, v) for v in orbit] for orbit in tables.orbits]
         self.classes: list[DiscClass] = [
-            DiscClass(ring, orbit[0], RingElement(ring, t))
+            DiscClass._kept(ring, orbit[0], RingElement(ring, t))
             for orbit, t in zip(self.orbits, tables.witness_of.values())]
         self.monoid = tables.monoid.copy()
 
@@ -309,14 +315,6 @@ def _disc_map(ring: Ring, classification: Classification) -> tuple:
             fibres[k].append(i)
         disc_map = classification.derived["disc map"] = (mapping, fibres)
     return disc_map
-
-
-def require_ring(ring: Ring, *given) -> None:
-    """ValueError unless each object given (a classification, a disc class,
-    an AS group) was built for ring."""
-    for g in given:
-        if g.ring is not ring and g.ring != ring:
-            raise ValueError(f"{type(g).__name__} of {g.ring!r} given for {ring!r}")
 
 
 @dataclass

@@ -181,8 +181,8 @@ def _check_square_product() -> IdentityResult:
     st, norm = square.t.value, square.n.value
     disc_lhs = square.disc().value
     disc_rhs = (t ** 2 - 4 * n) ** 2
-    minimal = w ** 2 - st * w + norm
-    shifted = minimal.substitute({"w": w + 2 * n})
+    # the minimal polynomial w^2 - st w + norm of the square, at w + 2n
+    shifted = (w + 2 * n) ** 2 - st * (w + 2 * n) + norm
     target = w ** 2 - (t ** 2 - 4 * n) * w
     passed = (st == t ** 2 and norm == 2 * n * (t ** 2 - 2 * n)
               and disc_lhs == disc_rhs and shifted == target)

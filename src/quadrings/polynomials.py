@@ -7,6 +7,8 @@ structural equality is mathematical equality.  Coefficients go through
 operator.index, so a float or a Fraction is a TypeError, never truncated.
 Representation is dense in variables and sparse in terms; everything in
 this package stays below a handful of variables and single-digit degrees.
+The verifier needs only the ring operations, equality and term counts; a
+substitution such as w -> w + 2n is written as arithmetic on w + 2n.
 """
 
 from __future__ import annotations
@@ -107,30 +109,6 @@ class MultiPoly:
 
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))
-
-    def substitute(self, bindings: dict) -> MultiPoly:
-        """Replace variables by polynomials (or ints); others stay themselves."""
-        images = {name: MultiPoly.coerce(val) for name, val in bindings.items()}
-        result = MultiPoly.const(0)
-        for exp, coeff in self.terms.items():
-            term = MultiPoly.const(coeff)
-            for name, power in zip(self.vars, exp):
-                if power == 0:
-                    continue
-                base = images.get(name, MultiPoly.variable(name))
-                term = term * base ** power
-            result = result + term
-        return result
-
-    def evaluate(self, point: dict) -> int:
-        """Exact integer value at an integer point covering all variables."""
-        total = 0
-        for exp, coeff in self.terms.items():
-            value = coeff
-            for name, power in zip(self.vars, exp):
-                value *= point[name] ** power
-            total += value
-        return total
 
     def __str__(self):
         if not self.terms:

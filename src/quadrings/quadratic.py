@@ -30,7 +30,7 @@ import math
 
 from .errors import InfiniteRingError, InternalCheckError, MixedRingError
 from .monoids import FiniteCommMonoid, find_absorbing, require_valid_monoid
-from .rings import IntegerRing, Ring, RingElement, require_enumerable
+from .rings import IntegerRing, Ring, RingElement, _walk_cosets, require_enumerable
 
 
 class QuadraticAlgebra:
@@ -612,10 +612,7 @@ def classify(ring: Ring) -> Classification:
             # v t0 = t0 + 2r, so (v^-1, r) fixes t0 and moves n to v^2 n - c
             plus = add_row(minus_c[minus_t0[row_v[t0]]])
             steps.append([least[plus[x]] for x in rows[square[v]]])
-            block = list(stabilizer)
-            while row_v[block[0]] not in stabilizer:
-                block = [row_v[w] for w in block]
-                stabilizer.update(block)
+            _walk_cosets(stabilizer, row_v)
         label, plus_tt = [-1] * size, add_row(square[t0])
         for n, first in enumerate(least):
             if first != n or label[n] >= 0:
@@ -642,13 +639,23 @@ def classify(ring: Ring) -> Classification:
     return Classification(ring, classes, class_map)
 
 
+def require_ring(ring: Ring, *given) -> None:
+    """ValueError unless each object given (a classification, a disc class,
+    an AS group) was built for ring."""
+    for g in given:
+        if g.ring is not ring and g.ring != ring:
+            raise ValueError(f"{type(g).__name__} of {g.ring!r} given for {ring!r}")
+
+
 def quad_monoid(ring: Ring, classification: Classification) -> FiniteCommMonoid:
     """The commutative monoid of isomorphism classes under the star product.
 
     The table is classification.star_table(), induced by the product on
     canonical representatives; the result is validated before being
-    returned, and the class of (0, 0) is checked to be absorbing.
+    returned, and the class of (0, 0) is checked to be absorbing.  A
+    classification built for another ring raises ValueError.
     """
+    require_ring(ring, classification)
     labels = classification.labels()
     table = classification.star_table()
     identity = classification.index_of(QuadraticAlgebra(ring, 1, 0))

@@ -767,8 +767,10 @@ class Kernel:
     one by one: add_row and multiple_row are built from digit maps with no
     ring operation, each on first use, and kept, so every caller reads the
     same row of x + x_c or of k x (the rows of 4, 2, -1 and -4 serve the
-    norm map, R[4], halves, negation and t^2 - 4n); span generates an
-    additive subgroup from add rows.  Ring products fill only the table of
+    norm map, R[4], halves, negation and t^2 - 4n), and a sum of codes is
+    an add-row lookup.  span generates an additive subgroup from add rows
+    by _walk_cosets, the walk that classify runs on unit rows for the
+    stabilizer of a trace.  Ring products fill only the table of
     t^2 (|R|) and the unit squares; the norm map and the root table group
     those tables by value on first read.  derived is the slot where the
     discriminants and artin_schreier modules keep their per-ring tables,
@@ -812,19 +814,6 @@ class Kernel:
             row = self._rows[c] = self._digitwise(maps)
         return row
 
-    def add_code(self, a: int, b: int) -> int:
-        """code(x_a + x_b), digit by digit, with no row built."""
-        n = len(self._places[0])
-        if len(self._places) == 1:
-            return (a + b) % n
-        total, scale = 0, 1
-        for _ in self._places:
-            a, i = divmod(a, n)
-            b, j = divmod(b, n)
-            total += (i + j) % n * scale
-            scale *= n
-        return total
-
     def multiple_row(self, k: int) -> list[int]:
         """code(k * x_c) for every code c, built on first use and kept:
         each digit of x_c is multiplied by k mod n, so the row of k is the
@@ -839,18 +828,14 @@ class Kernel:
 
     def span(self, members) -> tuple[set[int], list[int]]:
         """The subgroup of (R, +) that the codes members generate, and the
-        members that grew it, in order.  Each member not yet in the span
-        grows it by its translates until they cycle back into it, so at
-        most log2 of its order add rows are taken."""
+        members that grew it, in order: each member not yet in the span
+        grows it by _walk_cosets along its add row, so at most log2 of its
+        order add rows are taken."""
         span, grew = {0}, []
         for c in members:
-            if c in span:
-                continue
-            grew.append(c)
-            plus, translate = self.add_row(c), list(span)
-            while plus[translate[0]] not in span:
-                translate = [plus[x] for x in translate]
-                span.update(translate)
+            if c not in span:
+                grew.append(c)
+                _walk_cosets(span, self.add_row(c))
         return span, grew
 
     @cached_property
@@ -862,6 +847,17 @@ class Kernel:
     def roots(self) -> dict[int, list[int]]:
         """The root table: code(t^2) -> the codes of its t, increasing."""
         return _preimages(self.square)
+
+
+def _walk_cosets(group: set[int], row: list[int]) -> None:
+    """Grow the subgroup group of codes, in place, to the subgroup that it
+    and g generate, where row is the code table of x -> g x for g in an
+    abelian group acting on the codes: its cosets g group, g^2 group, ...
+    are added until one cycles back into it."""
+    coset = list(group)
+    while row[coset[0]] not in group:
+        coset = [row[x] for x in coset]
+        group.update(coset)
 
 
 def _preimages(row: list[int]) -> dict[int, list[int]]:

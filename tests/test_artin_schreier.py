@@ -3,12 +3,14 @@ import dataclasses
 import pytest
 
 import quadrings.rings as rings
-from quadrings import (BasisChange, DiscClass, InternalCheckError, IsoClass,
-                       QuadraticAlgebra, annihilator_four_torsion,
+from quadrings import (BasisChange, DiscClass, InfiniteRingError,
+                       InternalCheckError, IsoClass, MultiPoly,
+                       QuadraticAlgebra, Rank1Form, annihilator_four_torsion,
                        apply_basis_change, as_act,
                        as_embed, as_group, basis_change_group, check_freeness,
                        classify, disc_class_of, disc_classes, disc_hom_check,
-                       fiber_report, four_torsion, is_discriminant, is_isomorphic,
+                       fiber_report, form_is_cancellative, four_torsion,
+                       is_discriminant, is_isomorphic,
                        is_sec_algebra, is_sec_element, parse_ring, star_product,
                        wp4_subgroup)
 from quadrings.artin_schreier import _as_tables, _fibre_facts
@@ -522,11 +524,12 @@ def test_fiber_report_products_first_and_repeated(spec, monkeypatch):
     # takes |R[4]| products for dR[4] and ann(d)[4] and one d'*m per disc d'
     # of a class representative and AS class m: none per orbit pair, none
     # for the fiber, which is read off the kept disc index, and no ring
-    # addition, since t^2 - d is a code sum; it reads one class row per
-    # fiber class.  Repeated reports, check_freeness and disc_hom_check
-    # read all of it from the ring's and the classification's kept tables:
-    # no product, addition, grouping of a table, class row or star table.
-    # t^2 and 4n come from the kernel's root table and norm map.
+    # addition, since t^2 = d mod 4R compares coset representatives; it
+    # reads one class row per fiber class.  Repeated reports,
+    # check_freeness and disc_hom_check read all of it from the ring's and
+    # the classification's kept tables: no product, addition, grouping of
+    # a table, class row or star table.  t^2 comes from the kernel's root
+    # table.
     ring = parse_ring(spec)
     cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
     hom = disc_hom_check(ring, cl)
@@ -892,8 +895,8 @@ def test_fiber_report_refuses_an_image_off_the_fiber():
 
 def test_basis_orbit_count_spans_dr4_from_few_add_rows():
     # over GF(1024) dR[4] = R for d = 1; the count spans it from the add
-    # rows of at most log2(1024) generators, and t^2 - d is a code sum, so
-    # no row of -d is kept.  Only the rows added after the AS tables count.
+    # rows of at most log2(1024) generators, and t^2 = d mod 4R compares
+    # coset representatives, so no row of -d is kept.  Only the rows added after the AS tables count.
     ring = parse_ring("Z/2[x]/(x^10+x^3+1)")
     kernel = ring.kernel()
     as_group(ring)
@@ -972,3 +975,66 @@ def test_fiber_report_refuses_objects_of_another_ring(argument):
     for check in (fiber_report, check_freeness):
         with pytest.raises(ValueError, match="given for Z/12"):
             check(z12, given["d"], given["classification"], given["group"])
+
+
+
+@pytest.mark.parametrize("wrong, message, witness", [
+    # 1 * 2 made 1, and 4 * 1 != 0: P(R)[4] = {0, 1, 2, 4, 6} leaves R[4]
+    ({(1, 2): 1}, "P(R)[4] is not a subset of R[4] containing 0", {"ring": "Z/8"}),
+    # 2 * 3 and 5 * 6 made 0: P(R)[4] = {0, 2, 4} misses -2 = 6
+    ({(2, 3): 0, (5, 6): 0}, "P(R)[4] not closed under negation at 2",
+     {"ring": "Z/8", "element": 2}),
+    # every r(1 + r) made 0: P(R)[4] = {0}, so the class of 2 has order 4
+    ({(r, (r + 1) % 8): 0 for r in range(8)},
+     "AS class of 2 does not have order dividing 2", {"ring": "Z/8", "as_class": 2}),
+])
+def test_as_table_checks_name_their_witness_and_keep_nothing(wrong, message, witness,
+                                                             monkeypatch):
+    # over Z/8, R[4] = P(R)[4] = {0, 2, 4, 6}; with r(1 + r) corrupted
+    # after the kernel is built, the first AS check it breaks fails on
+    # every call and no AS tables are kept
+    ring = parse_ring("Z/8")
+    ring.kernel()
+    real = ring._mul
+    monkeypatch.setattr(ring, "_mul", lambda a, b: wrong.get((a, b), real(a, b)))
+    for call in (wp4_subgroup, as_group):
+        with pytest.raises(InternalCheckError) as info:
+            call(ring)
+        assert str(info.value) == message
+        assert info.value.witness == witness
+    assert "as" not in ring.kernel().derived
+
+
+def test_invariant_factors_refuse_an_order_that_is_not_a_power_of_two():
+    ring = parse_ring("Z/4")
+    group = as_group(ring)
+    assert group.invariant_factors() == [2]
+    group.classes.append(ring.one)
+    with pytest.raises(InternalCheckError) as info:
+        group.invariant_factors()
+    assert str(info.value) == "AS group order 3 is not a power of 2"
+    assert info.value.witness == {"ring": "Z/4", "order": 3}
+    assert as_group(ring).order == 2
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda r, x: four_torsion(r), "4-torsion needs a finite ring or Z"),
+    (lambda r, x: is_sec_element(r, x), "sec testing needs a finite ring or Z"),
+    (lambda r, x: is_sec_algebra(QuadraticAlgebra(r, x, x)),
+     "sec testing needs a finite ring or Z"),
+    (lambda r, x: is_discriminant(r, x), "discriminant testing needs a finite ring or Z"),
+    (lambda r, x: form_is_cancellative(Rank1Form(r, x)),
+     "cancellativity scan requires a finite ring"),
+    (lambda r, x: basis_change_group(r), "enumeration requires a finite ring"),
+    (lambda r, x: is_isomorphic(QuadraticAlgebra(r, x, x), QuadraticAlgebra(r, x, x)),
+     "isomorphism testing needs a finite ring or Z"),
+])
+def test_infinite_rings_other_than_z_are_refused(call, message):
+    # Z[t] is infinite and not Z: refused before anything is built or kept
+    from quadrings.identities import _POLYS
+    t = _POLYS.element(MultiPoly.variable("t"))
+    before = dict(vars(_POLYS))
+    with pytest.raises(InfiniteRingError) as info:
+        call(_POLYS, t)
+    assert str(info.value) == message
+    assert vars(_POLYS) == before

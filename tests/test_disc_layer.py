@@ -339,9 +339,9 @@ def test_checks_kept_once_still_run_on_a_fresh_instance(spec, wrong, call, messa
 
 
 def test_hand_built_disc_class_is_checked_once_tables_exist():
-    # with the ring's disc tables built, a pair they hold is found there,
-    # and any other pair is checked in full: a wrong or unreduced witness
-    # is still a ValueError, and a good witness of an orbit member passes
+    # with the ring's disc tables built, every hand-built pair is checked
+    # in full: a wrong or unreduced witness is still a ValueError, and a
+    # good witness of an orbit member passes
     z8, z5 = parse_ring("Z/8"), parse_ring("Z/5")
     disc_classes(z8), disc_classes(z5)
     one = z8.one
@@ -354,6 +354,30 @@ def test_hand_built_disc_class_is_checked_once_tables_exist():
     assert str(info.value) == "witness 3 is not reduced mod 2R"
     four = z5.element(4)
     assert DiscClass(z5, four, z5.zero).d == four
+
+
+@pytest.mark.parametrize("spec", ["Z/8", "Z/5", "Z/4[x]/(x^2+x+1)"])
+def test_disc_classes_check_no_witness_and_a_hand_built_class_checks_one(spec,
+                                                                         monkeypatch):
+    # the views build their classes from the kept tables with no witness
+    # check; DiscClass(...) checks its witness once, against one product
+    # for t^2, also for a pair the tables hold
+    import quadrings.discriminants as discriminants
+    ring = parse_ring(spec)
+    disc_classes(ring)
+    real, calls = discriminants._witness_problem, []
+
+    def counting(ring, d, t, tt):
+        calls.append((d, t, tt))
+        return real(ring, d, t, tt)
+
+    monkeypatch.setattr(discriminants, "_witness_problem", counting)
+    classes = disc_classes(ring).classes
+    assert calls == []
+    for c in classes:
+        calls.clear()
+        assert DiscClass(ring, c.d, c.witness_t) == c
+        assert calls == [(c.d.value, c.witness_t.value, (c.witness_t * c.witness_t).value)]
 
 
 def scramble(xs):

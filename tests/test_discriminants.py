@@ -294,3 +294,33 @@ def test_principal_ideal_products():
                 image_b = {b * x for x in ring.elements()}
                 image_ab = {a * b * x for x in ring.elements()}
                 assert {p * q for p in image_a for q in image_b} == image_ab
+
+
+def test_preimage_violations_are_reported(monkeypatch):
+    # over Z/8 the disc classes are 0, 1, 4 and 5, solved by 4n = t^2 - d
+    # with t = 0, 1, 0, 1; with the norm map cut to 4n = 0 -> [1], the
+    # classes 0 and 1 get the wrong n and 4 and 5 none, and the hom check
+    # lists both kinds, on every call, with the preimages that were found
+    ring = parse_ring("Z/8")
+    monkeypatch.setitem(vars(ring.kernel()), "norms", {0: [1]})
+    cl = classify(ring)
+    for _ in range(2):
+        report = disc_hom_check(ring, cl)
+        assert report.violations == [
+            "constructed algebra for 0 has wrong disc",
+            "constructed algebra for 1 has wrong disc",
+            "no algebra constructed for disc class 4",
+            "no algebra constructed for disc class 5"]
+        assert report.preimage_witnesses == {"0": "(0,1)", "1": "(1,1)"}
+        assert report.is_homomorphism and report.is_surjective
+
+
+def test_identity_class_off_the_identity_disc_class_is_reported(monkeypatch):
+    # with (1, 0) read as the class of (0, 0), the identity algebra class
+    # maps to disc 0, not to the identity disc class 1
+    ring = parse_ring("Z/4")
+    cl = classify(ring)
+    monkeypatch.setattr(cl, "index_of", lambda algebra: 0)
+    report = disc_hom_check(ring, cl)
+    assert not report.is_homomorphism
+    assert report.violations == ["identity class does not map to the identity disc class"]

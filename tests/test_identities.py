@@ -37,25 +37,6 @@ def test_poly_variable_pruning():
     assert p == t
 
 
-def test_poly_substitute_example():
-    t, u, tp, r = variables("t", "u", "t'", "r")
-    image = (t ** 2).substitute({"t": u * tp + 2 * r})
-    assert image == u ** 2 * tp ** 2 + 4 * u * tp * r + 4 * r ** 2
-
-
-def test_poly_substitute_self_reference():
-    t, n = variables("t", "n")
-    p = (t ** 2 + n).substitute({"t": t + 1})
-    assert p == t ** 2 + 2 * t + 1 + n
-
-
-def test_poly_evaluate():
-    t, n = variables("t", "n")
-    p = t ** 2 - 4 * n
-    assert p.evaluate({"t": 7, "n": 3}) == 37
-    assert MultiPoly.const(5).evaluate({}) == 5
-
-
 # S (x) T as the package's algebra over an algebra: S[y]/(y^2 - sy + m) over
 # S = Z[t, n, s, m][x]/(x^2 - tx + n).
 INNER, TENSOR = _tensor_model()

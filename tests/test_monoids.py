@@ -470,6 +470,8 @@ NON_CONGRUENCE_TABLES = {
     "no least idempotent": [[0, 1, 2], [1, 1, 0], [2, 0, 2]],
     "e does not commute": [[0, 1, 2], [1, 2, 0], [2, 2, 2]],
     "eM not associative": [[0, 1, 2], [1, 2, 0], [2, 0, 0]],
+    # e = 3 and eM = {2, 3}, but 2*2 = 0
+    "eM not closed": [[0, 1, 2, 3], [1, 3, 0, 3], [2, 0, 0, 2], [3, 3, 2, 3]],
     "x -> e*x not multiplicative": [[0, 1, 2, 3], [1, 1, 2, 1],
                                     [2, 2, 2, 3], [3, 1, 3, 2]],
     # the symmetric group S3: eM = M is a group, but not an abelian one
@@ -486,6 +488,7 @@ NON_CONGRUENCE_WITNESSES = {
     "no least idempotent": {"kind": "least idempotent", "indices": [0, 1, 2]},
     "e does not commute": {"kind": "centrality", "indices": [2, 1]},
     "eM not associative": {"kind": "eM associativity", "indices": [1, 1, 2]},
+    "eM not closed": {"kind": "eM closure", "indices": [2, 2]},
     "x -> e*x not multiplicative": {"kind": "multiplicativity", "indices": [1, 3]},
     "eM not commutative": {"kind": "eM commutativity", "indices": [1, 2]},
 }
@@ -500,6 +503,14 @@ def test_grothendieck_rejects_non_congruence_tables(name):
     with pytest.raises(MonoidError, match="not a congruence") as exc:
         grothendieck_group(m)
     assert exc.value.witness == NON_CONGRUENCE_WITNESSES[name]
+
+
+def test_grothendieck_names_the_pair_that_leaves_eM():
+    m = FiniteCommMonoid(["0", "1", "2", "3"], NON_CONGRUENCE_TABLES["eM not closed"], 0)
+    with pytest.raises(MonoidError) as exc:
+        grothendieck_group(m)
+    assert str(exc.value) == ("Grothendieck relation is not a congruence: "
+                              "eM closure fails at ('2', '2')")
 
 
 # Not a monoid; the pair-by-pair test happens to accept it (and returns the

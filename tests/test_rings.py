@@ -661,3 +661,30 @@ def test_enumeration_budget_boundary(monkeypatch):
         ModRing(17).elements()
     with pytest.raises(EnumerationLimitError):
         parse_ring("Z/3[x]/(x^3)").elements()
+
+
+def test_integer_inverse_of_unit():
+    # the units of Z are +-1, each its own inverse; any other integer, and
+    # an element of another ring, is refused
+    z = IntegerRing()
+    for v in (1, -1):
+        assert z.inverse_of_unit(z.element(v)) == z.element(v)
+    for v in (0, 2):
+        with pytest.raises(ValueError, match="is not a unit"):
+            z.inverse_of_unit(z.element(v))
+    with pytest.raises(MixedRingError):
+        z.inverse_of_unit(ModRing(5).element(1))
+
+
+def test_integer_sort_key_is_the_integer():
+    z = IntegerRing()
+    assert [z.sort_key(v) for v in (-3, 0, 7)] == [-3, 0, 7]
+    assert sorted([z.element(v) for v in (4, -2, 0)],
+                  key=lambda e: e.sort_key()) == [z.element(v) for v in (-2, 0, 4)]
+
+
+@pytest.mark.parametrize("build", [lambda: ModRing(0),
+                                   lambda: QuotientPolyRing(0, [1, 0, 1])])
+def test_modulus_zero_is_a_parse_error(build):
+    with pytest.raises(RingParseError, match="modulus must be >= 1, got 0"):
+        build()
