@@ -21,8 +21,9 @@ opened; or an --output file whose final write fails).
 This is the module `python -m quadrings` and the `quadrings` script run.
 Each command imports the layer modules it calls when it runs, so a process
 loads only the layers of its own command: classify and product need
-quadratic (and monoids), disc adds discriminants, fibers, sec and as-group
-add artin_schreier, and verify needs identities (and polynomials).
+quadratic, disc adds discriminants (and monoids), fibers, sec and as-group
+add artin_schreier, and verify needs identities (and polynomials).  The
+report imports json or csv only for the format it writes.
 `quadrings.cli` re-exports COMMANDS, UsageError and main and loads every
 layer up front.
 """
@@ -30,9 +31,7 @@ layer up front.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
 
@@ -88,10 +87,12 @@ def _render(fmt: str, payload, rows: list[dict]) -> str:
     key=value."""
     try:
         if fmt == "json":
+            import json
             return json.dumps(payload, sort_keys=True, indent=2) + "\n"
         if fmt == "text":
             return "".join(" ".join(v if isinstance(v, str) else f"{k}={v}"
                                     for k, v in row.items()) + "\n" for row in rows)
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(rows[0])
@@ -290,6 +291,7 @@ def main(argv=None) -> int:
     except (InternalCheckError, MonoidError) as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         if getattr(exc, "witness", None) is not None:
+            import json
             print(json.dumps(exc.witness, sort_keys=True), file=sys.stderr)
         return 1
     except (UsageError, RingParseError, InfiniteRingError, ValueError) as exc:

@@ -16,7 +16,7 @@ coefficients.  Only wp-closure, a law about r + r^2, is written out by hand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .polynomials import MultiPoly, variables
 from .quadratic import AlgebraElement, QuadraticAlgebra, star_product
@@ -91,12 +91,9 @@ def _terms(*elements) -> int:
     return total
 
 
-@dataclass
-class IdentityResult:
-    name: str
-    passed: bool
-    lhs_terms: int
-    rhs_terms: int
+# A namedtuple, not a dataclass, so that the verify command does not import
+# dataclasses (and with it inspect) at start-up.
+IdentityResult = namedtuple("IdentityResult", "name passed lhs_terms rhs_terms")
 
 
 def _check_disc_multiplicativity() -> IdentityResult:

@@ -245,6 +245,12 @@ def _minimal_ideal(m: FiniteCommMonoid):
                 raise _not_a_congruence(m, "eM associativity", [a, b, c])
             if ab == e:
                 inverse.setdefault(a, b)
+        # Not reached once the checks above pass for a; kept as a guard.
+        # Closure and the associativity of (a, b, c) for b, c in eM keep the
+        # powers of a in eM with a^i * a^j = a^(i+j), and c = e with
+        # centrality gives e * a^i = a^i.  Some power a^k is idempotent, so
+        # the least-idempotent check gives e * a^k = e: a^k = e, and
+        # a^(k-1) (e when k = 1) is an inverse of a in eM.
         if a not in inverse:
             raise _not_a_congruence(m, "eM inverses", [a])
     for x in range(n if len(group) > 1 else 0):    # else e(xy) = e = (ex)(ey)

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 
 from .errors import InfiniteRingError, InternalCheckError, MixedRingError
-from .monoids import FiniteCommMonoid, find_absorbing, require_valid_monoid
 from .rings import IntegerRing, Ring, RingElement, _walk_cosets, require_enumerable
 
 
@@ -655,6 +654,7 @@ def quad_monoid(ring: Ring, classification: Classification) -> FiniteCommMonoid:
     returned, and the class of (0, 0) is checked to be absorbing.  A
     classification built for another ring raises ValueError.
     """
+    from .monoids import FiniteCommMonoid, find_absorbing, require_valid_monoid
     require_ring(ring, classification)
     labels = classification.labels()
     table = classification.star_table()

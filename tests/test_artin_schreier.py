@@ -701,8 +701,8 @@ def test_multiple_rows_are_built_once_per_kernel(spec):
 @pytest.mark.parametrize("spec", ["Z/960", "Z/5[x]/(x^2+2)", "Z/3[x]/(x^3)"])
 def test_fiber_reports_keep_no_add_row_of_minus_d(spec):
     # the reports keep only add rows of 4-torsion codes, the shifts d'm and
-    # the generators of dR[4]: t^2 - d is a code sum, so the row of -d is
-    # never built
+    # the generators of dR[4]: the trace count compares coset
+    # representatives mod 4R, so the row of -d is never built
     ring = parse_ring(spec)
     cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
     kernel = ring.kernel()

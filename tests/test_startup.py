@@ -42,18 +42,19 @@ EXPORTS = [
     "parse_ring",
 ]
 
-# `python -m quadrings ARGV`, as the -m switch runs it, then the loaded
-# quadrings modules as one JSON line on stderr.
+# `python -m quadrings ARGV`, as the -m switch runs it, then the exit code
+# and the modules the run added to sys.modules as one JSON line on stderr.
 RUN_MAIN = """
-import json, runpy, sys
+import runpy, sys
+before = set(sys.modules)
 sys.argv = ["quadrings"] + sys.argv[1:]
 try:
     runpy.run_module("quadrings", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.split(".")[0] == "quadrings")]),
-      file=sys.stderr)
+added = sorted(set(sys.modules) - before)
+import json
+print(json.dumps([code, added]), file=sys.stderr)
 """
 
 
@@ -68,32 +69,58 @@ def python(*args):
                           text=True, env=env(), cwd=ROOT, timeout=60)
 
 
-def loaded_by(*argv):
+def added_by(*argv):
     proc = python("-c", RUN_MAIN, *argv)
     code, modules = json.loads(proc.stderr.splitlines()[-1])
-    return code, {m.removeprefix("quadrings.") for m in modules}
+    return code, set(modules)
+
+
+def loaded_by(*argv):
+    code, modules = added_by(*argv)
+    return code, {m.removeprefix("quadrings.") for m in modules
+                  if m.split(".")[0] == "quadrings"}
 
 
 LAYERS = {"errors", "rings", "quadratic", "monoids", "discriminants",
           "artin_schreier", "polynomials", "identities"}
 
 
-BASE = {"quadrings", "errors", "rings", "quadratic", "monoids"}
+BASE = {"quadrings", "errors", "rings", "quadratic"}
+DISC = BASE | {"monoids", "discriminants"}
 
 
 @pytest.mark.parametrize("argv, code, loaded", [
     (["classify", "--ring", "Z/8"], 0, BASE),
     (["product", "--ring", "Z", "--s", "0,-2", "--t", "0,-3"], 0, BASE),
     (["classify", "--ring", "Z"], 2, BASE),
-    (["disc", "--ring", "Z/12"], 0, BASE | {"discriminants"}),
-    (["fibers", "--ring", "Z/4"], 0, BASE | {"discriminants", "artin_schreier"}),
-    (["sec", "--ring", "Z/4"], 0, BASE | {"discriminants", "artin_schreier"}),
-    (["as-group", "--ring", "Z/4"], 0, BASE | {"discriminants", "artin_schreier"}),
+    (["disc", "--ring", "Z/12"], 0, DISC),
+    (["fibers", "--ring", "Z/4"], 0, DISC | {"artin_schreier"}),
+    (["sec", "--ring", "Z/4"], 0, DISC | {"artin_schreier"}),
+    (["as-group", "--ring", "Z/4"], 0, DISC | {"artin_schreier"}),
     (["verify"], 0, BASE | {"polynomials", "identities"}),
     (["verify", "--identity", "nope"], 2, {"quadrings", "errors", "rings"}),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_each_command_loads_only_its_layers(argv, code, loaded):
     assert loaded_by(*argv) == (code, loaded)
+
+
+@pytest.mark.parametrize("argv, code, formats", [
+    (["classify", "--ring", "Z/8"], 0, {"json"}),
+    (["classify", "--ring", "Z/8", "--format", "csv"], 0, {"csv"}),
+    (["product", "--ring", "Z", "--s", "0,-2", "--t", "0,-3"], 0, {"json"}),
+    (["classify", "--ring", "Z"], 2, set()),
+    (["verify"], 0, set()),
+    (["verify", "--format", "csv"], 0, {"csv"}),
+    (["verify", "--format", "json"], 0, {"json"}),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_light_commands_import_no_dataclasses_and_one_format(argv, code, formats):
+    # classify, product and verify build no dataclass, so they import
+    # neither dataclasses nor the inspect it loads, and the report imports
+    # the module of its own format only
+    got, added = added_by(*argv)
+    assert got == code
+    assert not added & {"dataclasses", "inspect"}
+    assert added & {"json", "csv"} == formats
 
 
 def test_cli_module_loads_every_traced_layer():
