@@ -38,7 +38,7 @@ form is equivalent to its value being a nonzerodivisor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InfiniteRingError, InternalCheckError
 from .monoids import FiniteCommMonoid
@@ -327,7 +327,7 @@ class DiscHomReport:
     fiber_sizes: dict[str, int]
     fibers: dict[str, list[str]]
     preimage_witnesses: dict[str, str]
-    violations: list[str] = field(default_factory=list)
+    violations: list[str]
 
 
 def disc_hom_check(ring: Ring, classification: Classification) -> DiscHomReport:

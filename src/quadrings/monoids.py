@@ -11,6 +11,7 @@ with an absorbing element, in O(n) beyond the search for e.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import MonoidError
@@ -83,8 +84,9 @@ def find_monoid_violation(m: FiniteCommMonoid):
     that row xy is row y mapped through row x.  For n <= 256 the rows are
     bytes, and all of x's rows are compared at once, the rows xy laid end to
     end against the whole table translated through row x; the first
-    differing byte k gives (y, z) = divmod(k, n).  Either way the witness is
-    the first (x, y, z) in lexicographic order.
+    differing byte k gives (y, z) = divmod(k, n).  Above 256 each row y is an
+    itemgetter, which maps row x through it as one tuple.  Either way the
+    witness is the first (x, y, z) in lexicographic order.
     """
     n = m.size
     t = m.table
@@ -106,11 +108,13 @@ def find_monoid_violation(m: FiniteCommMonoid):
                 k = next(k for k in range(n * n) if left[k] != right[k])
                 return ("associativity", (x, *divmod(k, n)))
         return None
+    rows = [tuple(row) for row in t]
+    gets = [operator.itemgetter(*row) for row in t]
     for x in range(n):
         row_x = t[x]
         for y in range(n):
-            row_xy = t[row_x[y]]
-            mapped = [row_x[c] for c in t[y]]
+            row_xy = rows[row_x[y]]
+            mapped = gets[y](row_x)
             if row_xy != mapped:
                 z = next(z for z in range(n) if row_xy[z] != mapped[z])
                 return ("associativity", (x, y, z))

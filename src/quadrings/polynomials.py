@@ -1,14 +1,17 @@
 """Exact multivariate polynomials over the integers.
 
-A polynomial is a map from exponent vectors to nonzero arbitrary-precision
-integer coefficients, over an alphabetically sorted variable tuple.  The
-canonical form stores no zero coefficients and no unused variables, so
-structural equality is mathematical equality.  Coefficients go through
-operator.index, so a float or a Fraction is a TypeError, never truncated.
-Representation is dense in variables and sparse in terms; everything in
-this package stays below a handful of variables and single-digit degrees.
-The verifier needs only the ring operations, equality and term counts; a
-substitution such as w -> w + 2n is written as arithmetic on w + 2n.
+A polynomial is a map from monomials to nonzero arbitrary-precision integer
+coefficients.  A monomial is the tuple of its (name, power) pairs in name
+order, every power nonzero, so the constant monomial is ().  The canonical
+form stores no zero coefficients, so structural equality is mathematical
+equality; the variables are read off the monomials, sorted, and a variable
+whose terms cancel is gone with them.  A sum merges two dicts and a product
+merges monomials pair by pair, so no variable order is shared or realigned.
+Coefficients go through operator.index, so a float or a Fraction is a
+TypeError, never truncated.  Everything in this package stays below a
+handful of variables and single-digit degrees.  The verifier needs only the
+ring operations, equality and term counts; a substitution such as
+w -> w + 2n is written as arithmetic on w + 2n.
 """
 
 from __future__ import annotations
@@ -17,25 +20,47 @@ import operator
 
 
 class MultiPoly:
-    """Integer-coefficient polynomial in named variables, immutable."""
+    """Integer-coefficient polynomial in named variables, immutable.
 
-    __slots__ = ("vars", "terms")
+    MultiPoly(variables, terms) reads terms keyed by exponent tuples, one
+    power per name in variables; a name given twice adds its powers.
+    """
+
+    __slots__ = ("terms",)
 
     def __init__(self, variables=(), terms=None):
-        vars_tuple, terms_dict = _normalize(tuple(variables), dict(terms or {}))
-        object.__setattr__(self, "vars", vars_tuple)
-        object.__setattr__(self, "terms", terms_dict)
+        variables = tuple(variables)
+        merged: dict = {}
+        for exp, coeff in dict(terms or {}).items():
+            exp = tuple(exp)
+            if len(exp) != len(variables):
+                raise ValueError("exponent length does not match variable count")
+            mono = _times((), zip(variables, exp))
+            merged[mono] = merged.get(mono, 0) + operator.index(coeff)
+        object.__setattr__(self, "terms", {m: c for m, c in merged.items() if c})
+
+    @classmethod
+    def _of(cls, terms: dict) -> MultiPoly:
+        """A polynomial over terms already in canonical form, not checked again."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("polynomials are immutable")
 
+    @property
+    def vars(self) -> tuple:
+        return tuple(sorted({name for mono in self.terms for name, _ in mono}))
+
     @classmethod
     def variable(cls, name: str) -> MultiPoly:
-        return cls((name,), {(1,): 1})
+        return cls._of({((name, 1),): 1})
 
     @classmethod
     def const(cls, c: int) -> MultiPoly:
-        return cls((), {(): c})
+        c = operator.index(c)
+        return cls._of({(): c} if c else {})
 
     @classmethod
     def coerce(cls, value) -> MultiPoly:
@@ -49,31 +74,27 @@ class MultiPoly:
     def term_count(self) -> int:
         return len(self.terms)
 
-    def _aligned(self, other: MultiPoly):
-        if self.vars == other.vars:
-            return self.vars, self.terms, other.terms
-        union = tuple(sorted(set(self.vars) | set(other.vars)))
-        return union, _embed(self, union), _embed(other, union)
-
     def __add__(self, other):
         if not isinstance(other, (int, MultiPoly)):
             return NotImplemented
-        other = MultiPoly.coerce(other)
-        union, left, right = self._aligned(other)
-        terms = dict(left)
-        for exp, c in right.items():
-            terms[exp] = terms.get(exp, 0) + c
-        return MultiPoly(union, terms)
+        terms = dict(self.terms)
+        for mono, c in MultiPoly.coerce(other).terms.items():
+            c += terms.get(mono, 0)
+            if c:
+                terms[mono] = c
+            else:
+                del terms[mono]
+        return MultiPoly._of(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, (int, MultiPoly)):
             return NotImplemented
-        return self + (-MultiPoly.coerce(other))
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
@@ -81,14 +102,13 @@ class MultiPoly:
     def __mul__(self, other):
         if not isinstance(other, (int, MultiPoly)):
             return NotImplemented
-        other = MultiPoly.coerce(other)
-        union, left, right = self._aligned(other)
+        right = MultiPoly.coerce(other).terms
         terms: dict = {}
-        for e1, c1 in left.items():
-            for e2, c2 in right.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                terms[exp] = terms.get(exp, 0) + c1 * c2
-        return MultiPoly(union, terms)
+        for m1, c1 in self.terms.items():
+            for m2, c2 in right.items():
+                mono = _times(m1, m2)
+                terms[mono] = terms.get(mono, 0) + c1 * c2
+        return MultiPoly._of({m: c for m, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -105,69 +125,37 @@ class MultiPoly:
             other = MultiPoly.const(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exp in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
-            coeff = self.terms[exp]
-            factors = []
-            for name, power in zip(self.vars, exp):
-                if power == 1:
-                    factors.append(name)
-                elif power > 1:
-                    factors.append(f"{name}^{power}")
-            body = "*".join(factors)
-            if not body:
-                piece = str(abs(coeff))
-            elif abs(coeff) == 1:
-                piece = body
-            else:
-                piece = f"{abs(coeff)}*{body}"
-            parts.append(("-" if coeff < 0 else "+", piece))
-        sign, first = parts[0]
-        out = ("-" if sign == "-" else "") + first
-        for sign, piece in parts[1:]:
-            out += sign + piece
-        return out
+        names = self.vars
+        out = ""
+        for mono in sorted(self.terms, reverse=True, key=lambda m: (
+                sum(p for _, p in m), tuple(dict(m).get(v, 0) for v in names))):
+            coeff = self.terms[mono]
+            factors = [name if power == 1 else f"{name}^{power}"
+                       for name, power in mono if power > 0]
+            if abs(coeff) != 1 or not factors:
+                factors.insert(0, str(abs(coeff)))
+            out += ("-" if coeff < 0 else "+") + "*".join(factors)
+        return out.removeprefix("+") or "0"
 
     def __repr__(self):
         return f"MultiPoly({self})"
 
 
-def _normalize(variables: tuple, terms: dict):
-    clean = {}
-    for exp, coeff in terms.items():
-        exp = tuple(exp)
-        if len(exp) != len(variables):
-            raise ValueError("exponent length does not match variable count")
-        clean[exp] = clean.get(exp, 0) + operator.index(coeff)
-    clean = {e: c for e, c in clean.items() if c}
-    if not clean:
-        return (), {}
-    # Sort variables and drop the ones with all-zero exponents.
-    used = [i for i in range(len(variables))
-            if any(e[i] for e in clean)]
-    order = sorted(used, key=lambda i: variables[i])
-    new_vars = tuple(variables[i] for i in order)
-    new_terms = {tuple(e[i] for i in order): c for e, c in clean.items()}
-    return new_vars, new_terms
-
-
-def _embed(poly: MultiPoly, union: tuple) -> dict:
-    pos = {name: i for i, name in enumerate(union)}
-    out = {}
-    for exp, coeff in poly.terms.items():
-        new_exp = [0] * len(union)
-        for name, power in zip(poly.vars, exp):
-            new_exp[pos[name]] = power
-        out[tuple(new_exp)] = coeff
-    return out
+def _times(m1, m2) -> tuple:
+    """The product of two monomials, their powers added name by name.  m2 may
+    be any (name, power) pairs, which come out sorted, summed and pruned."""
+    if not m2:
+        return m1
+    powers = dict(m1)
+    for name, power in m2:
+        powers[name] = powers.get(name, 0) + power
+    return tuple(sorted(item for item in powers.items() if item[1]))
 
 
 def variables(*names: str) -> list[MultiPoly]:

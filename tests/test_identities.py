@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -35,6 +36,80 @@ def test_poly_variable_pruning():
     p = t + n - n
     assert p.vars == ("t",)
     assert p == t
+    s, m = variables("s", "m")
+    q = t * n + s * m
+    assert q.vars == ("m", "n", "s", "t")
+    assert (q - s * m).vars == ("n", "t")
+    assert (t + 1) * (t - 1) - t ** 2 == -1
+    assert ((t + 1) * (t - 1) - t ** 2).vars == ()
+    assert (q - q).vars == () and (q * 0).is_zero()
+
+
+POLY_NAMES = ("t", "n", "s", "m")
+
+
+def random_spec(rng):
+    """Up to four of t, n, s, m in a shuffled order, and dense terms over them."""
+    names = rng.sample(POLY_NAMES, rng.randint(0, 4))
+    return names, {tuple(rng.randint(0, 3) for _ in names): rng.randint(-5, 5)
+                   for _ in range(rng.randint(0, 5))}
+
+
+def spec_value(names, terms, point):
+    """The value at point of the polynomial the constructor is given."""
+    return sum(c * prod(point[v] ** e for v, e in zip(names, exp))
+               for exp, c in terms.items())
+
+
+def poly_value(p, point):
+    """The value of p at point, read off its monomials, each checked canonical:
+    names strictly increasing, every power and coefficient nonzero."""
+    assert all(c and [v for v, _ in mono] == sorted({v for v, _ in mono})
+               and all(e for _, e in mono) for mono, c in p.terms.items())
+    return sum(c * prod(point[v] ** e for v, e in mono) for mono, c in p.terms.items())
+
+
+def test_poly_arithmetic_matches_integer_evaluation():
+    rng = random.Random(33)
+    for _ in range(300):
+        (na, ta), (nb, tb) = random_spec(rng), random_spec(rng)
+        a, b = MultiPoly(na, ta), MultiPoly(nb, tb)
+        k, c = rng.randint(0, 3), rng.randint(-4, 4)
+        for _ in range(3):
+            point = {v: rng.randint(-50, 50) for v in POLY_NAMES}
+            x, y = spec_value(na, ta, point), spec_value(nb, tb, point)
+            assert poly_value(a + b, point) == x + y
+            assert poly_value(a - b, point) == x - y
+            assert poly_value(a * b, point) == x * y
+            assert poly_value(a ** k, point) == x ** k
+            assert poly_value(c - a * c, point) == c - x * c
+            assert poly_value(-a + c, point) == c - x
+
+
+def test_poly_equality_and_hash_ignore_build_order():
+    rng = random.Random(34)
+    for _ in range(200):
+        names, terms = random_spec(rng)
+        order = rng.sample(range(len(names)), len(names))
+        p = MultiPoly(names, terms)
+        shuffled = MultiPoly([names[i] for i in order],
+                             {tuple(exp[i] for i in order): c for exp, c in terms.items()})
+        assert p == shuffled and hash(p) == hash(shuffled)
+        q = MultiPoly(*random_spec(rng))
+        assert p + q == q + p and hash(p + q) == hash(q + p)
+        assert p * q == q * p and hash(p * q) == hash(q * p)
+        assert (p + q) - q == p and hash((p + q) - q) == hash(p)
+
+
+def test_poly_repeated_name_adds_its_powers():
+    t, n = variables("t", "n")
+    p = MultiPoly(("t", "n", "t"), {(1, 1, 2): 3, (0, 0, 1): -1, (1, 0, 0): 1})
+    assert p == 3 * t ** 3 * n and hash(p) == hash(3 * t ** 3 * n)
+    assert p.vars == ("n", "t")
+    assert MultiPoly(("t", "t"), {(1, 0): 2, (0, 1): -2}).is_zero()
+    with pytest.raises(ValueError):
+        MultiPoly(("t", "t"), {(1,): 1})
+
 
 
 # S (x) T as the package's algebra over an algebra: S[y]/(y^2 - sy + m) over
@@ -110,6 +185,18 @@ def test_all_identities_pass():
     for r in results:
         assert r.passed, r.name
     assert [r.name for r in results] == IDENTITY_NAMES
+
+
+def test_verify_all_term_counts():
+    assert [tuple(r) for r in verify_all()] == [
+        ("disc-multiplicativity", True, 4, 4),
+        ("star-associativity", True, 8, 8),
+        ("change-of-basis-functoriality", True, 13, 13),
+        ("fixed-element-z-squared", True, 7, 7),
+        ("wp-closure", True, 8, 8),
+        ("as-action-norm", True, 3, 3),
+        ("square-product", True, 6, 6),
+    ]
 
 
 def failing_identities():

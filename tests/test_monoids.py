@@ -185,7 +185,7 @@ def test_byte_rows_match_row_loop(m):
                              f"{tuple(m.labels[i] for i in want[1])}")
 
 
-@pytest.mark.parametrize("n", [200, 256, 257])
+@pytest.mark.parametrize("n", [200, 256, 257, 300])
 def test_associativity_witness_on_both_sides_of_256(n):
     # n <= 256 compares byte rows, n > 256 loops over rows; at 256 the
     # translation table is row x itself, with no padding.
