@@ -17,10 +17,12 @@ w -> w + 2n is written as arithmetic on w + 2n.
 from __future__ import annotations
 
 import operator
+from types import MappingProxyType
 
 
 class MultiPoly:
-    """Integer-coefficient polynomial in named variables, immutable.
+    """Integer-coefficient polynomial in named variables, immutable: terms
+    is a read-only view (types.MappingProxyType) of the monomial map.
 
     MultiPoly(variables, terms) reads terms keyed by exponent tuples, one
     power per name in variables; a name given twice adds its powers.
@@ -37,13 +39,15 @@ class MultiPoly:
                 raise ValueError("exponent length does not match variable count")
             mono = _times((), zip(variables, exp))
             merged[mono] = merged.get(mono, 0) + operator.index(coeff)
-        object.__setattr__(self, "terms", {m: c for m, c in merged.items() if c})
+        object.__setattr__(self, "terms",
+                           MappingProxyType({m: c for m, c in merged.items() if c}))
 
     @classmethod
     def _of(cls, terms: dict) -> MultiPoly:
-        """A polynomial over terms already in canonical form, not checked again."""
+        """A polynomial over terms already in canonical form, not checked
+        again; it keeps a read-only view of terms, which no caller holds."""
         poly = object.__new__(cls)
-        object.__setattr__(poly, "terms", terms)
+        object.__setattr__(poly, "terms", MappingProxyType(terms))
         return poly
 
     def __setattr__(self, name, value):

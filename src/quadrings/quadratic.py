@@ -259,35 +259,39 @@ def basis_change_group(ring: Ring) -> list[BasisChange]:
 def is_isomorphic(s: QuadraticAlgebra, t: QuadraticAlgebra):
     """A BasisChange g with apply_basis_change(s, g) = t, or None.
 
-    The trace fixes r up to the unit: u(t + 2r) = t' forces 2r = u^-1 t' - t.
-    Over a finite ring only those r are tried, for each unit in order, so
-    the witness is the first one in basis_change_group order and only the
-    norm u^2(n + tr + r^2) = n' is left to test.  The loop runs on canonical
-    values: each unit costs one product for u^-1 t', with u^-1 from the
-    ring's value-level inverse, and u^2 and the norm n + (t + r)r are taken
-    only for the r that solve the trace equation.  Elements are built for
-    the witness alone.  Over Z, u is +/-1 and r is the one solution of that
-    equation, if any.
+    A basis change x -> u(x + r) multiplies the discriminant by u^2, and the
+    trace fixes r up to the unit: u(t + 2r) = t' forces 2r = u^-1 t' - t.
+    Over a finite ring the values u are walked in canonical order, and one
+    is kept only if u^2 disc(s) = disc(t) (two products, or u^2 alone when
+    disc(s) is a unit), then only if it is a unit (ring._inverse, which
+    builds no table); for it the solutions r of the trace equation
+    (ring._halves, in canonical order) are tried, and only the norm
+    u^2(n + tr + r^2) = n' is left to test.  Every witness meets the first
+    two conditions, so the one returned is the first in basis_change_group
+    order.  The loop runs on canonical values, and elements are built for
+    the witness alone.  Over Z, u is +/-1 and r is the one solution of the
+    trace equation, if any.
     """
     if s.ring is not t.ring and s.ring != t.ring:
         raise MixedRingError("isomorphism testing requires a common ring")
     ring = s.ring
     if ring.is_finite:
-        mul, add, inverse = ring._mul, ring._add, ring._inverse
-        halves: dict = {}
-        for r in ring._values():
-            halves.setdefault(add(r, r), []).append(r)
+        mul, add, inverse, halves = ring._mul, ring._add, ring._inverse, ring._halves
         tv, nv, t2, n2 = s.t.value, s.n.value, t.t.value, t.n.value
-        minus_t = ring._neg(tv)
-        for u in ring._unit_values():
-            solutions = halves.get(add(mul(inverse(u), t2), minus_t))
-            if solutions:
-                uu = mul(u, u)
-                for r in solutions:
-                    # The norm of apply_basis_change(s, BasisChange(u, r)).
-                    if mul(uu, add(nv, mul(add(tv, r), r))) == n2:
-                        return BasisChange(RingElement(ring, u),
-                                           RingElement(ring, r))
+        disc_s, disc_t, minus_t = s.disc().value, t.disc().value, ring._neg(tv)
+        w = inverse(disc_s)    # then u^2 disc(s) = disc(t) iff u^2 = disc(t) w
+        target = disc_t if w is None else mul(disc_t, w)
+        for u in ring._values():
+            uu = mul(u, u)
+            if (uu if w is not None else mul(uu, disc_s)) != target:
+                continue
+            v = inverse(u)
+            if v is None:
+                continue
+            for r in halves(add(mul(v, t2), minus_t)):
+                # The norm of apply_basis_change(s, BasisChange(u, r)).
+                if mul(uu, add(nv, mul(add(tv, r), r))) == n2:
+                    return BasisChange(RingElement(ring, u), RingElement(ring, r))
         return None
     if isinstance(ring, IntegerRing):
         tv, nv = s.t.value, s.n.value

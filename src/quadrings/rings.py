@@ -20,17 +20,21 @@ which keeps the exactness check (TypeError on non-integers) and raises
 MixedRingError for another ring.  canonicalize takes an int, and a list of
 d coefficients, reduced mod n alone.  (Z/n)[x]/(f) reduces a product's
 convolution, and any longer coefficient list, by synthetic division by the
-monic f (unrolled for d = 2); a product with a constant operand scales the
-other's coefficients instead.  A parse builds no table, so one cold query
-costs the parse and its ring operations: a star product seven products,
-an AS action four (two of them by 4), a discriminant test one product per
-residue mod 2R up to the first witness.
-An isomorphism test over a finite ring costs |R| additions and one product
-per unit, plus u^2 for a unit whose trace equation has a solution and two
-products per solution, after the unit table of a quotient ring (at most
-2|R| products).  Nothing is cached on a ring but canonical values, so a
-ring holds no element and no reference to itself, and a pickle or copy of
-it leaves its caches behind.
+monic f, unrolled for d = 2 and d = 3 (sums and differences too for
+d = 2); at other degrees a product with a constant operand scales the
+other's coefficients, and any other product is one product of packed ints.
+A parse builds no table, so one cold query costs the parse and its ring
+operations: a star product seven products, an AS action four (two of them
+by 4), a discriminant test one product per residue mod 2R up to the first
+witness.  A quotient ring answers is_unit and inverses by the norm
+det(x -> a x) over Z/n, in closed form for d = 2 and d = 3, and lists its
+units through a unit table (at most 2|R| products) that it then reads.
+An isomorphism test over a finite ring costs a product or two per element,
+for u^2 disc(s) = disc(t), and for each u that passes and is a unit one
+inverse, one product, and two products per solution of its trace
+equation.  Nothing is cached on a ring but canonical values, so a ring
+holds no element and no reference to itself, and a pickle or copy of it
+leaves its caches behind.
 
 Each finite ring instance has one Kernel, built on first use by
 ring.kernel(): its elements as int codes, the value -> code map, the codes
@@ -120,7 +124,7 @@ class Ring:
         return self._add(a, self._neg(b))
 
     def _inverse(self, a):
-        """The inverse of the canonical value a of a unit."""
+        """The inverse of the canonical value a, or None unless a is a unit."""
         raise NotImplementedError
 
     def sort_key(self, value):
@@ -157,7 +161,8 @@ class Ring:
         return self._kernel
 
     # Units, inverses and ideals.  Each concrete ring answers these from its
-    # own structure in closed form, with one exception:
+    # own structure in closed form (for units of a quotient ring, its norm),
+    # with one exception:
     # QuotientPolyRing.in_principal_ideal lists the multiples of a non-unit
     # t, a scan of the ring per call.  Nothing in the package calls it.
 
@@ -176,9 +181,11 @@ class Ring:
 
     def inverse_of_unit(self, a: RingElement) -> RingElement:
         """a^-1, from _inverse; ValueError unless a is a unit."""
-        if not self.is_unit(a):
+        self._check_mine(a)
+        inverse = self._inverse(a.value)
+        if inverse is None:
             raise ValueError(f"{a!r} is not a unit")
-        return RingElement(self, self._inverse(a.value))
+        return RingElement(self, inverse)
 
     def is_nonzerodivisor(self, a: RingElement) -> bool:
         """True iff a*b = 0 forces b = 0.
@@ -200,6 +207,12 @@ class Ring:
 
     def _coset_rep(self, a, k: int):
         """coset_representative on canonical values."""
+        raise NotImplementedError
+
+    def _halves(self, y) -> list:
+        """The canonical values r with 2r = y, in canonical order (finite
+        rings): coefficient by coefficient, y (n + 1)/2 for odd n; for even
+        n each coefficient c must be even, and gives c/2 and c/2 + n/2."""
         raise NotImplementedError
 
     def _check_mine(self, a: RingElement) -> None:
@@ -310,7 +323,7 @@ class ModRing(Ring):
         return (a - b) % self.n
 
     def _inverse(self, a):
-        return pow(a, -1, self.n)
+        return pow(a, -1, self.n) if math.gcd(a, self.n) == 1 else None
 
     def sort_key(self, value):
         return value
@@ -349,6 +362,12 @@ class ModRing(Ring):
     def _coset_rep(self, a, k: int):
         """Least member of a + kR: a mod gcd(k, n), since kR = gcd(k, n)R."""
         return a % math.gcd(k, self.n)
+
+    def _halves(self, y) -> list:
+        n = self.n
+        if n % 2:
+            return [y * (n + 1) // 2 % n]
+        return [] if y % 2 else [y // 2, y // 2 + n // 2]
 
     def spec_string(self) -> str:
         return f"Z/{self.n}"
@@ -401,6 +420,10 @@ class QuotientPolyRing(Ring):
         if isinstance(value, (list, tuple)):
             if len(value) == self.degree:
                 n = self.n
+                if self.degree == 2:    # unrolled: a pair of ints skips _exact
+                    c0, c1 = value
+                    if type(c0) is int and type(c1) is int:
+                        return c0 % n, c1 % n
                 return tuple([_exact(c) % n for c in value])
             return self._reduce([_exact(c) for c in value])
         return self._reduce([_exact(value)])
@@ -422,32 +445,54 @@ class QuotientPolyRing(Ring):
 
     def _add(self, a, b):
         n = self.n
+        if self.degree == 2:    # unrolled
+            return (a[0] + b[0]) % n, (a[1] + b[1]) % n
         return tuple([(x + y) % n for x, y in zip(a, b)])
 
     def _sub(self, a, b):
         n = self.n
+        if self.degree == 2:    # unrolled
+            return (a[0] - b[0]) % n, (a[1] - b[1]) % n
         return tuple([(x - y) % n for x, y in zip(a, b)])
 
     def _mul(self, a, b):
-        """The convolution of a and b, reduced by _reduce; a constant
-        operand (the 4 of t^2 - 4n, say) scales the other's coefficients."""
+        """The product of canonical values: the convolution of a and b
+        reduced mod f, unrolled for d = 2 and d = 3 (one and two division
+        steps).  Otherwise a constant operand scales the other's
+        coefficients, and two others are multiplied as packed ints
+        (Kronecker substitution): coefficients w bits apart, with 2^w above
+        2d n^2 and so above any coefficient that the convolution or the
+        division reaches, so one int product convolves, and each division
+        step takes the top coefficient off and adds it times x^d mod f,
+        packed the same way, shifted into place."""
         d, n, x_d = self.degree, self.n, self._x_d
-        if d == 2:    # the same, unrolled: one division step
+        if d == 2:
             (a0, a1), (b0, b1), (f0, f1) = a, b, x_d
             top = a1 * b1 % n
             return (a0 * b0 + top * f0) % n, (a0 * b1 + a1 * b0 + top * f1) % n
+        if d == 3:
+            (a0, a1, a2), (b0, b1, b2), (f0, f1, f2) = a, b, x_d
+            c4 = a2 * b2 % n
+            c3 = (a1 * b2 + a2 * b1 + c4 * f2) % n
+            return ((a0 * b0 + c3 * f0) % n,
+                    (a0 * b1 + a1 * b0 + c4 * f0 + c3 * f1) % n,
+                    (a0 * b2 + a1 * b1 + a2 * b0 + c4 * f1 + c3 * f2) % n)
         pad = self._pad
         if a[1:] == pad:
             a, b = b, a
         if b[1:] == pad:
             c = b[0]
             return tuple([x * c % n for x in a])
-        conv = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    conv[j] += x * y
-        return self._reduce(conv)
+        w = (2 * d * n * n).bit_length()
+        c, x = _pack(a, w) * _pack(b, w), _pack(x_d, w)
+        for k in range(d - 2, -1, -1):
+            shift = w * (k + d)
+            c = (c & ((1 << shift) - 1)) + ((c >> shift) % n * x << w * k)
+        mask, product = (1 << w) - 1, []
+        for _ in range(d):
+            product.append((c & mask) % n)
+            c >>= w
+        return tuple(product)
 
     def _neg(self, a):
         n = self.n
@@ -508,12 +553,55 @@ class QuotientPolyRing(Ring):
         return self._inverses
 
     def is_unit(self, a: RingElement) -> bool:
-        """A lookup in the unit table of this ring instance."""
+        """A lookup in the unit table once this instance holds it, else
+        whether _inverse finds an inverse by the norm, building no table."""
         self._check_mine(a)
-        return a.value in self._inverse_table()
+        inverses = self._inverses
+        if inverses is not None:
+            return a.value in inverses
+        return self._inverse(a.value) is not None
 
     def _inverse(self, a):
-        return self._inverse_table()[a]
+        """The inverse of the canonical value a, or None unless a is a unit.
+
+        An instance that holds its unit table reads it.  Otherwise the norm
+        N(a), the determinant of x -> a x over Z/n, decides: a is a unit iff
+        gcd(N(a), n) = 1, and then a^-1 = adj / N(a), where adj, the first
+        column of the adjugate, has a * adj = N(a).  For d = 2, with
+        x^2 = f0 + f1 x, N(a) = a0 (a0 + f1 a1) - f0 a1^2 and
+        adj = (a0 + f1 a1) - a1 x; d = 3 is in closed form too, and other
+        degrees take exact elimination over Z (_norm_solve).  Past degree
+        101 that elimination would take more than MAX_ENUMERATION steps, and
+        the table answers, which refuses a ring that large.
+        """
+        inverses, d = self._inverses, self.degree
+        if inverses is not None:
+            return inverses.get(a)
+        if d ** 3 > MAX_ENUMERATION:
+            return self._inverse_table().get(a)
+        n, x_d = self.n, self._x_d
+        if d == 2:
+            (a0, a1), (f0, f1) = a, x_d
+            adj = (a0 + f1 * a1, -a1)
+            norm = a0 * adj[0] - f0 * a1 * a1
+        elif d == 3:
+            # the columns a, b = a x and c = a x^2 of x -> a x, and the
+            # cofactors of its first row
+            (a0, a1, a2), (f0, f1, f2) = a, x_d
+            b0, b1, b2 = a2 * f0, a0 + a2 * f1, a1 + a2 * f2
+            c0, c1, c2 = b2 * f0, b0 + b2 * f1, b1 + b2 * f2
+            adj = (b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2)
+            norm = a0 * adj[0] + b0 * adj[1] + c0 * adj[2]
+        else:
+            x, columns = self.canonicalize([0, 1]), [a]
+            while len(columns) < d:    # a x^j, the columns of x -> a x
+                columns.append(self._mul(columns[-1], x))
+            norm, adj = _norm_solve([list(row) + [int(i == 0)]
+                                     for i, row in enumerate(zip(*columns))])
+        if math.gcd(norm, n) != 1:
+            return None
+        inverse = pow(norm, -1, n)
+        return tuple([c * inverse % n for c in adj])
 
     def in_principal_ideal(self, a: RingElement, t: RingElement) -> bool:
         """a in tR: always when t is a unit, since then tR = R; otherwise
@@ -527,6 +615,17 @@ class QuotientPolyRing(Ring):
         additively R = (Z/n)^d and kR = (gcd(k, n) Z/n)^d."""
         g = math.gcd(k, self.n)
         return tuple([c % g for c in a])
+
+    def _halves(self, y) -> list:
+        n = self.n
+        if n % 2:
+            h = (n + 1) // 2
+            return [tuple([c * h % n for c in y])]
+        if any(c % 2 for c in y):
+            return []
+        h = n // 2    # highest coefficient first, as sort_key orders
+        choices = [(c // 2, c // 2 + h) for c in reversed(y)]
+        return [rev[::-1] for rev in product(*choices)]
 
     def spec_string(self) -> str:
         return f"Z/{self.n}[x]/({format_poly(self.modulus)})"
@@ -680,26 +779,24 @@ def parse_poly(text: str) -> list[int]:
     which name what is wrong.
     """
     s = text.replace(" ", "")
-    coeffs: dict[int, int] = {}
+    terms: list = []
     if _POLY_RE.fullmatch(s):
         try:
             for term in s.replace("-", "+-").split("+"):
                 if term:    # only a leading sign leaves an empty piece
                     # [-][digits][*], and then "" or "x" with "" or "^digits"
                     head, x, power = term.partition("x")
-                    head = head.rstrip("*")
-                    coeff = _SIGN_COEFF.get(head) or int(head)
-                    deg = int(power[1:]) if power else 1 if x else 0
-                    coeffs[deg] = coeffs.get(deg, 0) + coeff
+                    terms.append((int(power[1:]) if power else 1 if x else 0,
+                                  _SIGN_COEFF.get(head) or int(head.rstrip("*"))))
         except ValueError:
-            coeffs = {}
-    if not coeffs:
-        coeffs = _parse_terms(text, s)
-    top = max(coeffs)
-    require_enumerable(top + 1, lambda: f"coefficients of {text!r}")
+            terms = []
+    if not terms:
+        terms = list(_parse_terms(text, s).items())
+    top = max(terms)[0]
+    require_enumerable(top + 1, "coefficients of {!r}".format, text)
     dense = [0] * (top + 1)
-    for deg, c in coeffs.items():
-        dense[deg] = c
+    for deg, c in terms:
+        dense[deg] += c
     return dense
 
 
@@ -749,10 +846,11 @@ def parse_ring(spec: str) -> Ring:
             f"cannot parse ring spec {spec!r}; expected \"Z\", \"Z/<n>\", "
             f"or \"Z/<n>[x]/(<monic poly in x>)\""
         )
-    n = parse_int(m.group(1), "modulus")
+    digits, poly = m.groups()
+    n = parse_int(digits, "modulus")
     if n == 0:
         raise RingParseError("modulus 0 is not allowed")
-    return ModRing(n) if m.group(2) is None else QuotientPolyRing(n, parse_poly(m.group(2)))
+    return ModRing(n) if poly is None else QuotientPolyRing(n, parse_poly(poly))
 
 
 class Kernel:
@@ -867,3 +965,35 @@ def _preimages(row: list[int]) -> dict[int, list[int]]:
         found.setdefault(q, []).append(c)
     return found
 
+
+def _pack(coeffs, w: int) -> int:
+    """The int sum of c_i 2^(w i) over coefficients 0 <= c_i < 2^w."""
+    packed = 0
+    for c in reversed(coeffs):
+        packed = packed << w | c
+    return packed
+
+
+def _norm_solve(rows: list) -> tuple:
+    """(p, y) for an integer matrix M with a column b appended to each row:
+    p = +-det M and M y = p b, by Bareiss's fraction-free elimination over
+    Z, where every division is exact.  Rows are swapped only to find a
+    nonzero pivot; a singular M gives p = 0.  y is integral by Cramer's
+    rule, so back substitution divides exactly too.  rows is consumed."""
+    d, p = len(rows), 1
+    for k in range(d):
+        if not rows[k][k]:
+            swap = next((i for i in range(k + 1, d) if rows[i][k]), None)
+            if swap is None:
+                return 0, None
+            rows[k], rows[swap] = rows[swap], rows[k]
+        pivot, prev = rows[k], p
+        p = pivot[k]
+        for i in range(k + 1, d):
+            q = rows[i][k]
+            rows[i] = [(p * x - q * y) // prev for x, y in zip(rows[i], pivot)]
+    y = [0] * d
+    for i in range(d - 1, -1, -1):
+        row = rows[i]
+        y[i] = (p * row[d] - sum(map(operator.mul, row[i + 1:d], y[i + 1:]))) // row[i]
+    return p, y

@@ -101,6 +101,20 @@ def test_poly_equality_and_hash_ignore_build_order():
         assert (p + q) - q == p and hash((p + q) - q) == hash(p)
 
 
+def test_poly_terms_are_read_only():
+    # terms is a read-only view, from the constructor and from arithmetic,
+    # so no caller can change a polynomial's value or hash after the fact
+    t, n = variables("t", "n")
+    built = MultiPoly(("t",), {(2,): 1})
+    for p in [built, t * t, t + n, -t, MultiPoly.const(5)]:
+        value, key = MultiPoly._of(dict(p.terms)), hash(p)
+        with pytest.raises(TypeError):
+            p.terms[()] = 5
+        with pytest.raises(TypeError):
+            del p.terms[next(iter(p.terms))]
+        assert p == value and hash(p) == key == hash(value)
+
+
 def test_poly_repeated_name_adds_its_powers():
     t, n = variables("t", "n")
     p = MultiPoly(("t", "n", "t"), {(1, 1, 2): 3, (0, 0, 1): -1, (1, 0, 0): 1})

@@ -694,6 +694,29 @@ def test_is_isomorphic_matches_group_search_on_rings_up_to_27():
                 assert is_isomorphic(s, t) == first.get(t.pair()), (ring, s, t)
 
 
+@pytest.mark.parametrize("spec", ["Z/9[x]/(x^2+1)", "Z/5[x]/(x^2+2)"])
+def test_is_isomorphic_matches_group_search_where_2_is_a_unit(spec):
+    # rings_up_to(27) has no ring where 2 is a unit and |R| > 27: on these
+    # two of perfbench's query rings the first witness of the discriminant
+    # walk is still the first in basis_change_group order
+    rng = random.Random(spec)
+    ring = parse_ring(spec)
+    els, group = ring.elements(), basis_change_group(ring)
+    for _ in range(3):
+        s = QuadraticAlgebra(ring, rng.choice(els), rng.choice(els))
+        first = {}    # image -> first witness in group order
+        for g in group:
+            first.setdefault(apply_basis_change(s, g).pair(), g)
+        targets = ([QuadraticAlgebra(ring, *p) for p in rng.sample(list(first), 8)]
+                   + [QuadraticAlgebra(ring, rng.choice(els), rng.choice(els))
+                      for _ in range(8)])
+        for t in targets:
+            fresh = parse_ring(spec)
+            got = is_isomorphic(QuadraticAlgebra(fresh, s.t.value, s.n.value),
+                                QuadraticAlgebra(fresh, t.t.value, t.n.value))
+            assert got == first.get(t.pair()), (s, t)
+
+
 def test_index_of_checks_the_ring():
     cl = classify(parse_ring("Z/24"))
     with pytest.raises(KeyError):

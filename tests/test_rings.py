@@ -1,3 +1,5 @@
+import math
+import random
 import sys
 from itertools import product
 
@@ -394,9 +396,10 @@ def test_mul_matches_convolution_and_power_rows_on_every_pair():
 
 
 def test_constant_operand_products_scale_and_match_the_convolution(monkeypatch):
-    # in a quotient ring of degree other than 2 a product with a constant
+    # in a quotient ring of degree 1 or above 3 a product with a constant
     # operand, on either side, scales the other operand's coefficients and
-    # never reaches _reduce; the oracle is the schoolbook convolution
+    # never reaches _reduce, nor does the unrolled product of degree 3; the
+    # oracle is the schoolbook convolution
     from test_quadratic import rings_up_to
     rings = [r for r in rings_up_to(64)
              if isinstance(r, QuotientPolyRing) and r.degree != 2]
@@ -413,6 +416,112 @@ def test_constant_operand_products_scale_and_match_the_convolution(monkeypatch):
         if d >= 3:
             x = (0, 1) + (0,) * (d - 2)
             assert ring._mul(x, x) == schoolbook_mul(x, x, n, f)
+
+
+def test_unrolled_and_mapped_products_match_the_convolution():
+    # degree 3 is unrolled (two division steps), and above it each row of
+    # the convolution is one map and _reduce divides: both equal the plain
+    # convolution reduced by _reduce and by long division, on every pair of
+    # the two cubic rings and on a seeded sample of the other two
+    rng = random.Random(34)
+    for spec, pairs in [("Z/2[x]/(x^3+x+1)", None), ("Z/3[x]/(x^3+2x+1)", None),
+                        ("Z/8[x]/(x^3+2x+5)", 3000), ("Z/2[x]/(x^5+x^2+1)", 300)]:
+        ring = parse_ring(spec)
+        n, f, values = ring.n, list(ring.modulus), ring._values()
+        if pairs is None:
+            cases = list(product(values, repeat=2))
+        else:
+            cases = [(rng.choice(values), rng.choice(values)) for _ in range(pairs)]
+        for a, b in cases:
+            conv = [0] * (2 * ring.degree - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    conv[i + j] += x * y
+            want = schoolbook_reduce(conv, n, f)
+            assert ring._reduce(conv) == want, (spec, a, b)
+            assert ring._mul(a, b) == want, (spec, a, b)
+
+
+# The quotient rings whose single unit questions are checked against a
+# brute-force search: the six quotient rings that perfbench's queries
+# workload parses, and two with a composite n above degree 2.
+NORM_RINGS = ["Z/2[x]/(x^2+x+1)", "Z/3[x]/(x^2)", "Z/2[x]/(x^3+x+1)",
+              "Z/4[x]/(x^2+x+1)", "Z/5[x]/(x^2+2)", "Z/9[x]/(x^2+1)",
+              "Z/8[x]/(x^3+2x+5)", "Z/6[x]/(x^4+x+3)"]
+
+
+def test_norm_answers_unit_questions_like_a_search_on_a_fresh_ring():
+    # an instance with no unit table decides is_unit and _inverse by the
+    # norm (closed forms for degrees 2 and 3, elimination for the others),
+    # and builds no table for it; the oracle searches the ring for an
+    # inverse, over every element, or over 48 of Z/6[x]/(x^4+x+3)'s 1296
+    from test_quadratic import rings_up_to
+    rng = random.Random(34)
+    rings = [r for r in rings_up_to(27) if isinstance(r, QuotientPolyRing)]
+    assert {r.degree for r in rings} == {1, 2, 3, 4}
+    for ring in rings + [parse_ring(spec) for spec in NORM_RINGS]:
+        values, one, mul = ring._values(), ring.canonicalize(1), ring._mul
+        fresh = QuotientPolyRing(ring.n, ring.modulus)
+        sample = values if len(values) <= 512 else rng.sample(values, 48)
+        for a in sample:
+            inverse = next((b for b in values if mul(a, b) == one), None)
+            assert fresh._inverse(a) == inverse, (ring, a)
+            element = fresh.element(a)
+            assert fresh.is_unit(element) == (inverse is not None)
+            if inverse is not None:
+                assert fresh.inverse_of_unit(element).value == inverse
+        assert fresh._inverses is None, ring
+        # an instance that holds its table reads it, with the same answers
+        ring._unit_values()
+        assert ring._inverses is not None
+        assert all(ring._inverse(a) == fresh._inverse(a) for a in sample)
+
+
+@pytest.mark.parametrize("spec", ["Z/1000000000000000000000000000000[x]/(x^2+1)",
+                                  "Z/1000000000000000000000[x]/(x^3+2x+5)"])
+def test_unit_questions_on_a_ring_too_large_to_list(spec, monkeypatch):
+    # the norm answers with no enumeration: listing the ring raises
+    from quadrings import is_sec_algebra, is_sec_element
+
+    def refuse(self, *args):
+        raise AssertionError("the ring was listed")
+    monkeypatch.setattr(QuotientPolyRing, "_residue_values", refuse)
+    ring = parse_ring(spec)
+    n, pad = ring.n, (0,) * (ring.degree - 1)
+    three, x = ring.element(3), ring.element((0, 1) + pad[1:])
+    assert ring.is_unit(ring.element(7)) and not ring.is_unit(ring.element(5))
+    assert ring.inverse_of_unit(three) * three == ring.one
+    with pytest.raises(ValueError, match="is not a unit"):
+        ring.inverse_of_unit(ring.element(2))
+    # x is a unit when f(0) is: x * (x^(d-1) + ...) = -f(0)
+    assert ring.is_unit(x) == (math.gcd(ring.modulus[0], n) == 1)
+    assert ring.is_nonzerodivisor(three) and not ring.is_nonzerodivisor(ring.element(10))
+    assert is_sec_element(ring, three) and not is_sec_element(ring, ring.element(2))
+    # disc 1 - 12 = -11 and 1 - 4 * 5 = -19 are units; disc 3^2 - 4 * 2 = 1
+    # is too, and 2^2 - 4 * 1 = 0 is not
+    assert QuadraticAlgebra(ring, 1, 3).is_separable()
+    assert is_sec_algebra(QuadraticAlgebra(ring, 1, 5))
+    assert QuadraticAlgebra(ring, 3, 2).is_separable()
+    assert not is_sec_algebra(QuadraticAlgebra(ring, 2, 1))
+    assert ring._inverses is None
+
+
+def test_unit_questions_past_degree_101_still_refuse():
+    # elimination would take more than MAX_ENUMERATION steps there, so the
+    # unit table answers, and refuses a ring of 2^3000 elements
+    ring = parse_ring("Z/2[x]/(x^3000+1)")
+    with pytest.raises(EnumerationLimitError, match="at least 2\\^3000 items"):
+        ring.is_unit(ring.one)
+
+
+def test_halves_are_the_preimages_of_doubling():
+    # _halves(y) lists the r with 2r = y in canonical order: one for odd n,
+    # 2^d or none for even n
+    from test_quadratic import rings_up_to
+    for ring in rings_up_to(27) + [parse_ring(spec) for spec in NORM_RINGS[:6]]:
+        values, add = ring._values(), ring._add
+        for y in values:
+            assert ring._halves(y) == [r for r in values if add(r, r) == y], (ring, y)
 
 
 def test_parse_poly_reads_what_the_term_reader_reads():
