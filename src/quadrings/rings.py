@@ -22,13 +22,13 @@ d coefficients, reduced mod n alone.  (Z/n)[x]/(f) reduces a product's
 convolution, and any longer coefficient list, by synthetic division by the
 monic f, unrolled for d = 2 and d = 3 (sums and differences too for
 d = 2); at other degrees a product with a constant operand scales the
-other's coefficients, and any other product is one product of packed ints.
-A parse builds no table, so one cold query costs the parse and its ring
-operations: a star product seven products, an AS action four (two of them
-by 4), a discriminant test one product per residue mod 2R up to the first
-witness.  A quotient ring answers is_unit and inverses by the norm
-det(x -> a x) over Z/n, in closed form for d = 2 and d = 3, and lists its
-units through a unit table (at most 2|R| products) that it then reads.
+other's coefficients instead.  A parse builds no table, so one cold query
+costs the parse and its ring operations: a star product seven products,
+an AS action four (two of them by 4), a discriminant test one product per
+residue mod 2R up to the first witness.  A quotient ring answers is_unit
+and inverses by the norm det(x -> a x) over Z/n, in closed form for d = 2
+and d = 3, and lists its units through a unit table (at most 2|R|
+products) that it then reads.
 An isomorphism test over a finite ring costs a product or two per element,
 for u^2 disc(s) = disc(t), and for each u that passes and is a unit one
 inverse, one product, and two products per solution of its trace
@@ -420,10 +420,6 @@ class QuotientPolyRing(Ring):
         if isinstance(value, (list, tuple)):
             if len(value) == self.degree:
                 n = self.n
-                if self.degree == 2:    # unrolled: a pair of ints skips _exact
-                    c0, c1 = value
-                    if type(c0) is int and type(c1) is int:
-                        return c0 % n, c1 % n
                 return tuple([_exact(c) % n for c in value])
             return self._reduce([_exact(c) for c in value])
         return self._reduce([_exact(value)])
@@ -456,21 +452,15 @@ class QuotientPolyRing(Ring):
         return tuple([(x - y) % n for x, y in zip(a, b)])
 
     def _mul(self, a, b):
-        """The product of canonical values: the convolution of a and b
-        reduced mod f, unrolled for d = 2 and d = 3 (one and two division
-        steps).  Otherwise a constant operand scales the other's
-        coefficients, and two others are multiplied as packed ints
-        (Kronecker substitution): coefficients w bits apart, with 2^w above
-        2d n^2 and so above any coefficient that the convolution or the
-        division reaches, so one int product convolves, and each division
-        step takes the top coefficient off and adds it times x^d mod f,
-        packed the same way, shifted into place."""
+        """The convolution of a and b, reduced by _reduce (unrolled for
+        d = 2 and d = 3); a constant operand (the 4 of t^2 - 4n, say) scales
+        the other's coefficients."""
         d, n, x_d = self.degree, self.n, self._x_d
-        if d == 2:
+        if d == 2:    # the same, unrolled: one division step
             (a0, a1), (b0, b1), (f0, f1) = a, b, x_d
             top = a1 * b1 % n
             return (a0 * b0 + top * f0) % n, (a0 * b1 + a1 * b0 + top * f1) % n
-        if d == 3:
+        if d == 3:    # two division steps
             (a0, a1, a2), (b0, b1, b2), (f0, f1, f2) = a, b, x_d
             c4 = a2 * b2 % n
             c3 = (a1 * b2 + a2 * b1 + c4 * f2) % n
@@ -483,16 +473,12 @@ class QuotientPolyRing(Ring):
         if b[1:] == pad:
             c = b[0]
             return tuple([x * c % n for x in a])
-        w = (2 * d * n * n).bit_length()
-        c, x = _pack(a, w) * _pack(b, w), _pack(x_d, w)
-        for k in range(d - 2, -1, -1):
-            shift = w * (k + d)
-            c = (c & ((1 << shift) - 1)) + ((c >> shift) % n * x << w * k)
-        mask, product = (1 << w) - 1, []
-        for _ in range(d):
-            product.append((c & mask) % n)
-            c >>= w
-        return tuple(product)
+        conv = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    conv[j] += x * y
+        return self._reduce(conv)
 
     def _neg(self, a):
         n = self.n
@@ -553,12 +539,9 @@ class QuotientPolyRing(Ring):
         return self._inverses
 
     def is_unit(self, a: RingElement) -> bool:
-        """A lookup in the unit table once this instance holds it, else
-        whether _inverse finds an inverse by the norm, building no table."""
+        """Whether _inverse finds an inverse: from the unit table once this
+        instance holds it, else by the norm, building no table."""
         self._check_mine(a)
-        inverses = self._inverses
-        if inverses is not None:
-            return a.value in inverses
         return self._inverse(a.value) is not None
 
     def _inverse(self, a):
@@ -779,24 +762,26 @@ def parse_poly(text: str) -> list[int]:
     which name what is wrong.
     """
     s = text.replace(" ", "")
-    terms: list = []
+    coeffs: dict[int, int] = {}
     if _POLY_RE.fullmatch(s):
         try:
             for term in s.replace("-", "+-").split("+"):
                 if term:    # only a leading sign leaves an empty piece
                     # [-][digits][*], and then "" or "x" with "" or "^digits"
                     head, x, power = term.partition("x")
-                    terms.append((int(power[1:]) if power else 1 if x else 0,
-                                  _SIGN_COEFF.get(head) or int(head.rstrip("*"))))
+                    head = head.rstrip("*")
+                    coeff = _SIGN_COEFF.get(head) or int(head)
+                    deg = int(power[1:]) if power else 1 if x else 0
+                    coeffs[deg] = coeffs.get(deg, 0) + coeff
         except ValueError:
-            terms = []
-    if not terms:
-        terms = list(_parse_terms(text, s).items())
-    top = max(terms)[0]
-    require_enumerable(top + 1, "coefficients of {!r}".format, text)
+            coeffs = {}
+    if not coeffs:
+        coeffs = _parse_terms(text, s)
+    top = max(coeffs)
+    require_enumerable(top + 1, lambda: f"coefficients of {text!r}")
     dense = [0] * (top + 1)
-    for deg, c in terms:
-        dense[deg] += c
+    for deg, c in coeffs.items():
+        dense[deg] = c
     return dense
 
 
@@ -846,11 +831,10 @@ def parse_ring(spec: str) -> Ring:
             f"cannot parse ring spec {spec!r}; expected \"Z\", \"Z/<n>\", "
             f"or \"Z/<n>[x]/(<monic poly in x>)\""
         )
-    digits, poly = m.groups()
-    n = parse_int(digits, "modulus")
+    n = parse_int(m.group(1), "modulus")
     if n == 0:
         raise RingParseError("modulus 0 is not allowed")
-    return ModRing(n) if poly is None else QuotientPolyRing(n, parse_poly(poly))
+    return ModRing(n) if m.group(2) is None else QuotientPolyRing(n, parse_poly(m.group(2)))
 
 
 class Kernel:
@@ -964,14 +948,6 @@ def _preimages(row: list[int]) -> dict[int, list[int]]:
     for c, q in enumerate(row):
         found.setdefault(q, []).append(c)
     return found
-
-
-def _pack(coeffs, w: int) -> int:
-    """The int sum of c_i 2^(w i) over coefficients 0 <= c_i < 2^w."""
-    packed = 0
-    for c in reversed(coeffs):
-        packed = packed << w | c
-    return packed
 
 
 def _norm_solve(rows: list) -> tuple:

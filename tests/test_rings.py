@@ -418,9 +418,9 @@ def test_constant_operand_products_scale_and_match_the_convolution(monkeypatch):
             assert ring._mul(x, x) == schoolbook_mul(x, x, n, f)
 
 
-def test_unrolled_and_mapped_products_match_the_convolution():
-    # degree 3 is unrolled (two division steps), and above it each row of
-    # the convolution is one map and _reduce divides: both equal the plain
+def test_unrolled_and_higher_degree_products_match_the_convolution():
+    # degree 3 is unrolled (two division steps), and above it _mul
+    # convolves in a loop and _reduce divides: both equal the plain
     # convolution reduced by _reduce and by long division, on every pair of
     # the two cubic rings and on a seeded sample of the other two
     rng = random.Random(34)
