@@ -17,9 +17,9 @@ free.
 
 The group and the fiber reports run on the int codes of the ring's kernel
 (rings.Kernel): an addition is an add-row lookup, a subgroup is spanned by
-Kernel.span, t^2 = d mod 4R is a comparison of coset representatives, and
-the unit squares, the table of t^2, the row of 4x and the root table
-t^2 -> [t] are built once per ring, not per report.  AS(R) is built
+Kernel.span, and the table of t^2 and the row of 4x are built once per
+ring, not per report, as is the number of t with t^2 = d mod 4R, which
+the disc tables count per class of t^2 mod 4R.  AS(R) is built
 once per ring instance, in one pass over those codes, and kept in the
 kernel: the codes and canonical values of R[4], the positions in them of
 P(R)[4] and of the class representatives, the class of each member by
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .discriminants import DiscClass, _disc_map, disc_class_of
+from .discriminants import DiscClass, _disc_map, _disc_tables, disc_class_of
 from .errors import InfiniteRingError, InternalCheckError
 from .monoids import FiniteCommMonoid
 from .quadratic import Classification, QuadraticAlgebra, require_ring
@@ -389,7 +389,9 @@ def _act_on_fiber(ring: Ring, d: DiscClass, cl: Classification,
 def _fibre_facts(ring: Ring, dv, tables: _ASTables) -> tuple[set[int], int, int]:
     """The AS classes of ann(d)[4], and the with-basis orbit count and
     bound |{t : t^2 = d mod 4R}| * |R[4] / dR[4]|, of the disc value dv;
-    ann(d)[4] and dR[4] are read off R[4] with one product each.
+    ann(d)[4] and dR[4] are read off R[4] with one product each, and the
+    number of traces t off the ring's disc tables, which count them per
+    class of t^2 mod 4R as they walk the residues mod 2R.
 
     The count is the number of orbits of R[4] acting by (t, n) ->
     (t, n + d*m) on the pairs of disc exactly d.  The action fixes t, and
@@ -406,21 +408,10 @@ def _fibre_facts(ring: Ring, dv, tables: _ASTables) -> tuple[set[int], int, int]
     # code 0 is the zero
     ann_classes = {k for k, s in zip(tables.torsion_classes, shifts) if s == 0}
     image, torsion = set(shifts), len(tables.torsion)
-    traces = _trace_count(ring, kernel, dv)
+    traces = _disc_tables(ring).traces[ring._coset_rep(dv, 4)]
     span = kernel.span(sorted(image))[0]
     count = traces * torsion // len(span.intersection(tables.torsion))
     return ann_classes, count, _basis_orbit_bound(traces, torsion, image)
-
-
-def _trace_count(ring: Ring, kernel: Kernel, dv) -> int:
-    """|{t : t^2 = d mod 4R}|: the roots of each square s of the kernel's
-    root table with s in d + 4R, tested by coset representatives as in
-    discriminants._square_classes, so no ring sum is taken and no add row
-    of -d is built."""
-    coset, values = ring._coset_rep, kernel.values
-    target = coset(dv, 4)
-    return sum(len(ts) for s, ts in kernel.roots.items()
-               if coset(values[s], 4) == target)
 
 
 def _basis_orbit_bound(traces: int, torsion_size: int, shifts: set) -> int:

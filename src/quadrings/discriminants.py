@@ -11,10 +11,12 @@ Over a finite ring the classes and the homomorphism check run on canonical
 values, with the ring's _mul/_add/_neg, its coset representatives and its
 int-coded kernel (rings.Kernel); RingElement stays the input and output
 type.  The disc classes are built once per ring instance and kept in its
-kernel: the residues mod 2R are squared once, the unit squares read from
-the kernel, and |U^2| products taken per class for its orbit, one per pair
-of classes for the monoid table and one per class for a preimage algebra;
-each disc label is formatted once.  Each class's witness (against t^2 from
+kernel: the residues mod 2R are squared once, which gives each class of
+t^2 mod 4R its least witness and its number of traces t in R, the unit
+squares are read off the kernel, and |U^2| products are taken per class
+for its orbit, one per pair of classes for the monoid table and one per
+class for a preimage algebra, whose norm is read off the kernel's row of
+4x; each disc label is formatted once.  Each class's witness (against t^2 from
 the kernel), the closure of the monoid table and the monoid itself are
 checked then, once per ring instance; a failure keeps nothing.
 DiscClassification and disc_hom_check read these tables and take no ring
@@ -54,20 +56,26 @@ def sq_map(ring: Ring, t: RingElement) -> RingElement:
     return ring.coset_representative(t * t, 4)
 
 
-def _square_classes(ring: Ring) -> dict:
-    """Each class t^2 mod 4R of a finite ring -> its least witness t mod 2R,
-    on canonical values.
+def _square_classes(ring: Ring) -> tuple[dict, dict]:
+    """Two maps on the classes t^2 mod 4R of a finite ring, on canonical
+    values: each class -> its least witness t mod 2R, and each class -> the
+    number of t in R with t^2 in it.
 
-    The witnesses of a class are a union of cosets of 2R, so the least one is
-    one of the residues mod 2R, which the kernel lists in canonical order:
-    the first to reach a class is its least witness, and Z/n is never
-    enumerated.
+    (t + 2s)^2 = t^2 + 4(ts + s^2), so the t of a class are a union of
+    cosets of 2R, and one walk of the residues mod 2R, in canonical order,
+    gives both: the first residue to reach a class is its least witness,
+    and each residue stands for the |2R| = |R| / |R/2R| elements of its
+    coset.  Z/n is never enumerated.
     """
     mul, coset = ring._mul, ring._coset_rep
-    witnesses: dict = {}
-    for t in ring._residue_values(2):
-        witnesses.setdefault(coset(mul(t, t), 4), t)
-    return witnesses
+    residues = ring._residue_values(2)
+    each = ring.size // len(residues)
+    witnesses, traces = {}, {}
+    for t in residues:
+        c = coset(mul(t, t), 4)
+        witnesses.setdefault(c, t)
+        traces[c] = traces.get(c, 0) + each
+    return witnesses, traces
 
 
 def is_discriminant(ring: Ring, d: RingElement):
@@ -148,23 +156,25 @@ class _DiscTables:
 
     Holds, per class in sorted order, the least member d with its witness t
     (witness_of, d -> t) and its unit-square orbit; the value -> class index
-    of every discriminant; the monoid, with one label per class; and, for
-    disc_hom_check, the label of a preimage algebra (t, n) of each class and
-    the violations its construction found.  The orbits take |U^2| products
-    per class, the monoid one per pair of classes, and the preimages one per
-    class.  Each witness (t reduced mod 2R, t^2 = d mod 4R with t^2 read
-    from the kernel), the closure of the monoid table and, by
-    FiniteCommMonoid, the monoid's labels and table are checked here, so
+    of every discriminant; the number of t in R with t^2 in each class of
+    t^2 mod 4R (traces, keyed by coset representative), for the fibre
+    reports of artin_schreier; the monoid, with one label per class; and,
+    for disc_hom_check, the label of a preimage algebra (t, n) of each
+    class and the violations its construction found.  The unit squares are
+    read off the kernel's table of t^2 at its units; the orbits take |U^2|
+    products per class, the monoid one per pair of classes, and the
+    preimages one per class.  Each witness (t reduced mod 2R, t^2 = d mod
+    4R with t^2 read from the kernel), the closure of the monoid table and,
+    by FiniteCommMonoid, the monoid's labels and table are checked here, so
     the DiscClassification views build their DiscClass objects unchecked.
     Everything held is an int, a canonical value or a string, so the kernel
     keeps no reference to the ring.
     """
 
     def __init__(self, ring: Ring):
-        kernel = ring.kernel()
-        mul, coset = ring._mul, ring._coset_rep
-        witnesses = _square_classes(ring)
-        unit_squares = kernel.unit_squares
+        kernel, mul, coset = ring.kernel(), ring._mul, ring._coset_rep
+        witnesses, self.traces = _square_classes(ring)
+        unit_squares = {kernel.values[kernel.square[u]] for u in kernel.units}
         self.witness_of: dict = {}    # least member d of a class -> t
         self.orbits = []
         self.index: dict = {}    # canonical value -> class index
@@ -216,20 +226,21 @@ class _DiscTables:
 
     def _find_preimages(self, ring: Ring, kernel) -> None:
         """Solve 4n = t^2 - d for each class (d, t), with n the least
-        solution, read from the kernel's norm map 4n -> [n]."""
+        solution: the first code at which the kernel's row of 4x holds
+        t^2 - d."""
         mul, add, neg = ring._mul, ring._add, ring._neg
         four = ring.element(4).value
-        values, code = kernel.values, kernel.code
+        values, code, fours = kernel.values, kernel.code, kernel.multiple_row(4)
         self.preimages: dict[str, str] = {}
         self.preimage_violations: list[str] = []
         for (d, t), label in zip(self.witness_of.items(), self.monoid.labels):
             tt = values[kernel.square[code[t]]]
-            norms = kernel.norms.get(code[add(tt, neg(d))])
-            if norms is None:
+            try:
+                n = values[fours.index(code[add(tt, neg(d))])]
+            except ValueError:
                 self.preimage_violations.append(
                     f"no algebra constructed for disc class {label}")
                 continue
-            n = values[norms[0]]
             if add(tt, neg(mul(four, n))) != d:
                 self.preimage_violations.append(
                     f"constructed algebra for {label} has wrong disc")

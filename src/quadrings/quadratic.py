@@ -264,13 +264,18 @@ def is_isomorphic(s: QuadraticAlgebra, t: QuadraticAlgebra):
     Over a finite ring the values u are walked in canonical order, and one
     is kept only if u^2 disc(s) = disc(t) (two products, or u^2 alone when
     disc(s) is a unit), then only if it is a unit (ring._inverse, which
-    builds no table); for it the solutions r of the trace equation
-    (ring._halves, in canonical order) are tried, and only the norm
-    u^2(n + tr + r^2) = n' is left to test.  Every witness meets the first
-    two conditions, so the one returned is the first in basis_change_group
-    order.  The loop runs on canonical values, and elements are built for
-    the witness alone.  Over Z, u is +/-1 and r is the one solution of the
-    trace equation, if any.
+    builds no table); for it, with v = u^-1, the solutions r of the trace
+    equation 2r = v t' - t (ring._halves, in canonical order) are tried,
+    and only the norm n + tr + r^2 = v^2 n' is left to test, one product
+    per r.  The first unit to meet a right-hand side y = v t' - t walks
+    its solutions up to the first witness, and a walk that finds none
+    keeps each norm with its least r, so every later unit with that y
+    takes one lookup: where 2 is a zero divisor, many units share a y
+    with many solutions.  Every witness meets the first two conditions,
+    so the one returned is the first in basis_change_group order.  The
+    loop runs on canonical values, and elements are built for the witness
+    alone.  Over Z, u is +/-1 and r is the one solution of the trace
+    equation, if any.
     """
     if s.ring is not t.ring and s.ring != t.ring:
         raise MixedRingError("isomorphism testing requires a common ring")
@@ -281,6 +286,7 @@ def is_isomorphic(s: QuadraticAlgebra, t: QuadraticAlgebra):
         disc_s, disc_t, minus_t = s.disc().value, t.disc().value, ring._neg(tv)
         w = inverse(disc_s)    # then u^2 disc(s) = disc(t) iff u^2 = disc(t) w
         target = disc_t if w is None else mul(disc_t, w)
+        walked: dict = {}    # y -> {n + tr + r^2: its least r} over 2r = y
         for u in ring._values():
             uu = mul(u, u)
             if (uu if w is not None else mul(uu, disc_s)) != target:
@@ -288,10 +294,17 @@ def is_isomorphic(s: QuadraticAlgebra, t: QuadraticAlgebra):
             v = inverse(u)
             if v is None:
                 continue
-            for r in halves(add(mul(v, t2), minus_t)):
-                # The norm of apply_basis_change(s, BasisChange(u, r)).
-                if mul(uu, add(nv, mul(add(tv, r), r))) == n2:
-                    return BasisChange(RingElement(ring, u), RingElement(ring, r))
+            y, want = add(mul(v, t2), minus_t), mul(mul(v, v), n2)
+            norms = walked.get(y)
+            if norms is None:
+                norms = walked[y] = {}
+                for r in halves(y):
+                    # v^2 times the norm of apply_basis_change(s, BasisChange(u, r))
+                    norms.setdefault(add(nv, mul(add(tv, r), r)), r)
+                    if want in norms:
+                        break
+            if want in norms:
+                return BasisChange(RingElement(ring, u), RingElement(ring, norms[want]))
         return None
     if isinstance(ring, IntegerRing):
         tv, nv = s.t.value, s.n.value

@@ -21,29 +21,28 @@ MixedRingError for another ring.  canonicalize takes an int, and a list of
 d coefficients, reduced mod n alone.  (Z/n)[x]/(f) reduces a product's
 convolution, and any longer coefficient list, by synthetic division by the
 monic f, unrolled for d = 2 and d = 3 (sums and differences too for
-d = 2); at other degrees a product with a constant operand scales the
-other's coefficients instead.  A parse builds no table, so one cold query
-costs the parse and its ring operations: a star product seven products,
-an AS action four (two of them by 4), a discriminant test one product per
-residue mod 2R up to the first witness.  A quotient ring answers is_unit
-and inverses by the norm det(x -> a x) over Z/n, in closed form for d = 2
-and d = 3, and lists its units through a unit table (at most 2|R|
-products) that it then reads.
+d = 2).  A parse builds no table, so one cold query costs the parse and
+its ring operations: a star product seven products, an AS action four
+(two of them by 4), a discriminant test one product per residue mod 2R
+up to the first witness.  A quotient ring answers is_unit and inverses
+by the norm det(x -> a x) over Z/n, in closed form for d = 2 and d = 3,
+and lists its units through a unit table (at most 2|R| products) that
+it then reads.
 An isomorphism test over a finite ring costs a product or two per element,
 for u^2 disc(s) = disc(t), and for each u that passes and is a unit one
-inverse, one product, and two products per solution of its trace
-equation.  Nothing is cached on a ring but canonical values, so a ring
-holds no element and no reference to itself, and a pickle or copy of it
-leaves its caches behind.
+inverse and three products; the solutions r of its trace equation cost a
+product each for the first unit that meets that equation, and one lookup
+for every later one.  Nothing is cached on a ring but canonical values,
+so a ring holds no element and no reference to itself, and a pickle or
+copy of it leaves its caches behind.
 
 Each finite ring instance has one Kernel, built on first use by
 ring.kernel(): its elements as int codes, the value -> code map, the codes
-of t^2, the norm map 4n -> [n], the root table t^2 -> [t], the unit
-squares, and the rows code(x_c + x_k) and code(k x_c), kept as they are
-built, which need no ring operation; Kernel.span generates additive
-subgroups from them.  classify, the star table, the AS group and the fiber
-reports all read it, and the disc classes and the AS group are kept in its
-derived slot once built.
+of t^2 and of the units, and the rows code(x_c + x_k) and code(k x_c),
+kept as they are built, which need no ring operation; Kernel.span
+generates additive subgroups from them.  classify, the star table, the
+disc classes, the AS group and the fiber reports all read it, and the
+disc classes and the AS group are kept in its derived slot once built.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ import math
 import operator
 import re
 import sys
-from functools import cached_property
 from itertools import product
 
 from .errors import (EnumerationLimitError, InfiniteRingError, MixedRingError,
@@ -453,8 +451,7 @@ class QuotientPolyRing(Ring):
 
     def _mul(self, a, b):
         """The convolution of a and b, reduced by _reduce (unrolled for
-        d = 2 and d = 3); a constant operand (the 4 of t^2 - 4n, say) scales
-        the other's coefficients."""
+        d = 2 and d = 3)."""
         d, n, x_d = self.degree, self.n, self._x_d
         if d == 2:    # the same, unrolled: one division step
             (a0, a1), (b0, b1), (f0, f1) = a, b, x_d
@@ -467,12 +464,6 @@ class QuotientPolyRing(Ring):
             return ((a0 * b0 + c3 * f0) % n,
                     (a0 * b1 + a1 * b0 + c4 * f0 + c3 * f1) % n,
                     (a0 * b2 + a1 * b1 + a2 * b0 + c4 * f1 + c3 * f2) % n)
-        pad = self._pad
-        if a[1:] == pad:
-            a, b = b, a
-        if b[1:] == pad:
-            c = b[0]
-            return tuple([x * c % n for x in a])
         conv = [0] * (2 * d - 1)
         for i, x in enumerate(a):
             if x:
@@ -848,15 +839,15 @@ class Kernel:
     R is (Z/n)^d, so x -> x_c + x and x -> k*x act on the digits of a code
     one by one: add_row and multiple_row are built from digit maps with no
     ring operation, each on first use, and kept, so every caller reads the
-    same row of x + x_c or of k x (the rows of 4, 2, -1 and -4 serve the
-    norm map, R[4], halves, negation and t^2 - 4n), and a sum of codes is
-    an add-row lookup.  span generates an additive subgroup from add rows
-    by _walk_cosets, the walk that classify runs on unit rows for the
-    stabilizer of a trace.  Ring products fill only the table of
-    t^2 (|R|) and the unit squares; the norm map and the root table group
-    those tables by value on first read.  derived is the slot where the
-    discriminants and artin_schreier modules keep their per-ring tables,
-    filled on first use.
+    same row of x + x_c or of k x (the rows of 4, 2, -1 and -4 serve R[4]
+    and the least n of 4n = t^2 - d, halves, negation and t^2 - 4n), and a
+    sum of codes is an add-row lookup.  span generates an additive subgroup
+    from add rows by _walk_cosets, the walk that classify runs on unit rows
+    for the stabilizer of a trace.  Ring products fill only the table of
+    t^2 (|R|) and the list of units.  A table is kept here only when two
+    layers read it; derived is the slot where the discriminants and
+    artin_schreier modules keep their own per-ring tables, filled on first
+    use.
     The kernel holds ints, canonical values and strings, never the ring or
     an object over it, so the ring stays free of reference cycles.
     """
@@ -872,8 +863,6 @@ class Kernel:
         self._multiples: dict = {}    # k mod n -> multiple_row(k)
         self.square = [code[mul(t, t)] for t in values]
         self.units = [code[u] for u in ring._unit_values()]
-        self.unit_squares = [values[s]
-                             for s in sorted({self.square[u] for u in self.units})]
         self.derived: dict = {}
 
     def _digitwise(self, digit_maps: list) -> list[int]:
@@ -920,16 +909,6 @@ class Kernel:
                 _walk_cosets(span, self.add_row(c))
         return span, grew
 
-    @cached_property
-    def norms(self) -> dict[int, list[int]]:
-        """The norm map: code(4n) -> the codes of its n, increasing."""
-        return _preimages(self.multiple_row(4))
-
-    @cached_property
-    def roots(self) -> dict[int, list[int]]:
-        """The root table: code(t^2) -> the codes of its t, increasing."""
-        return _preimages(self.square)
-
 
 def _walk_cosets(group: set[int], row: list[int]) -> None:
     """Grow the subgroup group of codes, in place, to the subgroup that it
@@ -940,14 +919,6 @@ def _walk_cosets(group: set[int], row: list[int]) -> None:
     while row[coset[0]] not in group:
         coset = [row[x] for x in coset]
         group.update(coset)
-
-
-def _preimages(row: list[int]) -> dict[int, list[int]]:
-    """Each value of a code table -> the codes that map to it, increasing."""
-    found: dict = {}
-    for c, q in enumerate(row):
-        found.setdefault(q, []).append(c)
-    return found
 
 
 def _norm_solve(rows: list) -> tuple:

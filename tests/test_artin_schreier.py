@@ -2,7 +2,6 @@ import dataclasses
 
 import pytest
 
-import quadrings.rings as rings
 from quadrings import (BasisChange, DiscClass, InfiniteRingError,
                        InternalCheckError, IsoClass, MultiPoly,
                        QuadraticAlgebra, Rank1Form, annihilator_four_torsion,
@@ -360,8 +359,8 @@ def test_check_freeness_all_rings():
 
 
 def test_fiber_reports_never_read_orbit_pairs(monkeypatch):
-    # The reports walk the norm map and read classes off class rows, so
-    # every check of the action runs with no orbit listing readable.
+    # The reports read classes off class rows, so every check of the
+    # action runs with no orbit listing readable.
     def refuse(self):
         raise AssertionError("an orbit listing was read")
     monkeypatch.setattr(IsoClass, "orbit_pairs", property(refuse))
@@ -524,25 +523,24 @@ def test_fiber_report_products_first_and_repeated(spec, monkeypatch):
     # takes |R[4]| products for dR[4] and ann(d)[4] and one d'*m per disc d'
     # of a class representative and AS class m: none per orbit pair, none
     # for the fiber, which is read off the kept disc index, and no ring
-    # addition, since t^2 = d mod 4R compares coset representatives; it
-    # reads one class row per fiber class.  Repeated reports,
+    # addition, since the number of traces t with t^2 = d mod 4R is one
+    # lookup in the kept disc tables, so no report reads the kernel's table
+    # of t^2; it reads one class row per fiber class.  Repeated reports,
     # check_freeness and disc_hom_check read all of it from the ring's and
-    # the classification's kept tables: no product, addition, grouping of
-    # a table, class row or star table.  t^2 comes from the kernel's root
-    # table.
+    # the classification's kept tables: no product, addition, class row or
+    # star table.
     ring = parse_ring(spec)
     cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
     hom = disc_hom_check(ring, cl)
     kernel = ring.kernel()
-    roots, norms = kernel.roots, kernel.norms
     unit_squares = {u * u for u in ring.units()}
     # the discs of the fiber's class representatives, read off the
     # classification so that each first report is counted
     rep_discs = [{c.disc for c in cl if c.disc in {s * d.d for s in unit_squares}}
                  for d in dc]
-    calls = {"_mul": 0, "_add": 0, "_preimages": 0, "row": 0, "star_table": 0}
-    for owner, name in [(ring, "_mul"), (ring, "_add"), (rings, "_preimages"),
-                        (cl.class_map, "row"), (cl, "star_table")]:
+    calls = {"_mul": 0, "_add": 0, "row": 0, "star_table": 0}
+    for owner, name in [(ring, "_mul"), (ring, "_add"), (cl.class_map, "row"),
+                        (cl, "star_table")]:
         original = getattr(owner, name)
 
         def counting(*args, name=name, original=original):
@@ -550,7 +548,7 @@ def test_fiber_report_products_first_and_repeated(spec, monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(owner, name, counting)
-    monkeypatch.setattr(kernel, "square", None)    # read only through roots
+    monkeypatch.setattr(kernel, "square", None)    # read by no report
     none = dict.fromkeys(calls, 0)
     for d, discs in zip(dc, rep_discs):
         calls.update(none)
@@ -563,7 +561,6 @@ def test_fiber_report_products_first_and_repeated(spec, monkeypatch):
             first.free or not ring.is_nonzerodivisor(d.d))
         assert disc_hom_check(ring, cl) == hom
         assert calls == none, (spec, d.d)
-    assert kernel.roots is roots and kernel.norms is norms
 
 
 def test_failed_fibre_check_keeps_nothing(monkeypatch):
@@ -679,8 +676,8 @@ class CountingStores(dict):
 @pytest.mark.parametrize("spec", ["Z/12", "Z/4[x]/(x^2)", "Z/2[x]/(x^2+x+1)"])
 def test_multiple_rows_are_built_once_per_kernel(spec):
     # the kernel keeps each row k*x it builds, keyed by k mod n, so
-    # classify (2, -1, -4), the AS tables (4, 2, -1), the norm map (4), the
-    # disc tables, the hom check, every fibre report and four_torsion (4),
+    # classify (2, -1, -4), the AS tables (4, 2, -1), the disc tables'
+    # preimages (4), the hom check, every fibre report and four_torsion (4),
     # run twice over, build each row once
     ring = parse_ring(spec)
     kernel = ring.kernel()
@@ -701,8 +698,8 @@ def test_multiple_rows_are_built_once_per_kernel(spec):
 @pytest.mark.parametrize("spec", ["Z/960", "Z/5[x]/(x^2+2)", "Z/3[x]/(x^3)"])
 def test_fiber_reports_keep_no_add_row_of_minus_d(spec):
     # the reports keep only add rows of 4-torsion codes, the shifts d'm and
-    # the generators of dR[4]: the trace count compares coset
-    # representatives mod 4R, so the row of -d is never built
+    # the generators of dR[4]: the trace count is read off the disc
+    # tables, so the row of -d is never built
     ring = parse_ring(spec)
     cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
     kernel = ring.kernel()
@@ -716,12 +713,23 @@ def test_fiber_reports_keep_no_add_row_of_minus_d(spec):
     assert kept <= torsion, spec
 
 
+def grouped(row):
+    """Each value of a code table -> the codes that map to it, increasing."""
+    found = {}
+    for c, q in enumerate(row):
+        found.setdefault(q, []).append(c)
+    return found
+
+
 def fiber_report_by_pairs(ring, d, classification, group):
     """The walked fields of the fibre report from every orbit pair, the
     walk fiber_report ran before it read the action off class
-    representatives, kept as the oracle.  For each disc d' in u^2 d and each
-    key q = 4n of the norm map it reads the traces t with t^2 = d' + q from
-    the root table and the norms n of q, and collects, for every AS class m
+    representatives, kept as the oracle.  It builds its own root table
+    t^2 -> [t], norm map 4n -> [n] and unit squares from the kernel's table
+    of t^2, its row of 4x and the ring's units, so it shares no table with
+    the disc tables.  For each disc d' in u^2 d and each key q = 4n of the
+    norm map it reads the traces t with t^2 = d' + q from the root table
+    and the norms n of q, and collects, for every AS class m
     (m = 0 included), the (class, image class) of each pair (t, n) and its
     image (t, n + d'm).  It checks that the walked classes are exactly the
     fiber and that each image class is the same for every pair of a class,
@@ -734,7 +742,7 @@ def fiber_report_by_pairs(ring, d, classification, group):
     kernel, mul = ring.kernel(), ring._mul
     code, add_row = kernel.code, kernel.add_row
     dv = d.d.value
-    discs = {mul(s, dv) for s in kernel.unit_squares}
+    discs = {mul(mul(u, u), dv) for u in ring._unit_values()}
 
     fiber = [i for i, c in enumerate(cl) if c.disc.value in discs]
     fiber_pos = {ci: k for k, ci in enumerate(fiber)}
@@ -743,11 +751,12 @@ def fiber_report_by_pairs(ring, d, classification, group):
         """Where a check failed, for InternalCheckError."""
         return {"ring": ring.spec_string(), "d": d.d.to_json(), **more}
 
-    roots, row_of = kernel.roots, cl.class_map.row
+    roots, norms = grouped(kernel.square), grouped(kernel.multiple_row(4))
+    row_of = cl.class_map.row
     found = [set() for _ in asg.classes]    # per m, (class, image class) of each pair
     for v in discs:
         plus_d = add_row(code[v])
-        met = [(row_of(t), ns) for q, ns in kernel.norms.items()
+        met = [(row_of(t), ns) for q, ns in norms.items()
                for t in roots.get(plus_d[q], ())]
         if not met:
             continue
@@ -895,8 +904,9 @@ def test_fiber_report_refuses_an_image_off_the_fiber():
 
 def test_basis_orbit_count_spans_dr4_from_few_add_rows():
     # over GF(1024) dR[4] = R for d = 1; the count spans it from the add
-    # rows of at most log2(1024) generators, and t^2 = d mod 4R compares
-    # coset representatives, so no row of -d is kept.  Only the rows added after the AS tables count.
+    # rows of at most log2(1024) generators, and the traces t with
+    # t^2 = d mod 4R are counted by the disc tables, so no row of -d is
+    # kept.  Only the rows added after the AS tables count.
     ring = parse_ring("Z/2[x]/(x^10+x^3+1)")
     kernel = ring.kernel()
     as_group(ring)

@@ -661,8 +661,9 @@ def test_disc_monoid_closure_failure_prints_witness(capsys, monkeypatch):
     import quadrings.discriminants as discriminants
     real = discriminants._square_classes
     monkeypatch.setattr(discriminants, "_square_classes",
-                        lambda ring: {k: t for k, t in real(ring).items()
-                                      if k != ring.zero.value})
+                        lambda ring: tuple({k: v for k, v in table.items()
+                                            if k != ring.zero.value}
+                                           for table in real(ring)))
     message, witness = witness_line(capsys, "disc", "--ring", "Z/2[x]/(x^4)")
     assert "of discriminants is not a discriminant" in message
     assert witness == {"ring": "Z/2[x]/(x^4)", "a": [0, 0, 1, 0],

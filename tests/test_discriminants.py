@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -9,7 +10,7 @@ from quadrings import (DiscClass, EnumerationLimitError,
                        find_absorbing, form_is_cancellative,
                        form_semi_nondegenerate, forms_similar, is_discriminant,
                        parse_ring, sq_map, validate_monoid)
-from quadrings.discriminants import _square_classes
+from quadrings.discriminants import _disc_tables, _square_classes
 
 FINITE_RINGS = ["Z/1", "Z/2", "Z/3", "Z/4", "Z/5", "Z/6", "Z/8", "Z/12",
                 "Z/2[x]/(x^2+x+1)", "Z/2[x]/(x^2)", "Z/4[x]/(x^2)"]
@@ -125,13 +126,16 @@ def test_disc_class_of(monkeypatch):
 
 
 def square_classes_by_scan(ring):
-    """_square_classes over every element, kept as the oracle."""
+    """_square_classes over every element, kept as the oracle: each class
+    of t^2 mod 4R -> its least t reduced mod 2R, and -> the number of t in
+    R, as two maps in the order of the least witnesses."""
     mul, coset = ring._mul, ring._coset_rep
     witnesses = {}
     for t in ring._values():
         if coset(t, 2) == t:
             witnesses.setdefault(coset(mul(t, t), 4), t)
-    return witnesses
+    counts = Counter(coset(mul(t, t), 4) for t in ring._values())
+    return witnesses, {c: counts[c] for c in witnesses}
 
 
 def test_square_classes_match_full_scan():
@@ -144,7 +148,18 @@ def test_square_classes_match_full_scan():
             degree += 1
     for ring in rings:
         got, want = _square_classes(ring), square_classes_by_scan(ring)
-        assert list(got.items()) == list(want.items()), ring
+        assert [list(m.items()) for m in got] == [list(m.items()) for m in want], ring
+
+
+def test_disc_tables_count_the_traces_of_each_square_class_on_rings_up_to_64():
+    # traces[c] is |{t in R : t^2 mod 4R = c}|, counted over every element;
+    # the with-basis orbit count and bound of the fibre reports scale with
+    # it alike, so their count == bound check cannot catch a wrong count
+    from test_quadratic import rings_up_to
+    for ring in rings_up_to(64):
+        want = Counter(ring.coset_representative(t * t, 4).value
+                       for t in ring.elements())
+        assert _disc_tables(ring).traces == want, ring
 
 
 def test_is_discriminant_lists_only_residues_mod_2():
@@ -171,7 +186,7 @@ def test_is_discriminant_returns_the_least_witness_of_the_square_table(monkeypat
     for n in (10 ** 99 + 289, 2 * 10 ** 99 + 2):    # odd, and 2 mod 4
         ring = ModRing(n)
         cases.append((ring, [ring.element(d) for d in (0, 1, 2, 3, 5, n - 3, n - 1)]))
-    tables = [_square_classes(ring) for ring, _ in cases]
+    tables = [_square_classes(ring)[0] for ring, _ in cases]
     monkeypatch.setattr("quadrings.discriminants._square_classes", None)
     for (ring, ds), table in zip(cases, tables):
         for d in ds:
@@ -298,12 +313,17 @@ def test_principal_ideal_products():
 
 def test_preimage_violations_are_reported(monkeypatch):
     # over Z/8 the disc classes are 0, 1, 4 and 5, solved by 4n = t^2 - d
-    # with t = 0, 1, 0, 1; with the norm map cut to 4n = 0 -> [1], the
-    # classes 0 and 1 get the wrong n and 4 and 5 none, and the hom check
-    # lists both kinds, on every call, with the preimages that were found
+    # with t = 0, 1, 0, 1; with the row of 4x cut to 4 * 1 = 0 and no
+    # other n reaching 0 or 4, the classes 0 and 1 get the wrong n and 4
+    # and 5 none, and the hom check lists both kinds, on every call, with
+    # the preimages that were found.  The row is cut after classify, which
+    # reads the same row as -4x.
     ring = parse_ring("Z/8")
-    monkeypatch.setitem(vars(ring.kernel()), "norms", {0: [1]})
     cl = classify(ring)
+    kernel = ring.kernel()
+    real = kernel.multiple_row
+    monkeypatch.setattr(kernel, "multiple_row",
+                        lambda k: [7, 0, 7, 7, 7, 7, 7, 7] if k == 4 else real(k))
     for _ in range(2):
         report = disc_hom_check(ring, cl)
         assert report.violations == [

@@ -395,29 +395,6 @@ def test_mul_matches_convolution_and_power_rows_on_every_pair():
             assert ring._mul(a, b) == want, (spec, a, b)
 
 
-def test_constant_operand_products_scale_and_match_the_convolution(monkeypatch):
-    # in a quotient ring of degree 1 or above 3 a product with a constant
-    # operand, on either side, scales the other operand's coefficients and
-    # never reaches _reduce, nor does the unrolled product of degree 3; the
-    # oracle is the schoolbook convolution
-    from test_quadratic import rings_up_to
-    rings = [r for r in rings_up_to(64)
-             if isinstance(r, QuotientPolyRing) and r.degree != 2]
-    assert sum(r.degree >= 3 for r in rings) == 211
-    for ring in rings:
-        n, f, d = ring.n, list(ring.modulus), ring.degree
-        constants = [(c,) + (0,) * (d - 1) for c in range(n)]
-        with monkeypatch.context() as patch:
-            patch.setattr(ring, "_reduce", None)    # any call raises TypeError
-            for c, a in product(constants, ring._values()):
-                want = schoolbook_mul(c, a, n, f)
-                assert ring._mul(c, a) == ring._mul(a, c) == want, (ring, c, a)
-        # a product of two non-constants still convolves and reduces
-        if d >= 3:
-            x = (0, 1) + (0,) * (d - 2)
-            assert ring._mul(x, x) == schoolbook_mul(x, x, n, f)
-
-
 def test_unrolled_and_higher_degree_products_match_the_convolution():
     # degree 3 is unrolled (two division steps), and above it _mul
     # convolves in a loop and _reduce divides: both equal the plain
