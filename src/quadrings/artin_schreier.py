@@ -54,7 +54,6 @@ from dataclasses import dataclass
 
 from .discriminants import DiscClass, _disc_map, _disc_tables, disc_class_of
 from .errors import InfiniteRingError, InternalCheckError
-from .monoids import FiniteCommMonoid
 from .quadratic import Classification, QuadraticAlgebra, require_ring
 from .rings import IntegerRing, Kernel, Ring, RingElement
 
@@ -218,12 +217,6 @@ class ASGroup:
                 f"AS group order {self.order} is not a power of 2",
                 {"ring": self.ring.spec_string(), "order": self.order})
         return [2] * count
-
-    def to_monoid(self) -> FiniteCommMonoid:
-        labels = [str(rep) for rep in self.classes]
-        table = [[self.add(i, j) for j in range(self.order)]
-                 for i in range(self.order)]
-        return FiniteCommMonoid(labels, table, self.identity)
 
     def __repr__(self):
         return f"ASGroup({self.ring!r}, order={self.order})"

@@ -70,10 +70,6 @@ class FiniteCommMonoid:
                 "table": [list(row) for row in self.table],
                 "identity": self.identity}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> FiniteCommMonoid:
-        return cls(data["elements"], data["table"], data["identity"])
-
 
 def find_monoid_violation(m: FiniteCommMonoid):
     """First failing axiom as (kind, witness indices), or None.

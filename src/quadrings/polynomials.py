@@ -72,9 +72,6 @@ class MultiPoly:
             return value
         return cls.const(value)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def term_count(self) -> int:
         return len(self.terms)
 

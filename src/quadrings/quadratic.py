@@ -61,10 +61,6 @@ class QuadraticAlgebra:
     def x(self) -> AlgebraElement:
         return AlgebraElement(self, 0, 1)
 
-    @property
-    def one(self) -> AlgebraElement:
-        return AlgebraElement(self, 1, 0)
-
     def pair(self):
         return (self.t, self.n)
 
@@ -448,9 +444,6 @@ class Classification:
         code = self.ring.kernel().code
         return self.class_map.row(code[t])[code[n]]
 
-    def class_of(self, algebra: QuadraticAlgebra) -> IsoClass:
-        return self.classes[self.index_of(algebra)]
-
     def labels(self) -> list[str]:
         """Every class's label, the text of IsoClass.label.
 
@@ -608,7 +601,7 @@ def classify(ring: Ring) -> Classification:
         for u in units:
             row_u = rows[u]
             if slice_of[row_u[t0]] < 0:    # u(t0 + 2R) is a new coset
-                row_back = rows[square[code[ring._inverse(values[u])]]]
+                row_back = rows[square[kernel.inverse[u]]]
                 for z, c in zip(coset, moves):
                     y = row_u[z]
                     slice_of[y], back[y], shift[y] = len(slices), row_back, c

@@ -26,23 +26,24 @@ its ring operations: a star product seven products, an AS action four
 (two of them by 4), a discriminant test one product per residue mod 2R
 up to the first witness.  A quotient ring answers is_unit and inverses
 by the norm det(x -> a x) over Z/n, in closed form for d = 2 and d = 3,
-and lists its units through a unit table (at most 2|R| products) that
-it then reads.
+and reads them off its kernel instead once it holds one.
 An isomorphism test over a finite ring costs a product or two per element,
 for u^2 disc(s) = disc(t), and for each u that passes and is a unit one
 inverse and three products; the solutions r of its trace equation cost a
 product each for the first unit that meets that equation, and one lookup
-for every later one.  Nothing is cached on a ring but canonical values,
-so a ring holds no element and no reference to itself, and a pickle or
-copy of it leaves its caches behind.
+for every later one.
 
-Each finite ring instance has one Kernel, built on first use by
-ring.kernel(): its elements as int codes, the value -> code map, the codes
-of t^2 and of the units, and the rows code(x_c + x_k) and code(k x_c),
-kept as they are built, which need no ring operation; Kernel.span
-generates additive subgroups from them.  classify, the star table, the
-disc classes, the AS group and the fiber reports all read it, and the
-disc classes and the AS group are kept in its derived slot once built.
+Each finite ring instance has one Kernel, its only cache, built on first
+use by ring.kernel(): its elements as int codes, the value -> code map,
+the codes of t^2, of each element's inverse (-1 for a non-unit) and of
+the units, and the rows code(x_c + x_k) and code(k x_c), kept as they are
+built, which need no ring operation; Kernel.span generates additive
+subgroups from them.  units(), classify, the star table, the disc
+classes, the AS group and the fiber reports all read it, and the disc
+classes and the AS group are kept in its derived slot once built.  The
+kernel holds ints, canonical values and strings, so a ring holds no
+element and no reference to itself, and a pickle or copy of the ring
+leaves the kernel behind.
 """
 
 from __future__ import annotations
@@ -158,21 +159,22 @@ class Ring:
             self._kernel = Kernel(self)
         return self._kernel
 
-    # Units, inverses and ideals.  Each concrete ring answers these from its
-    # own structure in closed form (for units of a quotient ring, its norm),
-    # with one exception:
+    # Units, inverses and ideals.  units() reads the kernel's inverse codes.
+    # Each concrete ring answers the rest from its own structure in closed
+    # form (for units of a quotient ring, its norm, or its kernel once
+    # built), with one exception:
     # QuotientPolyRing.in_principal_ideal lists the multiples of a non-unit
     # t, a scan of the ring per call.  Nothing in the package calls it.
 
     def units(self) -> list[RingElement]:
-        """The invertible elements, in canonical order (finite rings only)."""
-        return [RingElement(self, v) for v in self._unit_values()]
-
-    def _unit_values(self) -> list:
-        """The canonical values of units(), in the same order."""
-        raise InfiniteRingError(
-            "units() requires a finite ring; use is_unit for single elements"
-        )
+        """The invertible elements, in canonical order (finite rings only),
+        read off the kernel's inverse codes."""
+        if not self.is_finite:
+            raise InfiniteRingError(
+                "units() requires a finite ring; use is_unit for single elements"
+            )
+        kernel = self.kernel()
+        return [RingElement(self, kernel.values[c]) for c in kernel.units]
 
     def is_unit(self, a: RingElement) -> bool:
         raise NotImplementedError
@@ -339,10 +341,6 @@ class ModRing(Ring):
         require_enumerable(g, _listing_text, self, k)
         return list(range(g))
 
-    def _unit_values(self) -> list:
-        n = self.n
-        return [v for v in self._values() if math.gcd(v, n) == 1]
-
     # Closed forms via gcd: Z/n is never enumerated, so these stay cheap for
     # moduli far too large to list.
 
@@ -386,8 +384,6 @@ class QuotientPolyRing(Ring):
     """
 
     is_finite = True
-    _inverses = None    # the unit table, per instance once built
-    _caches = Ring._caches + ("_inverses",)
 
     def __init__(self, n: int, modulus):
         if n < 1:
@@ -492,67 +488,31 @@ class QuotientPolyRing(Ring):
         require_enumerable(g ** self.degree, _listing_text, self, k)
         return [rev[::-1] for rev in product(range(g), repeat=self.degree)]
 
-    def _unit_values(self) -> list:
-        inverses = self._inverse_table()
-        return [v for v in self._values() if v in inverses]
-
-    def _inverse_table(self) -> dict:
-        """Unit -> inverse on canonical values, built on first use per ring.
-
-        Walks the powers a, a^2, ... of each element not yet placed.  A walk
-        that reaches a known unit p = a^k (at first only 1 is known) makes
-        each a^i with i < k a unit with inverse a^(k-i) p^-1.  A walk that reaches a known
-        non-unit or repeats itself makes them all non-units: a power of a
-        non-unit is never a unit, and the powers of a unit come back to 1
-        before they repeat.  Each element is placed by one walk, so the table
-        costs at most 2|R| products.
-        """
-        if self._inverses is None:
-            one = self.canonicalize(1)
-            inverses = {one: one}
-            nonunits = set()
-            for a in self._values():
-                if a in inverses or a in nonunits:
-                    continue
-                chain, walked = [a], {a}    # chain[i] = a^(i+1)
-                p = self._mul(a, a)
-                while p not in inverses and p not in nonunits and p not in walked:
-                    chain.append(p)
-                    walked.add(p)
-                    p = self._mul(p, a)
-                if p in inverses:
-                    k, q = len(chain) + 1, inverses[p]
-                    for i, c in enumerate(chain, 1):
-                        inverses[c] = self._mul(chain[k - i - 1], q)
-                else:
-                    nonunits |= walked
-            self._inverses = inverses
-        return self._inverses
-
     def is_unit(self, a: RingElement) -> bool:
-        """Whether _inverse finds an inverse: from the unit table once this
-        instance holds it, else by the norm, building no table."""
+        """Whether _inverse finds an inverse: from the kernel once this
+        instance holds it, else by the norm, building no kernel."""
         self._check_mine(a)
         return self._inverse(a.value) is not None
 
     def _inverse(self, a):
         """The inverse of the canonical value a, or None unless a is a unit.
 
-        An instance that holds its unit table reads it.  Otherwise the norm
-        N(a), the determinant of x -> a x over Z/n, decides: a is a unit iff
-        gcd(N(a), n) = 1, and then a^-1 = adj / N(a), where adj, the first
-        column of the adjugate, has a * adj = N(a).  For d = 2, with
+        An instance that holds its kernel reads its inverse codes.
+        Otherwise the norm N(a), the determinant of x -> a x over Z/n,
+        decides: a is a unit iff gcd(N(a), n) = 1, and then a^-1 = adj / N(a),
+        where adj, the first column of the adjugate, has a * adj = N(a).
+        For d = 2, with
         x^2 = f0 + f1 x, N(a) = a0 (a0 + f1 a1) - f0 a1^2 and
         adj = (a0 + f1 a1) - a1 x; d = 3 is in closed form too, and other
         degrees take exact elimination over Z (_norm_solve).  Past degree
         101 that elimination would take more than MAX_ENUMERATION steps, and
-        the table answers, which refuses a ring that large.
+        the kernel answers, which refuses a ring that large.
         """
-        inverses, d = self._inverses, self.degree
-        if inverses is not None:
-            return inverses.get(a)
-        if d ** 3 > MAX_ENUMERATION:
-            return self._inverse_table().get(a)
+        d = self.degree
+        if self._kernel is not None or d ** 3 > MAX_ENUMERATION:
+            kernel = self.kernel()
+            c = kernel.inverse[kernel.code[a]]
+            return kernel.values[c] if c >= 0 else None
         n, x_d = self.n, self._x_d
         if d == 2:
             (a0, a1), (f0, f1) = a, x_d
@@ -830,7 +790,7 @@ def parse_ring(spec: str) -> Ring:
 
 class Kernel:
     """The int-coded tables of one finite ring instance, which Ring.kernel()
-    builds on first use and keeps.
+    builds on first use and keeps: the ring's only cache.
 
     The code of an element is its index in ring.elements(): the value itself
     for Z/n, and c_0 + c_1 n + ... + c_(d-1) n^(d-1) for (Z/n)[x]/(f).  Both
@@ -844,7 +804,9 @@ class Kernel:
     sum of codes is an add-row lookup.  span generates an additive subgroup
     from add rows by _walk_cosets, the walk that classify runs on unit rows
     for the stabilizer of a trace.  Ring products fill only the table of
-    t^2 (|R|) and the list of units.  A table is kept here only when two
+    t^2 (|R|) and inverse, the code of each element's inverse or -1 for a
+    non-unit, by a walk of powers from the squares (at most 2|R|); units
+    lists the codes with an inverse.  A table is kept here only when two
     layers read it; derived is the slot where the discriminants and
     artin_schreier modules keep their own per-ring tables, filled on first
     use.
@@ -861,8 +823,33 @@ class Kernel:
                         for i in range(getattr(ring, "degree", 1))]
         self._rows: list = [None] * len(values)
         self._multiples: dict = {}    # k mod n -> multiple_row(k)
-        self.square = [code[mul(t, t)] for t in values]
-        self.units = [code[u] for u in ring._unit_values()]
+        self.square = square = [code[mul(t, t)] for t in values]
+        # The power walk a, a^2 = square[a], a^3, ... of each code not yet
+        # placed.  A walk that reaches a known unit p = a^(k+1) (at first
+        # only 1 is known) makes each a^i with i <= k a unit with inverse
+        # a^(k+1-i) p^-1, no product when p = 1.  A walk that reaches a
+        # known non-unit or repeats itself leaves them all non-units (-1):
+        # a power of a non-unit is never a unit, and the powers of a unit
+        # come back to 1 before they repeat.  Each code is placed by one
+        # walk, at most 2|R| products.
+        self.inverse = inverse = [None] * len(values)
+        one = code[ring.canonicalize(1)]
+        inverse[one] = one
+        for a in range(len(values)):
+            if inverse[a] is not None:
+                continue
+            chain, p, x = [a], square[a], values[a]
+            inverse[a] = -1
+            while inverse[p] is None:
+                chain.append(p)
+                inverse[p] = -1
+                p = code[mul(values[p], x)]
+            if inverse[p] >= 0:
+                k, q = len(chain), inverse[p]
+                for i, c in enumerate(chain):    # c = a^(i+1)
+                    r = chain[k - i - 1]
+                    inverse[c] = r if q == one else code[mul(values[r], values[q])]
+        self.units = [c for c, i in enumerate(inverse) if i >= 0]
         self.derived: dict = {}
 
     def _digitwise(self, digit_maps: list) -> list[int]:

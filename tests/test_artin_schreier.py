@@ -74,8 +74,9 @@ def test_as_group_is_elementary_two_group():
         assert set(asg.invariant_factors()) <= {2}
         for i in range(asg.order):
             assert asg.add(i, i) == asg.identity
-        m = asg.to_monoid()
-        from quadrings import validate_monoid
+        from quadrings import FiniteCommMonoid, validate_monoid
+        table = [[asg.add(i, j) for j in range(asg.order)] for i in range(asg.order)]
+        m = FiniteCommMonoid([str(rep) for rep in asg.classes], table, asg.identity)
         assert validate_monoid(m)
 
 
@@ -742,7 +743,7 @@ def fiber_report_by_pairs(ring, d, classification, group):
     kernel, mul = ring.kernel(), ring._mul
     code, add_row = kernel.code, kernel.add_row
     dv = d.d.value
-    discs = {mul(mul(u, u), dv) for u in ring._unit_values()}
+    discs = {mul(mul(u.value, u.value), dv) for u in ring.units()}
 
     fiber = [i for i, c in enumerate(cl) if c.disc.value in discs]
     fiber_pos = {ci: k for k, ci in enumerate(fiber)}

@@ -13,7 +13,7 @@ from quadrings.polynomials import variables
 def test_poly_basics():
     t, n = variables("t", "n")
     assert (t + n) * (t - n) == t ** 2 - n ** 2
-    assert (t - t).is_zero()
+    assert t - t == 0
     assert MultiPoly.const(0).term_count() == 0
     assert str(t ** 2 - 4 * n) == "t^2-4*n"
     assert (t * n).vars == ("n", "t")
@@ -42,7 +42,7 @@ def test_poly_variable_pruning():
     assert (q - s * m).vars == ("n", "t")
     assert (t + 1) * (t - 1) - t ** 2 == -1
     assert ((t + 1) * (t - 1) - t ** 2).vars == ()
-    assert (q - q).vars == () and (q * 0).is_zero()
+    assert (q - q).vars == () and q * 0 == 0
 
 
 POLY_NAMES = ("t", "n", "s", "m")
@@ -120,7 +120,7 @@ def test_poly_repeated_name_adds_its_powers():
     p = MultiPoly(("t", "n", "t"), {(1, 1, 2): 3, (0, 0, 1): -1, (1, 0, 0): 1})
     assert p == 3 * t ** 3 * n and hash(p) == hash(3 * t ** 3 * n)
     assert p.vars == ("n", "t")
-    assert MultiPoly(("t", "t"), {(1, 0): 2, (0, 1): -2}).is_zero()
+    assert MultiPoly(("t", "t"), {(1, 0): 2, (0, 1): -2}) == 0
     with pytest.raises(ValueError):
         MultiPoly(("t", "t"), {(1,): 1})
 

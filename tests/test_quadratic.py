@@ -291,7 +291,7 @@ def test_queries_take_no_ring_element_operation(spec, monkeypatch):
     rng = random.Random(spec)
     small = ring.is_finite and ring.size < 100
     if small:
-        values, units = ring._values(), ring._unit_values()
+        values, units = ring._values(), [u.value for u in ring.units()]
         fours = [a.value for a in four_torsion(ring)]
         draw = lambda: rng.choice(values)    # noqa: E731
     elif ring.is_finite:    # a 100-digit odd modulus: R[4] = {0}
@@ -452,10 +452,12 @@ def direct_unit_rows(ring):
 
 
 def test_classify_cost_is_composed_rows_plus_slices(monkeypatch):
-    # classify never builds a BasisChange; its ring products are one row per
-    # unit outside the subgroup of the units before it, r^2 per element,
-    # and per trace orbit one r(t0 + r) per member 2r of 2R and one
-    # a(t0 + a) per generator a of R[2] = {a : 2a = 0}: none per class
+    # the kernel takes the squares (|R| products) and walks the powers for
+    # the inverses (at most 2|R|); after it classify never builds a
+    # BasisChange, and its own ring products are one row per unit outside
+    # the subgroup of the units before it, and per trace orbit one
+    # r(t0 + r) per member 2r of 2R and one a(t0 + a) per generator a of
+    # R[2] = {a : 2a = 0}: none per class
     def refuse(*args):
         raise AssertionError("classify used the object-level basis change")
     monkeypatch.setattr(quadratic, "apply_basis_change", refuse)
@@ -463,12 +465,6 @@ def test_classify_cost_is_composed_rows_plus_slices(monkeypatch):
     for spec in ["Z/8", "Z/12", "Z/2[x]/(x^2+x+1)", "Z/4[x]/(x^2+x+1)",
                  "Z/9[x]/(x^2+1)", "Z/2[x]/(x^3+x+1)", "Z/4[x]/(x^2)"]:
         ring = parse_ring(spec)
-        units = len(ring.units())    # builds a quotient ring's unit table
-        direct = len(direct_unit_rows(ring))
-        assert 2 ** direct <= units, spec
-        # R[2] is elementary abelian, so it has log2|R[2]| generators
-        torsion = sum(1 for a in ring.elements() if 2 * a == ring.zero)
-        doubles = ring.size // torsion
         calls = 0
         original = ring._mul
 
@@ -478,9 +474,17 @@ def test_classify_cost_is_composed_rows_plus_slices(monkeypatch):
             return original(a, b)
 
         monkeypatch.setattr(ring, "_mul", counting)
+        units = len(ring.kernel().units)
+        assert ring.size <= calls <= 3 * ring.size, (spec, calls)
+        direct = len(direct_unit_rows(ring))
+        assert 2 ** direct <= units, spec
+        # R[2] is elementary abelian, so it has log2|R[2]| generators
+        torsion = sum(1 for a in ring.elements() if 2 * a == ring.zero)
+        doubles = ring.size // torsion
+        calls = 0
         cl = classify(ring)
         traces = len({c.rep.t for c in cl})    # one least trace per orbit
-        assert calls == (ring.size * (direct + 1)
+        assert calls == (ring.size * direct
                          + traces * (doubles + torsion.bit_length() - 1)), spec
 
 
@@ -1016,7 +1020,7 @@ def test_classify_formats_no_ring_spec(monkeypatch):
 def test_kernel_matches_ring_arithmetic_on_rings_up_to_27():
     # add rows and multiple rows need no ring operation; each
     # must agree with ring._add and ring._mul on every code, and the product tables
-    # with their definitions
+    # (squares, inverses, units) with their definitions
     for ring in rings_up_to(27):
         kernel = ring.kernel()
         values, code = kernel.values, kernel.code
@@ -1029,7 +1033,12 @@ def test_kernel_matches_ring_arithmetic_on_rings_up_to_27():
             assert [values[c] for c in kernel.multiple_row(k)] == [
                 ring._mul(ring.element(k).value, a) for a in values], (ring, k)
         assert [values[c] for c in kernel.square] == [ring._mul(a, a) for a in values]
-        assert [values[c] for c in kernel.units] == ring._unit_values()
+        # the inverse codes against a search of the ring, -1 for a non-unit
+        one = ring.canonicalize(1)
+        inverse = [next((k for k, b in enumerate(values) if ring._mul(a, b) == one), -1)
+                   for a in values]
+        assert kernel.inverse == inverse, ring
+        assert kernel.units == [c for c, k in enumerate(inverse) if k >= 0], ring
 
 
 def test_quad_monoid_refuses_a_classification_of_another_ring():

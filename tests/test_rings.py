@@ -428,9 +428,9 @@ NORM_RINGS = ["Z/2[x]/(x^2+x+1)", "Z/3[x]/(x^2)", "Z/2[x]/(x^3+x+1)",
 
 
 def test_norm_answers_unit_questions_like_a_search_on_a_fresh_ring():
-    # an instance with no unit table decides is_unit and _inverse by the
+    # an instance with no kernel decides is_unit and _inverse by the
     # norm (closed forms for degrees 2 and 3, elimination for the others),
-    # and builds no table for it; the oracle searches the ring for an
+    # and builds no kernel for it; the oracle searches the ring for an
     # inverse, over every element, or over 48 of Z/6[x]/(x^4+x+3)'s 1296
     from test_quadratic import rings_up_to
     rng = random.Random(34)
@@ -447,10 +447,9 @@ def test_norm_answers_unit_questions_like_a_search_on_a_fresh_ring():
             assert fresh.is_unit(element) == (inverse is not None)
             if inverse is not None:
                 assert fresh.inverse_of_unit(element).value == inverse
-        assert fresh._inverses is None, ring
-        # an instance that holds its table reads it, with the same answers
-        ring._unit_values()
-        assert ring._inverses is not None
+        assert fresh._kernel is None, ring
+        # an instance that holds its kernel reads it, with the same answers
+        ring.kernel()
         assert all(ring._inverse(a) == fresh._inverse(a) for a in sample)
 
 
@@ -480,12 +479,12 @@ def test_unit_questions_on_a_ring_too_large_to_list(spec, monkeypatch):
     assert is_sec_algebra(QuadraticAlgebra(ring, 1, 5))
     assert QuadraticAlgebra(ring, 3, 2).is_separable()
     assert not is_sec_algebra(QuadraticAlgebra(ring, 2, 1))
-    assert ring._inverses is None
+    assert ring._kernel is None
 
 
 def test_unit_questions_past_degree_101_still_refuse():
     # elimination would take more than MAX_ENUMERATION steps there, so the
-    # unit table answers, and refuses a ring of 2^3000 elements
+    # kernel answers, and refuses a ring of 2^3000 elements
     ring = parse_ring("Z/2[x]/(x^3000+1)")
     with pytest.raises(EnumerationLimitError, match="at least 2\\^3000 items"):
         ring.is_unit(ring.one)
