@@ -54,8 +54,8 @@ from dataclasses import dataclass
 
 from .discriminants import DiscClass, _disc_map, _disc_tables, disc_class_of
 from .errors import InfiniteRingError, InternalCheckError
-from .quadratic import Classification, QuadraticAlgebra, require_ring
-from .rings import IntegerRing, Kernel, Ring, RingElement
+from .quadratic import Classification, QuadraticAlgebra
+from .rings import IntegerRing, Kernel, Ring, RingElement, require_ring
 
 
 def four_torsion(ring: Ring) -> list[RingElement]:
@@ -239,8 +239,7 @@ def as_act(s: QuadraticAlgebra, m: RingElement) -> QuadraticAlgebra:
     norm becomes a RingElement.
     """
     ring = s.ring
-    ring._check_mine(m)
-    mul, four, mv = ring._mul, ring.canonicalize(4), m.value
+    mul, four, mv = ring._mul, ring.canonicalize(4), ring.canonicalize(m)
     if mul(four, mv) != ring.canonicalize(0):
         raise ValueError(f"{m!r} is not 4-torsion")
     t, n = s.t.value, s.n.value
@@ -419,9 +418,8 @@ def is_sec_element(ring: Ring, t: RingElement) -> bool:
     rule, and for odd t or t = 2 mod 4 it holds.  In a finite ring a
     nonzerodivisor is a unit, so tR = R and the rule holds for every r.
     """
-    ring._check_mine(t)
     if isinstance(ring, IntegerRing):
-        return t.value != 0 and t.value % 4 != 0
+        return ring.canonicalize(t) % 4 != 0    # t = 0 fails too
     if ring.is_finite:
         return ring.is_nonzerodivisor(t)
     raise InfiniteRingError("sec testing needs a finite ring or Z")

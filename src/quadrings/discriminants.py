@@ -44,8 +44,8 @@ from dataclasses import dataclass
 
 from .errors import InfiniteRingError, InternalCheckError
 from .monoids import FiniteCommMonoid
-from .quadratic import Classification, QuadraticAlgebra, require_ring
-from .rings import IntegerRing, Ring, RingElement
+from .quadratic import Classification, QuadraticAlgebra
+from .rings import IntegerRing, QuotientPolyRing, Ring, RingElement, require_ring
 
 
 def sq_map(ring: Ring, t: RingElement) -> RingElement:
@@ -86,17 +86,17 @@ def is_discriminant(ring: Ring, d: RingElement):
     in d + 4R is returned: the least witness, as in _square_classes, with
     no table built.  Over Z this is the classical condition d = 0, 1 mod 4.
     """
-    ring._check_mine(d)
+    d = ring.canonicalize(d)
     if ring.is_finite:
         mul, coset = ring._mul, ring._coset_rep
-        target = coset(d.value, 4)
+        target = coset(d, 4)
         for t in ring._residue_values(2):
             if coset(mul(t, t), 4) == target:
                 return RingElement(ring, t)
         return None
     if isinstance(ring, IntegerRing):
-        if d.value % 4 in (0, 1):
-            return ring.element(d.value % 2)
+        if d % 4 in (0, 1):
+            return ring.element(d % 2)
         return None
     raise InfiniteRingError("discriminant testing needs a finite ring or Z")
 
@@ -130,8 +130,7 @@ class DiscClass:
     witness_t: RingElement
 
     def __init__(self, ring: Ring, d: RingElement, witness_t: RingElement):
-        ring._check_mine(d)
-        ring._check_mine(witness_t)
+        d, witness_t = ring.element(d), ring.element(witness_t)
         t = witness_t.value
         problem = _witness_problem(ring, d.value, t, ring._mul(t, t))
         if problem is not None:
@@ -351,8 +350,8 @@ def disc_hom_check(ring: Ring, classification: Classification) -> DiscHomReport:
     of 4n = t^2 - d; the disc tables solve and check it once per ring
     instance.
     """
-    tables = _disc_tables(ring)
     require_ring(ring, classification)
+    tables = _disc_tables(ring)
     verdict = classification.derived.get("hom")
     if verdict is None:
         verdict = classification.derived["hom"] = _hom_verdict(
@@ -422,9 +421,14 @@ class Rank1Form:
 
 
 def forms_similar(f: Rank1Form, g: Rank1Form) -> bool:
-    if isinstance(f.ring, IntegerRing):
-        return g.a in (f.a, -f.a)
-    return any(u * f.a == g.a for u in f.ring.units())
+    """Whether g.a = u f.a for a unit u.  Over Z and Z/n that holds iff
+    f.a and g.a generate the same ideal, which in_principal_ideal decides
+    in closed form (over Z/n: iff gcd(f.a, n) = gcd(g.a, n)), so no unit is
+    listed; a quotient ring scans its units."""
+    ring = f.ring
+    if isinstance(ring, QuotientPolyRing):
+        return any(u * f.a == g.a for u in ring.units())
+    return ring.in_principal_ideal(f.a, g.a) and ring.in_principal_ideal(g.a, f.a)
 
 
 def form_semi_nondegenerate(f: Rank1Form) -> bool:

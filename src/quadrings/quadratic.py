@@ -27,9 +27,11 @@ value once.
 from __future__ import annotations
 
 import math
+import operator
 
 from .errors import InfiniteRingError, InternalCheckError, MixedRingError
-from .rings import IntegerRing, Ring, RingElement, _walk_cosets, require_enumerable
+from .rings import (IntegerRing, Ring, RingElement, _walk_cosets, require_enumerable,
+                    require_ring)
 
 
 class QuadraticAlgebra:
@@ -88,7 +90,8 @@ class AlgebraElement:
     intermediate RingElement is built.  An operand that is not an element
     of this algebra goes through _coerce, which raises MixedRingError for
     another algebra and, through the ring's canonicalize, TypeError for a
-    float.
+    float.  A ring element or an int on the left is taken by the reflected
+    operators, since a ring element's own operator returns NotImplemented.
     """
 
     __slots__ = ("algebra", "a", "b")
@@ -124,6 +127,9 @@ class AlgebraElement:
         sub = algebra.ring._sub
         return _element_of(algebra, sub(self.a.value, other.a.value),
                            sub(self.b.value, other.b.value))
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
 
     def __neg__(self):
         algebra = self.algebra
@@ -205,10 +211,11 @@ class BasisChange:
     __slots__ = ("u", "r")
 
     def __init__(self, u: RingElement, r: RingElement):
+        """r is read in u's ring: an int, or an element of an equal ring."""
         if not u.ring.is_unit(u):
             raise ValueError(f"basis change requires a unit, got {u!r}")
         object.__setattr__(self, "u", u)
-        object.__setattr__(self, "r", r.ring.element(r))
+        object.__setattr__(self, "r", u.ring.element(r))
 
     def __setattr__(self, name, value):
         raise AttributeError("basis changes are immutable")
@@ -223,8 +230,7 @@ class BasisChange:
 
 def star_product(s: QuadraticAlgebra, t: QuadraticAlgebra) -> QuadraticAlgebra:
     """Monoid product: (t,n)*(s,m) = (st, mt^2 + ns^2 - 4nm), on canonical values."""
-    if s.ring is not t.ring and s.ring != t.ring:
-        raise MixedRingError("product requires algebras over the same ring")
+    require_ring(s.ring, t)
     ring, tt, nn, ss, mm = s.ring, s.t.value, s.n.value, t.t.value, t.n.value
     mul = ring._mul
     n = ring._sub(ring._add(mul(mm, mul(tt, tt)), mul(nn, mul(ss, ss))),
@@ -236,10 +242,8 @@ def apply_basis_change(s: QuadraticAlgebra, g: BasisChange) -> QuadraticAlgebra:
     """(t, n) -> (u(t+2r), u^2(n + tr + r^2)), on canonical values; u and r
     must lie in s's ring (MixedRingError otherwise)."""
     ring = s.ring
-    ring._check_mine(g.u)
-    ring._check_mine(g.r)
     mul, add = ring._mul, ring._add
-    u, r, t, n = g.u.value, g.r.value, s.t.value, s.n.value
+    u, r, t, n = ring.canonicalize(g.u), ring.canonicalize(g.r), s.t.value, s.n.value
     return QuadraticAlgebra(
         ring, RingElement(ring, mul(u, add(t, add(r, r)))),
         RingElement(ring, mul(mul(u, u), add(add(n, mul(t, r)), mul(r, r)))))
@@ -273,9 +277,8 @@ def is_isomorphic(s: QuadraticAlgebra, t: QuadraticAlgebra):
     alone.  Over Z, u is +/-1 and r is the one solution of the trace
     equation, if any.
     """
-    if s.ring is not t.ring and s.ring != t.ring:
-        raise MixedRingError("isomorphism testing requires a common ring")
     ring = s.ring
+    require_ring(ring, t)
     if ring.is_finite:
         mul, add, inverse, halves = ring._mul, ring._add, ring._inverse, ring._halves
         tv, nv, t2, n2 = s.t.value, s.n.value, t.t.value, t.n.value
@@ -648,21 +651,13 @@ def classify(ring: Ring) -> Classification:
     return Classification(ring, classes, class_map)
 
 
-def require_ring(ring: Ring, *given) -> None:
-    """ValueError unless each object given (a classification, a disc class,
-    an AS group) was built for ring."""
-    for g in given:
-        if g.ring is not ring and g.ring != ring:
-            raise ValueError(f"{type(g).__name__} of {g.ring!r} given for {ring!r}")
-
-
 def quad_monoid(ring: Ring, classification: Classification) -> FiniteCommMonoid:
     """The commutative monoid of isomorphism classes under the star product.
 
     The table is classification.star_table(), induced by the product on
     canonical representatives; the result is validated before being
     returned, and the class of (0, 0) is checked to be absorbing.  A
-    classification built for another ring raises ValueError.
+    classification built for another ring raises MixedRingError.
     """
     from .monoids import FiniteCommMonoid, find_absorbing, require_valid_monoid
     require_ring(ring, classification)
@@ -693,8 +688,10 @@ def integer_algebra_for_disc(d: int) -> QuadraticAlgebra:
     """The standard quadratic algebra over Z of discriminant d = 0, 1 mod 4.
 
     d = 0 gives Z[x]/(x^2); a nonzero square d gives Z[x]/(x^2 - sqrt(d)x);
-    otherwise Z[(d + sqrt(d))/2], i.e. (t, n) = (d, (d^2 - d)/4).
+    otherwise Z[(d + sqrt(d))/2], i.e. (t, n) = (d, (d^2 - d)/4).  d is
+    read through operator.index, so a float or a Fraction is a TypeError.
     """
+    d = operator.index(d)
     if d % 4 not in (0, 1):
         raise ValueError(f"{d} is not a discriminant over Z")
     ring = IntegerRing()

@@ -12,13 +12,20 @@ canonicalize, _add, _mul and _neg gets RingElement arithmetic, and with it
 the quadratic-algebra code: the symbolic verifier runs that code over
 integer polynomials this way.
 
+Every element argument, of a ring method, an operator or a public
+function of the package, is read one way: by canonicalize, or by
+ring.element where the element is kept.  canonicalize first takes an
+element of this ring instance as it is, with no further call.  It then
+takes an int, an element of an equal ring, a coefficient list, and
+anything else that operator.index accepts.  Another ring's element
+raises MixedRingError from require_ring, the one check of a ring
+mismatch, and a non-integer (a float, a Fraction) raises TypeError.  An
+operator whose operand canonicalize refuses with TypeError returns
+NotImplemented, so an algebra element on the right takes over.
+
 Most queries are a few ring operations on a ring that was just parsed, so
-the fixed cost of one operation is kept low.  An operand that is an element
-of the identical ring instance is used as it is; anything else (an element
-of an equal ring, an int, a coefficient list) goes through canonicalize,
-which keeps the exactness check (TypeError on non-integers) and raises
-MixedRingError for another ring.  canonicalize takes an int, and a list of
-d coefficients, reduced mod n alone.  (Z/n)[x]/(f) reduces a product's
+the fixed cost of one operation is kept low.  canonicalize reduces an int,
+and a list of d coefficients, mod n alone.  (Z/n)[x]/(f) reduces a product's
 convolution, and any longer coefficient list, by synthetic division by the
 monic f, unrolled for d = 2 and d = 3 (sums and differences too for
 d = 2).  A parse builds no table, so one cold query costs the parse and
@@ -78,6 +85,14 @@ def require_enumerable(count: int, what, *args) -> None:
         size = count if bits <= 64 else f"at least 2^{bits - 1}"
         raise EnumerationLimitError(f"{what(*args)}: {size} items exceed the "
                                     f"enumeration budget of {MAX_ENUMERATION}")
+
+
+def require_ring(ring: Ring, *given) -> None:
+    """MixedRingError (a ValueError) unless each object given (an element,
+    an algebra, a classification, a disc class, an AS group) is over ring."""
+    for g in given:
+        if g.ring is not ring and g.ring != ring:
+            raise MixedRingError(f"{type(g).__name__} of {g.ring!r} given for {ring!r}")
 
 
 def _listing_text(ring, k: int) -> str:
@@ -181,8 +196,7 @@ class Ring:
 
     def inverse_of_unit(self, a: RingElement) -> RingElement:
         """a^-1, from _inverse; ValueError unless a is a unit."""
-        self._check_mine(a)
-        inverse = self._inverse(a.value)
+        inverse = self._inverse(self.canonicalize(a))
         if inverse is None:
             raise ValueError(f"{a!r} is not a unit")
         return RingElement(self, inverse)
@@ -202,8 +216,7 @@ class Ring:
     def coset_representative(self, a: RingElement, k: int) -> RingElement:
         """Canonical representative of a + kR: its least member over a
         finite ring, a mod |k| over Z; a itself when k = 0."""
-        self._check_mine(a)
-        return RingElement(self, self._coset_rep(a.value, k))
+        return RingElement(self, self._coset_rep(self.canonicalize(a), k))
 
     def _coset_rep(self, a, k: int):
         """coset_representative on canonical values."""
@@ -214,10 +227,6 @@ class Ring:
         rings): coefficient by coefficient, y (n + 1)/2 for odd n; for even
         n each coefficient c must be even, and gives c/2 and c/2 + n/2."""
         raise NotImplementedError
-
-    def _check_mine(self, a: RingElement) -> None:
-        if a.ring is not self and a.ring != self:
-            raise MixedRingError(f"element of {a.ring!r} used in {self!r}")
 
     def spec_string(self) -> str:
         raise NotImplementedError
@@ -235,12 +244,11 @@ class IntegerRing(Ring):
     is_finite = False
 
     def canonicalize(self, value):
-        if type(value) is int:
-            return value
         if isinstance(value, RingElement):
-            self._check_mine(value)
+            if value.ring is not self:
+                require_ring(self, value)
             return value.value
-        return _exact(value)
+        return value if type(value) is int else _exact(value)
 
     def _add(self, a, b):
         return a + b
@@ -258,24 +266,19 @@ class IntegerRing(Ring):
         return value
 
     def is_unit(self, a: RingElement) -> bool:
-        self._check_mine(a)
-        return a.value in (1, -1)
+        return self.canonicalize(a) in (1, -1)
 
     def inverse_of_unit(self, a: RingElement) -> RingElement:
         if not self.is_unit(a):
             raise ValueError(f"{a!r} is not a unit")
-        return a
+        return self.element(a)
 
     def is_nonzerodivisor(self, a: RingElement) -> bool:
-        self._check_mine(a)
-        return a.value != 0
+        return self.canonicalize(a) != 0
 
     def in_principal_ideal(self, a: RingElement, t: RingElement) -> bool:
-        self._check_mine(a)
-        self._check_mine(t)
-        if t.value == 0:
-            return a.value == 0
-        return a.value % t.value == 0
+        a, t = self.canonicalize(a), self.canonicalize(t)
+        return a % t == 0 if t else a == 0
 
     def _coset_rep(self, a, k: int):
         """a mod |k|, the canonical representative of a + kZ; a itself
@@ -303,12 +306,11 @@ class ModRing(Ring):
         self.n = n
 
     def canonicalize(self, value):
-        if type(value) is int:
-            return value % self.n
         if isinstance(value, RingElement):
-            self._check_mine(value)
+            if value.ring is not self:
+                require_ring(self, value)
             return value.value
-        return _exact(value) % self.n
+        return (value if type(value) is int else _exact(value)) % self.n
 
     def _add(self, a, b):
         return (a + b) % self.n
@@ -346,14 +348,11 @@ class ModRing(Ring):
 
     def is_unit(self, a: RingElement) -> bool:
         """a is a unit iff gcd(a, n) = 1."""
-        self._check_mine(a)
-        return math.gcd(a.value, self.n) == 1
+        return math.gcd(self.canonicalize(a), self.n) == 1
 
     def in_principal_ideal(self, a: RingElement, t: RingElement) -> bool:
         """a in tR iff a = 0 mod gcd(t, n), since tR = gcd(t, n)R."""
-        self._check_mine(a)
-        self._check_mine(t)
-        return a.value % math.gcd(t.value, self.n) == 0
+        return self.canonicalize(a) % math.gcd(self.canonicalize(t), self.n) == 0
 
     def _coset_rep(self, a, k: int):
         """Least member of a + kR: a mod gcd(k, n), since kR = gcd(k, n)R."""
@@ -406,11 +405,12 @@ class QuotientPolyRing(Ring):
     def canonicalize(self, value):
         """An int, or a list or tuple of d coefficients, is reduced mod n
         alone; a longer or shorter one goes through _reduce."""
+        if isinstance(value, RingElement):
+            if value.ring is not self:
+                require_ring(self, value)
+            return value.value
         if type(value) is int:
             return (value % self.n,) + self._pad
-        if isinstance(value, RingElement):
-            self._check_mine(value)
-            return value.value
         if isinstance(value, (list, tuple)):
             if len(value) == self.degree:
                 n = self.n
@@ -491,8 +491,7 @@ class QuotientPolyRing(Ring):
     def is_unit(self, a: RingElement) -> bool:
         """Whether _inverse finds an inverse: from the kernel once this
         instance holds it, else by the norm, building no kernel."""
-        self._check_mine(a)
-        return self._inverse(a.value) is not None
+        return self._inverse(self.canonicalize(a)) is not None
 
     def _inverse(self, a):
         """The inverse of the canonical value a, or None unless a is a unit.
@@ -540,8 +539,7 @@ class QuotientPolyRing(Ring):
     def in_principal_ideal(self, a: RingElement, t: RingElement) -> bool:
         """a in tR: always when t is a unit, since then tR = R; otherwise
         decided by listing the multiples of t, a scan of the ring."""
-        self._check_mine(a)
-        self._check_mine(t)
+        a, t = self.element(a), self.element(t)
         return self.is_unit(t) or any(t * b == a for b in self.elements())
 
     def _coset_rep(self, a, k: int):
@@ -590,22 +588,17 @@ class RingElement:
     def __reduce__(self):
         return RingElement, (self.ring, self.value)
 
-    def _coerce(self, other) -> RingElement:
-        if isinstance(other, RingElement):
-            if other.ring is not self.ring and other.ring != self.ring:
-                raise MixedRingError(
-                    f"mixed rings: {self.ring!r} and {other.ring!r}"
-                )
-            return other
-        return self.ring.element(other)
-
-    # An operand of the identical ring needs no _coerce; any other goes
-    # through it, which checks an equal ring and canonicalizes the rest.
+    # An operand of the identical ring is used as it is; any other is read
+    # by _operand, which gives None for one that canonicalize refuses with
+    # TypeError, so the operator returns NotImplemented and Python tries
+    # the other operand's reflected operator (an algebra element's).
 
     def __add__(self, other):
         ring = self.ring
         if type(other) is not RingElement or other.ring is not ring:
-            other = self._coerce(other)
+            other = _operand(ring, other)
+            if other is None:
+                return NotImplemented
         return RingElement(ring, ring._add(self.value, other.value))
 
     __radd__ = __add__
@@ -613,17 +606,20 @@ class RingElement:
     def __sub__(self, other):
         ring = self.ring
         if type(other) is not RingElement or other.ring is not ring:
-            other = self._coerce(other)
+            other = _operand(ring, other)
+            if other is None:
+                return NotImplemented
         return RingElement(ring, ring._sub(self.value, other.value))
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        return RingElement(self.ring, self.ring._sub(other.value, self.value))
+        return -self + other
 
     def __mul__(self, other):
         ring = self.ring
         if type(other) is not RingElement or other.ring is not ring:
-            other = self._coerce(other)
+            other = _operand(ring, other)
+            if other is None:
+                return NotImplemented
         return RingElement(ring, ring._mul(self.value, other.value))
 
     __rmul__ = __mul__
@@ -672,6 +668,17 @@ class RingElement:
 # blocked __setattr__ or object.__setattr__'s lookup by name.
 _set_ring = RingElement.ring.__set__
 _set_value = RingElement.value.__set__
+
+
+def _operand(ring: Ring, other) -> RingElement | None:
+    """other as an element of ring, read by canonicalize, or None where
+    canonicalize refuses it with TypeError."""
+    try:
+        value = ring.canonicalize(other)
+    except TypeError:
+        return None
+    return RingElement(ring, value)
+
 
 _RING_RE = re.compile(r"^Z/([0-9]+)(?:\[x\]/\((.+)\))?$")
 # A "*" only between a coefficient and x: "3*" and "*x" are malformed.

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from quadrings import (DiscClass, EnumerationLimitError,
-                       InfiniteRingError, ModRing, QuotientPolyRing, Rank1Form,
+                       InfiniteRingError, MixedRingError, ModRing, QuotientPolyRing, Rank1Form,
                        classify,
                        disc_class_of, disc_classes, disc_hom_check,
                        find_absorbing, form_is_cancellative,
@@ -273,6 +273,40 @@ def test_similarity_is_unit_orbit():
     z4 = parse_ring("Z/4")
     assert forms_similar(Rank1Form(z4, z4.element(1)), Rank1Form(z4, z4.element(3)))
     assert not forms_similar(Rank1Form(z4, z4.element(1)), Rank1Form(z4, z4.element(2)))
+
+
+def test_similarity_over_z_n_matches_the_unit_scan():
+    # the unit scan, as forms_similar was written before its closed form,
+    # is the oracle on every pair of Z/n for n <= 64
+    for n in range(1, 65):
+        ring = ModRing(n)
+        units, elements = ring.units(), ring.elements()
+        for a in elements:
+            orbit = {u * a for u in units}
+            for b in elements:
+                got = forms_similar(Rank1Form(ring, a), Rank1Form(ring, b))
+                assert got == (b in orbit), (n, a, b)
+    with pytest.raises(MixedRingError):
+        forms_similar(Rank1Form(ModRing(7), ModRing(7).element(1)),
+                      Rank1Form(ModRing(5), ModRing(5).element(1)))
+
+
+def test_similarity_on_z_n_too_large_to_list():
+    # no unit is listed: Z/10^30 answers, where the scan refused it
+    ring = parse_ring("Z/" + "1" + "0" * 30)
+    six = Rank1Form(ring, ring.element(6))
+    assert forms_similar(six, Rank1Form(ring, ring.element(18)))
+    assert forms_similar(six, Rank1Form(ring, ring.element(-6)))
+    assert not forms_similar(six, Rank1Form(ring, ring.element(12)))
+    assert not forms_similar(six, Rank1Form(ring, ring.element(3)))
+    assert ring._kernel is None
+
+
+def test_disc_hom_check_refuses_another_ring_before_building_anything():
+    z8 = parse_ring("Z/8")
+    with pytest.raises(MixedRingError, match="Classification of Z/4 given for Z/8"):
+        disc_hom_check(z8, classify(parse_ring("Z/4")))
+    assert z8._kernel is None
 
 
 def test_similarity_over_z():

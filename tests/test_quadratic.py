@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -78,6 +79,65 @@ def test_involution_is_ring_map():
             for alpha in els:
                 for beta in els:
                     assert (alpha * beta).conjugate() == alpha.conjugate() * beta.conjugate()
+
+
+@pytest.mark.parametrize("spec", ["Z/7", "Z/9[x]/(x^2+1)"])
+def test_ring_element_and_algebra_element_operands(spec):
+    # a ring element or an int on the left of an algebra element gives
+    # what it gives on the right: the ring element's operator returns
+    # NotImplemented and the algebra element's reflected one answers
+    ring, twin = parse_ring(spec), parse_ring(spec)
+    alg = QuadraticAlgebra(ring, 1, 3)
+    xs = [alg.element(a, b) for a, b in [(0, 1), (2, 5), (ring.element(6), 4)]]
+    for x in xs:
+        for c in ring.elements():
+            embedded = alg.element(c, 0)
+            assert c + x == x + c == embedded + x
+            assert c * x == x * c == embedded * x
+            assert c - x == -(x - c) == embedded - x
+            assert twin.element(c) - x == c - x and twin.element(c) * x == c * x
+        for k in (0, 2, -3):
+            assert k + x == x + k and k * x == x * k and k - x == -(x - k)
+        other = parse_ring("Z/5").element(1)
+        for op in (lambda: other + x, lambda: x + other, lambda: other * x,
+                   lambda: other - x, lambda: x - other):
+            with pytest.raises(MixedRingError):
+                op()
+        for bad in (0.5, Fraction(1, 2), "3", None):
+            for op in (lambda: bad + x, lambda: x + bad, lambda: bad * x,
+                       lambda: x * bad, lambda: bad - x, lambda: x - bad):
+                with pytest.raises(TypeError):
+                    op()
+
+
+def test_basis_change_reads_r_in_the_ring_of_u():
+    z7 = parse_ring("Z/7")
+    u = z7.element(3)
+    g = BasisChange(u, 4)
+    assert g.r == z7.element(4) and g.r.ring is z7
+    assert BasisChange(u, parse_ring("Z/7").element(4)) == g
+    assert apply_basis_change(QuadraticAlgebra(z7, 1, 2), g) == apply_basis_change(
+        QuadraticAlgebra(z7, 1, 2), BasisChange(u, z7.element(4)))
+    # another ring's r is refused when the basis change is built
+    with pytest.raises(MixedRingError):
+        BasisChange(u, parse_ring("Z/5").element(4))
+    with pytest.raises(TypeError):
+        BasisChange(u, 4.0)
+
+
+def test_integer_algebra_for_disc_takes_only_integers():
+    z = parse_ring("Z")
+    for bad in (0.0, 5.0, -4.0, Fraction(5), Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            integer_algebra_for_disc(bad)
+
+    class Five:
+        def __index__(self):
+            return 5
+
+    assert integer_algebra_for_disc(Five()) == QuadraticAlgebra(z, 5, 5)
+    assert integer_algebra_for_disc(True) == QuadraticAlgebra(z, 1, 0)
+    assert integer_algebra_for_disc(False) == QuadraticAlgebra(z, 0, 0)
 
 
 def test_mixed_algebras_rejected():

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadrings.rings as rings
-from quadrings import (EnumerationLimitError, InfiniteRingError,
-                       MixedRingError, QuadraticAlgebra, RingParseError,
-                       parse_ring)
+from quadrings import (BasisChange, DiscClass, EnumerationLimitError,
+                       InfiniteRingError, MixedRingError, QuadraticAlgebra,
+                       RingParseError, apply_basis_change, as_act,
+                       is_sec_element, parse_ring, sq_map)
 from quadrings.discriminants import is_discriminant
 from quadrings.rings import IntegerRing, ModRing, QuotientPolyRing, parse_poly
 
@@ -577,7 +578,7 @@ def test_non_integers_raise_type_error_on_every_path():
 @pytest.mark.parametrize("spec", ["Z", "Z/12", "Z/2[x]/(x^3+x+1)", "Z/6[x]/(x^2+1)"])
 def test_operands_of_equal_and_of_different_rings(spec):
     # an element of an equal but distinct ring instance takes the general
-    # path through _coerce and gives the same value; another ring raises
+    # path through canonicalize and gives the same value; another ring raises
     ring, twin, other = parse_ring(spec), parse_ring(spec), parse_ring("Z/5")
     assert twin == ring and twin is not ring
     values = ring._values() if ring.is_finite else [-3, 0, 2, 10 ** 30]
@@ -746,6 +747,56 @@ def test_enumeration_budget_boundary(monkeypatch):
         ModRing(17).elements()
     with pytest.raises(EnumerationLimitError):
         parse_ring("Z/3[x]/(x^3)").elements()
+
+
+# Each public function that takes an element, called on the element x:
+# (name, the value of x, the call).  0 for as_act, the 4-torsion element of
+# every ring; 1 for the rest, a unit, a discriminant and its own witness.
+OPERAND_CALLS = [
+    ("is_unit", 1, lambda ring, x: ring.is_unit(x)),
+    ("inverse_of_unit", 1, lambda ring, x: ring.inverse_of_unit(x)),
+    ("is_nonzerodivisor", 1, lambda ring, x: ring.is_nonzerodivisor(x)),
+    ("in_principal_ideal", 1, lambda ring, x: (ring.in_principal_ideal(x, ring.one),
+                                               ring.in_principal_ideal(ring.one, x))),
+    ("coset_representative", 1, lambda ring, x: ring.coset_representative(x, 2)),
+    ("as_act", 0, lambda ring, x: as_act(QuadraticAlgebra(ring, 1, 3), x)),
+    ("is_sec_element", 1, lambda ring, x: is_sec_element(ring, x)),
+    ("is_discriminant", 1, lambda ring, x: is_discriminant(ring, x)),
+    ("sq_map", 1, lambda ring, x: sq_map(ring, x)),
+    ("DiscClass", 1, lambda ring, x: DiscClass(ring, x, x)),
+    # u = 1 of x's own ring, so a basis change over another ring is built
+    # and apply_basis_change is the one to refuse it
+    ("apply_basis_change", 1, lambda ring, x: apply_basis_change(
+        QuadraticAlgebra(ring, 1, 3), BasisChange(getattr(x, "ring", ring).one, x))),
+]
+
+
+@pytest.mark.parametrize("spec", ["Z", "Z/12", "Z/2[x]/(x^3+x+1)"])
+@pytest.mark.parametrize("name, value, call", OPERAND_CALLS,
+                         ids=[name for name, _, _ in OPERAND_CALLS])
+def test_every_element_argument_follows_one_operand_rule(spec, name, value, call):
+    # an element of an equal but distinct ring and an int give what the
+    # ring's own element gives; another ring's element is a MixedRingError
+    # and a float a TypeError
+    ring, twin = parse_ring(spec), parse_ring(spec)
+    want = call(ring, ring.element(value))
+    assert call(ring, twin.element(value)) == want
+    assert call(ring, value) == want
+    with pytest.raises(MixedRingError):
+        call(ring, ModRing(5).element(value))
+    with pytest.raises(TypeError):
+        call(ring, float(value))
+
+
+def test_require_ring_is_the_one_mismatch_check():
+    # MixedRingError is a ValueError, and names what was given for which ring
+    z4, z8 = ModRing(4), ModRing(8)
+    assert issubclass(MixedRingError, ValueError)
+    rings.require_ring(z4, ModRing(4).element(1), QuadraticAlgebra(ModRing(4), 1, 0))
+    with pytest.raises(MixedRingError, match="^RingElement of Z/8 given for Z/4$"):
+        rings.require_ring(z4, z4.element(1), z8.element(1))
+    with pytest.raises(MixedRingError, match="^RingElement of Z/8 given for Z/4$"):
+        z4.canonicalize(z8.element(1))
 
 
 def test_integer_inverse_of_unit():
