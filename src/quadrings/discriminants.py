@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from .errors import InfiniteRingError, InternalCheckError
 from .monoids import FiniteCommMonoid
 from .quadratic import Classification, QuadraticAlgebra
-from .rings import IntegerRing, QuotientPolyRing, Ring, RingElement, require_ring
+from .rings import IntegerRing, Ring, RingElement, require_ring
 
 
 def sq_map(ring: Ring, t: RingElement) -> RingElement:
@@ -421,13 +421,14 @@ class Rank1Form:
 
 
 def forms_similar(f: Rank1Form, g: Rank1Form) -> bool:
-    """Whether g.a = u f.a for a unit u.  Over Z and Z/n that holds iff
-    f.a and g.a generate the same ideal, which in_principal_ideal decides
-    in closed form (over Z/n: iff gcd(f.a, n) = gcd(g.a, n)), so no unit is
-    listed; a quotient ring scans its units."""
+    """Whether g.a = u f.a for a unit u, which holds iff f.a and g.a generate
+    the same ideal, over Z and over any finite ring: a = bx and b = ay give
+    a(1 - xy) = 0, so in a local ring x is a unit or a = b = 0, and a finite
+    ring is a product of local rings.  in_principal_ideal decides it both
+    ways, so no unit is listed (over Z/n it is gcd(f.a, n) = gcd(g.a, n)).
+    A form over another ring raises MixedRingError."""
     ring = f.ring
-    if isinstance(ring, QuotientPolyRing):
-        return any(u * f.a == g.a for u in ring.units())
+    require_ring(ring, g)
     return ring.in_principal_ideal(f.a, g.a) and ring.in_principal_ideal(g.a, f.a)
 
 

@@ -75,6 +75,16 @@ def _exact(value) -> int:
         raise TypeError(f"ring values must be integers, got {value!r}") from None
 
 
+def _read(ring, value):
+    """What canonicalize reads past its fast paths: the value of an element
+    of a ring equal to ring (MixedRingError for another ring), or value
+    through _exact (TypeError for a non-integer)."""
+    if isinstance(value, RingElement):
+        require_ring(ring, value)
+        return value.value
+    return _exact(value)
+
+
 def require_enumerable(count: int, what, *args) -> None:
     """Refuse, before any work, to list more than MAX_ENUMERATION items;
     what(*args), called only then, names them.  A count of more than 64
@@ -110,7 +120,7 @@ class Ring:
     _caches = ("_kernel",)    # built on first use, and left out of pickles
 
     def element(self, value) -> RingElement:
-        if isinstance(value, RingElement) and value.ring is self:
+        if type(value) is RingElement and value.ring is self:
             return value
         return RingElement(self, self.canonicalize(value))
 
@@ -179,7 +189,7 @@ class Ring:
     # form (for units of a quotient ring, its norm, or its kernel once
     # built), with one exception:
     # QuotientPolyRing.in_principal_ideal lists the multiples of a non-unit
-    # t, a scan of the ring per call.  Nothing in the package calls it.
+    # t, a scan of the ring per call; forms_similar is its one caller.
 
     def units(self) -> list[RingElement]:
         """The invertible elements, in canonical order (finite rings only),
@@ -244,11 +254,9 @@ class IntegerRing(Ring):
     is_finite = False
 
     def canonicalize(self, value):
-        if isinstance(value, RingElement):
-            if value.ring is not self:
-                require_ring(self, value)
+        if type(value) is RingElement and value.ring is self:
             return value.value
-        return value if type(value) is int else _exact(value)
+        return value if type(value) is int else _read(self, value)
 
     def _add(self, a, b):
         return a + b
@@ -306,11 +314,9 @@ class ModRing(Ring):
         self.n = n
 
     def canonicalize(self, value):
-        if isinstance(value, RingElement):
-            if value.ring is not self:
-                require_ring(self, value)
+        if type(value) is RingElement and value.ring is self:
             return value.value
-        return (value if type(value) is int else _exact(value)) % self.n
+        return (value if type(value) is int else _read(self, value)) % self.n
 
     def _add(self, a, b):
         return (a + b) % self.n
@@ -405,12 +411,13 @@ class QuotientPolyRing(Ring):
     def canonicalize(self, value):
         """An int, or a list or tuple of d coefficients, is reduced mod n
         alone; a longer or shorter one goes through _reduce."""
-        if isinstance(value, RingElement):
-            if value.ring is not self:
-                require_ring(self, value)
+        if type(value) is RingElement and value.ring is self:
             return value.value
         if type(value) is int:
             return (value % self.n,) + self._pad
+        if isinstance(value, RingElement):
+            require_ring(self, value)
+            return value.value
         if isinstance(value, (list, tuple)):
             if len(value) == self.degree:
                 n = self.n
@@ -612,7 +619,8 @@ class RingElement:
         return RingElement(ring, ring._sub(self.value, other.value))
 
     def __rsub__(self, other):
-        return -self + other
+        other = _operand(self.ring, other)
+        return NotImplemented if other is None else other - self
 
     def __mul__(self, other):
         ring = self.ring
@@ -674,10 +682,9 @@ def _operand(ring: Ring, other) -> RingElement | None:
     """other as an element of ring, read by canonicalize, or None where
     canonicalize refuses it with TypeError."""
     try:
-        value = ring.canonicalize(other)
+        return RingElement(ring, ring.canonicalize(other))
     except TypeError:
         return None
-    return RingElement(ring, value)
 
 
 _RING_RE = re.compile(r"^Z/([0-9]+)(?:\[x\]/\((.+)\))?$")

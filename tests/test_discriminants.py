@@ -291,6 +291,31 @@ def test_similarity_over_z_n_matches_the_unit_scan():
                       Rank1Form(ModRing(5), ModRing(5).element(1)))
 
 
+@pytest.mark.parametrize("spec", ["Z/2[x]/(x^2+x+1)", "Z/2[x]/(x^2)", "Z/4[x]/(x^2)",
+                                  "Z/2[x]/(x^3+x+1)", "Z/6[x]/(x^2+1)"])
+def test_similarity_over_quotient_rings_matches_the_unit_scan(spec):
+    # equal principal ideals are a unit orbit in a finite ring too, local
+    # (Z/4[x]/(x^2)) or not (Z/6[x]/(x^2+1) = Z/2[x]/((x+1)^2) x GF(9))
+    ring = parse_ring(spec)
+    units, elements = ring.units(), ring.elements()
+    for a in elements:
+        orbit = {u * a for u in units}
+        for b in elements:
+            got = forms_similar(Rank1Form(ring, a), Rank1Form(ring, b))
+            assert got == (b in orbit), (a, b)
+    # an int is read in the form's ring; a form over another ring raises
+    # whichever side it is on
+    assert forms_similar(Rank1Form(ring, ring.one), Rank1Form(ring, 1))
+    assert forms_similar(Rank1Form(ring, 1), Rank1Form(ring, ring.one))
+    z5 = ModRing(5)
+    for f, g in [(Rank1Form(ring, ring.one), Rank1Form(z5, z5.one)),
+                 (Rank1Form(z5, z5.one), Rank1Form(ring, ring.one)),
+                 (Rank1Form(ring, 1), Rank1Form(z5, 1)),
+                 (Rank1Form(z5, 1), Rank1Form(ring, 1))]:
+        with pytest.raises(MixedRingError):
+            forms_similar(f, g)
+
+
 def test_similarity_on_z_n_too_large_to_list():
     # no unit is listed: Z/10^30 answers, where the scan refused it
     ring = parse_ring("Z/" + "1" + "0" * 30)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import quadrings.rings as rings
 from quadrings import (BasisChange, DiscClass, EnumerationLimitError,
                        InfiniteRingError, MixedRingError, QuadraticAlgebra,
-                       RingParseError, apply_basis_change, as_act,
-                       is_sec_element, parse_ring, sq_map)
+                       Rank1Form, RingParseError, apply_basis_change, as_act,
+                       forms_similar, is_sec_element, parse_ring, sq_map)
 from quadrings.discriminants import is_discriminant
 from quadrings.rings import IntegerRing, ModRing, QuotientPolyRing, parse_poly
 
@@ -600,6 +600,18 @@ def test_operands_of_equal_and_of_different_rings(spec):
             getattr(z, op)(x)
 
 
+@pytest.mark.parametrize("spec", ["Z", "Z/7", "Z/9[x]/(x^2+1)"])
+def test_a_refused_operand_is_reported_under_its_own_operator(spec):
+    # an int on the left of a ring element is read by the reflected
+    # operator; a float ends in Python's TypeError naming the operator used
+    x = parse_ring(spec).element(3)
+    assert 5 - x == x.ring.element(2) and 5 + x == x.ring.element(8)
+    for sign, op in [("-", lambda: 0.5 - x), ("+", lambda: 0.5 + x),
+                     ("*", lambda: 0.5 * x), ("-", lambda: x - 0.5)]:
+        with pytest.raises(TypeError, match=f"unsupported operand type\\(s\\) for \\{sign}:"):
+            op()
+
+
 def test_queried_ring_is_freed_by_refcount():
     # single queries keep only canonical values on the ring (the unit and
     # power tables), never an element, so the ring dies with its last
@@ -764,6 +776,9 @@ OPERAND_CALLS = [
     ("is_discriminant", 1, lambda ring, x: is_discriminant(ring, x)),
     ("sq_map", 1, lambda ring, x: sq_map(ring, x)),
     ("DiscClass", 1, lambda ring, x: DiscClass(ring, x, x)),
+    ("forms_similar", 1, lambda ring, x: (
+        forms_similar(Rank1Form(ring, ring.one), Rank1Form(ring, x)),
+        forms_similar(Rank1Form(ring, x), Rank1Form(ring, ring.one)))),
     # u = 1 of x's own ring, so a basis change over another ring is built
     # and apply_basis_change is the one to refuse it
     ("apply_basis_change", 1, lambda ring, x: apply_basis_change(
