@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .discriminants import DiscClass, _disc_map, _disc_tables, disc_class_of
+from .discriminants import DiscClass, _disc_map, _disc_tables
 from .errors import InfiniteRingError, InternalCheckError
 from .quadratic import Classification, QuadraticAlgebra
 from .rings import IntegerRing, Kernel, Ring, RingElement, require_ring
@@ -182,7 +182,8 @@ class ASGroup:
     for four_torsion, and lists wp4 and classes from those, at the
     positions the tables keep.  identity is the index of the class of 0,
     and torsion_classes the class of each four_torsion element, in order;
-    class_of is one lookup by value.  Every list is new.
+    class_of reads its element by ring.canonicalize and looks it up by
+    value.  Every list is new.
     """
 
     def __init__(self, ring: Ring):
@@ -200,12 +201,13 @@ class ASGroup:
         return len(self.classes)
 
     def class_of(self, a: RingElement) -> int:
-        if isinstance(a, RingElement) and (a.ring is self.ring
-                                           or a.ring == self.ring):
-            idx = self._class_of.get(a.value)
-            if idx is not None:
-                return idx
-        raise ValueError(f"{a!r} is not 4-torsion")
+        """Class of a read by ring.canonicalize, so an int is accepted and
+        another ring's element raises MixedRingError; ValueError unless a
+        is 4-torsion."""
+        idx = self._class_of.get(self.ring.canonicalize(a))
+        if idx is None:
+            raise ValueError(f"{self.ring.element(a)!r} is not 4-torsion")
+        return idx
 
     def add(self, i: int, j: int) -> int:
         return self.class_of(self.classes[i] + self.classes[j])
@@ -297,8 +299,10 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
 def _fibre_action(ring: Ring, d: DiscClass,
                   classification: Classification) -> FiberReport:
     """The report over d's class that classification keeps, with
-    disc_class None, built and checked by _act_on_fiber on first use."""
-    own = disc_class_of(ring, d.d)
+    disc_class None, built and checked by _act_on_fiber on first use.  d
+    is over ring (its callers check it) and d.d is a discriminant, so its
+    class is read off the kept disc index by value, as _disc_map reads it."""
+    own = _disc_tables(ring).index[d.d.value]
     kept = classification.derived.setdefault("fibres", {})    # class -> report
     report = kept.get(own)
     if report is None:

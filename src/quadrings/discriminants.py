@@ -291,7 +291,8 @@ class DiscClassification:
         return self.classes[i]
 
     def index_of(self, d: RingElement) -> int:
-        """Class index of a discriminant of this ring; ValueError otherwise."""
+        """Class index of a discriminant of this ring, read as disc_class_of
+        reads it; ValueError for a non-discriminant."""
         return disc_class_of(self.ring, d)
 
 
@@ -301,13 +302,14 @@ def disc_classes(ring: Ring) -> DiscClassification:
 
 def disc_class_of(ring: Ring, d: RingElement) -> int:
     """Index of d's class in disc_classes(ring): one lookup in the ring's
-    kept disc tables.  ValueError unless d is a discriminant of ring."""
-    index = _disc_tables(ring).index
-    if isinstance(d, RingElement) and (d.ring is ring or d.ring == ring):
-        k = index.get(d.value)
-        if k is not None:
-            return k
-    raise ValueError(f"{d!r} is not a discriminant")
+    kept disc tables of d read by ring.canonicalize, so an int is accepted
+    and another ring's element raises MixedRingError.  ValueError unless d
+    is a discriminant of ring."""
+    value = ring.canonicalize(d)    # read before any table is built
+    k = _disc_tables(ring).index.get(value)
+    if k is None:
+        raise ValueError(f"{ring.element(d)!r} is not a discriminant")
+    return k
 
 
 def _disc_map(ring: Ring, classification: Classification) -> tuple:
@@ -412,12 +414,20 @@ def _hom_verdict(ring: Ring, classification: Classification,
     return is_hom, surjective, fiber_sizes, fibers, violations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Rank1Form:
-    """Q(e) = a on a free rank-1 module; similarity class = unit orbit of a."""
+    """Q(e) = a on a free rank-1 module; similarity class = unit orbit of a.
+
+    Keeps ring.element(a), so an int gives the form of the ring's own
+    element, and another ring's element (MixedRingError) or a float
+    (TypeError) is refused here, before any predicate runs.
+    """
 
     ring: Ring
     a: RingElement
+
+    def __init__(self, ring: Ring, a: RingElement):
+        self.__dict__.update(ring=ring, a=ring.element(a))
 
 
 def forms_similar(f: Rank1Form, g: Rank1Form) -> bool:

@@ -438,14 +438,11 @@ class Classification:
         return self.classes[i]
 
     def index_of(self, algebra: QuadraticAlgebra) -> int:
-        if algebra.ring is not self.ring and algebra.ring != self.ring:
-            raise KeyError(f"{algebra!r} is not over {self.ring!r}")
-        return self.index_of_values(algebra.t.value, algebra.n.value)
-
-    def index_of_values(self, t, n) -> int:
-        """Class index of the pair of canonical values (t, n) of this ring."""
+        """Class index of an algebra over this ring, read off the class
+        map; an algebra over another ring raises MixedRingError."""
+        require_ring(self.ring, algebra)
         code = self.ring.kernel().code
-        return self.class_map.row(code[t])[code[n]]
+        return self.class_map.row(code[algebra.t.value])[code[algebra.n.value]]
 
     def labels(self) -> list[str]:
         """Every class's label, the text of IsoClass.label.

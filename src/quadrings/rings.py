@@ -14,7 +14,10 @@ integer polynomials this way.
 
 Every element argument, of a ring method, an operator or a public
 function of the package, is read one way: by canonicalize, or by
-ring.element where the element is kept.  canonicalize first takes an
+ring.element where the element is kept (Rank1Form.a).  The lookups by
+element (disc_class_of, DiscClassification.index_of, ASGroup.class_of)
+read theirs by canonicalize before they look it up, so only a true
+non-member raises the lookup's own ValueError.  canonicalize first takes an
 element of this ring instance as it is, with no further call.  It then
 takes an int, an element of an equal ring, a coefficient list, and
 anything else that operator.index accepts.  Another ring's element

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 from collections import Counter
 from itertools import product
 
@@ -119,10 +121,21 @@ def test_disc_class_of(monkeypatch):
     monkeypatch.setattr(discriminants, "DiscClassification", None)
     assert disc_class_of(z4, z4.element(1)) == 1
     assert disc_class_of(z4, z4.element(0)) == 0
-    # a non-discriminant, an element of another ring and a non-element
-    for d in (z4.element(2), parse_ring("Z/8").element(1), 1):
-        with pytest.raises(ValueError, match="is not a discriminant"):
+    # an int is read as the ring's own element
+    assert disc_class_of(z4, 1) == 1
+    # an element of another ring is a ring mismatch, not a non-discriminant
+    with pytest.raises(MixedRingError):
+        disc_class_of(z4, parse_ring("Z/8").element(1))
+    for d in (z4.element(2), 2):
+        with pytest.raises(ValueError, match="^2 in Z/4 is not a discriminant$"):
             disc_class_of(z4, d)
+    # a refused argument is refused before any table is built
+    fresh = parse_ring("Z/4")
+    with pytest.raises(MixedRingError):
+        disc_class_of(fresh, parse_ring("Z/8").element(1))
+    with pytest.raises(TypeError):
+        disc_class_of(fresh, 1.5)
+    assert fresh._kernel is None
 
 
 def square_classes_by_scan(ring):
@@ -267,6 +280,20 @@ def test_form_cancellative_iff_nonzerodivisor():
             form = Rank1Form(ring, a)
             assert form_is_cancellative(form) == ring.is_nonzerodivisor(a)
             assert form_semi_nondegenerate(form) == ring.is_nonzerodivisor(a)
+
+
+def test_rank1_form_keeps_the_rings_element():
+    # an int gives the form of the ring's own element, hash and pickle too,
+    # and the form stays frozen; the refusals at construction are in
+    # tests/test_rings.py's OPERAND_CALLS
+    for spec in ["Z", "Z/12", "Z/2[x]/(x^3+x+1)"]:
+        ring = parse_ring(spec)
+        form, own = Rank1Form(ring, 3), Rank1Form(ring, ring.element(3))
+        assert form == own and hash(form) == hash(own)
+        assert form.a.ring is ring
+        assert pickle.loads(pickle.dumps(form)) == own
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            form.a = ring.one
 
 
 def test_similarity_is_unit_orbit():

@@ -11,6 +11,7 @@ import quadrings.rings as rings
 from quadrings import (BasisChange, DiscClass, EnumerationLimitError,
                        InfiniteRingError, MixedRingError, QuadraticAlgebra,
                        Rank1Form, RingParseError, apply_basis_change, as_act,
+                       as_group, classify, disc_class_of, disc_classes,
                        forms_similar, is_sec_element, parse_ring, sq_map)
 from quadrings.discriminants import is_discriminant
 from quadrings.rings import IntegerRing, ModRing, QuotientPolyRing, parse_poly
@@ -761,9 +762,10 @@ def test_enumeration_budget_boundary(monkeypatch):
         parse_ring("Z/3[x]/(x^3)").elements()
 
 
-# Each public function that takes an element, called on the element x:
-# (name, the value of x, the call).  0 for as_act, the 4-torsion element of
-# every ring; 1 for the rest, a unit, a discriminant and its own witness.
+# Each public function that takes, looks up or keeps an element, called on
+# the element x: (name, the value of x, the call).  0 for as_act and
+# ASGroup.class_of, the 4-torsion element of every ring; 1 for the rest, a
+# unit, a discriminant and its own witness.
 OPERAND_CALLS = [
     ("is_unit", 1, lambda ring, x: ring.is_unit(x)),
     ("inverse_of_unit", 1, lambda ring, x: ring.inverse_of_unit(x)),
@@ -783,12 +785,23 @@ OPERAND_CALLS = [
     # and apply_basis_change is the one to refuse it
     ("apply_basis_change", 1, lambda ring, x: apply_basis_change(
         QuadraticAlgebra(ring, 1, 3), BasisChange(getattr(x, "ring", ring).one, x))),
+    # the algebra is over x's own ring, so index_of is the one to refuse it
+    ("Classification.index_of", 1, lambda ring, x: classify(ring).index_of(
+        QuadraticAlgebra(getattr(x, "ring", ring), 1, x))),
+    ("disc_class_of", 1, lambda ring, x: disc_class_of(ring, x)),
+    ("DiscClassification.index_of", 1, lambda ring, x: disc_classes(ring).index_of(x)),
+    ("ASGroup.class_of", 0, lambda ring, x: as_group(ring).class_of(x)),
+    ("Rank1Form.a", 1, lambda ring, x: Rank1Form(ring, x).a),
 ]
+# Z has no classification and no disc classes
+FINITE_ONLY = {"Classification.index_of", "disc_class_of", "DiscClassification.index_of"}
 
 
-@pytest.mark.parametrize("spec", ["Z", "Z/12", "Z/2[x]/(x^3+x+1)"])
-@pytest.mark.parametrize("name, value, call", OPERAND_CALLS,
-                         ids=[name for name, _, _ in OPERAND_CALLS])
+@pytest.mark.parametrize("spec, name, value, call", [
+    pytest.param(spec, name, value, call, id=f"{name}-{spec}")
+    for name, value, call in OPERAND_CALLS
+    for spec in ["Z", "Z/12", "Z/2[x]/(x^3+x+1)", "Z/4"]
+    if spec != "Z" or name not in FINITE_ONLY])
 def test_every_element_argument_follows_one_operand_rule(spec, name, value, call):
     # an element of an equal but distinct ring and an int give what the
     # ring's own element gives; another ring's element is a MixedRingError
@@ -801,6 +814,33 @@ def test_every_element_argument_follows_one_operand_rule(spec, name, value, call
         call(ring, ModRing(5).element(value))
     with pytest.raises(TypeError):
         call(ring, float(value))
+
+
+# A non-member of each lookup in OPERAND_CALLS: (name, spec, value, text)
+NON_MEMBERS = [
+    ("disc_class_of", "Z/12", 2, "is not a discriminant"),
+    ("disc_class_of", "Z/4", 2, "is not a discriminant"),
+    ("disc_class_of", "Z/2[x]/(x^2)", [0, 1], "is not a discriminant"),
+    ("DiscClassification.index_of", "Z/12", 2, "is not a discriminant"),
+    ("ASGroup.class_of", "Z/12", 1, "is not 4-torsion"),
+    ("ASGroup.class_of", "Z/8", 1, "is not 4-torsion"),
+    ("ASGroup.class_of", "Z/3[x]/(x^2+1)", 1, "is not 4-torsion"),
+]
+
+
+@pytest.mark.parametrize("name, spec, value, text", NON_MEMBERS,
+                         ids=[f"{name}-{spec}" for name, spec, _, _ in NON_MEMBERS])
+def test_a_lookup_refuses_a_non_member_with_its_own_text(name, spec, value, text):
+    # read by the operand rule first, so the plain value, the ring's own
+    # element and an equal ring's element are refused alike, by the
+    # lookup's own ValueError and not a MixedRingError
+    call = {n: c for n, _, c in OPERAND_CALLS}[name]
+    ring, twin = parse_ring(spec), parse_ring(spec)
+    want = f"{ring.element(value)!r} {text}"
+    for x in (value, ring.element(value), twin.element(value)):
+        with pytest.raises(ValueError) as info:
+            call(ring, x)
+        assert type(info.value) is ValueError and str(info.value) == want
 
 
 def test_require_ring_is_the_one_mismatch_check():
