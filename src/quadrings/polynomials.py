@@ -98,7 +98,8 @@ class MultiPoly:
         return self + -other
 
     def __rsub__(self, other):
-        return (-self) + other
+        # __add__, not +: its NotImplemented lets Python name the "-"
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if not isinstance(other, (int, MultiPoly)):

@@ -690,15 +690,8 @@ def _operand(ring: Ring, other) -> RingElement | None:
         return None
 
 
-_RING_RE = re.compile(r"^Z/([0-9]+)(?:\[x\]/\((.+)\))?$")
-# A "*" only between a coefficient and x: "3*" and "*x" are malformed.
-_TERM_RE = re.compile(r"^([+-]?)([0-9]+)?(?:(?<=[0-9])\*(?=x))?(x(?:\^([0-9]+))?)?$")
-_TOKEN_RE = re.compile(r"[+-]?[^+-]+")
+_RING_RE = re.compile(r"Z/([0-9]+)(?:\[x\]/\((.+)\))?")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
-# A whole polynomial of the terms _TERM_RE reads, each after the first signed.
-_TERM = r"(?:[0-9]+(?:\*?x(?:\^[0-9]+)?)?|x(?:\^[0-9]+)?)"
-_POLY_RE = re.compile(rf"[+-]?{_TERM}(?:[+-]{_TERM})*")
-_SIGN_COEFF = {"": 1, "-": -1}    # the coefficient of a bare x or -x
 
 
 def parse_int(text: str, field: str) -> int:
@@ -721,56 +714,50 @@ def parse_int(text: str, field: str) -> int:
         ) from None
 
 
+def _is_digits(text: str) -> bool:
+    """text is one or more ASCII digits (str.isdigit alone takes "\u0663")."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_poly(text: str) -> list[int]:
     """Parse a polynomial in x ("x^2+3x+1", "2*x^3-1") into a coefficient list.
 
-    A polynomial that _POLY_RE matches whole is split at its signs and each
-    term at its x, with no further match; anything else, and a number over
-    int()'s digit limit, goes term by term through _TERM_RE and parse_int,
-    which name what is wrong.
+    The text without its spaces is split at its signs.  A sign with no term
+    after it is refused first, as the whole polynomial; then each term must
+    read [-]<digits> or [-][<digits>[*]]x[^<digits>] in ASCII digits, and
+    the first that does not is named.  A number over int()'s digit limit is
+    named by parse_int.
     """
     s = text.replace(" ", "")
+    if not s:
+        raise RingParseError("empty polynomial")
+    terms = s.replace("-", "+-").split("+")
+    if "-" in terms or "" in terms[1:]:
+        raise RingParseError(f"cannot parse polynomial {text!r}")
     coeffs: dict[int, int] = {}
-    if _POLY_RE.fullmatch(s):
+    for i, term in enumerate(terms):
+        if not term:
+            continue    # the piece before a leading sign
+        neg = term[0] == "-"
+        head, x, power = (term[1:] if neg else term).partition("x")
+        digits = head.removesuffix("*") if x else head
+        if head and not _is_digits(digits) or power and not (
+                power[0] == "^" and _is_digits(power[1:])):
+            written = term if neg or i == 0 else "+" + term    # the split ate its "+"
+            raise RingParseError(f"cannot parse term {written!r} in {text!r}")
         try:
-            for term in s.replace("-", "+-").split("+"):
-                if term:    # only a leading sign leaves an empty piece
-                    # [-][digits][*], and then "" or "x" with "" or "^digits"
-                    head, x, power = term.partition("x")
-                    head = head.rstrip("*")
-                    coeff = _SIGN_COEFF.get(head) or int(head)
-                    deg = int(power[1:]) if power else 1 if x else 0
-                    coeffs[deg] = coeffs.get(deg, 0) + coeff
-        except ValueError:
-            coeffs = {}
-    if not coeffs:
-        coeffs = _parse_terms(text, s)
+            coeff = int(digits) if head else 1
+            deg = int(power[1:]) if power else 1 if x else 0
+        except ValueError:    # over the limit: parse_int names the number
+            coeff = parse_int(digits, "coefficient") if head else 1
+            deg = parse_int(power[1:], "exponent")
+        coeffs[deg] = coeffs.get(deg, 0) + (-coeff if neg else coeff)
     top = max(coeffs)
     require_enumerable(top + 1, lambda: f"coefficients of {text!r}")
     dense = [0] * (top + 1)
     for deg, c in coeffs.items():
         dense[deg] = c
     return dense
-
-
-def _parse_terms(text: str, s: str) -> dict[int, int]:
-    """Degree -> coefficient of the polynomial text, s without its spaces,
-    one term at a time; RingParseError names the first thing wrong."""
-    if not s:
-        raise RingParseError("empty polynomial")
-    tokens = _TOKEN_RE.findall(s)
-    if "".join(tokens) != s:
-        raise RingParseError(f"cannot parse polynomial {text!r}")
-    coeffs: dict[int, int] = {}
-    for tok in tokens:
-        m = _TERM_RE.match(tok)
-        sign, digits, x, power = m.groups() if m else (None, None, None, None)
-        if digits is None and x is None:
-            raise RingParseError(f"cannot parse term {tok!r} in {text!r}")
-        coeff = 1 if digits is None else parse_int(digits, "coefficient")
-        deg = 0 if x is None else 1 if power is None else parse_int(power, "exponent")
-        coeffs[deg] = coeffs.get(deg, 0) + (-coeff if sign == "-" else coeff)
-    return coeffs
 
 
 def format_poly(coeffs) -> str:
@@ -793,7 +780,7 @@ def parse_ring(spec: str) -> Ring:
     s = spec.replace(" ", "")
     if s == "Z":
         return IntegerRing()
-    m = _RING_RE.match(s)
+    m = _RING_RE.fullmatch(s)
     if not m:
         raise RingParseError(
             f"cannot parse ring spec {spec!r}; expected \"Z\", \"Z/<n>\", "

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -406,6 +407,7 @@ def test_sec_report(capsys):
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "classify", "--ring", "Q")[0] == 2
     assert run(capsys, "classify", "--ring", "Z/0")[0] == 2
+    assert run(capsys, "classify", "--ring", "Z/4\n")[0] == 2
     assert run(capsys, "classify", "--ring", "Z")[0] == 2
     assert run(capsys, "sec", "--ring", "Z")[0] == 2
     assert run(capsys, "disc", "--ring", "Z")[0] == 2
@@ -593,6 +595,14 @@ def test_unwritable_output_is_refused_before_the_command(tmp_path, capsys,
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and str(target) in err
     assert existing.read_text() == "kept\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_final_write_exits_2(capsys):
+    # /dev/full passes the up-front check and refuses the write itself
+    code, out, err = run(capsys, "verify", "--output", "/dev/full")
+    assert (code, out) == (2, "")
+    assert err == "error: [Errno 28] No space left on device\n"
 
 
 def test_output_check_leaves_an_existing_file_untouched(tmp_path, capsys,

@@ -31,6 +31,18 @@ def test_poly_terms_refuse_non_integers():
     assert MultiPoly(("t",), {(1,): True}) == MultiPoly.variable("t")
 
 
+def test_a_refused_operand_is_reported_under_its_own_operator():
+    # a float on either side ends in Python's TypeError naming the operator
+    # used, not the "+" that 0.5 - x once became after negating x
+    x = MultiPoly.variable("x")
+    assert 5 - x == -x + 5 and x - 5 == x + -5
+    for sign, op in [("+", lambda: x + 0.5), ("-", lambda: x - 0.5),
+                     ("-", lambda: 0.5 - x), ("*", lambda: x * 0.5),
+                     ("+", lambda: 0.5 + x), ("*", lambda: 0.5 * x)]:
+        with pytest.raises(TypeError, match=f"unsupported operand type\\(s\\) for \\{sign}:"):
+            op()
+
+
 def test_poly_variable_pruning():
     t, n = variables("t", "n")
     p = t + n - n

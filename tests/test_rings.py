@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 from itertools import product
 
@@ -42,8 +43,9 @@ def test_parse_ring_normalizes_coefficients():
 
 
 def test_parse_ring_rejects_garbage():
+    # a regex "$" also matches before a final newline: "Z/4\n" ran as Z/4
     for bad in ["Q", "Z/0", "Z/-3", "Z/4[x]/(2x^2+1)", "Z/4[x]/(3)",
-                "Z/4[x]/()", "Z mod 4", ""]:
+                "Z/4[x]/()", "Z mod 4", "", "Z/4\n", "Z/4[x]/(x^2+1)\n", "Z\n"]:
         with pytest.raises(RingParseError):
             parse_ring(bad)
 
@@ -502,17 +504,42 @@ def test_halves_are_the_preimages_of_doubling():
             assert ring._halves(y) == [r for r in values if add(r, r) == y], (ring, y)
 
 
+# The term-by-term polynomial reader that parse_poly replaced, kept as an
+# independent reference: a "*" only between a coefficient and x, and every
+# number through parse_int.  Anchored by fullmatch, where the old "^...$"
+# with .match let a term end in a newline ("3\n" read as 3).
+_REF_TERM_RE = re.compile(r"([+-]?)([0-9]+)?(?:(?<=[0-9])\*(?=x))?(x(?:\^([0-9]+))?)?")
+_REF_TOKEN_RE = re.compile(r"[+-]?[^+-]+")
+
+
+def _reference_parse_poly(text):
+    s = text.replace(" ", "")
+    if not s:
+        raise RingParseError("empty polynomial")
+    tokens = _REF_TOKEN_RE.findall(s)
+    if "".join(tokens) != s:
+        raise RingParseError(f"cannot parse polynomial {text!r}")
+    coeffs = {}
+    for tok in tokens:
+        m = _REF_TERM_RE.fullmatch(tok)
+        sign, digits, x, power = m.groups() if m else (None, None, None, None)
+        if digits is None and x is None:
+            raise RingParseError(f"cannot parse term {tok!r} in {text!r}")
+        coeff = 1 if digits is None else rings.parse_int(digits, "coefficient")
+        deg = 0 if x is None else 1 if power is None else rings.parse_int(power, "exponent")
+        coeffs[deg] = coeffs.get(deg, 0) + (-coeff if sign == "-" else coeff)
+    return [coeffs.get(k, 0) for k in range(max(coeffs) + 1)]
+
+
 def test_parse_poly_reads_what_the_term_reader_reads():
-    # parse_poly splits a polynomial that _POLY_RE matches whole at its
-    # signs; every string over this alphabet of up to 5 characters reads the
-    # same, or raises the same error, as through the term-by-term reader
-    alphabet = "x^*+-07 "
-    for length in range(1, 6):
+    # every string over this alphabet of up to 6 characters reads the same,
+    # or raises the same error, as through the reference term reader
+    alphabet = "x^*+-07 \n"
+    for length in range(1, 7):
         for chars in product(alphabet, repeat=length):
             text = "".join(chars)
             try:
-                coeffs = rings._parse_terms(text, text.replace(" ", ""))
-                want = [coeffs.get(k, 0) for k in range(max(coeffs) + 1)]
+                want = _reference_parse_poly(text)
             except RingParseError as exc:
                 want = str(exc)
             try:
@@ -520,6 +547,16 @@ def test_parse_poly_reads_what_the_term_reader_reads():
             except RingParseError as exc:
                 got = str(exc)
             assert got == want, text
+
+
+def test_parse_poly_refuses_a_newline():
+    # a regex "$" also matches before a final newline: these read as 3,
+    # x^2 + 1, x and 1 + x through the old term reader
+    for bad, term in [("3\n", "3\n"), ("x^2\n+1", "x^2\n"), ("x^2+1\n", "+1\n"),
+                      ("x\n", "x\n"), ("1\n+x", "1\n")]:
+        with pytest.raises(RingParseError) as info:
+            parse_poly(bad)
+        assert str(info.value) == f"cannot parse term {term!r} in {bad!r}"
 
 
 def test_canonicalize_fast_paths_match_reduce():
