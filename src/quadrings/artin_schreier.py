@@ -28,16 +28,18 @@ views over these tables that make one RingElement per member they list,
 and a classification formats each class label once.
 
 A classification keeps, in its derived slot, the FiberReport over each
-disc class, with disc_class None so that it holds no ring: the fiber, read
-off the classification's disc map (discriminants._disc_map), its labels,
-the orbits, the kernel classes, whether the action is free and transitive,
-and the with-basis orbit count and bound.  The action commutes with basis
-changes, so it is read off the class representatives and their class rows.
-The count and bound, and the classes of ann(d)[4] the kernel is checked
-against, are class invariants, so they are worked out for the d of the
-first report over the class.  fiber_report copies the kept report with d
-and check_freeness reads free off it, so a repeated call takes no ring
-product, class row or check.
+disc class, with the DiscClass of the first call over the class: the
+fiber, read off the classification's disc map (discriminants._disc_map),
+its labels, the orbits, the kernel classes, whether the action is free and
+transitive, and the with-basis orbit count and bound.  The action commutes
+with basis changes, so it is read off the class representatives and their
+class rows.  The count and bound, and the classes of ann(d)[4] the kernel
+is checked against, are class invariants, so they are worked out for the d
+of the first report over the class.  The kept report is frozen and its
+lists are read-only (discriminants._ReadOnlyList), so it is shared:
+fiber_report returns it to every caller whose d has the same d and
+witness_t, and check_freeness reads free off it, so a repeated call takes
+no ring product, class row, check or copy.
 
 Checks that run once per ring instance, when its AS tables are built:
 P(R)[4] is a subgroup of R[4], and each AS class has order dividing 2.
@@ -50,9 +52,9 @@ witness naming the ring, d, the class and the AS class where they apply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .discriminants import DiscClass, _disc_map, _disc_tables
+from .discriminants import DiscClass, _disc_map, _disc_tables, _ReadOnlyList
 from .errors import InfiniteRingError, InternalCheckError
 from .quadratic import Classification, QuadraticAlgebra
 from .rings import IntegerRing, Kernel, Ring, RingElement, require_ring
@@ -255,7 +257,7 @@ def annihilator_four_torsion(ring: Ring, d: RingElement) -> list[RingElement]:
     return [a for a in four_torsion(ring) if a * d == zero]
 
 
-@dataclass
+@dataclass(frozen=True, init=False)
 class FiberReport:
     """AS-action data on the fiber of the discriminant map over one class.
 
@@ -263,9 +265,12 @@ class FiberReport:
     labels, orbits the orbit partition as positions in fiber, kernel the AS
     classes that fix every member, free whether every other AS class moves
     every member, and basis_orbit_count and basis_orbit_bound the
-    with-basis orbit count and bound (see _fibre_facts).  The report a
-    classification keeps per disc class has disc_class None, so it holds
-    no ring.
+    with-basis orbit count and bound (see _fibre_facts).  A classification
+    keeps one per disc class and every caller shares it, so it is frozen
+    and its lists, nested ones included, are read-only.  The fields are
+    written to the instance dict at once, as for DiscClass: the frozen
+    dataclass's own __init__, one object.__setattr__ call per field, took
+    twice as long.
     """
 
     disc_class: DiscClass
@@ -278,30 +283,42 @@ class FiberReport:
     basis_orbit_count: int
     basis_orbit_bound: int
 
+    def __init__(self, disc_class: DiscClass, fiber: list[int],
+                 fiber_labels: list[str], orbits: list[list[int]],
+                 kernel: list[int], free: bool, transitive: bool,
+                 basis_orbit_count: int, basis_orbit_bound: int):
+        self.__dict__.update(
+            disc_class=disc_class, fiber=fiber, fiber_labels=fiber_labels,
+            orbits=orbits, kernel=kernel, free=free, transitive=transitive,
+            basis_orbit_count=basis_orbit_count,
+            basis_orbit_bound=basis_orbit_bound)
+
 
 def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
                  group: ASGroup) -> FiberReport:
     """Compute the AS(R)-orbit structure of the fiber over a disc class.
 
-    A copy of the report that the classification keeps over d's class
-    (see _act_on_fiber), with disc_class d and fresh lists on every call;
-    once it is kept a report takes no ring product, class row or check.  d,
-    classification and group built for another ring raise ValueError.
+    The read-only report that the classification keeps over d's class (see
+    _act_on_fiber) when its disc class has d's d and witness_t, else that
+    report with disc_class d; once it is kept a report takes no ring
+    product, class row, check or copy of a list.  d, classification and
+    group built for another ring raise ValueError.
     """
     require_ring(ring, d, classification, group)
     kept = _fibre_action(ring, d, classification)
-    return FiberReport(d, list(kept.fiber), list(kept.fiber_labels),
-                       [list(orbit) for orbit in kept.orbits],
-                       list(kept.kernel), kept.free, kept.transitive,
-                       kept.basis_orbit_count, kept.basis_orbit_bound)
+    first = kept.disc_class
+    if first.d.value == d.d.value and first.witness_t.value == d.witness_t.value:
+        return kept
+    return replace(kept, disc_class=d)
 
 
 def _fibre_action(ring: Ring, d: DiscClass,
                   classification: Classification) -> FiberReport:
-    """The report over d's class that classification keeps, with
-    disc_class None, built and checked by _act_on_fiber on first use.  d
-    is over ring (its callers check it) and d.d is a discriminant, so its
-    class is read off the kept disc index by value, as _disc_map reads it."""
+    """The report over d's class that classification keeps, built and
+    checked by _act_on_fiber on first use, with the disc class of that
+    use.  d is over ring (its callers check it) and d.d is a discriminant,
+    so its class is read off the kept disc index by value, as _disc_map
+    reads it."""
     own = _disc_tables(ring).index[d.d.value]
     kept = classification.derived.setdefault("fibres", {})    # class -> report
     report = kept.get(own)
@@ -318,7 +335,7 @@ def _witness(ring: Ring, d: DiscClass, **more) -> dict:
 def _act_on_fiber(ring: Ring, d: DiscClass, cl: Classification,
                   own: int) -> FiberReport:
     """The action of every AS class on the fiber over disc class own, with
-    the facts of d, checked, as a report with disc_class None.
+    the facts of d, checked, as a read-only report with disc_class d.
 
     The fiber is the classes whose discriminant is u^2 d for a unit u, read
     off the classification's disc map.  The action commutes with basis
@@ -362,7 +379,7 @@ def _act_on_fiber(ring: Ring, d: DiscClass, cl: Classification,
         if ci in placed:
             continue
         orbit = sorted({images[ci] for images in action})
-        orbits.append([fiber_pos[c] for c in orbit])
+        orbits.append(_ReadOnlyList(map(fiber_pos.__getitem__, orbit)))
         placed.update(orbit)
 
     kernel_classes = [m_idx for m_idx, images in enumerate(action)
@@ -378,8 +395,10 @@ def _act_on_fiber(ring: Ring, d: DiscClass, cl: Classification,
         raise InternalCheckError(
             f"with-basis orbit count {count} != index bound {bound} for d = {d.d}",
             _witness(ring, d, count=count, bound=bound))
-    return FiberReport(None, fiber, [cl[i].label for i in fiber], orbits,
-                       kernel_classes, free, len(orbits) == 1, count, bound)
+    return FiberReport(d, _ReadOnlyList(fiber),
+                       _ReadOnlyList([cl[i].label for i in fiber]),
+                       _ReadOnlyList(orbits), _ReadOnlyList(kernel_classes),
+                       free, len(orbits) == 1, count, bound)
 
 
 def _fibre_facts(ring: Ring, dv, tables: _ASTables) -> tuple[set[int], int, int]:
@@ -449,8 +468,8 @@ def check_freeness(ring: Ring, d: DiscClass, classification: Classification,
     """True iff AS(R) acts freely on the sec members of the fiber (vacuous ok).
 
     Its discriminants are d times unit squares: all members are sec, or none.
-    Reads free off the report the classification keeps for fiber_report,
-    with its checks run first if it is new, and copies no report.
+    Reads free off the report the classification keeps and fiber_report
+    returns, with its checks run first if it is new.
     """
     require_ring(ring, d, classification, group)
     return (_fibre_action(ring, d, classification).free

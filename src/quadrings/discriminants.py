@@ -28,10 +28,14 @@ classification, the disc class of each algebra class (one lookup by value
 each) and the fibre of each disc class in class order, is built once per
 classification and kept in its derived slot; disc_hom_check and the fibre
 reports of artin_schreier both read it.  disc_hom_check works out its
-verdict once per classification and keeps it there too: it compares each
+report once per classification and keeps it there too: it compares each
 star-table row, mapped through disc, with its disc-monoid row as one list.
-Each call returns a new report over copies of the kept verdict, with no
-star table, class row or comparison.
+Each call returns that kept report, with no star table, class row,
+comparison or copy.  The reports a classification keeps are shared by
+every caller, so they are read-only: frozen dataclasses whose lists and
+dicts, nested ones included, are _ReadOnlyList and _ReadOnlyDict, which
+refuse every mutator with TypeError and otherwise act as, compare equal
+to and JSON-encode as plain lists and dicts.
 
 Rank-1 quadratic forms Q(e) = a on a free module appear at the end: their
 similarity classes (unit orbits) multiply by a*a', and cancellativity of a
@@ -46,6 +50,34 @@ from .errors import InfiniteRingError, InternalCheckError
 from .monoids import FiniteCommMonoid
 from .quadratic import Classification, QuadraticAlgebra
 from .rings import IntegerRing, Ring, RingElement, require_ring
+
+
+def _refuse(self, *args, **kwargs):
+    raise TypeError("a kept report is read-only")
+
+
+class _ReadOnlyList(list):
+    """A list whose mutators raise TypeError; copies and pickles rebuild
+    it from a plain copy."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = extend = insert = pop = remove = clear = sort = reverse = _refuse
+
+    def __reduce__(self):
+        return type(self), (list(self),)
+
+
+class _ReadOnlyDict(dict):
+    """A dict whose mutators raise TypeError; copies and pickles rebuild
+    it from a plain copy."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
 
 
 def sq_map(ring: Ring, t: RingElement) -> RingElement:
@@ -329,9 +361,13 @@ def _disc_map(ring: Ring, classification: Classification) -> tuple:
     return disc_map
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiscHomReport:
-    """Result of checking that disc maps quadratic classes onto disc classes."""
+    """Result of checking that disc maps quadratic classes onto disc classes.
+
+    The report a classification keeps and disc_hom_check returns: frozen,
+    and its dicts and lists are read-only, since every caller shares it.
+    """
 
     ring: Ring
     is_homomorphism: bool
@@ -345,40 +381,30 @@ class DiscHomReport:
 def disc_hom_check(ring: Ring, classification: Classification) -> DiscHomReport:
     """Verify the class-level discriminant map is a surjective monoid hom.
 
-    The verdict is worked out once per classification and kept in its
-    derived slot (see _hom_verdict); each call returns a new report over
-    copies of it.  Surjectivity is witnessed constructively: each disc class
+    The report is worked out once per classification and kept in its
+    derived slot (see _hom_report); every call returns that one read-only
+    report.  Surjectivity is witnessed constructively: each disc class
     (d, t) yields an algebra (t, n) with t^2 - 4n = d, n the least solution
     of 4n = t^2 - d; the disc tables solve and check it once per ring
     instance.
     """
     require_ring(ring, classification)
-    tables = _disc_tables(ring)
-    verdict = classification.derived.get("hom")
-    if verdict is None:
-        verdict = classification.derived["hom"] = _hom_verdict(
-            ring, classification, tables)
-    is_hom, surjective, fiber_sizes, fibers, violations = verdict
-    return DiscHomReport(ring=ring,
-                         is_homomorphism=is_hom,
-                         is_surjective=surjective,
-                         fiber_sizes=dict(fiber_sizes),
-                         fibers={label: list(v) for label, v in fibers.items()},
-                         preimage_witnesses=dict(tables.preimages),
-                         violations=list(violations))
+    report = classification.derived.get("hom")
+    if report is None:
+        report = classification.derived["hom"] = _hom_report(ring, classification)
+    return report
 
 
-def _hom_verdict(ring: Ring, classification: Classification,
-                 tables: _DiscTables) -> tuple:
-    """(is_hom, surjective, fiber sizes, fibers, violations) of one
-    classification, read off the ring's kept disc tables and the
-    classification's disc map.
+def _hom_report(ring: Ring, classification: Classification) -> DiscHomReport:
+    """The read-only DiscHomReport of one classification, read off the
+    ring's kept disc tables and the classification's disc map.
 
     Each row of the star table, mapped through disc, is compared with its
     disc-monoid row as one list; only a row that differs is walked pair by
     pair for its violations, to which the preimage violations of the disc
     tables are added.
     """
+    tables = _disc_tables(ring)
     monoid = tables.monoid
     mapping, fibres = _disc_map(ring, classification)
     violations: list[str] = []
@@ -406,12 +432,17 @@ def _hom_verdict(ring: Ring, classification: Classification,
                 violations.append(f"disc({label_i}*{label_j}) differs from "
                                   f"disc({label_i})*disc({label_j})")
 
-    fibers = {label: [labels[i] for i in fibre]
+    fibers = {label: _ReadOnlyList([labels[i] for i in fibre])
               for label, fibre in zip(monoid.labels, fibres)}
     fiber_sizes = {lbl: len(v) for lbl, v in fibers.items()}
     violations += tables.preimage_violations
-    surjective = all(size > 0 for size in fiber_sizes.values())
-    return is_hom, surjective, fiber_sizes, fibers, violations
+    return DiscHomReport(ring=ring,
+                         is_homomorphism=is_hom,
+                         is_surjective=all(size > 0 for size in fiber_sizes.values()),
+                         fiber_sizes=_ReadOnlyDict(fiber_sizes),
+                         fibers=_ReadOnlyDict(fibers),
+                         preimage_witnesses=_ReadOnlyDict(tables.preimages),
+                         violations=_ReadOnlyList(violations))
 
 
 @dataclass(frozen=True, init=False)

@@ -114,7 +114,10 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
+    def __pow__(self, k: int, modulo=None):
+        # NotImplemented lets Python name "** or pow()", as for RingElement
+        if not isinstance(k, int) or modulo is not None:
+            return NotImplemented
         if k < 0:
             raise ValueError("negative exponent")
         result = MultiPoly.const(1)

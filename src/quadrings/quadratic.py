@@ -414,10 +414,11 @@ class Classification:
     derived is the slot where discriminants and artin_schreier keep what
     they read off this classification, each built on first use: the disc
     map (the disc class of each class and the fibre of each disc class),
-    the disc-hom verdict, and the fibre report over each disc class, with
-    its orbit count and bound, checked and kept with no disc class.  It
-    holds only ints, strings, bools and lists, dicts, tuples and fibre
-    reports of them, so it keeps no reference to the ring or a class.
+    the disc-hom report, and the fibre report over each disc class, with
+    its orbit count and bound, checked.  The two kinds of report are
+    read-only and returned to every caller; they hold the ring, and a
+    fibre report the DiscClass of its first call, but no ring or class
+    refers to a classification, so this slot makes no reference cycle.
     """
 
     def __init__(self, ring: Ring, classes: list[IsoClass],

@@ -638,7 +638,11 @@ class RingElement:
     def __neg__(self):
         return RingElement(self.ring, self.ring._neg(self.value))
 
-    def __pow__(self, k: int):
+    def __pow__(self, k: int, modulo=None):
+        # NotImplemented lets Python name "** or pow()" for a float or a
+        # three-argument pow
+        if not isinstance(k, int) or modulo is not None:
+            return NotImplemented
         if k < 0:
             raise ValueError("negative powers not supported")
         result = self.ring.one

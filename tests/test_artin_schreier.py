@@ -1,4 +1,7 @@
+import copy
 import dataclasses
+import operator
+import pickle
 
 import pytest
 
@@ -491,11 +494,41 @@ def test_fibre_reports_are_class_invariants():
                     ring, member)
 
 
+def test_a_kept_report_is_named_for_each_disc_class_asked_for():
+    # the report kept over a class is returned as it is only for a disc
+    # class of its own d and witness; any other member of the class, or
+    # its d with another witness, gets the kept report with its own
+    # disc_class, and the kept one is returned again after it
+    seen_witness = seen_member = False
+    for spec in ["Z/12", "Z/4[x]/(x^2)", "Z/8[x]/(x^2+3)", "Z/3[x]/(x^2)"]:
+        ring = parse_ring(spec)
+        cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
+        roots = [t for t in ring.elements()
+                 if ring.coset_representative(t, 2) == t]
+        for d, orbit in zip(dc, dc.orbits):
+            kept = fiber_report(ring, d, cl, asg)
+            assert kept.disc_class is d
+            others = [DiscClass(ring, d.d, t) for t in roots if t != d.witness_t
+                      and ring.coset_representative(t * t - d.d, 4) == ring.zero]
+            others += [DiscClass(ring, m, is_discriminant(ring, m)) for m in orbit[1:]]
+            seen_witness |= any(o.d == d.d for o in others)
+            seen_member |= any(o.d != d.d for o in others)
+            for other in others:
+                report = fiber_report(ring, other, cl, asg)
+                assert report.disc_class is other
+                assert dataclasses.replace(report, disc_class=d) == kept
+            assert fiber_report(ring, d, cl, asg) is kept
+            assert fiber_report(ring, dataclasses.replace(d), cl, asg) is kept
+    assert seen_witness and seen_member
+
+
 def test_dropped_ring_is_freed_by_refcount():
     # the ring's kernel holds ints, canonical values and strings only, its
-    # kept disc, AS and fibre tables included, and so does the
-    # classification's derived slot, so dropping the ring and everything
-    # built over it frees both with the collector off
+    # kept disc and AS tables included; the classification's derived slot
+    # keeps the shared hom and fibre reports, which hold the ring and a
+    # disc class, but nothing the ring reaches refers to a classification,
+    # so dropping the ring and everything built over it frees both with
+    # the collector off
     import gc
     import weakref
     gc.collect()
@@ -604,37 +637,73 @@ def test_first_report_runs_the_annihilator_check(monkeypatch):
     assert not cl.derived.get("fibres")
 
 
-def mutate_everything(report):
-    """Change every list and dict a report holds, nested ones included."""
-    def mutate(x):
-        if isinstance(x, list):
-            for item in x:
-                mutate(item)
-            x.append(-1)
-        elif isinstance(x, dict):
-            for v in x.values():
-                mutate(v)
-            x["mutated"] = -1
+def containers(x):
+    """x and every list and dict in it, nested ones included."""
+    if isinstance(x, (list, dict)):
+        yield x
+        for item in (x.values() if isinstance(x, dict) else x):
+            yield from containers(item)
 
+
+# Every mutator of a list and of a dict, each called so that a plain one
+# would change (or, empty, reject with another error than TypeError).
+LIST_MUTATORS = [lambda xs: xs.append(-1), lambda xs: xs.extend([-1]),
+                 lambda xs: xs.insert(0, -1), lambda xs: xs.pop(),
+                 lambda xs: xs.remove(-1), lambda xs: xs.clear(),
+                 lambda xs: xs.sort(reverse=True), lambda xs: xs.reverse(),
+                 lambda xs: operator.setitem(xs, 0, -1),
+                 lambda xs: operator.setitem(xs, slice(None), []),
+                 lambda xs: operator.delitem(xs, 0),
+                 lambda xs: operator.iadd(xs, [-1]),
+                 lambda xs: operator.imul(xs, 2)]
+DICT_MUTATORS = [lambda d: operator.setitem(d, "mutated", -1),
+                 lambda d: operator.delitem(d, "mutated"),
+                 lambda d: operator.ior(d, {"mutated": -1}), lambda d: d.clear(),
+                 lambda d: d.pop("mutated"), lambda d: d.popitem(),
+                 lambda d: d.setdefault("mutated", -1),
+                 lambda d: d.update(mutated=-1)]
+
+
+def assert_read_only(report):
+    """Setting any field of report, and any mutator of any list and dict it
+    holds, nested ones included, raises; nothing changes."""
+    before = copy.deepcopy(report)
     for f in dataclasses.fields(report):
-        mutate(getattr(report, f.name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(report, f.name, None)
+        for x in containers(getattr(report, f.name)):
+            for mutate in LIST_MUTATORS if isinstance(x, list) else DICT_MUTATORS:
+                with pytest.raises(TypeError, match="read-only"):
+                    mutate(x)
+    assert report == before
 
 
 @pytest.mark.parametrize("spec", ["Z/12", "Z/4[x]/(x^2)", "Z/8[x]/(x^2+3)"])
 def test_reports_do_not_alias_what_is_kept(spec):
-    # a caller that changes a returned report changes nothing kept: the
-    # repeated call still equals the report of a fresh ring instance
+    # every caller is handed the one report a classification keeps, so no
+    # caller can change it: each mutator of each list and dict in it
+    # raises TypeError and setting a field raises FrozenInstanceError; a
+    # repeated call returns the identical object, equal to a fresh ring's
+    # report; a copy or pickle of it is equal and read-only too
+    def calls(ring):
+        cl, asg = classify(ring), as_group(ring)
+        return [lambda: disc_hom_check(ring, cl)] + [
+            lambda d=d: fiber_report(ring, d, cl, asg) for d in disc_classes(ring)]
+
     ring, fresh = parse_ring(spec), parse_ring(spec)
-    cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
-    fresh_cl, fresh_asg, fresh_dc = classify(fresh), as_group(fresh), disc_classes(fresh)
-    mutate_everything(disc_hom_check(ring, cl))
-    assert disc_hom_check(ring, cl) == disc_hom_check(fresh, fresh_cl)
-    for d, fresh_d in zip(dc, fresh_dc):
-        report = fiber_report(ring, d, cl, asg)
-        mutate_everything(report)
-        assert report.fiber[-1] == -1
-        assert fiber_report(ring, d, cl, asg) == fiber_report(
-            fresh, fresh_d, fresh_cl, fresh_asg), d.d
+    nested = 0
+    for call, fresh_call in zip(calls(ring), calls(fresh), strict=True):
+        report = call()
+        assert_read_only(report)
+        assert call() is report
+        assert report == fresh_call()
+        nested += sum(len(list(containers(getattr(report, f.name)))) > 1
+                      for f in dataclasses.fields(report))
+        for twin in (copy.copy(report), copy.deepcopy(report),
+                     pickle.loads(pickle.dumps(report))):
+            assert twin == report
+            assert_read_only(twin)
+    assert nested    # orbits and fibers hold lists in a list or dict
 
 
 def test_disc_hom_verdict_is_kept_per_classification(monkeypatch):

@@ -597,6 +597,29 @@ def test_unwritable_output_is_refused_before_the_command(tmp_path, capsys,
     assert existing.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("exists", [False, True])
+def test_output_without_write_permission_exits_2(tmp_path, capsys, monkeypatch,
+                                                 exists):
+    # os.access ignores mode bits for root, so the refusal is made by hand:
+    # the check asks about the file if it exists, else about its directory,
+    # and a refused path is neither created nor truncated
+    asked = []
+
+    def refuse(path, mode):
+        asked.append((path, mode))
+        return False
+
+    monkeypatch.setattr(os, "access", refuse)
+    target = tmp_path / "report.json"
+    if exists:
+        target.write_text("kept\n")
+    code, out, err = run(capsys, "classify", "--ring", "Z/4", "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write --output {target}: permission denied\n"
+    assert asked == [(str(target if exists else tmp_path), os.W_OK)]
+    assert target.read_text() == "kept\n" if exists else not target.exists()
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_a_failed_final_write_exits_2(capsys):
     # /dev/full passes the up-front check and refuses the write itself

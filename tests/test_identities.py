@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import prod
 
@@ -32,15 +33,21 @@ def test_poly_terms_refuse_non_integers():
 
 
 def test_a_refused_operand_is_reported_under_its_own_operator():
-    # a float on either side ends in Python's TypeError naming the operator
-    # used, not the "+" that 0.5 - x once became after negating x
+    # a float on either side, a float exponent or a modulus given to pow
+    # ends in Python's TypeError naming the operator used, not the "+" that
+    # 0.5 - x once became after negating x
     x = MultiPoly.variable("x")
     assert 5 - x == -x + 5 and x - 5 == x + -5
+    assert x ** 3 == x * x * x and x ** 0 == 1
     for sign, op in [("+", lambda: x + 0.5), ("-", lambda: x - 0.5),
                      ("-", lambda: 0.5 - x), ("*", lambda: x * 0.5),
-                     ("+", lambda: 0.5 + x), ("*", lambda: 0.5 * x)]:
-        with pytest.raises(TypeError, match=f"unsupported operand type\\(s\\) for \\{sign}:"):
+                     ("+", lambda: 0.5 + x), ("*", lambda: 0.5 * x),
+                     ("** or pow()", lambda: x ** 2.0),
+                     ("** or pow()", lambda: pow(x, 2, 5))]:
+        with pytest.raises(TypeError, match=re.escape(f"unsupported operand type(s) for {sign}:")):
             op()
+    with pytest.raises(ValueError, match="negative exponent"):
+        x ** -1
 
 
 def test_poly_variable_pruning():

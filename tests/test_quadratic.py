@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import quadrings.quadratic as quadratic
 from quadrings import (BasisChange, EnumerationLimitError, InfiniteRingError,
-                       MixedRingError, ModRing, QuadraticAlgebra,
+                       MixedRingError, ModRing, MultiPoly, QuadraticAlgebra,
                        QuotientPolyRing, RingElement,
-                       apply_basis_change, as_act,
-                       basis_change_group, classify, disc_hom_check,
+                       apply_basis_change, as_act, as_group,
+                       basis_change_group, classify, disc_classes, disc_hom_check,
                        find_absorbing, four_torsion, is_discriminant,
                        integer_algebra_for_disc, is_isomorphic, parse_ring,
                        quad_monoid, separable_square_check, star_product,
@@ -1114,3 +1114,35 @@ def test_quad_monoid_refuses_a_classification_of_another_ring():
         disc_hom_check(z8, cl)
     assert str(info.value) == "Classification of Z/4 given for Z/8"
     assert quad_monoid(parse_ring("Z/4"), cl) == quad_monoid(z4, cl)
+
+
+@pytest.mark.parametrize("spec", ["Z", "Z/12", "Z/4[x]/(x^2)"])
+def test_algebras_and_elements_over_equal_rings_hash_equal(spec):
+    # two separately parsed rings are equal, so their algebras and
+    # elements of the same values are equal, hash equal and dedupe in a set
+    ring, twin = parse_ring(spec), parse_ring(spec)
+    assert ring is not twin and ring == twin
+    s, t = QuadraticAlgebra(ring, 1, 3), QuadraticAlgebra(twin, 1, 3)
+    assert s == t and hash(s) == hash(t)
+    assert len({s, t, QuadraticAlgebra(twin, 1, 2)}) == 2
+    a, b = s.element(2, 5), t.element(2, 5)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, t.element(2, 4), s.x * t.x}) == 3
+
+
+def test_reprs_name_their_objects():
+    ring = parse_ring("Z/4[x]/(x^2)")
+    cl = classify(ring)
+    x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
+    assert [repr(obj) for obj in (as_group(ring), disc_classes(ring).monoid,
+                                  quad_monoid(ring, cl), cl[0], cl[len(cl) - 1],
+                                  BasisChange(ring.element(3), 1),
+                                  x ** 2 - 2 * x * y + 1, MultiPoly.const(0))] == [
+        "ASGroup(Z/4[x]/(x^2), order=2)",
+        "FiniteCommMonoid(2 elements, identity='1')",
+        "FiniteCommMonoid(22 elements, identity='(1,0)')",
+        "IsoClass((0,0), orbit_size=4)",
+        "IsoClass((x,x+3), orbit_size=8)",
+        "BasisChange(u=3, r=1)",
+        "MultiPoly(x^2-2*x*y+1)",
+        "MultiPoly(0)"]

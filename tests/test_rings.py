@@ -641,13 +641,19 @@ def test_operands_of_equal_and_of_different_rings(spec):
 @pytest.mark.parametrize("spec", ["Z", "Z/7", "Z/9[x]/(x^2+1)"])
 def test_a_refused_operand_is_reported_under_its_own_operator(spec):
     # an int on the left of a ring element is read by the reflected
-    # operator; a float ends in Python's TypeError naming the operator used
+    # operator; a float, or a float exponent or a modulus given to pow,
+    # ends in Python's TypeError naming the operator used
     x = parse_ring(spec).element(3)
     assert 5 - x == x.ring.element(2) and 5 + x == x.ring.element(8)
+    assert x ** 3 == x * x * x and x ** 0 == x.ring.one
     for sign, op in [("-", lambda: 0.5 - x), ("+", lambda: 0.5 + x),
-                     ("*", lambda: 0.5 * x), ("-", lambda: x - 0.5)]:
-        with pytest.raises(TypeError, match=f"unsupported operand type\\(s\\) for \\{sign}:"):
+                     ("*", lambda: 0.5 * x), ("-", lambda: x - 0.5),
+                     ("** or pow()", lambda: x ** 2.0),
+                     ("** or pow()", lambda: pow(x, 2, 5))]:
+        with pytest.raises(TypeError, match=re.escape(f"unsupported operand type(s) for {sign}:")):
             op()
+    with pytest.raises(ValueError, match="negative powers not supported"):
+        x ** -1
 
 
 def test_queried_ring_is_freed_by_refcount():
