@@ -20,9 +20,9 @@ class MixedRingError(ValueError):
 
 
 class MonoidError(ValueError):
-    """A monoid table fails validation, or its Grothendieck relation is not a
-    congruence; witness, if given, is a JSON-ready dict of the check's kind
-    and the labels or indices involved."""
+    """A monoid table fails validation, or has no absorbing element to read
+    its Grothendieck group off; witness, if given, is a JSON-ready dict of
+    the check's kind and the labels or indices involved."""
 
     def __init__(self, message: str, witness: dict | None = None):
         super().__init__(message)

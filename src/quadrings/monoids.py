@@ -1,12 +1,11 @@
 """Finite commutative monoids as explicit operation tables.
 
 Provides validation with a witness for the first failing axiom, the
-absorbing element, and the Grothendieck group with its invariant factors.
-Validation and the absorbing element are exhaustive: the monoids in this
-package have at most a few hundred elements.  The Grothendieck group is
-read off the minimal ideal eM, where e is the least idempotent, in
-O(n^2 + |eM|^3) table lookups; when eM is one element, as in every monoid
-with an absorbing element, in O(n) beyond the search for e.
+absorbing element, and the Grothendieck group K0.  Validation and the
+absorbing element are exhaustive: the monoids in this package have at most
+a few hundred elements.  K0 is read off the absorbing element, which makes
+it trivial, in O(n^2) table lookups; a monoid with no absorbing element is
+refused with MonoidError.
 """
 
 from __future__ import annotations
@@ -131,16 +130,20 @@ def require_valid_monoid(m: FiniteCommMonoid) -> None:
 
 
 def find_absorbing(m: FiniteCommMonoid):
-    """Index of the absorbing element, or None; a monoid has at most one."""
-    for z in range(m.size):
-        if all(m.table[z][x] == z for x in range(m.size)):
+    """Index of the two-sided absorbing element, z*x = x*z = z for every x,
+    or None; a table has at most one."""
+    t = m.table
+    for z, row in enumerate(t):
+        if all(v == z for v in row) and all(r[z] == z for r in t):
             return z
     return None
 
 
 @dataclass
 class AbelianGroup:
-    """A finite abelian group with its invariant-factor decomposition.
+    """The group K0 that ``grothendieck_group`` reads off a monoid's
+    absorbing element: always trivial, since a monoid with no absorbing
+    element is refused with MonoidError.
 
     ``monoid`` is the group table, ``invariant_factors`` is the ascending
     chain d1 | d2 | ... (empty for the trivial group), and ``universal_map``
@@ -160,146 +163,21 @@ class AbelianGroup:
 
 
 def grothendieck_group(m: FiniteCommMonoid) -> AbelianGroup:
-    """Universal group of a finite commutative monoid, through its minimal ideal.
+    """Universal group K0 of a commutative monoid with an absorbing element.
 
     K0 is the set of pairs (x, x') modulo (x, x') ~ (y, y') iff
-    x*y'*z = x'*y*z for some z; the class of (x, 1) is the image of x.  Let e
-    be the least idempotent, the one with e*g = e for every idempotent g.
-    Then K = eM is a group with identity e, and a*z = b*z for some z iff
-    e*a = e*b.  So the class of (x, x') is psi(x) * psi(x')^-1 in K, where
-    psi(x) = e*x, and K0 is K.  Classes are numbered, and represented, by
-    their first pair in lexicographic order.  The class of (x, x') depends
-    on psi(x) and psi(x') alone, so that first pair is made of elements
-    that are each the first with their value of psi: only those |eM|^2
-    pairs are scanned.  If the monoid has an absorbing element, that
-    element is e and the result is trivial.
+    x*y'*z = x'*y*z for some z.  If z is absorbing, both sides are z, so
+    every pair is related and K0 is the trivial group: its one class is
+    labelled by the first pair, [l0,l0], and every element maps to it.
+    Only the absorbing element is looked for; the table is not validated.
+    A table with no two-sided absorbing element raises MonoidError with
+    witness {"kind": "no absorbing element"}: for a finite commutative
+    monoid, K0 is trivial exactly when such an element exists, and every
+    monoid this package builds has one.
     """
-    e, inverse = _minimal_ideal(m)
-    t = m.table
-    psi = t[e]
-
-    def key(x, xp):
-        return t[psi[x]][inverse[psi[xp]]]
-
-    firsts: dict[int, int] = {}    # psi(x) -> the first x with that value
-    for x, a in enumerate(psi):
-        firsts.setdefault(a, x)
-    class_of: dict[int, int] = {}
-    reps: list[tuple[int, int]] = []
-    for x in firsts.values():
-        for xp in firsts.values():
-            k = key(x, xp)
-            if k not in class_of:
-                class_of[k] = len(reps)
-                reps.append((x, xp))
-
-    labels = [f"[{m.labels[x]},{m.labels[xp]}]" for x, xp in reps]
-    table = [[class_of[key(t[x][y], t[xp][yp])] for y, yp in reps]
-             for x, xp in reps]
-    group = FiniteCommMonoid(labels, table, class_of[key(m.identity, m.identity)])
-    factors = _invariant_factors(group)
-    universal = [class_of[key(x, m.identity)] for x in range(m.size)]
-    return AbelianGroup(group, factors, universal)
-
-
-def _minimal_ideal(m: FiniteCommMonoid):
-    """(least idempotent e, inverse of each element of eM).
-
-    Raises MonoidError unless e exists, commutes with every element, eM is
-    an abelian group under the table with identity e, and x -> e*x is
-    multiplicative.  These make (x, x') -> e*x * (e*x')^-1 a homomorphism
-    M x M -> eM, which is what makes the Grothendieck relation a
-    congruence.  The error's witness names the first check that failed and
-    where: "least idempotent" lists the idempotents, none of which is below
-    all the others; "centrality" is (e, x) with x*e != e*x; "eM identity"
-    is (e, a) with e*a != a; "eM closure" and "eM commutativity" are (a, b);
-    "eM associativity" is (a, b, c); "eM inverses" is (a); and
-    "multiplicativity" is (x, y) with e*(x*y) != (e*x)*(e*y).
-    """
-    n = m.size
-    t = m.table
-    idempotents = [x for x in range(n) if t[x][x] == x]
-    least = [f for f in idempotents if all(t[f][g] == f for g in idempotents)]
-    if not least:
-        raise _not_a_congruence(m, "least idempotent", idempotents)
-    e = least[0]
-    psi, column = t[e], [row[e] for row in t]
-    if column != psi:
-        x = next(x for x in range(n) if column[x] != psi[x])
-        raise _not_a_congruence(m, "centrality", [e, x])
-    group = sorted(set(psi))
-    members = set(group)
-    inverse: dict[int, int] = {}
-    for a in group:
-        row = t[a]
-        if psi[a] != a:
-            raise _not_a_congruence(m, "eM identity", [e, a])
-        for b in group:
-            ab = row[b]
-            if ab not in members:
-                raise _not_a_congruence(m, "eM closure", [a, b])
-            if ab != t[b][a]:
-                raise _not_a_congruence(m, "eM commutativity", [a, b])
-            c = next((c for c in group if t[ab][c] != row[t[b][c]]), None)
-            if c is not None:
-                raise _not_a_congruence(m, "eM associativity", [a, b, c])
-            if ab == e:
-                inverse.setdefault(a, b)
-        # Not reached once the checks above pass for a; kept as a guard.
-        # Closure and the associativity of (a, b, c) for b, c in eM keep the
-        # powers of a in eM with a^i * a^j = a^(i+j), and c = e with
-        # centrality gives e * a^i = a^i.  Some power a^k is idempotent, so
-        # the least-idempotent check gives e * a^k = e: a^k = e, and
-        # a^(k-1) (e when k = 1) is an inverse of a in eM.
-        if a not in inverse:
-            raise _not_a_congruence(m, "eM inverses", [a])
-    for x in range(n if len(group) > 1 else 0):    # else e(xy) = e = (ex)(ey)
-        ex = t[psi[x]]
-        got, want = [psi[xy] for xy in t[x]], [ex[a] for a in psi]
-        if got != want:
-            y = next(y for y in range(n) if got[y] != want[y])
-            raise _not_a_congruence(m, "multiplicativity", [x, y])
-    return e, inverse
-
-
-def _not_a_congruence(m: FiniteCommMonoid, kind: str, indices) -> MonoidError:
-    labels = tuple(m.labels[i] for i in indices)
-    return MonoidError(f"Grothendieck relation is not a congruence: {kind} fails at {labels}",
-                       {"kind": kind, "indices": list(indices)})
-
-
-def _element_order(m: FiniteCommMonoid, x: int) -> int:
-    k = 1
-    acc = x
-    while acc != m.identity:
-        acc = m.table[acc][x]
-        k += 1
-    return k
-
-
-def _invariant_factors(group: FiniteCommMonoid) -> list[int]:
-    """Invariant factors by repeatedly splitting off a maximal-order cyclic piece."""
-    if group.size == 1:
-        return []
-    orders = [_element_order(group, x) for x in range(group.size)]
-    top = max(orders)
-    gen = orders.index(top)
-    # Cosets of the cyclic subgroup generated by `gen`.
-    cyclic = set()
-    acc = group.identity
-    for _ in range(top):
-        cyclic.add(acc)
-        acc = group.table[acc][gen]
-    seen: dict[int, int] = {}
-    reps: list[int] = []
-    for x in range(group.size):
-        if x in seen:
-            continue
-        c = len(reps)
-        reps.append(x)
-        for h in cyclic:
-            seen[group.table[x][h]] = c
-    table = [[seen[group.table[i][j]] for j in reps] for i in reps]
-    quotient = FiniteCommMonoid([str(i) for i in range(len(reps))], table,
-                                seen[group.identity])
-    return _invariant_factors(quotient) + [top]
+    if find_absorbing(m) is None:
+        raise MonoidError("K0 is read off the absorbing element, and this monoid has none",
+                          {"kind": "no absorbing element"})
+    first = m.labels[0]
+    group = FiniteCommMonoid([f"[{first},{first}]"], [[0]], 0)
+    return AbelianGroup(group, [], [0] * m.size)

@@ -118,6 +118,9 @@ def test_poly_equality_and_hash_ignore_build_order():
         assert p + q == q + p and hash(p + q) == hash(q + p)
         assert p * q == q * p and hash(p * q) == hash(q * p)
         assert (p + q) - q == p and hash((p + q) - q) == hash(p)
+    # an int is read as a constant; an object of another type is not equal
+    for foreign in (None, "1", 1.0):
+        assert not MultiPoly.const(1) == foreign and MultiPoly.const(1) != foreign
 
 
 def test_poly_terms_are_read_only():
@@ -132,6 +135,8 @@ def test_poly_terms_are_read_only():
         with pytest.raises(TypeError):
             del p.terms[next(iter(p.terms))]
         assert p == value and hash(p) == key == hash(value)
+        with pytest.raises(AttributeError, match="^polynomials are immutable$"):
+            p.terms = {}
 
 
 def test_poly_repeated_name_adds_its_powers():

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from quadrings import (FiniteCommMonoid, MonoidError, find_absorbing,
                        grothendieck_group, parse_ring, validate_monoid)
 from quadrings import classify, quad_monoid
-from quadrings.monoids import (AbelianGroup, _invariant_factors, _minimal_ideal,
-                               find_monoid_violation, require_valid_monoid)
-from test_quadratic import rings_up_to
+from quadrings.monoids import (AbelianGroup, find_monoid_violation,
+                               require_valid_monoid)
 
 
 def mult_monoid(n):
@@ -39,6 +38,7 @@ def klein_four():
 SAMPLE_MONOIDS = [mult_monoid(2), mult_monoid(4), mult_monoid(6),
                   add_monoid(2), add_monoid(3), add_monoid(6),
                   trivial_monoid(), klein_four()]
+BOOL_MULT = FiniteCommMonoid(["0", "1"], [[0, 0], [0, 1]], 1)
 
 
 def test_validate_monoid():
@@ -259,15 +259,12 @@ def test_find_absorbing():
     assert find_absorbing(m) == 0
     g = add_monoid(2)
     assert find_absorbing(g) is None
-    bool_mult = FiniteCommMonoid(["0", "1"], [[0, 0], [0, 1]], 1)
-    assert find_absorbing(bool_mult) == 0
-
-
-def test_grothendieck_examples():
-    assert grothendieck_group(mult_monoid(4)).is_trivial()
-    k0 = grothendieck_group(add_monoid(3))
-    assert k0.invariant_factors == [3]
-    assert grothendieck_group(unit_group(4)).invariant_factors == [2]
+    assert find_absorbing(BOOL_MULT) == 0
+    # 2 absorbs on its row but not on its column: 1*2 = 0
+    one_sided = FiniteCommMonoid(["0", "1", "2"],
+                                 NON_CONGRUENCE_TABLES["e does not commute"], 0)
+    assert one_sided.table[2] == [2, 2, 2] and one_sided.table[1][2] == 0
+    assert find_absorbing(one_sided) is None
 
 
 def test_grothendieck_absorbing_direction():
@@ -284,22 +281,11 @@ def assert_universal_map_is_hom(m, k0):
                for x in range(m.size) for y in range(m.size))
 
 
-def test_grothendieck_universal_map_is_hom():
-    for m in SAMPLE_MONOIDS:
-        assert_universal_map_is_hom(m, grothendieck_group(m))
-
-
-def test_grothendieck_of_group_is_itself():
-    k0 = grothendieck_group(klein_four())
-    assert k0.invariant_factors == [2, 2]
-    assert k0.order == 4
-    k0 = grothendieck_group(add_monoid(6))
-    assert k0.invariant_factors == [6]
-
-
 def grothendieck_by_pairs(m):
     """Oracle: every pair against every class representative, then an n^4
-    check that the class of a product is the product of the classes."""
+    check that the class of a product is the product of the classes.  Its
+    invariant factors are [] when the group is trivial, and None otherwise:
+    grothendieck_group refuses those monoids, so they are not compared."""
     n = m.size
     t = m.table
     pairs = [(x, xp) for x in range(n) for xp in range(n)]
@@ -332,7 +318,10 @@ def grothendieck_by_pairs(m):
             if class_of[prod] != table[class_of[p]][class_of[q]]:
                 raise MonoidError("Grothendieck relation is not a congruence")
     universal = [class_of[(x, m.identity)] for x in range(n)]
-    return AbelianGroup(group, _invariant_factors(group), universal)
+    return AbelianGroup(group, [] if group.size == 1 else None, universal)
+
+
+NO_ABSORBING = {"kind": "no absorbing element"}
 
 
 def assert_k0_matches_oracle(m):
@@ -385,10 +374,37 @@ def test_grothendieck_matches_pair_oracle_on_quad_monoids():
         assert k0.is_trivial(), spec
 
 
-def test_grothendieck_matches_pair_oracle_on_samples():
-    bool_mult = FiniteCommMonoid(["0", "1"], [[0, 0], [0, 1]], 1)
-    for m in SAMPLE_MONOIDS + [bool_mult, unit_group(8), unit_group(4)]:
-        assert_k0_matches_oracle(m)
+def assert_refused_exactly_where_k0_is_not_trivial(m):
+    """grothendieck_group equals the pair oracle where the oracle's K0 is
+    trivial, and raises MonoidError naming the missing absorbing element
+    where it is not; returns whether it refused."""
+    if grothendieck_by_pairs(m).is_trivial():
+        assert_universal_map_is_hom(m, assert_k0_matches_oracle(m))
+        return False
+    with pytest.raises(MonoidError) as exc:
+        grothendieck_group(m)
+    assert exc.value.witness == NO_ABSORBING
+    return True
+
+
+# name -> (monoid, whether grothendieck_group refuses it).  The monoids with
+# a zero have trivial K0; the groups are their own K0, which is not trivial.
+K0_CASES = {
+    **{f"(Z/{n}, *)": (mult_monoid(n), False) for n in (2, 4, 6)},
+    "trivial": (trivial_monoid(), False),
+    "({0, 1}, *)": (BOOL_MULT, False),
+    **{f"(Z/{n}, +)": (add_monoid(n), True) for n in (2, 3, 6)},
+    "Klein four": (klein_four(), True),
+    **{f"(Z/{q})^x": (unit_group(q), True) for q in (4, 3, 5, 7, 8, 12)},
+}
+
+
+@pytest.mark.parametrize("name", K0_CASES)
+def test_grothendieck_refuses_exactly_where_k0_is_not_trivial(name):
+    m, refused = K0_CASES[name]
+    assert assert_refused_exactly_where_k0_is_not_trivial(m) == refused
+    if refused:
+        assert grothendieck_by_pairs(m).order == m.size
 
 
 @st.composite
@@ -410,60 +426,14 @@ def monoids_with_nontrivial_k0(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(monoids_with_nontrivial_k0())
-def test_grothendieck_matches_pair_oracle_on_tailed_products(m):
+def test_grothendieck_refuses_tailed_products(m):
     assert validate_monoid(m)
-    k0 = assert_k0_matches_oracle(m)
-    assert not k0.is_trivial()
-    assert_universal_map_is_hom(m, k0)
+    assert assert_refused_exactly_where_k0_is_not_trivial(m)
 
 
-def grothendieck_by_key_scan(m):
-    """The scan grothendieck_group made before it kept to first
-    representatives: every pair (x, x') by its key psi(x) * psi(x')^-1,
-    n^2 keys, classes numbered in order of first appearance."""
-    e, inverse = _minimal_ideal(m)
-    t = m.table
-    psi = t[e]
-
-    def key(x, xp):
-        return t[psi[x]][inverse[psi[xp]]]
-
-    class_of, reps = {}, []
-    for x in range(m.size):
-        for xp in range(m.size):
-            if key(x, xp) not in class_of:
-                class_of[key(x, xp)] = len(reps)
-                reps.append((x, xp))
-    labels = [f"[{m.labels[x]},{m.labels[xp]}]" for x, xp in reps]
-    table = [[class_of[key(t[x][y], t[xp][yp])] for y, yp in reps]
-             for x, xp in reps]
-    group = FiniteCommMonoid(labels, table, class_of[key(m.identity, m.identity)])
-    universal = [class_of[key(x, m.identity)] for x in range(m.size)]
-    return AbelianGroup(group, _invariant_factors(group), universal)
-
-
-def assert_k0_matches_key_scan(m):
-    got, want = grothendieck_group(m), grothendieck_by_key_scan(m)
-    assert got.monoid == want.monoid
-    assert got.invariant_factors == want.invariant_factors
-    assert got.universal_map == want.universal_map
-
-
-def test_grothendieck_matches_key_scan_on_quad_monoids_up_to_27():
-    for ring in rings_up_to(27):
-        assert_k0_matches_key_scan(quad_monoid(ring, classify(ring)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(mid_tables())
-def test_grothendieck_matches_key_scan_on_mid_tables(m):
-    if validate_monoid(m):
-        assert_k0_matches_key_scan(m)
-
-
-# Tables with identity 0 that are not monoids.  broken2 is the one of
-# test_validate_monoid; each of the others fails exactly one of the checks
-# that stand in for the pair-by-pair congruence test.
+# Tables with identity 0 that are not monoids, and whose Grothendieck
+# relation is not a congruence.  broken2 is the one of test_validate_monoid;
+# none has an absorbing element.
 NON_CONGRUENCE_TABLES = {
     "broken2": [[0, 1, 2], [1, 2, 0], [2, 1, 0]],
     # e, f, g are all idempotent and f*g = e: none lies below the others
@@ -481,49 +451,28 @@ NON_CONGRUENCE_TABLES = {
 }
 
 
-# The witness grothendieck_group gives each table: the check that failed
-# first and where.  broken2's e is 0, so eM = M, and (1*1)*1 != 1*(1*1).
-NON_CONGRUENCE_WITNESSES = {
-    "broken2": {"kind": "eM associativity", "indices": [1, 1, 1]},
-    "no least idempotent": {"kind": "least idempotent", "indices": [0, 1, 2]},
-    "e does not commute": {"kind": "centrality", "indices": [2, 1]},
-    "eM not associative": {"kind": "eM associativity", "indices": [1, 1, 2]},
-    "eM not closed": {"kind": "eM closure", "indices": [2, 2]},
-    "x -> e*x not multiplicative": {"kind": "multiplicativity", "indices": [1, 3]},
-    "eM not commutative": {"kind": "eM commutativity", "indices": [1, 2]},
-}
-
-
 @pytest.mark.parametrize("name", sorted(NON_CONGRUENCE_TABLES))
 def test_grothendieck_rejects_non_congruence_tables(name):
     table = NON_CONGRUENCE_TABLES[name]
     m = FiniteCommMonoid([str(i) for i in range(len(table))], table, 0)
     with pytest.raises(MonoidError, match="not a congruence"):
         grothendieck_by_pairs(m)
-    with pytest.raises(MonoidError, match="not a congruence") as exc:
+    with pytest.raises(MonoidError, match="absorbing element") as exc:
         grothendieck_group(m)
-    assert exc.value.witness == NON_CONGRUENCE_WITNESSES[name]
+    assert exc.value.witness == NO_ABSORBING
 
 
-def test_grothendieck_names_the_pair_that_leaves_eM():
-    m = FiniteCommMonoid(["0", "1", "2", "3"], NON_CONGRUENCE_TABLES["eM not closed"], 0)
-    with pytest.raises(MonoidError) as exc:
-        grothendieck_group(m)
-    assert str(exc.value) == ("Grothendieck relation is not a congruence: "
-                              "eM closure fails at ('2', '2')")
-
-
-# Not a monoid; the pair-by-pair test happens to accept it (and returns the
-# trivial group), but e*e*x != e*x here, so eM has no identity.
+# Not a monoid; the pair-by-pair test happens to accept it and returns the
+# trivial group, but no element absorbs, so grothendieck_group refuses it.
 E_NOT_IDENTITY_OF_EM = [[1, 2, 1], [2, 1, 1], [2, 1, 1]]
 
 
 def test_grothendieck_rejects_table_where_e_is_not_the_identity_of_eM():
     m = FiniteCommMonoid(["0", "1", "2"], E_NOT_IDENTITY_OF_EM, 1)
     assert grothendieck_by_pairs(m).is_trivial()
-    with pytest.raises(MonoidError, match="not a congruence") as exc:
+    with pytest.raises(MonoidError, match="absorbing element") as exc:
         grothendieck_group(m)
-    assert exc.value.witness == {"kind": "eM identity", "indices": [1, 2]}
+    assert exc.value.witness == NO_ABSORBING
 
 
 @st.composite
@@ -541,57 +490,13 @@ def tables_with_an_absorbing_element(draw):
 @settings(max_examples=100, deadline=None)
 @given(tables_with_an_absorbing_element())
 def test_grothendieck_of_a_table_with_an_absorbing_element_is_trivial(m):
-    # z is the least idempotent and eM = {z}, where e(xy) = e = (ex)(ey):
-    # no check can fail, and every element maps to the one class
+    # x*y'*z = z = x'*y*z for every pair: all pairs are related, whether
+    # the table is associative or not, and every element maps to the one class
     k0 = grothendieck_group(m)
     assert k0.is_trivial()
     assert k0.monoid.table == [[0]] and k0.monoid.identity == 0
     assert k0.invariant_factors == []
     assert k0.universal_map == [0] * m.size
-
-
-def witness_breaks_its_check(t, kind, indices):
-    """Whether `indices` show, from the table alone, the failure `kind` names."""
-    n = len(t)
-    idempotents = [x for x in range(n) if t[x][x] == x]
-    if kind == "least idempotent":
-        return indices == idempotents and not any(
-            all(t[f][g] == f for g in idempotents) for f in idempotents)
-    if kind in ("centrality", "eM identity"):
-        e, x = indices
-        assert t[e][e] == e and all(t[e][g] == e for g in idempotents)
-        return t[x][e] != t[e][x] if kind == "centrality" else t[e][x] != x
-    e = next(f for f in idempotents if all(t[f][g] == f for g in idempotents))
-    em = set(t[e])
-    if kind == "multiplicativity":
-        x, y = indices
-        return t[e][t[x][y]] != t[t[e][x]][t[e][y]]
-    assert all(a in em for a in indices)
-    if kind == "eM closure":
-        a, b = indices
-        return t[a][b] not in em
-    if kind == "eM commutativity":
-        a, b = indices
-        return t[a][b] != t[b][a]
-    if kind == "eM associativity":
-        a, b, c = indices
-        return t[t[a][b]][c] != t[a][t[b][c]]
-    if kind == "eM inverses":
-        (a,) = indices
-        return all(t[a][b] != e for b in em)
-    raise AssertionError(f"unknown kind {kind!r}")
-
-
-@pytest.mark.parametrize("name", sorted(NON_CONGRUENCE_TABLES) + ["e not the identity of eM"])
-def test_non_congruence_witness_breaks_the_check_it_names(name):
-    # read the failure back off the table, without _minimal_ideal
-    table = NON_CONGRUENCE_TABLES.get(name, E_NOT_IDENTITY_OF_EM)
-    identity = 1 if table is E_NOT_IDENTITY_OF_EM else 0
-    m = FiniteCommMonoid([str(i) for i in range(len(table))], table, identity)
-    with pytest.raises(MonoidError, match="not a congruence") as exc:
-        grothendieck_group(m)
-    witness = exc.value.witness
-    assert witness_breaks_its_check(table, witness["kind"], witness["indices"])
 
 
 def test_json_round_trip():

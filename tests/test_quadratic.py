@@ -324,7 +324,8 @@ def test_algebra_element_arithmetic_matches_ring_element_formulas():
             assert x.trace() == A + A + B * T and x.trace().ring is ring
             assert x.norm() == A * A + A * B * T + B * B * N and x.norm().ring is ring
         # what the operators check is kept: another algebra, a float, and
-        # writing to a slot are refused
+        # writing to a slot of an element, an algebra or a basis change are
+        # refused; an object of another type is not equal to an element
         x = QuadraticAlgebra(ring, *draws[0][:2]).element(*draws[0][2:4])
         others = [QuadraticAlgebra(ring, t, 1) for t in (0, 1)]
         for other in [a for a in others if a != x.algebra][:1]:    # none over Z/1
@@ -335,8 +336,12 @@ def test_algebra_element_arithmetic_matches_ring_element_formulas():
         for op in (lambda: x + 0.5, lambda: 0.5 * x, lambda: x - 1.5, lambda: x * 2.0):
             with pytest.raises(TypeError):
                 op()
-        with pytest.raises(AttributeError):
-            x.a = ring.one
+        for obj, text in [(x, "algebra elements"), (x.algebra, "algebras"),
+                          (BasisChange(ring.one, ring.zero), "basis changes")]:
+            with pytest.raises(AttributeError, match=f"^{text} are immutable$"):
+                obj.a = ring.one
+        for foreign in (None, "x", x.a):
+            assert not x == foreign and x != foreign
 
 
 @pytest.mark.parametrize("spec", ["Z", "Z/12", "Z/" + "9" * 99 + "7", "Z/9[x]/(x^2+1)",

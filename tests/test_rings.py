@@ -275,9 +275,12 @@ def test_zero_ring():
 def test_elements_are_immutable_and_hashable():
     z4 = parse_ring("Z/4")
     a = z4.element(3)
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="^ring elements are immutable$"):
         a.value = 1
     assert len({z4.element(1), z4.element(1), z4.element(2)}) == 2
+    # an object of another type, an int included, is not equal to an element
+    for foreign in (None, "3", 3):
+        assert not a == foreign and a != foreign
 
 
 def test_poly_text_round_trip_fuzz():
