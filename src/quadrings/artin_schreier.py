@@ -31,12 +31,14 @@ A classification keeps, in its derived slot, the FiberReport over each
 disc class, with the DiscClass of the first call over the class: the
 fiber, read off the classification's disc map (discriminants._disc_map),
 its labels, the orbits, the kernel classes, whether the action is free and
-transitive, and the with-basis orbit count and bound.  The action commutes
-with basis changes, so it is read off the class representatives and their
-class rows.  The count and bound, and the classes of ann(d)[4] the kernel
-is checked against, are class invariants, so they are worked out for the d
-of the first report over the class.  The kept report is frozen and its
-lists are read-only (discriminants._ReadOnlyList), so it is shared:
+transitive, and the with-basis orbit count and bound.  The action is the
+monoid product S * (1, m), so it is read off the classification's star
+table at the classes of the embedded (1, m), which the classification
+keeps in the same slot.  The count and bound, and the classes of
+ann(d)[4] the kernel is checked against, are class invariants, so they
+are worked out for the d of the first report over the class.  The kept
+report is frozen and its lists are read-only
+(discriminants._ReadOnlyList), so it is shared:
 fiber_report returns it to every caller whose d has the same d and
 witness_t, and check_freeness reads free off it, so a repeated call takes
 no ring product, class row, check or copy.
@@ -327,6 +329,18 @@ def _fibre_action(ring: Ring, d: DiscClass,
     return report
 
 
+def _embedded_classes(ring: Ring, cl: Classification) -> list[int]:
+    """The class of (1, m) for each AS class m, in class order: looked up
+    once per classification with index_of and kept in its derived slot."""
+    embedded = cl.derived.get("as embed")
+    if embedded is None:
+        tables = _as_tables(ring)
+        embedded = cl.derived["as embed"] = [
+            cl.index_of(as_embed(ring, RingElement(ring, tables.values[k])))
+            for k in tables.class_pos]
+    return embedded
+
+
 def _witness(ring: Ring, d: DiscClass, **more) -> dict:
     """Where a fiber check failed, for InternalCheckError."""
     return {"ring": ring.spec_string(), "d": d.d.to_json(), **more}
@@ -338,38 +352,30 @@ def _act_on_fiber(ring: Ring, d: DiscClass, cl: Classification,
     the facts of d, checked, as a read-only report with disc_class d.
 
     The fiber is the classes whose discriminant is u^2 d for a unit u, read
-    off the classification's disc map.  The action commutes with basis
-    changes (as-action-norm and change-of-basis-functoriality in quadrings
-    verify), so the AS class m sends the class of a representative (t, n)
-    of disc d' to the class of (t, n + d'm): one product per disc d' of a
-    representative and AS class m, for the add row of d'm, and one class
-    row per fiber class.  The facts of d take |R[4]| products more.
+    off the classification's disc map.  The AS class m acts by
+    S -> S * (1, m), and the star product is well defined on classes, so m
+    sends class i to the star table's entry at i and the class of (1, m)
+    (see _embedded_classes): the action takes no ring product and no class
+    row.  The facts of d take |R[4]| products.
 
     The checks run in this order: every image lies in the fiber; the kernel
     contains the classes of ann(d)[4]; the count equals its bound.  The
-    tests check the class map against a walk over every orbit pair.
+    tests check the action against a walk over every orbit pair.
     """
     tables = _as_tables(ring)
-    kernel, mul = ring.kernel(), ring._mul
-    code, add_row = kernel.code, kernel.add_row
-    classes = [tables.values[k] for k in tables.class_pos]
+    embedded, star = _embedded_classes(ring, cl), cl.star_table()
     fiber = _disc_map(ring, cl)[1][own]
     fiber_pos = {ci: k for k, ci in enumerate(fiber)}
-    action: list[dict[int, int]] = [{} for _ in classes]
-    shifts: dict = {}    # d' -> [add row of d'm for each class m]
+    action: list[dict[int, int]] = [{} for _ in embedded]
     for ci in fiber:
-        c = cl[ci]
-        v = c.disc.value
-        if v not in shifts:
-            shifts[v] = [add_row(code[mul(v, m)]) for m in classes]
-        row, n = cl.class_map.row(code[c.rep.t.value]), code[c.rep.n.value]
-        for m, plus, images in zip(classes, shifts[v], action):
-            target = images[ci] = row[plus[n]]
+        row = star[ci]
+        for k, e, images in zip(tables.class_pos, embedded, action):
+            target = images[ci] = row[e]
             if target not in fiber_pos:
-                moved_by = RingElement(ring, m)
+                moved_by, label = RingElement(ring, tables.values[k]), cl[ci].label
                 raise InternalCheckError(
-                    f"action of {moved_by} moved {c.label} off the fiber",
-                    _witness(ring, d, **{"class": c.label,
+                    f"action of {moved_by} moved {label} off the fiber",
+                    _witness(ring, d, **{"class": label,
                                          "as_class": moved_by.to_json()}))
 
     # Orbit partition of the fiber under the whole group.

@@ -16,12 +16,13 @@ objects: an element's code is its index in ring.elements().  RingElement
 and QuadraticAlgebra stay the input and output types.  classify splits the
 pairs into trace orbits and one slice {t0} x R per orbit, so it classifies
 |R| * (trace orbits) slice points, not |R|^2 pairs, and its class map keeps
-O(|R|) ints per trace orbit; other modules read classes only through
-ClassMap.row.  Sums are add-row lookups, and each ring product is taken
-once per call: classify composes the unit rows (at most log2|U|*|R|
-products) and takes |2R| + log2|R[2]| products per trace orbit, and the
-star table multiplies each distinct row value by each distinct column
-value once.
+O(|R|) ints per trace orbit.  The class map is this module's own: other
+modules read a classification through its classes, labels(), index_of,
+star_table() and derived slot.  Sums are add-row lookups, and each ring
+product is taken once per call: classify composes the unit rows (at most
+log2|U|*|R| products) and takes |2R| + log2|R[2]| products per trace
+orbit, and the star table multiplies each distinct row value by each
+distinct column value once.
 """
 
 from __future__ import annotations
@@ -368,8 +369,8 @@ class ClassMap:
     (y, u^2 (n + c)), so (y, m) lies in the class of (t0, u^-2 m - c).
 
     row(y) lists the class of every (y, m) from 2|R| lookups with no ring
-    operation, on first use, and keeps it; every class lookup, the fiber
-    reports' included, goes through it.  The first call of pairs() lists
+    operation, on first use, and keeps it; every class lookup, index_of's
+    and the star table's, goes through it.  The first call of pairs() lists
     every class's orbit from the rows in one pass, as (t, n) pairs of ring
     elements in code order, which is sort-key order.  It holds no class, so
     an IsoClass reaches its orbit through it without a reference cycle,

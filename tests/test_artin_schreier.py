@@ -192,13 +192,16 @@ def test_as_act_agrees_with_star_exactly():
 
 
 def test_action_descends_to_classes():
-    for spec in ["Z/4", "Z/6", "Z/2[x]/(x^2)"]:
-        ring = parse_ring(spec)
+    # the action is well defined on classes, and it is the star table's
+    # column at the class of (1, m), which the fibre reports read
+    for ring in rings_up_to(27):
         cl = classify(ring)
-        tors = four_torsion(ring)
-        for c in cl:
-            for m in tors:
+        star = cl.star_table()
+        for m in four_torsion(ring):
+            column = cl.index_of(as_embed(ring, m))
+            for i, c in enumerate(cl):
                 expected = cl.index_of(as_act(c.rep, m))
+                assert star[i][column] == expected, (ring, c.label, m)
                 for t, n in c.orbit_pairs:
                     assert cl.index_of(as_act(QuadraticAlgebra(ring, t, n), m)) == expected
 
@@ -363,8 +366,8 @@ def test_check_freeness_all_rings():
 
 
 def test_fiber_reports_never_read_orbit_pairs(monkeypatch):
-    # The reports read classes off class rows, so every check of the
-    # action runs with no orbit listing readable.
+    # The reports read the action off the star table, so every check of
+    # the action runs with no orbit listing readable.
     def refuse(self):
         raise AssertionError("an orbit listing was read")
     monkeypatch.setattr(IsoClass, "orbit_pairs", property(refuse))
@@ -553,25 +556,22 @@ def test_dropped_ring_is_freed_by_refcount():
 
 @pytest.mark.parametrize("spec", ["Z/12", "Z/2[x]/(x^2+x+1)", "Z/4[x]/(x^2)"])
 def test_fiber_report_products_first_and_repeated(spec, monkeypatch):
-    # After classify, as_group and disc_classes, the first report over d
-    # takes |R[4]| products for dR[4] and ann(d)[4] and one d'*m per disc d'
-    # of a class representative and AS class m: none per orbit pair, none
-    # for the fiber, which is read off the kept disc index, and no ring
-    # addition, since the number of traces t with t^2 = d mod 4R is one
-    # lookup in the kept disc tables, so no report reads the kernel's table
-    # of t^2; it reads one class row per fiber class.  Repeated reports,
-    # check_freeness and disc_hom_check read all of it from the ring's and
-    # the classification's kept tables: no product, addition, class row or
+    # After classify, as_group, disc_classes and the hom check, which builds
+    # the star table, the first report over d takes |R[4]| products, for
+    # dR[4] and ann(d)[4], and reads the action off the kept star table:
+    # none per orbit pair or class, none for the fiber, which is read off
+    # the kept disc index, and no ring addition, since the number of traces
+    # t with t^2 = d mod 4R is one lookup in the kept disc tables, so no
+    # report reads the kernel's table of t^2.  It reads class rows only for
+    # the classes of (1, m), one index_of per AS class m, and only in the
+    # classification's first report.  Repeated reports, check_freeness and
+    # disc_hom_check read all of it from the ring's and the
+    # classification's kept tables: no product, addition, class row or
     # star table.
     ring = parse_ring(spec)
     cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
     hom = disc_hom_check(ring, cl)
     kernel = ring.kernel()
-    unit_squares = {u * u for u in ring.units()}
-    # the discs of the fiber's class representatives, read off the
-    # classification so that each first report is counted
-    rep_discs = [{c.disc for c in cl if c.disc in {s * d.d for s in unit_squares}}
-                 for d in dc]
     calls = {"_mul": 0, "_add": 0, "row": 0, "star_table": 0}
     for owner, name in [(ring, "_mul"), (ring, "_add"), (cl.class_map, "row"),
                         (cl, "star_table")]:
@@ -584,11 +584,13 @@ def test_fiber_report_products_first_and_repeated(spec, monkeypatch):
         monkeypatch.setattr(owner, name, counting)
     monkeypatch.setattr(kernel, "square", None)    # read by no report
     none = dict.fromkeys(calls, 0)
-    for d, discs in zip(dc, rep_discs):
+    embed_rows = asg.order
+    for d in dc:
         calls.update(none)
         first = fiber_report(ring, d, cl, asg)
-        assert calls == {**none, "_mul": len(asg.four_torsion) + len(discs) * asg.order,
-                         "row": len(first.fiber)}, (spec, d.d)
+        assert calls == {**none, "_mul": len(asg.four_torsion), "row": embed_rows,
+                         "star_table": 1}, (spec, d.d)
+        embed_rows = 0
         calls.update(none)
         assert fiber_report(ring, d, cl, asg) == first
         assert check_freeness(ring, d, cl, asg) == (
@@ -767,16 +769,27 @@ def test_multiple_rows_are_built_once_per_kernel(spec):
 
 @pytest.mark.parametrize("spec", ["Z/960", "Z/5[x]/(x^2+2)", "Z/3[x]/(x^3)"])
 def test_fiber_reports_keep_no_add_row_of_minus_d(spec):
-    # the reports keep only add rows of 4-torsion codes, the shifts d'm and
-    # the generators of dR[4]: the trace count is read off the disc
-    # tables, so the row of -d is never built
+    # beside the star table's add rows of n*s^2, the reports keep only add
+    # rows of 4-torsion codes, the generators of dR[4]: the trace count is
+    # read off the disc tables, so the row of -d is never built
     ring = parse_ring(spec)
     cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
     kernel = ring.kernel()
-    before = {c for c, row in enumerate(kernel._rows) if row is not None}
+
+    def built():
+        return {c for c, row in enumerate(kernel._rows) if row is not None}
+
+    cl.star_table()
+    star_rows = built()
+    # the classes of (1, m) are read off the class row of trace 1, which
+    # adds at most its own shift row
+    for m in asg.classes:
+        cl.index_of(as_embed(ring, m))
+    before = built()
+    assert before - star_rows <= {cl.class_map.shift[kernel.code[ring.one.value]]}
     for d in dc:
         fiber_report(ring, d, cl, asg)
-    kept = {c for c, row in enumerate(kernel._rows) if row is not None} - before
+    kept = built() - before
     torsion = {kernel.code[a.value] for a in asg.four_torsion}
     minus_ds = {kernel.code[(-d.d).value] for d in dc}
     assert minus_ds - torsion    # rows a report would have kept before
@@ -794,12 +807,13 @@ def grouped(row):
 def fiber_report_by_pairs(ring, d, classification, group):
     """The walked fields of the fibre report from every orbit pair, the
     walk fiber_report ran before it read the action off class
-    representatives, kept as the oracle.  It builds its own root table
-    t^2 -> [t], norm map 4n -> [n] and unit squares from the kernel's table
-    of t^2, its row of 4x and the ring's units, so it shares no table with
-    the disc tables.  For each disc d' in u^2 d and each key q = 4n of the
-    norm map it reads the traces t with t^2 = d' + q from the root table
-    and the norms n of q, and collects, for every AS class m
+    representatives and then off the star table, kept as the oracle.  It
+    builds its own root table t^2 -> [t], norm map 4n -> [n] and unit
+    squares from the kernel's table of t^2, its row of 4x and the ring's
+    units, so it shares no table with the disc tables.  For each disc d'
+    in u^2 d and each key q = 4n of the norm map it reads the traces t
+    with t^2 = d' + q from the root table and the norms n of q, and
+    collects, for every AS class m
     (m = 0 included), the (class, image class) of each pair (t, n) and its
     image (t, n + d'm).  It checks that the walked classes are exactly the
     fiber and that each image class is the same for every pair of a class,

@@ -168,8 +168,15 @@ def test_enumeration_order():
     assert [e.value for e in z4.elements()] == [0, 1, 2, 3]
     f4 = parse_ring("Z/2[x]/(x^2+x+1)")
     assert [str(e) for e in f4.elements()] == ["0", "1", "x", "x+1"]
+    z = parse_ring("Z")
     with pytest.raises(InfiniteRingError):
-        parse_ring("Z").elements()
+        z.elements()
+    with pytest.raises(InfiniteRingError, match="^ring is infinite$"):
+        z.size
+    # the kernel lists the elements through _residue_values(0)
+    with pytest.raises(InfiniteRingError, match="^enumeration requires a finite ring$"):
+        z.kernel()
+    assert z._kernel is None
 
 
 def test_enumeration_is_sorted_and_complete():
