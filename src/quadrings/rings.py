@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import math
 import operator
-import re
 import sys
 from itertools import product
 
@@ -694,33 +693,31 @@ def _operand(ring: Ring, other) -> RingElement | None:
         return None
 
 
-_RING_RE = re.compile(r"Z/([0-9]+)(?:\[x\]/\((.+)\))?")
-_INT_RE = re.compile(r"[+-]?[0-9]+")
+def _is_digits(text: str) -> bool:
+    """text is one or more ASCII digits (str.isdigit alone takes "\u0663")."""
+    return text.isascii() and text.isdigit()
 
 
 def parse_int(text: str, field: str) -> int:
     """The integer that text writes in ASCII digits after an optional sign.
 
-    Anything else is a RingParseError, and so are more digits than int()
-    converts (sys.get_int_max_str_digits(), where set); that refusal names
-    field and the digit count, never the digits.  A ring spec's own grammar
-    keeps signs out of its numbers.
+    Read by the string tests that parse_ring and parse_poly use, with no
+    regex.  Anything else is a RingParseError, and so are more digits than
+    int() converts (sys.get_int_max_str_digits(), where set); that refusal
+    names field and the digit count, never the digits.  A ring spec's own
+    grammar keeps signs out of its numbers.
     """
-    if not _INT_RE.fullmatch(text):
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not _is_digits(digits):
         raise RingParseError(f"{field} {text!r} is not an integer")
     try:
         return int(text)
     except ValueError:    # over the limit, which int() checks before any work
         raise RingParseError(
-            f"{field} has {len(text.lstrip('+-'))} digits, more than the "
+            f"{field} has {len(digits)} digits, more than the "
             f"interpreter's limit of {sys.get_int_max_str_digits()} "
             f"(PYTHONINTMAXSTRDIGITS)"
         ) from None
-
-
-def _is_digits(text: str) -> bool:
-    """text is one or more ASCII digits (str.isdigit alone takes "\u0663")."""
-    return text.isascii() and text.isdigit()
 
 
 def parse_poly(text: str) -> list[int]:
@@ -780,20 +777,29 @@ def format_poly(coeffs) -> str:
 
 
 def parse_ring(spec: str) -> Ring:
-    """Parse a ring spec: "Z", "Z/<n>", or "Z/<n>[x]/(<monic poly in x>)"."""
+    """Parse a ring spec: "Z", "Z/<n>", or "Z/<n>[x]/(<monic poly in x>)".
+
+    The spec without its spaces is split at its first "[x]/(" and read by
+    the string tests of parse_int and parse_poly, so the package uses no
+    regex: n is ASCII digits, and a polynomial part is one or more
+    characters, none a newline, before a final ")".  A modulus over int()'s
+    digit limit is named by parse_int, and a zero modulus is refused by the
+    ring constructors, after the polynomial is read.
+    """
     s = spec.replace(" ", "")
     if s == "Z":
         return IntegerRing()
-    m = _RING_RE.fullmatch(s)
-    if not m:
-        raise RingParseError(
-            f"cannot parse ring spec {spec!r}; expected \"Z\", \"Z/<n>\", "
-            f"or \"Z/<n>[x]/(<monic poly in x>)\""
-        )
-    n = parse_int(m.group(1), "modulus")
-    if n == 0:
-        raise RingParseError("modulus 0 is not allowed")
-    return ModRing(n) if m.group(2) is None else QuotientPolyRing(n, parse_poly(m.group(2)))
+    head, quotient, tail = s.partition("[x]/(")
+    digits, poly = head[2:], tail[:-1]
+    if head[:2] != "Z/" or not _is_digits(digits) or quotient and (
+            tail[-1:] != ")" or not poly or "\n" in poly):
+        raise RingParseError(f"cannot parse ring spec {spec!r}; expected \"Z\", "
+                             f"\"Z/<n>\", or \"Z/<n>[x]/(<monic poly in x>)\"")
+    try:
+        n = int(digits)
+    except ValueError:    # over the limit: parse_int names the modulus
+        n = parse_int(digits, "modulus")
+    return QuotientPolyRing(n, parse_poly(poly)) if quotient else ModRing(n)
 
 
 class Kernel:

@@ -514,10 +514,81 @@ def test_halves_are_the_preimages_of_doubling():
             assert ring._halves(y) == [r for r in values if add(r, r) == y], (ring, y)
 
 
+# The regex readers of ring specs and integers that parse_ring and
+# parse_int replaced, kept as an independent reference.  The one intended
+# difference is a zero modulus, which the ring constructors now refuse with
+# their own message.
+_REF_RING_RE = re.compile(r"Z/([0-9]+)(?:\[x\]/\((.+)\))?")
+_REF_INT_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def _reference_parse_int(text, field):
+    if not _REF_INT_RE.fullmatch(text):
+        raise RingParseError(f"{field} {text!r} is not an integer")
+    try:
+        return int(text)
+    except ValueError:
+        raise RingParseError(
+            f"{field} has {len(text.lstrip('+-'))} digits, more than the "
+            f"interpreter's limit of {sys.get_int_max_str_digits()} "
+            f"(PYTHONINTMAXSTRDIGITS)"
+        ) from None
+
+
+def _reference_parse_ring(spec):
+    s = spec.replace(" ", "")
+    if s == "Z":
+        return IntegerRing()
+    m = _REF_RING_RE.fullmatch(s)
+    if not m:
+        raise RingParseError(
+            f"cannot parse ring spec {spec!r}; expected \"Z\", \"Z/<n>\", "
+            f"or \"Z/<n>[x]/(<monic poly in x>)\""
+        )
+    n = _reference_parse_int(m.group(1), "modulus")
+    if n == 0:
+        raise RingParseError("modulus 0 is not allowed")
+    return ModRing(n) if m.group(2) is None else QuotientPolyRing(n, parse_poly(m.group(2)))
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except (RingParseError, EnumerationLimitError) as exc:
+        return type(exc), str(exc)
+
+
+def test_parse_ring_and_parse_int_read_what_the_regexes_read():
+    # value, error class and message equal the regex readers on every spec
+    # of 1-5 tokens and every integer of 0-6 characters over these
+    # alphabets; a zero modulus must still be a RingParseError
+    zero = (RingParseError, "modulus 0 is not allowed")
+    long = "1" * (sys.get_int_max_str_digits() + 1)    # over the limit, where set
+    tokens = ["Z", "/", "0", "4", "[x]/(", "x", "^", "2", "+", "-", ")", "\n",
+              "\u0663", " ", "(", "]"]
+    specs = ["".join(p) for k in range(1, 6) for p in product(tokens, repeat=k)]
+    specs += ["Z/4[x]/(x^2\n+1)", "Z/4[x]/(\n)", "Z/4[x]/(x)[x]/(x)", "Z/4[x]/(x))",
+              "Z/4[x]/(x^2+1) ", "Z/0[x]/(x^2+1)", "Z/00", f"Z/{long}",
+              f"Z/{long}[x]/(x^2+)", f"Z/4[x]/(x^{long})"]
+    for spec in specs:
+        want, got = _outcome(_reference_parse_ring, spec), _outcome(parse_ring, spec)
+        if want == zero:
+            assert got[0] is RingParseError, repr(spec)
+        else:
+            assert got == want, repr(spec)
+    for k in range(7):
+        for chars in product("+-07\u0663\n a", repeat=k):
+            text = "".join(chars)
+            assert (_outcome(rings.parse_int, text, "modulus")
+                    == _outcome(_reference_parse_int, text, "modulus")), repr(text)
+    assert (_outcome(rings.parse_int, "-" + long, "--s")
+            == _outcome(_reference_parse_int, "-" + long, "--s"))
+
+
 # The term-by-term polynomial reader that parse_poly replaced, kept as an
 # independent reference: a "*" only between a coefficient and x, and every
-# number through parse_int.  Anchored by fullmatch, where the old "^...$"
-# with .match let a term end in a newline ("3\n" read as 3).
+# number through _reference_parse_int.  Anchored by fullmatch, where the old
+# "^...$" with .match let a term end in a newline ("3\n" read as 3).
 _REF_TERM_RE = re.compile(r"([+-]?)([0-9]+)?(?:(?<=[0-9])\*(?=x))?(x(?:\^([0-9]+))?)?")
 _REF_TOKEN_RE = re.compile(r"[+-]?[^+-]+")
 
@@ -535,8 +606,9 @@ def _reference_parse_poly(text):
         sign, digits, x, power = m.groups() if m else (None, None, None, None)
         if digits is None and x is None:
             raise RingParseError(f"cannot parse term {tok!r} in {text!r}")
-        coeff = 1 if digits is None else rings.parse_int(digits, "coefficient")
-        deg = 0 if x is None else 1 if power is None else rings.parse_int(power, "exponent")
+        coeff = 1 if digits is None else _reference_parse_int(digits, "coefficient")
+        deg = (0 if x is None else 1 if power is None
+               else _reference_parse_int(power, "exponent"))
         coeffs[deg] = coeffs.get(deg, 0) + (-coeff if sign == "-" else coeff)
     return [coeffs.get(k, 0) for k in range(max(coeffs) + 1)]
 

@@ -165,6 +165,17 @@ def test_unknown_name_raises_attribute_error():
         quadrings.no_such_name
 
 
+def test_rings_layer_loads_no_regex_engine():
+    # ring specs, integers and polynomials are read by string tests; -S
+    # keeps site out, since a site .pth file can import re itself
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+         "import quadrings.rings; print('re' in sys.modules)", str(ROOT / "src")],
+        capture_output=True, text=True, cwd=ROOT, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_version_and_first_read_in_a_fresh_process():
     # __version__ and an unknown name load no layer; the first read of an
     # exported name binds them all and drops the module's __getattr__, so
