@@ -10,21 +10,27 @@ Units, inverses, nonzerodivisors, principal-ideal membership and coset
 representatives are methods of the ring.  Any Ring subclass that defines
 canonicalize, _add, _mul and _neg gets RingElement arithmetic, and with it
 the quadratic-algebra code: the symbolic verifier runs that code over
-integer polynomials this way.
+integer polynomials this way.  Ring states each rule once: is_unit is
+whether _inverse finds an inverse (Z and Z/n keep their closed forms),
+every ring has a degree, its rank over Z/n (1 for Z and Z/n, deg f for
+(Z/n)[x]/(f)), and a finite ring's size is n^degree.
 
 Every element argument, of a ring method, an operator or a public
 function of the package, is read one way: by canonicalize, or by
-ring.element where the element is kept (Rank1Form.a).  The lookups by
-element (disc_class_of, DiscClassification.index_of, ASGroup.class_of)
-read theirs by canonicalize before they look it up, so only a true
-non-member raises the lookup's own ValueError.  canonicalize first takes an
-element of this ring instance as it is, with no further call.  It then
-takes an int, an element of an equal ring, a coefficient list, and
-anything else that operator.index accepts.  Another ring's element
-raises MixedRingError from require_ring, the one check of a ring
-mismatch, and a non-integer (a float, a Fraction) raises TypeError.  An
-operator whose operand canonicalize refuses with TypeError returns
-NotImplemented, so an algebra element on the right takes over.
+ring.element where the element is kept (Rank1Form.a).  The operators
+read theirs by _operand, the one operand reader, which takes the value
+of an element of this ring instance with no further call and reads
+anything else by canonicalize.  The lookups by element (disc_class_of,
+DiscClassification.index_of, ASGroup.class_of) read theirs by
+canonicalize before they look it up, so only a true non-member raises
+the lookup's own ValueError.  canonicalize first takes an element of this
+ring instance as it is, with no further call.  It then takes an int, an
+element of an equal ring, a coefficient list, and anything else that
+operator.index accepts.  Another ring's element raises MixedRingError
+from require_ring, the one check of a ring mismatch, and a non-integer (a
+float, a Fraction) raises TypeError.  An operator whose operand
+canonicalize refuses with TypeError returns NotImplemented, so an algebra
+element on the right takes over.
 
 Most queries are a few ring operations on a ring that was just parsed, so
 the fixed cost of one operation is kept low.  canonicalize reduces an int,
@@ -118,6 +124,7 @@ class Ring:
     """Base class; concrete rings implement arithmetic on canonical values."""
 
     is_finite = False
+    degree = 1    # the rank of R over Z/n, d = deg f for (Z/n)[x]/(f)
     _kernel = None
     _caches = ("_kernel",)    # built on first use, and left out of pickles
 
@@ -164,7 +171,10 @@ class Ring:
 
     @property
     def size(self) -> int:
-        raise InfiniteRingError("ring is infinite")
+        """n^degree, the number of elements of a finite ring."""
+        if not self.is_finite:
+            raise InfiniteRingError("ring is infinite")
+        return self.n ** self.degree
 
     def elements(self) -> list[RingElement]:
         """All elements, each exactly once, in canonical order."""
@@ -186,10 +196,11 @@ class Ring:
             self._kernel = Kernel(self)
         return self._kernel
 
-    # Units, inverses and ideals.  units() reads the kernel's inverse codes.
-    # Each concrete ring answers the rest from its own structure in closed
-    # form (for units of a quotient ring, its norm, or its kernel once
-    # built), with one exception:
+    # Units, inverses and ideals.  units() reads the kernel's inverse codes,
+    # and is_unit and inverse_of_unit read _inverse (for a quotient ring,
+    # its norm, or its kernel once built); Z answers both, and Z/n is_unit,
+    # in closed form.  Each concrete ring answers the rest from its own
+    # structure in closed form, with one exception:
     # QuotientPolyRing.in_principal_ideal lists the multiples of a non-unit
     # t, a scan of the ring per call; forms_similar is its one caller.
 
@@ -204,7 +215,10 @@ class Ring:
         return [RingElement(self, kernel.values[c]) for c in kernel.units]
 
     def is_unit(self, a: RingElement) -> bool:
-        raise NotImplementedError
+        """Whether _inverse finds an inverse of a; a quotient ring reads it
+        from its kernel once this instance holds it, else by the norm,
+        building no kernel."""
+        return self._inverse(self.canonicalize(a)) is not None
 
     def inverse_of_unit(self, a: RingElement) -> RingElement:
         """a^-1, from _inverse; ValueError unless a is a unit."""
@@ -252,8 +266,6 @@ class Ring:
 
 class IntegerRing(Ring):
     """The ring of integers with arbitrary-precision arithmetic."""
-
-    is_finite = False
 
     def canonicalize(self, value):
         if type(value) is RingElement and value.ring is self:
@@ -337,10 +349,6 @@ class ModRing(Ring):
 
     def sort_key(self, value):
         return value
-
-    @property
-    def size(self) -> int:
-        return self.n
 
     def elements(self) -> list[RingElement]:
         return [RingElement(self, v) for v in self._values()]
@@ -483,10 +491,6 @@ class QuotientPolyRing(Ring):
     def sort_key(self, value):
         return tuple(reversed(value))
 
-    @property
-    def size(self) -> int:
-        return self.n ** self.degree
-
     def elements(self) -> list[RingElement]:
         return [RingElement(self, v) for v in self._values()]
 
@@ -496,11 +500,6 @@ class QuotientPolyRing(Ring):
         g = math.gcd(k, self.n)
         require_enumerable(g ** self.degree, _listing_text, self, k)
         return [rev[::-1] for rev in product(range(g), repeat=self.degree)]
-
-    def is_unit(self, a: RingElement) -> bool:
-        """Whether _inverse finds an inverse: from the kernel once this
-        instance holds it, else by the norm, building no kernel."""
-        return self._inverse(self.canonicalize(a)) is not None
 
     def _inverse(self, a):
         """The inverse of the canonical value a, or None unless a is a unit.
@@ -597,40 +596,33 @@ class RingElement:
     def __reduce__(self):
         return RingElement, (self.ring, self.value)
 
-    # An operand of the identical ring is used as it is; any other is read
-    # by _operand, which gives None for one that canonicalize refuses with
-    # TypeError, so the operator returns NotImplemented and Python tries
-    # the other operand's reflected operator (an algebra element's).
+    # Each operator reads its operand by _operand, the one operand reader,
+    # and works on canonical values.  _operand gives None for an operand
+    # that canonicalize refuses with TypeError, so the operator returns
+    # NotImplemented and Python tries the other operand's reflected
+    # operator (an algebra element's).
 
     def __add__(self, other):
         ring = self.ring
-        if type(other) is not RingElement or other.ring is not ring:
-            other = _operand(ring, other)
-            if other is None:
-                return NotImplemented
-        return RingElement(ring, ring._add(self.value, other.value))
+        b = _operand(ring, other)
+        return NotImplemented if b is None else RingElement(ring, ring._add(self.value, b))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         ring = self.ring
-        if type(other) is not RingElement or other.ring is not ring:
-            other = _operand(ring, other)
-            if other is None:
-                return NotImplemented
-        return RingElement(ring, ring._sub(self.value, other.value))
+        b = _operand(ring, other)
+        return NotImplemented if b is None else RingElement(ring, ring._sub(self.value, b))
 
     def __rsub__(self, other):
-        other = _operand(self.ring, other)
-        return NotImplemented if other is None else other - self
+        ring = self.ring
+        a = _operand(ring, other)
+        return NotImplemented if a is None else RingElement(ring, ring._sub(a, self.value))
 
     def __mul__(self, other):
         ring = self.ring
-        if type(other) is not RingElement or other.ring is not ring:
-            other = _operand(ring, other)
-            if other is None:
-                return NotImplemented
-        return RingElement(ring, ring._mul(self.value, other.value))
+        b = _operand(ring, other)
+        return NotImplemented if b is None else RingElement(ring, ring._mul(self.value, b))
 
     __rmul__ = __mul__
 
@@ -684,11 +676,14 @@ _set_ring = RingElement.ring.__set__
 _set_value = RingElement.value.__set__
 
 
-def _operand(ring: Ring, other) -> RingElement | None:
-    """other as an element of ring, read by canonicalize, or None where
-    canonicalize refuses it with TypeError."""
+def _operand(ring: Ring, other):
+    """The canonical value of an operator's operand over ring: an element
+    of ring itself gives its value, anything else is read by canonicalize;
+    None where canonicalize refuses it with TypeError."""
+    if type(other) is RingElement and other.ring is ring:
+        return other.value
     try:
-        return RingElement(ring, ring.canonicalize(other))
+        return ring.canonicalize(other)
     except TypeError:
         return None
 
@@ -834,7 +829,7 @@ class Kernel:
         n, mul = ring.n, ring._mul
         self._ints = ints = list(range(len(values)))
         self._places = [[ints[j * n ** i] for j in range(n)]
-                        for i in range(getattr(ring, "degree", 1))]
+                        for i in range(ring.degree)]
         self._rows: list = [None] * len(values)
         self._multiples: dict = {}    # k mod n -> multiple_row(k)
         self.square = square = [code[mul(t, t)] for t in values]

@@ -168,6 +168,15 @@ def test_enumeration_order():
     assert [e.value for e in z4.elements()] == [0, 1, 2, 3]
     f4 = parse_ring("Z/2[x]/(x^2+x+1)")
     assert [str(e) for e in f4.elements()] == ["0", "1", "x", "x+1"]
+    # every ring has a degree, its rank over Z/n, and a finite ring's
+    # size is n^degree, the length of its enumeration
+    for spec, degree in [("Z", 1), ("Z/1", 1), ("Z/4", 1), ("Z/2[x]/(x)", 1),
+                         ("Z/2[x]/(x^2+x+1)", 2), ("Z/3[x]/(x^3+2x+1)", 3),
+                         ("Z/2[x]/(x^4+x+1)", 4)]:
+        ring = parse_ring(spec)
+        assert ring.degree == degree, spec
+        if ring.is_finite:
+            assert ring.size == len(ring.elements()) == ring.n ** degree, spec
     z = parse_ring("Z")
     with pytest.raises(InfiniteRingError):
         z.elements()
@@ -465,6 +474,17 @@ def test_norm_answers_unit_questions_like_a_search_on_a_fresh_ring():
         # an instance that holds its kernel reads it, with the same answers
         ring.kernel()
         assert all(ring._inverse(a) == fresh._inverse(a) for a in sample)
+    # is_unit on every element of every quotient ring of at most 64
+    # elements: the same answers before the kernel is built (by the norm)
+    # and after (from its inverse codes), and the kernel's units
+    for ring in rings_up_to(64):
+        if isinstance(ring, QuotientPolyRing):
+            elements = ring.elements()
+            before = [ring.is_unit(a) for a in elements]
+            assert ring._kernel is None, ring
+            units = set(ring.units())
+            assert [ring.is_unit(a) for a in elements] == before, ring
+            assert [a in units for a in elements] == before, ring
 
 
 @pytest.mark.parametrize("spec", ["Z/1000000000000000000000000000000[x]/(x^2+1)",
