@@ -14,9 +14,10 @@ Exit codes: 0 success, 1 internal invariant violation (a bug; the message,
 then the check's witness, if it has one, as one JSON line on stderr),
 2 usage error (bad flags, unparseable ring spec or integer, enumeration of
 Z, an enumeration above rings.MAX_ENUMERATION items, or an --output path
-whose directory is missing or not writable, all refused before any work; a
-result with an integer too long to print, refused before --output is
-opened; or an --output file whose final write fails).
+that is empty or whose directory is missing or not writable, all refused
+before any work; a result with an integer too long to print, refused
+before --output is opened; or a final write of the report, to stdout or to
+the --output file, that fails, as on a full disk or a closed pipe).
 
 This is the module `python -m quadrings` and the `quadrings` script run.
 Each command imports the layer modules it calls when it runs, so a process
@@ -31,6 +32,7 @@ layer up front.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import os
 import sys
@@ -53,7 +55,9 @@ def _require_writable(path: str) -> None:
     """UsageError unless path names a file that can be written, checked up
     front without creating or truncating it."""
     folder = os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path):
+    if not path:
+        reason = "the path is empty"
+    elif os.path.isdir(path):
         reason = "is a directory"
     elif not os.path.isdir(folder):
         reason = "its directory does not exist"
@@ -283,7 +287,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.output:
+        if args.output is not None:
             _require_writable(args.output)
         payload, rows, ok = COMMANDS[args.command](args)
         text = _render(args.format, payload, rows)
@@ -296,15 +300,23 @@ def main(argv=None) -> int:
     except ValueError as exc:    # UsageError and every error of bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not args.output:
-        sys.stdout.write(text)
-    else:
-        try:
+    try:
+        if args.output is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if args.output is None:
+            # What stdout still buffers would fail again when the interpreter
+            # flushes it at exit (a traceback and exit 120): send it to
+            # os.devnull.  A stdout with no file, as in process, has none.
+            with contextlib.suppress(OSError):
+                fd = sys.stdout.fileno()
+                os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 2
     return 0 if ok else 1
 
 

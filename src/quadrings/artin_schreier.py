@@ -25,7 +25,8 @@ kernel: the codes and canonical values of R[4], the positions in them of
 P(R)[4] and of the class representatives, the class of each member by
 position and by value, and the identity.  ASGroup and wp4_subgroup are
 views over these tables that make one RingElement per member they list,
-and a classification formats each class label once.
+and the class labels are made by classify, which formats each distinct
+trace or norm once.
 
 A classification keeps, in its derived slot, the FiberReport over each
 disc class, with the DiscClass of the first call over the class: the

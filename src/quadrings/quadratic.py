@@ -225,6 +225,9 @@ class BasisChange:
         return (isinstance(other, BasisChange)
                 and self.u == other.u and self.r == other.r)
 
+    def __hash__(self):
+        return hash((self.u, self.r))
+
     def __repr__(self):
         return f"BasisChange(u={self.u}, r={self.r})"
 
@@ -322,22 +325,23 @@ def is_isomorphic(s: QuadraticAlgebra, t: QuadraticAlgebra):
 class IsoClass:
     """One isomorphism class from a classification.
 
-    A class keeps its canonical representative, its orbit size and its
-    discriminant.  The orbit itself lives only in the classification's
-    ClassMap; orbit_pairs lists it, sorted, on first read.  The label is
-    formatted on first read and kept, so the reports of a classification
-    format each label once.
+    A class is a plain record that classify writes once: its canonical
+    representative, its orbit size, its discriminant, its label (the text
+    of rep.label()) and whether it is separable (disc a unit).  The orbit
+    itself lives only in the classification's ClassMap; orbit_pairs lists
+    it, sorted, on first read.
     """
 
-    _label = None
-
     def __init__(self, rep: QuadraticAlgebra, orbit_size: int,
-                 disc: RingElement, class_map: ClassMap, index: int):
-        """disc is rep.disc(), which classify reads off the kernel's codes."""
+                 disc: RingElement, class_map: ClassMap, index: int,
+                 label: str, separable: bool):
+        """disc, label and separable are rep.disc(), rep.label() and
+        rep.is_separable(), which classify reads off the kernel's codes."""
         self.rep = rep
         self.orbit_size = orbit_size
         self.disc = disc
-        self.separable = rep.ring.is_unit(disc)
+        self.label = label
+        self.separable = separable
         self._class_map = class_map
         self._index = index
 
@@ -345,13 +349,6 @@ class IsoClass:
     def orbit_pairs(self) -> list:
         """The pairs (t, n) of the class, in (t, n) sort-key order."""
         return self._class_map.pairs()[self._index]
-
-    @property
-    def label(self) -> str:
-        label = self._label
-        if label is None:
-            label = self._label = self.rep.label()
-        return label
 
     def __repr__(self):
         return f"IsoClass({self.label}, orbit_size={self.orbit_size})"
@@ -447,26 +444,8 @@ class Classification:
         return self.class_map.row(code[algebra.t.value])[code[algebra.n.value]]
 
     def labels(self) -> list[str]:
-        """Every class's label, the text of IsoClass.label.
-
-        Classes share many traces and norms, so each distinct value is
-        formatted once per call; each class keeps its label, as on a first
-        read of IsoClass.label.
-        """
-        texts, element_text, labels = {}, self.ring.element_text, []
-        for c in self.classes:
-            label = c._label
-            if label is None:
-                t, n = c.rep.t.value, c.rep.n.value
-                t_text = texts.get(t)
-                if t_text is None:
-                    t_text = texts[t] = element_text(t)
-                n_text = texts.get(n)
-                if n_text is None:
-                    n_text = texts[n] = element_text(n)
-                label = c._label = f"({t_text},{n_text})"
-            labels.append(label)
-        return labels
+        """Every class's label, in class order."""
+        return [c.label for c in self.classes]
 
     def star_table(self) -> tuple[tuple[int, ...], ...]:
         """Class index of rep_i * rep_j, for every pair of classes.
@@ -545,7 +524,9 @@ def classify(ring: Ring) -> Classification:
 
     A class is (t0, least n of its slice orbit), the canonical
     representative, so classes come out sorted, and its orbit size is
-    |trace orbit| * |slice orbit|.  The class map keeps the trace table and
+    |trace orbit| * |slice orbit|.  Its label is rep.label(), with each
+    distinct trace or norm formatted once per call, and it is separable when
+    its disc code has an inverse.  The class map keeps the trace table and
     one slice table per trace orbit, and lists the orbits on demand.
     """
     if not ring.is_finite:
@@ -575,15 +556,23 @@ def classify(ring: Ring) -> Classification:
         half.setdefault(d, r)
     # the members of R[2] that grow its span generate it
     torsion = kernel.span([a for a, d in enumerate(doubles) if d == 0])[1]
-    # the RingElement of a code, made when a rep or disc first needs it and
+    # the RingElement of a code, made when a rep or disc first needs it, and
+    # the text of a code, made when a rep's label first needs it; each is
     # shared by the classes that hold that value
     elements: list = [None] * size
+    texts: list = [None] * size
 
     def element(c: int) -> RingElement:
         e = elements[c]
         if e is None:
             e = elements[c] = RingElement(ring, values[c])
         return e
+
+    def text(c: int) -> str:
+        s = texts[c]
+        if s is None:
+            s = texts[c] = ring.element_text(values[c])
+        return s
 
     minus_four = kernel.multiple_row(-4)
     slice_of, back, shift = [-1] * size, [None] * size, [0] * size
@@ -637,9 +626,10 @@ def classify(ring: Ring) -> Classification:
                         label[y] = index
                         found.append(y)
             rep = QuadraticAlgebra(ring, element(t0), element(n))
-            disc = element(plus_tt[minus_four[n]])    # t0^2 - 4n
-            classes.append(IsoClass(rep, orbit * width * len(found), disc,
-                                    class_map, index))
+            dc = plus_tt[minus_four[n]]    # t0^2 - 4n
+            classes.append(IsoClass(rep, orbit * width * len(found), element(dc),
+                                    class_map, index, f"({text(t0)},{text(n)})",
+                                    kernel.inverse[dc] >= 0))
         slices.append([label[x] for x in least])
     # A slip in the trace table or a slice would push the sum off |R|^2.
     total = sum(c.orbit_size for c in classes)

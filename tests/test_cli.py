@@ -1,7 +1,9 @@
 import csv
+import errno
 import io
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -626,6 +628,66 @@ def test_a_failed_final_write_exits_2(capsys):
     code, out, err = run(capsys, "verify", "--output", "/dev/full")
     assert (code, out) == (2, "")
     assert err == "error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("method, error", [
+    ("write", OSError(errno.ENOSPC, "No space left on device")),
+    ("write", BrokenPipeError(errno.EPIPE, "Broken pipe")),
+    ("flush", OSError(errno.ENOSPC, "No space left on device"))])
+def test_a_failed_write_to_stdout_exits_2(capsys, monkeypatch, method, error):
+    # a report that cannot reach stdout is refused like one that cannot
+    # reach --output: one error line and exit 2, not a traceback
+    def refuse(*args):
+        raise error
+
+    stdout = io.StringIO()
+    monkeypatch.setattr(stdout, method, refuse)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(["verify"])
+    monkeypatch.undo()
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+@pytest.mark.parametrize("target", ["/dev/full", "closed pipe"])
+def test_a_failed_stdout_exits_2_with_one_line(target, unbuffered):
+    # In a process of its own, stdout is buffered unless PYTHONUNBUFFERED is
+    # set; what a failed write left in the buffer must not be flushed again,
+    # and fail again, at exit (a traceback and exit 120).
+    import subprocess
+
+    import quadrings
+    if target == "/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    env = dict(os.environ, PYTHONPATH=str(Path(quadrings.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    if target == "/dev/full":
+        stdout = os.open("/dev/full", os.O_WRONLY)
+        message = "[Errno 28] No space left on device"
+    else:
+        # a pipe whose read end is closed before the child starts: no reader
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+        message = "[Errno 32] Broken pipe"
+    try:
+        proc = subprocess.run([sys.executable, "-m", "quadrings", "verify"], stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, timeout=60, env=env)
+    finally:
+        os.close(stdout)
+    assert (proc.returncode, proc.stderr) == (2, f"error: {message}\n")
+
+
+def test_an_empty_output_path_is_refused_before_the_command(capsys, monkeypatch):
+    # an empty --output names no file; it is not stdout
+    import quadrings.cli as cli
+    calls = []
+    monkeypatch.setitem(cli.COMMANDS, "classify", lambda args: calls.append(args))
+    code, out, err = run(capsys, "classify", "--ring", "Z/2", "--output", "")
+    assert (code, out, calls) == (2, "", [])
+    assert err == "error: cannot write --output : the path is empty\n"
 
 
 def test_output_check_leaves_an_existing_file_untouched(tmp_path, capsys,

@@ -885,21 +885,22 @@ def test_quad_monoid_structure():
 
 
 def test_classification_labels_format_each_value_once(monkeypatch):
-    # the labels are the representatives' own labels, from one element_text
-    # call per distinct trace or norm value, and each class keeps its label
+    # classify labels each class with its representative's label, from one
+    # element_text call per distinct trace or norm value and none for a
+    # disc; labels() reads the classes' labels and formats nothing
     for ring in rings_up_to(16):
-        cl = classify(ring)
         formatted = []
         real = type(ring).element_text
         monkeypatch.setattr(type(ring), "element_text",
                             lambda self, value: formatted.append(value) or real(self, value))
-        labels = cl.labels()
-        monkeypatch.undo()
-        assert labels == [c.rep.label() for c in cl], ring
+        cl = classify(ring)
         values = {v for c in cl for v in (c.rep.t.value, c.rep.n.value)}
         assert sorted(formatted, key=ring.sort_key) == sorted(values, key=ring.sort_key)
-        assert all(c._label == label for c, label in zip(cl, labels))
-        assert cl.labels() == labels
+        del formatted[:]
+        labels = cl.labels()
+        assert formatted == [], ring
+        monkeypatch.undo()
+        assert labels == [c.rep.label() for c in cl] == [c.label for c in cl], ring
 
 
 def test_disc_multiplicative_exhaustive():
@@ -1074,11 +1075,12 @@ def test_classify_refuses_over_budget_before_enumerating(monkeypatch):
 
 def test_classify_formats_no_ring_spec(monkeypatch):
     # the budget checks name what they list only when they refuse
-    import quadrings.rings as rings
+    from quadrings.rings import QuotientPolyRing
     ring = parse_ring("Z/2[x]/(x^3+x+1)")
     calls = []
-    real = rings.format_poly
-    monkeypatch.setattr(rings, "format_poly", lambda c: calls.append(c) or real(c))
+    real = QuotientPolyRing.spec_string
+    monkeypatch.setattr(QuotientPolyRing, "spec_string",
+                        lambda self: calls.append(self) or real(self))
     classify(ring)
     assert calls == []
 
@@ -1133,6 +1135,9 @@ def test_algebras_and_elements_over_equal_rings_hash_equal(spec):
     a, b = s.element(2, 5), t.element(2, 5)
     assert a == b and hash(a) == hash(b)
     assert len({a, b, t.element(2, 4), s.x * t.x}) == 3
+    f, g = BasisChange(ring.element(-1), 2), BasisChange(twin.element(-1), 2)
+    assert f == g and hash(f) == hash(g)
+    assert len({f, g, BasisChange(twin.element(-1), 1)}) == 2
 
 
 def test_reprs_name_their_objects():
