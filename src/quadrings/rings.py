@@ -41,8 +41,10 @@ d = 2).  A parse builds no table, so one cold query costs the parse and
 its ring operations: a star product seven products, an AS action four
 (two of them by 4), a discriminant test one product per residue mod 2R
 up to the first witness.  A quotient ring answers is_unit and inverses
-by the norm det(x -> a x) over Z/n, in closed form for d = 2 and d = 3,
-and reads them off its kernel instead once it holds one.
+by the norm det(x -> a x) over Z/n in closed form for d = 2 and d = 3,
+and reads them off its kernel instead once it holds one.  Inverses in
+other degrees, and principal-ideal membership, are one row reduction
+over Z/n (_solve), so no element question on a finite ring lists it.
 An isomorphism test over a finite ring costs a product or two per element,
 for u^2 disc(s) = disc(t), and for each u that passes and is a unit one
 inverse and three products; the solutions r of its trace equation cost a
@@ -198,11 +200,11 @@ class Ring:
 
     # Units, inverses and ideals.  units() reads the kernel's inverse codes,
     # and is_unit and inverse_of_unit read _inverse (for a quotient ring,
-    # its norm, or its kernel once built); Z answers both, and Z/n is_unit,
+    # its kernel once built, else its norm for d = 2 and d = 3 and the row
+    # reduction over Z/n for the others); Z answers both, and Z/n is_unit,
     # in closed form.  Each concrete ring answers the rest from its own
-    # structure in closed form, with one exception:
-    # QuotientPolyRing.in_principal_ideal lists the multiples of a non-unit
-    # t, a scan of the ring per call; forms_similar is its one caller.
+    # structure: Z and Z/n in closed form, and a quotient ring's
+    # in_principal_ideal by the same row reduction.
 
     def units(self) -> list[RingElement]:
         """The invertible elements, in canonical order (finite rings only),
@@ -504,23 +506,20 @@ class QuotientPolyRing(Ring):
     def _inverse(self, a):
         """The inverse of the canonical value a, or None unless a is a unit.
 
-        An instance that holds its kernel reads its inverse codes.
-        Otherwise the norm N(a), the determinant of x -> a x over Z/n,
-        decides: a is a unit iff gcd(N(a), n) = 1, and then a^-1 = adj / N(a),
-        where adj, the first column of the adjugate, has a * adj = N(a).
-        For d = 2, with
-        x^2 = f0 + f1 x, N(a) = a0 (a0 + f1 a1) - f0 a1^2 and
-        adj = (a0 + f1 a1) - a1 x; d = 3 is in closed form too, and other
-        degrees take exact elimination over Z (_norm_solve).  Past degree
-        101 that elimination would take more than MAX_ENUMERATION steps, and
-        the kernel answers, which refuses a ring that large.
+        An instance that holds its kernel reads its inverse codes.  For
+        d = 2 and d = 3 the norm N(a), the determinant of x -> a x over
+        Z/n, decides in closed form: a is a unit iff gcd(N(a), n) = 1, and
+        then a^-1 = adj / N(a), where adj, the first column of the
+        adjugate, has a * adj = N(a).  For d = 2, with x^2 = f0 + f1 x,
+        N(a) = a0 (a0 + f1 a1) - f0 a1^2 and adj = (a0 + f1 a1) - a1 x.
+        Other degrees solve a b = 1 by _solve, the row reduction over Z/n,
+        which refuses past degree 101 as listing the ring does.
         """
-        d = self.degree
-        if self._kernel is not None or d ** 3 > MAX_ENUMERATION:
-            kernel = self.kernel()
+        if self._kernel is not None:
+            kernel = self._kernel
             c = kernel.inverse[kernel.code[a]]
             return kernel.values[c] if c >= 0 else None
-        n, x_d = self.n, self._x_d
+        d, n, x_d = self.degree, self.n, self._x_d
         if d == 2:
             (a0, a1), (f0, f1) = a, x_d
             adj = (a0 + f1 * a1, -a1)
@@ -534,21 +533,59 @@ class QuotientPolyRing(Ring):
             adj = (b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2)
             norm = a0 * adj[0] + b0 * adj[1] + c0 * adj[2]
         else:
-            x, columns = self.canonicalize([0, 1]), [a]
-            while len(columns) < d:    # a x^j, the columns of x -> a x
-                columns.append(self._mul(columns[-1], x))
-            norm, adj = _norm_solve([list(row) + [int(i == 0)]
-                                     for i, row in enumerate(zip(*columns))])
+            return self._solve(a, self.canonicalize(1))
         if math.gcd(norm, n) != 1:
             return None
         inverse = pow(norm, -1, n)
         return tuple([c * inverse % n for c in adj])
 
+    def _solve(self, t, a):
+        """A canonical value b with t b = a, or None when a is not in tR:
+        Howell's row reduction over Z/n, which needs no factoring of n.
+
+        tR is the Z/n-span of the d rows t x^j, and each row carries its
+        multiplier: a row lists the coefficients of t c, then those of c.
+        The rows are reduced one place k at a time from the highest.
+        Euclid's steps between the rows leave one pivot p with p[k] != 0
+        and the others 0 at k; with h = gcd(p[k], n), the multiples of p
+        that are 0 at k are those of (n / h) p, which joins the others
+        (Howell's rule).  So the rows left below k span the members of tR
+        that are 0 from k up, and a is reduced against each pivot exactly,
+        or is not in tR.  Past degree 101 this would take more than
+        MAX_ENUMERATION steps, and it refuses, as listing the ring does.
+        """
+        n, d = self.n, self.degree
+        if d ** 3 > MAX_ENUMERATION:
+            require_enumerable(self.size, _listing_text, self, 0)
+        rows, x_d = [], self._x_d
+        for j in range(d):
+            rows.append(list(t) + [int(i == j) for i in range(d)])
+            top = t[-1]    # t x: t shifted up a place, and top x^d = top x_d
+            t = [(y + top * f) % n for y, f in zip((0, *t[:-1]), x_d)]
+        left = list(a) + [0] * d    # a - t b, then -b, for the b so far
+        for k in range(d - 1, -1, -1):
+            p, others = [0] * (2 * d), []
+            for row in rows:
+                while row[k]:    # Euclid's steps between p and row at k
+                    q = p[k] // row[k]
+                    if q:    # else the step only swaps them
+                        p = [(y - q * z) % n for y, z in zip(p, row)]
+                    p, row = row, p
+                others.append(row)
+            # with no row nonzero at k, p = 0 and h = n: a must be 0 there
+            h = math.gcd(p[k], n)
+            if left[k] % h:
+                return None
+            q = left[k] // h * pow(p[k] // h, -1, n // h)
+            left = [(y - q * z) % n for y, z in zip(left, p)]
+            others.append([n // h * y % n for y in p])
+            rows = [row for row in others if any(row[:k])]
+        return tuple([-c % n for c in left[d:]])
+
     def in_principal_ideal(self, a: RingElement, t: RingElement) -> bool:
-        """a in tR: always when t is a unit, since then tR = R; otherwise
-        decided by listing the multiples of t, a scan of the ring."""
-        a, t = self.element(a), self.element(t)
-        return self.is_unit(t) or any(t * b == a for b in self.elements())
+        """a in tR: whether _solve, the row reduction over Z/n, finds b
+        with t b = a."""
+        return self._solve(self.canonicalize(t), self.canonicalize(a)) is not None
 
     def _coset_rep(self, a, k: int):
         """Least member of a + kR: each coefficient mod gcd(k, n), since
@@ -915,28 +952,3 @@ def _walk_cosets(group: set[int], row: list[int]) -> None:
     while row[coset[0]] not in group:
         coset = [row[x] for x in coset]
         group.update(coset)
-
-
-def _norm_solve(rows: list) -> tuple:
-    """(p, y) for an integer matrix M with a column b appended to each row:
-    p = +-det M and M y = p b, by Bareiss's fraction-free elimination over
-    Z, where every division is exact.  Rows are swapped only to find a
-    nonzero pivot; a singular M gives p = 0.  y is integral by Cramer's
-    rule, so back substitution divides exactly too.  rows is consumed."""
-    d, p = len(rows), 1
-    for k in range(d):
-        if not rows[k][k]:
-            swap = next((i for i in range(k + 1, d) if rows[i][k]), None)
-            if swap is None:
-                return 0, None
-            rows[k], rows[swap] = rows[swap], rows[k]
-        pivot, prev = rows[k], p
-        p = pivot[k]
-        for i in range(k + 1, d):
-            q = rows[i][k]
-            rows[i] = [(p * x - q * y) // prev for x, y in zip(rows[i], pivot)]
-    y = [0] * d
-    for i in range(d - 1, -1, -1):
-        row = rows[i]
-        y[i] = (p * row[d] - sum(map(operator.mul, row[i + 1:d], y[i + 1:]))) // row[i]
-    return p, y

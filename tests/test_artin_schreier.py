@@ -1075,9 +1075,9 @@ def test_fiber_report_refuses_objects_of_another_ring(argument):
 @pytest.mark.parametrize("wrong, message, witness", [
     # 1 * 2 made 1, and 4 * 1 != 0: P(R)[4] = {0, 1, 2, 4, 6} leaves R[4]
     ({(1, 2): 1}, "P(R)[4] is not a subset of R[4] containing 0", {"ring": "Z/8"}),
-    # 2 * 3 and 5 * 6 made 0: P(R)[4] = {0, 2, 4} misses -2 = 6
-    ({(2, 3): 0, (5, 6): 0}, "P(R)[4] not closed under negation at 2",
-     {"ring": "Z/8", "element": 2}),
+    # 2 * 3 and 5 * 6 made 0: P(R)[4] = {0, 2, 4} misses 2 + 4 = 6
+    ({(2, 3): 0, (5, 6): 0}, "P(R)[4] not closed under + at (2, 4)",
+     {"ring": "Z/8", "pair": [2, 4]}),
     # every r(1 + r) made 0: P(R)[4] = {0}, so the class of 2 has order 4
     ({(r, (r + 1) % 8): 0 for r in range(8)},
      "AS class of 2 does not have order dividing 2", {"ring": "Z/8", "as_class": 2}),

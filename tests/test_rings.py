@@ -452,9 +452,10 @@ NORM_RINGS = ["Z/2[x]/(x^2+x+1)", "Z/3[x]/(x^2)", "Z/2[x]/(x^3+x+1)",
 
 def test_norm_answers_unit_questions_like_a_search_on_a_fresh_ring():
     # an instance with no kernel decides is_unit and _inverse by the
-    # norm (closed forms for degrees 2 and 3, elimination for the others),
-    # and builds no kernel for it; the oracle searches the ring for an
-    # inverse, over every element, or over 48 of Z/6[x]/(x^4+x+3)'s 1296
+    # norm's closed forms for degrees 2 and 3, and by the row reduction
+    # over Z/n for the others, and builds no kernel for it; the oracle
+    # searches the ring for an inverse, over every element, or over 48 of
+    # Z/6[x]/(x^4+x+3)'s 1296
     from test_quadratic import rings_up_to
     rng = random.Random(34)
     rings = [r for r in rings_up_to(27) if isinstance(r, QuotientPolyRing)]
@@ -488,9 +489,11 @@ def test_norm_answers_unit_questions_like_a_search_on_a_fresh_ring():
 
 
 @pytest.mark.parametrize("spec", ["Z/1000000000000000000000000000000[x]/(x^2+1)",
-                                  "Z/1000000000000000000000[x]/(x^3+2x+5)"])
+                                  "Z/1000000000000000000000[x]/(x^3+2x+5)",
+                                  "Z/1000000000000000000000000000000[x]/(x^5+x+1)"])
 def test_unit_questions_on_a_ring_too_large_to_list(spec, monkeypatch):
-    # the norm answers with no enumeration: listing the ring raises
+    # the norm, or the row reduction over Z/n above degree 3, answers with
+    # no enumeration: listing the ring raises
     from quadrings import is_sec_algebra, is_sec_element
 
     def refuse(self, *args):
@@ -517,11 +520,42 @@ def test_unit_questions_on_a_ring_too_large_to_list(spec, monkeypatch):
 
 
 def test_unit_questions_past_degree_101_still_refuse():
-    # elimination would take more than MAX_ENUMERATION steps there, so the
-    # kernel answers, and refuses a ring of 2^3000 elements
+    # the row reduction would take more than MAX_ENUMERATION steps there,
+    # so it refuses a ring of 2^3000 elements, as listing it does
     ring = parse_ring("Z/2[x]/(x^3000+1)")
     with pytest.raises(EnumerationLimitError, match="at least 2\\^3000 items"):
         ring.is_unit(ring.one)
+    with pytest.raises(EnumerationLimitError, match="at least 2\\^3000 items"):
+        ring.in_principal_ideal(ring.one, ring.one)
+
+
+def test_principal_ideal_membership_matches_the_multiples_on_small_rings():
+    # the row reduction over Z/n decides a in tR for every pair of every
+    # quotient ring of at most 32 elements as the set {t b} does
+    from test_quadratic import rings_up_to
+    for ring in rings_up_to(32):
+        if isinstance(ring, QuotientPolyRing):
+            values, mul = ring._values(), ring._mul
+            for t in values:
+                multiples = {mul(t, b) for b in values}
+                for a in values:
+                    assert ring.in_principal_ideal(a, t) == (a in multiples), (ring, a, t)
+
+
+def test_forms_similar_on_a_quotient_ring_too_large_to_list(monkeypatch):
+    # over Z/4096[x]/(x^2+1), 2 - 2x = -x (2 + 2x) with x a unit, while
+    # 4x = x (1 - x)(2 + 2x) generates 4R, which misses 2 + 2x; ideal
+    # membership is answered with no listing and no kernel
+    def refuse(self, *args):
+        raise AssertionError("the ring was listed")
+    monkeypatch.setattr(QuotientPolyRing, "_residue_values", refuse)
+    ring = parse_ring("Z/4096[x]/(x^2+1)")
+    f = Rank1Form(ring, ring.element([2, 2]))
+    assert forms_similar(f, Rank1Form(ring, ring.element([2, -2])))
+    assert not forms_similar(f, Rank1Form(ring, ring.element([0, 4])))
+    assert ring.in_principal_ideal(4, ring.element([2, 2]))
+    assert not ring.in_principal_ideal(ring.element([2, 2]), 4)
+    assert ring._kernel is None
 
 
 def test_halves_are_the_preimages_of_doubling():
