@@ -130,9 +130,8 @@ def cmd_disc(args):
     dc = DiscClassification(ring)
     hom = disc_hom_check(ring, classify(ring))
     if hom.violations:
-        raise InternalCheckError("; ".join(hom.violations),
-                                 {"ring": ring.spec_string(),
-                                  "violations": hom.violations})
+        raise InternalCheckError.over(ring, "; ".join(hom.violations),
+                                      violations=hom.violations)
     entries = [{
         "d": c.d.to_json(),
         "witness_t": c.witness_t.to_json(),
@@ -293,7 +292,7 @@ def main(argv=None) -> int:
         text = _render(args.format, payload, rows)
     except (InternalCheckError, MonoidError) as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
-        if getattr(exc, "witness", None) is not None:
+        if exc.witness is not None:
             import json
             print(json.dumps(exc.witness, sort_keys=True), file=sys.stderr)
         return 1

@@ -83,8 +83,8 @@ def _check_wp4(ring: Ring, kernel: Kernel, members: list[int], fours: list[int])
     closed is searched for a witness pair, the first in member order."""
     group = set(members)
     if 0 not in group or any(fours[c] for c in members):
-        raise InternalCheckError("P(R)[4] is not a subset of R[4] containing 0",
-                                 {"ring": ring.spec_string()})
+        raise InternalCheckError.over(
+            ring, "P(R)[4] is not a subset of R[4] containing 0")
     if kernel.span(members)[0] == group:
         return
     for c in members:
@@ -92,9 +92,9 @@ def _check_wp4(ring: Ring, kernel: Kernel, members: list[int], fours: list[int])
         for cb in members:
             if row[cb] not in group:
                 a, b = (RingElement(ring, kernel.values[x]) for x in (c, cb))
-                raise InternalCheckError(
-                    f"P(R)[4] not closed under + at ({a}, {b})",
-                    {"ring": ring.spec_string(), "pair": [a.to_json(), b.to_json()]})
+                raise InternalCheckError.over(
+                    ring, f"P(R)[4] not closed under + at ({a}, {b})",
+                    pair=[a.to_json(), b.to_json()])
 
 
 class _ASTables:
@@ -143,9 +143,9 @@ class _ASTables:
         for c in classes:
             if class_at.get(add_row(c)[c]) != self.identity:
                 rep = RingElement(ring, values[c])
-                raise InternalCheckError(
-                    f"AS class of {rep} does not have order dividing 2",
-                    {"ring": ring.spec_string(), "as_class": rep.to_json()})
+                raise InternalCheckError.over(
+                    ring, f"AS class of {rep} does not have order dividing 2",
+                    as_class=rep.to_json())
         position = {c: k for k, c in enumerate(torsion)}
         self.values = [values[c] for c in torsion]
         self.wp4_pos = [position[c] for c in wp4]
@@ -214,9 +214,9 @@ class ASGroup:
     def invariant_factors(self) -> list[int]:
         count = self.order.bit_length() - 1
         if (1 << count) != self.order:
-            raise InternalCheckError(
-                f"AS group order {self.order} is not a power of 2",
-                {"ring": self.ring.spec_string(), "order": self.order})
+            raise InternalCheckError.over(
+                self.ring, f"AS group order {self.order} is not a power of 2",
+                order=self.order)
         return [2] * count
 
     def __repr__(self):
@@ -336,11 +336,6 @@ def _embedded_classes(ring: Ring, cl: Classification) -> list[int]:
     return embedded
 
 
-def _witness(ring: Ring, d: DiscClass, **more) -> dict:
-    """Where a fiber check failed, for InternalCheckError."""
-    return {"ring": ring.spec_string(), "d": d.d.to_json(), **more}
-
-
 def _act_on_fiber(ring: Ring, d: DiscClass, cl: Classification,
                   own: int) -> FiberReport:
     """The action of every AS class on the fiber over disc class own, with
@@ -368,10 +363,10 @@ def _act_on_fiber(ring: Ring, d: DiscClass, cl: Classification,
             target = images[ci] = row[e]
             if target not in fiber_pos:
                 moved_by, label = RingElement(ring, tables.values[k]), cl[ci].label
-                raise InternalCheckError(
-                    f"action of {moved_by} moved {label} off the fiber",
-                    _witness(ring, d, **{"class": label,
-                                         "as_class": moved_by.to_json()}))
+                raise InternalCheckError.over(
+                    ring, f"action of {moved_by} moved {label} off the fiber",
+                    **{"d": d.d.to_json(), "class": label,
+                       "as_class": moved_by.to_json()})
 
     # Orbit partition of the fiber under the whole group.
     orbits: list[list[int]] = []
@@ -390,12 +385,13 @@ def _act_on_fiber(ring: Ring, d: DiscClass, cl: Classification,
                for ci in fiber)
     ann_classes, count, bound = _fibre_facts(ring, d.d.value, tables)
     if not ann_classes <= set(kernel_classes):
-        raise InternalCheckError(
-            f"kernel misses annihilator classes for d = {d.d}", _witness(ring, d))
+        raise InternalCheckError.over(
+            ring, f"kernel misses annihilator classes for d = {d.d}",
+            d=d.d.to_json())
     if count != bound:
-        raise InternalCheckError(
-            f"with-basis orbit count {count} != index bound {bound} for d = {d.d}",
-            _witness(ring, d, count=count, bound=bound))
+        raise InternalCheckError.over(
+            ring, f"with-basis orbit count {count} != index bound {bound} for d = {d.d}",
+            d=d.d.to_json(), count=count, bound=bound)
     return FiberReport(d, _ReadOnlyList(fiber),
                        _ReadOnlyList([cl[i].label for i in fiber]),
                        _ReadOnlyList(orbits), _ReadOnlyList(kernel_classes),

@@ -220,11 +220,10 @@ class _DiscTables:
             tt = kernel.values[kernel.square[kernel.code[witness]]]
             problem = _witness_problem(ring, d, witness, tt)
             if problem is not None:
-                raise InternalCheckError(
-                    f"witness {ring.element_text(witness)} {problem}",
-                    {"ring": ring.spec_string(),
-                     "d": RingElement(ring, d).to_json(),
-                     "witness_t": RingElement(ring, witness).to_json()})
+                raise InternalCheckError.over(
+                    ring, f"witness {ring.element_text(witness)} {problem}",
+                    d=RingElement(ring, d).to_json(),
+                    witness_t=RingElement(ring, witness).to_json())
             orbit = sorted({mul(s, d) for s in unit_squares}, key=ring.sort_key)
             for v in orbit:
                 self.index[v] = len(self.orbits)
@@ -244,13 +243,12 @@ class _DiscTables:
                 ab = mul(a, b)
                 k = index.get(ab)
                 if k is None:
-                    raise InternalCheckError(
-                        f"product {ring.element_text(ab)} of "
+                    raise InternalCheckError.over(
+                        ring, f"product {ring.element_text(ab)} of "
                         f"discriminants is not a discriminant",
-                        {"ring": ring.spec_string(),
-                         "a": RingElement(ring, a).to_json(),
-                         "b": RingElement(ring, b).to_json(),
-                         "product": RingElement(ring, ab).to_json()})
+                        a=RingElement(ring, a).to_json(),
+                        b=RingElement(ring, b).to_json(),
+                        product=RingElement(ring, ab).to_json())
                 row.append(k)
             table.append(row)
         return table
@@ -401,8 +399,9 @@ def _hom_report(ring: Ring, classification: Classification) -> DiscHomReport:
 
     Each row of the star table, mapped through disc, is compared with its
     disc-monoid row as one list; only a row that differs is walked pair by
-    pair for its violations, to which the preimage violations of the disc
-    tables are added.
+    pair for its violations, to which one violation per empty fibre and the
+    preimage violations of the disc tables are added: the report fails
+    exactly when it lists a violation.
     """
     tables = _disc_tables(ring)
     monoid = tables.monoid
@@ -435,10 +434,12 @@ def _hom_report(ring: Ring, classification: Classification) -> DiscHomReport:
     fibers = {label: _ReadOnlyList([labels[i] for i in fibre])
               for label, fibre in zip(monoid.labels, fibres)}
     fiber_sizes = {lbl: len(v) for lbl, v in fibers.items()}
-    violations += tables.preimage_violations
+    missed = [f"no algebra class maps to disc class {lbl}"
+              for lbl, size in fiber_sizes.items() if not size]
+    violations += missed + tables.preimage_violations
     return DiscHomReport(ring=ring,
                          is_homomorphism=is_hom,
-                         is_surjective=all(size > 0 for size in fiber_sizes.values()),
+                         is_surjective=not missed,
                          fiber_sizes=_ReadOnlyDict(fiber_sizes),
                          fibers=_ReadOnlyDict(fibers),
                          preimage_witnesses=_ReadOnlyDict(tables.preimages),

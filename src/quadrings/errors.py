@@ -32,10 +32,18 @@ class MonoidError(ValueError):
 class InternalCheckError(AssertionError):
     """An invariant the library guarantees was violated; indicates a bug, not bad input.
 
-    witness, if given, is a JSON-ready dict that locates the failure (ring
-    spec, discriminant, class label, AS class, ...).
+    witness, if given, is a JSON-ready dict that locates the failure.  Every
+    check of the package raises through over(), so its witness names the
+    ring's spec under "ring", then where the check failed (discriminant,
+    class label, AS class, ...).
     """
 
     def __init__(self, message: str, witness: dict | None = None):
         super().__init__(message)
         self.witness = witness
+
+    @classmethod
+    def over(cls, ring, message: str, **where) -> InternalCheckError:
+        """The error of a check that failed over ring: its witness is
+        {"ring": ring.spec_string(), **where}, each value JSON-ready."""
+        return cls(message, {"ring": ring.spec_string(), **where})

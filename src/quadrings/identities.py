@@ -96,24 +96,22 @@ def _terms(*elements) -> int:
 IdentityResult = namedtuple("IdentityResult", "name passed lhs_terms rhs_terms")
 
 
-def _check_disc_multiplicativity() -> IdentityResult:
+def _check_disc_multiplicativity() -> tuple[bool, int, int]:
     t, n, s, m = variables("t", "n", "s", "m")
     lhs = star_product(_algebra(t, n), _algebra(s, m)).disc().value
     rhs = (t ** 2 - 4 * n) * (s ** 2 - 4 * m)
-    return IdentityResult("disc-multiplicativity", lhs == rhs,
-                          lhs.term_count(), rhs.term_count())
+    return lhs == rhs, lhs.term_count(), rhs.term_count()
 
 
-def _check_star_associativity() -> IdentityResult:
+def _check_star_associativity() -> tuple[bool, int, int]:
     t, n, s, m, p, q = variables("t", "n", "s", "m", "p", "q")
     a, b, c = _algebra(t, n), _algebra(s, m), _algebra(p, q)
     left = star_product(star_product(a, b), c)
     right = star_product(a, star_product(b, c))
-    return IdentityResult("star-associativity", left == right,
-                          _terms(*left.pair()), _terms(*right.pair()))
+    return left == right, _terms(*left.pair()), _terms(*right.pair())
 
 
-def _check_change_of_basis() -> IdentityResult:
+def _check_change_of_basis() -> tuple[bool, int, int]:
     # Generator substitutions x = u*x' + r and y = v*y' + q transport the
     # defining data by t = u*t' + 2r, n = u^2*n' + t*r - r^2 (and likewise
     # for s, m): expand (u*x' + r)^2 = t(u*x' + r) - n and compare
@@ -132,11 +130,10 @@ def _check_change_of_basis() -> IdentityResult:
     w = primed.element(q * t + r * s - 2 * q * r, u * v)
     lhs = w * w
     rhs = w * big.t - big.n
-    return IdentityResult("change-of-basis-functoriality", lhs == rhs,
-                          _terms(lhs), _terms(rhs))
+    return lhs == rhs, _terms(lhs), _terms(rhs)
 
 
-def _check_fixed_element_square() -> IdentityResult:
+def _check_fixed_element_square() -> tuple[bool, int, int]:
     # z = xy + swap(xy) is fixed by the joint involution and satisfies the
     # defining equation of S * T = (t, n) * (s, m).
     s, m = variables("s", "m")
@@ -146,32 +143,29 @@ def _check_fixed_element_square() -> IdentityResult:
     product = star_product(inner, _algebra(s, m))
     lhs = z * z
     rhs = z * product.t - product.n
-    return IdentityResult("fixed-element-z-squared", lhs == rhs,
-                          _terms(lhs), _terms(rhs))
+    return lhs == rhs, _terms(lhs), _terms(rhs)
 
 
-def _check_wp_closure() -> IdentityResult:
+def _check_wp_closure() -> tuple[bool, int, int]:
     r, s = variables("r", "s")
     combo = r + s + 2 * r * s
     lhs = combo + combo ** 2
     pr = r + r ** 2
     ps = s + s ** 2
     rhs = pr + ps + 4 * pr * ps
-    return IdentityResult("wp-closure", lhs == rhs,
-                          lhs.term_count(), rhs.term_count())
+    return lhs == rhs, lhs.term_count(), rhs.term_count()
 
 
-def _check_as_action_norm() -> IdentityResult:
+def _check_as_action_norm() -> tuple[bool, int, int]:
     # The AS class m acts as the product with (1, m): trace t, norm n + d*m.
     t, n, m = variables("t", "n", "m")
     a = _algebra(t, n)
     acted = star_product(a, _algebra(1, m))
     rhs = a.n + a.disc() * m
-    return IdentityResult("as-action-norm", acted.t == a.t and acted.n == rhs,
-                          _terms(acted.n), _terms(rhs))
+    return acted.t == a.t and acted.n == rhs, _terms(acted.n), _terms(rhs)
 
 
-def _check_square_product() -> IdentityResult:
+def _check_square_product() -> tuple[bool, int, int]:
     t, n, w = variables("t", "n", "w")
     a = _algebra(t, n)
     square = star_product(a, a)
@@ -183,11 +177,11 @@ def _check_square_product() -> IdentityResult:
     target = w ** 2 - (t ** 2 - 4 * n) * w
     passed = (st == t ** 2 and norm == 2 * n * (t ** 2 - 2 * n)
               and disc_lhs == disc_rhs and shifted == target)
-    return IdentityResult("square-product", passed,
-                          disc_lhs.term_count() + shifted.term_count(),
-                          disc_rhs.term_count() + target.term_count())
+    return (passed, disc_lhs.term_count() + shifted.term_count(),
+            disc_rhs.term_count() + target.term_count())
 
 
+# Each check returns (passed, lhs_terms, rhs_terms); its key is its name.
 IDENTITY_CHECKS = {
     "disc-multiplicativity": _check_disc_multiplicativity,
     "star-associativity": _check_star_associativity,
@@ -205,8 +199,8 @@ def verify_named_identity(name: str) -> IdentityResult:
     if name not in IDENTITY_CHECKS:
         known = ", ".join(IDENTITY_NAMES)
         raise KeyError(f"unknown identity {name!r}; known: {known}")
-    return IDENTITY_CHECKS[name]()
+    return IdentityResult(name, *IDENTITY_CHECKS[name]())
 
 
 def verify_all() -> list[IdentityResult]:
-    return [check() for check in IDENTITY_CHECKS.values()]
+    return [IdentityResult(name, *check()) for name, check in IDENTITY_CHECKS.items()]

@@ -634,9 +634,9 @@ def classify(ring: Ring) -> Classification:
     # A slip in the trace table or a slice would push the sum off |R|^2.
     total = sum(c.orbit_size for c in classes)
     if total != size ** 2:
-        raise InternalCheckError(
-            f"orbit sizes sum to {total}, expected {size ** 2}",
-            {"ring": ring.spec_string(), "total": total, "expected": size ** 2})
+        raise InternalCheckError.over(
+            ring, f"orbit sizes sum to {total}, expected {size ** 2}",
+            total=total, expected=size ** 2)
     return Classification(ring, classes, class_map)
 
 
@@ -658,10 +658,9 @@ def quad_monoid(ring: Ring, classification: Classification) -> FiniteCommMonoid:
     zero = classification.index_of(QuadraticAlgebra(ring, 0, 0))
     absorbing = find_absorbing(monoid)
     if absorbing != zero:
-        raise InternalCheckError(
-            "class of (0,0) is not absorbing",
-            {"ring": ring.spec_string(), "zero_class": labels[zero],
-             "absorbing": None if absorbing is None else labels[absorbing]})
+        raise InternalCheckError.over(
+            ring, "class of (0,0) is not absorbing", zero_class=labels[zero],
+            absorbing=None if absorbing is None else labels[absorbing])
     return monoid
 
 

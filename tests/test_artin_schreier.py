@@ -883,7 +883,7 @@ def fiber_report_by_pairs(ring, d, classification, group):
 
 
 WITNESS_RINGS = ["Z/8[x]/(x^2+3)", "Z/8[x]/(x^2+2x+4)", "Z/8[x]/(x^2+6x+4)",
-                 "Z/8[x]/(x^2+4x+7)", "Z/16[x]/(x^2+3)"]
+                 "Z/8[x]/(x^2+4x+7)", "Z/16[x]/(x^2+3)", "Z/32[x]/(x^2+3)"]
 
 
 def test_hom_check_fibres_are_the_fibre_reports(monkeypatch):
@@ -951,7 +951,8 @@ def test_paper_sequence_through_the_fibre_reports():
     # every ring but the witness rings, where the trace mod 2R splits a
     # fibre (ROADMAP item 1, Disc(R) with parity)
     not_transitive = set()
-    for ring in rings_up_to(64) + [parse_ring("Z/16[x]/(x^2+3)")]:
+    for ring in rings_up_to(64) + [parse_ring(spec) for spec in
+                                   ("Z/16[x]/(x^2+3)", "Z/32[x]/(x^2+3)")]:
         cl, asg = classify(ring), as_group(ring)
         embedded = {cl.index_of(as_embed(ring, m)) for m in asg.classes}
         assert len(embedded) == asg.order, ring

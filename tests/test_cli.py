@@ -776,6 +776,24 @@ def test_disc_hom_violations_print_witness(capsys, monkeypatch):
         for a in ("(1,0)", "(1,1)") for b in ("(1,0)", "(1,1)")]}
 
 
+def test_disc_map_not_onto_prints_witness(capsys, monkeypatch):
+    # With the fibre of disc class 5 over Z/8 read as empty, disc exits 1
+    # with that class as its one violation.
+    import quadrings.discriminants as discriminants
+    real = discriminants._disc_map
+
+    def without_five(ring, cl):
+        mapping, fibres = real(ring, cl)
+        five = discriminants.disc_class_of(ring, 5)
+        return mapping, [[] if k == five else f for k, f in enumerate(fibres)]
+
+    monkeypatch.setattr(discriminants, "_disc_map", without_five)
+    message, witness = witness_line(capsys, "disc", "--ring", "Z/8")
+    violation = "no algebra class maps to disc class 5"
+    assert message == f"internal check failed: {violation}"
+    assert witness == {"ring": "Z/8", "violations": [violation]}
+
+
 def test_bad_disc_monoid_table_prints_witness(capsys, monkeypatch):
     # A disc-monoid table with an entry out of range fails FiniteCommMonoid's
     # table check; main exits 1 with the MonoidError's witness line.

@@ -421,6 +421,28 @@ def test_preimage_violations_are_reported(monkeypatch):
         assert report.is_homomorphism and report.is_surjective
 
 
+def test_an_empty_fibre_is_a_violation(monkeypatch):
+    # with the fibre of disc class 5 over Z/8 read as empty, disc is not
+    # onto and the report lists that class: it fails exactly when it lists
+    # a violation, on every call
+    import quadrings.discriminants as discriminants
+    real = discriminants._disc_map
+    ring = parse_ring("Z/8")
+    five = discriminants.disc_class_of(ring, 5)
+
+    def without_five(ring, cl):
+        mapping, fibres = real(ring, cl)
+        return mapping, [[] if k == five else f for k, f in enumerate(fibres)]
+
+    monkeypatch.setattr(discriminants, "_disc_map", without_five)
+    cl = classify(ring)
+    for _ in range(2):
+        report = disc_hom_check(ring, cl)
+        assert report.violations == ["no algebra class maps to disc class 5"]
+        assert report.is_homomorphism and not report.is_surjective
+        assert report.fiber_sizes["5"] == 0
+
+
 def test_identity_class_off_the_identity_disc_class_is_reported(monkeypatch):
     # with (1, 0) read as the class of (0, 0), the identity algebra class
     # maps to disc 0, not to the identity disc class 1

@@ -999,6 +999,25 @@ def test_separable_square_all_finite():
                 assert separable_square_check(c.rep)
 
 
+IDEMPOTENT_RINGS = ["Z/960", "Z/1024", "Z/840", "Z/2[x]/(x^10+x^3+1)", "Z/2[x]/(x^10)",
+                    "Z/4[x]/(x^5+x^2+1)", "Z/16[x]/(x^2+3)", "Z/32[x]/(x^2+3)",
+                    "Z/9[x]/(x^2+x)", "Z/25[x]/(x^2+1)"]
+
+
+def test_separable_classes_number_the_idempotents():
+    # A finite ring is the product of its local factors, one per maximal
+    # ideal, and a finite local ring has two separable (etale) quadratic
+    # algebras, so the separable classes number 2^k = the idempotents
+    # (ROADMAP item 20).  Z/9[x]/(x^2+x) and Z/25[x]/(x^2+1) split by
+    # idempotents that no CRT on the spec sees.
+    rings_ = rings_up_to(64)[1:]    # every ring but Z/1
+    rings_ += [parse_ring(spec) for spec in IDEMPOTENT_RINGS]
+    for ring in rings_:
+        square = ring.kernel().square
+        idempotents = sum(square[c] == c for c in range(len(square)))
+        assert sum(c.separable for c in classify(ring)) == idempotents, ring
+
+
 def test_integer_algebra_table():
     z = parse_ring("Z")
     assert integer_algebra_for_disc(0) == QuadraticAlgebra(z, 0, 0)
