@@ -28,26 +28,25 @@ views over these tables that make one RingElement per member they list,
 and the class labels are made by classify, which formats each distinct
 trace or norm once.
 
-A classification keeps, in its derived slot, the FiberReport over each
-disc class, with the DiscClass of the first call over the class: the
-fiber, read off the classification's disc map (discriminants._disc_map),
-its labels, the orbits, the kernel classes, whether the action is free and
-transitive, and the with-basis orbit count and bound.  The action is the
-monoid product S * (1, m), so it is read off the classification's star
-table at the classes of the embedded (1, m), which the classification
-keeps in the same slot.  The count and bound, and the classes of
-ann(d)[4] the kernel is checked against, are class invariants, so they
-are worked out for the d of the first report over the class.  The kept
-report is frozen and its lists are read-only
-(discriminants._ReadOnlyList), so it is shared:
-fiber_report returns it to every caller whose d has the same d and
-witness_t, and check_freeness reads free off it, so a repeated call takes
-no ring product, class row, check or copy.
+A classification keeps, in its derived slot, one FiberReport per disc
+class asked for, keyed by its d and witness_t (the pair (d, t mod 2R)):
+the fiber, read off the classification's disc map
+(discriminants._disc_map), its labels, the orbits, the kernel classes,
+whether the action is free and transitive, and the with-basis orbit count
+and bound.  The count, the bound and the classes of ann(d)[4] the kernel
+is checked against are worked out for that d.  The action is the monoid
+product S * (1, m), so it is read off the classification's star table at
+the classes of the embedded (1, m), which the classification keeps in
+the same slot.  The kept report is frozen and its lists are read-only
+(discriminants._ReadOnlyList), so it is shared: fiber_report returns it
+to every caller with the same d and witness_t, and check_freeness reads
+free off it, so a repeated call takes no ring product, class row, check
+or copy.
 
 Checks that run once per ring instance, when its AS tables are built:
 P(R)[4] is a subgroup of R[4], and each AS class has order dividing 2.
-Checks that run once per classification and disc class, before its report
-is kept, in this order: every image lies in the fiber, the kernel contains
+Checks that run once per classification and d and witness_t, before its
+report is kept, in this order: every image lies in the fiber, the kernel contains
 the classes of ann(d)[4], and the count equals its bound.  A failed check
 keeps nothing, so a repeat raises again: an InternalCheckError with a
 witness naming the ring, d, the class and the AS class where they apply.
@@ -55,7 +54,7 @@ witness naming the ring, d, the class and the AS class where they apply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .discriminants import DiscClass, _disc_map, _disc_tables, _ReadOnlyList
 from .errors import InfiniteRingError, InternalCheckError
@@ -263,11 +262,11 @@ class FiberReport:
     classes that fix every member, free whether every other AS class moves
     every member, and basis_orbit_count and basis_orbit_bound the
     with-basis orbit count and bound (see _fibre_facts).  A classification
-    keeps one per disc class and every caller shares it, so it is frozen
-    and its lists, nested ones included, are read-only.  The fields are
-    written to the instance dict at once, as for DiscClass: the frozen
-    dataclass's own __init__, one object.__setattr__ call per field, took
-    twice as long.
+    keeps one per disc class asked for and every caller with that d and
+    witness_t shares it, so it is frozen and its lists, nested ones
+    included, are read-only.  The fields are written to the instance dict
+    at once, as for DiscClass: the frozen dataclass's own __init__, one
+    object.__setattr__ call per field, took twice as long.
     """
 
     disc_class: DiscClass
@@ -295,32 +294,21 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
                  group: ASGroup) -> FiberReport:
     """Compute the AS(R)-orbit structure of the fiber over a disc class.
 
-    The read-only report that the classification keeps over d's class (see
-    _act_on_fiber) when its disc class has d's d and witness_t, else that
-    report with disc_class d; once it is kept a report takes no ring
-    product, class row, check or copy of a list.  d, classification and
-    group built for another ring raise ValueError.
+    The read-only report that the classification keeps for d's d and
+    witness_t, built and checked by _act_on_fiber on first use; a repeated
+    call returns the kept report itself, with no ring product, class row,
+    check or copy of a list.  d, classification and group built for
+    another ring raise ValueError.
     """
     require_ring(ring, d, classification, group)
-    kept = _fibre_action(ring, d, classification)
-    first = kept.disc_class
-    if first.d.value == d.d.value and first.witness_t.value == d.witness_t.value:
-        return kept
-    return replace(kept, disc_class=d)
-
-
-def _fibre_action(ring: Ring, d: DiscClass,
-                  classification: Classification) -> FiberReport:
-    """The report over d's class that classification keeps, built and
-    checked by _act_on_fiber on first use, with the disc class of that
-    use.  d is over ring (its callers check it) and d.d is a discriminant,
-    so its class is read off the kept disc index by value, as _disc_map
-    reads it."""
-    own = _disc_tables(ring).index[d.d.value]
-    kept = classification.derived.setdefault("fibres", {})    # class -> report
-    report = kept.get(own)
+    kept = classification.derived.setdefault("fibres", {})    # (d, t) -> report
+    key = (d.d.value, d.witness_t.value)
+    report = kept.get(key)
     if report is None:
-        report = kept[own] = _act_on_fiber(ring, d, classification, own)
+        # d.d is a discriminant, so its class is read off the kept disc
+        # index by value, as _disc_map reads it
+        report = kept[key] = _act_on_fiber(
+            ring, d, classification, _disc_tables(ring).index[d.d.value])
     return report
 
 
@@ -465,9 +453,8 @@ def check_freeness(ring: Ring, d: DiscClass, classification: Classification,
     """True iff AS(R) acts freely on the sec members of the fiber (vacuous ok).
 
     Its discriminants are d times unit squares: all members are sec, or none.
-    Reads free off the report the classification keeps and fiber_report
-    returns, with its checks run first if it is new.
+    Reads free off fiber_report's kept report, with its checks run first if
+    it is new.
     """
-    require_ring(ring, d, classification, group)
-    return (_fibre_action(ring, d, classification).free
+    return (fiber_report(ring, d, classification, group).free
             or not ring.is_nonzerodivisor(d.d))

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InfiniteRingError, InternalCheckError
+from .errors import InfiniteRingError, InternalCheckError, MonoidError
 from .monoids import FiniteCommMonoid
 from .quadratic import Classification, QuadraticAlgebra
 from .rings import IntegerRing, Ring, RingElement, require_ring
@@ -196,8 +196,10 @@ class _DiscTables:
     products per class, the monoid one per pair of classes, and the
     preimages one per class.  Each witness (t reduced mod 2R, t^2 = d mod
     4R with t^2 read from the kernel), the closure of the monoid table and,
-    by FiniteCommMonoid, the monoid's labels and table are checked here, so
-    the DiscClassification views build their DiscClass objects unchecked.
+    by FiniteCommMonoid, the monoid's labels and table are checked here
+    (its MonoidError is raised as an InternalCheckError naming the ring),
+    so the DiscClassification views build their DiscClass objects
+    unchecked.
     Everything held is an int, a canonical value or a string, so the kernel
     keeps no reference to the ring.
     """
@@ -230,8 +232,11 @@ class _DiscTables:
             self.witness_of[d] = witness
             self.orbits.append(orbit)
         labels = [ring.element_text(d) for d in self.witness_of]
-        self.monoid = FiniteCommMonoid(labels, self._monoid_table(ring),
-                                       self.index[ring.one.value])
+        try:
+            self.monoid = FiniteCommMonoid(labels, self._monoid_table(ring),
+                                           self.index[ring.one.value])
+        except MonoidError as exc:
+            raise InternalCheckError.over(ring, str(exc), **exc.witness) from None
         self._find_preimages(ring, kernel)
 
     def _monoid_table(self, ring: Ring) -> list[list[int]]:
@@ -407,11 +412,9 @@ def _hom_report(ring: Ring, classification: Classification) -> DiscHomReport:
     monoid = tables.monoid
     mapping, fibres = _disc_map(ring, classification)
     violations: list[str] = []
-    is_hom = True
 
     identity_idx = classification.index_of(QuadraticAlgebra(ring, 1, 0))
     if mapping[identity_idx] != monoid.identity:
-        is_hom = False
         violations.append("identity class does not map to the identity disc class")
     # disc(rep_i * rep_j) against disc(rep_i) * disc(rep_j), row by row;
     # classes of one disc share the expected row.
@@ -425,12 +428,12 @@ def _hom_report(ring: Ring, classification: Classification) -> DiscHomReport:
         got = [mapping[k] for k in row]
         if got == want:
             continue
-        is_hom = False
         for label_j, g, w in zip(labels, got, want):
             if g != w:
                 violations.append(f"disc({label_i}*{label_j}) differs from "
                                   f"disc({label_i})*disc({label_j})")
 
+    is_hom = not violations    # before the fibre and preimage violations
     fibers = {label: _ReadOnlyList([labels[i] for i in fibre])
               for label, fibre in zip(monoid.labels, fibres)}
     fiber_sizes = {lbl: len(v) for lbl, v in fibers.items()}

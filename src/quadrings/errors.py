@@ -22,7 +22,10 @@ class MixedRingError(ValueError):
 class MonoidError(ValueError):
     """A monoid table fails validation, or has no absorbing element to read
     its Grothendieck group off; witness, if given, is a JSON-ready dict of
-    the check's kind and the labels or indices involved."""
+    the check's kind and the labels or indices involved.  It is the error
+    of a table a caller builds: the package's own tables (the disc monoid,
+    quad_monoid) raise a failed check as InternalCheckError.over, with this
+    message and witness and the ring."""
 
     def __init__(self, message: str, witness: dict | None = None):
         super().__init__(message)
@@ -35,7 +38,8 @@ class InternalCheckError(AssertionError):
     witness, if given, is a JSON-ready dict that locates the failure.  Every
     check of the package raises through over(), so its witness names the
     ring's spec under "ring", then where the check failed (discriminant,
-    class label, AS class, ...).
+    class label, AS class, ...); a failed monoid-table check keeps the
+    MonoidError's kind, indices and labels or value beside the ring.
     """
 
     def __init__(self, message: str, witness: dict | None = None):

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import operator
 
-from .errors import InfiniteRingError, InternalCheckError, MixedRingError
+from .errors import InfiniteRingError, InternalCheckError, MixedRingError, MonoidError
 from .rings import (IntegerRing, Ring, RingElement, _walk_cosets, require_enumerable,
                     require_ring)
 
@@ -412,11 +412,12 @@ class Classification:
     derived is the slot where discriminants and artin_schreier keep what
     they read off this classification, each built on first use: the disc
     map (the disc class of each class and the fibre of each disc class),
-    the disc-hom report, and the fibre report over each disc class, with
-    its orbit count and bound, checked.  The two kinds of report are
-    read-only and returned to every caller; they hold the ring, and a
-    fibre report the DiscClass of its first call, but no ring or class
-    refers to a classification, so this slot makes no reference cycle.
+    the disc-hom report, and one fibre report per disc class asked for,
+    keyed by its d and witness t, with its orbit count and bound, checked.
+    The two kinds of report are read-only and returned to every caller;
+    they hold the ring, and a fibre report its DiscClass, but no ring or
+    class refers to a classification, so this slot makes no reference
+    cycle.
     """
 
     def __init__(self, ring: Ring, classes: list[IsoClass],
@@ -645,16 +646,21 @@ def quad_monoid(ring: Ring, classification: Classification) -> FiniteCommMonoid:
 
     The table is classification.star_table(), induced by the product on
     canonical representatives; the result is validated before being
-    returned, and the class of (0, 0) is checked to be absorbing.  A
-    classification built for another ring raises MixedRingError.
+    returned, and the class of (0, 0) is checked to be absorbing.  A failed
+    check raises InternalCheckError, a failed monoid-table check with the
+    MonoidError's message and witness and the ring.  A classification built
+    for another ring raises MixedRingError.
     """
     from .monoids import FiniteCommMonoid, find_absorbing, require_valid_monoid
     require_ring(ring, classification)
     labels = classification.labels()
     table = classification.star_table()
     identity = classification.index_of(QuadraticAlgebra(ring, 1, 0))
-    monoid = FiniteCommMonoid(labels, table, identity)
-    require_valid_monoid(monoid)
+    try:
+        monoid = FiniteCommMonoid(labels, table, identity)
+        require_valid_monoid(monoid)
+    except MonoidError as exc:
+        raise InternalCheckError.over(ring, str(exc), **exc.witness) from None
     zero = classification.index_of(QuadraticAlgebra(ring, 0, 0))
     absorbing = find_absorbing(monoid)
     if absorbing != zero:

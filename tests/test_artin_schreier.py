@@ -478,11 +478,11 @@ def test_fiber_matches_disc_classification_for_every_orbit_member():
 
 
 def test_fibre_reports_are_class_invariants():
-    # the kept action over a disc class holds the count and bound of the d
-    # of its first report, and is checked against ann(d)[4] for that d
-    # only, so every member of the class must give the same report: each
-    # member's report, built afresh on a classification that keeps no
-    # action, equals its class's in every field but disc_class
+    # each report holds the count and bound of its own d and is checked
+    # against ann(d)[4] for that d; the count, the bound and ann(d)[4] are
+    # class invariants, so each member's report, built afresh on a
+    # classification that keeps no report, equals its class's in every
+    # field but disc_class
     for ring in rings_up_to(32):
         cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
         for d, orbit in zip(dc, dc.orbits):
@@ -498,10 +498,10 @@ def test_fibre_reports_are_class_invariants():
 
 
 def test_a_kept_report_is_named_for_each_disc_class_asked_for():
-    # the report kept over a class is returned as it is only for a disc
-    # class of its own d and witness; any other member of the class, or
-    # its d with another witness, gets the kept report with its own
-    # disc_class, and the kept one is returned again after it
+    # a report is kept per d and witness asked for: any other member of
+    # the class, or its d with another witness, gets a report of its own
+    # with its own disc_class, equal to the class's in every other field,
+    # and each kept report is returned itself on every repeat
     seen_witness = seen_member = False
     for spec in ["Z/12", "Z/4[x]/(x^2)", "Z/8[x]/(x^2+3)", "Z/3[x]/(x^2)"]:
         ring = parse_ring(spec)
@@ -520,9 +520,24 @@ def test_a_kept_report_is_named_for_each_disc_class_asked_for():
                 report = fiber_report(ring, other, cl, asg)
                 assert report.disc_class is other
                 assert dataclasses.replace(report, disc_class=d) == kept
+                assert fiber_report(ring, other, cl, asg) is report
             assert fiber_report(ring, d, cl, asg) is kept
             assert fiber_report(ring, dataclasses.replace(d), cl, asg) is kept
     assert seen_witness and seen_member
+    # x+1 lies in the disc class of 1 over Z/3[x]/(x^2); asked for first,
+    # it does not take the class's report: the class's own is built after
+    # it and repeats itself
+    ring = parse_ring("Z/3[x]/(x^2)")
+    cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
+    member = ring.element((1, 1))
+    first = fiber_report(ring, DiscClass(ring, member, is_discriminant(ring, member)),
+                         cl, asg)
+    d = dc[dc.index_of(1)]
+    kept = fiber_report(ring, d, cl, asg)
+    assert first.disc_class.d == member and kept.disc_class is d
+    assert fiber_report(ring, d, cl, asg) is kept
+    assert check_freeness(ring, d, cl, asg) == kept.free
+    assert fiber_report(ring, d, cl, asg) is kept
 
 
 def test_dropped_ring_is_freed_by_refcount():
@@ -921,7 +936,7 @@ def test_check_freeness_first_matches_sec_member_loop(spec):
     cl, asg, dc = classify(ring), as_group(ring), disc_classes(ring)
     for i, d in enumerate(dc):
         fiber = [ci for ci, c in enumerate(cl) if dc.index_of(c.disc) == i]
-        assert i not in cl.derived.get("fibres", {})
+        assert (d.d.value, d.witness_t.value) not in cl.derived.get("fibres", {})
         free = check_freeness(ring, d, cl, asg)
         assert free == freeness_by_sec_member_loop(cl, asg, fiber), (spec, d.d)
         report = fiber_report(ring, d, cl, asg)

@@ -750,6 +750,22 @@ def test_quad_monoid_absorbing_failure_prints_witness(capsys, monkeypatch):
     assert witness == {"ring": "Z/4", "zero_class": "(0,0)", "absorbing": "(0,1)"}
 
 
+def test_quad_monoid_table_failure_names_the_ring(monkeypatch):
+    # A failed check of the class monoid's table is an internal check: the
+    # MonoidError's message and witness, with the ring in the witness.
+    import quadrings.monoids as monoids
+    from quadrings import InternalCheckError, classify, parse_ring, quad_monoid
+    monkeypatch.setattr(monoids, "find_monoid_violation",
+                        lambda monoid: ("associativity", (0, 1, 1)))
+    ring = parse_ring("Z/4")
+    with pytest.raises(InternalCheckError) as info:
+        quad_monoid(ring, classify(ring))
+    assert str(info.value) == "associativity fails at ('(0,0)', '(0,1)', '(0,1)')"
+    assert info.value.witness == {"ring": "Z/4", "kind": "associativity",
+                                  "indices": [0, 1, 1],
+                                  "labels": ["(0,0)", "(0,1)", "(0,1)"]}
+
+
 def test_disc_monoid_closure_failure_prints_witness(capsys, monkeypatch):
     # Over Z/2[x]/(x^4) the discriminants are the squares 0, 1, x^2, 1+x^2;
     # dropping the class of 0 leaves x^2 * x^2 = 0 outside the set.
@@ -796,7 +812,8 @@ def test_disc_map_not_onto_prints_witness(capsys, monkeypatch):
 
 def test_bad_disc_monoid_table_prints_witness(capsys, monkeypatch):
     # A disc-monoid table with an entry out of range fails FiniteCommMonoid's
-    # table check; main exits 1 with the MonoidError's witness line.
+    # table check; main exits 1 with the MonoidError's witness line, which
+    # names the ring too.
     import quadrings.discriminants as discriminants
     real = discriminants.FiniteCommMonoid
 
@@ -808,4 +825,4 @@ def test_bad_disc_monoid_table_prints_witness(capsys, monkeypatch):
     monkeypatch.setattr(discriminants, "FiniteCommMonoid", corrupted)
     message, witness = witness_line(capsys, "disc", "--ring", "Z/4")
     assert message == "internal check failed: table entry (1,1) out of range: 2"
-    assert witness == {"kind": "range", "indices": [1, 1], "value": 2}
+    assert witness == {"ring": "Z/4", "kind": "range", "indices": [1, 1], "value": 2}

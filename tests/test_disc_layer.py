@@ -67,7 +67,8 @@ def disc_classification_by_objects(ring):
 
 
 def disc_hom_check_by_objects(ring, cl):
-    """The DiscHomReport, with star products and discs taken on objects."""
+    """The DiscHomReport, with star products and discs taken on objects:
+    the hom violations, then one per empty fibre."""
     classes, _, index, table, identity = disc_classification_by_objects(ring)
     labels = [str(d) for d, _ in classes]
     mapping = [index[c.rep.disc()] for c in cl]
@@ -85,6 +86,8 @@ def disc_hom_check_by_objects(ring, cl):
     fibers = {label: [] for label in labels}
     for i, c in enumerate(cl):
         fibers[labels[mapping[i]]].append(c.label)
+    violations += [f"no algebra class maps to disc class {label}"
+                   for label, fiber in fibers.items() if not fiber]
     preimages = {}
     four = ring.element(4)
     for (d, t), label in zip(classes, labels):
@@ -201,6 +204,26 @@ def small_finite_ring(draw):
 @given(small_finite_ring())
 def test_disc_layer_matches_object_oracles_on_drawn_rings(ring):
     check_against_oracles(ring)
+
+
+def test_an_empty_fibre_is_listed_by_the_report_and_the_oracle(monkeypatch):
+    # over Z/8 the disc classes are 0, 1, 4 and 5; with the discs of the
+    # disc-5 classes read as 1, on the class records the report reads and
+    # by QuadraticAlgebra.disc the oracle reads, disc is still a hom, and
+    # the fibre of 5 is empty on both sides
+    ring = parse_ring("Z/8")
+    cl = classify(ring)
+    five, one = ring.element(5), ring.one
+    for c in cl:
+        if c.disc == five:
+            monkeypatch.setattr(c, "disc", one)
+    real = QuadraticAlgebra.disc
+    monkeypatch.setattr(QuadraticAlgebra, "disc",
+                        lambda self: one if real(self) == five else real(self))
+    report = disc_hom_check(ring, cl)
+    assert report == disc_hom_check_by_objects(ring, cl)
+    assert report.is_homomorphism and not report.is_surjective
+    assert report.violations == ["no algebra class maps to disc class 5"]
 
 
 def test_disc_hom_check_refuses_classes_of_another_ring():
