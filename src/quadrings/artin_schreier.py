@@ -23,10 +23,12 @@ the disc tables count per class of t^2 mod 4R.  AS(R) is built
 once per ring instance, in one pass over those codes, and kept in the
 kernel: the codes and canonical values of R[4], the positions in them of
 P(R)[4] and of the class representatives, the class of each member by
-position and by value, and the identity.  ASGroup and wp4_subgroup are
-views over these tables that make one RingElement per member they list,
-and the class labels are made by classify, which formats each distinct
-trace or norm once.
+position and by value, and the identity.  ASGroup is the one reader of
+these tables: a view that makes one RingElement per member of R[4], whose
+wp4 list wp4_subgroup returns.  The fiber reports read AS(R) off the
+ASGroup they are passed, which may be that of an equal ring, and the
+class labels are made by classify, which formats each distinct trace or
+norm once.
 
 A classification keeps, in its derived slot, one FiberReport per disc
 class asked for, keyed by its d and witness_t (the pair (d, t mod 2R)):
@@ -98,8 +100,8 @@ def _check_wp4(ring: Ring, kernel: Kernel, members: list[int], fours: list[int])
 
 class _ASTables:
     """AS(R) of one ring, built once per ring instance on the codes of its
-    kernel and kept in its derived slot (for Z, where R[4] = P(R)[4] = {0},
-    built per call).
+    kernel and kept in its derived slot by ASGroup, their one reader (for
+    Z, where R[4] = P(R)[4] = {0}, built per call).
 
     torsion and values are the codes and canonical values of R[4], in
     order; wp4_pos and class_pos the positions in them of P(R)[4] and of
@@ -153,44 +155,38 @@ class _ASTables:
         self.class_of = dict(zip(self.values, self.torsion_classes))
 
 
-def _as_tables(ring: Ring) -> _ASTables:
-    """The AS tables of ring: kept in the kernel of a finite ring."""
-    if not ring.is_finite:
-        return _ASTables(ring)
-    derived = ring.kernel().derived
-    tables = derived.get("as")
-    if tables is None:
-        tables = derived["as"] = _ASTables(ring)
-    return tables
-
-
 def wp4_subgroup(ring: Ring) -> list[RingElement]:
-    """P(R)[4] = {r + r^2 : (1+2r)^2 = 1} in canonical order: a view over
-    the ring's kept AS tables, which check that it is a subgroup of R[4]
+    """P(R)[4] = {r + r^2 : (1+2r)^2 = 1} in canonical order: the wp4 list
+    of ASGroup(ring), whose tables check that it is a subgroup of R[4]
     when they are built."""
-    tables = _as_tables(ring)
-    return [RingElement(ring, tables.values[k]) for k in tables.wp4_pos]
+    return ASGroup(ring).wp4
 
 
 class ASGroup:
     """AS(R) = R[4] / P(R)[4] with canonical coset representatives.
 
-    A view over the ring's kept AS tables, with no ring product or check
-    once they exist: each call makes one RingElement per member of R[4],
-    for four_torsion, and lists wp4 and classes from those, at the
-    positions the tables keep.  identity is the index of the class of 0,
-    and torsion_classes the class of each four_torsion element, in order;
-    class_of reads its element by ring.canonicalize and looks it up by
-    value.  Every list is new.
+    A view over the ring's AS tables, which it builds and keeps in the
+    ring's kernel on first use and is the only one to read: once they
+    exist it takes no ring product or check, and each call makes one
+    RingElement per member of R[4], for four_torsion, and lists wp4 and
+    classes from those, at the positions the tables keep.  identity is the
+    index of the class of 0, and torsion_classes the class of each
+    four_torsion element, in order; class_of reads its element by
+    ring.canonicalize and looks it up by value.  Every list is new.  The
+    fiber reports read AS(R) off the group they are passed, the tables
+    included.
     """
 
     def __init__(self, ring: Ring):
-        tables = _as_tables(ring)
-        self.ring = ring
+        # kept in the kernel of a finite ring, built per call for Z
+        derived = ring.kernel().derived if ring.is_finite else {}
+        tables = derived.get("as")
+        if tables is None:
+            tables = derived["as"] = _ASTables(ring)
+        self.ring, self._tables = ring, tables
         self.four_torsion = torsion = [RingElement(ring, v) for v in tables.values]
         self.wp4 = [torsion[k] for k in tables.wp4_pos]
         self.classes = [torsion[k] for k in tables.class_pos]
-        self._class_of = tables.class_of    # value of an R[4] member -> class
         self.torsion_classes = list(tables.torsion_classes)
         self.identity = tables.identity
 
@@ -202,7 +198,7 @@ class ASGroup:
         """Class of a read by ring.canonicalize, so an int is accepted and
         another ring's element raises MixedRingError; ValueError unless a
         is 4-torsion."""
-        idx = self._class_of.get(self.ring.canonicalize(a))
+        idx = self._tables.class_of.get(self.ring.canonicalize(a))
         if idx is None:
             raise ValueError(f"{self.ring.element(a)!r} is not 4-torsion")
         return idx
@@ -295,10 +291,11 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
     """Compute the AS(R)-orbit structure of the fiber over a disc class.
 
     The read-only report that the classification keeps for d's d and
-    witness_t, built and checked by _act_on_fiber on first use; a repeated
-    call returns the kept report itself, with no ring product, class row,
-    check or copy of a list.  d, classification and group built for
-    another ring raise ValueError.
+    witness_t, built and checked by _act_on_fiber on first use from AS(R)
+    as group holds it; a repeated call returns the kept report itself, with
+    no ring product, class row, check or copy of a list.  The group of an
+    equal ring instance serves as well, since its values are the ring's;
+    d, classification and group built for another ring raise ValueError.
     """
     require_ring(ring, d, classification, group)
     kept = classification.derived.setdefault("fibres", {})    # (d, t) -> report
@@ -308,26 +305,27 @@ def fiber_report(ring: Ring, d: DiscClass, classification: Classification,
         # d.d is a discriminant, so its class is read off the kept disc
         # index by value, as _disc_map reads it
         report = kept[key] = _act_on_fiber(
-            ring, d, classification, _disc_tables(ring).index[d.d.value])
+            ring, d, classification, group, _disc_tables(ring).index[d.d.value])
     return report
 
 
-def _embedded_classes(ring: Ring, cl: Classification) -> list[int]:
-    """The class of (1, m) for each AS class m, in class order: looked up
-    once per classification with index_of and kept in its derived slot."""
+def _embedded_classes(group: ASGroup, cl: Classification) -> list[int]:
+    """The class of (1, m) for each AS class m that group lists, in class
+    order: looked up once per classification with index_of and kept in its
+    derived slot."""
     embedded = cl.derived.get("as embed")
     if embedded is None:
-        tables = _as_tables(ring)
         embedded = cl.derived["as embed"] = [
-            cl.index_of(as_embed(ring, RingElement(ring, tables.values[k])))
-            for k in tables.class_pos]
+            cl.index_of(as_embed(group.ring, m)) for m in group.classes]
     return embedded
 
 
 def _act_on_fiber(ring: Ring, d: DiscClass, cl: Classification,
-                  own: int) -> FiberReport:
-    """The action of every AS class on the fiber over disc class own, with
-    the facts of d, checked, as a read-only report with disc_class d.
+                  group: ASGroup, own: int) -> FiberReport:
+    """The action of every AS class of group on the fiber over disc class
+    own, with the facts of d, checked, as a read-only report with
+    disc_class d.  AS(R) is read off group: its classes, its identity and
+    the tables _fibre_facts reads; a fiber check names group's own element.
 
     The fiber is the classes whose discriminant is u^2 d for a unit u, read
     off the classification's disc map.  The AS class m acts by
@@ -340,21 +338,19 @@ def _act_on_fiber(ring: Ring, d: DiscClass, cl: Classification,
     contains the classes of ann(d)[4]; the count equals its bound.  The
     tests check the action against a walk over every orbit pair.
     """
-    tables = _as_tables(ring)
-    embedded, star = _embedded_classes(ring, cl), cl.star_table()
+    embedded, star = _embedded_classes(group, cl), cl.star_table()
     fiber = _disc_map(ring, cl)[1][own]
     fiber_pos = {ci: k for k, ci in enumerate(fiber)}
     action: list[dict[int, int]] = [{} for _ in embedded]
     for ci in fiber:
         row = star[ci]
-        for k, e, images in zip(tables.class_pos, embedded, action):
+        for m, e, images in zip(group.classes, embedded, action):
             target = images[ci] = row[e]
             if target not in fiber_pos:
-                moved_by, label = RingElement(ring, tables.values[k]), cl[ci].label
+                label = cl[ci].label
                 raise InternalCheckError.over(
-                    ring, f"action of {moved_by} moved {label} off the fiber",
-                    **{"d": d.d.to_json(), "class": label,
-                       "as_class": moved_by.to_json()})
+                    ring, f"action of {m} moved {label} off the fiber",
+                    **{"d": d.d.to_json(), "class": label, "as_class": m.to_json()})
 
     # Orbit partition of the fiber under the whole group.
     orbits: list[list[int]] = []
@@ -369,9 +365,9 @@ def _act_on_fiber(ring: Ring, d: DiscClass, cl: Classification,
     kernel_classes = [m_idx for m_idx, images in enumerate(action)
                       if all(images[ci] == ci for ci in fiber)]
     free = all(images[ci] != ci
-               for m_idx, images in enumerate(action) if m_idx != tables.identity
+               for m_idx, images in enumerate(action) if m_idx != group.identity
                for ci in fiber)
-    ann_classes, count, bound = _fibre_facts(ring, d.d.value, tables)
+    ann_classes, count, bound = _fibre_facts(ring, d.d.value, group._tables)
     if not ann_classes <= set(kernel_classes):
         raise InternalCheckError.over(
             ring, f"kernel misses annihilator classes for d = {d.d}",
@@ -454,7 +450,7 @@ def check_freeness(ring: Ring, d: DiscClass, classification: Classification,
 
     Its discriminants are d times unit squares: all members are sec, or none.
     Reads free off fiber_report's kept report, with its checks run first if
-    it is new.
+    it is new, on AS(R) as group holds it (see fiber_report).
     """
     return (fiber_report(ring, d, classification, group).free
             or not ring.is_nonzerodivisor(d.d))

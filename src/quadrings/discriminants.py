@@ -418,13 +418,10 @@ def _hom_report(ring: Ring, classification: Classification) -> DiscHomReport:
         violations.append("identity class does not map to the identity disc class")
     # disc(rep_i * rep_j) against disc(rep_i) * disc(rep_j), row by row;
     # classes of one disc share the expected row.
-    star, expected = classification.star_table(), {}
-    labels = classification.labels()
+    star, labels = classification.star_table(), classification.labels()
+    expected = [[disc_row[dj] for dj in mapping] for disc_row in monoid.table]
     for label_i, row, di in zip(labels, star, mapping):
-        want = expected.get(di)
-        if want is None:
-            disc_row = monoid.table[di]
-            want = expected[di] = [disc_row[dj] for dj in mapping]
+        want = expected[di]
         got = [mapping[k] for k in row]
         if got == want:
             continue

@@ -15,7 +15,7 @@ from quadrings import (BasisChange, DiscClass, InfiniteRingError,
                        is_discriminant, is_isomorphic,
                        is_sec_algebra, is_sec_element, parse_ring, star_product,
                        wp4_subgroup)
-from quadrings.artin_schreier import _as_tables, _fibre_facts
+from quadrings.artin_schreier import _fibre_facts
 from quadrings.discriminants import require_ring
 from quadrings.quadratic import ClassMap, Classification
 from test_quadratic import rings_up_to
@@ -248,7 +248,7 @@ def test_fiber_kernel_contains_annihilator_image():
 def basis_orbit_count_and_bound(ring, d):
     """The with-basis orbit count and bound of the element d, as the
     action over its class keeps them when d is the first disc reported."""
-    _, count, bound = _fibre_facts(ring, d.value, _as_tables(ring))
+    _, count, bound = _fibre_facts(ring, d.value, as_group(ring)._tables)
     return count, bound
 
 
@@ -565,6 +565,42 @@ def test_dropped_ring_is_freed_by_refcount():
             del ring, cl, asg, reports
             assert alive() is None, spec
             assert cl_alive() is None, spec
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("spec", ["Z/12", "Z/4[x]/(x^2)", "Z/2[x]/(x^2+x+1)"])
+def test_fibre_reports_read_the_as_group_they_are_given(spec):
+    # the reports read AS(R) off the group they are passed, here that of a
+    # second parse of the spec: they equal a fresh ring's, the ring's own
+    # AS tables are never built, a later call with the ring's own group
+    # returns the kept report itself, and nothing kept refers to the other
+    # ring or its group, so dropping them frees both with the collector off
+    import gc
+    import weakref
+    fresh = parse_ring(spec)
+    fresh_cl, fresh_group = classify(fresh), as_group(fresh)
+    expected = [(fiber_report(fresh, d, fresh_cl, fresh_group),
+                 check_freeness(fresh, d, fresh_cl, fresh_group))
+                for d in disc_classes(fresh)]
+    ring = parse_ring(spec)
+    cl, dc = classify(ring), disc_classes(ring)
+    gc.collect()
+    gc.disable()
+    try:
+        other = parse_ring(spec)
+        group = as_group(other)
+        got = [(fiber_report(ring, d, cl, group), check_freeness(ring, d, cl, group))
+               for d in dc]
+        assert got == expected
+        assert "as" not in ring.kernel().derived
+        own = as_group(ring)
+        for d, (report, free) in zip(dc, got):
+            assert fiber_report(ring, d, cl, own) is report
+            assert check_freeness(ring, d, cl, own) == free
+        alive, group_alive = weakref.ref(other), weakref.ref(group)
+        del other, group
+        assert alive() is None and group_alive() is None
     finally:
         gc.enable()
 
